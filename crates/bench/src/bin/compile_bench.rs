@@ -20,25 +20,34 @@
 //! individual builds run in milliseconds, so the minimum — not the mean —
 //! is the least-disturbed estimate on a shared host, mirroring `sim_bench`.
 //!
+//! A separate **scaling** series times the cold leg alone on larger
+//! programs ([`SCALING_SIZES`]: 512 to 4096 modules), recording the
+//! analyzer's share from the build's own `analyze` span and each size's
+//! time over the previous size's.
+//!
 //! Results (plus the cache accounting that certifies what was skipped) are
 //! written to `BENCH_compile.json`, the repo's compile-time trend line.
-//! When `--sim-json` (default `BENCH_sim.json`, as written by `sim_bench`)
+//! Its `cores` and `jobs` fields record the host's core count and the
+//! parallel leg's effective width; when that width is 1 the parallel leg
+//! measures nothing new and `parallel_speedup` is left out. When
+//! `--sim-json` (default `BENCH_sim.json`, as written by `sim_bench`)
 //! exists, its headline numbers are folded in as a `sim` regime so one file
 //! carries both trend lines.
 //!
 //! ```sh
-//! cargo run --release -p ipra-bench --bin compile_bench            # 8/64/256 modules
+//! cargo run --release -p ipra-bench --bin compile_bench   # 8/64/256 + scaling to 4096
 //! cargo run --release -p ipra-bench --bin compile_bench -- --modules 8 --check
 //! ```
 //!
 //! `--check` asserts the cache behaved (warm build all hits, one-edit
 //! rebuild touching fewer modules than cold, warm faster than cold,
-//! disk-warm faster than disk-cold) and exits nonzero otherwise — the CI
-//! smoke mode wired into `scripts/check.sh`.
+//! disk-warm faster than disk-cold) and that no doubling of the scaling
+//! series took more than [`MAX_DOUBLING_RATIO`] times as long, and exits
+//! nonzero otherwise — the CI smoke mode wired into `scripts/check.sh`.
 
 use ipra_core::PaperConfig;
 use ipra_driver::{
-    compile_incremental, run_program, CompilationCache, CompileOptions, CompiledProgram,
+    compile_incremental, run_program, CompilationCache, CompileOptions, CompiledProgram, SourceFile,
 };
 use ipra_telemetry::{CountersSnapshot, Telemetry};
 use ipra_workloads::generator::{random_program_with, GenConfig};
@@ -77,8 +86,9 @@ struct SizeReport {
     /// cold / warm and cold / edit wall-clock ratios.
     warm_speedup: f64,
     edit_speedup: f64,
-    /// cold / cold-parallel wall-clock ratio.
-    parallel_speedup: f64,
+    /// cold / cold-parallel wall-clock ratio; absent when the parallel
+    /// leg ran one worker, like the serial one.
+    parallel_speedup: Option<f64>,
     /// cold / disk-warm wall-clock ratio: what a second process gains.
     disk_warm_speedup: f64,
     /// Deterministic pipeline counters of one cold build (cache tiers,
@@ -89,6 +99,32 @@ struct SizeReport {
     /// `--jobs` widths (run-to-run and parallelism identity).
     counters_ok: bool,
 }
+
+/// One size of the scaling series: the cold serial build alone.
+#[derive(Debug, Serialize)]
+struct ScalingRow {
+    modules: usize,
+    /// Serial cold build (empty cache), best of [`TRIALS`].
+    cold_seconds: f64,
+    /// The analyzer's part of it, from the build's `analyze` span, best of
+    /// [`TRIALS`].
+    analyze_seconds: f64,
+    /// This size's cold build time over the previous row's (half the
+    /// modules), from builds run back to back: the median over the trial
+    /// rounds (absent on the first row).
+    cold_ratio: Option<f64>,
+    /// The same ratio for the `analyze` span.
+    analyze_ratio: Option<f64>,
+}
+
+/// Module counts of the scaling series: each doubles the previous one.
+const SCALING_SIZES: [usize; 4] = [512, 1024, 2048, 4096];
+
+/// The scaling gate: the most a doubling of the module count may multiply
+/// the cold build time by. Linear work doubles; the analyzer's
+/// node × global reference bitsets and cache effects add some on top; a
+/// quadratic scan would not fit.
+const MAX_DOUBLING_RATIO: f64 = 2.5;
 
 /// The alias-precision regime: a deterministic pointer-heavy program
 /// compiled under the blanket address-taken configuration (C) and the
@@ -147,14 +183,37 @@ struct SimRegime {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     config: String,
+    /// Cores available to this process.
+    cores: usize,
+    /// Effective worker count of the parallel legs.
     jobs: usize,
     sizes: Vec<SizeReport>,
+    /// Cold builds of growing programs: the pipeline's scaling trend.
+    scaling: Vec<ScalingRow>,
     alias: AliasReport,
     /// One row per machine description: compile-time and run observables
     /// of the same workload on every target the backend supports.
     targets: Vec<TargetRow>,
     /// Present when the `--sim-json` report was found and well-formed.
     sim: Option<SimRegime>,
+}
+
+/// `v` with every `null` object field left out: a number the host could
+/// not measure is absent from the report, not written as `null`.
+fn omit_nulls(v: serde::Value) -> serde::Value {
+    match v {
+        serde::Value::Object(fields) => serde::Value::Object(
+            fields
+                .into_iter()
+                .filter(|(_, x)| *x != serde::Value::Null)
+                .map(|(k, x)| (k, omit_nulls(x)))
+                .collect(),
+        ),
+        serde::Value::Array(items) => {
+            serde::Value::Array(items.into_iter().map(omit_nulls).collect())
+        }
+        other => other,
+    }
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -306,11 +365,63 @@ fn measure(modules: usize, jobs: usize, config: PaperConfig) -> SizeReport {
         edit_recompiled: edited.build.recompiled.len(),
         warm_speedup: cold_seconds / warm_seconds.max(1e-9),
         edit_speedup: cold_seconds / edit_seconds.max(1e-9),
-        parallel_speedup: cold_seconds / cold_parallel_seconds.max(1e-9),
+        parallel_speedup: (par_opts.effective_jobs() > 1)
+            .then(|| cold_seconds / cold_parallel_seconds.max(1e-9)),
         disk_warm_speedup: cold_seconds / disk_warm_seconds.max(1e-9),
         counters: CountersSnapshot(counters),
         counters_ok,
     }
+}
+
+/// The scaling series: each size's serial cold build, best of [`TRIALS`],
+/// with its `analyze` span, and the growth over the previous size.
+///
+/// A shared host's speed drifts by a third within seconds, more than the
+/// gap between linear and quadratic growth over one doubling. So each
+/// trial round builds every size in turn, and a ratio is the median, over
+/// the rounds, of one size's time over the previous size's in the same
+/// round: the two builds ran back to back, on about the same host. An
+/// untimed build of the largest size first grows the heap to the
+/// series' need, so no size pays for page faults that a larger size, run
+/// just before, spared another.
+fn measure_scaling(config: PaperConfig) -> Vec<ScalingRow> {
+    const N: usize = SCALING_SIZES.len();
+    let opts = CompileOptions::paper(config);
+    let programs = SCALING_SIZES.map(scaled_program);
+    let build = |sources: &[SourceFile]| {
+        let mut cache = CompilationCache::new();
+        let (p, s) =
+            timed(|| compile_incremental(sources, &opts, &mut cache).expect("scaling build"));
+        (s, p.build.analyze_seconds)
+    };
+    if let Some(largest) = programs.last() {
+        build(largest);
+    }
+    // Per trial round, per size: cold build seconds and `analyze` seconds.
+    let (mut cold, mut analyze): (Vec<[f64; N]>, Vec<[f64; N]>) = (Vec::new(), Vec::new());
+    for _ in 0..TRIALS {
+        let round = programs.each_ref().map(|sources| build(sources));
+        cold.push(round.map(|t| t.0));
+        analyze.push(round.map(|t| t.1));
+    }
+    let best =
+        |rounds: &[[f64; N]], i: usize| rounds.iter().map(|r| r[i]).fold(f64::INFINITY, f64::min);
+    let median_ratio = |rounds: &[[f64; N]], i: usize| {
+        let mut ratios: Vec<f64> = rounds.iter().map(|r| r[i] / r[i - 1].max(1e-9)).collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[ratios.len() / 2]
+    };
+    SCALING_SIZES
+        .iter()
+        .enumerate()
+        .map(|(i, &modules)| ScalingRow {
+            modules,
+            cold_seconds: best(&cold, i),
+            analyze_seconds: best(&analyze, i),
+            cold_ratio: (i > 0).then(|| median_ratio(&cold, i)),
+            analyze_ratio: (i > 0).then(|| median_ratio(&analyze, i)),
+        })
+        .collect()
 }
 
 /// The target regime: one cold build of the scaled workload per machine
@@ -402,7 +513,11 @@ fn main() -> ExitCode {
     let config = PaperConfig::C;
 
     let effective = CompileOptions { jobs, ..CompileOptions::default() }.effective_jobs();
-    eprintln!("compile_bench: sizes {sizes:?}, jobs {effective}, config {config}");
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    eprintln!(
+        "compile_bench: sizes {sizes:?}, scaling {SCALING_SIZES:?}, {cores} cores, \
+         jobs {effective}, config {config}"
+    );
 
     let alias = measure_alias();
     eprintln!(
@@ -440,8 +555,10 @@ fn main() -> ExitCode {
     }
     let mut report = BenchReport {
         config: config.to_string(),
+        cores,
         jobs: effective,
         sizes: Vec::new(),
+        scaling: Vec::new(),
         alias,
         targets,
         sim,
@@ -562,7 +679,29 @@ fn main() -> ExitCode {
         report.sizes.push(row);
     }
 
-    let json = serde_json::to_string_pretty(&report).expect("report serialization cannot fail");
+    report.scaling = measure_scaling(config);
+    for row in &report.scaling {
+        let ratio = |r: Option<f64>| r.map_or(String::new(), |r| format!(" ({r:.2}x half)"));
+        eprintln!(
+            "  {:>4} modules cold {:>8.1}ms{}, analyze {:>7.1}ms{}",
+            row.modules,
+            row.cold_seconds * 1e3,
+            ratio(row.cold_ratio),
+            row.analyze_seconds * 1e3,
+            ratio(row.analyze_ratio),
+        );
+        if check {
+            if let Some(r) = row.cold_ratio.filter(|&r| r > MAX_DOUBLING_RATIO) {
+                failures.push(format!(
+                    "{} modules: cold build grew {r:.2}x per doubling (gate {MAX_DOUBLING_RATIO}x)",
+                    row.modules
+                ));
+            }
+        }
+    }
+
+    let json = serde_json::to_string_pretty(&omit_nulls(serde::Serialize::serialize(&report)))
+        .expect("report serialization cannot fail");
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("compile_bench: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

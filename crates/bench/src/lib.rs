@@ -13,16 +13,22 @@
 //! * **ablations** — the §7.6.2 precise web/cluster interaction, the web
 //!   discard heuristics, and the cluster root gain threshold.
 //!
-//! The binary `tables` prints any of these; `EXPERIMENTS.md` records a full
-//! run against the paper's numbers.
+//! Four binaries use it:
+//!
+//! * `tables` prints any of these; `EXPERIMENTS.md` records a full run
+//!   against the paper's numbers;
+//! * `compile_bench` times cold, warm, one-edit and disk-cached builds and
+//!   a cold-build scaling series to 4096 modules (`BENCH_compile.json`);
+//! * `sim_bench` compares the fast and reference simulator engines
+//!   (`BENCH_sim.json`);
+//! * `daemon_bench` measures `cmind` build throughput, cold and warm
+//!   (`BENCH_daemon.json`).
 
 #![warn(missing_docs)]
 
 use ipra_core::analyzer::{AnalyzerOptions, PromotionMode};
 use ipra_core::PaperConfig;
-use ipra_driver::{
-    collect_profile, compile, run_program, CompileOptions, CompiledProgram, SourceFile,
-};
+use ipra_driver::{collect_profile, compile, run_program, CompileOptions, CompiledProgram};
 use ipra_workloads::Workload;
 use std::fmt::Write as _;
 
@@ -330,32 +336,6 @@ pub fn ablation_table(workloads: &[Workload], fast: bool) -> String {
     out
 }
 
-/// Convenience: sources for a synthetic N-procedure program used by the
-/// Criterion microbenches (so they do not depend on workload inputs).
-pub fn synthetic_sources(procedures: usize) -> Vec<SourceFile> {
-    let mut text = String::new();
-    for g in 0..procedures {
-        let _ = writeln!(text, "int glob{g};");
-    }
-    for i in 0..procedures {
-        if i == 0 {
-            let _ = writeln!(text, "int f0(int x) {{ glob0 = glob0 + x; return glob0; }}");
-        } else {
-            let _ = writeln!(
-                text,
-                "int f{i}(int x) {{ glob{i} = glob{i} + f{}(x + {i}); return glob{i}; }}",
-                i - 1
-            );
-        }
-    }
-    let _ = writeln!(
-        text,
-        "int main() {{ int s = 0; for (int i = 0; i < 50; i = i + 1) {{ s = s + f{}(i); }} out(s); return 0; }}",
-        procedures - 1
-    );
-    vec![SourceFile::new("synth", text)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,14 +372,6 @@ mod tests {
         assert!(t5.contains("Singleton"));
         let st = stats_table(&rows);
         assert!(st.contains("clusters"));
-    }
-
-    #[test]
-    fn synthetic_sources_compile_and_run() {
-        let sources = synthetic_sources(6);
-        let p = compile(&sources, &CompileOptions::paper(PaperConfig::C)).unwrap();
-        let r = run_program(&p, &[]).unwrap();
-        assert_eq!(r.output.len(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::profile::ProfileData;
 use ipra_summary::ProgramSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A call graph node id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -79,8 +79,11 @@ pub struct CallGraph {
     /// Number of SCCs.
     scc_count: u32,
     /// SCC-condensation topological order of nodes (callers before callees,
-    /// intra-SCC order arbitrary but deterministic).
+    /// intra-SCC order arbitrary but deterministic). Each SCC's members
+    /// form one contiguous run.
     topo: Vec<NodeId>,
+    /// Per node: on a recursive call chain (nontrivial SCC or self loop)?
+    recursive: Vec<bool>,
     /// Estimated invocations per node.
     call_count: Vec<u64>,
     /// Estimated traversals per edge (parallel to `edges`).
@@ -128,6 +131,7 @@ impl CallGraph {
 
         let mut edges: Vec<Edge> = Vec::new();
         let mut address_taken: Vec<NodeId> = Vec::new();
+        let mut taken_seen: HashSet<NodeId> = HashSet::new();
         let mut indirect_callers: Vec<NodeId> = Vec::new();
         for p in summary.procs() {
             let from = by_name[&p.name];
@@ -137,7 +141,7 @@ impl CallGraph {
             }
             for t in &p.taken_addresses {
                 let id = intern(&mut nodes, &mut by_name, t);
-                if !address_taken.contains(&id) {
+                if taken_seen.insert(id) {
                     address_taken.push(id);
                 }
             }
@@ -146,11 +150,15 @@ impl CallGraph {
             }
         }
         // §7.3: any address-taken procedure may be the target of any
-        // indirect call site.
-        for &from in &indirect_callers {
-            for &to in &address_taken {
-                if !edges.iter().any(|e| e.from == from && e.to == to) {
-                    edges.push(Edge { from, to, local_freq: 1, indirect: true });
+        // indirect call site that has no edge to it yet.
+        if !indirect_callers.is_empty() {
+            let mut linked: HashSet<(NodeId, NodeId)> =
+                edges.iter().map(|e| (e.from, e.to)).collect();
+            for &from in &indirect_callers {
+                for &to in &address_taken {
+                    if linked.insert((from, to)) {
+                        edges.push(Edge { from, to, local_freq: 1, indirect: true });
+                    }
                 }
             }
         }
@@ -164,6 +172,16 @@ impl CallGraph {
         }
 
         let (scc, scc_count, topo) = sccs(n, &edges, &succs);
+        let mut scc_size = vec![0u32; scc_count as usize];
+        for &c in &scc {
+            scc_size[c as usize] += 1;
+        }
+        let recursive = (0..n)
+            .map(|v| {
+                scc_size[scc[v] as usize] > 1
+                    || succs[v].iter().any(|&ei| edges[ei].to.index() == v)
+            })
+            .collect();
         let mut g = CallGraph {
             nodes,
             edges,
@@ -173,6 +191,7 @@ impl CallGraph {
             scc,
             scc_count,
             topo,
+            recursive,
             call_count: vec![0; n],
             edge_count: Vec::new(),
         };
@@ -241,9 +260,7 @@ impl CallGraph {
 
     /// Is `n` on a recursive call chain (nontrivial SCC or self loop)?
     pub fn is_recursive(&self, n: NodeId) -> bool {
-        let my = self.scc[n.index()];
-        let shared = self.node_ids().any(|m| m != n && self.scc[m.index()] == my);
-        shared || self.successors(n).any(|s| s == n)
+        self.recursive[n.index()]
     }
 
     /// The SCC index of `n`.
@@ -256,9 +273,16 @@ impl CallGraph {
         self.scc_count
     }
 
-    /// Nodes in SCC-condensation topological order (callers first).
+    /// Nodes in SCC-condensation topological order (callers first). The
+    /// members of each SCC are adjacent.
     pub fn topo_order(&self) -> &[NodeId] {
         &self.topo
+    }
+
+    /// The SCCs in condensation topological order (callers first), each as
+    /// its run of [`CallGraph::topo_order`].
+    pub fn sccs(&self) -> impl DoubleEndedIterator<Item = &[NodeId]> + '_ {
+        scc_runs(&self.topo, &self.scc)
     }
 
     /// Estimated (or profiled) invocations of `n`.
@@ -284,60 +308,55 @@ impl CallGraph {
         for &s in &self.start_nodes() {
             self.call_count[s.index()] = 1;
         }
-        // Process in condensation topological order; all cross-SCC
+        // Process SCCs in condensation topological order; all cross-SCC
         // predecessors are final by the time an SCC is reached.
-        let order = self.topo.clone();
-        let mut scc_seen: Vec<bool> = vec![false; self.scc_count as usize];
-        for &n in &order {
-            let scc = self.scc[n.index()] as usize;
-            if !scc_seen[scc] {
-                scc_seen[scc] = true;
-                // Gather the SCC members.
-                let members: Vec<NodeId> =
-                    order.iter().copied().filter(|m| self.scc[m.index()] as usize == scc).collect();
-                let recursive = members.len() > 1
-                    || members.iter().any(|&m| self.successors(m).any(|s| s == m));
-                // Incoming flow from outside the SCC.
-                let mut incoming: u64 = members
-                    .iter()
-                    .map(|&m| {
-                        self.preds[m.index()]
-                            .iter()
-                            .map(|&ei| {
-                                if self.scc[self.edges[ei].from.index()] as usize == scc {
-                                    0
-                                } else {
-                                    self.edge_count[ei]
-                                }
-                            })
-                            .sum::<u64>()
-                    })
-                    .sum();
-                if incoming == 0 && members.iter().any(|&m| self.preds[m.index()].is_empty()) {
-                    incoming = 1; // start node seed
-                }
-                let mut count = if recursive {
-                    incoming.saturating_mul(RECURSION_BOOST).min(COUNT_CAP)
-                } else {
-                    incoming.min(COUNT_CAP)
-                };
-                // Leaf procedures get their node weight boosted (they tend
-                // to be the hottest); edge counts stay unboosted so the
-                // cluster-root heuristic compares real call volumes.
-                if members.len() == 1 && self.succs[members[0].index()].is_empty() {
-                    count = count.saturating_mul(LEAF_BOOST_NUM).min(COUNT_CAP);
-                }
-                for &m in &members {
-                    self.call_count[m.index()] = count;
-                    // Outgoing edge counts from m.
-                    for &ei in &self.succs[m.index()] {
-                        let e = &self.edges[ei];
-                        let c = count.saturating_mul(e.local_freq);
-                        self.edge_count[ei] = c.min(COUNT_CAP);
-                    }
+        let order = std::mem::take(&mut self.topo);
+        for members in scc_runs(&order, &self.scc) {
+            let scc = self.scc[members[0].index()];
+            // Every member of a run shares one SCC, so the first member's
+            // flag is the SCC's.
+            let recursive = self.recursive[members[0].index()];
+            // Incoming flow from outside the SCC.
+            let mut incoming: u64 = members
+                .iter()
+                .map(|&m| {
+                    self.preds[m.index()]
+                        .iter()
+                        .map(|&ei| {
+                            if self.scc[self.edges[ei].from.index()] == scc {
+                                0
+                            } else {
+                                self.edge_count[ei]
+                            }
+                        })
+                        .sum::<u64>()
+                })
+                .sum();
+            if incoming == 0 && members.iter().any(|&m| self.preds[m.index()].is_empty()) {
+                incoming = 1; // start node seed
+            }
+            let mut count = if recursive {
+                incoming.saturating_mul(RECURSION_BOOST).min(COUNT_CAP)
+            } else {
+                incoming.min(COUNT_CAP)
+            };
+            // Leaf procedures get their node weight boosted (they tend to
+            // be the hottest); edge counts stay unboosted so the
+            // cluster-root heuristic compares real call volumes.
+            if members.len() == 1 && self.succs[members[0].index()].is_empty() {
+                count = count.saturating_mul(LEAF_BOOST_NUM).min(COUNT_CAP);
+            }
+            for &m in members {
+                self.call_count[m.index()] = count;
+                // Outgoing edge counts from m.
+                for &ei in &self.succs[m.index()] {
+                    let e = &self.edges[ei];
+                    let c = count.saturating_mul(e.local_freq);
+                    self.edge_count[ei] = c.min(COUNT_CAP);
                 }
             }
         }
+        self.topo = order;
     }
 
     fn apply_profile(&mut self, profile: &ProfileData) {
@@ -355,6 +374,14 @@ impl CallGraph {
             );
         }
     }
+}
+
+/// The runs of `topo` whose nodes share an SCC index in `scc`.
+fn scc_runs<'a>(
+    topo: &'a [NodeId],
+    scc: &'a [u32],
+) -> impl DoubleEndedIterator<Item = &'a [NodeId]> + 'a {
+    topo.chunk_by(move |a, b| scc[a.index()] == scc[b.index()])
 }
 
 /// Tarjan SCCs (iterative). Returns `(scc index per node, scc count, nodes
@@ -514,6 +541,9 @@ pub(crate) mod tests {
         let pos = |n: NodeId| g.topo_order().iter().position(|&x| x == n).unwrap();
         assert!(pos(main) < pos(a));
         assert!(pos(b) < pos(c));
+        let sccs: Vec<&[NodeId]> = g.sccs().collect();
+        assert_eq!(sccs.len(), 3);
+        assert!(sccs[1].contains(&a) && sccs[1].contains(&b));
     }
 
     #[test]

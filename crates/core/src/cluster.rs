@@ -52,12 +52,15 @@ pub struct Clustering {
     pub clusters: Vec<Cluster>,
     /// Immediate dominators over the call graph (virtual-rooted).
     idom: Vec<Option<NodeId>>,
+    /// Per node: the index in `clusters` of the cluster it roots.
+    rooted: Vec<Option<u32>>,
 }
 
 impl Clustering {
     /// The cluster rooted at `n`, if `n` is a root.
     pub fn cluster_of_root(&self, n: NodeId) -> Option<&Cluster> {
-        self.clusters.iter().find(|c| c.root == n)
+        let i = self.rooted.get(n.index()).copied().flatten()?;
+        Some(&self.clusters[i as usize])
     }
 
     /// Is `n` a cluster root?
@@ -159,7 +162,11 @@ pub fn call_graph_dominators(graph: &CallGraph) -> Vec<Option<NodeId>> {
             }
         }
     };
-    let is_start = |x: NodeId| starts.contains(&x);
+    let mut start = vec![false; n];
+    for &s in &starts {
+        start[s.index()] = true;
+    }
+    let is_start = |x: NodeId| start[x.index()];
     let mut changed = true;
     while changed {
         changed = false;
@@ -284,14 +291,16 @@ pub fn identify_clusters(graph: &CallGraph, heur: &ClusterHeuristics) -> Cluster
     // member set came up empty are dropped (a cluster of one node moves no
     // spill code).
     let mut out = Vec::new();
+    let mut rooted = vec![None; graph.len()];
     for &n in &order {
         if let Some(mut members) = clusters.remove(&n) {
             members.sort();
             members.dedup();
+            rooted[n.index()] = Some(out.len() as u32);
             out.push(Cluster { root: n, members });
         }
     }
-    Clustering { clusters: out, idom }
+    Clustering { clusters: out, idom, rooted }
 }
 
 #[cfg(test)]

@@ -222,6 +222,8 @@ pub fn color_webs(
 /// [`color_webs`] drawing candidate registers from `desc`'s callee-saves
 /// class, in ascending order — the same order the local allocator consumes
 /// them, which is what makes the Greedy skip-prefix rule sound.
+///
+/// `prio.considered` lists each web at most once, as [`prioritize`] does.
 pub fn color_webs_for(
     webs: &[Web],
     prio: &Prioritization,
@@ -232,19 +234,13 @@ pub fn color_webs_for(
     let callee_order = desc.callee_order();
     let mut assignment: Vec<Option<Reg>> = vec![None; webs.len()];
     let mut colored = 0;
+    // Registers of the webs colored so far, per call-graph node: the
+    // webs sharing a node with `w` are exactly those it interferes with.
+    let mut node_regs: Vec<RegSet> = vec![RegSet::new(); graph.len()];
     for pw in &prio.considered {
         let w = &webs[pw.web];
         // Registers already taken by interfering colored webs.
-        let mut taken = RegSet::new();
-        for (j, other) in webs.iter().enumerate() {
-            if j != pw.web {
-                if let Some(r) = assignment[j] {
-                    if interferes(w, other) {
-                        taken.insert(r);
-                    }
-                }
-            }
-        }
+        let taken = w.nodes.iter().fold(RegSet::new(), |acc, &n| acc | node_regs[n.index()]);
         let candidates: Vec<Reg> = match strategy {
             ColoringStrategy::Reserved { count } => {
                 callee_order.iter().copied().take(count as usize).collect()
@@ -264,6 +260,9 @@ pub fn color_webs_for(
         if let Some(r) = candidates.into_iter().find(|r| !taken.contains(*r)) {
             assignment[pw.web] = Some(r);
             colored += 1;
+            for &n in &w.nodes {
+                node_regs[n.index()].insert(r);
+            }
         }
     }
     Coloring { assignment, colored }
@@ -277,9 +276,10 @@ pub fn blanket_webs(graph: &CallGraph, elig: &Eligibility, count: usize) -> Vec<
     let mut totals: Vec<(GlobalId, u64)> = elig
         .ids()
         .map(|g| {
-            let total: u64 = graph
-                .node_ids()
-                .map(|n| elig.ref_freq(n, g).saturating_mul(graph.call_count(n).max(1)))
+            let total: u64 = elig
+                .refs(g)
+                .iter()
+                .map(|r| r.freq.saturating_mul(graph.call_count(r.node).max(1)))
                 .sum();
             (g, total)
         })

@@ -18,7 +18,7 @@
 use crate::bitset::BitSet;
 use crate::callgraph::{CallGraph, NodeId};
 use ipra_summary::ProgramSummary;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// An index into the eligible-global table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,16 +54,26 @@ pub struct EligibleGlobal {
     pub is_static: bool,
 }
 
+/// One procedure's references to one eligible global, merged over the
+/// procedure's summary records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NodeRef {
+    /// The referencing procedure.
+    pub(crate) node: NodeId,
+    /// Local reference frequency (raw; weighted by invocations later).
+    pub(crate) freq: u64,
+    /// Does the procedure write the global?
+    pub(crate) written: bool,
+}
+
 /// The eligibility analysis result.
 #[derive(Debug, Clone, Default)]
 pub struct Eligibility {
     globals: Vec<EligibleGlobal>,
     by_sym: HashMap<String, GlobalId>,
     rejected: Vec<(String, IneligibleReason)>,
-    /// Per (node, global): local reference frequency.
-    ref_freq: HashMap<(NodeId, GlobalId), u64>,
-    /// Per (node, global): does the node write the global?
-    written: HashMap<(NodeId, GlobalId), bool>,
+    /// Per global: its referencing procedures, ascending by node.
+    refs: Vec<Vec<NodeRef>>,
 }
 
 impl Eligibility {
@@ -77,9 +87,10 @@ impl Eligibility {
     /// global whose address is taken anywhere.
     pub fn blanket_aliased(summary: &ProgramSummary) -> Vec<String> {
         let mut aliased: Vec<String> = Vec::new();
+        let mut seen: HashSet<&str> = HashSet::new();
         for p in summary.procs() {
             for r in &p.global_refs {
-                if r.address_taken() && !aliased.contains(&r.sym) {
+                if r.address_taken() && seen.insert(&r.sym) {
                     aliased.push(r.sym.clone());
                 }
             }
@@ -115,7 +126,7 @@ impl Eligibility {
         solution: &ipra_alias::Solution,
     ) -> Vec<String> {
         // Call-graph reachability from the entry, indirect edges included.
-        let mut coarse: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+        let mut coarse: BTreeSet<&str> = BTreeSet::new();
         if let Some(root) = graph.by_name("main") {
             let mut stack = vec![root];
             while let Some(n) = stack.pop() {
@@ -124,13 +135,13 @@ impl Eligibility {
                 }
             }
         }
-        let mut dir_mod: Vec<&str> = Vec::new();
+        let mut dir_mod: BTreeSet<&str> = BTreeSet::new();
         // Pointer facts of "gap" procedures — call-graph-reachable but
         // pruned by the points-to solve. Their emitted code is checked,
         // so their local bits count, conservatively (the solver has no
         // sharper interprocedural facts for them by construction).
-        let mut gap_mod: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        let mut gap_ref: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+        let mut gap_mod: BTreeSet<&str> = BTreeSet::new();
+        let mut gap_ref: BTreeSet<&str> = BTreeSet::new();
         for p in summary.procs() {
             let precise = solution.reachable.contains(&p.name);
             let gap = !precise && coarse.contains(p.name.as_str());
@@ -138,8 +149,8 @@ impl Eligibility {
                 continue;
             }
             for r in &p.global_refs {
-                if r.written && !dir_mod.contains(&r.sym.as_str()) {
-                    dir_mod.push(&r.sym);
+                if r.written {
+                    dir_mod.insert(&r.sym);
                 }
                 if gap {
                     if r.ptr_mod || r.escapes {
@@ -151,8 +162,7 @@ impl Eligibility {
                 }
             }
         }
-        let mut candidates: std::collections::BTreeSet<&str> =
-            solution.escaped.iter().map(String::as_str).collect();
+        let mut candidates: BTreeSet<&str> = solution.escaped.iter().map(String::as_str).collect();
         for syms in solution.proc_ind_mod.values().chain(solution.proc_ind_ref.values()) {
             candidates.extend(syms.iter().map(String::as_str));
         }
@@ -178,22 +188,26 @@ impl Eligibility {
         summary: &ProgramSummary,
         solution: Option<&ipra_alias::Solution>,
     ) -> Eligibility {
-        let aliased: Vec<String> = match solution {
+        let aliased: HashSet<String> = match solution {
             None => Self::blanket_aliased(summary),
             Some(sol) => Self::alias_aliased(graph, summary, sol),
-        };
-        let mut referenced: Vec<String> = Vec::new();
+        }
+        .into_iter()
+        .collect();
+        // Referenced symbols in first-reference order.
+        let mut referenced: Vec<&str> = Vec::new();
+        let mut seen: HashSet<&str> = HashSet::new();
         for p in summary.procs() {
             for r in &p.global_refs {
-                if !referenced.contains(&r.sym) {
-                    referenced.push(r.sym.clone());
+                if seen.insert(&r.sym) {
+                    referenced.push(&r.sym);
                 }
             }
         }
         let mut e = Eligibility::default();
-        let mut defined: Vec<&str> = Vec::new();
+        let mut defined: HashSet<&str> = HashSet::new();
         for g in summary.globals() {
-            defined.push(&g.sym);
+            defined.insert(&g.sym);
             if g.is_array {
                 e.rejected.push((g.sym.clone(), IneligibleReason::Array));
             } else if aliased.contains(&g.sym) {
@@ -209,20 +223,31 @@ impl Eligibility {
             }
         }
         for r in referenced {
-            if !defined.contains(&r.as_str()) {
-                e.rejected.push((r, IneligibleReason::Undefined));
+            if !defined.contains(r) {
+                e.rejected.push((r.to_string(), IneligibleReason::Undefined));
             }
         }
         // Local reference frequencies, weighted by estimated invocations
-        // later; store raw here.
+        // later; store raw here, one entry per (node, global).
+        e.refs = vec![Vec::new(); e.globals.len()];
         for p in summary.procs() {
             let Some(node) = graph.by_name(&p.name) else { continue };
             for r in &p.global_refs {
                 if let Some(&gid) = e.by_sym.get(&r.sym) {
-                    *e.ref_freq.entry((node, gid)).or_insert(0) += r.freq;
-                    *e.written.entry((node, gid)).or_insert(false) |= r.written;
+                    e.refs[gid.index()].push(NodeRef { node, freq: r.freq, written: r.written });
                 }
             }
+        }
+        for refs in &mut e.refs {
+            refs.sort_by_key(|r| r.node);
+            refs.dedup_by(|later, kept| {
+                let same = later.node == kept.node;
+                if same {
+                    kept.freq += later.freq;
+                    kept.written |= later.written;
+                }
+                same
+            });
         }
         e
     }
@@ -257,14 +282,24 @@ impl Eligibility {
         &self.rejected
     }
 
+    /// The procedures referencing `g`, ascending by node.
+    pub(crate) fn refs(&self, g: GlobalId) -> &[NodeRef] {
+        self.refs.get(g.index()).map_or(&[], Vec::as_slice)
+    }
+
+    fn node_ref(&self, node: NodeId, g: GlobalId) -> Option<&NodeRef> {
+        let refs = self.refs(g);
+        refs.binary_search_by_key(&node, |r| r.node).ok().map(|i| &refs[i])
+    }
+
     /// Local reference frequency of `g` in `node`.
     pub fn ref_freq(&self, node: NodeId, g: GlobalId) -> u64 {
-        self.ref_freq.get(&(node, g)).copied().unwrap_or(0)
+        self.node_ref(node, g).map_or(0, |r| r.freq)
     }
 
     /// Does `node` write `g`?
     pub fn writes(&self, node: NodeId, g: GlobalId) -> bool {
-        self.written.get(&(node, g)).copied().unwrap_or(false)
+        self.node_ref(node, g).is_some_and(|r| r.written)
     }
 }
 
@@ -285,63 +320,25 @@ impl RefSets {
         let n = graph.len();
         let cap = elig.len();
         let mut l_ref: Vec<BitSet> = (0..n).map(|_| BitSet::new(cap)).collect();
-        for node in graph.node_ids() {
-            for g in elig.ids() {
-                if elig.ref_freq(node, g) > 0 {
-                    l_ref[node.index()].insert(g.index());
+        for g in elig.ids() {
+            for r in elig.refs(g) {
+                if r.freq > 0 {
+                    l_ref[r.node.index()].insert(g.index());
                 }
             }
         }
 
         // C_REF: bottom-up (reverse condensation topological order),
-        // iterated to fixpoint for cycles.
+        // iterated to fixpoint for cycles. Self-edges participate: a
+        // self-recursive node sees its own L_REF in C_REF (and in P_REF
+        // below), which is what routes recursive chains into the cycle-web
+        // handling.
         let mut c_ref: Vec<BitSet> = (0..n).map(|_| BitSet::new(cap)).collect();
-        let bottom_up: Vec<NodeId> = graph.topo_order().iter().rev().copied().collect();
-        loop {
-            let mut changed = false;
-            for &p in &bottom_up {
-                let mut acc = c_ref[p.index()].clone();
-                for s in graph.successors(p) {
-                    // Self-edges participate: a self-recursive node sees its
-                    // own L_REF in C_REF (and in P_REF below), which is what
-                    // routes recursive chains into the cycle-web handling.
-                    let (a, b) = (&c_ref[s.index()], &l_ref[s.index()]);
-                    let mut add = a.clone();
-                    add.union_with(b);
-                    acc.union_with(&add);
-                }
-                if acc != c_ref[p.index()] {
-                    c_ref[p.index()] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        propagate(graph, graph.sccs().rev(), &l_ref, &mut c_ref, |p| graph.successors(p));
 
         // P_REF: top-down (condensation topological order), to fixpoint.
         let mut p_ref: Vec<BitSet> = (0..n).map(|_| BitSet::new(cap)).collect();
-        let top_down = graph.topo_order().to_vec();
-        loop {
-            let mut changed = false;
-            for &p in &top_down {
-                let mut acc = p_ref[p.index()].clone();
-                for i in graph.predecessors(p) {
-                    let (a, b) = (&p_ref[i.index()], &l_ref[i.index()]);
-                    let mut add = a.clone();
-                    add.union_with(b);
-                    acc.union_with(&add);
-                }
-                if acc != p_ref[p.index()] {
-                    p_ref[p.index()] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        propagate(graph, graph.sccs(), &l_ref, &mut p_ref, |p| graph.predecessors(p));
 
         RefSets { l_ref, p_ref, c_ref }
     }
@@ -359,6 +356,39 @@ impl RefSets {
     /// `g ∈ C_REF[n]`?
     pub fn in_c(&self, n: NodeId, g: GlobalId) -> bool {
         self.c_ref[n.index()].contains(g.index())
+    }
+}
+
+/// Solves `sets[p] = ⋃ (sets[q] ∪ local[q])` over each node's `neighbors`
+/// `q`, visiting the SCCs in the order given, which must put every
+/// neighbor's SCC first: a node off any cycle is then settled in one
+/// visit, and a recursive SCC is revisited until it stops changing.
+fn propagate<'g, I: Iterator<Item = NodeId>>(
+    graph: &CallGraph,
+    sccs: impl Iterator<Item = &'g [NodeId]>,
+    local: &[BitSet],
+    sets: &mut [BitSet],
+    neighbors: impl Fn(NodeId) -> I,
+) {
+    for members in sccs {
+        loop {
+            let mut changed = false;
+            for &p in members {
+                // Taken out so the neighbors' sets can be read while it
+                // grows; a self-edge adds only `local[p]`.
+                let mut set = std::mem::replace(&mut sets[p.index()], BitSet::new(0));
+                for q in neighbors(p) {
+                    if q != p {
+                        changed |= set.union_with(&sets[q.index()]);
+                    }
+                    changed |= set.union_with(&local[q.index()]);
+                }
+                sets[p.index()] = set;
+            }
+            if !changed || !graph.is_recursive(members[0]) {
+                break;
+            }
+        }
     }
 }
 

@@ -18,9 +18,9 @@
 //! module are discarded (§7.4): the second phase could not address the
 //! module-private symbol from another module.
 
-use crate::bitset::BitSet;
 use crate::callgraph::{CallGraph, NodeId};
 use crate::dataflow::{Eligibility, GlobalId, RefSets};
+use std::collections::BTreeSet;
 
 /// A web: a set of call-graph nodes over which one global variable may be
 /// kept in a dedicated register.
@@ -74,6 +74,13 @@ pub struct WebStats {
 }
 
 /// Identifies all webs for all eligible globals.
+///
+/// Each global costs time in proportion to its own references, the webs
+/// it forms and their call-graph neighborhoods, not to the whole graph:
+/// `L_REF` is inverted once into per-global node lists, the recursive
+/// SCCs are found once, webs grow over per-node stamps reused from grow to
+/// grow, and a per-node owner slot finds the earlier webs a new one
+/// overlaps.
 pub fn identify_webs(
     graph: &CallGraph,
     elig: &Eligibility,
@@ -82,39 +89,64 @@ pub fn identify_webs(
     let mut webs: Vec<Web> = Vec::new();
     let mut stats = WebStats { eligible_globals: elig.len(), ..WebStats::default() };
 
+    // L_REF inverted: the nodes referencing each global, ascending.
+    let mut referencing: Vec<Vec<NodeId>> = vec![Vec::new(); elig.len()];
+    for n in graph.node_ids() {
+        for g in refs.l_ref[n.index()].iter() {
+            referencing[g].push(n);
+        }
+    }
+
+    // Recursive SCCs (more than one node, or a self loop), ordered by
+    // their smallest member, and each node's position in that order.
+    let mut cycles: Vec<&[NodeId]> =
+        graph.sccs().filter(|members| graph.is_recursive(members[0])).collect();
+    cycles.sort_by_key(|members| members.iter().min());
+    let mut cycle_of: Vec<u32> = vec![NO_CYCLE; graph.len()];
+    for (i, members) in cycles.iter().enumerate() {
+        for &n in *members {
+            cycle_of[n.index()] = i as u32;
+        }
+    }
+
+    let mut s = WebState::new(graph.len());
     for g in elig.ids() {
-        let mut webs_g: Vec<BitSet> = Vec::new();
+        s.start_global();
 
         // Phase 1: entry-candidate seeded webs (Figure 2).
-        for p in graph.node_ids() {
-            if !refs.in_l(p, g) || refs.in_p(p, g) {
-                continue;
+        for &p in &referencing[g.index()] {
+            if refs.in_p(p, g) || s.owner_of(p).is_some() {
+                continue; // not a candidate, or absorbed by an earlier web
             }
-            if webs_g.iter().any(|w| w.contains(p.index())) {
-                continue; // already absorbed by an earlier web (merge-equivalent)
-            }
-            let w = grow_web(graph, refs, g, &[p]);
-            merge_in(&mut webs_g, w);
+            s.grow(graph, refs, g, &[p]);
+            s.merge_grown();
         }
 
         // Phase 2: recursive cycles that reference g but got no entry
         // candidate anywhere in the cycle.
-        for scc in recursive_sccs(graph) {
-            let refs_g = scc.iter().any(|&n| refs.in_l(n, g));
-            let uncovered = scc.iter().all(|&n| !webs_g.iter().any(|w| w.contains(n.index())));
-            if refs_g && uncovered {
-                let w = grow_web(graph, refs, g, &scc);
-                merge_in(&mut webs_g, w);
+        let mut hit: Vec<u32> = referencing[g.index()]
+            .iter()
+            .map(|n| cycle_of[n.index()])
+            .filter(|&c| c != NO_CYCLE)
+            .collect();
+        hit.sort_unstable();
+        hit.dedup();
+        for c in hit {
+            let members = cycles[c as usize];
+            if members.iter().all(|&n| s.owner_of(n).is_none()) {
+                s.grow(graph, refs, g, members);
+                s.merge_grown();
             }
         }
 
-        for w in webs_g {
+        for &slot in &s.order {
             stats.webs_total += 1;
-            let nodes: Vec<NodeId> = w.iter().map(|i| NodeId(i as u32)).collect();
+            let mut nodes = std::mem::take(&mut s.slots[slot as usize]);
+            nodes.sort_unstable();
             let entries: Vec<NodeId> = nodes
                 .iter()
                 .copied()
-                .filter(|&n| !graph.predecessors(n).any(|p| w.contains(p.index())))
+                .filter(|&n| !graph.predecessors(n).any(|p| s.owner_of(p) == Some(slot)))
                 .collect();
             // §7.4: a static's web entry must live in the defining module.
             let eg = elig.global(g);
@@ -136,89 +168,165 @@ pub fn identify_webs(
     (webs, stats)
 }
 
-/// Grows a web from `seeds`: expands each seed through successors with the
-/// variable in `L_REF ∪ C_REF`, then repeatedly repairs nodes that have both
-/// internal and external predecessors by pulling the external predecessors
-/// in (Figure 2's repeat/until loop).
-fn grow_web(graph: &CallGraph, refs: &RefSets, g: GlobalId, seeds: &[NodeId]) -> BitSet {
-    let mut w = BitSet::new(graph.len());
-    let mut temp: Vec<NodeId> = seeds.to_vec();
-    loop {
-        for &q in &temp {
-            expand_web(graph, refs, g, &mut w, q);
+/// `cycle_of` for nodes on no recursive cycle.
+const NO_CYCLE: u32 = u32::MAX;
+
+/// Per-node working state, allocated once and reused for every global and
+/// every grow: generation stamps stand in for clearing it.
+struct WebState {
+    /// Stamp of the current grow.
+    grow_gen: u32,
+    /// `== grow_gen`: the node is in the web being grown.
+    in_grown: Vec<u32>,
+    /// `== grow_gen`: all the node's predecessors were pulled in.
+    pulled: Vec<u32>,
+    /// Members of the web being grown, in discovery order.
+    grown: Vec<NodeId>,
+    /// Grown members whose neighbors are not yet examined.
+    stack: Vec<NodeId>,
+    /// Stamp of the current global.
+    global_gen: u32,
+    /// `== global_gen`: `owner` holds the node's web.
+    owner_gen: Vec<u32>,
+    /// The slot of the current global's web holding the node.
+    owner: Vec<u32>,
+    /// Member nodes by slot; slots absorbed by a merge are left empty.
+    slots: Vec<Vec<NodeId>>,
+    /// The current global's webs as slots, in the order Figure 2's merge
+    /// step leaves its web list: a merge swap-removes every web the new
+    /// one overlaps, lowest position first, and appends the union.
+    order: Vec<u32>,
+    /// Each slot's position in `order`.
+    pos: Vec<usize>,
+}
+
+impl WebState {
+    fn new(nodes: usize) -> WebState {
+        WebState {
+            grow_gen: 0,
+            in_grown: vec![0; nodes],
+            pulled: vec![0; nodes],
+            grown: Vec::new(),
+            stack: Vec::new(),
+            global_gen: 0,
+            owner_gen: vec![0; nodes],
+            owner: vec![0; nodes],
+            slots: Vec::new(),
+            order: Vec::new(),
+            pos: Vec::new(),
         }
-        // S = members with at least one predecessor inside and one outside.
-        let mut fixups: Vec<NodeId> = Vec::new();
-        for i in w.iter() {
-            let z = NodeId(i as u32);
-            let mut internal = false;
-            let mut external: Vec<NodeId> = Vec::new();
-            for p in graph.predecessors(z) {
-                if w.contains(p.index()) {
-                    internal = true;
-                } else if !external.contains(&p) {
-                    external.push(p);
+    }
+
+    fn start_global(&mut self) {
+        self.global_gen += 1;
+        self.slots.clear();
+        self.order.clear();
+        self.pos.clear();
+    }
+
+    /// The slot of the current global's web holding `n`, if any.
+    fn owner_of(&self, n: NodeId) -> Option<u32> {
+        (self.owner_gen[n.index()] == self.global_gen).then(|| self.owner[n.index()])
+    }
+
+    /// Grows a web from `seeds` into `grown`: the smallest node set that
+    /// holds the seeds, every successor with the variable in
+    /// `L_REF ∪ C_REF` of a member (Figure 2's `Expand_Web`), and every
+    /// predecessor of a member that has a predecessor inside (the
+    /// repeat/until repair loop, which pulls the external predecessors of
+    /// such a member in and expands them).
+    fn grow(&mut self, graph: &CallGraph, refs: &RefSets, g: GlobalId, seeds: &[NodeId]) {
+        self.grow_gen += 1;
+        self.grown.clear();
+        for &q in seeds {
+            self.add(q);
+        }
+        while let Some(n) = self.stack.pop() {
+            if graph.predecessors(n).any(|p| self.in_grown[p.index()] == self.grow_gen) {
+                self.pull_preds(graph, n);
+            }
+            for s in graph.successors(n) {
+                if self.in_grown[s.index()] == self.grow_gen {
+                    self.pull_preds(graph, s); // n is an internal predecessor of s
+                } else if refs.in_c(s, g) || refs.in_l(s, g) {
+                    self.add(s);
                 }
             }
-            if internal && !external.is_empty() {
-                fixups.extend(external);
-            }
         }
-        if fixups.is_empty() {
-            return w;
-        }
-        fixups.sort();
-        fixups.dedup();
-        temp = fixups;
     }
-}
 
-/// Figure 2's `Expand_Web`: add `q`, then recurse into successors with the
-/// variable in `L_REF ∪ C_REF` (iterative worklist form).
-fn expand_web(graph: &CallGraph, refs: &RefSets, g: GlobalId, w: &mut BitSet, q: NodeId) {
-    let mut work = vec![q];
-    w.insert(q.index());
-    while let Some(n) = work.pop() {
-        for s in graph.successors(n) {
-            if !w.contains(s.index()) && (refs.in_c(s, g) || refs.in_l(s, g)) {
-                w.insert(s.index());
-                work.push(s);
+    fn add(&mut self, n: NodeId) {
+        if self.in_grown[n.index()] != self.grow_gen {
+            self.in_grown[n.index()] = self.grow_gen;
+            self.grown.push(n);
+            self.stack.push(n);
+        }
+    }
+
+    fn pull_preds(&mut self, graph: &CallGraph, z: NodeId) {
+        if self.pulled[z.index()] != self.grow_gen {
+            self.pulled[z.index()] = self.grow_gen;
+            for p in graph.predecessors(z) {
+                self.add(p);
             }
         }
     }
-}
 
-/// Merges `w` into the per-global web list, unioning any overlapping webs.
-fn merge_in(webs_g: &mut Vec<BitSet>, mut w: BitSet) {
-    loop {
-        let overlap = webs_g.iter().position(|x| x.iter().any(|i| w.contains(i)));
-        match overlap {
-            Some(i) => {
-                let x = webs_g.swap_remove(i);
-                w.union_with(&x);
+    /// Merges the grown web into the current global's web list, unioning
+    /// it with every web it overlaps.
+    fn merge_grown(&mut self) {
+        // The current webs are pairwise disjoint, so absorbing one never
+        // makes the union overlap another: the webs to absorb are exactly
+        // those the grown web overlaps, taken lowest position first as
+        // each swap-remove reorders the list.
+        let mut overlap: BTreeSet<(usize, u32)> = BTreeSet::new();
+        for &n in &self.grown {
+            if let Some(slot) = self.owner_of(n) {
+                overlap.insert((self.pos[slot as usize], slot));
             }
-            None => break,
         }
-    }
-    webs_g.push(w);
-}
+        let mut absorbed: Vec<u32> = Vec::new();
+        while let Some((at, slot)) = overlap.pop_first() {
+            self.order.swap_remove(at);
+            if let Some(&moved) = self.order.get(at) {
+                let from = self.order.len();
+                self.pos[moved as usize] = at;
+                if overlap.remove(&(from, moved)) {
+                    overlap.insert((at, moved));
+                }
+            }
+            absorbed.push(slot);
+        }
 
-/// All recursive SCCs (more than one node, or a self loop), each as a sorted
-/// node list.
-fn recursive_sccs(graph: &CallGraph) -> Vec<Vec<NodeId>> {
-    let mut by_scc: std::collections::HashMap<u32, Vec<NodeId>> = std::collections::HashMap::new();
-    for n in graph.node_ids() {
-        by_scc.entry(graph.scc_of(n)).or_default().push(n);
+        // The union keeps the largest absorbed slot, so a node changes
+        // owner only when it joins a web at least twice its old one's size.
+        let keeper = match absorbed.iter().copied().max_by_key(|&s| self.slots[s as usize].len()) {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(Vec::new());
+                self.pos.push(0);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        for &slot in &absorbed {
+            if slot != keeper {
+                let members = std::mem::take(&mut self.slots[slot as usize]);
+                for &n in &members {
+                    self.owner[n.index()] = keeper;
+                }
+                self.slots[keeper as usize].extend(members);
+            }
+        }
+        for &n in &self.grown {
+            if self.owner_gen[n.index()] != self.global_gen {
+                self.owner_gen[n.index()] = self.global_gen;
+                self.owner[n.index()] = keeper;
+                self.slots[keeper as usize].push(n);
+            }
+        }
+        self.pos[keeper as usize] = self.order.len();
+        self.order.push(keeper);
     }
-    let mut out: Vec<Vec<NodeId>> = by_scc
-        .into_values()
-        .filter(|ns| ns.len() > 1 || ns.iter().any(|&n| graph.successors(n).any(|s| s == n)))
-        .collect();
-    for ns in &mut out {
-        ns.sort();
-    }
-    out.sort();
-    out
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ echo "==> simulator benchmark (both engines, parity gated)"
 cargo run --release -q -p ipra-bench --bin sim_bench -- --check --out BENCH_sim.json
 test -s BENCH_sim.json
 
-echo "==> compile-time benchmark (8/64/256 modules, cache checks on, sim regime folded in)"
+echo "==> compile-time benchmark (8/64/256 modules, cache checks on, cold scaling 512-4096 gated at 2.5x per doubling, sim regime folded in)"
 cargo run --release -q -p ipra-bench --bin compile_bench -- --check \
   --sim-json BENCH_sim.json --out BENCH_compile.json
 test -s BENCH_compile.json
