@@ -25,8 +25,9 @@
 //! The default `--min-speedup` floor is deliberately modest: after the
 //! reference interpreter's own hot-path cleanup (dense counters, deduped
 //! trap paths) both engines are dispatch-bound, and the fast engine's win
-//! comes from pre-decoding and segment-batched accounting, not from a
-//! different execution model. (Superinstruction fusion of trap-free runs
+//! comes from pre-decoding, not from a different execution model. Both
+//! engines observe attributed runs the same way (per-pc counts plus a
+//! call/return hook). (Superinstruction fusion of trap-free runs
 //! was prototyped and *measured slower* — a second dispatch site splits
 //! branch-predictor state without removing the per-op indirect branch —
 //! see `docs/simulator.md`.)

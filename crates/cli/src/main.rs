@@ -1023,7 +1023,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         shards,
         capacity,
         request_timeout,
-        telemetry: Telemetry::new(),
     };
     let server = ipra_daemon::Server::start(opts).map_err(|e| format!("serve: {socket}: {e}"))?;
     eprintln!("cmind: listening on {socket}");

@@ -63,13 +63,11 @@ pub struct ServerOptions {
     pub capacity: Option<usize>,
     /// Per-request build timeout. `None` waits indefinitely.
     pub request_timeout: Option<Duration>,
-    /// Counter/span sink; the `stats` endpoint snapshots its counters.
-    pub telemetry: Telemetry,
 }
 
 impl ServerOptions {
     /// Defaults for a daemon at `socket`: 4 shards, no size cap, no
-    /// timeout, memory-only cache, fresh telemetry.
+    /// timeout, memory-only cache.
     pub fn new(socket: impl Into<PathBuf>) -> ServerOptions {
         ServerOptions {
             socket: socket.into(),
@@ -78,7 +76,6 @@ impl ServerOptions {
             shards: 4,
             capacity: None,
             request_timeout: None,
-            telemetry: Telemetry::new(),
         }
     }
 }
@@ -152,10 +149,9 @@ impl Server {
             cache.set_capacity(opts.capacity);
             caches.push(Mutex::new(cache));
         }
-        let tele = opts.telemetry.clone();
         let shared = Arc::new(Shared {
             opts,
-            tele,
+            tele: Telemetry::new(),
             shards: caches,
             inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -441,10 +437,14 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
         .iter()
         .map(|s| SourceFile { name: s.name.clone(), text: s.text.clone() })
         .collect();
+    // Each build records into its own collector, whose counters are added
+    // to the daemon's afterwards: the daemon reads only counters, so the
+    // build's span events must not pile up for the daemon's lifetime.
+    let build_tele = Telemetry::new();
     let options = CompileOptions {
         optimize: req.optimize,
         jobs: shared.opts.jobs,
-        telemetry: Some(shared.tele.clone()),
+        telemetry: Some(build_tele.clone()),
         ..CompileOptions::default()
     };
     let shard_index = (fp % shared.shards.len() as u64) as usize;
@@ -459,6 +459,9 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
     );
     let after = cache.stats();
     drop(cache);
+    for (key, n) in build_tele.counters() {
+        shared.tele.add(&key, n);
+    }
     export_shard_counters(&shared.tele, shard_index, before, after);
     shared.tele.add("daemon.builds", 1);
     let program = match built {

@@ -19,13 +19,11 @@
 //! * call/edge counters are dense `Vec`s ([`CallCounters`], shared with the
 //!   reference engine) folded into the `BTreeMap`-shaped [`RunStats`] only
 //!   at `HALT`;
-//! * attribution charges cycles by *segment*: instead of bumping the
-//!   current procedure's counter every cycle, the loop tracks the cycle at
-//!   which the procedure on top of the shadow stack last changed and folds
-//!   the elapsed delta into its cost only at call/return/`HALT` boundaries.
-//!   Since the reference charges each instruction — including the
-//!   transferring call/`Bv` itself — to the procedure that was on top when
-//!   it executed, the segment sums are exactly equal, cycle for cycle.
+//! * the loop is monomorphized on one flag: the plain instantiation does
+//!   no observation at all, and the observed one (attribution or
+//!   profiling) bumps one per-pc counter per step and runs the shared
+//!   call/return hook (`Observer`, also used by the reference engine),
+//!   from which attribution and profiles are derived after `HALT`.
 //!
 //! Parity is enforced by the sim tests below (every reference test rerun on
 //! this engine), the `engines` parity suite (workloads × configs ×
@@ -33,12 +31,10 @@
 //! oracle's cross-engine differential layer.
 
 use crate::inst::{AluOp, Cond, Inst};
+use crate::profile::Observer;
 use crate::program::{Executable, GLOBALS_BASE};
 use crate::regs::Reg;
-use crate::sim::{
-    AttrState, CallCounters, RunResult, RunStats, SimError, SimOptions, STARTUP_PROC,
-};
-use std::collections::BTreeMap;
+use crate::sim::{CallCounters, RunResult, RunStats, SimError, SimOptions};
 
 /// A pre-decoded instruction: fixed-size, `Copy`, symbol-free.
 #[derive(Debug, Clone, Copy)]
@@ -168,20 +164,20 @@ impl DecodedProgram<'_> {
     /// See [`SimError`] — identical kinds, pcs, and symbolization as the
     /// reference interpreter.
     pub fn run_with(&self, opts: &SimOptions) -> Result<RunResult, SimError> {
-        match (opts.attribute, opts.profile) {
-            (false, false) => self.exec::<false, false>(opts),
-            (false, true) => self.exec::<false, true>(opts),
-            (true, false) => self.exec::<true, false>(opts),
-            (true, true) => self.exec::<true, true>(opts),
+        if opts.attribute || opts.profile {
+            self.exec::<true>(opts)
+        } else {
+            self.exec::<false>(opts)
         }
     }
 
-    /// The dispatch loop, monomorphized on whether attribution and
-    /// profiling are on so the plain configuration pays nothing for them.
-    fn exec<const ATTR: bool, const PROF: bool>(
-        &self,
-        opts: &SimOptions,
-    ) -> Result<RunResult, SimError> {
+    /// The dispatch loop, monomorphized on whether the run is observed
+    /// (attribution or profiling) so the plain configuration pays nothing
+    /// for it. Kept out of line: with both instantiations inlined into
+    /// [`run_with`](DecodedProgram::run_with), the plain loop measured up
+    /// to ~20% slower on scaled-64, from code layout alone.
+    #[inline(never)]
+    fn exec<const OBS: bool>(&self, opts: &SimOptions) -> Result<RunResult, SimError> {
         let ops = &self.ops[..];
         let nfuncs = self.nfuncs;
         let mut mem = vec![0i64; opts.mem_words];
@@ -220,15 +216,10 @@ impl DecodedProgram<'_> {
         // because only the clamped value is ever observed.
         let mut shadow: Vec<u32> = vec![nfuncs as u32];
 
-        // Segment-based attribution (see module docs): `cur_slot` owns all
-        // cycles since `seg_start`. Allocated unconditionally (three tiny
-        // vectors), touched only when `ATTR`.
-        let mut attr = AttrState::new(nfuncs);
-        let mut cur_slot = nfuncs;
-        let mut seg_start: u64 = 0;
-
-        // Per-pc execution counts; empty (never touched) unless `PROF`.
-        let mut prof: Vec<u64> = vec![0; if PROF { ops.len() } else { 0 }];
+        // Per-pc counts and the call/return hook, touched only when `OBS`
+        // (the counts stay empty otherwise).
+        let mut obs = Observer::new(opts, nfuncs);
+        let mut pc_counts = vec![0u64; if OBS { ops.len() } else { 0 }];
 
         let mut pc = 0usize;
         loop {
@@ -240,8 +231,8 @@ impl DecodedProgram<'_> {
                 None => return Err(SimError::BadPc { pc, sym: self.exe.symbolize(pc) }),
             };
             cycles += 1;
-            if PROF {
-                prof[pc] += 1;
+            if OBS {
+                pc_counts[pc] += 1;
             }
             let mut next = pc + 1;
             match op {
@@ -281,10 +272,6 @@ impl DecodedProgram<'_> {
                     };
                     loads += 1;
                     singleton_loads += singleton as u64;
-                    if ATTR {
-                        attr.cost[cur_slot].loads += 1;
-                        attr.cost[cur_slot].singleton_loads += singleton as u64;
-                    }
                     set(&mut regs, rd, v);
                 }
                 Op::St { rs, base, singleton, disp } => {
@@ -295,10 +282,6 @@ impl DecodedProgram<'_> {
                     *slot = get(&regs, rs);
                     stores += 1;
                     singleton_stores += singleton as u64;
-                    if ATTR {
-                        attr.cost[cur_slot].stores += 1;
-                        attr.cost[cur_slot].singleton_stores += singleton as u64;
-                    }
                 }
                 Op::Call { entry, callee } => {
                     set(&mut regs, rp_idx, next as i64);
@@ -308,17 +291,8 @@ impl DecodedProgram<'_> {
                     let caller_slot = shadow.last().map_or(nfuncs, |&s| s as usize);
                     counters.record_slots(caller_slot, callee_slot);
                     shadow.push(callee_slot as u32);
-                    if ATTR {
-                        attr.cost[callee_slot].calls += 1;
-                        attr.depth[callee_slot] += 1;
-                        if attr.depth[callee_slot] == 1 {
-                            attr.entered_at[callee_slot] = cycles;
-                        }
-                        // The call instruction's own cycle belongs to the
-                        // caller's segment, which closes here.
-                        attr.cost[cur_slot].cycles += cycles - seg_start;
-                        seg_start = cycles;
-                        cur_slot = callee_slot;
+                    if OBS {
+                        obs.enter(callee_slot, cycles);
                     }
                     next = entry as usize;
                 }
@@ -335,15 +309,8 @@ impl DecodedProgram<'_> {
                     let caller_slot = shadow.last().map_or(nfuncs, |&s| s as usize);
                     counters.record_slots(caller_slot, callee_slot);
                     shadow.push(callee_slot as u32);
-                    if ATTR {
-                        attr.cost[callee_slot].calls += 1;
-                        attr.depth[callee_slot] += 1;
-                        if attr.depth[callee_slot] == 1 {
-                            attr.entered_at[callee_slot] = cycles;
-                        }
-                        attr.cost[cur_slot].cycles += cycles - seg_start;
-                        seg_start = cycles;
-                        cur_slot = callee_slot;
+                    if OBS {
+                        obs.enter(callee_slot, cycles);
                     }
                     next = entry as usize;
                 }
@@ -353,20 +320,8 @@ impl DecodedProgram<'_> {
                         return Err(SimError::BadPc { pc, sym: self.exe.symbolize(pc) });
                     }
                     if let Some(slot) = shadow.pop() {
-                        if ATTR {
-                            let slot = slot as usize;
-                            if attr.depth[slot] > 0 {
-                                attr.depth[slot] -= 1;
-                                if attr.depth[slot] == 0 {
-                                    attr.cost[slot].inclusive_cycles +=
-                                        cycles - attr.entered_at[slot];
-                                }
-                            }
-                            // The `Bv` cycle belongs to the returning
-                            // procedure's segment, which closes here.
-                            attr.cost[cur_slot].cycles += cycles - seg_start;
-                            seg_start = cycles;
-                            cur_slot = shadow.last().map_or(nfuncs, |&s| s as usize);
+                        if OBS {
+                            obs.leave(slot as usize, cycles);
                         }
                     }
                     next = target as usize;
@@ -395,24 +350,8 @@ impl DecodedProgram<'_> {
                         ..RunStats::default()
                     };
                     counters.fold_into(&mut stats);
-                    let attribution = if ATTR {
-                        attr.cost[cur_slot].cycles += cycles - seg_start;
-                        for slot in 0..attr.cost.len() {
-                            if attr.depth[slot] > 0 {
-                                attr.cost[slot].inclusive_cycles += cycles - attr.entered_at[slot];
-                                attr.depth[slot] = 0;
-                            }
-                        }
-                        let mut procs = BTreeMap::new();
-                        for (i, f) in self.exe.funcs().iter().enumerate() {
-                            procs.insert(f.name.clone(), attr.cost[i]);
-                        }
-                        procs.insert(STARTUP_PROC.to_string(), attr.cost[nfuncs]);
-                        Some(crate::sim::Attribution { procs })
-                    } else {
-                        None
-                    };
-                    let profile = PROF.then_some(crate::profile::ExecProfile { pc_counts: prof });
+                    let (attribution, profile) =
+                        if OBS { obs.finish(pc_counts, self.exe, &stats) } else { (None, None) };
                     return Ok(RunResult { output, exit, stats, attribution, profile });
                 }
                 Op::Nop => {}

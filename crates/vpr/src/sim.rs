@@ -13,6 +13,7 @@
 //!   configurations B and F.
 
 use crate::inst::Inst;
+use crate::profile::Observer;
 use crate::program::{Executable, DEFAULT_MEM_WORDS, GLOBALS_BASE};
 use crate::regs::Reg;
 use serde::{Deserialize, Serialize};
@@ -64,8 +65,9 @@ pub struct SimOptions {
     pub max_steps: u64,
     /// Values returned by `IN` instructions, in order (then −1).
     pub input: Vec<i64>,
-    /// Attribute every cycle and memory reference to a procedure via the
-    /// shadow call stack ([`RunResult::attribution`]). Exact, not sampled;
+    /// Attribute every cycle, memory reference and call to a procedure
+    /// ([`RunResult::attribution`]), derived from per-pc counts plus a
+    /// call/return hook (see [`crate::profile`]). Exact, not sampled;
     /// never changes the run's [`RunStats`].
     pub attribute: bool,
     /// Record per-pc execution counts ([`RunResult::profile`]). Exact, not
@@ -96,7 +98,8 @@ pub const STARTUP_PROC: &str = "<startup>";
 /// Exact dynamic cost of one procedure within a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcCost {
-    /// Cycles spent in the procedure itself (excluding callees).
+    /// Cycles spent executing the procedure's own instructions (callees
+    /// excluded).
     pub cycles: u64,
     /// Loads executed by the procedure's own instructions.
     pub loads: u64,
@@ -106,7 +109,9 @@ pub struct ProcCost {
     pub singleton_loads: u64,
     /// Of `stores`, those classified as singleton references.
     pub singleton_stores: u64,
-    /// Activations of the procedure.
+    /// Activations of the procedure: calls whose target is its entry
+    /// (for [`STARTUP_PROC`], calls whose target starts no linked
+    /// procedure).
     pub calls: u64,
     /// Cycles with at least one activation of the procedure on the call
     /// stack (self + callees; recursion counted once).
@@ -388,52 +393,6 @@ impl CallCounters {
     }
 }
 
-// Per-slot attribution state: slot i < nfuncs is function index i, slot
-// nfuncs is the startup stub ([`STARTUP_PROC`]). `depth`/`entered_at`
-// implement exact inclusive accounting in O(1) per call/return: a slot's
-// inclusive window opens when its on-stack count goes 0→1 and closes
-// (adding `cycles − entered_at`) when it returns to 0, so recursion is
-// counted once.
-pub(crate) struct AttrState {
-    pub(crate) nfuncs: usize,
-    pub(crate) cost: Vec<ProcCost>,
-    pub(crate) depth: Vec<u32>,
-    pub(crate) entered_at: Vec<u64>,
-}
-
-impl AttrState {
-    pub(crate) fn new(nfuncs: usize) -> AttrState {
-        let slots = nfuncs + 1;
-        let mut a = AttrState {
-            nfuncs,
-            cost: vec![ProcCost::default(); slots],
-            depth: vec![0; slots],
-            entered_at: vec![0; slots],
-        };
-        // The startup stub is "active" from cycle 0.
-        a.depth[nfuncs] = 1;
-        a
-    }
-
-    fn slot(&self, func: usize) -> usize {
-        if func < self.nfuncs {
-            func
-        } else {
-            self.nfuncs
-        }
-    }
-
-    /// The cost record of the procedure on top of the shadow stack (the
-    /// startup-stub slot when the stack is empty or holds its sentinel).
-    fn cur(&mut self, shadow: &[usize]) -> &mut ProcCost {
-        let slot = match shadow.last() {
-            Some(&f) if f < self.nfuncs => f,
-            _ => self.nfuncs,
-        };
-        &mut self.cost[slot]
-    }
-}
-
 struct Machine<'a> {
     exe: &'a Executable,
     regs: [i64; Reg::COUNT],
@@ -449,10 +408,10 @@ struct Machine<'a> {
     shadow: Vec<usize>,
     // Dense call/edge counters, folded into `stats` at `HALT`.
     calls: CallCounters,
-    // Per-procedure attribution (opt-in; `None` keeps the run untouched).
-    attr: Option<AttrState>,
-    // Per-pc execution counts (opt-in; `None` keeps the run untouched).
-    prof: Option<Vec<u64>>,
+    // The call/return hook and per-pc counts, when attribution or
+    // profiling is on (`None` and empty keep the run untouched).
+    obs: Option<Observer>,
+    pc_counts: Vec<u64>,
     // Linkage roles of the executable's target convention.
     rp: Reg,
     rv: Reg,
@@ -473,6 +432,7 @@ impl<'a> Machine<'a> {
         let mut regs = [0i64; Reg::COUNT];
         regs[desc.dp.index()] = GLOBALS_BASE;
         regs[desc.sp.index()] = opts.mem_words as i64;
+        let observed = opts.attribute || opts.profile;
         Machine {
             exe,
             regs,
@@ -486,8 +446,8 @@ impl<'a> Machine<'a> {
             stats: RunStats::default(),
             shadow: vec![usize::MAX],
             calls: CallCounters::new(exe.funcs().len()),
-            attr: opts.attribute.then(|| AttrState::new(exe.funcs().len())),
-            prof: opts.profile.then(|| vec![0u64; exe.insts().len()]),
+            obs: observed.then(|| Observer::new(opts, exe.funcs().len())),
+            pc_counts: vec![0; if observed { exe.insts().len() } else { 0 }],
             rp: desc.rp,
             rv: desc.rv,
         }
@@ -523,13 +483,6 @@ impl<'a> Machine<'a> {
         if singleton {
             self.stats.singleton_loads += 1;
         }
-        if let Some(a) = &mut self.attr {
-            let c = a.cur(&self.shadow);
-            c.loads += 1;
-            if singleton {
-                c.singleton_loads += 1;
-            }
-        }
         Ok(v)
     }
 
@@ -543,13 +496,6 @@ impl<'a> Machine<'a> {
         if singleton {
             self.stats.singleton_stores += 1;
         }
-        if let Some(a) = &mut self.attr {
-            let c = a.cur(&self.shadow);
-            c.stores += 1;
-            if singleton {
-                c.singleton_stores += 1;
-            }
-        }
         Ok(())
     }
 
@@ -560,47 +506,9 @@ impl<'a> Machine<'a> {
         let (caller_slot, callee_slot) = (self.calls.slot(caller), self.calls.slot(callee));
         self.calls.record_slots(caller_slot, callee_slot);
         self.shadow.push(callee);
-        if let Some(a) = &mut self.attr {
-            let slot = a.slot(callee);
-            a.cost[slot].calls += 1;
-            a.depth[slot] += 1;
-            if a.depth[slot] == 1 {
-                a.entered_at[slot] = self.stats.cycles;
-            }
+        if let Some(o) = &mut self.obs {
+            o.enter(callee_slot, self.stats.cycles);
         }
-    }
-
-    /// Closes a procedure's inclusive window if its last activation left the
-    /// stack (called when `Bv` pops `func` from the shadow stack).
-    fn record_return(&mut self, func: usize) {
-        if let Some(a) = &mut self.attr {
-            let slot = a.slot(func);
-            if a.depth[slot] > 0 {
-                a.depth[slot] -= 1;
-                if a.depth[slot] == 0 {
-                    a.cost[slot].inclusive_cycles += self.stats.cycles - a.entered_at[slot];
-                }
-            }
-        }
-    }
-
-    /// Closes every still-open inclusive window (at `HALT`) and builds the
-    /// name-keyed attribution.
-    fn finish_attribution(&mut self) -> Option<Attribution> {
-        let cycles = self.stats.cycles;
-        let mut a = self.attr.take()?;
-        for slot in 0..a.cost.len() {
-            if a.depth[slot] > 0 {
-                a.cost[slot].inclusive_cycles += cycles - a.entered_at[slot];
-                a.depth[slot] = 0;
-            }
-        }
-        let mut procs = BTreeMap::new();
-        for (i, f) in self.exe.funcs().iter().enumerate() {
-            procs.insert(f.name.clone(), a.cost[i]);
-        }
-        procs.insert(STARTUP_PROC.to_string(), a.cost[a.nfuncs]);
-        Some(Attribution { procs })
     }
 
     fn run(mut self) -> Result<RunResult, SimError> {
@@ -615,11 +523,8 @@ impl<'a> Machine<'a> {
             };
             self.steps += 1;
             self.stats.cycles += 1;
-            if let Some(a) = &mut self.attr {
-                a.cur(&self.shadow).cycles += 1;
-            }
-            if let Some(p) = &mut self.prof {
-                p[self.pc] += 1;
+            if self.obs.is_some() {
+                self.pc_counts[self.pc] += 1;
             }
             let mut next = self.pc + 1;
             match inst {
@@ -671,8 +576,8 @@ impl<'a> Machine<'a> {
                     if target < 0 || target as usize >= code.len() {
                         return Err(SimError::BadPc { pc: self.pc, sym: self.here() });
                     }
-                    if let Some(func) = self.shadow.pop() {
-                        self.record_return(func);
+                    if let (Some(func), Some(o)) = (self.shadow.pop(), &mut self.obs) {
+                        o.leave(self.calls.slot(func), self.stats.cycles);
                     }
                     next = target as usize;
                 }
@@ -691,9 +596,10 @@ impl<'a> Machine<'a> {
                 Inst::Halt => {
                     let exit = self.get(self.rv);
                     self.calls.fold_into(&mut self.stats);
-                    let attribution = self.finish_attribution();
-                    let profile =
-                        self.prof.take().map(|pc_counts| crate::profile::ExecProfile { pc_counts });
+                    let (attribution, profile) = match self.obs.take() {
+                        Some(o) => o.finish(self.pc_counts, self.exe, &self.stats),
+                        None => (None, None),
+                    };
                     return Ok(RunResult {
                         output: self.output,
                         exit,

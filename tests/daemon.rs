@@ -131,6 +131,10 @@ fn stress_many_clients_with_interleaved_edits() {
     // than the barrier skew between clients).
     assert!(coalesced > 0, "expected in-flight coalescing, got leads={leads}");
     assert!(get("daemon.connections") >= CLIENTS as u64, "all clients were accepted");
+    // Each build's pipeline counters reach the daemon's collector, but
+    // its span events do not accumulate there.
+    assert_eq!(get("build.builds"), builds, "build counters are folded into the daemon's");
+    assert_eq!(server.telemetry().event_count(), 0, "span events leaked into the daemon");
 
     client.shutdown().expect("shutdown");
     server.wait();
