@@ -109,12 +109,6 @@ impl ArtifactKind {
     pub fn from_tag(tag: &str) -> Option<ArtifactKind> {
         ArtifactKind::ALL.into_iter().find(|k| k.tag() == tag)
     }
-
-    /// The kind conventionally stored at `path`, judged by extension.
-    pub fn for_path(path: &Path) -> Option<ArtifactKind> {
-        let ext = path.extension()?.to_str()?;
-        ArtifactKind::ALL.into_iter().find(|k| k.extension() == ext)
-    }
 }
 
 impl fmt::Display for ArtifactKind {
@@ -559,13 +553,10 @@ mod tests {
     }
 
     #[test]
-    fn kinds_map_to_extensions_and_back() {
+    fn kinds_map_to_tags_and_back() {
         for k in ArtifactKind::ALL {
             assert_eq!(ArtifactKind::from_tag(k.tag()), Some(k));
-            let p = std::path::PathBuf::from(format!("x.{}", k.extension()));
-            assert_eq!(ArtifactKind::for_path(&p), Some(k));
         }
-        assert_eq!(ArtifactKind::for_path(Path::new("x.txt")), None);
         assert_eq!(ArtifactKind::from_tag("nope"), None);
     }
 

@@ -28,7 +28,9 @@
 
 use ipra_core::analyzer::{AnalyzerOptions, PromotionMode};
 use ipra_core::PaperConfig;
-use ipra_driver::{collect_profile, compile, run_program, CompileOptions, CompiledProgram};
+use ipra_driver::{
+    compile, compile_configured, run_program, CompilationCache, CompileOptions, CompiledProgram,
+};
 use ipra_workloads::Workload;
 use std::fmt::Write as _;
 
@@ -79,14 +81,21 @@ pub fn measure_workload(w: &Workload, fast: bool) -> WorkloadRow {
         }
     };
 
-    let l2 = compile(&w.sources, &CompileOptions::paper(PaperConfig::L2))
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let baseline = run(&l2);
-
-    // Profile for B/F comes from a training run of the baseline.
-    let training =
-        run_program(&l2, &w.training_input).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let profile = collect_profile(&l2, &training);
+    // Profiles for B/F come from a training run of the L2 build; all
+    // configurations share one cache.
+    let mut cache = CompilationCache::new();
+    let mut build = |config: PaperConfig| {
+        compile_configured(
+            &w.sources,
+            config,
+            &w.training_input,
+            &CompileOptions::default(),
+            &mut cache,
+        )
+        .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
+        .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
+    };
+    let baseline = run(&build(PaperConfig::L2));
 
     let mut configs = Vec::new();
     let mut stats_c = None;
@@ -95,12 +104,7 @@ pub fn measure_workload(w: &Workload, fast: bool) -> WorkloadRow {
         if config == PaperConfig::L2 {
             continue;
         }
-        let opts = if config.wants_profile() {
-            CompileOptions::paper_with_profile(config, profile.clone())
-        } else {
-            CompileOptions::paper(config)
-        };
-        let p = compile(&w.sources, &opts).unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name));
+        let p = build(config);
         if config == PaperConfig::C {
             stats_c = Some(p.stats.clone());
         }

@@ -1,9 +1,10 @@
-//! Artifact-aware file handling for `cminc`: loaders that accept both the
-//! versioned [`ipra_artifact`] formats (`.csum`/`.cdir`/`.vo`/`.vx`/`.vlib`)
-//! and the legacy bare-JSON files, plus the `c`, `lib` and `objdump`
-//! subcommands.
+//! Artifact file handling for `cminc`: loaders for the versioned
+//! [`ipra_artifact`] formats (`.csum`/`.cdir`/`.vo`/`.vx`/`.vlib`), which go
+//! by each file's header rather than its name, plus the `c`, `lib` and
+//! `objdump` subcommands. A file without an artifact header — bare JSON,
+//! say — is an error that names the file.
 
-use crate::{flag_value, module_name, positionals, read, write};
+use crate::{flag_value, module_name, positionals, read};
 use ipra_artifact::{
     ArtifactKind, DirectivesArtifact, ExecutableArtifact, LibraryArtifact, LibraryMember,
     ObjectArtifact, SummaryArtifact,
@@ -11,6 +12,7 @@ use ipra_artifact::{
 use ipra_core::ProgramDatabase;
 use ipra_driver::SourceFile;
 use ipra_summary::ModuleSummary;
+use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use vpr::inst::Inst;
@@ -18,111 +20,73 @@ use vpr::program::{Executable, ObjectModule};
 use vpr::regs::RegSet;
 use vpr::target::{TargetDesc, TargetId};
 
-fn artifact_err(e: ipra_artifact::ArtifactError) -> String {
-    e.to_string()
+/// The artifact kind that `text`, read from `path`, declares in its header.
+fn kind_of(path: &str, text: &str) -> Result<ArtifactKind, String> {
+    ipra_artifact::sniff(text).map(|(kind, _, _)| kind).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Reads module summaries from one input file: a `.csum` artifact, a
-/// `.vlib` archive (all member summaries, in archive order), or a legacy
-/// bare-JSON `.sum` file.
+/// Decodes `text`, read from `path`, as a `kind` artifact.
+fn decode<T: Deserialize>(kind: ArtifactKind, path: &str, text: &str) -> Result<T, String> {
+    ipra_artifact::decode(kind, text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Reads the `kind` artifact at `path`.
+fn load<T: Deserialize>(kind: ArtifactKind, path: &str) -> Result<T, String> {
+    decode(kind, path, &read(path)?)
+}
+
+/// Where a module's `.csum` summary sits: beside its `.vo` object.
+fn summary_path_for(object: &str) -> PathBuf {
+    Path::new(object).with_extension(ArtifactKind::Summary.extension())
+}
+
+/// Reads module summaries from one input file: a summary artifact, or a
+/// library artifact (all member summaries, in archive order).
 pub fn load_summaries(path: &str) -> Result<Vec<ModuleSummary>, String> {
-    match ArtifactKind::for_path(Path::new(path)) {
-        Some(ArtifactKind::Summary) => {
-            let a: SummaryArtifact =
-                ipra_artifact::read_file(ArtifactKind::Summary, Path::new(path))
-                    .map_err(artifact_err)?;
-            Ok(vec![a.summary])
-        }
-        Some(ArtifactKind::Library) => {
-            let a: LibraryArtifact =
-                ipra_artifact::read_file(ArtifactKind::Library, Path::new(path))
-                    .map_err(artifact_err)?;
-            Ok(a.members.into_iter().map(|m| m.summary).collect())
-        }
-        Some(k) => Err(format!("{path}: expected a summary or library artifact, found {k}")),
-        None => {
-            let m: ModuleSummary =
-                serde_json::from_str(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-            Ok(vec![m])
-        }
+    let text = read(path)?;
+    if kind_of(path, &text)? == ArtifactKind::Library {
+        let a: LibraryArtifact = decode(ArtifactKind::Library, path, &text)?;
+        Ok(a.members.into_iter().map(|m| m.summary).collect())
+    } else {
+        let a: SummaryArtifact = decode(ArtifactKind::Summary, path, &text)?;
+        Ok(vec![a.summary])
     }
 }
 
-/// Reads one relocatable object: a `.vo` artifact or a legacy bare-JSON
-/// `.obj` file.
+/// Reads one relocatable object artifact.
 pub fn load_object(path: &str) -> Result<ObjectModule, String> {
-    match ArtifactKind::for_path(Path::new(path)) {
-        Some(ArtifactKind::Object) => {
-            let a: ObjectArtifact = ipra_artifact::read_file(ArtifactKind::Object, Path::new(path))
-                .map_err(artifact_err)?;
-            Ok(a.object)
-        }
-        Some(k) => Err(format!("{path}: expected an object artifact, found {k}")),
-        None => serde_json::from_str(&read(path)?).map_err(|e| format!("{path}: {e}")),
-    }
+    load::<ObjectArtifact>(ArtifactKind::Object, path).map(|a| a.object)
 }
 
-/// Reads a program database: a `.cdir` artifact or a legacy bare-JSON
-/// `.db` file.
+/// Reads a program database from a directives artifact.
 pub fn load_database(path: &str) -> Result<ProgramDatabase, String> {
-    match ArtifactKind::for_path(Path::new(path)) {
-        Some(ArtifactKind::Directives) => {
-            let a: DirectivesArtifact =
-                ipra_artifact::read_file(ArtifactKind::Directives, Path::new(path))
-                    .map_err(artifact_err)?;
-            Ok(a.database)
-        }
-        Some(k) => Err(format!("{path}: expected a directives artifact, found {k}")),
-        None => ProgramDatabase::from_json(&read(path)?).map_err(|e| format!("{path}: {e}")),
-    }
+    load::<DirectivesArtifact>(ArtifactKind::Directives, path).map(|a| a.database)
 }
 
-/// Writes a program database as a `.cdir` artifact when the output path
-/// carries that extension (header stamped for `target`: the directive
-/// registers are target-specific, so `objdump` needs the provenance),
-/// legacy bare JSON otherwise.
+/// Reads an executable artifact.
+pub fn load_executable(path: &str) -> Result<Executable, String> {
+    load::<ExecutableArtifact>(ArtifactKind::Executable, path).map(|a| a.exe)
+}
+
+/// Writes a program database as a directives artifact, its header stamped
+/// for `target` (the directive registers are target-specific, so
+/// `objdump` needs the provenance).
 pub fn write_database_for(
     path: &str,
     config: &str,
     database: &ProgramDatabase,
     target: TargetId,
 ) -> Result<(), String> {
-    if ArtifactKind::for_path(Path::new(path)) == Some(ArtifactKind::Directives) {
-        let payload = DirectivesArtifact { config: config.to_string(), database: database.clone() };
-        ipra_artifact::write_file_for(ArtifactKind::Directives, Path::new(path), &payload, target)
-            .map_err(artifact_err)
-    } else {
-        write(path, &database.to_json())
-    }
+    let payload = DirectivesArtifact { config: config.to_string(), database: database.clone() };
+    ipra_artifact::write_file_for(ArtifactKind::Directives, Path::new(path), &payload, target)
+        .map_err(|e| e.to_string())
 }
 
-/// Reads an executable, sniffing the artifact header (so any name works,
-/// not just `.vx`); falls back to legacy bare JSON.
-pub fn load_executable(path: &str) -> Result<Executable, String> {
-    let text = read(path)?;
-    if text.starts_with(ipra_artifact::MAGIC) {
-        let a: ExecutableArtifact =
-            ipra_artifact::decode(ArtifactKind::Executable, &text).map_err(artifact_err)?;
-        Ok(a.exe)
-    } else {
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-/// Writes an executable as a `.vx` artifact when the output path carries
-/// that extension, legacy bare JSON otherwise.
+/// Writes an executable artifact.
 pub fn write_executable(path: &str, exe: &Executable) -> Result<(), String> {
-    if ArtifactKind::for_path(Path::new(path)) == Some(ArtifactKind::Executable) {
-        ipra_artifact::write_file_for(
-            ArtifactKind::Executable,
-            Path::new(path),
-            &ExecutableArtifact { exe: exe.clone() },
-            exe.target(),
-        )
-        .map_err(artifact_err)
-    } else {
-        write(path, &serde_json::to_string(exe).expect("serialize"))
-    }
+    let payload = ExecutableArtifact { exe: exe.clone() };
+    ipra_artifact::write_file_for(ArtifactKind::Executable, Path::new(path), &payload, exe.target())
+        .map_err(|e| e.to_string())
 }
 
 /// Opens the compilation cache: persistent when `--cache-dir` is given,
@@ -137,8 +101,9 @@ pub fn open_cache(args: &[String]) -> Result<ipra_driver::CompilationCache, Stri
 
 /// `cminc c`: separate compilation of one module — phase 1 + phase 2 under
 /// the directives in `--dir` (standard conventions without it), writing the
-/// `.vo` object and `.csum` summary. With `--cache-dir`, both phases are
-/// served from the persistent cache when their fingerprints still match.
+/// `.vo` object and, beside it unless `--summary` says otherwise, the
+/// `.csum` summary. With `--cache-dir`, both phases are served from the
+/// persistent cache when their fingerprints still match.
 pub fn c_cmd(args: &[String]) -> Result<(), String> {
     let files = positionals(args);
     let [src_path] = files.as_slice() else {
@@ -146,7 +111,10 @@ pub fn c_cmd(args: &[String]) -> Result<(), String> {
     };
     let stem = module_name(src_path);
     let out = flag_value(args, "-o").unwrap_or(format!("{stem}.vo"));
-    let sum_out = flag_value(args, "--summary").unwrap_or(format!("{stem}.csum"));
+    let sum_out = match flag_value(args, "--summary") {
+        Some(path) => PathBuf::from(path),
+        None => summary_path_for(&out),
+    };
     let database = match flag_value(args, "--dir") {
         Some(p) => load_database(&p)?,
         None => ProgramDatabase::new(),
@@ -160,12 +128,13 @@ pub fn c_cmd(args: &[String]) -> Result<(), String> {
     // The object carries machine code for `target`; the summary is phase-1
     // output (target-independent) and stays unstamped.
     ipra_artifact::write_file_for(ArtifactKind::Object, Path::new(&out), &product.object, target)
-        .map_err(artifact_err)?;
-    ipra_artifact::write_file(ArtifactKind::Summary, Path::new(&sum_out), &product.summary)
-        .map_err(artifact_err)?;
+        .map_err(|e| e.to_string())?;
+    ipra_artifact::write_file(ArtifactKind::Summary, &sum_out, &product.summary)
+        .map_err(|e| e.to_string())?;
     let leg = |hit: bool| if hit { "hit" } else { "miss" };
     eprintln!(
-        "c: {src_path} -> {out}, {sum_out} (phase1 {}, phase2 {})",
+        "c: {src_path} -> {out}, {} (phase1 {}, phase2 {})",
+        sum_out.display(),
         leg(product.phase1_hit),
         leg(product.phase2_hit)
     );
@@ -183,16 +152,16 @@ pub fn lib_cmd(args: &[String]) -> Result<(), String> {
     let mut members = Vec::with_capacity(objs.len());
     for o in &objs {
         let object = load_object(o)?;
-        let sum_path = PathBuf::from(o).with_extension("csum");
-        let summary: SummaryArtifact = ipra_artifact::read_file(ArtifactKind::Summary, &sum_path)
+        let sum_path = summary_path_for(o);
+        let summary: SummaryArtifact = load(ArtifactKind::Summary, &sum_path.to_string_lossy())
             .map_err(|e| {
-            format!("{o}: library members need their summary ({}): {e}", sum_path.display())
-        })?;
+                format!("{o}: library members need their summary ({}): {e}", sum_path.display())
+            })?;
         members.push(LibraryMember { object, summary: summary.summary });
     }
     let lib = LibraryArtifact { members };
     ipra_artifact::write_file(ArtifactKind::Library, Path::new(&out), &lib)
-        .map_err(artifact_err)?;
+        .map_err(|e| e.to_string())?;
     eprintln!("lib: {} member(s) -> {out}", lib.members.len());
     Ok(())
 }
@@ -203,12 +172,13 @@ pub fn collect_link_inputs(paths: &[String]) -> Result<Vec<ObjectModule>, String
     let mut roots = Vec::new();
     let mut library = LibraryArtifact::default();
     for p in paths {
-        if ArtifactKind::for_path(Path::new(p)) == Some(ArtifactKind::Library) {
-            let a: LibraryArtifact = ipra_artifact::read_file(ArtifactKind::Library, Path::new(p))
-                .map_err(artifact_err)?;
+        let text = read(p)?;
+        if kind_of(p, &text)? == ArtifactKind::Library {
+            let a: LibraryArtifact = decode(ArtifactKind::Library, p, &text)?;
             library.members.extend(a.members);
         } else {
-            roots.push(load_object(p)?);
+            let a: ObjectArtifact = decode(ArtifactKind::Object, p, &text)?;
+            roots.push(a.object);
         }
     }
     for i in library.select(&roots) {
@@ -226,34 +196,34 @@ pub fn objdump_cmd(args: &[String]) -> Result<(), String> {
     let [path] = files.as_slice() else {
         return Err("objdump takes exactly one artifact file".into());
     };
+    let text = read(path)?;
     let (kind, version, target) =
-        ipra_artifact::sniff_file(Path::new(path)).map_err(artifact_err)?;
+        ipra_artifact::sniff(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: {kind} artifact v{version} (target {target})");
-    let p = Path::new(path);
     match kind {
         ArtifactKind::Summary => {
-            let a: SummaryArtifact = ipra_artifact::read_file(kind, p).map_err(artifact_err)?;
+            let a: SummaryArtifact = decode(kind, path, &text)?;
             println!("source fnv64:{:016x}  ir fnv64:{:016x}", a.source_fp, a.ir_fp);
             print!("{}", dump_summary(&a.summary));
         }
         ArtifactKind::Directives => {
-            let a: DirectivesArtifact = ipra_artifact::read_file(kind, p).map_err(artifact_err)?;
+            let a: DirectivesArtifact = decode(kind, path, &text)?;
             println!("config {}  ({} procedures)", a.config, a.database.len());
             // The directive registers are target-specific; the header
             // stamp names which convention to render them in.
             print!("{}", dump_directives(&a.database, target.desc()));
         }
         ArtifactKind::Object => {
-            let a: ObjectArtifact = ipra_artifact::read_file(kind, p).map_err(artifact_err)?;
+            let a: ObjectArtifact = decode(kind, path, &text)?;
             println!("ir fnv64:{:016x}  directives fnv64:{:016x}", a.ir_fp, a.dir_fp);
             print!("{}", dump_object(&a.object));
         }
         ArtifactKind::Executable => {
-            let a: ExecutableArtifact = ipra_artifact::read_file(kind, p).map_err(artifact_err)?;
+            let a: ExecutableArtifact = decode(kind, path, &text)?;
             print!("{}", dump_executable(&a.exe));
         }
         ArtifactKind::Library => {
-            let a: LibraryArtifact = ipra_artifact::read_file(kind, p).map_err(artifact_err)?;
+            let a: LibraryArtifact = decode(kind, path, &text)?;
             for (i, m) in a.members.iter().enumerate() {
                 let funcs: Vec<&str> = m.object.functions.iter().map(|f| f.name()).collect();
                 let globals: Vec<&str> = m.object.globals.iter().map(|g| g.sym.as_str()).collect();

@@ -22,9 +22,8 @@
 //!
 //! `objdump` pretty-prints any artifact; `lib` archives objects (plus
 //! their summaries) into a `.vlib` that `analyze` and `link` both accept,
-//! pulling only the members the program needs. The pre-artifact bare-JSON
-//! files (`.sum`/`.db`/`.obj`/`.exe`) are still read and written whenever
-//! a path doesn't carry an artifact extension.
+//! pulling only the members the program needs. Every command reads an
+//! input's kind from its artifact header, whatever the file is called.
 
 mod artifacts;
 
@@ -32,7 +31,7 @@ use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, PaperConfig}
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::{ProfileData, ProgramDatabase};
 use ipra_driver::SourceFile;
-use ipra_summary::{summarize_module, ModuleSummary, ProgramSummary};
+use ipra_summary::ProgramSummary;
 use ipra_telemetry::Telemetry;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -49,9 +48,7 @@ fn main() -> ExitCode {
         "c" => artifacts::c_cmd(rest),
         "lib" => artifacts::lib_cmd(rest),
         "objdump" => artifacts::objdump_cmd(rest),
-        "phase1" => phase1(rest),
         "analyze" => analyze_cmd(rest),
-        "phase2" => phase2(rest),
         "link" => link_cmd(rest),
         "verify" => verify_cmd(rest),
         "run" => run_cmd(rest),
@@ -89,8 +86,6 @@ const USAGE: &str = "usage:
   cminc profile <prog.vx | src.cmin...> [--config ...] [--input \"v v v\"] [--engine fast|ref] [--top N] [--json <out.json>]
   cminc stats <src.cmin>... [--config ...] [--input \"v v v\"] [-j|--jobs N] [--run]
   cminc objdump <artifact-file>
-  cminc phase1 <src.cmin> [--summary <out.sum>] [--ir <out.ir>]
-  cminc phase2 <mod.ir> --db <prog.cdir> [--target vpr|rv32] -o <mod.obj>
   cminc explain <symbol> (--trace <trace.json> | <src.cmin>... [--config ...]) [--target vpr|rv32]
   cminc report <src.cmin>... --config-b L2|A|B|C|D|E|F|P [--config-a ...] [--input \"v v v\"] [--json <out.json>]
   cminc fuzz [--seed N] [--iters N | --time-budget SECS] [-j|--jobs N] [--corpus DIR] [--reduce-budget N] [--self-validate] [--metrics-out <m.json>]
@@ -101,11 +96,12 @@ const USAGE: &str = "usage:
 artifacts (`objdump` prints any of them):
   .csum  per-module summary     .cdir  analyzer directives   .vo  object code
   .vx    linked executable      .vlib  object+summary archive
-  paths without an artifact extension keep the legacy bare-JSON formats
+  inputs are recognized by their artifact header, not their file name
 
 separate compilation:
   c              one module, both phases; --dir supplies the analyzer's
-                 directives (standard conventions without it)
+                 directives (standard conventions without it); the summary
+                 goes beside the -o object unless --summary names a path
   --cache-dir D  persist phase fingerprints under D: across separate cminc
                  invocations only modules whose source or directive slice
                  changed are recompiled (c, build)
@@ -117,7 +113,7 @@ build flags:
                  link/verify/run read the target from the artifacts themselves
   -j, --jobs N   worker threads for the per-module phases (default 1, 0 = all cores)
   --repeat N     build N times through one incremental cache (recompilation demo)
-  -o FILE        write the linked executable (artifact iff FILE ends in .vx)
+  -o FILE        write the linked executable (a .vx artifact)
   --stats        per-phase wall-clock and cache hit/miss table (plus run stats with --run)
   --trace FILE   persist the analyzer's decision trace as JSON (also: analyze)
 
@@ -181,7 +177,6 @@ pub(crate) fn positionals(args: &[String]) -> Vec<String> {
             let takes_value = matches!(
                 a.as_str(),
                 "--summary"
-                    | "--ir"
                     | "--config"
                     | "--profile"
                     | "--db"
@@ -240,22 +235,13 @@ pub(crate) fn module_name(path: &str) -> String {
         .unwrap_or_else(|| "module".into())
 }
 
-fn config_by_name(name: Option<&str>) -> Result<PaperConfig, String> {
-    match name {
-        None | Some("L2") => Ok(PaperConfig::L2),
-        Some("A") => Ok(PaperConfig::A),
-        Some("B") => Ok(PaperConfig::B),
-        Some("C") => Ok(PaperConfig::C),
-        Some("D") => Ok(PaperConfig::D),
-        Some("E") => Ok(PaperConfig::E),
-        Some("F") => Ok(PaperConfig::F),
-        Some("P") => Ok(PaperConfig::P),
-        Some(other) => Err(format!("unknown config `{other}`")),
+/// Resolves a configuration flag (`--config`, `--config-a`, `--config-b`)
+/// to a paper configuration (default: L2).
+fn parse_config(args: &[String], flag: &str) -> Result<PaperConfig, String> {
+    match flag_value(args, flag) {
+        None => Ok(PaperConfig::L2),
+        Some(name) => PaperConfig::parse(&name).ok_or_else(|| format!("unknown config `{name}`")),
     }
-}
-
-fn parse_config(args: &[String]) -> Result<PaperConfig, String> {
-    config_by_name(flag_value(args, "--config").as_deref())
 }
 
 /// Resolves `--target` to a machine description id (default: VPR).
@@ -279,35 +265,6 @@ fn parse_input(args: &[String]) -> Result<Vec<i64>, String> {
     }
 }
 
-/// Frontend + optimizer for one file; returns the optimized IR and summary.
-fn front_one(path: &str) -> Result<(cmin_ir::IrModule, ModuleSummary), String> {
-    let text = read(path)?;
-    let name = module_name(path);
-    let module = cmin_frontend::parse_module(&name, &text).map_err(|e| e.to_string())?;
-    let info = cmin_frontend::analyze(&module).map_err(|e| e.to_string())?;
-    let mut ir = cmin_ir::lower_module(&module, &info);
-    cmin_ir::optimize_module(&mut ir);
-    let summary = summarize_module(&ir);
-    Ok((ir, summary))
-}
-
-fn phase1(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
-    let [src] = files.as_slice() else {
-        return Err("phase1 takes exactly one source file".into());
-    };
-    let (ir, summary) = front_one(src)?;
-    let stem = module_name(src);
-    let sum_path = flag_value(args, "--summary").unwrap_or(format!("{stem}.sum"));
-    let ir_path = flag_value(args, "--ir").unwrap_or(format!("{stem}.ir"));
-    let sum_json = serde_json::to_string_pretty(&summary).expect("serialize");
-    write(&sum_path, &sum_json)?;
-    let ir_json = serde_json::to_string(&ir).expect("serialize");
-    write(&ir_path, &ir_json)?;
-    eprintln!("phase1: {src} -> {sum_path}, {ir_path}");
-    Ok(())
-}
-
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
     let sums = positionals(args);
     if sums.is_empty() {
@@ -318,7 +275,7 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     for s in &sums {
         program.modules.extend(artifacts::load_summaries(s)?);
     }
-    let config = parse_config(args)?;
+    let config = parse_config(args, "--config")?;
     let profile = match flag_value(args, "--profile") {
         Some(p) => {
             Some(serde_json::from_str::<ProfileData>(&read(&p)?).map_err(|e| format!("{p}: {e}"))?)
@@ -371,25 +328,6 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    Ok(())
-}
-
-fn phase2(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
-    let [ir_path] = files.as_slice() else {
-        return Err("phase2 takes exactly one .ir file".into());
-    };
-    let out = flag_value(args, "-o").ok_or("phase2 needs -o <mod.obj>")?;
-    let db = match flag_value(args, "--db") {
-        Some(p) => artifacts::load_database(&p)?,
-        None => ProgramDatabase::new(),
-    };
-    let target = parse_target(args)?;
-    let ir: cmin_ir::IrModule =
-        serde_json::from_str(&read(ir_path)?).map_err(|e| format!("{ir_path}: {e}"))?;
-    let object = cmin_codegen::compile_module_for(&ir, &db, target);
-    write(&out, &serde_json::to_string(&object).expect("serialize"))?;
-    eprintln!("phase2: {ir_path} -> {out} ({} procedures)", object.functions.len());
     Ok(())
 }
 
@@ -528,12 +466,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(path) = flag_value(args, "--profile-out") {
-        let mut profile = ProfileData::new();
-        for (&(caller, callee), &count) in &result.stats.call_edges {
-            if let (Some(cr), Some(ce)) = (exe.funcs().get(caller), exe.funcs().get(callee)) {
-                profile.record_edge(&cr.name, &ce.name, count);
-            }
-        }
+        let profile = ipra_driver::collect_profile_from(&exe, &result);
         write(&path, &serde_json::to_string_pretty(&profile).expect("serialize"))?;
         eprintln!("profile: -> {path}");
     }
@@ -562,7 +495,7 @@ fn explain_cmd(args: &[String]) -> Result<(), String> {
                 return Err("explain needs --trace <trace.json> or source files to compile".into());
             }
             let sources = read_sources(srcs)?;
-            let config = parse_config(args)?;
+            let config = parse_config(args, "--config")?;
             let input = parse_input(args)?;
             let opts = ipra_driver::CompileOptions {
                 trace: true,
@@ -588,10 +521,11 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
     if srcs.is_empty() {
         return Err("report needs at least one source file".into());
     }
-    let config_a = config_by_name(flag_value(args, "--config-a").as_deref())?;
-    let config_b = config_by_name(Some(
-        flag_value(args, "--config-b").ok_or("report needs --config-b <config>")?.as_str(),
-    ))?;
+    if flag_value(args, "--config-b").is_none() {
+        return Err("report needs --config-b <config>".into());
+    }
+    let config_a = parse_config(args, "--config-a")?;
+    let config_b = parse_config(args, "--config-b")?;
     let input = parse_input(args)?;
     let sources = read_sources(&srcs)?;
     let report = ipra_driver::diff_report(&sources, config_a, config_b, &input, 1)
@@ -713,7 +647,7 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
     if srcs.is_empty() {
         return Err("build needs at least one source file".into());
     }
-    let config = parse_config(args)?;
+    let config = parse_config(args, "--config")?;
     let input = parse_input(args)?;
     let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
         Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
@@ -887,7 +821,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
         artifacts::load_executable(&files[0])?
     } else {
         let sources = read_sources(&files)?;
-        let config = parse_config(args)?;
+        let config = parse_config(args, "--config")?;
         let mut cache = ipra_driver::CompilationCache::new();
         let opts = ipra_driver::CompileOptions::default();
         ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
@@ -965,7 +899,7 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
         return Err("stats needs at least one source file".into());
     }
     let sources = read_sources(&srcs)?;
-    let config = parse_config(args)?;
+    let config = parse_config(args, "--config")?;
     let input = parse_input(args)?;
     let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
         Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
@@ -1070,36 +1004,17 @@ fn connect_daemon(socket: &str) -> Result<ipra_daemon::Client, String> {
     ipra_daemon::Client::connect(socket).map_err(|e| e.to_string())
 }
 
-/// Writes a build result (as `.vx` artifact text) to `-o`: raw artifact
-/// text for `.vx` paths — byte-identical to `cminc build -o` — and legacy
-/// bare JSON otherwise, matching `build`'s conventions.
-fn write_vx_text(out: Option<&str>, vx: &str) -> Result<(), String> {
-    let Some(path) = out else { return Ok(()) };
-    if ipra_artifact::ArtifactKind::for_path(Path::new(path))
-        == Some(ipra_artifact::ArtifactKind::Executable)
-    {
-        write(path, vx)
-    } else {
-        let a: ipra_artifact::ExecutableArtifact =
-            ipra_artifact::decode(ipra_artifact::ArtifactKind::Executable, vx)
-                .map_err(|e| e.to_string())?;
-        write(path, &serde_json::to_string(&a.exe).expect("serialize"))
-    }
-}
-
 fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), String> {
     if srcs.is_empty() {
         return Err("remote build needs at least one source file".into());
     }
-    let config = parse_config(args)?; // validate locally before shipping
-    let config_name = flag_value(args, "--config").unwrap_or_else(|| "L2".to_string());
+    let config = parse_config(args, "--config")?; // validate locally before shipping
     let input = parse_input(args)?;
     let sources = read_sources(srcs)?;
-    let out = flag_value(args, "-o");
-    match connect_daemon(socket) {
+    let vx = match connect_daemon(socket) {
         Ok(mut client) => {
             let request = ipra_daemon::BuildRequest {
-                config: config_name,
+                config: config.to_string(),
                 optimize: true,
                 sources: sources
                     .iter()
@@ -1108,14 +1023,13 @@ fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), St
                 training_input: input,
             };
             let built = client.build(&request).map_err(|e| e.to_string())?;
-            write_vx_text(out.as_deref(), &built.vx)?;
             eprintln!(
                 "cmind: {} modules, {} recompiled{}",
                 sources.len(),
                 built.recompiled.len(),
                 if built.coalesced { " (coalesced with an identical in-flight build)" } else { "" }
             );
-            Ok(())
+            built.vx
         }
         Err(e) => {
             // The daemon being down must not break builds: degrade to a
@@ -1128,8 +1042,11 @@ fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), St
                 ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
                     .map_err(|e| e.to_string())?
                     .map_err(|e| format!("training run trapped: {e}"))?;
-            let (vx, _) = ipra_daemon::protocol::executable_artifact(&program.exe);
-            write_vx_text(out.as_deref(), &vx)
+            ipra_daemon::protocol::executable_artifact(&program.exe).0
         }
+    };
+    match flag_value(args, "-o") {
+        Some(path) => write(&path, &vx),
+        None => Ok(()),
     }
 }

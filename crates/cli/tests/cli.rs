@@ -1,15 +1,22 @@
 //! End-to-end test of the `cminc` command-line driver: the full file-based
-//! Figure 1 pipeline — phase1 per module, analyze, phase2 per module, link,
+//! Figure 1 pipeline — `c` per module, analyze, `c --dir` per module, link,
 //! run — plus the profile round trip and the one-shot `build`.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn cminc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cminc"))
 }
 
-fn write(dir: &std::path::Path, name: &str, text: &str) -> PathBuf {
+/// Runs `cminc <args>` in `dir` and asserts that it succeeded.
+fn ok(dir: &Path, args: &[&str]) -> Output {
+    let out = cminc().current_dir(dir).args(args).output().unwrap();
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    out
+}
+
+fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
     let p = dir.join(name);
     std::fs::write(&p, text).unwrap();
     p
@@ -38,63 +45,37 @@ int main() {
     return total;
 }";
 
+/// Stages `counterlib.cmin` + `app.cmin` in `dir` through the artifact
+/// files under `config` (`c` per module, `analyze`, `c --dir`, `link`) into
+/// `prog.vx`. The second phase runs in reverse module order, which the
+/// paper's design explicitly allows.
+fn staged_build(dir: &Path, config: &str) {
+    for src in ["counterlib.cmin", "app.cmin"] {
+        ok(dir, &["c", src]);
+    }
+    ok(dir, &["analyze", "counterlib.csum", "app.csum", "--config", config, "-o", "program.cdir"]);
+    for stem in ["app", "counterlib"] {
+        let (src, obj) = (format!("{stem}.cmin"), format!("{stem}.vo"));
+        ok(dir, &["c", &src, "--dir", "program.cdir", "-o", &obj]);
+    }
+    ok(dir, &["link", "counterlib.vo", "app.vo", "-o", "prog.vx"]);
+}
+
 #[test]
 fn file_based_pipeline_end_to_end() {
     let dir = tempdir("pipeline");
-    let lib = write(&dir, "counterlib.cmin", LIB_SRC);
-    let app = write(&dir, "app.cmin", MAIN_SRC);
-
-    // Phase 1 on each module.
-    for src in [&lib, &app] {
-        let out =
-            cminc().current_dir(&dir).args(["phase1", src.to_str().unwrap()]).output().unwrap();
-        assert!(out.status.success(), "phase1: {}", String::from_utf8_lossy(&out.stderr));
-    }
-    assert!(dir.join("counterlib.sum").exists());
-    assert!(dir.join("app.ir").exists());
-
-    // Analyzer over the summary files.
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["analyze", "counterlib.sum", "app.sum", "--config", "C", "-o", "program.db"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "analyze: {}", String::from_utf8_lossy(&out.stderr));
-    let db_text = std::fs::read_to_string(dir.join("program.db")).unwrap();
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    write(&dir, "app.cmin", MAIN_SRC);
+    staged_build(&dir, "C");
+    assert!(dir.join("counterlib.csum").exists());
+    assert!(dir.join("app.vo").exists());
+    let db_text = std::fs::read_to_string(dir.join("program.cdir")).unwrap();
     assert!(db_text.contains("add_in"));
 
-    // Phase 2 on each intermediate file — deliberately in the opposite
-    // order, which the paper's design explicitly allows.
-    for stem in ["app", "counterlib"] {
-        let out = cminc()
-            .current_dir(&dir)
-            .args([
-                "phase2",
-                &format!("{stem}.ir"),
-                "--db",
-                "program.db",
-                "-o",
-                &format!("{stem}.obj"),
-            ])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "phase2: {}", String::from_utf8_lossy(&out.stderr));
-    }
-
-    // Link and run.
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["link", "counterlib.obj", "app.obj", "-o", "prog.exe"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "link: {}", String::from_utf8_lossy(&out.stderr));
-
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["run", "prog.exe", "--input", "5 10 15", "--stats", "--profile-out", "prof.json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
+    let out = ok(
+        &dir,
+        &["run", "prog.vx", "--input", "5 10 15", "--stats", "--profile-out", "prof.json"],
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.trim().lines().collect::<Vec<_>>(), vec!["30", "3"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -105,23 +86,62 @@ fn file_based_pipeline_end_to_end() {
     assert!(prof.contains("add_in"));
 
     // Profile-fed analysis (config F) consumes it.
-    let out = cminc()
-        .current_dir(&dir)
-        .args([
+    ok(
+        &dir,
+        &[
             "analyze",
-            "counterlib.sum",
-            "app.sum",
+            "counterlib.csum",
+            "app.csum",
             "--config",
             "F",
             "--profile",
             "prof.json",
             "-o",
-            "program_f.db",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "analyze F: {}", String::from_utf8_lossy(&out.stderr));
+            "program_f.cdir",
+        ],
+    );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `c -o sub/m.vo` leaves the summary beside the object, where `lib`
+/// looks for it.
+#[test]
+fn c_writes_the_summary_beside_its_object() {
+    let dir = tempdir("csum-beside");
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    std::fs::create_dir_all(dir.join("out")).unwrap();
+    ok(&dir, &["c", "counterlib.cmin", "-o", "out/counterlib.vo"]);
+    assert!(dir.join("out/counterlib.csum").exists());
+    assert!(!dir.join("counterlib.csum").exists(), "no summary in the working directory");
+    ok(&dir, &["lib", "out/counterlib.vo", "-o", "counter.vlib"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Inputs are recognized by their artifact header: a bare-JSON file is a
+/// clean error naming the path, whatever its extension, and never a panic.
+#[test]
+fn bare_json_inputs_are_artifact_errors() {
+    let dir = tempdir("bare-json");
+    for name in ["m.csum", "m.vo", "p.cdir", "p.vx", "m.json"] {
+        write(&dir, name, "{\"name\": \"m\", \"functions\": []}");
+    }
+    for args in [
+        vec!["analyze", "m.csum", "-o", "out.cdir"],
+        vec!["analyze", "m.json", "-o", "out.cdir"],
+        vec!["link", "m.vo", "-o", "out.vx"],
+        vec!["link", "m.json", "-o", "out.vx"],
+        vec!["verify", "m.vo"],
+        vec!["verify", "m.json"],
+        vec!["run", "p.vx"],
+        vec!["run", "m.json"],
+    ] {
+        let out = cminc().current_dir(&dir).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{}: not an artifact", args[1])), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -241,21 +261,10 @@ fn run_stats_json_dumps_exact_attribution() {
         .unwrap();
     assert!(out.status.success());
     // Rebuild through the file pipeline to get an exe on disk.
-    for src in ["counterlib.cmin", "app.cmin"] {
-        assert!(cminc().current_dir(&dir).args(["phase1", src]).output().unwrap().status.success());
-    }
-    for cmd in [
-        vec!["analyze", "counterlib.sum", "app.sum", "--config", "C", "-o", "p.db"],
-        vec!["phase2", "counterlib.ir", "--db", "p.db", "-o", "counterlib.obj"],
-        vec!["phase2", "app.ir", "--db", "p.db", "-o", "app.obj"],
-        vec!["link", "counterlib.obj", "app.obj", "-o", "prog.exe"],
-    ] {
-        let out = cminc().current_dir(&dir).args(&cmd).output().unwrap();
-        assert!(out.status.success(), "{cmd:?}: {}", String::from_utf8_lossy(&out.stderr));
-    }
+    staged_build(&dir, "C");
     let out = cminc()
         .current_dir(&dir)
-        .args(["run", "prog.exe", "--input", "5 10 15", "--stats-json", "s.json"])
+        .args(["run", "prog.vx", "--input", "5 10 15", "--stats-json", "s.json"])
         .output()
         .unwrap();
     assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
@@ -270,11 +279,11 @@ fn run_stats_json_dumps_exact_attribution() {
 fn errors_are_reported_with_nonzero_exit() {
     let dir = tempdir("errors");
     let bad = write(&dir, "bad.cmin", "int f( {");
-    let out = cminc().args(["phase1", bad.to_str().unwrap()]).output().unwrap();
+    let out = cminc().current_dir(&dir).args(["c", bad.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad"));
 
-    let out = cminc().args(["analyze", "-o", "x.db"]).output().unwrap();
+    let out = cminc().args(["analyze", "-o", "x.cdir"]).output().unwrap();
     assert!(!out.status.success());
 
     let out = cminc().args(["frobnicate"]).output().unwrap();
@@ -287,11 +296,10 @@ fn errors_are_reported_with_nonzero_exit() {
 fn config_b_requires_profile() {
     let dir = tempdir("needprof");
     write(&dir, "m.cmin", "int main() { return 0; }");
-    let out = cminc().current_dir(&dir).args(["phase1", "m.cmin"]).output().unwrap();
-    assert!(out.status.success());
+    ok(&dir, &["c", "m.cmin"]);
     let out = cminc()
         .current_dir(&dir)
-        .args(["analyze", "m.sum", "--config", "B", "-o", "x.db"])
+        .args(["analyze", "m.csum", "--config", "B", "-o", "x.cdir"])
         .output()
         .unwrap();
     assert!(!out.status.success());

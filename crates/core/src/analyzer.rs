@@ -106,6 +106,11 @@ impl PaperConfig {
             PaperConfig::P => "P",
         }
     }
+
+    /// Parses a configuration label (the inverse of [`label`](Self::label)).
+    pub fn parse(s: &str) -> Option<PaperConfig> {
+        PaperConfig::ALL_WITH_ALIAS.into_iter().find(|c| c.label() == s)
+    }
 }
 
 impl std::fmt::Display for PaperConfig {
@@ -804,6 +809,15 @@ mod tests {
         let analysis = analyze(&s, &AnalyzerOptions::paper_config(PaperConfig::D, None));
         assert_eq!(analysis.stats.webs_total, 4);
         assert!(analysis.stats.webs_colored >= 1);
+    }
+
+    #[test]
+    fn paper_config_labels_parse_back() {
+        for c in PaperConfig::ALL_WITH_ALIAS {
+            assert_eq!(PaperConfig::parse(c.label()), Some(c));
+        }
+        assert_eq!(PaperConfig::parse("G"), None);
+        assert_eq!(PaperConfig::parse("l2"), None);
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use protocol::{
     BuildRequest, BuildResponse, Counter, ProtocolError, Request, Response, StatsResponse,
     WireError, WireSource,
 };
-pub use server::{parse_config_name, Server, ServerOptions};
+pub use server::{Server, ServerOptions};

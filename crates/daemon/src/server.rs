@@ -428,7 +428,8 @@ fn wait_for_slot(slot: &Inflight, timeout: Option<Duration>) -> Result<BuildResp
 /// The leader's computation: pick the fingerprint's shard, compile under
 /// its lock, export per-shard counter deltas, package the `.vx` artifact.
 fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildResponse, WireError> {
-    let config = parse_config_name(&req.config)?;
+    let config = PaperConfig::parse(&req.config)
+        .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
     if req.sources.is_empty() {
         return Err(WireError::BadRequest("no modules in request".to_string()));
     }
@@ -491,25 +492,5 @@ fn export_shard_counters(tele: &Telemetry, shard: usize, before: CacheStats, aft
         if delta > 0 {
             tele.add(&format!("daemon.shard{shard}.{name}"), delta);
         }
-    }
-}
-
-/// Maps a wire config name to a [`PaperConfig`] (same table as `cminc`'s
-/// `--config` flag).
-///
-/// # Errors
-///
-/// [`WireError::BadRequest`] for an unknown name.
-pub fn parse_config_name(name: &str) -> Result<PaperConfig, WireError> {
-    match name {
-        "L2" => Ok(PaperConfig::L2),
-        "A" => Ok(PaperConfig::A),
-        "B" => Ok(PaperConfig::B),
-        "C" => Ok(PaperConfig::C),
-        "D" => Ok(PaperConfig::D),
-        "E" => Ok(PaperConfig::E),
-        "F" => Ok(PaperConfig::F),
-        "P" => Ok(PaperConfig::P),
-        other => Err(WireError::BadRequest(format!("unknown config `{other}`"))),
     }
 }

@@ -33,11 +33,12 @@
 //! artifacts (`.csum`/`.cdir`/`.vo`/`.vx`, see [`ipra_artifact`]) —
 //! required to be bit-identical to the in-memory path.
 //!
-//! Profile feedback (configurations B and F) is a closed loop here: compile
-//! at the baseline, run on a training input, convert the simulator's exact
-//! edge counts into [`ProfileData`], and recompile — the moral equivalent of
-//! the paper's `gprof` pass. The recompile shares the baseline's cache, so
-//! its first phase is pure cache hits.
+//! Profile feedback (configurations B and F) is a closed loop here
+//! ([`compile_configured`]): compile at the baseline, run on a training
+//! input, convert the simulator's exact edge counts into [`ProfileData`],
+//! and recompile — the moral equivalent of the paper's `gprof` pass. The
+//! recompile shares the baseline's cache, so its first phase is pure cache
+//! hits.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,7 +61,6 @@ mod stages;
 
 pub use cache::{BuildReport, CacheStats, CompilationCache, DiskCache, PhaseStats};
 
-use cache::{Phase1Entry, Phase2Entry};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
 use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, AnalyzerStats, PaperConfig};
@@ -70,9 +70,7 @@ use ipra_obsv::DiffReport;
 use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
-use stages::{parallel_map, phase1_key, run_phase1};
 use std::fmt;
-use std::sync::Arc;
 use vpr::program::{link, Executable, LinkError, ObjectModule};
 use vpr::sim::{run_with, RunResult, SimError, SimOptions};
 
@@ -145,11 +143,6 @@ impl CompileOptions {
     /// Options for one of the paper's configurations.
     pub fn paper(config: PaperConfig) -> CompileOptions {
         CompileOptions { config: Some(config), ..CompileOptions::default() }
-    }
-
-    /// Options for a profile-fed configuration.
-    pub fn paper_with_profile(config: PaperConfig, profile: ProfileData) -> CompileOptions {
-        CompileOptions { config: Some(config), profile: Some(profile), ..CompileOptions::default() }
     }
 
     /// The worker-pool width this build will actually use.
@@ -282,53 +275,7 @@ pub fn compile_incremental(
 
     // ---- Compiler first phase, cache-probed then fanned out per module.
     let phase1_timer = span(tele, "build", "phase1");
-    let evictions_before = (cache.stats.phase1_evictions, cache.stats.phase2_evictions);
-    let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, options.optimize)).collect();
-    let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, src) in sources.iter().enumerate() {
-        match cache.lookup_phase1(&src.name, keys[i]) {
-            Some((e, from_disk)) => {
-                report.phase1.hits += 1;
-                report.phase1.disk_hits += usize::from(from_disk);
-                entries.push(Some(e));
-            }
-            None => {
-                report.phase1.misses += 1;
-                miss_idx.push(i);
-                entries.push(None);
-            }
-        }
-    }
-    let work: Vec<(usize, &SourceFile, u64)> =
-        miss_idx.iter().map(|&i| (i, &sources[i], keys[i])).collect();
-    let computed = parallel_map(&work, jobs, |&(_, src, key)| {
-        let _task = span(tele, "phase1", &format!("phase1:{}", src.name));
-        run_phase1(src, options.optimize, key)
-    });
-    let mut first_error: Option<(usize, CompileError)> = None;
-    for (&(i, src, _), result) in work.iter().zip(computed) {
-        match result {
-            Ok(entry) => {
-                entries[i] = Some(cache.store_phase1(&src.name, entry));
-            }
-            Err(e) => {
-                // Keep the lowest-index diagnostic: the same error a serial
-                // left-to-right compile would have reported first.
-                if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_error = Some((i, e));
-                }
-            }
-        }
-    }
-    cache.stats.phase1_hits += report.phase1.hits as u64;
-    cache.stats.phase1_misses += report.phase1.misses as u64;
-    report.phase1.evictions = (cache.stats.phase1_evictions - evictions_before.0) as usize;
-    if let Some((_, e)) = first_error {
-        return Err(e.into());
-    }
-    let entries: Vec<Arc<Phase1Entry>> =
-        entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect();
+    let entries = stages::phase1(sources, options.optimize, jobs, cache, &mut report)?;
     report.phase1.seconds = phase1_timer.finish();
 
     // ---- The program analyzer (whole-program; always runs).
@@ -345,52 +292,11 @@ pub fn compile_incremental(
 
     // ---- Compiler second phase: per module, keyed on (IR, database slice).
     let phase2_timer = span(tele, "build", "phase2");
-    let database = &analysis.database;
-    let db_fps: Vec<u64> = entries
-        .iter()
-        .map(|e| {
-            let fp = database.module_slice_fingerprint(
-                e.ir.functions.iter().map(|f| f.name.as_str()),
-                e.callees.iter().map(|s| s.as_str()),
-            );
-            stages::mix_target(fp, options.target)
-        })
-        .collect();
-    let mut objects: Vec<Option<ObjectModule>> = Vec::with_capacity(entries.len());
-    let mut stale_idx: Vec<usize> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        match cache.lookup_phase2(&e.ir.name, e.ir_fp, db_fps[i]) {
-            Some((object, from_disk)) => {
-                report.phase2.hits += 1;
-                report.phase2.disk_hits += usize::from(from_disk);
-                objects.push(Some(object));
-            }
-            None => {
-                report.phase2.misses += 1;
-                stale_idx.push(i);
-                objects.push(None);
-            }
-        }
-    }
-    let stale: Vec<&Phase1Entry> = stale_idx.iter().map(|&i| &*entries[i]).collect();
-    let compiled = parallel_map(&stale, jobs, |e| {
-        let _task = span(tele, "phase2", &format!("phase2:{}", e.ir.name));
-        cmin_codegen::compile_module_for(&e.ir, database, options.target)
-    });
-    for (&i, object) in stale_idx.iter().zip(compiled) {
-        let e = &entries[i];
-        report.recompiled.push(e.ir.name.clone());
-        cache.store_phase2(
-            &e.ir.name,
-            Phase2Entry { ir_fp: e.ir_fp, db_fp: db_fps[i], object: object.clone() },
-        );
-        objects[i] = Some(object);
-    }
-    cache.stats.phase2_hits += report.phase2.hits as u64;
-    cache.stats.phase2_misses += report.phase2.misses as u64;
-    report.phase2.evictions = (cache.stats.phase2_evictions - evictions_before.1) as usize;
     let objects: Vec<ObjectModule> =
-        objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect();
+        stages::phase2(&entries, &analysis.database, options.target, jobs, cache, &mut report)
+            .into_iter()
+            .map(|a| a.object)
+            .collect();
     report.phase2.seconds = phase2_timer.finish();
 
     // ---- Link (whole-program; always runs).
@@ -451,21 +357,6 @@ pub fn run_program(program: &CompiledProgram, input: &[i64]) -> Result<RunResult
     run_with(&program.exe, &opts)
 }
 
-/// [`run_program`] on an explicit [`vpr::Engine`] (the default runner uses
-/// the fast engine; the reference engine is the differential oracle).
-///
-/// # Errors
-///
-/// Propagates simulator traps ([`SimError`]).
-pub fn run_program_on(
-    program: &CompiledProgram,
-    input: &[i64],
-    engine: vpr::Engine,
-) -> Result<RunResult, SimError> {
-    let opts = SimOptions { input: input.to_vec(), engine, ..SimOptions::default() };
-    run_with(&program.exe, &opts)
-}
-
 /// Runs a compiled program with exact per-procedure attribution enabled
 /// ([`RunResult::attribution`] is `Some`). Attribution is pure observation:
 /// output, exit code and every [`vpr::sim::RunStats`] field are identical to
@@ -484,12 +375,6 @@ pub fn run_program_attributed(
 
 /// Converts a run's call accounting into analyzer-ready profile data,
 /// mapping function indices back to link names.
-pub fn collect_profile(program: &CompiledProgram, result: &RunResult) -> ProfileData {
-    collect_profile_from(&program.exe, result)
-}
-
-/// [`collect_profile`] for a bare executable (the separate-compilation
-/// path holds no [`CompiledProgram`]).
 pub fn collect_profile_from(exe: &Executable, result: &RunResult) -> ProfileData {
     let mut profile = ProfileData::new();
     let funcs = exe.funcs();
@@ -507,54 +392,14 @@ pub fn collect_profile_from(exe: &Executable, result: &RunResult) -> ProfileData
     profile
 }
 
-/// The full profile-feedback loop for configurations B and F: compile at
-/// L2, run on `training_input`, recompile with the collected profile.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation problems; a training-run trap
-/// surfaces as the `Err` of the inner result.
-pub fn compile_with_profile(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    compile_with_profile_cached(sources, config, training_input, 1, &mut CompilationCache::new())
-}
-
-/// [`compile_with_profile`] with an explicit worker-pool width and a
-/// caller-owned cache. The baseline and the profile-fed recompile share the
-/// cache, so the recompile's first phase is pure cache hits and its second
-/// phase re-runs only where the profile actually moved the database.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation problems; a training-run trap
-/// surfaces as the `Err` of the inner result.
-pub fn compile_with_profile_cached(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-    jobs: usize,
-    cache: &mut CompilationCache,
-) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    let baseline_opts = CompileOptions { jobs, ..CompileOptions::paper(PaperConfig::L2) };
-    let baseline = compile_incremental(sources, &baseline_opts, cache)?;
-    let training = match run_program(&baseline, training_input) {
-        Ok(r) => r,
-        Err(e) => return Ok(Err(e)),
-    };
-    let profile = collect_profile(&baseline, &training);
-    let opts = CompileOptions { jobs, ..CompileOptions::paper_with_profile(config, profile) };
-    let program = compile_incremental(sources, &opts, cache)?;
-    Ok(Ok(program))
-}
-
-/// Compiles under any paper configuration, running the profile-feedback
-/// loop first when the configuration wants one (training on
-/// `training_input`). Unlike [`compile_with_profile_cached`], the caller's
-/// `options` (jobs, trace, optimize) are honored; its `config`/`profile`
-/// fields are overridden per leg, and the baseline leg never traces.
+/// Compiles under any paper configuration. For the profile-fed ones (B and
+/// F) this is the full feedback loop: compile at L2, run on
+/// `training_input`, and recompile with the collected profile. The two
+/// builds share `cache`, so the recompile's first phase is pure cache hits
+/// and its second phase re-runs only where the profile moved the database.
+/// The caller's `options` (jobs, trace, optimize, telemetry, target) are
+/// honored; its `config`/`profile` fields are overridden per build, and
+/// the baseline build never traces.
 ///
 /// # Errors
 ///
@@ -567,9 +412,27 @@ pub fn compile_configured(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<Result<CompiledProgram, SimError>, DriverError> {
+    let profile = match training_profile(sources, config, training_input, options, cache)? {
+        Ok(profile) => profile,
+        Err(e) => return Ok(Err(e)),
+    };
+    let opts = CompileOptions { config: Some(config), profile, ..options.clone() };
+    Ok(Ok(compile_incremental(sources, &opts, cache)?))
+}
+
+/// The training half of [`compile_configured`], which the staged artifact
+/// build ([`separate::artifact_build_configured_for`]) shares: the profile
+/// `config` compiles against — `None` unless it wants one, otherwise the
+/// call-edge counts of the L2 build run on `training_input`.
+pub(crate) fn training_profile(
+    sources: &[SourceFile],
+    config: PaperConfig,
+    training_input: &[i64],
+    options: &CompileOptions,
+    cache: &mut CompilationCache,
+) -> Result<Result<Option<ProfileData>, SimError>, DriverError> {
     if !config.wants_profile() {
-        let opts = CompileOptions { config: Some(config), profile: None, ..options.clone() };
-        return Ok(Ok(compile_incremental(sources, &opts, cache)?));
+        return Ok(Ok(None));
     }
     let baseline_opts = CompileOptions {
         config: Some(PaperConfig::L2),
@@ -589,9 +452,7 @@ pub fn compile_configured(
         t.add("sim.training.runs", 1);
         t.add("sim.training.cycles", training.stats.cycles);
     }
-    let profile = collect_profile(&baseline, &training);
-    let opts = CompileOptions { config: Some(config), profile: Some(profile), ..options.clone() };
-    Ok(Ok(compile_incremental(sources, &opts, cache)?))
+    Ok(Ok(Some(collect_profile_from(&baseline.exe, &training))))
 }
 
 /// Compiles `sources` under two configurations (decision tracing on), runs
@@ -661,6 +522,7 @@ pub fn interpret_sources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::parallel_map;
     use std::path::PathBuf;
 
     fn src(name: &str, text: &str) -> SourceFile {
@@ -709,12 +571,12 @@ mod tests {
         let sources = two_module_program();
         let oracle = interpret_sources(&sources, &[]).unwrap().unwrap();
         assert_eq!(oracle.output, vec![1225, 50]);
+        let mut cache = CompilationCache::new();
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let program = if config.wants_profile() {
-                compile_with_profile(&sources, config, &[]).unwrap().unwrap()
-            } else {
-                compile(&sources, &CompileOptions::paper(config)).unwrap()
-            };
+            let program =
+                compile_configured(&sources, config, &[], &CompileOptions::default(), &mut cache)
+                    .unwrap()
+                    .unwrap();
             let r = run_program(&program, &[]).unwrap();
             assert_eq!(r.output, oracle.output, "config {config} output diverged");
             assert_eq!(r.exit, oracle.exit, "config {config} exit diverged");
@@ -724,12 +586,12 @@ mod tests {
     #[test]
     fn every_config_passes_the_machine_code_verifier() {
         let sources = two_module_program();
+        let mut cache = CompilationCache::new();
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let program = if config.wants_profile() {
-                compile_with_profile(&sources, config, &[]).unwrap().unwrap()
-            } else {
-                compile(&sources, &CompileOptions::paper(config)).unwrap()
-            };
+            let program =
+                compile_configured(&sources, config, &[], &CompileOptions::default(), &mut cache)
+                    .unwrap()
+                    .unwrap();
             let report = verify_program(&program);
             assert!(report.is_clean(), "config {config} emitted undisciplined code:\n{report}");
             assert!(report.procs >= 5);
@@ -761,7 +623,7 @@ mod tests {
         let sources = two_module_program();
         let baseline = compile(&sources, &CompileOptions::paper(PaperConfig::L2)).unwrap();
         let r = run_program(&baseline, &[]).unwrap();
-        let profile = collect_profile(&baseline, &r);
+        let profile = collect_profile_from(&baseline.exe, &r);
         // bump is called 50 times through the function pointer.
         assert_eq!(profile.calls("bump"), 50);
         assert_eq!(profile.calls("hits_of"), 1);
@@ -921,8 +783,15 @@ mod tests {
         let sources = two_module_program();
         let dir = tmpdir("separate");
         let mut cache = CompilationCache::new();
-        let staged =
-            separate::artifact_build(&sources, PaperConfig::C, None, &dir, &mut cache).unwrap();
+        let staged = separate::artifact_build_for(
+            &sources,
+            PaperConfig::C,
+            None,
+            &dir,
+            &mut cache,
+            vpr::target::TargetId::Vpr,
+        )
+        .unwrap();
         let in_memory = compile(&sources, &CompileOptions::paper(PaperConfig::C)).unwrap();
         assert_eq!(staged.exe, in_memory.exe);
         assert_eq!(staged.database, in_memory.database);
@@ -945,12 +814,50 @@ mod tests {
     }
 
     #[test]
+    fn module_builds_share_the_in_memory_builds_cache_entries() {
+        // `cminc c`'s core runs the same cached steps as the in-memory
+        // build: after a build, compiling one module against the same
+        // database hits in both phases and yields the object the build
+        // linked.
+        let sources = two_module_program();
+        let target = vpr::target::TargetId::Vpr;
+        let mut cache = CompilationCache::new();
+        let opts = CompileOptions::paper(PaperConfig::C);
+        let program = compile_incremental(&sources, &opts, &mut cache).unwrap();
+        for (src, object) in sources.iter().zip(&program.objects) {
+            let product =
+                separate::build_module_for(src, &program.database, true, &mut cache, target)
+                    .unwrap();
+            assert!(product.phase1_hit && product.phase2_hit, "{}", src.name);
+            assert_eq!(&product.object.object, object);
+        }
+        // A cold cache misses both phases and compiles the same object.
+        let mut cold_cache = CompilationCache::new();
+        let cold = separate::build_module_for(
+            &sources[0],
+            &program.database,
+            true,
+            &mut cold_cache,
+            target,
+        )
+        .unwrap();
+        assert!(!cold.phase1_hit && !cold.phase2_hit);
+        assert_eq!(cold.object.object, program.objects[0]);
+    }
+
+    #[test]
     fn profile_recompile_reuses_the_cache() {
         let sources = two_module_program();
         let mut cache = CompilationCache::new();
-        let program = compile_with_profile_cached(&sources, PaperConfig::F, &[], 1, &mut cache)
-            .unwrap()
-            .unwrap();
+        let program = compile_configured(
+            &sources,
+            PaperConfig::F,
+            &[],
+            &CompileOptions::default(),
+            &mut cache,
+        )
+        .unwrap()
+        .unwrap();
         // The profile-fed build is the second compile through the cache:
         // its first phase must be pure hits.
         assert_eq!(program.build.phase1.hits, sources.len());

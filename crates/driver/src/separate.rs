@@ -10,15 +10,16 @@
 //! <module>.csum --analyze--> program.cdir --phase 2--> <module>.vo --link--> prog.vx
 //! ```
 //!
-//! [`artifact_build`] runs the whole staged pipeline into a directory and
-//! is required (and tested, see `tests/artifacts.rs`) to be *bit-identical*
-//! to the in-memory path: same `.vx` bytes, same simulator statistics.
-//! [`build_module`] is the `cminc c` core — one module's phase 1 + phase 2
-//! against a given directives database, through the shared
-//! [`CompilationCache`] (and its on-disk tier, when attached).
+//! [`artifact_build_configured_for`] runs the whole staged pipeline into a
+//! directory and is required (and tested, see `tests/artifacts.rs`) to be
+//! *bit-identical* to the in-memory path: same `.vx` bytes, same simulator
+//! statistics. [`build_module_for`] is the `cminc c` core — one module's
+//! phase 1 + phase 2 against a given directives database, through the
+//! shared [`CompilationCache`] (and its on-disk tier, when attached). Both
+//! run the phases through the same cached steps as
+//! [`crate::compile_incremental`].
 
-use crate::cache::Phase2Entry;
-use crate::{stages, CompilationCache, DriverError, SourceFile};
+use crate::{stages, BuildReport, CompilationCache, CompileOptions, DriverError, SourceFile};
 use cmin_frontend::CompileError;
 use ipra_artifact::{
     ArtifactKind, DirectivesArtifact, ExecutableArtifact, ObjectArtifact, SummaryArtifact,
@@ -29,7 +30,7 @@ use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use std::path::{Path, PathBuf};
 use vpr::program::Executable;
-use vpr::sim::{run_with, SimError, SimOptions};
+use vpr::sim::SimError;
 use vpr::target::TargetId;
 
 /// One module's separate-compilation products (`cminc c` output).
@@ -46,28 +47,15 @@ pub struct ModuleProduct {
     pub phase2_hit: bool,
 }
 
-/// Compiles one module through both phases against `database`, using (and
-/// filling) `cache` exactly like [`crate::compile_incremental`] does.
+/// Compiles one module through both phases against `database` for
+/// `target`, using (and filling) `cache` exactly like
+/// [`crate::compile_incremental`] does. The target participates in the
+/// phase-2 cache key, so VPR and RV32 builds of the same module coexist in
+/// one cache directory.
 ///
 /// This is the core of `cminc c`: with `--cache-dir` attached, a second
 /// invocation in a *fresh process* is a pure cache hit unless the source
 /// or this module's directive slice changed.
-///
-/// # Errors
-///
-/// Returns the module's first frontend diagnostic.
-pub fn build_module(
-    src: &SourceFile,
-    database: &ProgramDatabase,
-    optimize: bool,
-    cache: &mut CompilationCache,
-) -> Result<ModuleProduct, CompileError> {
-    build_module_for(src, database, optimize, cache, TargetId::Vpr)
-}
-
-/// [`build_module`] against an explicit machine description. The target
-/// participates in the phase-2 cache key, so VPR and RV32 builds of the
-/// same module coexist in one cache directory.
 ///
 /// # Errors
 ///
@@ -79,52 +67,21 @@ pub fn build_module_for(
     cache: &mut CompilationCache,
     target: TargetId,
 ) -> Result<ModuleProduct, CompileError> {
-    let key = stages::phase1_key(src, optimize);
-    let (entry, phase1_hit) = match cache.lookup_phase1(&src.name, key) {
-        Some((e, _)) => {
-            cache.stats.phase1_hits += 1;
-            (e, true)
-        }
-        None => {
-            let e = stages::run_phase1(src, optimize, key)?;
-            cache.stats.phase1_misses += 1;
-            let e = cache.store_phase1(&src.name, e);
-            (e, false)
-        }
-    };
-    let db_fp = stages::mix_target(
-        database.module_slice_fingerprint(
-            entry.ir.functions.iter().map(|f| f.name.as_str()),
-            entry.callees.iter().map(|s| s.as_str()),
-        ),
-        target,
-    );
-    let (object, phase2_hit) = match cache.lookup_phase2(&src.name, entry.ir_fp, db_fp) {
-        Some((o, _)) => {
-            cache.stats.phase2_hits += 1;
-            (o, true)
-        }
-        None => {
-            let object = cmin_codegen::compile_module_for(&entry.ir, database, target);
-            cache.stats.phase2_misses += 1;
-            cache.store_phase2(
-                &src.name,
-                Phase2Entry { ir_fp: entry.ir_fp, db_fp, object: object.clone() },
-            );
-            (object, false)
-        }
-    };
+    let mut report = BuildReport::default();
+    let entries = stages::phase1(std::slice::from_ref(src), optimize, 1, cache, &mut report)?;
+    let object = stages::phase2(&entries, database, target, 1, cache, &mut report).remove(0);
     // One burst of disk-tier writes per module build (see `DiskCache`).
     cache.flush();
+    let entry = &entries[0];
     Ok(ModuleProduct {
         summary: SummaryArtifact {
             summary: entry.summary.clone(),
-            source_fp: key,
+            source_fp: entry.key,
             ir_fp: entry.ir_fp,
         },
-        object: ObjectArtifact { object, ir_fp: entry.ir_fp, dir_fp: db_fp },
-        phase1_hit,
-        phase2_hit,
+        object,
+        phase1_hit: report.phase1.hits == 1,
+        phase2_hit: report.phase2.hits == 1,
     })
 }
 
@@ -177,28 +134,43 @@ fn count_artifact_read(tele: Option<&Telemetry>, path: &Path) {
     }
 }
 
-/// Runs the four-stage separate-compilation pipeline into `dir`, staging
-/// every intermediate product through its on-disk artifact format (each
-/// stage re-reads its inputs from the files the previous stage wrote).
+/// Runs the four-stage separate-compilation pipeline into `dir` under
+/// `config`, staging every intermediate product through its on-disk
+/// artifact format (each stage re-reads its inputs from the files the
+/// previous stage wrote). The profile-fed configurations first run
+/// [`crate::compile_configured`]'s training build, in memory through the
+/// same `cache`. Directives, objects and the executable are built for
+/// `target`, whose name their headers carry.
 ///
 /// # Errors
 ///
 /// Frontend diagnostics, link failures, and artifact I/O all surface as
-/// [`DriverError`].
-pub fn artifact_build(
+/// [`DriverError`]; a training-run trap surfaces as the `Err` of the inner
+/// result.
+pub fn artifact_build_configured_for(
     sources: &[SourceFile],
     config: PaperConfig,
-    profile: Option<ProfileData>,
+    training_input: &[i64],
     dir: &Path,
     cache: &mut CompilationCache,
-) -> Result<ArtifactBuild, DriverError> {
-    artifact_build_for(sources, config, profile, dir, cache, TargetId::Vpr)
+    target: TargetId,
+) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
+    // The staged build records into whatever collector the cache carries;
+    // the training build must not detach it.
+    let options = CompileOptions {
+        target,
+        telemetry: cache.telemetry().cloned(),
+        ..CompileOptions::default()
+    };
+    let profile = match crate::training_profile(sources, config, training_input, &options, cache)? {
+        Ok(profile) => profile,
+        Err(e) => return Ok(Err(e)),
+    };
+    Ok(Ok(artifact_build_for(sources, config, profile, dir, cache, target)?))
 }
 
-/// [`artifact_build`] against an explicit machine description: the
-/// analyzer draws directive registers from it, phase 2 compiles for it,
-/// and the linked executable records it (so the simulators pick the right
-/// convention on re-read).
+/// [`artifact_build_configured_for`] with the profile given rather than
+/// trained.
 ///
 /// # Errors
 ///
@@ -216,27 +188,19 @@ pub fn artifact_build_for(
     let tele = cache.telemetry().cloned();
     let tele = tele.as_ref();
     let _staged = span(tele, "build", "artifact-build");
+    let mut report = BuildReport::default();
 
     // ---- Stage 1: summaries to disk, one `.csum` per module.
     let stage1 = span(tele, "artifact", "stage1:summaries");
+    let entries = stages::phase1(sources, true, 1, cache, &mut report)?;
     let mut summary_paths = Vec::with_capacity(sources.len());
-    for src in sources {
-        let key = stages::phase1_key(src, true);
-        let (entry, _) = match cache.lookup_phase1(&src.name, key) {
-            Some(hit) => {
-                cache.stats.phase1_hits += 1;
-                hit
-            }
-            None => {
-                let e = stages::run_phase1(src, true, key)?;
-                cache.stats.phase1_misses += 1;
-                let e = cache.store_phase1(&src.name, e);
-                (e, false)
-            }
-        };
+    for (src, entry) in sources.iter().zip(&entries) {
         let path = dir.join(format!("{}.csum", src.name));
-        let payload =
-            SummaryArtifact { summary: entry.summary.clone(), source_fp: key, ir_fp: entry.ir_fp };
+        let payload = SummaryArtifact {
+            summary: entry.summary.clone(),
+            source_fp: entry.key,
+            ir_fp: entry.ir_fp,
+        };
         ipra_artifact::write_file(ArtifactKind::Summary, &path, &payload)?;
         count_artifact_write(tele, &path);
         summary_paths.push(path);
@@ -267,15 +231,12 @@ pub fn artifact_build_for(
     let directives: DirectivesArtifact =
         ipra_artifact::read_file(ArtifactKind::Directives, &directives_path)?;
     count_artifact_read(tele, &directives_path);
+    let objects = stages::phase2(&entries, &directives.database, target, 1, cache, &mut report);
+    cache.flush();
     let mut object_paths = Vec::with_capacity(sources.len());
-    let mut recompiled = Vec::new();
-    for src in sources {
-        let product = build_module_for(src, &directives.database, true, cache, target)?;
-        if !product.phase2_hit {
-            recompiled.push(src.name.clone());
-        }
+    for (src, object) in sources.iter().zip(&objects) {
         let path = dir.join(format!("{}.vo", src.name));
-        ipra_artifact::write_file_for(ArtifactKind::Object, &path, &product.object, target)?;
+        ipra_artifact::write_file_for(ArtifactKind::Object, &path, object, target)?;
         count_artifact_write(tele, &path);
         object_paths.push(path);
     }
@@ -312,55 +273,6 @@ pub fn artifact_build_for(
         directives_path,
         object_paths,
         executable_path,
-        recompiled,
+        recompiled: report.recompiled,
     })
-}
-
-/// [`artifact_build`] under any paper configuration, running the
-/// profile-feedback loop first when the configuration wants one. The
-/// training baseline is itself a staged build, into `dir/training`.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation/artifact problems; a
-/// training-run trap surfaces as the `Err` of the inner result.
-pub fn artifact_build_configured(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-    dir: &Path,
-    cache: &mut CompilationCache,
-) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
-    artifact_build_configured_for(sources, config, training_input, dir, cache, TargetId::Vpr)
-}
-
-/// [`artifact_build_configured`] against an explicit machine description.
-/// The training baseline runs on the same target as the final build: the
-/// profile weights it collects are counts over source-level events, so
-/// they feed the analyzer identically on either convention.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation/artifact problems; a
-/// training-run trap surfaces as the `Err` of the inner result.
-pub fn artifact_build_configured_for(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-    dir: &Path,
-    cache: &mut CompilationCache,
-    target: TargetId,
-) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
-    if !config.wants_profile() {
-        return Ok(Ok(artifact_build_for(sources, config, None, dir, cache, target)?));
-    }
-    let baseline =
-        artifact_build_for(sources, PaperConfig::L2, None, &dir.join("training"), cache, target)?;
-    let opts = SimOptions { input: training_input.to_vec(), ..SimOptions::default() };
-    let training = match run_with(&baseline.exe, &opts) {
-        Ok(r) => r,
-        Err(e) => return Ok(Err(e)),
-    };
-    let profile = crate::collect_profile_from(&baseline.exe, &training);
-    Ok(Ok(artifact_build_for(sources, config, Some(profile), dir, cache, target)?))
 }

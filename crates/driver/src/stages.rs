@@ -1,20 +1,27 @@
-//! The per-module pipeline stages and the worker pool they fan out on.
+//! The per-module pipeline steps and the worker pool they fan out on.
 //!
-//! Everything here is deliberately *pure* with respect to the build: a
-//! stage maps (source, options) to products and fingerprints, with no
-//! knowledge of caching or artifact files. [`crate::compile_incremental`]
-//! and [`crate::separate`] compose these stages with the
-//! [cache](crate::CompilationCache) and the on-disk artifact formats.
+//! [`phase1`] and [`phase2`] are the paper's two per-module compiler
+//! phases as cached steps: probe the [cache](crate::CompilationCache),
+//! compute the misses on the worker pool, store the results, and count
+//! hits, disk hits and misses into a [`BuildReport`]. They are the driver's
+//! only place either phase runs: [`crate::compile_incremental`],
+//! [`crate::separate::build_module_for`] (`cminc c`) and the staged
+//! artifact build all go through them, so a cache key cannot drift
+//! between the in-memory and the file-based pipelines.
 
-use crate::cache::Phase1Entry;
-use crate::{CompileOptions, SourceFile};
+use crate::cache::{Phase1Entry, Phase2Entry};
+use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
 use cmin_ir::{lower_module, optimize_module, IrModule};
+use ipra_artifact::ObjectArtifact;
 use ipra_core::analyzer::{AnalyzerOptions, PaperConfig};
 use ipra_core::fingerprint::Fnv64;
+use ipra_core::ProgramDatabase;
+use ipra_telemetry::span;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use vpr::target::TargetId;
 
 /// Applies `f` to every item on up to `jobs` scoped worker threads,
 /// preserving item order in the result. Work is pulled from a shared
@@ -58,7 +65,7 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(
 }
 
 /// Phase-1 cache key: module name + source text + optimize flag.
-pub(crate) fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
+fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(&src.name);
     h.write_str(&src.text);
@@ -70,7 +77,7 @@ pub(crate) fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
 /// are never served to an RV32 build (and vice versa). VPR mixes nothing,
 /// keeping every pre-machine-description fingerprint — and on-disk cache
 /// entry — valid.
-pub(crate) fn mix_target(fp: u64, target: vpr::target::TargetId) -> u64 {
+fn mix_target(fp: u64, target: vpr::target::TargetId) -> u64 {
     match target {
         vpr::target::TargetId::Vpr => fp,
         t => {
@@ -85,7 +92,7 @@ pub(crate) fn mix_target(fp: u64, target: vpr::target::TargetId) -> u64 {
 /// Every direct callee named anywhere in the module's IR, sorted and
 /// deduplicated: the procedures whose `safe_caller_across` sets codegen
 /// reads at call sites.
-pub(crate) fn direct_callees(ir: &IrModule) -> Vec<String> {
+fn direct_callees(ir: &IrModule) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     for f in &ir.functions {
         for b in f.block_ids() {
@@ -101,12 +108,123 @@ pub(crate) fn direct_callees(ir: &IrModule) -> Vec<String> {
     out
 }
 
-/// Runs the full first phase for one module.
-pub(crate) fn run_phase1(
-    src: &SourceFile,
+/// The compiler first phase over `sources`, through `cache`: returns one
+/// entry per source, in order, and fills `report.phase1`.
+///
+/// # Errors
+///
+/// The lowest-index module's diagnostic — the one a serial left-to-right
+/// compile would have reported first. Entries of the modules that did
+/// compile are stored anyway, so a fixed-up rebuild stays incremental.
+pub(crate) fn phase1(
+    sources: &[SourceFile],
     optimize: bool,
-    key: u64,
-) -> Result<Phase1Entry, CompileError> {
+    jobs: usize,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Result<Vec<Arc<Phase1Entry>>, CompileError> {
+    let tele = cache.telemetry().cloned();
+    let evictions_before = cache.stats.phase1_evictions;
+    let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
+    let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
+    let mut miss_idx: Vec<usize> = Vec::new();
+    for (i, src) in sources.iter().enumerate() {
+        match cache.lookup_phase1(&src.name, keys[i]) {
+            Some((e, from_disk)) => {
+                report.phase1.hits += 1;
+                report.phase1.disk_hits += usize::from(from_disk);
+                entries.push(Some(e));
+            }
+            None => {
+                report.phase1.misses += 1;
+                miss_idx.push(i);
+                entries.push(None);
+            }
+        }
+    }
+    let computed = parallel_map(&miss_idx, jobs, |&i| {
+        let _task = span(tele.as_ref(), "phase1", &format!("phase1:{}", sources[i].name));
+        run_phase1(&sources[i], optimize, keys[i])
+    });
+    let mut first_error: Option<CompileError> = None;
+    for (&i, result) in miss_idx.iter().zip(computed) {
+        match result {
+            Ok(entry) => entries[i] = Some(cache.store_phase1(&sources[i].name, entry)),
+            // `miss_idx` ascends, so the first error kept is the lowest-index one.
+            Err(e) => first_error = first_error.or(Some(e)),
+        }
+    }
+    cache.stats.phase1_hits += report.phase1.hits as u64;
+    cache.stats.phase1_misses += report.phase1.misses as u64;
+    report.phase1.evictions = (cache.stats.phase1_evictions - evictions_before) as usize;
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    Ok(entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect())
+}
+
+/// The compiler second phase over phase-1 `entries` under `database`,
+/// through `cache`, keyed on (IR, database slice, target). Returns each
+/// module's object with the fingerprints codegen consumed (the `.vo`
+/// payload), in order, and fills `report.phase2` and `report.recompiled`.
+pub(crate) fn phase2(
+    entries: &[Arc<Phase1Entry>],
+    database: &ProgramDatabase,
+    target: TargetId,
+    jobs: usize,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Vec<ObjectArtifact> {
+    let tele = cache.telemetry().cloned();
+    let evictions_before = cache.stats.phase2_evictions;
+    let db_fps: Vec<u64> = entries
+        .iter()
+        .map(|e| {
+            let fp = database.module_slice_fingerprint(
+                e.ir.functions.iter().map(|f| f.name.as_str()),
+                e.callees.iter().map(|s| s.as_str()),
+            );
+            mix_target(fp, target)
+        })
+        .collect();
+    let mut objects: Vec<Option<ObjectArtifact>> = Vec::with_capacity(entries.len());
+    let mut stale_idx: Vec<usize> = Vec::new();
+    for (i, e) in entries.iter().enumerate() {
+        match cache.lookup_phase2(&e.ir.name, e.ir_fp, db_fps[i]) {
+            Some((object, from_disk)) => {
+                report.phase2.hits += 1;
+                report.phase2.disk_hits += usize::from(from_disk);
+                objects.push(Some(ObjectArtifact { object, ir_fp: e.ir_fp, dir_fp: db_fps[i] }));
+            }
+            None => {
+                report.phase2.misses += 1;
+                stale_idx.push(i);
+                objects.push(None);
+            }
+        }
+    }
+    let compiled = parallel_map(&stale_idx, jobs, |&i| {
+        let ir = &entries[i].ir;
+        let _task = span(tele.as_ref(), "phase2", &format!("phase2:{}", ir.name));
+        cmin_codegen::compile_module_for(ir, database, target)
+    });
+    for (&i, object) in stale_idx.iter().zip(compiled) {
+        let (e, db_fp) = (&entries[i], db_fps[i]);
+        report.recompiled.push(e.ir.name.clone());
+        cache.store_phase2(
+            &e.ir.name,
+            Phase2Entry { ir_fp: e.ir_fp, db_fp, object: object.clone() },
+        );
+        objects[i] = Some(ObjectArtifact { object, ir_fp: e.ir_fp, dir_fp: db_fp });
+    }
+    cache.stats.phase2_hits += report.phase2.hits as u64;
+    cache.stats.phase2_misses += report.phase2.misses as u64;
+    report.phase2.evictions = (cache.stats.phase2_evictions - evictions_before) as usize;
+    objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect()
+}
+
+/// Runs the full first phase for one module.
+fn run_phase1(src: &SourceFile, optimize: bool, key: u64) -> Result<Phase1Entry, CompileError> {
     let m = parse_module(&src.name, &src.text)?;
     let info = check_module(&m)?;
     let mut ir = lower_module(&m, &info);

@@ -543,12 +543,13 @@ fn check_separate(sources: &[SourceFile]) -> Result<(), Failure> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut cache = CompilationCache::new();
-    let staged = match ipra_driver::separate::artifact_build_configured(
+    let staged = match ipra_driver::separate::artifact_build_configured_for(
         sources,
         config,
         &[],
         &dir,
         &mut cache,
+        vpr::target::TargetId::Vpr,
     ) {
         Err(e) => {
             return Err(Failure::SeparateDivergence {

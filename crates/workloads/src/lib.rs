@@ -222,7 +222,10 @@ pub fn by_name(name: &str) -> Option<Workload> {
 mod tests {
     use super::*;
     use ipra_core::PaperConfig;
-    use ipra_driver::{compile, interpret_sources, run_program, CompileOptions};
+    use ipra_driver::{
+        compile, compile_configured, interpret_sources, run_program, CompilationCache,
+        CompileOptions,
+    };
 
     /// Every workload must run identically under the interpreter and under
     /// the compiled L2 baseline, on the training input.
@@ -265,14 +268,12 @@ mod tests {
                 if config == PaperConfig::L2 {
                     continue;
                 }
-                let program = if config.wants_profile() {
-                    ipra_driver::compile_with_profile(&w.sources, config, &w.training_input)
+                let opts = CompileOptions::default();
+                let mut cache = CompilationCache::new();
+                let program =
+                    compile_configured(&w.sources, config, &w.training_input, &opts, &mut cache)
                         .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                        .unwrap_or_else(|e| panic!("{}/{config}: trap {e}", w.name))
-                } else {
-                    compile(&w.sources, &CompileOptions::paper(config))
-                        .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                };
+                        .unwrap_or_else(|e| panic!("{}/{config}: trap {e}", w.name));
                 let report = ipra_driver::verify_program(&program);
                 assert!(report.is_clean(), "{}/{config} failed verification:\n{report}", w.name);
                 let r = run_program(&program, &w.training_input)

@@ -17,7 +17,7 @@
 
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::PaperConfig;
-use ipra_driver::{compile, compile_with_profile, CompileOptions};
+use ipra_driver::{compile_configured, CompilationCache, CompileOptions};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -37,15 +37,13 @@ fn exe_fingerprint(exe: &vpr::Executable) -> u64 {
 fn current_fingerprints() -> String {
     let mut out = String::new();
     for w in ipra_workloads::all() {
+        let mut cache = CompilationCache::new();
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let program = if config.wants_profile() {
-                compile_with_profile(&w.sources, config, &w.training_input)
+            let opts = CompileOptions::default();
+            let program =
+                compile_configured(&w.sources, config, &w.training_input, &opts, &mut cache)
                     .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                    .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name))
-            } else {
-                compile(&w.sources, &CompileOptions::paper(config))
-                    .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-            };
+                    .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name));
             let _ =
                 writeln!(out, "{} {config} fnv64:{:016x}", w.name, exe_fingerprint(&program.exe));
         }

@@ -108,8 +108,14 @@ ccache="$sep/.ccache"
 "$cminc" c "$sep/m1.cmin" -o "$sep/m1.vo" --summary "$sep/m1.csum" --cache-dir "$ccache" 2>/dev/null
 "$cminc" c "$sep/m2.cmin" -o "$sep/m2.vo" --summary "$sep/m2.csum" --cache-dir "$ccache" 2>/dev/null
 "$cminc" analyze "$sep/m1.csum" "$sep/m2.csum" --config C -o "$sep/prog.cdir"
+# Without --summary, `c` writes each summary beside its object, never into
+# the working directory.
 "$cminc" c "$sep/m1.cmin" -o "$sep/m1.vo" --dir "$sep/prog.cdir" --cache-dir "$ccache" 2>/dev/null
 "$cminc" c "$sep/m2.cmin" -o "$sep/m2.vo" --dir "$sep/prog.cdir" --cache-dir "$ccache" 2>/dev/null
+if compgen -G '*.csum' > /dev/null; then
+  echo "c --dir left summaries in the working directory: $(echo *.csum)" >&2
+  exit 1
+fi
 "$cminc" link "$sep/m1.vo" "$sep/m2.vo" -o "$sep/prog.vx"
 "$cminc" verify "$sep/m1.vo" "$sep/m2.vo" --db "$sep/prog.cdir"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C -o "$sep/prog2.vx" > /dev/null
@@ -126,10 +132,14 @@ cmp "$sep/fast-stats.json" "$sep/ref-stats.json"
 "$cminc" objdump "$sep/prog.vx" > /dev/null
 "$cminc" objdump "$sep/prog.cdir" > /dev/null
 
-echo "==> cross-target smoke (vpr bytes match the golden; rv32 builds, verifies, runs identically)"
+echo "==> cross-target smoke (vpr bytes match the goldens; rv32 builds, verifies, runs identically)"
 # The machine-description refactor must never move a VPR byte: the linked
-# executable is compared against the pre-refactor golden.
+# executable, both summaries and the directives are compared against the
+# pre-refactor goldens.
 cmp "$sep/prog.vx" scripts/goldens/sep_C.vx
+cmp "$sep/m1.csum" scripts/goldens/sep_m1.csum
+cmp "$sep/m2.csum" scripts/goldens/sep_m2.csum
+cmp "$sep/prog.cdir" scripts/goldens/sep_C.cdir
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C --target rv32 --verify \
   -o "$sep/prog-rv32.vx" > /dev/null
 "$cminc" run "$sep/prog-rv32.vx" 2>/dev/null > "$sep/rv32-run.txt"

@@ -20,7 +20,7 @@ use ipra_artifact::{
     LibraryMember, ObjectArtifact, SummaryArtifact,
 };
 use ipra_core::PaperConfig;
-use ipra_driver::separate::artifact_build_configured;
+use ipra_driver::separate::artifact_build_configured_for;
 use ipra_driver::{compile_configured, CompilationCache, CompileOptions};
 use std::fmt::Debug;
 use std::path::PathBuf;
@@ -130,12 +130,13 @@ fn artifact_pipeline_matches_in_memory_compile_everywhere() {
             .unwrap_or_else(|e| panic!("{what}: training trap {e}"));
 
             let dir = root.join(w.name).join(config.to_string());
-            let staged = artifact_build_configured(
+            let staged = artifact_build_configured_for(
                 &w.sources,
                 config,
                 &w.training_input,
                 &dir,
                 &mut disk_cache,
+                vpr::target::TargetId::Vpr,
             )
             .unwrap_or_else(|e| panic!("{what}: artifact build: {e}"))
             .unwrap_or_else(|e| panic!("{what}: artifact training trap {e}"));

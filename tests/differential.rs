@@ -14,7 +14,9 @@
 //! observable behavior.
 
 use ipra_core::PaperConfig;
-use ipra_driver::{compile, compile_with_profile, interpret_sources, run_program, CompileOptions};
+use ipra_driver::{
+    compile, compile_configured, interpret_sources, run_program, CompilationCache, CompileOptions,
+};
 // One shared divergence-dump implementation, used here, by the fuzzer, and
 // by its reducer — one format for every debugging session.
 use ipra_fuzz::oracle::dump_divergence;
@@ -24,15 +26,12 @@ fn check_seed(sources: &[ipra_driver::SourceFile], label: &str) {
     let oracle = interpret_sources(sources, &[])
         .unwrap_or_else(|e| panic!("{label}: frontend error {e}"))
         .unwrap_or_else(|e| panic!("{label}: interpreter trap {e}"));
+    let mut cache = CompilationCache::new();
     for config in PaperConfig::ALL {
-        let program = if config.wants_profile() {
-            compile_with_profile(sources, config, &[])
+        let program =
+            compile_configured(sources, config, &[], &CompileOptions::default(), &mut cache)
                 .unwrap_or_else(|e| panic!("{label}/{config}: compile error {e}"))
-                .unwrap_or_else(|e| panic!("{label}/{config}: training trap {e}"))
-        } else {
-            compile(sources, &CompileOptions::paper(config))
-                .unwrap_or_else(|e| panic!("{label}/{config}: compile error {e}"))
-        };
+                .unwrap_or_else(|e| panic!("{label}/{config}: training trap {e}"));
         let report = ipra_driver::verify_program(&program);
         assert!(report.is_clean(), "{label}/{config} failed verification:\n{report}");
         let r = run_program(&program, &[])

@@ -135,10 +135,13 @@ fn engine_selection_is_observation_equivalent_through_the_driver() {
     )
     .expect("compile")
     .expect("training run");
-    let fast = ipra_driver::run_program_on(&program, &w.input, Engine::Fast).expect("fast run");
-    let reference =
-        ipra_driver::run_program_on(&program, &w.input, Engine::Reference).expect("reference run");
+    let fast = ipra_driver::run_program(&program, &w.input).expect("fast run");
+    let reference = vpr::run_with(
+        &program.exe,
+        &SimOptions { input: w.input.clone(), engine: Engine::Reference, ..SimOptions::default() },
+    )
+    .expect("reference run");
     assert_eq!(fast, reference);
-    // And the default is the fast engine.
+    // And the driver's runner is the fast engine, the default.
     assert_eq!(Engine::default(), Engine::Fast);
 }

@@ -8,8 +8,8 @@
 
 use ipra_core::PaperConfig;
 use ipra_driver::{
-    compile_incremental, compile_with_profile_cached, run_program, verify_program,
-    CompilationCache, CompileOptions,
+    compile_configured, compile_incremental, run_program, verify_program, CompilationCache,
+    CompileOptions,
 };
 use ipra_workloads::scaled::{perturb, scaled_program};
 
@@ -50,23 +50,18 @@ fn warm_rebuild_is_bit_identical_across_all_configs() {
     let sources = scaled_program(8);
     for config in PaperConfig::ALL {
         let mut cache = CompilationCache::new();
-        let (cold, warm) = if config.wants_profile() {
-            let cold = compile_with_profile_cached(&sources, config, &[], 1, &mut cache)
-                .unwrap_or_else(|e| panic!("{config}: {e}"))
-                .unwrap_or_else(|e| panic!("{config}: training trap {e}"));
-            let warm =
-                compile_with_profile_cached(&sources, config, &[], 1, &mut cache).unwrap().unwrap();
-            (cold, warm)
-        } else {
-            let opts = CompileOptions::paper(config);
-            let cold = compile_incremental(&sources, &opts, &mut cache)
-                .unwrap_or_else(|e| panic!("{config}: {e}"));
-            let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
+        let opts = CompileOptions::default();
+        let cold = compile_configured(&sources, config, &[], &opts, &mut cache)
+            .unwrap_or_else(|e| panic!("{config}: {e}"))
+            .unwrap_or_else(|e| panic!("{config}: training trap {e}"));
+        let warm = compile_configured(&sources, config, &[], &opts, &mut cache).unwrap().unwrap();
+        // A profile-fed build's baseline displaces its phase-2 entries, so
+        // only single-build configurations rebuild from hits alone.
+        if !config.wants_profile() {
             assert_eq!(warm.build.phase1.hits, 8, "{config}: warm phase 1 must be all hits");
             assert_eq!(warm.build.phase2.hits, 8, "{config}: warm phase 2 must be all hits");
             assert!(warm.build.recompiled.is_empty(), "{config}: nothing changed");
-            (cold, warm)
-        };
+        }
         assert_eq!(warm.exe, cold.exe, "{config}: warm build must be bit-identical");
         let report = verify_program(&warm);
         assert!(report.is_clean(), "{config}: warm build failed verification:\n{report}");
@@ -111,8 +106,9 @@ fn jobs_never_change_the_executable() {
 fn profile_recompile_front_end_is_all_cache_hits() {
     let sources = scaled_program(6);
     let mut cache = CompilationCache::new();
+    let opts = CompileOptions::default();
     let program =
-        compile_with_profile_cached(&sources, PaperConfig::B, &[], 1, &mut cache).unwrap().unwrap();
+        compile_configured(&sources, PaperConfig::B, &[], &opts, &mut cache).unwrap().unwrap();
     assert_eq!(program.build.phase1.hits, sources.len());
     assert_eq!(program.build.phase1.misses, 0);
     let report = verify_program(&program);

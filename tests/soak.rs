@@ -6,7 +6,9 @@
 //! ```
 
 use ipra_core::PaperConfig;
-use ipra_driver::{compile, interpret_sources, run_program, CompileOptions};
+use ipra_driver::{
+    compile_configured, interpret_sources, run_program, CompilationCache, CompileOptions,
+};
 use ipra_workloads::generator::{random_program_with, GenConfig};
 
 #[test]
@@ -21,12 +23,11 @@ fn five_hundred_seeds_across_all_configs() {
     for seed in 0..500u64 {
         let sources = random_program_with(seed.wrapping_mul(2654435761), &cfg);
         let oracle = interpret_sources(&sources, &[]).unwrap().unwrap();
+        let mut cache = CompilationCache::new();
         for config in PaperConfig::ALL {
-            let program = if config.wants_profile() {
-                ipra_driver::compile_with_profile(&sources, config, &[]).unwrap().unwrap()
-            } else {
-                compile(&sources, &CompileOptions::paper(config)).unwrap()
-            };
+            let opts = CompileOptions::default();
+            let program =
+                compile_configured(&sources, config, &[], &opts, &mut cache).unwrap().unwrap();
             let r = run_program(&program, &[]).unwrap();
             assert_eq!(r.output, oracle.output, "seed {seed} config {config}");
             assert_eq!(r.exit, oracle.exit, "seed {seed} config {config}");
