@@ -4,85 +4,57 @@
 //! throughput over the wire protocol in the regimes the daemon exists
 //! for:
 //!
-//! * **cold 1** — one client, every request a never-seen program: the
-//!   daemon compiles from scratch each time (the no-daemon baseline,
-//!   plus wire overhead);
-//! * **warm 1** — one client re-requesting a primed program: pure cache
+//! * **cold/1** — one client, every request a never-seen program: the
+//!   daemon compiles from scratch each time (the no-daemon baseline, plus
+//!   wire overhead);
+//! * **warm/1** — one client re-requesting a primed program: pure cache
 //!   hits through one connection;
-//! * **cold N** — N clients submitting N distinct never-seen programs
+//! * **cold/N** — N clients submitting N distinct never-seen programs
 //!   concurrently: shard parallelism on misses;
-//! * **warm N** — N clients hammering the primed program concurrently:
-//!   the multi-tenant payoff, where one tenant's phase-1 work serves
-//!   everyone (the headline gate: ≥ 2× the cold single-client rate);
-//! * **dedup** — N clients racing one identical never-seen request from
-//!   behind a barrier: the in-flight map must coalesce followers onto
-//!   the leader's build (`daemon.dedup.coalesced` ≥ 1).
+//! * **warm/N** — N clients hammering the primed program concurrently: the
+//!   multi-tenant payoff, where one tenant's phase-1 work serves everyone
+//!   (the headline gate: ≥ 2× the cold single-client rate);
+//! * **dedup/N** — N clients racing one identical never-seen request from
+//!   behind a barrier, once: the in-flight map must coalesce followers onto
+//!   the leader's build.
 //!
-//! Every timed leg is best-of-three (minimum wall clock — the
-//! least-disturbed estimate on a shared host, same policy as
-//! `compile_bench`/`sim_bench`), and the warm legs' bytes are checked
-//! against an independent cold `compile()` so the throughput being
-//! measured is the throughput of *correct* responses.
+//! Each regime is one row (layer `daemon`). The four throughput legs are
+//! timed best of [`TRIALS`](ipra_bench::harness::TRIALS); `requests` counts
+//! one trial's requests, so requests/s is `requests / seconds`. Every row
+//! also counts what the daemon did from the end of the previous row to the
+//! end of this one, untimed setup included (the daemon's counters summed
+//! over the rows are its counters at the end of the run). Every warm and
+//! concurrent response is asserted byte-identical to an independent cold
+//! `compile()`, so the throughput being measured is the throughput of
+//! *correct* responses.
 //!
 //! ```sh
 //! cargo run --release -p ipra-bench --bin daemon_bench             # 16 modules, 8 clients
 //! cargo run --release -p ipra-bench --bin daemon_bench -- --modules 8 --check
 //! ```
 //!
-//! `--check` asserts the headline ratio (warm-N ≥ 2× cold-1), the dedup
-//! coalescing, and the byte checks, exiting nonzero otherwise — the CI
-//! smoke mode wired into `scripts/check.sh`. Results go to
-//! `BENCH_daemon.json`.
+//! `--check` fails the run unless warm/N serves at least twice the
+//! requests/s of cold/1 (`warm_n_over_cold_1`), and the dedup round
+//! coalesced at least one request with every request either leading or
+//! coalesced — the CI smoke mode wired into `scripts/check.sh`. Results go
+//! to `BENCH_daemon.json`.
 
+use ipra_bench::harness::{best_of, count, time, Args, Cmp, Counters, Host, Report};
 use ipra_daemon::protocol::{executable_artifact, BuildRequest, WireSource};
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::{compile, CompileOptions, SourceFile};
-use ipra_telemetry::CountersSnapshot;
 use ipra_workloads::scaled::scaled_module;
-use serde::Serialize;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::thread::JoinHandle;
 
-/// Timed trials per leg; the leg reports the fastest (see module docs).
-const TRIALS: usize = 3;
-/// Requests per client in each timed leg.
+/// Concurrent clients of the N-client regimes.
+const CLIENTS: usize = 8;
+/// Requests per client in each throughput leg.
 const REQUESTS: usize = 3;
-
-/// The dedup regime's accounting: counter deltas across one barrier round
-/// of `clients` identical never-seen requests.
-#[derive(Debug, Serialize)]
-struct DedupReport {
-    clients: usize,
-    leads: u64,
-    coalesced: u64,
-}
-
-/// The whole benchmark run, as serialized to `BENCH_daemon.json`.
-#[derive(Debug, Serialize)]
-struct BenchReport {
-    modules: usize,
-    clients: usize,
-    requests_per_client: usize,
-    /// Requests per second, best-of-[`TRIALS`], per regime.
-    cold_1_rps: f64,
-    warm_1_rps: f64,
-    cold_n_rps: f64,
-    warm_n_rps: f64,
-    /// The headline ratio the `--check` gate holds at ≥ 2.
-    warm_n_over_cold_1: f64,
-    warm_1_over_cold_1: f64,
-    /// Every warm response matched an independent cold `compile()`.
-    bytes_ok: bool,
-    dedup: DedupReport,
-    /// The daemon's full counter set at the end of the run.
-    counters: CountersSnapshot,
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-}
+/// The headline gate: warm/N requests/s over cold/1 requests/s.
+const MIN_WARM_N_OVER_COLD_1: f64 = 2.0;
 
 /// A program no earlier request has ever mentioned: every module carries
 /// the next tune from a monotone counter, so each call yields a distinct
@@ -105,95 +77,97 @@ fn request_for(sources: &[SourceFile]) -> BuildRequest {
     }
 }
 
-/// Runs `leg` [`TRIALS`] times; each call returns (elapsed seconds,
-/// requests served). Reports the best requests-per-second.
-fn rps_best(mut leg: impl FnMut() -> (f64, usize)) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..TRIALS {
-        let (elapsed, requests) = leg();
-        best = best.max(requests as f64 / elapsed.max(1e-9));
-    }
-    best
-}
-
-/// `clients` threads, each with its own connection and request list,
-/// released together by a barrier; returns the wall clock from release to
-/// the last thread finishing and the total requests served. Every
-/// response is byte-checked against its request's `expect` text.
-fn concurrent_leg(socket: &Path, work: Vec<Vec<(BuildRequest, Arc<String>)>>) -> (f64, usize) {
-    let total: usize = work.iter().map(Vec::len).sum();
-    let barrier = Arc::new(Barrier::new(work.len() + 1));
-    let threads: Vec<_> = work
-        .into_iter()
-        .enumerate()
-        .map(|(id, list)| {
-            let socket = socket.to_path_buf();
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&socket).expect("bench client connect");
-                barrier.wait();
-                for (request, expect) in &list {
-                    let built =
-                        client.build(request).unwrap_or_else(|e| panic!("bench client {id}: {e}"));
-                    assert_eq!(
-                        &built.vx, &**expect,
-                        "bench client {id}: daemon bytes != solo cold compile"
-                    );
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t = Instant::now();
-    for th in threads {
-        th.join().expect("bench client thread");
-    }
-    (t.elapsed().as_secs_f64(), total)
-}
-
 /// Independent ground truth: a cold, cache-free, single-threaded build.
 fn oracle_vx(sources: &[SourceFile]) -> Arc<String> {
     let program = compile(sources, &CompileOptions::default()).expect("oracle compile");
     Arc::new(executable_artifact(&program.exe).0)
 }
 
-fn counter(counters: &[ipra_daemon::Counter], name: &str) -> u64 {
-    counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+/// Client threads, each connected with its own request list and waiting
+/// at a barrier for [`Clients::run`].
+struct Clients {
+    barrier: Arc<Barrier>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Clients {
+    /// Connects one client per request list; returns once all are
+    /// connected. Every response is byte-checked against its request's
+    /// expected text.
+    fn connect(socket: &Path, work: Vec<Vec<(BuildRequest, Arc<String>)>>) -> Clients {
+        let barrier = Arc::new(Barrier::new(work.len() + 1));
+        let threads = work
+            .into_iter()
+            .enumerate()
+            .map(|(id, list)| {
+                let socket = socket.to_path_buf();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(&socket).expect("bench client connect");
+                    barrier.wait(); // connected
+                    barrier.wait(); // released
+                    for (request, expect) in &list {
+                        let built = client
+                            .build(request)
+                            .unwrap_or_else(|e| panic!("bench client {id}: {e}"));
+                        assert_eq!(
+                            &built.vx, &**expect,
+                            "bench client {id}: daemon bytes != solo cold compile"
+                        );
+                    }
+                })
+            })
+            .collect();
+        barrier.wait();
+        Clients { barrier, threads }
+    }
+
+    /// Releases every client and waits for the last to finish.
+    fn run(self) {
+        self.barrier.wait();
+        for th in self.threads {
+            th.join().expect("bench client thread");
+        }
+    }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let modules: usize =
-        flag_value(&args, "--modules").map(|v| v.parse().expect("bad --modules")).unwrap_or(16);
-    let clients: usize =
-        flag_value(&args, "--clients").map(|v| v.parse().expect("bad --clients")).unwrap_or(8);
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_daemon.json".to_string());
-    let check = args.iter().any(|a| a == "--check");
+    let mut args = Args::new("daemon_bench", std::env::args().skip(1));
+    let modules = args.value("--modules", "N", count).unwrap_or(16);
+    let bench = args.bench("BENCH_daemon.json");
+    args.finish();
 
     let socket = std::env::temp_dir().join(format!("cmind-bench-{}.sock", std::process::id()));
-    let server = Server::start(ServerOptions::new(&socket)).expect("server start");
-    eprintln!("daemon_bench: {modules} modules, {clients} clients, socket {}", socket.display());
-
+    let options = ServerOptions::new(&socket);
+    let mut report = Report::new("daemon", Host::new(options.jobs));
+    let server = Server::start(options).expect("server start");
     let mut tune: i64 = 10_000;
-    let mut failures: Vec<String> = Vec::new();
+
+    // Adds one regime's row, counting its requests and what the daemon did
+    // since the previous row.
+    let mut seen = Counters::new();
+    let mut row = |report: &mut Report, name: &str, seconds: f64, requests: usize| {
+        let now = server.telemetry().counters();
+        let mut counters: Counters =
+            now.iter().map(|(k, v)| (k.clone(), v - seen.get(k).unwrap_or(&0))).collect();
+        counters.insert("requests".to_string(), requests as u64);
+        report.row(name, "daemon", seconds, counters);
+        seen = now;
+    };
 
     // Cold, one client: every request a never-seen program, so the wire
     // round trip sits on top of a full compile each time.
     let mut solo = Client::connect(&socket).expect("solo client connect");
-    let cold_1_rps = rps_best(|| {
-        let work: Vec<(BuildRequest, Vec<SourceFile>)> = (0..REQUESTS)
-            .map(|_| {
-                let sources = unique_program(modules, &mut tune);
-                (request_for(&sources), sources)
-            })
-            .collect();
-        let t = Instant::now();
-        for (request, _) in &work {
-            solo.build(request).expect("cold build");
-        }
-        (t.elapsed().as_secs_f64(), REQUESTS)
-    });
-    eprintln!("  cold  1 client : {cold_1_rps:>8.1} req/s");
+    let (_, seconds) = best_of(
+        || (0..REQUESTS).map(|_| request_for(&unique_program(modules, &mut tune))).collect(),
+        |work: Vec<BuildRequest>| {
+            for request in &work {
+                solo.build(request).expect("cold build");
+            }
+            work
+        },
+    );
+    row(&mut report, "cold/1", seconds, REQUESTS);
 
     // Prime one program and pin down its ground-truth bytes for the warm
     // legs (the byte check rides inside every warm response).
@@ -201,122 +175,73 @@ fn main() -> ExitCode {
     let primed_request = request_for(&primed_sources);
     let primed_vx = oracle_vx(&primed_sources);
     let first = solo.build(&primed_request).expect("priming build");
-    let bytes_ok = first.vx == *primed_vx;
-    if !bytes_ok {
-        failures.push("priming build: daemon bytes != solo cold compile".to_string());
-    }
+    assert_eq!(first.vx, *primed_vx, "priming build: daemon bytes != solo cold compile");
 
     // Warm, one client: pure cache hits through one connection.
-    let warm_1_rps = rps_best(|| {
-        let t = Instant::now();
-        for _ in 0..REQUESTS {
-            let built = solo.build(&primed_request).expect("warm build");
-            assert_eq!(built.vx, *primed_vx, "warm build: daemon bytes != solo cold compile");
-        }
-        (t.elapsed().as_secs_f64(), REQUESTS)
-    });
-    eprintln!("  warm  1 client : {warm_1_rps:>8.1} req/s");
+    let ((), seconds) = best_of(
+        || (),
+        |()| {
+            for _ in 0..REQUESTS {
+                let built = solo.build(&primed_request).expect("warm build");
+                assert_eq!(built.vx, *primed_vx, "warm build: daemon bytes != solo cold compile");
+            }
+        },
+    );
+    row(&mut report, "warm/1", seconds, REQUESTS);
 
     // Cold, N clients: N distinct never-seen programs in flight at once
     // (each lands on its fingerprint's shard, so misses can overlap).
-    let cold_n_rps = rps_best(|| {
-        let work: Vec<Vec<(BuildRequest, Arc<String>)>> = (0..clients)
-            .map(|_| {
-                let sources = unique_program(modules, &mut tune);
-                let expect = oracle_vx(&sources);
-                vec![(request_for(&sources), expect)]
-            })
-            .collect();
-        concurrent_leg(&socket, work)
-    });
-    eprintln!("  cold  {clients} clients: {cold_n_rps:>8.1} req/s");
+    let ((), seconds) = best_of(
+        || {
+            let work = (0..CLIENTS)
+                .map(|_| {
+                    let sources = unique_program(modules, &mut tune);
+                    vec![(request_for(&sources), oracle_vx(&sources))]
+                })
+                .collect();
+            Clients::connect(&socket, work)
+        },
+        Clients::run,
+    );
+    row(&mut report, &format!("cold/{CLIENTS}"), seconds, CLIENTS);
 
     // Warm, N clients: everyone hammers the primed program. This is the
     // multi-tenant payoff the daemon exists for.
-    let warm_n_rps = rps_best(|| {
-        let work: Vec<Vec<(BuildRequest, Arc<String>)>> = (0..clients)
-            .map(|_| {
-                (0..REQUESTS).map(|_| (primed_request.clone(), Arc::clone(&primed_vx))).collect()
-            })
-            .collect();
-        concurrent_leg(&socket, work)
-    });
-    eprintln!("  warm  {clients} clients: {warm_n_rps:>8.1} req/s");
+    let ((), seconds) = best_of(
+        || {
+            let list: Vec<_> =
+                (0..REQUESTS).map(|_| (primed_request.clone(), Arc::clone(&primed_vx))).collect();
+            Clients::connect(&socket, vec![list; CLIENTS])
+        },
+        Clients::run,
+    );
+    row(&mut report, &format!("warm/{CLIENTS}"), seconds, CLIENTS * REQUESTS);
 
     // Dedup: N clients race one identical never-seen request from behind
-    // a barrier; followers must coalesce onto the leader's build.
-    let before = solo.stats().expect("stats before dedup");
+    // a barrier, once; followers must coalesce onto the leader's build.
     let dedup_sources = unique_program(modules, &mut tune);
-    let dedup_expect = oracle_vx(&dedup_sources);
-    let work: Vec<Vec<(BuildRequest, Arc<String>)>> = (0..clients)
-        .map(|_| vec![(request_for(&dedup_sources), Arc::clone(&dedup_expect))])
-        .collect();
-    concurrent_leg(&socket, work);
-    let after = solo.stats().expect("stats after dedup");
-    let dedup = DedupReport {
-        clients,
-        leads: counter(&after, "daemon.dedup.leads") - counter(&before, "daemon.dedup.leads"),
-        coalesced: counter(&after, "daemon.dedup.coalesced")
-            - counter(&before, "daemon.dedup.coalesced"),
-    };
-    eprintln!("  dedup {clients} clients: {} led, {} coalesced", dedup.leads, dedup.coalesced);
-
-    let report = BenchReport {
-        modules,
-        clients,
-        requests_per_client: REQUESTS,
-        cold_1_rps,
-        warm_1_rps,
-        cold_n_rps,
-        warm_n_rps,
-        warm_n_over_cold_1: warm_n_rps / cold_1_rps.max(1e-9),
-        warm_1_over_cold_1: warm_1_rps / cold_1_rps.max(1e-9),
-        bytes_ok,
-        dedup,
-        counters: CountersSnapshot(server.telemetry().counters()),
-    };
-    eprintln!(
-        "  warm-{clients} over cold-1: {:.1}x (warm-1 over cold-1: {:.1}x)",
-        report.warm_n_over_cold_1, report.warm_1_over_cold_1
-    );
+    let dedup = (request_for(&dedup_sources), oracle_vx(&dedup_sources));
+    let clients = Clients::connect(&socket, vec![vec![dedup]; CLIENTS]);
+    let ((), seconds) = time(|| clients.run());
+    let name = format!("dedup/{CLIENTS}");
+    row(&mut report, &name, seconds, CLIENTS);
     drop(solo);
     server.stop();
 
-    if check {
-        if report.warm_n_over_cold_1 < 2.0 {
-            failures.push(format!(
-                "warm {clients}-client throughput not ≥ 2x cold single-client \
-                 ({warm_n_rps:.1} vs {cold_1_rps:.1} req/s, {:.2}x)",
-                report.warm_n_over_cold_1
-            ));
-        }
-        if report.dedup.coalesced < 1 {
-            failures.push(format!(
-                "dedup round did not coalesce ({} leads, {} coalesced across {clients} clients)",
-                report.dedup.leads, report.dedup.coalesced
-            ));
-        }
-        if report.dedup.leads + report.dedup.coalesced != clients as u64 {
-            failures.push(format!(
-                "dedup round lost requests ({} leads + {} coalesced != {clients})",
-                report.dedup.leads, report.dedup.coalesced
-            ));
-        }
-    }
-
-    let json = serde_json::to_string_pretty(&report).expect("report serialization cannot fail");
-    if let Err(e) = std::fs::write(&out_path, json) {
-        eprintln!("daemon_bench: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("daemon_bench: -> {out_path}");
-
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("daemon_bench: CHECK FAILED: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    let counter = |name: &str, key: &str| {
+        report.find(name, "daemon").counters.0.get(key).copied().unwrap_or(0) as f64
+    };
+    let rate = |name: &str| counter(name, "requests") / report.find(name, "daemon").seconds;
+    let ratio = rate(&format!("warm/{CLIENTS}")) / rate("cold/1");
+    let leads = counter(&name, "daemon.dedup.leads");
+    let coalesced = counter(&name, "daemon.dedup.coalesced");
+    report.gate("warm_n_over_cold_1", ratio, Cmp::AtLeast, MIN_WARM_N_OVER_COLD_1);
+    report.gate(format!("{name}.coalesced"), coalesced, Cmp::AtLeast, 1.0);
+    report.gate(
+        format!("{name}.leads_plus_coalesced"),
+        leads + coalesced,
+        Cmp::Equal,
+        CLIENTS as f64,
+    );
+    report.finish(&bench)
 }

@@ -6,20 +6,24 @@
 //! cargo run --release -p ipra-bench --bin tables -- --fast  # training inputs
 //! ```
 
+use ipra_bench::harness::Args;
 use ipra_bench::{
     ablation_table, breakdown_table, measure_workload, stats_table, table3, table4, table5,
 };
 use ipra_core::PaperConfig;
 
+/// The `--table` ids.
+const TABLES: [&str; 7] = ["3", "4", "5", "stats", "ablation", "breakdown", "all"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
+    let mut args = Args::new("tables", std::env::args().skip(1));
+    let fast = args.switch("--fast");
     let which = args
-        .iter()
-        .position(|a| a == "--table")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+        .value("--table", "3|4|5|stats|ablation|breakdown|all", |v| {
+            TABLES.contains(&v).then(|| v.to_string())
+        })
         .unwrap_or_else(|| "all".to_string());
+    args.finish();
 
     let workloads = ipra_workloads::all();
 
@@ -53,19 +57,14 @@ fn main() {
         "4" => print!("{}", table4(&rows)),
         "5" => print!("{}", table5(&rows)),
         "stats" => print!("{}", stats_table(&rows)),
-        "all" => {
+        _ => {
+            // "all": the parser admits no other id.
             println!("{}", table3(&workloads));
             println!("{}", table4(&rows));
             println!("{}", table5(&rows));
             println!("{}", stats_table(&rows));
             println!("{}", ablation_table(&workloads, fast));
             println!("{}", breakdown_table(&workloads, PaperConfig::C, fast));
-        }
-        other => {
-            eprintln!(
-                "unknown table `{other}` (expected 3, 4, 5, stats, ablation, breakdown, all)"
-            );
-            std::process::exit(2);
         }
     }
 }

@@ -1,0 +1,508 @@
+//! The one harness behind `compile_bench`, `sim_bench` and `daemon_bench`:
+//! a flag parser, a best-of-[`TRIALS`] timer, and one report shape with one
+//! JSON writer, one stderr printer and one exit rule.
+//!
+//! Every report is `{bench, host, rows, gates}`:
+//!
+//! * `host` records the core count and the effective worker width (`jobs`)
+//!   the bench ran with;
+//! * a **row** is one timed measurement, `{name, layer, seconds,
+//!   counters}`: `name` says what ran, `layer` which part of the system the
+//!   seconds cover, and `counters` the work counted in it. Speedups are
+//!   ratios of row seconds; rates are row counters over row seconds;
+//! * a **gate** is one `--check` condition, `{name, value, bound, pass}`.
+//!
+//! A bench exits non-zero when its report cannot be written, or when
+//! `--check` is given and a gate failed. A bad command line exits 2 before
+//! anything is measured.
+
+use ipra_telemetry::CountersSnapshot;
+use serde::{Serialize, Value};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::process::ExitCode;
+use std::time::Instant;
+
+/// Timed trials per measurement; [`best_of`] keeps the fastest. Single
+/// builds and runs take milliseconds, where one scheduler hiccup on a
+/// shared host swamps the margins being measured, so the minimum is the
+/// least-disturbed estimate.
+pub const TRIALS: usize = 3;
+
+/// Named work counts of one row.
+pub type Counters = BTreeMap<String, u64>;
+
+/// Builds [`Counters`] from literal pairs.
+pub fn counters<const N: usize>(pairs: [(&str, u64); N]) -> Counters {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// How many keys hold different values in `a` and `b` (a key missing on one
+/// side counts): zero exactly when the two counter sets are identical.
+pub fn differing(a: &Counters, b: &Counters) -> usize {
+    let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    keys.into_iter().filter(|k| a.get(*k) != b.get(*k)).count()
+}
+
+/// Runs `f` once and returns its output with the wall-clock seconds it took.
+pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64())
+}
+
+/// Runs `setup` (untimed) and then `trial` on what it returned (timed),
+/// [`TRIALS`] times over, and returns the fastest trial's output with its
+/// seconds. `setup` re-establishes a measurement's precondition (an empty
+/// cache, a wiped directory, a fresh edit); the outputs of slower trials
+/// are dropped outside the timed region.
+pub fn best_of<S, T>(mut setup: impl FnMut() -> S, mut trial: impl FnMut(S) -> T) -> (T, f64) {
+    let mut best: Option<(T, f64)> = None;
+    for _ in 0..TRIALS {
+        let state = setup();
+        let (out, seconds) = time(|| trial(state));
+        if best.as_ref().is_none_or(|(_, s)| seconds < *s) {
+            best = Some((out, seconds));
+        }
+    }
+    best.expect("TRIALS >= 1")
+}
+
+/// Parses a positive count, as `--modules` takes.
+pub fn count(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n > 0)
+}
+
+/// A bench's command line, checked against the flags the bench declares.
+///
+/// Each getter declares one flag and returns its value; [`Args::finish`]
+/// then rejects whatever was unknown, missing its value or unparsable, so
+/// a bench calls every getter before it measures anything.
+#[derive(Debug)]
+pub struct Args {
+    bin: &'static str,
+    argv: Vec<String>,
+    used: Vec<bool>,
+    usage: Vec<String>,
+    error: Option<String>,
+}
+
+/// The flags every bench shares.
+#[derive(Debug, Clone)]
+pub struct BenchArgs {
+    /// `--out FILE`: where the JSON report goes.
+    pub out: String,
+    /// `--check`: exit non-zero when a gate fails.
+    pub check: bool,
+}
+
+impl Args {
+    /// Starts checking `argv` (the arguments after the program name).
+    pub fn new(bin: &'static str, argv: impl IntoIterator<Item = String>) -> Args {
+        let argv: Vec<String> = argv.into_iter().collect();
+        let used = vec![false; argv.len()];
+        Args { bin, argv, used, usage: Vec::new(), error: None }
+    }
+
+    /// Declares the switch `flag`; true when it was given.
+    pub fn switch(&mut self, flag: &'static str) -> bool {
+        self.usage.push(format!("[{flag}]"));
+        let mut given = false;
+        for i in 0..self.argv.len() {
+            if !self.used[i] && self.argv[i] == flag {
+                self.used[i] = true;
+                given = true;
+            }
+        }
+        given
+    }
+
+    /// Declares `flag` with a value described by `meta` in the usage line,
+    /// and returns the value `parse` accepted (`None` when the flag was not
+    /// given; a missing or rejected value is reported by [`Args::finish`]).
+    pub fn value<T>(
+        &mut self,
+        flag: &'static str,
+        meta: &'static str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        self.usage.push(format!("[{flag} {meta}]"));
+        let mut value = None;
+        for i in 0..self.argv.len() {
+            if self.used[i] || self.argv[i] != flag {
+                continue;
+            }
+            self.used[i] = true;
+            let Some(v) = self.argv.get(i + 1).filter(|v| !v.starts_with("--")) else {
+                self.fail(format!("{flag} needs a value ({meta})"));
+                continue;
+            };
+            self.used[i + 1] = true;
+            match parse(v) {
+                Some(x) => value = Some(x),
+                None => self.fail(format!("bad value `{v}` for {flag} (want {meta})")),
+            }
+        }
+        value
+    }
+
+    /// Declares the shared `--out FILE` (defaulting to `default_out`) and
+    /// `--check`.
+    pub fn bench(&mut self, default_out: &str) -> BenchArgs {
+        let out = self.value("--out", "FILE", |v| Some(v.to_string()));
+        BenchArgs {
+            out: out.unwrap_or_else(|| default_out.to_string()),
+            check: self.switch("--check"),
+        }
+    }
+
+    fn fail(&mut self, message: String) {
+        self.error.get_or_insert(message);
+    }
+
+    /// The first problem with the command line, as an error message ending
+    /// in the usage line.
+    fn verdict(mut self) -> Result<(), String> {
+        if self.error.is_none() {
+            if let Some(i) = self.used.iter().position(|u| !u) {
+                let arg = &self.argv[i];
+                let kind =
+                    if arg.starts_with("--") { "unknown flag" } else { "unexpected argument" };
+                self.error = Some(format!("{kind} `{arg}`"));
+            }
+        }
+        match self.error {
+            None => Ok(()),
+            Some(e) => {
+                Err(format!("{}: {e}\nusage: {} {}", self.bin, self.bin, self.usage.join(" ")))
+            }
+        }
+    }
+
+    /// Ends the declarations: on any problem, prints it with the usage line
+    /// and exits with status 2.
+    pub fn finish(self) {
+        if let Err(e) = self.verdict() {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The host a report was measured on.
+#[derive(Debug, Clone, Serialize)]
+pub struct Host {
+    /// Cores available to the process.
+    cores: usize,
+    /// Effective worker width of the bench's parallel work.
+    jobs: usize,
+}
+
+impl Host {
+    /// This host, running parallel work `jobs` wide.
+    pub fn new(jobs: usize) -> Host {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Host { cores, jobs }
+    }
+}
+
+/// One timed measurement.
+#[derive(Debug, Clone, Serialize)]
+pub struct Row {
+    /// What ran (workload, regime, size).
+    pub name: String,
+    /// Which part of the system `seconds` covers.
+    pub layer: String,
+    /// Wall-clock seconds.
+    pub seconds: f64,
+    /// Work counted in the measurement.
+    pub counters: CountersSnapshot,
+}
+
+/// How a gate's value must compare with its bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    /// `value >= bound`.
+    AtLeast,
+    /// `value <= bound`.
+    AtMost,
+    /// `value < bound`.
+    Below,
+    /// `value == bound`.
+    Equal,
+}
+
+impl Cmp {
+    fn holds(self, value: f64, bound: f64) -> bool {
+        match self {
+            Cmp::AtLeast => value >= bound,
+            Cmp::AtMost => value <= bound,
+            Cmp::Below => value < bound,
+            Cmp::Equal => value == bound,
+        }
+    }
+
+    fn symbol(self) -> &'static str {
+        match self {
+            Cmp::AtLeast => ">=",
+            Cmp::AtMost => "<=",
+            Cmp::Below => "<",
+            Cmp::Equal => "==",
+        }
+    }
+}
+
+/// One `--check` condition: `value` must compare with `bound` as `cmp`
+/// says.
+#[derive(Debug, Clone)]
+struct Gate {
+    name: String,
+    value: f64,
+    cmp: Cmp,
+    bound: f64,
+}
+
+impl Gate {
+    fn pass(&self) -> bool {
+        self.cmp.holds(self.value, self.bound)
+    }
+}
+
+impl Serialize for Gate {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), self.name.serialize()),
+            ("value".to_string(), self.value.serialize()),
+            ("bound".to_string(), self.bound.serialize()),
+            ("pass".to_string(), self.pass().serialize()),
+        ])
+    }
+}
+
+/// A bench's whole output: rows in the order measured, gates in the order
+/// evaluated.
+#[derive(Debug, Clone)]
+pub struct Report {
+    bench: String,
+    host: Host,
+    rows: Vec<Row>,
+    gates: Vec<Gate>,
+}
+
+impl Serialize for Report {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("bench".to_string(), self.bench.serialize()),
+            ("host".to_string(), self.host.serialize()),
+            ("rows".to_string(), self.rows.serialize()),
+            ("gates".to_string(), self.gates.serialize()),
+        ])
+    }
+}
+
+impl Report {
+    /// An empty report for `bench` on `host`.
+    pub fn new(bench: &str, host: Host) -> Report {
+        Report { bench: bench.to_string(), host, rows: Vec::new(), gates: Vec::new() }
+    }
+
+    /// Adds a row.
+    pub fn row(&mut self, name: &str, layer: &str, seconds: f64, counters: Counters) {
+        self.rows.push(Row {
+            name: name.to_string(),
+            layer: layer.to_string(),
+            seconds,
+            counters: CountersSnapshot(counters),
+        });
+    }
+
+    /// Adds a gate: `value` must compare with `bound` as `cmp` says.
+    pub fn gate(&mut self, name: impl Into<String>, value: f64, cmp: Cmp, bound: f64) {
+        self.gates.push(Gate { name: name.into(), value, cmp, bound });
+    }
+
+    /// The row `name` at `layer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is no such row: gates only read rows the bench
+    /// has already added.
+    pub fn find(&self, name: &str, layer: &str) -> &Row {
+        self.rows
+            .iter()
+            .find(|r| r.name == name && r.layer == layer)
+            .unwrap_or_else(|| panic!("no row {name} at layer {layer}"))
+    }
+
+    /// The human-readable summary: one line per row name (its layers'
+    /// times side by side), then one line per gate.
+    fn summary(&self) -> String {
+        let mut out =
+            format!("{}: {} cores, jobs {}\n", self.bench, self.host.cores, self.host.jobs);
+        for rows in self.rows.chunk_by(|a, b| a.name == b.name) {
+            let _ = write!(out, "  {:<28}", rows[0].name);
+            for r in rows {
+                let _ = write!(out, " {} {:.3}ms", r.layer, r.seconds * 1e3);
+            }
+            out.push('\n');
+        }
+        for g in &self.gates {
+            let verdict = if g.pass() { "ok" } else { "FAILED" };
+            let _ = writeln!(
+                out,
+                "  gate {}: {} {} {} {verdict}",
+                g.name,
+                g.value,
+                g.cmp.symbol(),
+                g.bound
+            );
+        }
+        out
+    }
+
+    /// The exit rule: failure exactly when `check` is set and a gate failed.
+    fn exit_code(&self, check: bool) -> ExitCode {
+        if check && self.gates.iter().any(|g| !g.pass()) {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        }
+    }
+
+    /// Writes the report to `args.out`, prints the summary to stderr, and
+    /// returns the exit code: failure when the file cannot be written, or
+    /// when `args.check` is set and a gate failed.
+    pub fn finish(&self, args: &BenchArgs) -> ExitCode {
+        eprint!("{}", self.summary());
+        let json = serde_json::to_string_pretty(self).expect("report serialization cannot fail");
+        if let Err(e) = std::fs::write(&args.out, json) {
+            eprintln!("{}: cannot write {}: {e}", self.bench, args.out);
+            return ExitCode::FAILURE;
+        }
+        let failed = self.gates.iter().filter(|g| !g.pass()).count();
+        eprintln!(
+            "{}: {} gates, {failed} failed{} -> {}",
+            self.bench,
+            self.gates.len(),
+            if args.check { "" } else { " (not checked)" },
+            args.out
+        );
+        self.exit_code(args.check)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A bench declaring `--modules N,N,...` plus the shared flags.
+    fn declare(argv: &[&str]) -> Result<(Option<Vec<usize>>, BenchArgs), String> {
+        let mut a = Args::new("bench", argv.iter().map(|s| s.to_string()));
+        let modules =
+            a.value("--modules", "N,N,...", |v| v.split(',').map(count).collect::<Option<_>>());
+        let bench = a.bench("BENCH_x.json");
+        a.verdict().map(|()| (modules, bench))
+    }
+
+    #[test]
+    fn declared_flags_parse() {
+        let (modules, bench) =
+            declare(&["--modules", "8,64", "--check", "--out", "x.json"]).unwrap();
+        assert_eq!(modules, Some(vec![8, 64]));
+        assert_eq!(bench.out, "x.json");
+        assert!(bench.check);
+        let (modules, bench) = declare(&[]).unwrap();
+        assert_eq!(modules, None);
+        assert_eq!(bench.out, "BENCH_x.json");
+        assert!(!bench.check);
+    }
+
+    #[test]
+    fn bad_arguments_name_the_flag_with_the_usage_line() {
+        for (argv, want) in [
+            (&["--modlues", "8", "--check"][..], "unknown flag `--modlues`"),
+            (&["--check", "stray"][..], "unexpected argument `stray`"),
+            (&["--modules"][..], "--modules needs a value"),
+            (&["--modules", "--check"][..], "--modules needs a value"),
+            (&["--modules", "8,x"][..], "bad value `8,x` for --modules"),
+            (&["--modules", "0"][..], "bad value `0` for --modules"),
+        ] {
+            let err = declare(argv).unwrap_err();
+            assert!(err.contains(want), "{argv:?}: {err}");
+            assert!(
+                err.ends_with("usage: bench [--modules N,N,...] [--out FILE] [--check]"),
+                "{argv:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn best_of_times_only_the_trial_and_keeps_the_fastest_output() {
+        let (mut setups, mut trials) = (0, 0);
+        // Trial 1 is the fastest by far; every setup is slower than any trial.
+        let sleeps = [150, 10, 80];
+        let ((setup_seen, trial_index), seconds) = best_of(
+            || {
+                setups += 1;
+                std::thread::sleep(Duration::from_millis(200));
+                setups
+            },
+            |setup_seen| {
+                std::thread::sleep(Duration::from_millis(sleeps[trials]));
+                trials += 1;
+                (setup_seen, trials - 1)
+            },
+        );
+        assert_eq!((setups, trials), (TRIALS, TRIALS));
+        assert_eq!(trial_index, 1, "kept the fastest trial's output");
+        assert_eq!(setup_seen, 2, "each trial ran on its own fresh setup");
+        assert!((0.010..0.200).contains(&seconds), "setup was timed: {seconds}");
+    }
+
+    fn report_with(pass: bool) -> Report {
+        let mut r = Report::new("test", Host::new(1));
+        r.row("w/8", "build", 0.5, counters([("hits", 8)]));
+        r.row("w/8", "phase1", 0.25, Counters::new());
+        r.gate("w/8.hits", 8.0, Cmp::Equal, if pass { 8.0 } else { 9.0 });
+        r
+    }
+
+    #[test]
+    fn a_failing_gate_fails_the_exit_only_under_check() {
+        assert_eq!(report_with(false).exit_code(false), ExitCode::SUCCESS);
+        assert_eq!(report_with(false).exit_code(true), ExitCode::FAILURE);
+        assert_eq!(report_with(true).exit_code(true), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn written_reports_have_exactly_the_four_keys() {
+        let out = std::env::temp_dir().join(format!("ipra-harness-{}.json", std::process::id()));
+        let bench = BenchArgs { out: out.display().to_string(), check: true };
+        assert_eq!(report_with(false).finish(&bench), ExitCode::FAILURE);
+        let text = std::fs::read_to_string(&out).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let keys = |v: &Value| match v {
+            Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let doc: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(keys(&doc), ["bench", "host", "rows", "gates"]);
+        assert_eq!(keys(doc.get("host").unwrap()), ["cores", "jobs"]);
+        let Some(Value::Array(rows)) = doc.get("rows") else { panic!("rows") };
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            assert_eq!(keys(row), ["name", "layer", "seconds", "counters"]);
+        }
+        let Some(Value::Array(gates)) = doc.get("gates") else { panic!("gates") };
+        assert_eq!(keys(&gates[0]), ["name", "value", "bound", "pass"]);
+        assert_eq!(gates[0].get("pass"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn differing_counts_changed_and_one_sided_keys() {
+        let a = counters([("x", 1), ("y", 2)]);
+        assert_eq!(differing(&a, &a.clone()), 0);
+        assert_eq!(differing(&a, &counters([("x", 1), ("y", 3), ("z", 0)])), 2);
+    }
+}

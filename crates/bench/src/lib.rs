@@ -23,8 +23,13 @@
 //!   (`BENCH_sim.json`);
 //! * `daemon_bench` measures `cmind` build throughput, cold and warm
 //!   (`BENCH_daemon.json`).
+//!
+//! The three benches share [`harness`]: one flag parser, one best-of-N
+//! timer, and one report shape, `{bench, host, rows, gates}`.
 
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use ipra_core::analyzer::{AnalyzerOptions, PromotionMode};
 use ipra_core::PaperConfig;

@@ -24,15 +24,13 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
-echo "==> simulator benchmark (both engines, parity gated)"
+echo "==> simulator benchmark (both engines; parity, counter identity and the 1.2x scaled-64 floor gated)"
 cargo run --release -q -p ipra-bench --bin sim_bench -- --check --out BENCH_sim.json
 test -s BENCH_sim.json
 
-echo "==> compile-time benchmark (8/64/256 modules, cache checks on, cold scaling 512-4096 gated at 2.5x per doubling, sim regime folded in)"
-cargo run --release -q -p ipra-bench --bin compile_bench -- --check \
-  --sim-json BENCH_sim.json --out BENCH_compile.json
+echo "==> compile-time benchmark (8/64/256 modules, cache checks on, cold scaling 512-4096 gated at 2.5x per doubling)"
+cargo run --release -q -p ipra-bench --bin compile_bench -- --check --out BENCH_compile.json
 test -s BENCH_compile.json
-grep -q '"sim"' BENCH_compile.json
 
 echo "==> cminc report smoke (two runs must be byte-identical)"
 report_dir="$(mktemp -d)"
@@ -320,7 +318,7 @@ wait "$serve_pid"
 grep -q 'building locally' "$dm/fallback.log"
 cmp "$dm/fallback.vx" "$dm/local.vx"
 
-echo "==> daemon benchmark (cold/warm/N-client throughput, dedup gated)"
+echo "==> daemon benchmark (cold/warm/N-client throughput and dedup gated, responses byte-checked)"
 cargo run --release -q -p ipra-bench --bin daemon_bench -- --check \
   --out BENCH_daemon.json
 test -s BENCH_daemon.json
