@@ -7,10 +7,11 @@
 //! * **cold** — empty cache, serial: every phase runs everywhere;
 //! * **cold_parallel** — empty cache, one worker per core (left out on a
 //!   one-core host, where it would repeat the serial leg);
-//! * **warm** — full cache, nothing changed: both per-module phases are
-//!   pure cache hits (only the analyzer and linker run);
+//! * **warm** — full cache, nothing changed: both per-module phases and
+//!   the analyzer are pure cache hits (only the linker runs);
 //! * **edit** — one module's leaf constant re-tuned: phase 1 re-runs for
-//!   that module and phase 2 only where the database slice changed;
+//!   that module, the analyzer not at all (no summary moved), and phase 2
+//!   only where the database slice changed;
 //! * **disk_cold / disk_warm** — the persistent `--cache-dir` tier: a cold
 //!   build paying the write-through cost into an empty directory, then a
 //!   *fresh* cache instance over the same directory (the separate `cminc`
@@ -22,8 +23,8 @@
 //! fresh build. A build is written as five rows named `{regime}/{modules}`:
 //! layer `build` is the trial's wall clock, and `phase1`, `analyze`,
 //! `phase2` and `link` are the same build's own span timers, so a bench
-//! and `--stats` cannot disagree. The phase rows count cache hits, disk
-//! hits and misses, and `phase2` the modules recompiled.
+//! and `--stats` cannot disagree. The phase and analyzer rows count cache
+//! hits, disk hits and misses, and `phase2` the modules recompiled.
 //!
 //! Three more regimes follow the same row shape:
 //!
@@ -44,8 +45,9 @@
 //!
 //! `--check` fails the run unless, per size, the warm build was all hits,
 //! the edit recompiled fewer modules than there are, warm and edit beat
-//! cold, disk-warm beat disk-cold and was all disk hits, and the counters
-//! were identical across jobs widths; no doubling of the scaling series
+//! cold, disk-warm beat disk-cold and was all disk hits, the analyzer ran
+//! in the cold build and was a hit in the warm, edit and disk-warm ones,
+//! and the counters were identical across jobs widths; no doubling of the scaling series
 //! took more than [`MAX_DOUBLING_RATIO`] times as long; both targets
 //! verified clean with equal exit codes; and P promoted at least C's
 //! globals with at most C's singleton references. This is the CI smoke
@@ -110,7 +112,7 @@ fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram
     phase2.insert("recompiled".to_string(), b.recompiled.len() as u64);
     report.row(name, "build", seconds, work);
     report.row(name, "phase1", b.phase1.seconds, phase(&b.phase1));
-    report.row(name, "analyze", b.analyze_seconds, Counters::new());
+    report.row(name, "analyze", b.analyze.seconds, phase(&b.analyze));
     report.row(name, "phase2", b.phase2.seconds, phase2);
     report.row(name, "link", b.link_seconds, Counters::new());
 }
@@ -226,6 +228,17 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
         Cmp::Equal,
         0.0,
     );
+    // The analyzer runs once where its inputs are new and never where they
+    // repeat: the edit moves no summary.
+    let analyze_gates = [
+        ("cold", "analyze_misses", cold.build.analyze.misses),
+        ("warm", "analyze_hits", warm.build.analyze.hits),
+        ("edit", "analyze_hits", edited.build.analyze.hits),
+        ("disk_warm", "analyze_disk_hits", disk_warm.build.analyze.disk_hits),
+    ];
+    for (regime, counter, value) in analyze_gates {
+        report.gate(format!("{regime}/{n}.{counter}"), value as f64, Cmp::Equal, 1.0);
+    }
 }
 
 /// The scaling series: serial cold builds of each size, and the growth of

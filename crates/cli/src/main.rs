@@ -630,7 +630,7 @@ fn phase_table(b: &ipra_driver::BuildReport) -> String {
     };
     out.push_str("  phase          time   hits  misses   disk\n");
     out.push_str(&row("phase1", b.phase1.seconds, Some(&b.phase1)));
-    out.push_str(&row("analyze", b.analyze_seconds, None));
+    out.push_str(&row("analyze", b.analyze.seconds, Some(&b.analyze)));
     out.push_str(&row("phase2", b.phase2.seconds, Some(&b.phase2)));
     out.push_str(&row("link", b.link_seconds, None));
     out.push_str(&row("total", b.total_seconds, None));

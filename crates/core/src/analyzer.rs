@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use vpr::regs::RegSet;
 
 /// How (and whether) global variables are promoted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PromotionMode {
     /// No interprocedural promotion.
     Off,
@@ -120,7 +120,10 @@ impl std::fmt::Display for PaperConfig {
 }
 
 /// Analyzer options.
-#[derive(Debug, Clone)]
+///
+/// Every field is part of the serialized form, so the driver's analysis
+/// cache, keyed on the binary encoding, sees every option by construction.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnalyzerOptions {
     /// Perform spill code motion (clusters + register usage sets)?
     pub spill_motion: bool,

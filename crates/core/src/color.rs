@@ -20,6 +20,7 @@
 use crate::callgraph::{CallGraph, NodeId};
 use crate::dataflow::{Eligibility, GlobalId};
 use crate::webs::Web;
+use serde::{Deserialize, Serialize};
 use vpr::regs::{Reg, RegSet};
 use vpr::target::TargetDesc;
 
@@ -37,7 +38,7 @@ pub enum ColoringStrategy {
 }
 
 /// Tunable discard thresholds (§6.2).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DiscardHeuristics {
     /// Discard webs whose fraction of `L_REF` members is below this.
     pub min_lref_ratio: f64,

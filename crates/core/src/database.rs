@@ -10,7 +10,7 @@
 
 use crate::fingerprint::Fnv64;
 use crate::regsets::RegUsage;
-use serde::{Deserialize, Serialize};
+use serde::{BinSerialize, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vpr::regs::Reg;
 
@@ -136,7 +136,7 @@ impl ProgramDatabase {
     /// not change the fingerprint-visible contract.
     pub fn proc_fingerprint(&self, name: &str) -> u64 {
         let mut h = Fnv64::new();
-        hash_directives(&mut h, &self.lookup(name));
+        self.hash_proc(&mut h, name, &mut Vec::new());
         h.finish()
     }
 
@@ -167,10 +167,11 @@ impl ProgramDatabase {
         callees.dedup();
 
         let mut h = Fnv64::new();
+        let mut buf = Vec::new();
         h.write_u64(defined.len() as u64);
         for name in defined {
             h.write_str(name);
-            hash_directives(&mut h, &self.lookup(name));
+            self.hash_proc(&mut h, name, &mut buf);
         }
         h.write_u64(callees.len() as u64);
         for name in callees {
@@ -178,9 +179,18 @@ impl ProgramDatabase {
             // Codegen reads exactly `db.get(name)`'s safe set, defaulting to
             // empty for procedures the analyzer never saw.
             let safe = self.get(name).map(|d| d.safe_caller_across).unwrap_or_default();
-            h.write_str(&safe.to_string());
+            hash_encoding(&mut h, &safe, &mut buf);
         }
         h.finish()
+    }
+
+    /// Feeds `name`'s directives to `h` — the standard convention's when
+    /// the analyzer produced none — without cloning a present entry.
+    fn hash_proc(&self, h: &mut Fnv64, name: &str, buf: &mut Vec<u8>) {
+        match self.entries.get(name) {
+            Some(d) => hash_encoding(h, d, buf),
+            None => hash_encoding(h, &ProcDirectives::standard(name), buf),
+        }
     }
 
     /// Serializes the database (the paper's on-disk program database).
@@ -198,11 +208,15 @@ impl ProgramDatabase {
     }
 }
 
-/// Feeds one procedure's directives to a hasher via their canonical JSON
-/// form (all directive fields serialize deterministically: promotions are
-/// analyzer-ordered `Vec`s and register sets print in register order).
-fn hash_directives(h: &mut Fnv64, d: &ProcDirectives) {
-    h.write_str(&serde_json::to_string(d).expect("directive serialization cannot fail"));
+/// Feeds `value`'s length-prefixed positional binary encoding to a hasher
+/// (`buf` is scratch space reused across calls). The encoding is
+/// deterministic: promotions are analyzer-ordered `Vec`s and register sets
+/// encode as their bit words.
+fn hash_encoding(h: &mut Fnv64, value: &impl BinSerialize, buf: &mut Vec<u8>) {
+    buf.clear();
+    value.bin_serialize(buf);
+    h.write_u64(buf.len() as u64);
+    h.write(buf);
 }
 
 #[cfg(test)]

@@ -4,46 +4,53 @@
 //!
 //! * an **in-memory** tier keyed per module name — phase 1 on a
 //!   source-content fingerprint, phase 2 on (IR fingerprint,
-//!   database-slice fingerprint) — serving repeated builds inside one
-//!   process;
+//!   database-slice fingerprint) — plus one slot holding the most recent
+//!   program analysis, keyed on the module summaries and the analyzer
+//!   options — serving repeated builds inside one process;
 //! * an optional **on-disk** tier ([`DiskCache`], enabled through
 //!   [`CompilationCache::with_disk`] / `cminc --cache-dir`) holding the
 //!   same entries content-addressed by their keys, so the fingerprints
 //!   persist across *process* invocations: a one-module edit in a fresh
-//!   `cminc` run recompiles only modules whose directive slices moved.
+//!   `cminc` run recompiles only modules whose directive slices moved, and
+//!   skips the analyzer when no summary changed.
 //!
 //! Reuse across builds — including builds at *different*
 //! [`PaperConfig`](ipra_core::analyzer::PaperConfig)s — is sound because a
 //! matching slice fingerprint certifies codegen would see identical
-//! directives.
+//! directives, and the analyzer reads nothing but the summaries and its
+//! options.
 
 use cmin_ir::IrModule;
+use ipra_core::analyzer::AnalyzerStats;
 use ipra_core::fingerprint::Fnv64;
+use ipra_core::ProgramDatabase;
 use ipra_summary::ModuleSummary;
 use ipra_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
+use serde::{BinDeserialize, Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vpr::program::ObjectModule;
 
-/// Cache accounting for one phase of one build.
+/// Cache accounting for one step of one build: a per-module phase, or the
+/// program analyzer (one lookup per build).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseStats {
-    /// Modules served from the cache (memory or disk).
+    /// Modules (or analyses) served from the cache (memory or disk).
     pub hits: usize,
     /// Of those hits, how many were loaded from the on-disk tier (always
     /// zero when the cache has no disk directory).
     pub disk_hits: usize,
-    /// Modules recomputed.
+    /// Modules (or analyses) recomputed.
     pub misses: usize,
     /// Entries pushed out of the in-memory tier by the size cap while this
-    /// phase ran (always zero for an uncapped cache). Evicted entries stay
+    /// phase ran (always zero for an uncapped cache, and for the analyzer,
+    /// whose one memory slot has no cap). Evicted entries stay
     /// on the disk tier when one is attached, so an eviction degrades a
     /// future memory hit to a disk hit — or to a recompute, never to a
     /// wrong object.
     pub evictions: usize,
-    /// Wall-clock seconds spent in the phase (including cache probing).
+    /// Wall-clock seconds spent in the step (including cache probing).
     pub seconds: f64,
 }
 
@@ -64,8 +71,9 @@ impl PhaseStats {
 pub struct BuildReport {
     /// Compiler first phase (parse → check → lower → optimize → summarize).
     pub phase1: PhaseStats,
-    /// Program analyzer seconds (always runs; it is whole-program).
-    pub analyze_seconds: f64,
+    /// Program analyzer: one lookup per build, a hit when the module
+    /// summaries and the resolved analyzer options both repeat.
+    pub analyze: PhaseStats,
     /// Compiler second phase (register allocation + emission).
     pub phase2: PhaseStats,
     /// Link seconds (always runs).
@@ -95,10 +103,10 @@ pub struct CacheStats {
     pub phase2_evictions: u64,
 }
 
-/// Everything phase 1 produces for one module, plus the fingerprints that
-/// decide whether it (and its phase 2) can be reused.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct Phase1Entry {
+/// What phase 1 records about one module besides its IR — the decoded head
+/// of a phase-1 frame.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct Phase1Head {
     /// Fingerprint of (module name, source text, optimize flag).
     pub(crate) key: u64,
     /// Fingerprint of the optimized IR (what phase 2 consumes).
@@ -106,8 +114,39 @@ pub(crate) struct Phase1Entry {
     /// Direct callees named anywhere in the IR — the procedures whose
     /// database slice codegen will consult at call sites.
     pub(crate) callees: Vec<String>,
-    pub(crate) ir: IrModule,
+    /// The summary record: the module name and one record per procedure
+    /// it defines, which is all the analyzer and the phase-2 keys read.
     pub(crate) summary: ModuleSummary,
+    /// FNV-64 of `summary`'s binary encoding: this module's share of the
+    /// analysis key.
+    pub(crate) summary_fp: u64,
+}
+
+/// Everything phase 1 produces for one module: the head, and the IR that
+/// only a phase-2 miss reads.
+#[derive(Debug)]
+pub(crate) struct Phase1Entry {
+    pub(crate) head: Phase1Head,
+    /// The IR's binary encoding when the entry came off disk (empty when
+    /// phase 1 ran in this process).
+    encoded_ir: Vec<u8>,
+    /// The IR, decoded on first use; `None` when the encoding is malformed.
+    ir: OnceLock<Option<IrModule>>,
+}
+
+impl Phase1Entry {
+    /// The module's optimized IR, decoded from the frame's tail on first
+    /// use. `None` when the tail does not decode: the checksum passed, so
+    /// the frame was written that way, and the caller recomputes phase 1.
+    pub(crate) fn ir(&self) -> Option<&IrModule> {
+        self.ir
+            .get_or_init(|| {
+                let mut cursor = self.encoded_ir.as_slice();
+                let ir = IrModule::bin_deserialize(&mut cursor).ok()?;
+                cursor.is_empty().then_some(ir)
+            })
+            .as_ref()
+    }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -117,9 +156,19 @@ pub(crate) struct Phase2Entry {
     pub(crate) object: ObjectModule,
 }
 
+/// The program analyzer's result under one analysis key (see
+/// `stages::analysis_key`). The analyzer's web reports are not kept: no
+/// build product carries them.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct AnalysisEntry {
+    pub(crate) key: u64,
+    pub(crate) database: ProgramDatabase,
+    pub(crate) stats: AnalyzerStats,
+}
+
 /// The persistent tier: cache entries as length-prefixed binary frames
 /// ([`crate::framed`]) content-addressed by their fingerprint keys under
-/// `p1/` and `p2/` of a cache directory.
+/// `p1/`, `p2/` and `an/` (program analyses) of a cache directory.
 ///
 /// Because file names *are* the keys, concurrent writers can only race on
 /// identical content, and a load checks the frame's checksum and
@@ -147,11 +196,13 @@ impl DiskCache {
     ///
     /// # Errors
     ///
-    /// Any I/O error creating `root`, `root/p1` or `root/p2`.
+    /// Any I/O error creating `root` or its `p1`, `p2` and `an`
+    /// subdirectories.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
         let root = root.into();
-        std::fs::create_dir_all(root.join("p1"))?;
-        std::fs::create_dir_all(root.join("p2"))?;
+        for tier in ["p1", "p2", "an"] {
+            std::fs::create_dir_all(root.join(tier))?;
+        }
         Ok(DiskCache { root, pending: Vec::new(), tele: None })
     }
 
@@ -171,6 +222,10 @@ impl DiskCache {
         self.root.join("p2").join(format!("{:016x}.bin", h.finish()))
     }
 
+    fn analysis_path(&self, key: u64) -> PathBuf {
+        self.root.join("an").join(format!("{key:016x}.bin"))
+    }
+
     /// Records the outcome of one disk-tier load attempt: read traffic in
     /// bytes, plus a corrupt-frame counter when a file read fine but failed
     /// to decode or fingerprint-check (it degrades to a miss).
@@ -184,19 +239,27 @@ impl DiskCache {
         }
     }
 
+    /// Loads a phase-1 frame's head; its IR tail stays encoded until
+    /// [`Phase1Entry::ir`] asks for it.
     pub(crate) fn load_phase1(&self, key: u64) -> Option<Phase1Entry> {
         let bytes = std::fs::read(self.phase1_path(key)).ok()?;
-        let e: Option<Phase1Entry> =
-            crate::framed::decode_frame(&bytes, crate::framed::KIND_PHASE1)
-                .filter(|e: &Phase1Entry| e.key == key);
+        let e = crate::framed::decode_head::<Phase1Head>(&bytes, crate::framed::KIND_PHASE1)
+            .filter(|(head, _)| head.key == key)
+            .map(|(head, tail)| Phase1Entry {
+                head,
+                encoded_ir: tail.to_vec(),
+                ir: OnceLock::new(),
+            });
         self.count_load(&bytes, &e);
         e
     }
 
-    pub(crate) fn store_phase1(&mut self, entry: &Phase1Entry) {
-        let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE1, entry);
+    /// Buffers a phase-1 frame: the head, then the IR's encoding as the
+    /// tail.
+    pub(crate) fn store_phase1(&mut self, head: &Phase1Head, ir: &IrModule) {
+        let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE1, &(head, ir));
         self.count_store(&frame);
-        self.pending.push((self.phase1_path(entry.key), frame));
+        self.pending.push((self.phase1_path(head.key), frame));
     }
 
     pub(crate) fn load_phase2(&self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
@@ -212,6 +275,21 @@ impl DiskCache {
         let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE2, entry);
         self.count_store(&frame);
         self.pending.push((self.phase2_path(entry.ir_fp, entry.db_fp), frame));
+    }
+
+    pub(crate) fn load_analysis(&self, key: u64) -> Option<AnalysisEntry> {
+        let bytes = std::fs::read(self.analysis_path(key)).ok()?;
+        let e: Option<AnalysisEntry> =
+            crate::framed::decode_frame(&bytes, crate::framed::KIND_ANALYSIS)
+                .filter(|e: &AnalysisEntry| e.key == key);
+        self.count_load(&bytes, &e);
+        e
+    }
+
+    pub(crate) fn store_analysis(&mut self, entry: &AnalysisEntry) {
+        let frame = crate::framed::encode_frame(crate::framed::KIND_ANALYSIS, entry);
+        self.count_store(&frame);
+        self.pending.push((self.analysis_path(entry.key), frame));
     }
 
     /// Records one buffered disk-tier store (counted at encode time; the
@@ -245,6 +323,10 @@ impl Drop for DiskCache {
 pub struct CompilationCache {
     pub(crate) phase1: HashMap<String, Arc<Phase1Entry>>,
     pub(crate) phase2: HashMap<String, Phase2Entry>,
+    /// The most recent program analysis. One slot, outside the size cap:
+    /// the warm and edit rebuilds it serves repeat the previous build's
+    /// key.
+    analysis: Option<Arc<AnalysisEntry>>,
     pub(crate) stats: CacheStats,
     pub(crate) disk: Option<DiskCache>,
     pub(crate) tele: Option<Telemetry>,
@@ -379,11 +461,12 @@ impl CompilationCache {
         self.used2.insert(name.to_string(), self.tick);
     }
 
-    /// Drops all in-memory cached phase results (counters survive; the
-    /// on-disk tier, if any, is untouched).
+    /// Drops all in-memory cached results (counters survive; the on-disk
+    /// tier, if any, is untouched).
     pub fn clear(&mut self) {
         self.phase1.clear();
         self.phase2.clear();
+        self.analysis = None;
         self.used1.clear();
         self.used2.clear();
     }
@@ -400,22 +483,23 @@ impl CompilationCache {
 
     /// Is the in-memory cache empty?
     pub fn is_empty(&self) -> bool {
-        self.phase1.is_empty() && self.phase2.is_empty()
+        self.phase1.is_empty() && self.phase2.is_empty() && self.analysis.is_none()
     }
 
     /// Phase-1 lookup: memory first, then the disk tier (promoting to
     /// memory). The flag reports whether the entry came from disk.
     ///
     /// Entries are shared, not copied: a hit is a refcount bump, so the
-    /// hot path of a warm (or disk-warm) build never deep-clones an
-    /// `IrModule`.
+    /// hot path of a warm build never deep-clones an `IrModule`, and a
+    /// disk-warm one never decodes the IR of a module phase 2 does not
+    /// recompile.
     pub(crate) fn lookup_phase1(
         &mut self,
         name: &str,
         key: u64,
     ) -> Option<(Arc<Phase1Entry>, bool)> {
         if let Some(e) = self.phase1.get(name) {
-            if e.key == key {
+            if e.head.key == key {
                 let e = Arc::clone(e);
                 self.count("cache.p1.mem_hits");
                 self.touch1(name);
@@ -441,17 +525,31 @@ impl CompilationCache {
     /// Stores a freshly computed phase-1 entry in memory and, when
     /// attached, writes it through to disk. Returns the shared handle so
     /// the caller keeps using the entry without cloning it.
-    pub(crate) fn store_phase1(&mut self, name: &str, entry: Phase1Entry) -> Arc<Phase1Entry> {
+    pub(crate) fn store_phase1(
+        &mut self,
+        name: &str,
+        head: Phase1Head,
+        ir: IrModule,
+    ) -> Arc<Phase1Entry> {
         if let Some(d) = &mut self.disk {
-            d.store_phase1(&entry);
+            d.store_phase1(&head, &ir);
         }
-        let entry = Arc::new(entry);
+        let entry =
+            Arc::new(Phase1Entry { head, encoded_ir: Vec::new(), ir: OnceLock::from(Some(ir)) });
         self.phase1.insert(name.to_string(), Arc::clone(&entry));
         self.touch1(name);
         let evicted = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
         self.count_evictions("cache.p1.evictions", evicted);
         self.stats.phase1_evictions += evicted;
         entry
+    }
+
+    /// Replaces a phase-1 entry whose IR tail passed the checksum but did
+    /// not decode with one recomputed from source: the frame counts as
+    /// corrupt, and the flush overwrites the file.
+    pub(crate) fn repair_phase1(&mut self, name: &str, head: Phase1Head, ir: IrModule) {
+        self.count("cache.disk.corrupt");
+        self.store_phase1(name, head, ir);
     }
 
     /// Phase-2 lookup: memory first, then the disk tier (promoting to
@@ -499,6 +597,37 @@ impl CompilationCache {
         self.stats.phase2_evictions += evicted;
     }
 
+    /// Analysis lookup: the memory slot first, then the disk tier
+    /// (promoting into the slot). The flag reports whether the entry came
+    /// from disk.
+    pub(crate) fn lookup_analysis(&mut self, key: u64) -> Option<(Arc<AnalysisEntry>, bool)> {
+        if let Some(e) = self.analysis.as_ref().filter(|e| e.key == key) {
+            let e = Arc::clone(e);
+            self.count("cache.an.mem_hits");
+            return Some((e, false));
+        }
+        let loaded = self.disk.as_ref().and_then(|d| d.load_analysis(key));
+        let Some(e) = loaded else {
+            self.count("cache.an.misses");
+            return None;
+        };
+        self.count("cache.an.disk_hits");
+        let e = Arc::new(e);
+        self.analysis = Some(Arc::clone(&e));
+        Some((e, true))
+    }
+
+    /// Stores a freshly computed analysis in the memory slot and, when
+    /// attached, writes it through to disk.
+    pub(crate) fn store_analysis(&mut self, entry: AnalysisEntry) -> Arc<AnalysisEntry> {
+        if let Some(d) = &mut self.disk {
+            d.store_analysis(&entry);
+        }
+        let entry = Arc::new(entry);
+        self.analysis = Some(Arc::clone(&entry));
+        entry
+    }
+
     /// Flushes the disk tier's buffered writes, if one is attached. Called
     /// by the driver at the end of each build; dropping the cache flushes
     /// too, so entries are never lost — flushing early just bounds how long
@@ -514,18 +643,26 @@ impl CompilationCache {
 mod tests {
     use super::*;
 
-    fn p1(name: &str, key: u64) -> Phase1Entry {
-        Phase1Entry {
+    fn head(name: &str, key: u64) -> Phase1Head {
+        Phase1Head {
             key,
             ir_fp: key ^ 0xABCD,
             callees: Vec::new(),
-            ir: IrModule { name: name.to_string(), globals: Vec::new(), functions: Vec::new() },
             summary: ModuleSummary {
                 module: name.to_string(),
                 procs: Vec::new(),
                 globals: Vec::new(),
             },
+            summary_fp: key ^ 0x1234,
         }
+    }
+
+    fn ir(name: &str) -> IrModule {
+        IrModule { name: name.to_string(), globals: Vec::new(), functions: Vec::new() }
+    }
+
+    fn store1(c: &mut CompilationCache, name: &str, key: u64) {
+        c.store_phase1(name, head(name, key), ir(name));
     }
 
     fn p2(ir_fp: u64, db_fp: u64) -> Phase2Entry {
@@ -544,7 +681,7 @@ mod tests {
         let mut c = CompilationCache::new();
         for i in 0..100u64 {
             let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i));
+            store1(&mut c, &name, i);
             c.store_phase2(&name, p2(i, i));
         }
         assert_eq!(c.len(), 100);
@@ -555,11 +692,11 @@ mod tests {
     #[test]
     fn cap_evicts_the_least_recently_used_entry() {
         let mut c = CompilationCache::with_capacity(2);
-        c.store_phase1("a", p1("a", 1));
-        c.store_phase1("b", p1("b", 2));
+        store1(&mut c, "a", 1);
+        store1(&mut c, "b", 2);
         // Touch "a": "b" becomes the LRU victim despite being stored later.
         assert!(c.lookup_phase1("a", 1).is_some());
-        c.store_phase1("c", p1("c", 3));
+        store1(&mut c, "c", 3);
         assert_eq!(c.stats().phase1_evictions, 1);
         assert!(c.lookup_phase1("b", 2).is_none(), "LRU entry evicted");
         assert!(c.lookup_phase1("a", 1).is_some(), "recently used entry kept");
@@ -586,7 +723,7 @@ mod tests {
         let mut c = CompilationCache::new();
         for i in 0..8u64 {
             let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i));
+            store1(&mut c, &name, i);
         }
         c.set_capacity(Some(3));
         assert_eq!(c.len(), 3);
@@ -594,7 +731,7 @@ mod tests {
         c.set_capacity(None);
         for i in 8..20u64 {
             let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i));
+            store1(&mut c, &name, i);
         }
         assert_eq!(c.len(), 15);
         assert_eq!(c.stats().phase1_evictions, 5, "no further evictions once uncapped");
@@ -607,7 +744,7 @@ mod tests {
             let mut survivors = Vec::new();
             for i in 0..12u64 {
                 let name = format!("m{i}");
-                c.store_phase1(&name, p1(&name, i));
+                store1(&mut c, &name, i);
                 // Re-touch a rolling window so recency differs from
                 // insertion order.
                 for j in i.saturating_sub(1)..=i {
@@ -623,18 +760,109 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// A small real module's IR, so the frame's tail has some shape.
+    fn real_ir() -> IrModule {
+        let m = cmin_frontend::parse_module(
+            "m",
+            "int g; int f(int x) { g = g + x; return g * 2; } int main() { return f(3); }",
+        )
+        .unwrap();
+        let info = cmin_frontend::analyze(&m).unwrap();
+        cmin_ir::lower_module(&m, &info)
+    }
+
+    #[test]
+    fn disk_hits_decode_the_ir_only_when_asked() {
+        let dir = tmpdir("lazy-ir");
+        let ir = real_ir();
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.store_phase1("m", head("m", 7), ir.clone());
+        c.flush();
+        let mut fresh = CompilationCache::with_disk(&dir).unwrap();
+        let (e, from_disk) = fresh.lookup_phase1("m", 7).expect("disk hit");
+        assert!(from_disk);
+        assert!(e.ir.get().is_none(), "a hit leaves the tail encoded");
+        assert_eq!(e.ir(), Some(&ir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damage_inside_the_ir_tail_reads_as_a_miss() {
+        let dir = tmpdir("tail-damage");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.store_phase1("m", head("m", 9), real_ir());
+        c.flush();
+        let path = c.disk.as_ref().unwrap().phase1_path(9);
+        let frame = std::fs::read(&path).unwrap();
+        let mut head_bytes = Vec::new();
+        serde::BinSerialize::bin_serialize(&head("m", 9), &mut head_bytes);
+        // magic, version, kind and length come first; the checksum last.
+        let (tail_start, tail_end) = (10 + head_bytes.len(), frame.len() - 8);
+        assert!(tail_end - tail_start > 100, "the tail holds the IR");
+        let tele = Telemetry::new();
+        let probe = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let mut fresh = CompilationCache::with_disk(&dir).unwrap();
+            fresh.set_telemetry(Some(tele.clone()));
+            fresh.lookup_phase1("m", 9).is_none()
+        };
+        let mut probes = 0;
+        for i in (tail_start..tail_end).step_by(7) {
+            let mut flipped = frame.clone();
+            flipped[i] ^= 0x20;
+            assert!(probe(&flipped), "flip at {i} served a hit");
+            assert!(probe(&frame[..i]), "truncation at {i} served a hit");
+            probes += 2;
+        }
+        assert_eq!(tele.counter("cache.disk.corrupt"), probes);
+        assert!(!probe(&frame), "the intact frame still hits");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn analysis(key: u64) -> AnalysisEntry {
+        let mut database = ProgramDatabase::new();
+        database.insert(ipra_core::ProcDirectives::standard("main"));
+        let stats = AnalyzerStats { nodes: 1, avg_cluster_size: 1.5, ..AnalyzerStats::default() };
+        AnalysisEntry { key, database, stats }
+    }
+
+    #[test]
+    fn the_analysis_tier_keeps_one_slot_and_persists() {
+        let dir = tmpdir("analysis");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        assert!(c.lookup_analysis(1).is_none());
+        c.store_analysis(analysis(1));
+        c.store_analysis(analysis(2));
+        let (e, from_disk) = c.lookup_analysis(2).expect("the slot");
+        assert!(!from_disk && e.key == 2);
+        c.flush();
+        // Key 1 left the slot but not the disk tier, and promotes back in.
+        let (e, from_disk) = c.lookup_analysis(1).expect("the disk tier");
+        assert!(from_disk);
+        assert_eq!((&e.database, &e.stats), (&analysis(1).database, &analysis(1).stats));
+        assert!(!c.lookup_analysis(1).unwrap().1, "promoted into the slot");
+        // A frame under the wrong name does not serve its key.
+        let an = dir.join("an");
+        std::fs::rename(an.join(format!("{:016x}.bin", 2)), an.join(format!("{:016x}.bin", 3)))
+            .unwrap();
+        assert!(CompilationCache::with_disk(&dir).unwrap().lookup_analysis(3).is_none());
+        c.clear();
+        assert!(c.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn evicted_entries_degrade_to_disk_hits_not_losses() {
         let dir = tmpdir("evict-disk");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
         c.set_capacity(Some(1));
-        c.store_phase1("a", p1("a", 1));
-        c.store_phase1("b", p1("b", 2)); // evicts "a" from memory
+        store1(&mut c, "a", 1);
+        store1(&mut c, "b", 2); // evicts "a" from memory
         c.flush();
         assert_eq!(c.stats().phase1_evictions, 1);
         let (e, from_disk) = c.lookup_phase1("a", 1).expect("evicted entry still on disk");
         assert!(from_disk, "served from the disk tier after eviction");
-        assert_eq!(e.key, 1);
+        assert_eq!(e.head.key, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,9 +12,9 @@
 //! Version 2 frames go straight between structs and bytes through the
 //! derive-emitted positional codec ([`serde::BinSerialize`] /
 //! [`serde::BinDeserialize`]): no field names on the wire, no intermediate
-//! tree, each string and vector allocated exactly once on load. A version-1
-//! (or corrupt, or truncated) file simply fails the header check and
-//! degrades to a cache miss — never a wrong object.
+//! tree, each string and vector allocated exactly once on load. A frame of
+//! another version (or a corrupt or truncated one) simply fails the header
+//! check and degrades to a cache miss — never a wrong object.
 //!
 //! Frame layout (all integers little-endian):
 //!
@@ -27,20 +27,31 @@
 //! bounds checks make a truncated or corrupted file decode to `None` — a
 //! cache miss. (The caller additionally cross-checks the embedded
 //! fingerprints against the requested key, exactly as the JSON tier did.)
+//!
+//! A payload may be a decoded *head* followed by a raw *tail* under the
+//! same checksum ([`decode_head`]): phase-1 frames carry the module's
+//! summary as the head and its IR as the tail, so a load decodes only what
+//! the analyzer needs and leaves the IR to the phase-2 misses.
 
 use ipra_core::fingerprint::Fnv64;
 use serde::{BinDeserialize, BinSerialize};
 
 const MAGIC: [u8; 4] = *b"IPRF";
-// v3: RegSet's positional binary encoding widened from 4 to 8 bytes with
-// the u64 backing; v2 frames from older cache directories must read as
-// misses, not as shifted garbage.
-const VERSION: u8 = 3;
+// Bumped whenever the bytes a frame decodes to could change meaning, so
+// frames from older cache directories read as misses, not as shifted
+// garbage or stale results: v3 widened RegSet's encoding to 8 bytes; v4
+// split phase-1 frames into head and IR tail, added analysis frames, and
+// moved directive-slice fingerprints off JSON. Keys cover a step's
+// *inputs*, not the code that runs it, so a change to what the frontend,
+// the analyzer or codegen emits bumps this too.
+const VERSION: u8 = 4;
 
 /// Frame kind for phase-1 cache entries.
 pub(crate) const KIND_PHASE1: u8 = 1;
 /// Frame kind for phase-2 cache entries.
 pub(crate) const KIND_PHASE2: u8 = 2;
+/// Frame kind for program-analysis cache entries.
+pub(crate) const KIND_ANALYSIS: u8 = 3;
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -67,6 +78,15 @@ pub(crate) fn encode_frame<T: BinSerialize>(kind: u8, value: &T) -> Vec<u8> {
 /// mismatch — magic, version, kind, length, checksum, or payload shape —
 /// yields `None` (the caller treats that as a cache miss).
 pub(crate) fn decode_frame<T: BinDeserialize>(bytes: &[u8], kind: u8) -> Option<T> {
+    // Trailing garbage inside a checksummed payload means a codec bug, but
+    // treat it as corruption all the same.
+    decode_head(bytes, kind).and_then(|(value, tail)| tail.is_empty().then_some(value))
+}
+
+/// Checks a frame of the expected kind, decodes a `T` from the front of its
+/// payload and returns it with the rest of the payload, undecoded. The
+/// checksum covers head and tail alike, so a damaged tail fails here too.
+pub(crate) fn decode_head<T: BinDeserialize>(bytes: &[u8], kind: u8) -> Option<(T, &[u8])> {
     let rest = bytes.strip_prefix(&MAGIC)?;
     let (&[version, got_kind], rest) = rest.split_first_chunk::<2>()?;
     if version != VERSION || got_kind != kind {
@@ -83,9 +103,7 @@ pub(crate) fn decode_frame<T: BinDeserialize>(bytes: &[u8], kind: u8) -> Option<
     }
     let mut cursor = payload;
     let value = T::bin_deserialize(&mut cursor).ok()?;
-    // Trailing garbage inside a checksummed payload means a codec bug, but
-    // treat it as corruption all the same.
-    cursor.is_empty().then_some(value)
+    Some((value, cursor))
 }
 
 #[cfg(test)]
@@ -135,6 +153,19 @@ mod tests {
         let v = sample();
         let frame = encode_frame(KIND_PHASE1, &v);
         assert_eq!(decode_frame::<Sample>(&frame, KIND_PHASE1), Some(v));
+    }
+
+    #[test]
+    fn a_head_decodes_and_leaves_its_tail_encoded() {
+        let (head, tail) = (sample(), Node::Pair(-3, true));
+        let frame = encode_frame(KIND_PHASE1, &(&head, &tail));
+        let (decoded, rest) = decode_head::<Sample>(&frame, KIND_PHASE1).unwrap();
+        assert_eq!(decoded, head);
+        let mut tail_bytes = Vec::new();
+        tail.bin_serialize(&mut tail_bytes);
+        assert_eq!(rest, tail_bytes.as_slice());
+        // A whole-frame decode rejects the same bytes as trailing garbage.
+        assert_eq!(decode_frame::<Sample>(&frame, KIND_PHASE1), None);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! and makes recompilation **incremental** through a [`CompilationCache`]:
 //!
 //! * phase 1 is keyed on a content fingerprint of the module's source;
+//! * the analyzer is keyed on the module summaries and its options, so an
+//!   edit that leaves every summary unchanged does not re-run it;
 //! * phase 2 is keyed on the pair (module IR fingerprint, fingerprint of
 //!   the *module-relevant slice* of the [`ProgramDatabase`]), so an edit to
 //!   one module re-runs codegen only for modules whose directives actually
@@ -63,7 +65,7 @@ pub use cache::{BuildReport, CacheStats, CompilationCache, DiskCache, PhaseStats
 
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
-use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, AnalyzerStats, PaperConfig};
+use ipra_core::analyzer::{AnalyzerOptions, AnalyzerStats, PaperConfig};
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::{ProfileData, ProgramDatabase};
 use ipra_obsv::DiffReport;
@@ -249,7 +251,8 @@ pub fn compile(
 
 /// Compiles a multi-module program, reusing `cache` across builds.
 ///
-/// Phase 1 re-runs only for modules whose source changed; phase 2 re-runs
+/// Phase 1 re-runs only for modules whose source changed; the analyzer
+/// only when a summary or the resolved analyzer options changed; phase 2
 /// only for modules whose IR or whose slice of the program database
 /// changed. The result is bit-identical to a cold [`compile`] of the same
 /// sources and options; [`CompiledProgram::build`] reports what was reused.
@@ -278,25 +281,29 @@ pub fn compile_incremental(
     let entries = stages::phase1(sources, options.optimize, jobs, cache, &mut report)?;
     report.phase1.seconds = phase1_timer.finish();
 
-    // ---- The program analyzer (whole-program; always runs).
+    // ---- The program analyzer: whole-program, keyed on the summaries and
+    // the resolved options.
     let analyze_timer = span(tele, "build", "analyze");
-    let summary = ProgramSummary { modules: entries.iter().map(|e| e.summary.clone()).collect() };
-    let analyzer_opts = stages::analyzer_options(options);
-    let (analysis, trace) = if options.trace {
-        let (a, t) = analyze_traced(&summary, &analyzer_opts);
-        (a, Some(t))
-    } else {
-        (analyze(&summary, &analyzer_opts), None)
-    };
-    report.analyze_seconds = analyze_timer.finish();
+    let summary =
+        ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() };
+    let (analysis, trace) = stages::analyze(&entries, &summary, options, cache, &mut report);
+    report.analyze.seconds = analyze_timer.finish();
 
     // ---- Compiler second phase: per module, keyed on (IR, database slice).
     let phase2_timer = span(tele, "build", "phase2");
-    let objects: Vec<ObjectModule> =
-        stages::phase2(&entries, &analysis.database, options.target, jobs, cache, &mut report)
-            .into_iter()
-            .map(|a| a.object)
-            .collect();
+    let objects: Vec<ObjectModule> = stages::phase2(
+        sources,
+        options.optimize,
+        &entries,
+        &analysis.database,
+        options.target,
+        jobs,
+        cache,
+        &mut report,
+    )?
+    .into_iter()
+    .map(|a| a.object)
+    .collect();
     report.phase2.seconds = phase2_timer.finish();
 
     // ---- Link (whole-program; always runs).
@@ -316,6 +323,9 @@ pub fn compile_incremental(
         t.add("phase1.disk_hits", report.phase1.disk_hits as u64);
         t.add("phase1.misses", report.phase1.misses as u64);
         t.add("phase1.evictions", report.phase1.evictions as u64);
+        t.add("analyze.hits", report.analyze.hits as u64);
+        t.add("analyze.disk_hits", report.analyze.disk_hits as u64);
+        t.add("analyze.misses", report.analyze.misses as u64);
         t.add("phase2.hits", report.phase2.hits as u64);
         t.add("phase2.disk_hits", report.phase2.disk_hits as u64);
         t.add("phase2.misses", report.phase2.misses as u64);
@@ -331,8 +341,8 @@ pub fn compile_incremental(
         exe,
         objects,
         summary,
-        database: analysis.database,
-        stats: analysis.stats,
+        database: analysis.database.clone(),
+        stats: analysis.stats.clone(),
         build: report,
         trace,
     })
@@ -703,6 +713,7 @@ mod tests {
         assert_eq!(cold.build.phase2.misses, 2);
         let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
         assert_eq!(warm.build.phase1.hits, 2);
+        assert_eq!(warm.build.analyze.hits, 1, "unchanged summaries skip the analyzer");
         assert_eq!(warm.build.phase2.hits, 2);
         assert_eq!(warm.build.phase1.disk_hits, 0);
         assert!(warm.build.recompiled.is_empty());
@@ -745,6 +756,7 @@ mod tests {
         let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
         assert_eq!(warm.build.phase1.hits, 2);
         assert_eq!(warm.build.phase1.disk_hits, 2);
+        assert_eq!(warm.build.analyze.disk_hits, 1);
         assert_eq!(warm.build.phase2.hits, 2);
         assert_eq!(warm.build.phase2.disk_hits, 2);
         assert!(warm.build.recompiled.is_empty());
@@ -757,24 +769,77 @@ mod tests {
     fn corrupt_disk_entries_degrade_to_misses() {
         let sources = two_module_program();
         let dir = tmpdir("disk-corrupt");
-        {
+        let original = {
             let mut cache = CompilationCache::with_disk(&dir).unwrap();
-            compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap();
-        }
+            compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap()
+        };
         // Truncate every persisted entry; the rebuild must recompute, not
         // fail or produce wrong code.
-        for sub in ["p1", "p2"] {
+        for sub in ["p1", "p2", "an"] {
             for f in std::fs::read_dir(dir.join(sub)).unwrap() {
                 std::fs::write(f.unwrap().path(), "{garbage").unwrap();
             }
         }
         let mut cache = CompilationCache::with_disk(&dir).unwrap();
-        let rebuilt =
-            compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap();
+        let tele = Telemetry::new();
+        let opts = CompileOptions { telemetry: Some(tele.clone()), ..CompileOptions::default() };
+        let rebuilt = compile_incremental(&sources, &opts, &mut cache).unwrap();
         assert_eq!(rebuilt.build.phase1.misses, 2);
+        assert_eq!(rebuilt.build.analyze.misses, 1, "the analyzer re-ran");
         assert_eq!(rebuilt.build.phase2.misses, 2);
+        assert_eq!(tele.counter("cache.disk.corrupt"), 5, "two p1, two p2 and one an frame");
+        assert_eq!(rebuilt.exe, original.exe);
+        assert_eq!(rebuilt.database, original.database);
         let r = run_program(&rebuilt, &[]).unwrap();
         assert_eq!(r.output, vec![1225, 50]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A phase-1 frame whose IR tail does not decode behind a valid
+    /// checksum: the head serves phase 1 and the analyzer, and the phase-2
+    /// miss that needs the IR re-runs phase 1 from source and rewrites the
+    /// frame.
+    #[test]
+    fn an_undecodable_ir_tail_reruns_phase1_from_source() {
+        use crate::cache::Phase1Head;
+        use crate::framed::{decode_head, encode_frame, KIND_PHASE1};
+        let sources = two_module_program();
+        let dir = tmpdir("forged-tail");
+        let opts = CompileOptions::paper(PaperConfig::C);
+        let original = {
+            let mut cache = CompilationCache::with_disk(&dir).unwrap();
+            compile_incremental(&sources, &opts, &mut cache).unwrap()
+        };
+        let mut forged_key = None;
+        for f in std::fs::read_dir(dir.join("p1")).unwrap() {
+            let path = f.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            let (head, _) = decode_head::<Phase1Head>(&bytes, KIND_PHASE1).unwrap();
+            if head.summary.module == "counter" {
+                // `u64::MAX` reads as a name length past the end of the tail.
+                std::fs::write(&path, encode_frame(KIND_PHASE1, &(&head, &u64::MAX))).unwrap();
+                forged_key = Some(head.key);
+            }
+        }
+        let forged_key = forged_key.expect("counter's phase-1 frame");
+        // Without phase-2 entries every module's IR is needed.
+        for f in std::fs::read_dir(dir.join("p2")).unwrap() {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+        let tele = Telemetry::new();
+        let traced = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
+        let mut cache = CompilationCache::with_disk(&dir).unwrap();
+        let rebuilt = compile_incremental(&sources, &traced, &mut cache).unwrap();
+        assert_eq!(rebuilt.build.phase1.disk_hits, 2, "the forged head passes");
+        assert_eq!(rebuilt.build.analyze.disk_hits, 1);
+        assert_eq!(rebuilt.build.recompiled, vec!["counter".to_string(), "app".to_string()]);
+        assert_eq!(tele.counter("cache.disk.corrupt"), 1);
+        assert_eq!(rebuilt.exe, original.exe);
+        drop(cache);
+        // The flush replaced the forged frame with a whole one.
+        let disk = DiskCache::open(&dir).unwrap();
+        let entry = disk.load_phase1(forged_key).expect("rewritten frame");
+        assert!(entry.ir().is_some(), "the rewritten tail decodes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -877,6 +942,13 @@ mod tests {
         assert!(!trace.events.is_empty());
         assert_eq!(traced.exe, plain.exe);
         assert_eq!(traced.database, plain.database);
+        // A traced build runs the analyzer even when the cache holds the
+        // analysis.
+        let mut cache = CompilationCache::new();
+        compile_incremental(&sources, &CompileOptions::paper(PaperConfig::C), &mut cache).unwrap();
+        let again = compile_incremental(&sources, &traced_opts, &mut cache).unwrap();
+        assert_eq!(again.build.analyze.misses, 1);
+        assert_eq!(again.trace, traced.trace);
     }
 
     #[test]

@@ -68,16 +68,19 @@ pub fn build_module_for(
     target: TargetId,
 ) -> Result<ModuleProduct, CompileError> {
     let mut report = BuildReport::default();
-    let entries = stages::phase1(std::slice::from_ref(src), optimize, 1, cache, &mut report)?;
-    let object = stages::phase2(&entries, database, target, 1, cache, &mut report).remove(0);
+    let sources = std::slice::from_ref(src);
+    let entries = stages::phase1(sources, optimize, 1, cache, &mut report)?;
+    let object =
+        stages::phase2(sources, optimize, &entries, database, target, 1, cache, &mut report)?
+            .remove(0);
     // One burst of disk-tier writes per module build (see `DiskCache`).
     cache.flush();
-    let entry = &entries[0];
+    let head = &entries[0].head;
     Ok(ModuleProduct {
         summary: SummaryArtifact {
-            summary: entry.summary.clone(),
-            source_fp: entry.key,
-            ir_fp: entry.ir_fp,
+            summary: head.summary.clone(),
+            source_fp: head.key,
+            ir_fp: head.ir_fp,
         },
         object,
         phase1_hit: report.phase1.hits == 1,
@@ -197,9 +200,9 @@ pub fn artifact_build_for(
     for (src, entry) in sources.iter().zip(&entries) {
         let path = dir.join(format!("{}.csum", src.name));
         let payload = SummaryArtifact {
-            summary: entry.summary.clone(),
-            source_fp: entry.key,
-            ir_fp: entry.ir_fp,
+            summary: entry.head.summary.clone(),
+            source_fp: entry.head.key,
+            ir_fp: entry.head.ir_fp,
         };
         ipra_artifact::write_file(ArtifactKind::Summary, &path, &payload)?;
         count_artifact_write(tele, &path);
@@ -231,7 +234,16 @@ pub fn artifact_build_for(
     let directives: DirectivesArtifact =
         ipra_artifact::read_file(ArtifactKind::Directives, &directives_path)?;
     count_artifact_read(tele, &directives_path);
-    let objects = stages::phase2(&entries, &directives.database, target, 1, cache, &mut report);
+    let objects = stages::phase2(
+        sources,
+        true,
+        &entries,
+        &directives.database,
+        target,
+        1,
+        cache,
+        &mut report,
+    )?;
     cache.flush();
     let mut object_paths = Vec::with_capacity(sources.len());
     for (src, object) in sources.iter().zip(&objects) {

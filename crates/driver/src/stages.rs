@@ -1,4 +1,4 @@
-//! The per-module pipeline steps and the worker pool they fan out on.
+//! The pipeline steps and the worker pool they fan out on.
 //!
 //! [`phase1`] and [`phase2`] are the paper's two per-module compiler
 //! phases as cached steps: probe the [cache](crate::CompilationCache),
@@ -7,18 +7,23 @@
 //! only place either phase runs: [`crate::compile_incremental`],
 //! [`crate::separate::build_module_for`] (`cminc c`) and the staged
 //! artifact build all go through them, so a cache key cannot drift
-//! between the in-memory and the file-based pipelines.
+//! between the in-memory and the file-based pipelines. [`analyze`] is the
+//! program analyzer as the same kind of step, keyed on
+//! [`analysis_key`].
 
-use crate::cache::{Phase1Entry, Phase2Entry};
+use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase2Entry};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
 use cmin_ir::{lower_module, optimize_module, IrModule};
 use ipra_artifact::ObjectArtifact;
-use ipra_core::analyzer::{AnalyzerOptions, PaperConfig};
+use ipra_core::analyzer::{analyze_traced, AnalyzerOptions, PaperConfig};
 use ipra_core::fingerprint::Fnv64;
+use ipra_core::trace::AnalyzerTrace;
 use ipra_core::ProgramDatabase;
+use ipra_summary::ProgramSummary;
 use ipra_telemetry::span;
+use serde::BinSerialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vpr::target::TargetId;
@@ -149,7 +154,7 @@ pub(crate) fn phase1(
     let mut first_error: Option<CompileError> = None;
     for (&i, result) in miss_idx.iter().zip(computed) {
         match result {
-            Ok(entry) => entries[i] = Some(cache.store_phase1(&sources[i].name, entry)),
+            Ok((head, ir)) => entries[i] = Some(cache.store_phase1(&sources[i].name, head, ir)),
             // `miss_idx` ascends, so the first error kept is the lowest-index one.
             Err(e) => first_error = first_error.or(Some(e)),
         }
@@ -163,26 +168,89 @@ pub(crate) fn phase1(
     Ok(entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect())
 }
 
+/// The analysis cache key: FNV-64 over the module count, each module's
+/// `summary_fp` in source order, and the binary encoding of the resolved
+/// `opts`. The analyzer reads nothing but the summaries and its options, so
+/// a repeated key certifies an identical analysis; every option field is
+/// in the encoding by construction, and a profile encodes its edges sorted.
+pub(crate) fn analysis_key(summary_fps: &[u64], opts: &AnalyzerOptions) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(summary_fps.len() as u64);
+    for &fp in summary_fps {
+        h.write_u64(fp);
+    }
+    let mut encoded = Vec::new();
+    opts.bin_serialize(&mut encoded);
+    h.write(&encoded);
+    h.finish()
+}
+
+/// The program analyzer over phase-1 `entries` (whose summaries make up
+/// `summary`) under `options`' analyzer settings, through `cache`'s
+/// analysis tier, and fills `report.analyze`. A traced build always runs
+/// the analyzer, to record its decisions, and stores the result like any
+/// miss.
+pub(crate) fn analyze(
+    entries: &[Arc<Phase1Entry>],
+    summary: &ProgramSummary,
+    options: &CompileOptions,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> (Arc<AnalysisEntry>, Option<AnalyzerTrace>) {
+    let opts = analyzer_options(options);
+    let fps: Vec<u64> = entries.iter().map(|e| e.head.summary_fp).collect();
+    let key = analysis_key(&fps, &opts);
+    if !options.trace {
+        if let Some((entry, from_disk)) = cache.lookup_analysis(key) {
+            report.analyze.hits = 1;
+            report.analyze.disk_hits = usize::from(from_disk);
+            return (entry, None);
+        }
+    }
+    report.analyze.misses = 1;
+    let (analysis, trace) = if options.trace {
+        let (a, t) = analyze_traced(summary, &opts);
+        (a, Some(t))
+    } else {
+        (ipra_core::analyze(summary, &opts), None)
+    };
+    let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
+    (cache.store_analysis(entry), trace)
+}
+
 /// The compiler second phase over phase-1 `entries` under `database`,
 /// through `cache`, keyed on (IR, database slice, target). Returns each
 /// module's object with the fingerprints codegen consumed (the `.vo`
 /// payload), in order, and fills `report.phase2` and `report.recompiled`.
+///
+/// Only the modules it recompiles decode their IR. One whose cached IR
+/// does not decode re-runs phase 1 from its source (`sources` and
+/// `optimize` are what [`phase1`] was given) and replaces the cached entry;
+/// the frame counts as corrupt, while `report.phase1` keeps the lookup's
+/// hit, since the head was served.
+///
+/// # Errors
+///
+/// The lowest-index diagnostic of such a re-run.
+#[allow(clippy::too_many_arguments)] // phase 1's inputs ride along for the fallback
 pub(crate) fn phase2(
+    sources: &[SourceFile],
+    optimize: bool,
     entries: &[Arc<Phase1Entry>],
     database: &ProgramDatabase,
     target: TargetId,
     jobs: usize,
     cache: &mut CompilationCache,
     report: &mut BuildReport,
-) -> Vec<ObjectArtifact> {
+) -> Result<Vec<ObjectArtifact>, CompileError> {
     let tele = cache.telemetry().cloned();
     let evictions_before = cache.stats.phase2_evictions;
     let db_fps: Vec<u64> = entries
         .iter()
         .map(|e| {
             let fp = database.module_slice_fingerprint(
-                e.ir.functions.iter().map(|f| f.name.as_str()),
-                e.callees.iter().map(|s| s.as_str()),
+                e.head.summary.procs.iter().map(|p| p.name.as_str()),
+                e.head.callees.iter().map(|s| s.as_str()),
             );
             mix_target(fp, target)
         })
@@ -190,11 +258,12 @@ pub(crate) fn phase2(
     let mut objects: Vec<Option<ObjectArtifact>> = Vec::with_capacity(entries.len());
     let mut stale_idx: Vec<usize> = Vec::new();
     for (i, e) in entries.iter().enumerate() {
-        match cache.lookup_phase2(&e.ir.name, e.ir_fp, db_fps[i]) {
+        let ir_fp = e.head.ir_fp;
+        match cache.lookup_phase2(&e.head.summary.module, ir_fp, db_fps[i]) {
             Some((object, from_disk)) => {
                 report.phase2.hits += 1;
                 report.phase2.disk_hits += usize::from(from_disk);
-                objects.push(Some(ObjectArtifact { object, ir_fp: e.ir_fp, dir_fp: db_fps[i] }));
+                objects.push(Some(ObjectArtifact { object, ir_fp, dir_fp: db_fps[i] }));
             }
             None => {
                 report.phase2.misses += 1;
@@ -204,27 +273,42 @@ pub(crate) fn phase2(
         }
     }
     let compiled = parallel_map(&stale_idx, jobs, |&i| {
-        let ir = &entries[i].ir;
-        let _task = span(tele.as_ref(), "phase2", &format!("phase2:{}", ir.name));
-        cmin_codegen::compile_module_for(ir, database, target)
+        let e = &entries[i];
+        let _task = span(tele.as_ref(), "phase2", &format!("phase2:{}", e.head.summary.module));
+        match e.ir() {
+            Some(ir) => Ok((cmin_codegen::compile_module_for(ir, database, target), None)),
+            None => {
+                let _redo = span(tele.as_ref(), "phase1", &format!("phase1:{}", sources[i].name));
+                let (head, ir) = run_phase1(&sources[i], optimize, e.head.key)?;
+                let object = cmin_codegen::compile_module_for(&ir, database, target);
+                Ok((object, Some((head, ir))))
+            }
+        }
     });
-    for (&i, object) in stale_idx.iter().zip(compiled) {
+    for (&i, result) in stale_idx.iter().zip(compiled) {
+        let (object, redone) = result?;
         let (e, db_fp) = (&entries[i], db_fps[i]);
-        report.recompiled.push(e.ir.name.clone());
-        cache.store_phase2(
-            &e.ir.name,
-            Phase2Entry { ir_fp: e.ir_fp, db_fp, object: object.clone() },
-        );
-        objects[i] = Some(ObjectArtifact { object, ir_fp: e.ir_fp, dir_fp: db_fp });
+        let name = &e.head.summary.module;
+        if let Some((head, ir)) = redone {
+            cache.repair_phase1(name, head, ir);
+        }
+        report.recompiled.push(name.clone());
+        let ir_fp = e.head.ir_fp;
+        cache.store_phase2(name, Phase2Entry { ir_fp, db_fp, object: object.clone() });
+        objects[i] = Some(ObjectArtifact { object, ir_fp, dir_fp: db_fp });
     }
     cache.stats.phase2_hits += report.phase2.hits as u64;
     cache.stats.phase2_misses += report.phase2.misses as u64;
     report.phase2.evictions = (cache.stats.phase2_evictions - evictions_before) as usize;
-    objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect()
+    Ok(objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect())
 }
 
 /// Runs the full first phase for one module.
-fn run_phase1(src: &SourceFile, optimize: bool, key: u64) -> Result<Phase1Entry, CompileError> {
+fn run_phase1(
+    src: &SourceFile,
+    optimize: bool,
+    key: u64,
+) -> Result<(Phase1Head, IrModule), CompileError> {
     let m = parse_module(&src.name, &src.text)?;
     let info = check_module(&m)?;
     let mut ir = lower_module(&m, &info);
@@ -232,16 +316,23 @@ fn run_phase1(src: &SourceFile, optimize: bool, key: u64) -> Result<Phase1Entry,
         optimize_module(&mut ir);
     }
     let summary = ipra_summary::summarize_module(&ir);
+    let mut encoded = Vec::new();
+    summary.bin_serialize(&mut encoded);
+    let mut h = Fnv64::new();
+    h.write(&encoded);
+    let summary_fp = h.finish();
+    // Hashed through JSON, not the cheaper binary encoding: `.csum`
+    // artifacts carry `ir_fp`, and committed goldens pin their bytes.
     let ir_json = serde_json::to_string(&ir).expect("IR serialization cannot fail");
     let ir_fp = ipra_core::fingerprint::fingerprint_str(&ir_json);
     let callees = direct_callees(&ir);
-    Ok(Phase1Entry { key, ir_fp, callees, ir, summary })
+    Ok((Phase1Head { key, ir_fp, callees, summary, summary_fp }, ir))
 }
 
 /// Resolves the analyzer options a build will run under: explicit
 /// [`CompileOptions::analyzer`] wins, then `config`+`profile`, then plain
 /// level-2. The build's target is threaded in either way.
-pub(crate) fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
+fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
     let mut opts = match (&options.analyzer, options.config) {
         (Some(a), _) => a.clone(),
         (None, Some(c)) => AnalyzerOptions::paper_config(c, options.profile.clone()),
@@ -249,4 +340,37 @@ pub(crate) fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
     };
     opts.target = options.target;
     opts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipra_core::ProfileData;
+
+    #[test]
+    fn profile_recording_order_does_not_move_the_analysis_key() {
+        let edges = [("main", "a", 3), ("a", "b", 40), ("main", "b", 1), ("b", "c", 7)];
+        let mut forward = ProfileData::new();
+        for (caller, callee, n) in edges {
+            forward.record_edge(caller, callee, n);
+        }
+        let mut backward = ProfileData::new();
+        for (caller, callee, n) in edges.into_iter().rev() {
+            backward.record_edge(caller, callee, n);
+        }
+        let opts = |p: &ProfileData| AnalyzerOptions::paper_config(PaperConfig::F, Some(p.clone()));
+        let fps = [1, 2, 3];
+        assert_eq!(analysis_key(&fps, &opts(&forward)), analysis_key(&fps, &opts(&backward)));
+
+        // Whereas another count, another option or another summary does.
+        let mut other = forward.clone();
+        other.record_edge("a", "b", 1);
+        let base = analysis_key(&fps, &opts(&forward));
+        assert_ne!(analysis_key(&fps, &opts(&other)), base);
+        let mut tweaked = opts(&forward);
+        tweaked.discard.min_lref_ratio += 0.125;
+        assert_ne!(analysis_key(&fps, &tweaked), base);
+        assert_ne!(analysis_key(&[1, 3, 2], &opts(&forward)), base);
+        assert_ne!(analysis_key(&fps[..2], &opts(&forward)), base);
+    }
 }

@@ -193,13 +193,16 @@ grep -q '"sim.op.' "$tele/stats-run.json"
 "$cminc" fuzz --seed 1 --iters 5 --metrics-out "$tele/fuzz.json" > /dev/null 2>&1
 grep -q '"fuzz.iterations": 5' "$tele/fuzz.json"
 
-echo "==> persistent cache smoke (second process recompiles only the edited module)"
+echo "==> persistent cache smoke (second process recompiles only the edited module, reuses the analysis)"
 bcache="$sep/.bcache"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C --cache-dir "$bcache" -o "$sep/cache1.vx" > /dev/null
+# The edit moves m2's code but not its summary, so the analysis comes
+# off disk.
 sed -i 's/x \* 2/x \* 3/' "$sep/m2.cmin"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C --cache-dir "$bcache" --stats \
-  -o "$sep/cache2.vx" > "$sep/cache-stats.txt" 2>&1
+  --metrics-out "$sep/cache-metrics.json" -o "$sep/cache2.vx" > "$sep/cache-stats.txt" 2>&1
 grep -q 'recompiled: m2$' "$sep/cache-stats.txt"
+grep -q '"analyze.disk_hits": 1' "$sep/cache-metrics.json"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C -o "$sep/nocache.vx" > /dev/null
 cmp "$sep/cache2.vx" "$sep/nocache.vx"
 

@@ -46,11 +46,11 @@ fn local_vx(sources: &[SourceFile]) -> String {
     protocol::executable_artifact(&program.exe).0
 }
 
-/// Overwrites or truncates every cached phase artifact under `dir`,
-/// alternating damage modes; returns how many files were vandalized.
+/// Overwrites or truncates every cached phase and analysis artifact under
+/// `dir`, alternating damage modes; returns how many files were vandalized.
 fn corrupt_cache_files(dir: &Path) -> usize {
     let mut hit = 0;
-    for tier in ["p1", "p2"] {
+    for tier in ["p1", "p2", "an"] {
         let Ok(entries) = std::fs::read_dir(dir.join(tier)) else { continue };
         for entry in entries.flatten() {
             let path = entry.path();
@@ -124,6 +124,25 @@ fn corrupted_cache_files_degrade_to_misses_with_correct_bytes() {
 
     assert!(counter(&mut client, "cache.disk.corrupt") > 0, "disk damage goes unlogged");
 
+    client.shutdown().expect("shutdown");
+    server.wait();
+
+    // Round three: a restarted daemon over a freshly poisoned directory
+    // has nothing in memory, so the analysis must come off disk too — and
+    // its damaged frame must send the build back to the analyzer.
+    assert!(std::fs::read_dir(cache_dir.join("an")).expect("an/").next().is_some());
+    corrupt_cache_files(&cache_dir);
+    let opts = ServerOptions {
+        cache_dir: Some(cache_dir.clone()),
+        ..ServerOptions::new(sock("cache-restart"))
+    };
+    let server = Server::start(opts).expect("server restart");
+    let mut client = Client::connect(server.socket()).expect("connect");
+    let built = client.build(&request_for(&sources_a)).expect("build a after restart");
+    assert_eq!(built.vx, expected_a, "corrupt cache must not change output bytes");
+    assert_eq!(counter(&mut client, "analyze.misses"), 1, "the analyzer re-ran");
+    assert_eq!(counter(&mut client, "analyze.hits"), 0);
+    assert!(counter(&mut client, "cache.disk.corrupt") > 0, "disk damage goes unlogged");
     client.shutdown().expect("shutdown");
     server.wait();
 }
