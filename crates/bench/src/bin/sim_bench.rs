@@ -13,10 +13,9 @@
 //! Each workload runs plain and with exact attribution. Both engines pay
 //! the same per-run setup (registers, memory image, counters); the fast
 //! engine's one-time pre-decode is done once up front and reused across
-//! runs, which is exactly how the driver amortizes it. Memory is sized
-//! down from the 16 MiB default so the measurement is the dispatch loop,
-//! not `memset` — observables never depend on memory size as long as the
-//! program fits.
+//! runs, which is exactly how the driver amortizes it. Runs use the
+//! default [`vpr::SimOptions`], memory size included, so a row times what
+//! a caller's run costs.
 //!
 //! Each (workload, target, mode) gets two rows named
 //! `{workload}/{target}/{plain|attributed}`, one per engine (layer `fast`
@@ -53,11 +52,6 @@ use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_workloads::scaled::scaled_sim_program;
 use std::process::ExitCode;
 
-/// Words of simulated memory per run: far above what any bench workload
-/// touches, far below the default whose zeroing would drown the dispatch
-/// loop being measured.
-const MEM_WORDS: usize = 1 << 16;
-
 /// Instructions each engine leg should retire, total across repeats.
 const TARGET_INSTRUCTIONS: u64 = 24_000_000;
 
@@ -92,7 +86,6 @@ fn measure(
     let exe = &program.exe;
     let decoded = vpr::decode(exe);
     let opts = vpr::SimOptions {
-        mem_words: MEM_WORDS,
         input: input.to_vec(),
         attribute: attributed,
         ..vpr::SimOptions::default()

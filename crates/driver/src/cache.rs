@@ -109,7 +109,8 @@ pub struct CacheStats {
 pub(crate) struct Phase1Head {
     /// Fingerprint of (module name, source text, optimize flag).
     pub(crate) key: u64,
-    /// Fingerprint of the optimized IR (what phase 2 consumes).
+    /// FNV-64 of the optimized IR's binary encoding (what phase 2
+    /// consumes).
     pub(crate) ir_fp: u64,
     /// Direct callees named anywhere in the IR — the procedures whose
     /// database slice codegen will consult at call sites.

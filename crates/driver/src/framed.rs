@@ -41,10 +41,11 @@ const MAGIC: [u8; 4] = *b"IPRF";
 // frames from older cache directories read as misses, not as shifted
 // garbage or stale results: v3 widened RegSet's encoding to 8 bytes; v4
 // split phase-1 frames into head and IR tail, added analysis frames, and
-// moved directive-slice fingerprints off JSON. Keys cover a step's
+// moved directive-slice fingerprints off JSON; v5 moved `ir_fp`, which
+// keys phase-2 frames, off JSON as well. Keys cover a step's
 // *inputs*, not the code that runs it, so a change to what the frontend,
 // the analyzer or codegen emits bumps this too.
-const VERSION: u8 = 4;
+const VERSION: u8 = 5;
 
 /// Frame kind for phase-1 cache entries.
 pub(crate) const KIND_PHASE1: u8 = 1;

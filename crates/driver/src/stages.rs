@@ -316,17 +316,19 @@ fn run_phase1(
         optimize_module(&mut ir);
     }
     let summary = ipra_summary::summarize_module(&ir);
-    let mut encoded = Vec::new();
-    summary.bin_serialize(&mut encoded);
-    let mut h = Fnv64::new();
-    h.write(&encoded);
-    let summary_fp = h.finish();
-    // Hashed through JSON, not the cheaper binary encoding: `.csum`
-    // artifacts carry `ir_fp`, and committed goldens pin their bytes.
-    let ir_json = serde_json::to_string(&ir).expect("IR serialization cannot fail");
-    let ir_fp = ipra_core::fingerprint::fingerprint_str(&ir_json);
+    let summary_fp = bin_fingerprint(&summary);
+    let ir_fp = bin_fingerprint(&ir);
     let callees = direct_callees(&ir);
     Ok((Phase1Head { key, ir_fp, callees, summary, summary_fp }, ir))
+}
+
+/// FNV-64 over `value`'s binary encoding.
+fn bin_fingerprint(value: &impl BinSerialize) -> u64 {
+    let mut encoded = Vec::new();
+    value.bin_serialize(&mut encoded);
+    let mut h = Fnv64::new();
+    h.write(&encoded);
+    h.finish()
 }
 
 /// Resolves the analyzer options a build will run under: explicit

@@ -37,8 +37,9 @@ impl fmt::Display for BlockId {
     }
 }
 
-/// An instruction operand: a temp or an immediate constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// An instruction operand: a temp or an immediate constant. Temps order
+/// before constants, and each kind orders by its number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Operand {
     /// A virtual register.
     Temp(Temp),

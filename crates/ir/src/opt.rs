@@ -201,11 +201,10 @@ fn local_opt(f: &mut Function) -> bool {
             let key = match &inst {
                 Inst::Bin { op, lhs, rhs, .. } => {
                     let (mut l, mut r) = (*lhs, *rhs);
-                    if op.is_commutative() {
-                        // Canonical operand order for commutative ops.
-                        if format!("{l:?}") > format!("{r:?}") {
-                            std::mem::swap(&mut l, &mut r);
-                        }
+                    // Canonical operand order for commutative ops: any
+                    // total order puts `(a, b)` and `(b, a)` under one key.
+                    if op.is_commutative() && l > r {
+                        std::mem::swap(&mut l, &mut r);
                     }
                     // Never CSE potentially trapping division.
                     if matches!(op, BinOp::Div | BinOp::Rem)

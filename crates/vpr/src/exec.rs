@@ -31,8 +31,9 @@
 //! oracle's cross-engine differential layer.
 
 use crate::inst::{AluOp, Cond, Inst};
+use crate::memory::boot;
 use crate::profile::Observer;
-use crate::program::{Executable, GLOBALS_BASE};
+use crate::program::Executable;
 use crate::regs::Reg;
 use crate::sim::{CallCounters, RunResult, RunStats, SimError, SimOptions};
 
@@ -180,20 +181,10 @@ impl DecodedProgram<'_> {
     fn exec<const OBS: bool>(&self, opts: &SimOptions) -> Result<RunResult, SimError> {
         let ops = &self.ops[..];
         let nfuncs = self.nfuncs;
-        let mut mem = vec![0i64; opts.mem_words];
-        for &(addr, v) in self.exe.data_init() {
-            if (addr as usize) < mem.len() {
-                mem[addr as usize] = v;
-            }
-        }
-        // Both supported targets hardwire index 0 to zero (`set` relies on
-        // it); the data/stack/link/return roles come from the description.
+        let (mut mem, mut regs) = boot(self.exe, opts.mem_words);
         let desc = self.exe.target().desc();
         let rp_idx = desc.rp.index() as u8;
         let rv_idx = desc.rv.index() as u8;
-        let mut regs = [0i64; Reg::COUNT];
-        regs[desc.dp.index()] = GLOBALS_BASE;
-        regs[desc.sp.index()] = opts.mem_words as i64;
 
         let max_steps = opts.max_steps;
         let input = &opts.input[..];
@@ -368,7 +359,7 @@ impl DecodedProgram<'_> {
 mod tests {
     use super::*;
     use crate::inst::MemClass;
-    use crate::program::{link, GlobalDef, MachineFunction, ObjectModule};
+    use crate::program::{link, GlobalDef, MachineFunction, ObjectModule, DEFAULT_MEM_WORDS};
     use crate::sim::Engine;
 
     #[test]
@@ -493,6 +484,47 @@ mod tests {
         f.push(Inst::Stw { rs: Reg::ZERO, base: Reg::ZERO, disp: -2, class: MemClass::Indirect });
         let err = both(&exe_of(vec![f], vec![]), &SimOptions::default()).unwrap_err();
         assert!(matches!(&err, SimError::MemFault { addr: -2, .. }));
+
+        // The whole default address space is there and reads zero until
+        // written: `main` outputs an untouched middle word and the top
+        // word, then stores into both and reads the top word back.
+        let top = DEFAULT_MEM_WORDS as i64 - 1;
+        let (r_mid, r_top, r_val) = (Reg::new(19), Reg::new(20), Reg::new(21));
+        let mut f = MachineFunction::new("main");
+        f.push(Inst::Ldi { rd: r_mid, imm: top / 2 });
+        f.push(Inst::Ldi { rd: r_top, imm: top });
+        f.push(Inst::Ldi { rd: r_val, imm: -77 });
+        for base in [r_mid, r_top] {
+            f.push(Inst::Ldw { rd: Reg::RV, base, disp: 0, class: MemClass::Indirect });
+            f.push(Inst::Out { rs: Reg::RV });
+            f.push(Inst::Stw { rs: r_val, base, disp: 0, class: MemClass::Indirect });
+        }
+        f.push(Inst::Ldw { rd: Reg::RV, base: r_top, disp: 0, class: MemClass::Indirect });
+        f.push(Inst::Bv { base: Reg::RP });
+        let exe = exe_of(vec![f], vec![]);
+        // The second run starts from fresh zeroed memory, not the first
+        // run's stores.
+        for _ in 0..2 {
+            let r = both(&exe, &SimOptions::default()).unwrap();
+            assert_eq!((r.output, r.exit), (vec![0, 0], -77));
+        }
+
+        // One word past the top faults, on a load and on a store.
+        for store in [false, true] {
+            let mut f = MachineFunction::new("main");
+            f.push(Inst::Ldi { rd: r_top, imm: top });
+            f.push(if store {
+                Inst::Stw { rs: r_top, base: r_top, disp: 1, class: MemClass::Indirect }
+            } else {
+                Inst::Ldw { rd: Reg::RV, base: r_top, disp: 1, class: MemClass::Indirect }
+            });
+            let err = both(&exe_of(vec![f], vec![]), &SimOptions::default()).unwrap_err();
+            assert!(
+                matches!(&err, SimError::MemFault { addr, sym, .. }
+                    if *addr == DEFAULT_MEM_WORDS as i64 && sym.as_deref() == Some("main+1")),
+                "{err:?}"
+            );
+        }
 
         // Bad pc via an indirect jump, and via an indirect call.
         let mut f = MachineFunction::new("main");

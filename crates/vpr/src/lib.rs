@@ -49,6 +49,7 @@ pub mod asm;
 pub mod cfg;
 pub mod exec;
 pub mod inst;
+mod memory;
 pub mod object;
 pub mod profile;
 pub mod program;

@@ -13,8 +13,9 @@
 //!   configurations B and F.
 
 use crate::inst::Inst;
+use crate::memory::{boot, Memory};
 use crate::profile::Observer;
-use crate::program::{Executable, DEFAULT_MEM_WORDS, GLOBALS_BASE};
+use crate::program::{Executable, DEFAULT_MEM_WORDS};
 use crate::regs::Reg;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -396,7 +397,7 @@ impl CallCounters {
 struct Machine<'a> {
     exe: &'a Executable,
     regs: [i64; Reg::COUNT],
-    mem: Vec<i64>,
+    mem: Memory,
     pc: usize,
     steps: u64,
     max_steps: u64,
@@ -419,19 +420,8 @@ struct Machine<'a> {
 
 impl<'a> Machine<'a> {
     fn new(exe: &'a Executable, opts: &'a SimOptions) -> Machine<'a> {
-        let mut mem = vec![0i64; opts.mem_words];
-        for &(addr, v) in exe.data_init() {
-            if (addr as usize) < mem.len() {
-                mem[addr as usize] = v;
-            }
-        }
-        // Both supported targets keep the hardwired zero at index 0 (the
-        // `get`/`set` suppression below relies on it); the data pointer,
-        // stack pointer and link/return roles come from the description.
+        let (mem, regs) = boot(exe, opts.mem_words);
         let desc = exe.target().desc();
-        let mut regs = [0i64; Reg::COUNT];
-        regs[desc.dp.index()] = GLOBALS_BASE;
-        regs[desc.sp.index()] = opts.mem_words as i64;
         let observed = opts.attribute || opts.profile;
         Machine {
             exe,
