@@ -10,15 +10,20 @@
 //! * **warm/1** — one client re-requesting a primed program: pure cache
 //!   hits through one connection;
 //! * **cold/N** — N clients submitting N distinct never-seen programs
-//!   concurrently: shard parallelism on misses;
+//!   concurrently, each under its own module names (a project of its own,
+//!   so the programs spread across shards): shard parallelism on misses;
 //! * **warm/N** — N clients hammering the primed program concurrently: the
 //!   multi-tenant payoff, where one tenant's phase-1 work serves everyone
 //!   (the headline gate: ≥ 2× the cold single-client rate);
+//! * **branches/1** — one client re-requesting, round-robin, 4 primed
+//!   branches of one program (the same module names, every module
+//!   re-tuned per branch): the branches share their project's shard, and
+//!   each keeps its entries there, so no request recompiles anything;
 //! * **dedup/N** — N clients racing one identical never-seen request from
 //!   behind a barrier, once: the in-flight map must coalesce followers onto
 //!   the leader's build.
 //!
-//! Each regime is one row (layer `daemon`). The four throughput legs are
+//! Each regime is one row (layer `daemon`). The five throughput legs are
 //! timed best of [`TRIALS`](ipra_bench::harness::TRIALS); `requests` counts
 //! one trial's requests, so requests/s is `requests / seconds`. Every row
 //! also counts what the daemon did from the end of the previous row to the
@@ -34,12 +39,14 @@
 //! ```
 //!
 //! `--check` fails the run unless warm/N serves at least twice the
-//! requests/s of cold/1 (`warm_n_over_cold_1`), and the dedup round
-//! coalesced at least one request with every request either leading or
-//! coalesced — the CI smoke mode wired into `scripts/check.sh`. Results go
-//! to `BENCH_daemon.json`.
+//! requests/s of cold/1 (`warm_n_over_cold_1`), the branches/1 leg
+//! recompiled no module (`branches/1.recompiled`, the sum of every timed
+//! response's `recompiled` list), and the dedup round coalesced at least
+//! one request with every request either leading or coalesced — the CI
+//! smoke mode wired into `scripts/check.sh`. Results go to
+//! `BENCH_daemon.json`.
 
-use ipra_bench::harness::{best_of, count, time, Args, Cmp, Counters, Host, Report};
+use ipra_bench::harness::{best_of, count, counters, time, Args, Cmp, Counters, Host, Report};
 use ipra_daemon::protocol::{executable_artifact, BuildRequest, WireSource};
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::{compile, CompileOptions, SourceFile};
@@ -53,6 +60,10 @@ use std::thread::JoinHandle;
 const CLIENTS: usize = 8;
 /// Requests per client in each throughput leg.
 const REQUESTS: usize = 3;
+/// Branches of the branches/1 program.
+const BRANCHES: usize = 4;
+/// Round-robin passes over the branches in each branches/1 trial.
+const BRANCH_ROUNDS: usize = 2;
 /// The headline gate: warm/N requests/s over cold/1 requests/s.
 const MIN_WARM_N_OVER_COLD_1: f64 = 2.0;
 
@@ -63,6 +74,11 @@ fn unique_program(modules: usize, tune: &mut i64) -> Vec<SourceFile> {
     *tune += 1;
     let t = *tune;
     (0..modules).map(|i| scaled_module(i, modules, t)).collect()
+}
+
+/// `sources` as a project of its own: every module name gets `prefix`.
+fn renamed(sources: Vec<SourceFile>, prefix: &str) -> Vec<SourceFile> {
+    sources.into_iter().map(|s| SourceFile { name: format!("{prefix}{}", s.name), ..s }).collect()
 }
 
 fn request_for(sources: &[SourceFile]) -> BuildRequest {
@@ -143,17 +159,18 @@ fn main() -> ExitCode {
     let server = Server::start(options).expect("server start");
     let mut tune: i64 = 10_000;
 
-    // Adds one regime's row, counting its requests and what the daemon did
-    // since the previous row.
+    // Adds one regime's row: the bench's own counts (`requests` at least)
+    // and what the daemon did since the previous row.
     let mut seen = Counters::new();
-    let mut row = |report: &mut Report, name: &str, seconds: f64, requests: usize| {
+    let mut row = |report: &mut Report, name: &str, seconds: f64, work: Counters| {
         let now = server.telemetry().counters();
         let mut counters: Counters =
             now.iter().map(|(k, v)| (k.clone(), v - seen.get(k).unwrap_or(&0))).collect();
-        counters.insert("requests".to_string(), requests as u64);
+        counters.extend(work);
         report.row(name, "daemon", seconds, counters);
         seen = now;
     };
+    let requests = |n: usize| counters([("requests", n as u64)]);
 
     // Cold, one client: every request a never-seen program, so the wire
     // round trip sits on top of a full compile each time.
@@ -167,7 +184,7 @@ fn main() -> ExitCode {
             work
         },
     );
-    row(&mut report, "cold/1", seconds, REQUESTS);
+    row(&mut report, "cold/1", seconds, requests(REQUESTS));
 
     // Prime one program and pin down its ground-truth bytes for the warm
     // legs (the byte check rides inside every warm response).
@@ -187,15 +204,16 @@ fn main() -> ExitCode {
             }
         },
     );
-    row(&mut report, "warm/1", seconds, REQUESTS);
+    row(&mut report, "warm/1", seconds, requests(REQUESTS));
 
-    // Cold, N clients: N distinct never-seen programs in flight at once
-    // (each lands on its fingerprint's shard, so misses can overlap).
+    // Cold, N clients: N distinct never-seen programs in flight at once,
+    // each a project of its own (each lands on its project's shard, so
+    // misses can overlap).
     let ((), seconds) = best_of(
         || {
             let work = (0..CLIENTS)
-                .map(|_| {
-                    let sources = unique_program(modules, &mut tune);
+                .map(|c| {
+                    let sources = renamed(unique_program(modules, &mut tune), &format!("c{c}_"));
                     vec![(request_for(&sources), oracle_vx(&sources))]
                 })
                 .collect();
@@ -203,7 +221,7 @@ fn main() -> ExitCode {
         },
         Clients::run,
     );
-    row(&mut report, &format!("cold/{CLIENTS}"), seconds, CLIENTS);
+    row(&mut report, &format!("cold/{CLIENTS}"), seconds, requests(CLIENTS));
 
     // Warm, N clients: everyone hammers the primed program. This is the
     // multi-tenant payoff the daemon exists for.
@@ -215,7 +233,39 @@ fn main() -> ExitCode {
         },
         Clients::run,
     );
-    row(&mut report, &format!("warm/{CLIENTS}"), seconds, CLIENTS * REQUESTS);
+    row(&mut report, &format!("warm/{CLIENTS}"), seconds, requests(CLIENTS * REQUESTS));
+
+    // Branches, one client: 4 branches of one program, primed untimed, then
+    // re-requested round-robin. Every branch meets its project's shard and
+    // keeps its entries there, so the timed leg should recompile nothing.
+    let branches: Vec<(BuildRequest, Arc<String>)> = (0..BRANCHES)
+        .map(|_| {
+            let sources = unique_program(modules, &mut tune);
+            let (request, expect) = (request_for(&sources), oracle_vx(&sources));
+            let built = solo.build(&request).expect("priming branch build");
+            assert_eq!(
+                built.vx, *expect,
+                "priming branch build: daemon bytes != solo cold compile"
+            );
+            (request, expect)
+        })
+        .collect();
+    let mut recompiled = 0;
+    let ((), seconds) = best_of(
+        || (),
+        |()| {
+            for (request, expect) in branches.iter().cycle().take(BRANCH_ROUNDS * BRANCHES) {
+                let built = solo.build(request).expect("branch build");
+                assert_eq!(built.vx, **expect, "branch build: daemon bytes != solo cold compile");
+                recompiled += built.recompiled.len();
+            }
+        },
+    );
+    let work = counters([
+        ("requests", (BRANCH_ROUNDS * BRANCHES) as u64),
+        ("recompiled", recompiled as u64),
+    ]);
+    row(&mut report, "branches/1", seconds, work);
 
     // Dedup: N clients race one identical never-seen request from behind
     // a barrier, once; followers must coalesce onto the leader's build.
@@ -224,7 +274,7 @@ fn main() -> ExitCode {
     let clients = Clients::connect(&socket, vec![vec![dedup]; CLIENTS]);
     let ((), seconds) = time(|| clients.run());
     let name = format!("dedup/{CLIENTS}");
-    row(&mut report, &name, seconds, CLIENTS);
+    row(&mut report, &name, seconds, requests(CLIENTS));
     drop(solo);
     server.stop();
 
@@ -235,7 +285,9 @@ fn main() -> ExitCode {
     let ratio = rate(&format!("warm/{CLIENTS}")) / rate("cold/1");
     let leads = counter(&name, "daemon.dedup.leads");
     let coalesced = counter(&name, "daemon.dedup.coalesced");
+    let branch_recompiles = counter("branches/1", "recompiled");
     report.gate("warm_n_over_cold_1", ratio, Cmp::AtLeast, MIN_WARM_N_OVER_COLD_1);
+    report.gate("branches/1.recompiled", branch_recompiles, Cmp::Equal, 0.0);
     report.gate(format!("{name}.coalesced"), coalesced, Cmp::AtLeast, 1.0);
     report.gate(
         format!("{name}.leads_plus_coalesced"),

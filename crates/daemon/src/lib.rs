@@ -9,11 +9,12 @@
 //!   frames (the PR-7 positional codec) over a Unix-domain socket, with a
 //!   typed [`ProtocolError`](protocol::ProtocolError) for every way a
 //!   frame can be rejected;
-//! * [`server`] — the daemon: a sharded, size-capped, LRU-evicting
+//! * [`server`] — the daemon: a content-keyed
 //!   [`CompilationCache`](ipra_driver::CompilationCache) shared by every
-//!   session, in-flight request dedup (identical concurrent requests ride
-//!   one build), per-request timeouts, per-shard telemetry counters, and
-//!   graceful drain;
+//!   session, sharded by project and bounded by what its recent builds
+//!   used (plus an optional LRU size cap), in-flight request dedup
+//!   (identical concurrent requests ride one build), per-request
+//!   timeouts, per-shard telemetry counters, and graceful drain;
 //! * [`client`] — the client: one call per request/response round trip,
 //!   with a fingerprint cross-check that refuses mismatched bytes.
 //!

@@ -15,26 +15,29 @@
 //! ## Sharding and dedup
 //!
 //! The cache is split into `shards` independently locked
-//! [`CompilationCache`]s; a request maps to the shard of its fingerprint,
-//! so unrelated programs compile concurrently while identical programs
-//! meet the same shard (and usually the same in-flight slot first). All
-//! shards share one disk directory when persistence is enabled — entries
-//! are content-addressed, so concurrent writers can only race on
-//! identical bytes.
+//! [`CompilationCache`]s; a request maps to the shard of its *project*,
+//! the FNV-64 of its module names in order. Every branch and edit of one
+//! project therefore meets the same shard and shares its content-keyed
+//! entries, while different projects compile concurrently. All shards
+//! share one disk directory when persistence is enabled — entries are
+//! content-addressed, so concurrent writers can only race on identical
+//! bytes.
 //!
-//! In-flight dedup sits above the shards: the first request for a
-//! fingerprint becomes the *leader* and spawns the build; requests that
-//! arrive while it runs become *followers* and wait on the leader's slot
-//! (`daemon.dedup.coalesced` counts them). Every waiter — leader
-//! included — applies the per-request timeout to its own wait, so a stuck
-//! build turns into a typed [`WireError::Timeout`], not a hung client;
-//! the worker still finishes and populates the cache behind the scenes.
+//! In-flight dedup sits above the shards and keys on the whole request's
+//! fingerprint: the first request for a fingerprint becomes the *leader*
+//! and spawns the build; requests that arrive while it runs become
+//! *followers* and wait on the leader's slot (`daemon.dedup.coalesced`
+//! counts them). Every waiter — leader included — applies the
+//! per-request timeout to its own wait, so a stuck build turns into a
+//! typed [`WireError::Timeout`], not a hung client; the worker still
+//! finishes and populates the cache behind the scenes.
 
 use crate::protocol::{
     self, BuildRequest, BuildResponse, Counter, ProtocolError, Request, Response, StatsResponse,
     WireError, HEADER_LEN, TAG_REQUEST,
 };
 use ipra_core::analyzer::PaperConfig;
+use ipra_core::fingerprint::Fnv64;
 use ipra_driver::{CacheStats, CompilationCache, CompileOptions, SourceFile};
 use ipra_telemetry::Telemetry;
 use std::collections::HashMap;
@@ -56,10 +59,14 @@ pub struct ServerOptions {
     /// Persistent cache directory, shared by every shard (entries are
     /// content-addressed, so shards cannot clobber each other).
     pub cache_dir: Option<PathBuf>,
-    /// Number of cache shards (clamped to at least 1).
+    /// Number of cache shards (clamped to at least 1). A request builds
+    /// on its project's shard, so shards let different projects compile
+    /// concurrently.
     pub shards: usize,
-    /// Per-shard in-memory size cap (entries per tier map); `None` is
-    /// unbounded. See [`CompilationCache::set_capacity`].
+    /// Per-shard in-memory size cap (entries per tier); `None` is
+    /// unbounded. Either way, entries that none of a shard's last
+    /// [`RETAINED_BUILDS`](ipra_driver::RETAINED_BUILDS) builds used leave
+    /// its memory. See [`CompilationCache::set_capacity`].
     pub capacity: Option<usize>,
     /// Per-request build timeout. `None` waits indefinitely.
     pub request_timeout: Option<Duration>,
@@ -378,7 +385,7 @@ fn handle_build(shared: &Arc<Shared>, req: BuildRequest) -> Result<BuildResponse
         let worker_shared = Arc::clone(shared);
         let worker_slot = Arc::clone(&slot);
         let handle = std::thread::spawn(move || {
-            let result = run_build(&worker_shared, &req, fp);
+            let result = run_build(&worker_shared, &req);
             // Retire the fingerprint *before* publishing: once a result
             // exists, later arrivals should lead a fresh (cache-warm)
             // build and report their own accounting, not adopt this one's.
@@ -425,9 +432,22 @@ fn wait_for_slot(slot: &Inflight, timeout: Option<Duration>) -> Result<BuildResp
     guard.as_ref().expect("slot filled").clone()
 }
 
-/// The leader's computation: pick the fingerprint's shard, compile under
-/// its lock, export per-shard counter deltas, package the `.vx` artifact.
-fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildResponse, WireError> {
+/// The shard a request builds on: the FNV-64 of its module names in order,
+/// so every branch and edit of one project shares one shard's entries.
+/// The hash is scaled into `0..shards` by its high bits: FNV-1a's low bits
+/// depend only on the low bits of each byte, so `% 4` puts projects named
+/// `c0_…` to `c7_…` on two shards of four.
+fn project_shard(req: &BuildRequest, shards: usize) -> usize {
+    let mut h = Fnv64::new();
+    for s in &req.sources {
+        h.write_str(&s.name);
+    }
+    ((u128::from(h.finish()) * shards as u128) >> 64) as usize
+}
+
+/// The leader's computation: pick the project's shard, compile under its
+/// lock, export per-shard counter deltas, package the `.vx` artifact.
+fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireError> {
     let config = PaperConfig::parse(&req.config)
         .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
     if req.sources.is_empty() {
@@ -448,7 +468,7 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
         telemetry: Some(build_tele.clone()),
         ..CompileOptions::default()
     };
-    let shard_index = (fp % shared.shards.len() as u64) as usize;
+    let shard_index = project_shard(req, shared.shards.len());
     let mut cache = shared.shards[shard_index].lock().expect("shard lock");
     let before = cache.stats();
     let built = ipra_driver::compile_configured(

@@ -2,10 +2,11 @@
 //! build (byte-compared against a local cold compile), dedup counters,
 //! stats endpoint, request timeout, graceful shutdown.
 
+use ipra_core::PaperConfig;
 use ipra_daemon::protocol::{BuildRequest, WireSource};
 use ipra_daemon::{Client, ClientError, Server, ServerOptions, WireError};
 use ipra_driver::{compile, CompileOptions, SourceFile};
-use ipra_workloads::scaled::scaled_program;
+use ipra_workloads::scaled::{perturb, scaled_program};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -123,4 +124,32 @@ fn builds_during_shutdown_are_refused_but_in_flight_work_drains() {
         }
     }
     server.wait();
+}
+
+/// A project and its edits share one shard: after a 12-module build under
+/// config C, each of 8 cumulative one-module edits (each to a different
+/// module) recompiles exactly the edited module, whichever shard the
+/// whole request's fingerprint would pick.
+#[test]
+fn cumulative_edits_recompile_only_the_edited_module() {
+    let server = Server::start(ServerOptions::new(sock("edits"))).expect("server start");
+    let mut client = Client::connect(server.socket()).expect("connect");
+    let mut sources = scaled_program(12);
+    let request = |sources: &[SourceFile]| BuildRequest {
+        config: "C".to_string(),
+        optimize: true,
+        sources: wire_sources(sources),
+        training_input: Vec::new(),
+    };
+    let built = client.build(&request(&sources)).expect("first build");
+    assert_eq!(built.recompiled.len(), 12, "the first build compiles everything");
+    let local = CompileOptions::paper(PaperConfig::C);
+    for (edit, module) in [3, 7, 0, 11, 5, 9, 1, 6].into_iter().enumerate() {
+        perturb(&mut sources, module, 40 + edit as i64);
+        let built = client.build(&request(&sources)).expect("edit build");
+        assert_eq!(built.recompiled, vec![format!("s{module}")], "edit {edit}");
+        let program = compile(&sources, &local).expect("local compile");
+        assert_eq!(built.vx, ipra_daemon::protocol::executable_artifact(&program.exe).0);
+    }
+    server.stop();
 }

@@ -1,15 +1,20 @@
 //! The incremental recompilation cache (paper §3's summary-file design).
 //!
-//! Two tiers share one fingerprint scheme:
+//! Two tiers share one set of content keys — phase 1 on a fingerprint of
+//! (module name, source text, optimize flag), phase 2 on (IR fingerprint,
+//! database-slice fingerprint):
 //!
-//! * an **in-memory** tier keyed per module name — phase 1 on a
-//!   source-content fingerprint, phase 2 on (IR fingerprint,
-//!   database-slice fingerprint) — plus one slot holding the most recent
-//!   program analysis, keyed on the module summaries and the analyzer
-//!   options — serving repeated builds inside one process;
+//! * an **in-memory** tier holding entries under those keys, plus one
+//!   slot holding the most recent program analysis, keyed on the module
+//!   summaries and the analyzer options — serving repeated builds inside
+//!   one process. Because a key names content, not a module, two branches
+//!   of one project (or a baseline and a profile-fed build) keep their
+//!   entries side by side. Each tier keeps a recency index: an optional
+//!   size cap evicts least-recently-used entries, and an entry that none
+//!   of the last [`RETAINED_BUILDS`] builds used leaves memory;
 //! * an optional **on-disk** tier ([`DiskCache`], enabled through
 //!   [`CompilationCache::with_disk`] / `cminc --cache-dir`) holding the
-//!   same entries content-addressed by their keys, so the fingerprints
+//!   same entries content-addressed by the same keys, so the fingerprints
 //!   persist across *process* invocations: a one-module edit in a fresh
 //!   `cminc` run recompiles only modules whose directive slices moved, and
 //!   skips the analyzer when no summary changed.
@@ -27,7 +32,8 @@ use ipra_core::ProgramDatabase;
 use ipra_summary::ModuleSummary;
 use ipra_telemetry::Telemetry;
 use serde::{BinDeserialize, Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use vpr::program::ObjectModule;
@@ -43,12 +49,12 @@ pub struct PhaseStats {
     pub disk_hits: usize,
     /// Modules (or analyses) recomputed.
     pub misses: usize,
-    /// Entries pushed out of the in-memory tier by the size cap while this
-    /// phase ran (always zero for an uncapped cache, and for the analyzer,
-    /// whose one memory slot has no cap). Evicted entries stay
-    /// on the disk tier when one is attached, so an eviction degrades a
-    /// future memory hit to a disk hit — or to a recompute, never to a
-    /// wrong object.
+    /// Entries pushed out of the in-memory tier while this phase ran by
+    /// the size cap, plus those the retention rule dropped as the build
+    /// ended (always zero for the analyzer, whose one memory slot is
+    /// outside both). Evicted entries stay on the disk tier when one is
+    /// attached, so an eviction degrades a future memory hit to a disk
+    /// hit — or to a recompute, never to a wrong object.
     pub evictions: usize,
     /// Wall-clock seconds spent in the step (including cache probing).
     pub seconds: f64,
@@ -97,9 +103,11 @@ pub struct CacheStats {
     pub phase2_hits: u64,
     /// Phase-2 cache misses.
     pub phase2_misses: u64,
-    /// Phase-1 entries evicted from the in-memory tier by the size cap.
+    /// Phase-1 entries evicted from the in-memory tier by the size cap or
+    /// the retention rule.
     pub phase1_evictions: u64,
-    /// Phase-2 entries evicted from the in-memory tier by the size cap.
+    /// Phase-2 entries evicted from the in-memory tier by the size cap or
+    /// the retention rule.
     pub phase2_evictions: u64,
 }
 
@@ -318,27 +326,101 @@ impl Drop for DiskCache {
     }
 }
 
+/// How many recent builds keep an entry in memory: at the end of each
+/// [`crate::compile_incremental`] call, an entry that none of the cache's
+/// last `RETAINED_BUILDS` builds (that one included) looked up or stored
+/// leaves the memory tier. The disk tier keeps it.
+pub const RETAINED_BUILDS: usize = 16;
+
+/// One in-memory tier: values by content key, each with the tick of its
+/// last use, and a recency index from tick to key. Ticks are unique per
+/// operation, so the index orders every entry and the least recently used
+/// one is its first.
+#[derive(Debug)]
+struct Tier<K, V> {
+    entries: HashMap<K, (V, u64)>,
+    recency: BTreeMap<u64, K>,
+}
+
+impl<K, V> Default for Tier<K, V> {
+    fn default() -> Tier<K, V> {
+        Tier { entries: HashMap::new(), recency: BTreeMap::new() }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> Tier<K, V> {
+    /// The entry under `key`, marked used at `tick`.
+    fn get(&mut self, key: K, tick: u64) -> Option<&V> {
+        let (value, used) = self.entries.get_mut(&key)?;
+        self.recency.remove(used);
+        *used = tick;
+        self.recency.insert(tick, key);
+        Some(value)
+    }
+
+    /// Stores (or replaces) the entry under `key`, marked used at `tick`.
+    fn insert(&mut self, key: K, value: V, tick: u64) {
+        if let Some((_, used)) = self.entries.insert(key, (value, tick)) {
+            self.recency.remove(&used);
+        }
+        self.recency.insert(tick, key);
+    }
+
+    /// Drops least-recently-used entries until at most `cap` remain;
+    /// returns how many were dropped.
+    fn shrink_to(&mut self, cap: usize) -> u64 {
+        let mut dropped = 0;
+        while self.entries.len() > cap {
+            let (_, key) = self.recency.pop_first().expect("a tier above its cap is non-empty");
+            self.entries.remove(&key);
+            dropped += 1;
+        }
+        dropped
+    }
+
+    /// Drops every entry last used before `tick`; returns how many.
+    fn retire_before(&mut self, tick: u64) -> u64 {
+        let mut dropped = 0;
+        while let Some(oldest) = self.recency.first_entry() {
+            if *oldest.key() >= tick {
+                break;
+            }
+            self.entries.remove(&oldest.remove());
+            dropped += 1;
+        }
+        dropped
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.recency.clear();
+    }
+}
+
 /// The incremental recompilation cache: the in-memory tier plus an
 /// optional [`DiskCache`] behind it (see the module docs).
 #[derive(Debug, Default)]
 pub struct CompilationCache {
-    pub(crate) phase1: HashMap<String, Arc<Phase1Entry>>,
-    pub(crate) phase2: HashMap<String, Phase2Entry>,
-    /// The most recent program analysis. One slot, outside the size cap:
-    /// the warm and edit rebuilds it serves repeat the previous build's
-    /// key.
+    /// Phase-1 entries by phase-1 key.
+    phase1: Tier<u64, Arc<Phase1Entry>>,
+    /// Phase-2 objects by `(ir_fp, db_fp)`.
+    phase2: Tier<(u64, u64), ObjectModule>,
+    /// The most recent program analysis. One slot, outside the size cap
+    /// and the retention rule: the warm and edit rebuilds it serves repeat
+    /// the previous build's key.
     analysis: Option<Arc<AnalysisEntry>>,
     pub(crate) stats: CacheStats,
     pub(crate) disk: Option<DiskCache>,
     pub(crate) tele: Option<Telemetry>,
-    /// In-memory size cap, in entries *per tier map* (`None` = unbounded).
+    /// In-memory size cap, in entries *per tier* (`None` = unbounded).
     capacity: Option<usize>,
-    /// Monotonic operation clock driving LRU order; bumped on every hit,
-    /// promotion and store, so recency is a pure function of the operation
+    /// Monotonic operation clock driving recency; bumped on every lookup
+    /// and store, so recency is a pure function of the operation
     /// sequence — eviction order is deterministic, never hash-map order.
     tick: u64,
-    used1: HashMap<String, u64>,
-    used2: HashMap<String, u64>,
+    /// The first tick of each of the last [`RETAINED_BUILDS`] builds,
+    /// oldest first.
+    build_starts: VecDeque<u64>,
 }
 
 impl CompilationCache {
@@ -359,7 +441,7 @@ impl CompilationCache {
     }
 
     /// An empty, memory-only cache that holds at most `cap` entries per
-    /// tier map, evicting least-recently-used entries past that (`cap` is
+    /// tier, evicting least-recently-used entries past that (`cap` is
     /// clamped to at least 1). See [`set_capacity`](Self::set_capacity).
     pub fn with_capacity(cap: usize) -> CompilationCache {
         CompilationCache { capacity: Some(cap.max(1)), ..CompilationCache::default() }
@@ -371,23 +453,20 @@ impl CompilationCache {
     }
 
     /// Sets (or removes, with `None`) the in-memory size cap and enforces
-    /// it immediately. The cap bounds each tier map separately — a cache
-    /// with capacity `n` keeps at most `n` phase-1 and `n` phase-2 entries.
+    /// it immediately. The cap bounds each tier separately — a cache with
+    /// capacity `n` keeps at most `n` phase-1 and `n` phase-2 entries.
     ///
     /// Eviction is LRU with a deterministic order: recency is a monotonic
     /// per-operation tick (not wall clock), and the victim is the entry
-    /// with the smallest `(tick, name)` pair. Evicting never loses work
-    /// permanently — entries were written through to the disk tier (when
-    /// attached) at store time, so a re-request degrades to a disk hit, or
-    /// to a recompute on a memory-only cache.
+    /// with the smallest tick. Evicting never loses work permanently —
+    /// entries were written through to the disk tier (when attached) at
+    /// store time, so a re-request degrades to a disk hit, or to a
+    /// recompute on a memory-only cache. The cap works beside the
+    /// retention rule ([`RETAINED_BUILDS`]), which applies with or
+    /// without it.
     pub fn set_capacity(&mut self, cap: Option<usize>) {
         self.capacity = cap.map(|c| c.max(1));
-        let e1 = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
-        let e2 = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
-        self.count_evictions("cache.p1.evictions", e1);
-        self.count_evictions("cache.p2.evictions", e2);
-        self.stats.phase1_evictions += e1;
-        self.stats.phase2_evictions += e2;
+        self.enforce_cap();
     }
 
     /// The in-memory size cap, if one is set.
@@ -418,48 +497,57 @@ impl CompilationCache {
         }
     }
 
-    fn count_evictions(&self, key: &str, n: u64) {
-        if n > 0 {
-            if let Some(t) = &self.tele {
-                t.add(key, n);
+    /// Counts entries dropped from memory, by the cap or the retention
+    /// rule, as evictions.
+    fn count_evictions(&mut self, phase1: u64, phase2: u64) {
+        self.stats.phase1_evictions += phase1;
+        self.stats.phase2_evictions += phase2;
+        if let Some(t) = &self.tele {
+            for (key, n) in [("cache.p1.evictions", phase1), ("cache.p2.evictions", phase2)] {
+                if n > 0 {
+                    t.add(key, n);
+                }
             }
         }
     }
 
-    /// Removes least-recently-used entries from one tier map until it fits
-    /// the cap; returns how many were evicted. The victim each round is
-    /// the minimal `(last-use tick, name)` pair — ticks are unique per
-    /// operation, so the order is fully determined by the lookup/store
-    /// sequence, with the name as a belt-and-braces tie-break.
-    fn shrink<T>(
-        cap: Option<usize>,
-        map: &mut HashMap<String, T>,
-        used: &mut HashMap<String, u64>,
-    ) -> u64 {
-        let Some(cap) = cap else { return 0 };
-        let mut evicted = 0;
-        while map.len() > cap {
-            let victim = map
-                .keys()
-                .map(|k| (used.get(k).copied().unwrap_or(0), k.clone()))
-                .min()
-                .map(|(_, k)| k)
-                .expect("tier map above its cap is non-empty");
-            map.remove(&victim);
-            used.remove(&victim);
-            evicted += 1;
+    /// Evicts least-recently-used entries from each tier until it fits the
+    /// cap.
+    fn enforce_cap(&mut self) {
+        if let Some(cap) = self.capacity {
+            let e1 = self.phase1.shrink_to(cap);
+            let e2 = self.phase2.shrink_to(cap);
+            self.count_evictions(e1, e2);
         }
-        evicted
     }
 
-    fn touch1(&mut self, name: &str) {
+    fn next_tick(&mut self) -> u64 {
         self.tick += 1;
-        self.used1.insert(name.to_string(), self.tick);
+        self.tick
     }
 
-    fn touch2(&mut self, name: &str) {
-        self.tick += 1;
-        self.used2.insert(name.to_string(), self.tick);
+    /// Marks the start of a build, for the retention rule.
+    pub(crate) fn begin_build(&mut self) {
+        if self.build_starts.len() == RETAINED_BUILDS {
+            self.build_starts.pop_front();
+        }
+        self.build_starts.push_back(self.tick + 1);
+    }
+
+    /// The retention rule, applied as a build ends: drops from memory every
+    /// entry that none of the last [`RETAINED_BUILDS`] builds looked up or
+    /// stored, counting each drop as an eviction. The current build's
+    /// entries stay, and so does the disk tier. Returns the phase-1 and
+    /// phase-2 drops.
+    pub(crate) fn end_build(&mut self) -> (usize, usize) {
+        if self.build_starts.len() < RETAINED_BUILDS {
+            return (0, 0);
+        }
+        let oldest = self.build_starts[0];
+        let e1 = self.phase1.retire_before(oldest);
+        let e2 = self.phase2.retire_before(oldest);
+        self.count_evictions(e1, e2);
+        (e1 as usize, e2 as usize)
     }
 
     /// Drops all in-memory cached results (counters survive; the on-disk
@@ -468,8 +556,6 @@ impl CompilationCache {
         self.phase1.clear();
         self.phase2.clear();
         self.analysis = None;
-        self.used1.clear();
-        self.used2.clear();
     }
 
     /// Cumulative hit/miss counters across all builds served so far.
@@ -477,35 +563,30 @@ impl CompilationCache {
         self.stats
     }
 
-    /// Number of modules with a cached first phase (in memory).
+    /// Number of phase-1 entries held in memory.
     pub fn len(&self) -> usize {
-        self.phase1.len()
+        self.phase1.entries.len()
     }
 
     /// Is the in-memory cache empty?
     pub fn is_empty(&self) -> bool {
-        self.phase1.is_empty() && self.phase2.is_empty() && self.analysis.is_none()
+        self.phase1.entries.is_empty() && self.phase2.entries.is_empty() && self.analysis.is_none()
     }
 
-    /// Phase-1 lookup: memory first, then the disk tier (promoting to
-    /// memory). The flag reports whether the entry came from disk.
+    /// Phase-1 lookup by phase-1 key: memory first, then the disk tier
+    /// (promoting to memory). The flag reports whether the entry came from
+    /// disk.
     ///
     /// Entries are shared, not copied: a hit is a refcount bump, so the
     /// hot path of a warm build never deep-clones an `IrModule`, and a
     /// disk-warm one never decodes the IR of a module phase 2 does not
     /// recompile.
-    pub(crate) fn lookup_phase1(
-        &mut self,
-        name: &str,
-        key: u64,
-    ) -> Option<(Arc<Phase1Entry>, bool)> {
-        if let Some(e) = self.phase1.get(name) {
-            if e.head.key == key {
-                let e = Arc::clone(e);
-                self.count("cache.p1.mem_hits");
-                self.touch1(name);
-                return Some((e, false));
-            }
+    pub(crate) fn lookup_phase1(&mut self, key: u64) -> Option<(Arc<Phase1Entry>, bool)> {
+        let tick = self.next_tick();
+        if let Some(e) = self.phase1.get(key, tick) {
+            let e = Arc::clone(e);
+            self.count("cache.p1.mem_hits");
+            return Some((e, false));
         }
         let loaded = self.disk.as_ref().and_then(|d| d.load_phase1(key));
         let Some(e) = loaded else {
@@ -515,59 +596,44 @@ impl CompilationCache {
         self.count("cache.p1.disk_hits");
         self.count("cache.p1.promotes");
         let e = Arc::new(e);
-        self.phase1.insert(name.to_string(), Arc::clone(&e));
-        self.touch1(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
-        self.count_evictions("cache.p1.evictions", evicted);
-        self.stats.phase1_evictions += evicted;
+        self.phase1.insert(key, Arc::clone(&e), tick);
+        self.enforce_cap();
         Some((e, true))
     }
 
     /// Stores a freshly computed phase-1 entry in memory and, when
     /// attached, writes it through to disk. Returns the shared handle so
     /// the caller keeps using the entry without cloning it.
-    pub(crate) fn store_phase1(
-        &mut self,
-        name: &str,
-        head: Phase1Head,
-        ir: IrModule,
-    ) -> Arc<Phase1Entry> {
+    pub(crate) fn store_phase1(&mut self, head: Phase1Head, ir: IrModule) -> Arc<Phase1Entry> {
         if let Some(d) = &mut self.disk {
             d.store_phase1(&head, &ir);
         }
+        let key = head.key;
         let entry =
             Arc::new(Phase1Entry { head, encoded_ir: Vec::new(), ir: OnceLock::from(Some(ir)) });
-        self.phase1.insert(name.to_string(), Arc::clone(&entry));
-        self.touch1(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
-        self.count_evictions("cache.p1.evictions", evicted);
-        self.stats.phase1_evictions += evicted;
+        let tick = self.next_tick();
+        self.phase1.insert(key, Arc::clone(&entry), tick);
+        self.enforce_cap();
         entry
     }
 
     /// Replaces a phase-1 entry whose IR tail passed the checksum but did
     /// not decode with one recomputed from source: the frame counts as
     /// corrupt, and the flush overwrites the file.
-    pub(crate) fn repair_phase1(&mut self, name: &str, head: Phase1Head, ir: IrModule) {
+    pub(crate) fn repair_phase1(&mut self, head: Phase1Head, ir: IrModule) {
         self.count("cache.disk.corrupt");
-        self.store_phase1(name, head, ir);
+        self.store_phase1(head, ir);
     }
 
-    /// Phase-2 lookup: memory first, then the disk tier (promoting to
-    /// memory). The flag reports whether the object came from disk.
-    pub(crate) fn lookup_phase2(
-        &mut self,
-        name: &str,
-        ir_fp: u64,
-        db_fp: u64,
-    ) -> Option<(ObjectModule, bool)> {
-        if let Some(e) = self.phase2.get(name) {
-            if e.ir_fp == ir_fp && e.db_fp == db_fp {
-                let object = e.object.clone();
-                self.count("cache.p2.mem_hits");
-                self.touch2(name);
-                return Some((object, false));
-            }
+    /// Phase-2 lookup by `(ir_fp, db_fp)`: memory first, then the disk tier
+    /// (promoting to memory). The flag reports whether the object came from
+    /// disk.
+    pub(crate) fn lookup_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<(ObjectModule, bool)> {
+        let tick = self.next_tick();
+        if let Some(object) = self.phase2.get((ir_fp, db_fp), tick) {
+            let object = object.clone();
+            self.count("cache.p2.mem_hits");
+            return Some((object, false));
         }
         let loaded = self.disk.as_ref().and_then(|d| d.load_phase2(ir_fp, db_fp));
         let Some(e) = loaded else {
@@ -577,25 +643,20 @@ impl CompilationCache {
         self.count("cache.p2.disk_hits");
         self.count("cache.p2.promotes");
         let object = e.object.clone();
-        self.phase2.insert(name.to_string(), e);
-        self.touch2(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
-        self.count_evictions("cache.p2.evictions", evicted);
-        self.stats.phase2_evictions += evicted;
+        self.phase2.insert((ir_fp, db_fp), e.object, tick);
+        self.enforce_cap();
         Some((object, true))
     }
 
     /// Stores a freshly compiled object in memory and, when attached,
     /// writes it through to disk.
-    pub(crate) fn store_phase2(&mut self, name: &str, entry: Phase2Entry) {
+    pub(crate) fn store_phase2(&mut self, entry: Phase2Entry) {
         if let Some(d) = &mut self.disk {
             d.store_phase2(&entry);
         }
-        self.phase2.insert(name.to_string(), entry);
-        self.touch2(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
-        self.count_evictions("cache.p2.evictions", evicted);
-        self.stats.phase2_evictions += evicted;
+        let tick = self.next_tick();
+        self.phase2.insert((entry.ir_fp, entry.db_fp), entry.object, tick);
+        self.enforce_cap();
     }
 
     /// Analysis lookup: the memory slot first, then the disk tier
@@ -663,7 +724,7 @@ mod tests {
     }
 
     fn store1(c: &mut CompilationCache, name: &str, key: u64) {
-        c.store_phase1(name, head(name, key), ir(name));
+        c.store_phase1(head(name, key), ir(name));
     }
 
     fn p2(ir_fp: u64, db_fp: u64) -> Phase2Entry {
@@ -683,7 +744,7 @@ mod tests {
         for i in 0..100u64 {
             let name = format!("m{i}");
             store1(&mut c, &name, i);
-            c.store_phase2(&name, p2(i, i));
+            c.store_phase2(p2(i, i));
         }
         assert_eq!(c.len(), 100);
         assert_eq!(c.stats().phase1_evictions, 0);
@@ -696,27 +757,26 @@ mod tests {
         store1(&mut c, "a", 1);
         store1(&mut c, "b", 2);
         // Touch "a": "b" becomes the LRU victim despite being stored later.
-        assert!(c.lookup_phase1("a", 1).is_some());
+        assert!(c.lookup_phase1(1).is_some());
         store1(&mut c, "c", 3);
         assert_eq!(c.stats().phase1_evictions, 1);
-        assert!(c.lookup_phase1("b", 2).is_none(), "LRU entry evicted");
-        assert!(c.lookup_phase1("a", 1).is_some(), "recently used entry kept");
-        assert!(c.lookup_phase1("c", 3).is_some(), "new entry kept");
+        assert!(c.lookup_phase1(2).is_none(), "LRU entry evicted");
+        assert!(c.lookup_phase1(1).is_some(), "recently used entry kept");
+        assert!(c.lookup_phase1(3).is_some(), "new entry kept");
     }
 
     #[test]
     fn phase2_tier_is_capped_independently() {
         let mut c = CompilationCache::with_capacity(2);
         for i in 0..5u64 {
-            let name = format!("m{i}");
-            c.store_phase2(&name, p2(i, i));
+            c.store_phase2(p2(i, i));
         }
-        assert_eq!(c.phase2.len(), 2);
+        assert_eq!(c.phase2.entries.len(), 2);
         assert_eq!(c.stats().phase2_evictions, 3);
         // Oldest entries went first; the two most recent survive.
-        assert!(c.lookup_phase2("m3", 3, 3).is_some());
-        assert!(c.lookup_phase2("m4", 4, 4).is_some());
-        assert!(c.lookup_phase2("m0", 0, 0).is_none());
+        assert!(c.lookup_phase2(3, 3).is_some());
+        assert!(c.lookup_phase2(4, 4).is_some());
+        assert!(c.lookup_phase2(0, 0).is_none());
     }
 
     #[test]
@@ -749,16 +809,48 @@ mod tests {
                 // Re-touch a rolling window so recency differs from
                 // insertion order.
                 for j in i.saturating_sub(1)..=i {
-                    let n = format!("m{j}");
-                    let _ = c.lookup_phase1(&n, j);
+                    let _ = c.lookup_phase1(j);
                 }
-                let mut present: Vec<String> = c.phase1.keys().cloned().collect();
+                let mut present: Vec<u64> = c.phase1.entries.keys().copied().collect();
                 present.sort();
                 survivors.push(present);
             }
             (survivors, c.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// One build that stores phase-1 key `stored` and looks up `used`;
+    /// returns the retention rule's drops.
+    fn one_build(c: &mut CompilationCache, stored: u64, used: &[u64]) -> (usize, usize) {
+        c.begin_build();
+        store1(c, "x", stored);
+        for &k in used {
+            assert!(c.lookup_phase1(k).is_some(), "key {k} is still in memory");
+        }
+        c.end_build()
+    }
+
+    #[test]
+    fn retention_drops_what_the_last_builds_did_not_use() {
+        let mut c = CompilationCache::new();
+        c.begin_build();
+        store1(&mut c, "a", 1);
+        c.store_phase2(p2(1, 1));
+        assert_eq!(c.end_build(), (0, 0));
+        // Builds 2..=16 store keys 2..=16; key 1 was used by build 1, still
+        // one of the last 16.
+        for b in 2..=16 {
+            assert_eq!(one_build(&mut c, b, &[]), (0, 0), "build {b}");
+        }
+        // A lookup refreshes key 2 in build 17, which ends build 1's window.
+        assert_eq!(one_build(&mut c, 17, &[2]), (1, 1), "key 1 leaves both tiers");
+        assert!(c.lookup_phase1(1).is_none() && c.lookup_phase2(1, 1).is_none());
+        assert_eq!(one_build(&mut c, 18, &[]), (0, 0), "key 2 was used by build 17");
+        assert_eq!(one_build(&mut c, 19, &[]), (1, 0), "key 3 (build 3) leaves");
+        assert_eq!(c.stats().phase1_evictions, 2);
+        assert_eq!(c.stats().phase2_evictions, 1);
+        assert_eq!(c.len(), 17, "keys 2 and 4..=19");
     }
 
     /// A small real module's IR, so the frame's tail has some shape.
@@ -777,10 +869,10 @@ mod tests {
         let dir = tmpdir("lazy-ir");
         let ir = real_ir();
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.store_phase1("m", head("m", 7), ir.clone());
+        c.store_phase1(head("m", 7), ir.clone());
         c.flush();
         let mut fresh = CompilationCache::with_disk(&dir).unwrap();
-        let (e, from_disk) = fresh.lookup_phase1("m", 7).expect("disk hit");
+        let (e, from_disk) = fresh.lookup_phase1(7).expect("disk hit");
         assert!(from_disk);
         assert!(e.ir.get().is_none(), "a hit leaves the tail encoded");
         assert_eq!(e.ir(), Some(&ir));
@@ -791,7 +883,7 @@ mod tests {
     fn damage_inside_the_ir_tail_reads_as_a_miss() {
         let dir = tmpdir("tail-damage");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.store_phase1("m", head("m", 9), real_ir());
+        c.store_phase1(head("m", 9), real_ir());
         c.flush();
         let path = c.disk.as_ref().unwrap().phase1_path(9);
         let frame = std::fs::read(&path).unwrap();
@@ -805,7 +897,7 @@ mod tests {
             std::fs::write(&path, bytes).unwrap();
             let mut fresh = CompilationCache::with_disk(&dir).unwrap();
             fresh.set_telemetry(Some(tele.clone()));
-            fresh.lookup_phase1("m", 9).is_none()
+            fresh.lookup_phase1(9).is_none()
         };
         let mut probes = 0;
         for i in (tail_start..tail_end).step_by(7) {
@@ -861,7 +953,7 @@ mod tests {
         store1(&mut c, "b", 2); // evicts "a" from memory
         c.flush();
         assert_eq!(c.stats().phase1_evictions, 1);
-        let (e, from_disk) = c.lookup_phase1("a", 1).expect("evicted entry still on disk");
+        let (e, from_disk) = c.lookup_phase1(1).expect("evicted entry still on disk");
         assert!(from_disk, "served from the disk tier after eviction");
         assert_eq!(e.head.key, 1);
         let _ = std::fs::remove_dir_all(&dir);

@@ -61,7 +61,9 @@ mod framed;
 pub mod separate;
 mod stages;
 
-pub use cache::{BuildReport, CacheStats, CompilationCache, DiskCache, PhaseStats};
+pub use cache::{
+    BuildReport, CacheStats, CompilationCache, DiskCache, PhaseStats, RETAINED_BUILDS,
+};
 
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
@@ -258,7 +260,8 @@ pub fn compile(
 /// sources and options; [`CompiledProgram::build`] reports what was reused.
 /// When the cache has an on-disk tier ([`CompilationCache::with_disk`]),
 /// entries persisted by earlier *processes* count as hits too
-/// ([`PhaseStats::disk_hits`]).
+/// ([`PhaseStats::disk_hits`]). As the build ends, entries that none of
+/// the cache's last [`RETAINED_BUILDS`] builds used leave its memory tier.
 ///
 /// # Errors
 ///
@@ -275,6 +278,7 @@ pub fn compile_incremental(
     let build_timer = span(tele, "build", "build");
     let jobs = options.effective_jobs();
     let mut report = BuildReport::default();
+    cache.begin_build();
 
     // ---- Compiler first phase, cache-probed then fanned out per module.
     let phase1_timer = span(tele, "build", "phase1");
@@ -311,8 +315,12 @@ pub fn compile_incremental(
     let exe = link(&objects)?;
     report.link_seconds = link_timer.finish();
 
-    // One burst of disk-tier writes per build (entries stay served from
-    // memory either way; see `DiskCache`). Charged to the build total.
+    // Entries no recent build used leave memory (not disk), then one burst
+    // of disk-tier writes per build (entries stay served from memory either
+    // way; see `DiskCache`). Both are charged to the build total.
+    let (retired1, retired2) = cache.end_build();
+    report.phase1.evictions += retired1;
+    report.phase2.evictions += retired2;
     cache.flush();
     report.total_seconds = build_timer.finish();
 

@@ -22,7 +22,7 @@ use ipra_core::fingerprint::Fnv64;
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::ProgramDatabase;
 use ipra_summary::ProgramSummary;
-use ipra_telemetry::span;
+use ipra_telemetry::{SpanTimer, Telemetry};
 use serde::BinSerialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -133,8 +133,8 @@ pub(crate) fn phase1(
     let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
     let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
     let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, src) in sources.iter().enumerate() {
-        match cache.lookup_phase1(&src.name, keys[i]) {
+    for (i, &key) in keys.iter().enumerate() {
+        match cache.lookup_phase1(key) {
             Some((e, from_disk)) => {
                 report.phase1.hits += 1;
                 report.phase1.disk_hits += usize::from(from_disk);
@@ -148,13 +148,13 @@ pub(crate) fn phase1(
         }
     }
     let computed = parallel_map(&miss_idx, jobs, |&i| {
-        let _task = span(tele.as_ref(), "phase1", &format!("phase1:{}", sources[i].name));
+        let _task = task_span(tele.as_ref(), "phase1", &sources[i].name);
         run_phase1(&sources[i], optimize, keys[i])
     });
     let mut first_error: Option<CompileError> = None;
     for (&i, result) in miss_idx.iter().zip(computed) {
         match result {
-            Ok((head, ir)) => entries[i] = Some(cache.store_phase1(&sources[i].name, head, ir)),
+            Ok((head, ir)) => entries[i] = Some(cache.store_phase1(head, ir)),
             // `miss_idx` ascends, so the first error kept is the lowest-index one.
             Err(e) => first_error = first_error.or(Some(e)),
         }
@@ -259,7 +259,7 @@ pub(crate) fn phase2(
     let mut stale_idx: Vec<usize> = Vec::new();
     for (i, e) in entries.iter().enumerate() {
         let ir_fp = e.head.ir_fp;
-        match cache.lookup_phase2(&e.head.summary.module, ir_fp, db_fps[i]) {
+        match cache.lookup_phase2(ir_fp, db_fps[i]) {
             Some((object, from_disk)) => {
                 report.phase2.hits += 1;
                 report.phase2.disk_hits += usize::from(from_disk);
@@ -274,11 +274,11 @@ pub(crate) fn phase2(
     }
     let compiled = parallel_map(&stale_idx, jobs, |&i| {
         let e = &entries[i];
-        let _task = span(tele.as_ref(), "phase2", &format!("phase2:{}", e.head.summary.module));
+        let _task = task_span(tele.as_ref(), "phase2", &e.head.summary.module);
         match e.ir() {
             Some(ir) => Ok((cmin_codegen::compile_module_for(ir, database, target), None)),
             None => {
-                let _redo = span(tele.as_ref(), "phase1", &format!("phase1:{}", sources[i].name));
+                let _redo = task_span(tele.as_ref(), "phase1", &sources[i].name);
                 let (head, ir) = run_phase1(&sources[i], optimize, e.head.key)?;
                 let object = cmin_codegen::compile_module_for(&ir, database, target);
                 Ok((object, Some((head, ir))))
@@ -288,19 +288,24 @@ pub(crate) fn phase2(
     for (&i, result) in stale_idx.iter().zip(compiled) {
         let (object, redone) = result?;
         let (e, db_fp) = (&entries[i], db_fps[i]);
-        let name = &e.head.summary.module;
         if let Some((head, ir)) = redone {
-            cache.repair_phase1(name, head, ir);
+            cache.repair_phase1(head, ir);
         }
-        report.recompiled.push(name.clone());
+        report.recompiled.push(e.head.summary.module.clone());
         let ir_fp = e.head.ir_fp;
-        cache.store_phase2(name, Phase2Entry { ir_fp, db_fp, object: object.clone() });
+        cache.store_phase2(Phase2Entry { ir_fp, db_fp, object: object.clone() });
         objects[i] = Some(ObjectArtifact { object, ir_fp, dir_fp: db_fp });
     }
     cache.stats.phase2_hits += report.phase2.hits as u64;
     cache.stats.phase2_misses += report.phase2.misses as u64;
     report.phase2.evictions = (cache.stats.phase2_evictions - evictions_before) as usize;
     Ok(objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect())
+}
+
+/// The span of one module's task in `phase` ("phase1:NAME"), recorded
+/// only when a collector is attached: without one, no name is built.
+fn task_span(tele: Option<&Telemetry>, phase: &str, module: &str) -> Option<SpanTimer> {
+    tele.map(|t| t.span(phase, &format!("{phase}:{module}")))
 }
 
 /// Runs the full first phase for one module.

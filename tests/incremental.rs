@@ -55,13 +55,11 @@ fn warm_rebuild_is_bit_identical_across_all_configs() {
             .unwrap_or_else(|e| panic!("{config}: {e}"))
             .unwrap_or_else(|e| panic!("{config}: training trap {e}"));
         let warm = compile_configured(&sources, config, &[], &opts, &mut cache).unwrap().unwrap();
-        // A profile-fed build's baseline displaces its phase-2 entries, so
-        // only single-build configurations rebuild from hits alone.
-        if !config.wants_profile() {
-            assert_eq!(warm.build.phase1.hits, 8, "{config}: warm phase 1 must be all hits");
-            assert_eq!(warm.build.phase2.hits, 8, "{config}: warm phase 2 must be all hits");
-            assert!(warm.build.recompiled.is_empty(), "{config}: nothing changed");
-        }
+        // A profile-fed build's baseline and final objects sit under
+        // different keys, so both configurations rebuild from hits alone.
+        assert_eq!(warm.build.phase1.hits, 8, "{config}: warm phase 1 must be all hits");
+        assert_eq!(warm.build.phase2.hits, 8, "{config}: warm phase 2 must be all hits");
+        assert!(warm.build.recompiled.is_empty(), "{config}: nothing changed");
         assert_eq!(warm.exe, cold.exe, "{config}: warm build must be bit-identical");
         let report = verify_program(&warm);
         assert!(report.is_clean(), "{config}: warm build failed verification:\n{report}");
@@ -131,4 +129,98 @@ fn whitespace_edit_skips_codegen_entirely() {
     assert_eq!(rebuilt.build.phase2.hits, 5, "identical IR must not re-run codegen");
     assert!(rebuilt.build.recompiled.is_empty());
     assert_eq!(rebuilt.exe, cold.exe);
+}
+
+/// The `.vx` artifact bytes of a build.
+fn vx(program: &ipra_driver::CompiledProgram) -> String {
+    ipra_daemon::protocol::executable_artifact(&program.exe).0
+}
+
+/// Two branches of one program — the same module names, every module of
+/// `B` re-tuned — built A, B, A, B through one memory-only cache (and
+/// again through one capped at exactly both branches' entries): each
+/// branch keeps its entries beside the other's, so from the third build
+/// on both phases are all hits and nothing recompiles.
+#[test]
+fn alternating_branches_hit_in_both_phases() {
+    const N: usize = 12;
+    let a = scaled_program(N);
+    let mut b = a.clone();
+    for i in 0..N {
+        perturb(&mut b, i, 500 + i as i64);
+    }
+    let opts = CompileOptions::paper(PaperConfig::C);
+    let fresh: Vec<String> =
+        [&a, &b].iter().map(|s| vx(&ipra_driver::compile(s, &opts).unwrap())).collect();
+    assert_ne!(fresh[0], fresh[1], "the branches differ in their code");
+    for (label, mut cache) in [
+        ("uncapped", CompilationCache::new()),
+        ("capped at 2N", CompilationCache::with_capacity(2 * N)),
+    ] {
+        for round in 0..4 {
+            let branch = round % 2;
+            let built = compile_incremental([&a, &b][branch], &opts, &mut cache).unwrap();
+            assert_eq!(vx(&built), fresh[branch], "{label}, build {round}: bytes");
+            if round >= 2 {
+                let r = &built.build;
+                assert_eq!((r.phase1.hits, r.phase2.hits), (N, N), "{label}, build {round}");
+                assert!(r.recompiled.is_empty(), "{label}, build {round}: {:?}", r.recompiled);
+                assert_eq!((r.phase1.evictions, r.phase2.evictions), (0, 0), "{label}");
+            }
+        }
+    }
+}
+
+/// An entry stays in memory while any of the cache's last
+/// `RETAINED_BUILDS` builds used it: after 15 builds that do not touch a
+/// program it is still a memory hit, and after 16 it has left memory —
+/// a recompute on a memory-only cache, a disk hit with a disk tier.
+#[test]
+fn entries_idle_for_sixteen_builds_leave_memory_but_not_disk() {
+    const N: usize = 4;
+    assert_eq!(ipra_driver::RETAINED_BUILDS, 16);
+    let kept = scaled_program(N);
+    // Programs sharing no module source (and so no entry) with `kept`.
+    let mut tune = 0;
+    let mut other = || {
+        tune += 1;
+        let mut s = scaled_program(N);
+        for i in 0..N {
+            perturb(&mut s, i, 1000 * tune + i as i64);
+        }
+        s
+    };
+    let opts = CompileOptions::paper(PaperConfig::C);
+    let dir = std::env::temp_dir().join(format!("ipra-retention-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for with_disk in [false, true] {
+        let mut cache = if with_disk {
+            CompilationCache::with_disk(&dir).unwrap()
+        } else {
+            CompilationCache::new()
+        };
+        compile_incremental(&kept, &opts, &mut cache).unwrap();
+        for _ in 0..15 {
+            compile_incremental(&other(), &opts, &mut cache).unwrap();
+        }
+        let warm = compile_incremental(&kept, &opts, &mut cache).unwrap().build;
+        assert_eq!((warm.phase1.hits, warm.phase1.disk_hits), (N, 0), "after 15: memory hits");
+        assert_eq!((warm.phase2.hits, warm.phase2.disk_hits), (N, 0), "after 15: memory hits");
+        let mut retired = 0;
+        for _ in 0..16 {
+            let r = compile_incremental(&other(), &opts, &mut cache).unwrap().build;
+            retired += r.phase1.evictions;
+        }
+        assert!(retired >= N, "idle entries are counted as evictions");
+        let cold = compile_incremental(&kept, &opts, &mut cache).unwrap().build;
+        if with_disk {
+            assert_eq!((cold.phase1.hits, cold.phase1.disk_hits), (N, N), "after 16: disk hits");
+            assert_eq!((cold.phase2.hits, cold.phase2.disk_hits), (N, N), "after 16: disk hits");
+            assert!(cold.recompiled.is_empty());
+        } else {
+            assert_eq!((cold.phase1.misses, cold.phase2.misses), (N, N), "after 16: gone");
+            assert_eq!(cold.recompiled.len(), N);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
