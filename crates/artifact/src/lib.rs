@@ -40,7 +40,7 @@
 use ipra_core::fingerprint::fingerprint_str;
 use ipra_core::ProgramDatabase;
 use ipra_summary::ModuleSummary;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use std::fmt;
 use std::path::Path;
 use vpr::program::{Executable, ObjectModule};
@@ -385,6 +385,23 @@ pub struct ExecutableArtifact {
     pub exe: Executable,
 }
 
+/// An [`ExecutableArtifact`] payload that borrows its executable, so a
+/// caller that keeps the program encodes it without copying it. It
+/// encodes to the same bytes, and decodes as an [`ExecutableArtifact`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExecutableView<'a> {
+    /// The linked program.
+    pub exe: &'a Executable,
+}
+
+impl Serialize for ExecutableView<'_> {
+    fn serialize_to<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("exe", self.exe);
+        s.end_object();
+    }
+}
+
 /// One `.vlib` member: the object module and the summary it was compiled
 /// from, so a library carries everything both the *analyzer* (partial
 /// call graph over member summaries) and the *linker* need.
@@ -483,6 +500,26 @@ mod tests {
         // route them through f64).
         assert_eq!(back.ir_fp, u64::MAX);
         assert_eq!(encode(ArtifactKind::Summary, &back), text);
+    }
+
+    #[test]
+    fn executable_view_encodes_like_the_owned_payload() {
+        let mut main = MachineFunction::new("main");
+        main.push(Inst::Halt);
+        let module = ObjectModule {
+            name: "m".into(),
+            functions: vec![main],
+            globals: vec![],
+            ..Default::default()
+        };
+        let exe = vpr::link(&[module]).unwrap();
+        let text = encode(ArtifactKind::Executable, &ExecutableView { exe: &exe });
+        assert_eq!(
+            text,
+            encode(ArtifactKind::Executable, &ExecutableArtifact { exe: exe.clone() })
+        );
+        let back: ExecutableArtifact = decode(ArtifactKind::Executable, &text).unwrap();
+        assert_eq!(back.exe, exe);
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! mode wired into `scripts/check.sh`.
 
 use ipra_bench::harness::{
-    best_of, count, counters, differing, time, Args, Cmp, Counters, Host, Report, TRIALS,
+    best_of, count, counters, differing, median, time, Args, Cmp, Counters, Host, Report, TRIALS,
 };
 use ipra_core::PaperConfig;
 use ipra_driver::{
@@ -276,11 +276,10 @@ fn measure_scaling(report: &mut Report, config: PaperConfig) {
         rounds.push(seconds);
     }
     for (i, modules) in SCALING_SIZES.iter().enumerate().skip(1) {
-        let mut ratios: Vec<f64> = rounds.iter().map(|r| r[i] / r[i - 1]).collect();
-        ratios.sort_by(f64::total_cmp);
+        let ratios = rounds.iter().map(|r| r[i] / r[i - 1]).collect();
         report.gate(
             format!("scaling/{modules}.doubling_ratio"),
-            ratios[ratios.len() / 2],
+            median(ratios),
             Cmp::AtMost,
             MAX_DOUBLING_RATIO,
         );

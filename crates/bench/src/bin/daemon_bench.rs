@@ -4,14 +4,15 @@
 //! throughput over the wire protocol in the regimes the daemon exists
 //! for:
 //!
-//! * **cold/1** — one client, every request a never-seen program: the
-//!   daemon compiles from scratch each time (the no-daemon baseline, plus
-//!   wire overhead);
+//! * **cold/1** — one client, every request a never-seen program under
+//!   never-seen module names: the daemon compiles from scratch each time,
+//!   analysis included (the no-daemon baseline, plus wire overhead);
 //! * **warm/1** — one client re-requesting a primed program: pure cache
 //!   hits through one connection;
 //! * **cold/N** — N clients submitting N distinct never-seen programs
-//!   concurrently, each under its own module names (a project of its own,
-//!   so the programs spread across shards): shard parallelism on misses;
+//!   concurrently, each under never-seen module names (a project of its
+//!   own, so the programs spread across shards): shard parallelism on
+//!   misses;
 //! * **warm/N** — N clients hammering the primed program concurrently: the
 //!   multi-tenant payoff, where one tenant's phase-1 work serves everyone
 //!   (the headline gate: ≥ 2× the cold single-client rate);
@@ -23,9 +24,13 @@
 //!   behind a barrier, once: the in-flight map must coalesce followers onto
 //!   the leader's build.
 //!
-//! Each regime is one row (layer `daemon`). The five throughput legs are
-//! timed best of [`TRIALS`](ipra_bench::harness::TRIALS); `requests` counts
-//! one trial's requests, so requests/s is `requests / seconds`. Every row
+//! Each regime is one row (layer `daemon`). The one-client legs cold/1,
+//! warm/1 and branches/1 add a row at layer `latency` whose `seconds` is
+//! the median round trip of every request over all trials, and whose
+//! `samples` counts them (too few for a tail percentile, so none is
+//! reported). The five throughput legs are timed best of
+//! [`TRIALS`](ipra_bench::harness::TRIALS); `requests` counts one trial's
+//! requests, so requests/s is `requests / seconds`. Every row
 //! also counts what the daemon did from the end of the previous row to the
 //! end of this one, untimed setup included (the daemon's counters summed
 //! over the rows are its counters at the end of the run). Every warm and
@@ -39,14 +44,17 @@
 //! ```
 //!
 //! `--check` fails the run unless warm/N serves at least twice the
-//! requests/s of cold/1 (`warm_n_over_cold_1`), the branches/1 leg
-//! recompiled no module (`branches/1.recompiled`, the sum of every timed
-//! response's `recompiled` list), and the dedup round coalesced at least
-//! one request with every request either leading or coalesced — the CI
-//! smoke mode wired into `scripts/check.sh`. Results go to
-//! `BENCH_daemon.json`.
+//! requests/s of cold/1 (`warm_n_over_cold_1`), neither cold leg reused
+//! an analysis (`cold/1.analyze.hits`, `cold/N.analyze.hits`), the
+//! branches/1 leg recompiled no module (`branches/1.recompiled`, the sum
+//! of every timed response's `recompiled` list), and the dedup round
+//! coalesced at least one request with every request either leading or
+//! coalesced — the CI smoke mode wired into `scripts/check.sh`. Results
+//! go to `BENCH_daemon.json`.
 
-use ipra_bench::harness::{best_of, count, counters, time, Args, Cmp, Counters, Host, Report};
+use ipra_bench::harness::{
+    best_of, count, counters, median, time, Args, Cmp, Counters, Host, Report,
+};
 use ipra_daemon::protocol::{executable_artifact, BuildRequest, WireSource};
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::{compile, CompileOptions, SourceFile};
@@ -79,6 +87,14 @@ fn unique_program(modules: usize, tune: &mut i64) -> Vec<SourceFile> {
 /// `sources` as a project of its own: every module name gets `prefix`.
 fn renamed(sources: Vec<SourceFile>, prefix: &str) -> Vec<SourceFile> {
     sources.into_iter().map(|s| SourceFile { name: format!("{prefix}{}", s.name), ..s }).collect()
+}
+
+/// A never-seen program under never-seen module names. Re-tuning alone
+/// leaves every module summary as it was, so the analysis would still
+/// hit; new names make the summaries new too, so nothing is reused.
+fn fresh_project(modules: usize, tune: &mut i64) -> Vec<SourceFile> {
+    let sources = unique_program(modules, tune);
+    renamed(sources, &format!("n{tune}_"))
 }
 
 fn request_for(sources: &[SourceFile]) -> BuildRequest {
@@ -171,20 +187,30 @@ fn main() -> ExitCode {
         seen = now;
     };
     let requests = |n: usize| counters([("requests", n as u64)]);
+    // Adds a one-client leg's latency row: the median round trip over
+    // every request of every trial. Too few samples for a tail.
+    let latency = |report: &mut Report, name: &str, samples: Vec<f64>| {
+        let n = samples.len() as u64;
+        report.row(name, "latency", median(samples), counters([("samples", n)]));
+    };
 
-    // Cold, one client: every request a never-seen program, so the wire
+    // Cold, one client: every request a never-seen project, so the wire
     // round trip sits on top of a full compile each time.
     let mut solo = Client::connect(&socket).expect("solo client connect");
+    let mut samples = Vec::new();
     let (_, seconds) = best_of(
-        || (0..REQUESTS).map(|_| request_for(&unique_program(modules, &mut tune))).collect(),
+        || (0..REQUESTS).map(|_| request_for(&fresh_project(modules, &mut tune))).collect(),
         |work: Vec<BuildRequest>| {
             for request in &work {
-                solo.build(request).expect("cold build");
+                let (built, seconds) = time(|| solo.build(request));
+                built.expect("cold build");
+                samples.push(seconds);
             }
             work
         },
     );
     row(&mut report, "cold/1", seconds, requests(REQUESTS));
+    latency(&mut report, "cold/1", std::mem::take(&mut samples));
 
     // Prime one program and pin down its ground-truth bytes for the warm
     // legs (the byte check rides inside every warm response).
@@ -199,21 +225,23 @@ fn main() -> ExitCode {
         || (),
         |()| {
             for _ in 0..REQUESTS {
-                let built = solo.build(&primed_request).expect("warm build");
+                let (built, seconds) = time(|| solo.build(&primed_request));
+                samples.push(seconds);
+                let built = built.expect("warm build");
                 assert_eq!(built.vx, *primed_vx, "warm build: daemon bytes != solo cold compile");
             }
         },
     );
     row(&mut report, "warm/1", seconds, requests(REQUESTS));
+    latency(&mut report, "warm/1", std::mem::take(&mut samples));
 
-    // Cold, N clients: N distinct never-seen programs in flight at once,
-    // each a project of its own (each lands on its project's shard, so
-    // misses can overlap).
+    // Cold, N clients: N distinct never-seen projects in flight at once
+    // (each lands on its project's shard, so misses can overlap).
     let ((), seconds) = best_of(
         || {
             let work = (0..CLIENTS)
-                .map(|c| {
-                    let sources = renamed(unique_program(modules, &mut tune), &format!("c{c}_"));
+                .map(|_| {
+                    let sources = fresh_project(modules, &mut tune);
                     vec![(request_for(&sources), oracle_vx(&sources))]
                 })
                 .collect();
@@ -255,7 +283,9 @@ fn main() -> ExitCode {
         || (),
         |()| {
             for (request, expect) in branches.iter().cycle().take(BRANCH_ROUNDS * BRANCHES) {
-                let built = solo.build(request).expect("branch build");
+                let (built, seconds) = time(|| solo.build(request));
+                samples.push(seconds);
+                let built = built.expect("branch build");
                 assert_eq!(built.vx, **expect, "branch build: daemon bytes != solo cold compile");
                 recompiled += built.recompiled.len();
             }
@@ -266,6 +296,7 @@ fn main() -> ExitCode {
         ("recompiled", recompiled as u64),
     ]);
     row(&mut report, "branches/1", seconds, work);
+    latency(&mut report, "branches/1", samples);
 
     // Dedup: N clients race one identical never-seen request from behind
     // a barrier, once; followers must coalesce onto the leader's build.
@@ -286,7 +317,12 @@ fn main() -> ExitCode {
     let leads = counter(&name, "daemon.dedup.leads");
     let coalesced = counter(&name, "daemon.dedup.coalesced");
     let branch_recompiles = counter("branches/1", "recompiled");
+    let cold_n = format!("cold/{CLIENTS}");
+    let (cold_1_hits, cold_n_hits) =
+        (counter("cold/1", "analyze.hits"), counter(&cold_n, "analyze.hits"));
     report.gate("warm_n_over_cold_1", ratio, Cmp::AtLeast, MIN_WARM_N_OVER_COLD_1);
+    report.gate("cold/1.analyze.hits", cold_1_hits, Cmp::Equal, 0.0);
+    report.gate(format!("{cold_n}.analyze.hits"), cold_n_hits, Cmp::Equal, 0.0);
     report.gate("branches/1.recompiled", branch_recompiles, Cmp::Equal, 0.0);
     report.gate(format!("{name}.coalesced"), coalesced, Cmp::AtLeast, 1.0);
     report.gate(

@@ -17,7 +17,7 @@
 //! anything is measured.
 
 use ipra_telemetry::CountersSnapshot;
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -66,6 +66,21 @@ pub fn best_of<S, T>(mut setup: impl FnMut() -> S, mut trial: impl FnMut(S) -> T
         }
     }
     best.expect("TRIALS >= 1")
+}
+
+/// The median of `samples` (the mean of the middle two of an even count).
+///
+/// # Panics
+///
+/// Panics when `samples` is empty.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len().is_multiple_of(2) {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    } else {
+        samples[mid]
+    }
 }
 
 /// Parses a positive count, as `--modules` takes.
@@ -269,13 +284,13 @@ impl Gate {
 }
 
 impl Serialize for Gate {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), self.name.serialize()),
-            ("value".to_string(), self.value.serialize()),
-            ("bound".to_string(), self.bound.serialize()),
-            ("pass".to_string(), self.pass().serialize()),
-        ])
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.field("name", &self.name);
+        sink.field("value", &self.value);
+        sink.field("bound", &self.bound);
+        sink.field("pass", &self.pass());
+        sink.end_object();
     }
 }
 
@@ -289,14 +304,16 @@ pub struct Report {
     gates: Vec<Gate>,
 }
 
+// Not derived: the derive also emits a binary encoder, and `Gate`, whose
+// JSON carries the computed `pass`, has none.
 impl Serialize for Report {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("bench".to_string(), self.bench.serialize()),
-            ("host".to_string(), self.host.serialize()),
-            ("rows".to_string(), self.rows.serialize()),
-            ("gates".to_string(), self.gates.serialize()),
-        ])
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.field("bench", &self.bench);
+        sink.field("host", &self.host);
+        sink.field("rows", &self.rows);
+        sink.field("gates", &self.gates);
+        sink.end_object();
     }
 }
 
@@ -394,6 +411,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use std::time::Duration;
 
     /// A bench declaring `--modules N,N,...` plus the shared flags.
@@ -403,6 +421,12 @@ mod tests {
             a.value("--modules", "N,N,...", |v| v.split(',').map(count).collect::<Option<_>>());
         let bench = a.bench("BENCH_x.json");
         a.verdict().map(|()| (modules, bench))
+    }
+
+    #[test]
+    fn median_takes_the_middle_or_the_mean_of_the_middle_two() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use crate::{flag_value, module_name, positionals, read};
 use ipra_artifact::{
-    ArtifactKind, DirectivesArtifact, ExecutableArtifact, LibraryArtifact, LibraryMember,
-    ObjectArtifact, SummaryArtifact,
+    ArtifactKind, DirectivesArtifact, ExecutableArtifact, ExecutableView, LibraryArtifact,
+    LibraryMember, ObjectArtifact, SummaryArtifact,
 };
 use ipra_core::ProgramDatabase;
 use ipra_driver::SourceFile;
@@ -84,7 +84,7 @@ pub fn write_database_for(
 
 /// Writes an executable artifact.
 pub fn write_executable(path: &str, exe: &Executable) -> Result<(), String> {
-    let payload = ExecutableArtifact { exe: exe.clone() };
+    let payload = ExecutableView { exe };
     ipra_artifact::write_file_for(ArtifactKind::Executable, Path::new(path), &payload, exe.target())
         .map_err(|e| e.to_string())
 }

@@ -405,7 +405,7 @@ pub fn read_frame(r: &mut impl Read, expect_tag: u8) -> Result<Option<Vec<u8>>, 
 pub fn executable_artifact(exe: &vpr::program::Executable) -> (String, u64) {
     let text = ipra_artifact::encode(
         ipra_artifact::ArtifactKind::Executable,
-        &ipra_artifact::ExecutableArtifact { exe: exe.clone() },
+        &ipra_artifact::ExecutableView { exe },
     );
     let fp = fnv64(text.as_bytes());
     (text, fp)

@@ -64,10 +64,18 @@ impl TempSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterates over members in ascending order.
+    /// Iterates over members in ascending order. Each step clears the
+    /// lowest set bit of the current word, so an empty word costs one test.
     pub fn iter(&self) -> impl Iterator<Item = Temp> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter(move |b| w & (1 << b) != 0).map(move |b| Temp((wi * 64 + b) as u32))
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    Temp((wi * 64 + b) as u32)
+                })
+            })
         })
     }
 }
@@ -135,13 +143,9 @@ impl Liveness {
                     live_out[bi] = out;
                     changed = true;
                 }
-                // in = use ∪ (out − def)
-                let mut inp = use_s[bi].clone();
-                for t in live_out[bi].iter() {
-                    if !def_s[bi].contains(t) {
-                        inp.insert(t);
-                    }
-                }
+                // in = use ∪ (out − def), a word at a time.
+                let words = use_s[bi].words.iter().zip(&live_out[bi].words).zip(&def_s[bi].words);
+                let inp = TempSet { words: words.map(|((u, o), d)| u | (o & !d)).collect() };
                 if inp != live_in[bi] {
                     live_in[bi] = inp;
                     changed = true;
@@ -228,6 +232,18 @@ mod tests {
         assert!(s.remove(Temp(0)));
         assert!(!s.remove(Temp(0)));
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn tempset_iter_skips_empty_words() {
+        let mut s = TempSet::new(64 * 4);
+        for t in [0, 63, 64 * 2 + 5, 64 * 3 + 63] {
+            s.insert(Temp(t));
+        }
+        // Word 1 is empty; bits 0 and 63 are each word's extremes.
+        let members = vec![Temp(0), Temp(63), Temp(133), Temp(255)];
+        assert_eq!(s.iter().collect::<Vec<_>>(), members);
+        assert_eq!(TempSet::new(200).iter().count(), 0);
     }
 
     #[test]

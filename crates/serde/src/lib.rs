@@ -1,7 +1,7 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build environment has no registry access, so the workspace carries a
-//! small value-based serialization framework under the same crate name. It
+//! small serialization framework under the same crate name. It
 //! implements exactly the subset this repository uses:
 //!
 //! - `#[derive(Serialize, Deserialize)]` on non-generic structs and enums
@@ -11,10 +11,14 @@
 //! - the `serde_json` front end (`to_string`, `to_string_pretty`,
 //!   `from_str`).
 //!
-//! Serialization goes through the [`Value`] tree, mirroring serde's JSON
-//! data model (externally tagged enums, transparent newtypes, `null` for
-//! `None`), so the on-disk JSON produced by the real serde for these types
-//! round-trips here and vice versa.
+//! The data model mirrors serde's JSON one (externally tagged enums,
+//! transparent newtypes, `null` for `None`), so the on-disk JSON produced
+//! by the real serde for these types round-trips here and vice versa.
+//! Serialization streams: each type's one serializer,
+//! [`Serialize::serialize_to`], drives a [`Sink`], so `serde_json` writes
+//! text with no tree in between, while [`Serialize::serialize`] assembles
+//! a [`Value`] for code that builds documents by hand. Deserialization
+//! reads a [`Value`] tree.
 //!
 //! The same derives additionally emit a positional **binary** codec
 //! ([`BinSerialize`] / [`BinDeserialize`]) that skips the `Value` tree
@@ -26,7 +30,8 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// A JSON-shaped value tree: the wire format of this serde stand-in.
+/// A JSON-shaped value tree: what deserialization reads, and what
+/// [`Serialize::serialize`] builds.
 ///
 /// Objects preserve insertion order (like `serde_json`'s `preserve_order`
 /// feature) so serialized output is deterministic.
@@ -114,10 +119,132 @@ pub fn is_default<T: Default + PartialEq>(v: &T) -> bool {
     *v == T::default()
 }
 
-/// Types that can turn themselves into a [`Value`].
+/// The receiving end of serialization: a [`Serialize`] impl streams its
+/// value into a sink as a sequence of JSON-model events. Array elements
+/// need no separator calls; an object field is [`Sink::key`] followed by
+/// its value.
+///
+/// Two sinks exist: `serde_json` writes the events as text straight into
+/// its output, and [`Serialize::serialize`] assembles them into a
+/// [`Value`].
+pub trait Sink {
+    /// `null`.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, b: bool);
+    /// A signed integer.
+    fn int(&mut self, n: i64);
+    /// An unsigned integer (integer impls send the ones above `i64::MAX`).
+    fn uint(&mut self, n: u64);
+    /// A floating-point number.
+    fn float(&mut self, x: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Opens an array; each value until [`Sink::end_array`] is an element.
+    fn begin_array(&mut self);
+    /// Closes the innermost open array.
+    fn end_array(&mut self);
+    /// Opens an object.
+    fn begin_object(&mut self);
+    /// Names the next value as a field of the innermost open object.
+    fn key(&mut self, key: &str);
+    /// Closes the innermost open object.
+    fn end_object(&mut self);
+
+    /// One object field: `key`, then `value`.
+    fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T)
+    where
+        Self: Sized,
+    {
+        self.key(key);
+        value.serialize_to(self);
+    }
+}
+
+/// A [`Sink`] that assembles the events into a [`Value`] tree.
+#[derive(Debug, Default)]
+struct TreeSink {
+    /// Open arrays and objects, innermost last. An object's last entry
+    /// holds `Null` from its [`Sink::key`] until its value arrives.
+    open: Vec<Value>,
+    done: Option<Value>,
+}
+
+impl TreeSink {
+    /// The finished tree.
+    fn finish(self) -> Value {
+        assert!(self.open.is_empty(), "TreeSink: unclosed array or object");
+        self.done.expect("TreeSink: no value was serialized")
+    }
+
+    fn put(&mut self, v: Value) {
+        match self.open.last_mut() {
+            None => self.done = Some(v),
+            Some(Value::Array(items)) => items.push(v),
+            Some(Value::Object(fields)) => {
+                fields.last_mut().expect("a key before each value").1 = v
+            }
+            Some(_) => unreachable!("only arrays and objects are open"),
+        }
+    }
+
+    fn close(&mut self) {
+        let v = self.open.pop().expect("TreeSink: close without open");
+        self.put(v);
+    }
+}
+
+impl Sink for TreeSink {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn bool(&mut self, b: bool) {
+        self.put(Value::Bool(b));
+    }
+    fn int(&mut self, n: i64) {
+        self.put(Value::Int(n));
+    }
+    fn uint(&mut self, n: u64) {
+        self.put(Value::UInt(n));
+    }
+    fn float(&mut self, x: f64) {
+        self.put(Value::Float(x));
+    }
+    fn str(&mut self, s: &str) {
+        self.put(Value::Str(s.to_string()));
+    }
+    fn begin_array(&mut self) {
+        self.open.push(Value::Array(Vec::new()));
+    }
+    fn end_array(&mut self) {
+        self.close();
+    }
+    fn begin_object(&mut self) {
+        self.open.push(Value::Object(Vec::new()));
+    }
+    fn key(&mut self, key: &str) {
+        match self.open.last_mut() {
+            Some(Value::Object(fields)) => fields.push((key.to_string(), Value::Null)),
+            _ => panic!("TreeSink: key `{key}` outside an object"),
+        }
+    }
+    fn end_object(&mut self) {
+        self.close();
+    }
+}
+
+/// Types that can stream themselves into a [`Sink`].
 pub trait Serialize {
-    /// Converts `self` to the value tree.
-    fn serialize(&self) -> Value;
+    /// Streams `self` into `sink`: the type's one serializer.
+    fn serialize_to<S: Sink>(&self, sink: &mut S);
+
+    /// `self` as a value tree, for code that assembles documents: the
+    /// events of [`Serialize::serialize_to`], collected.
+    fn serialize(&self) -> Value {
+        let mut tree = TreeSink::default();
+        self.serialize_to(&mut tree);
+        tree.finish()
+    }
 }
 
 /// Types that can be rebuilt from a [`Value`].
@@ -126,13 +253,22 @@ pub trait Deserialize: Sized {
     fn deserialize(v: &Value) -> Result<Self, DeError>;
 }
 
+/// Streams `items` as an array.
+fn serialize_seq<S: Sink>(items: impl IntoIterator<Item = impl Serialize>, sink: &mut S) {
+    sink.begin_array();
+    for item in items {
+        item.serialize_to(sink);
+    }
+    sink.end_array();
+}
+
 // ---------------------------------------------------------------- primitives
 
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize_to<S: Sink>(&self, sink: &mut S) {
+                sink.int(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -154,10 +290,10 @@ macro_rules! impl_signed {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
+            fn serialize_to<S: Sink>(&self, sink: &mut S) {
                 match i64::try_from(*self) {
-                    Ok(n) => Value::Int(n),
-                    Err(_) => Value::UInt(*self as u64),
+                    Ok(n) => sink.int(n),
+                    Err(_) => sink.uint(*self as u64),
                 }
             }
         }
@@ -181,8 +317,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.bool(*self);
     }
 }
 
@@ -196,8 +332,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.float(*self);
     }
 }
 
@@ -213,8 +349,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.str(self);
     }
 }
 
@@ -228,14 +364,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.str(self);
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        sink.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -251,14 +387,14 @@ impl Deserialize for char {
 // -------------------------------------------------------------- containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        (**self).serialize_to(sink);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        (**self).serialize_to(sink);
     }
 }
 
@@ -269,10 +405,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
         match self {
-            None => Value::Null,
-            Some(x) => x.serialize(),
+            None => sink.null(),
+            Some(x) => x.serialize_to(sink),
         }
     }
 }
@@ -287,8 +423,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        serialize_seq(self, sink);
     }
 }
 
@@ -302,16 +438,18 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        serialize_seq(self, sink);
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$n.serialize()),+])
+            fn serialize_to<S: Sink>(&self, sink: &mut S) {
+                sink.begin_array();
+                $(self.$n.serialize_to(sink);)+
+                sink.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -335,15 +473,16 @@ impl_tuple! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
-// Maps serialize as sorted arrays of `[key, value]` pairs. (The real
-// serde_json rejects non-string map keys outright; this workspace carries
-// tuple- and integer-keyed maps, so the pair-array form is used uniformly.)
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn serialize(&self) -> Value {
-        let mut entries: Vec<Value> =
-            self.iter().map(|(k, v)| Value::Array(vec![k.serialize(), v.serialize()])).collect();
+// Maps serialize as arrays of `[key, value]` pairs. (The real serde_json
+// rejects non-string map keys outright; this workspace carries tuple- and
+// integer-keyed maps, so the pair-array form is used uniformly.) A
+// `HashMap`'s pairs are sorted by their value trees' `Debug` text, so its
+// bytes do not depend on the hasher's iteration order.
+impl<K: Serialize, V: Serialize, H> Serialize for HashMap<K, V, H> {
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        let mut entries: Vec<Value> = self.iter().map(|entry| entry.serialize()).collect();
         entries.sort_by_key(|e| format!("{e:?}"));
-        Value::Array(entries)
+        serialize_seq(&entries, sink);
     }
 }
 
@@ -370,10 +509,8 @@ where
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Array(
-            self.iter().map(|(k, v)| Value::Array(vec![k.serialize(), v.serialize()])).collect(),
-        )
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        serialize_seq(self, sink);
     }
 }
 
@@ -394,9 +531,9 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     }
 }
 
-impl<T: Serialize, S> Serialize for HashSet<T, S> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+impl<T: Serialize, H> Serialize for HashSet<T, H> {
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        serialize_seq(self, sink);
     }
 }
 
@@ -412,8 +549,8 @@ impl<T: Deserialize + Eq + std::hash::Hash, S: std::hash::BuildHasher + Default>
 }
 
 impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        serialize_seq(self, sink);
     }
 }
 
@@ -426,9 +563,26 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
     }
 }
 
+/// The one walk over a [`Value`] tree: `serde_json` writes a tree as text
+/// through this impl.
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize_to<S: Sink>(&self, sink: &mut S) {
+        match self {
+            Value::Null => sink.null(),
+            Value::Bool(b) => sink.bool(*b),
+            Value::Int(n) => sink.int(*n),
+            Value::UInt(n) => sink.uint(*n),
+            Value::Float(x) => sink.float(*x),
+            Value::Str(s) => sink.str(s),
+            Value::Array(items) => serialize_seq(items, sink),
+            Value::Object(fields) => {
+                sink.begin_object();
+                for (k, v) in fields {
+                    sink.field(k, v);
+                }
+                sink.end_object();
+            }
+        }
     }
 }
 

@@ -7,9 +7,12 @@
 //!
 //! - non-generic structs: named fields, tuple/newtype, unit;
 //! - non-generic enums with unit, newtype, tuple and struct variants;
-//! - field attributes `#[serde(default)]`, `#[serde(default = "path")]`;
+//! - field attributes `#[serde(default)]`, `#[serde(default = "path")]`,
+//!   `#[serde(skip_default)]`;
 //! - container attribute `#[serde(into = "T", from = "T")]`.
 //!
+//! `Serialize` emits one JSON serializer per type, a `serialize_to` that
+//! streams the value into a `serde::Sink`, plus the binary encoder.
 //! Anything else (generics, lifetimes, other serde attributes) is a
 //! compile-time panic with a pointed message rather than silent
 //! miscompilation.
@@ -341,58 +344,46 @@ fn gen_serialize(input: &Input) -> String {
     let body = if let Some(into) = &input.attrs.into {
         format!(
             "let __repr: {into} = ::core::convert::Into::into(::core::clone::Clone::clone(self));\n\
-             ::serde::Serialize::serialize(&__repr)"
+             ::serde::Serialize::serialize_to(&__repr, __s);"
         )
     } else {
         match &input.kind {
-            Kind::Struct(shape) => gen_serialize_shape(shape, name, None),
+            Kind::Struct(shape) => gen_serialize_shape(shape, |f| format!("&self.{f}")),
             Kind::Enum(variants) => {
                 let arms: String = variants
                     .iter()
                     .map(|v| {
                         let vn = &v.name;
-                        match &v.shape {
-                            Shape::Unit => format!(
-                                "{name}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),\n"
-                            ),
+                        let (pattern, payload) = match &v.shape {
+                            Shape::Unit => {
+                                return format!(
+                                    "{name}::{vn} => ::serde::Sink::str(__s, \"{vn}\"),\n"
+                                );
+                            }
                             Shape::Tuple(n) => {
-                                let binds: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
-                                let payload = if *n == 1 {
-                                    "::serde::Serialize::serialize(__x0)".to_string()
-                                } else {
-                                    format!(
-                                        "::serde::Value::Array(::std::vec![{}])",
-                                        binds
-                                            .iter()
-                                            .map(|b| format!("::serde::Serialize::serialize({b})"))
-                                            .collect::<Vec<_>>()
-                                            .join(", ")
-                                    )
-                                };
-                                format!(
-                                    "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![(::std::string::String::from(\"{vn}\"), {payload})]),\n",
-                                    binds.join(", ")
+                                let binds: Vec<String> =
+                                    (0..*n).map(|i| format!("__x{i}")).collect();
+                                (
+                                    format!("({})", binds.join(", ")),
+                                    gen_serialize_shape(&v.shape, |i| format!("__x{i}")),
                                 )
                             }
                             Shape::Named(fields) => {
                                 let binds: Vec<&str> =
                                     fields.iter().map(|f| f.name.as_str()).collect();
-                                let entries = fields
-                                    .iter()
-                                    .map(|f| {
-                                        format!(
-                                            "(::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize({0}))",
-                                            f.name
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                                    .join(", ");
-                                format!(
-                                    "{name}::{vn} {{ {} }} => ::serde::Value::Object(::std::vec![(::std::string::String::from(\"{vn}\"), ::serde::Value::Object(::std::vec![{entries}]))]),\n",
-                                    binds.join(", ")
+                                (
+                                    format!(" {{ {} }}", binds.join(", ")),
+                                    gen_serialize_shape(&v.shape, str::to_string),
                                 )
                             }
-                        }
+                        };
+                        format!(
+                            "{name}::{vn}{pattern} => {{\n\
+                             ::serde::Sink::begin_object(__s);\n\
+                             ::serde::Sink::key(__s, \"{vn}\");\n\
+                             {payload}\
+                             ::serde::Sink::end_object(__s);\n}}\n"
+                        )
                     })
                     .collect();
                 format!("match self {{\n{arms}}}")
@@ -401,56 +392,39 @@ fn gen_serialize(input: &Input) -> String {
     };
     format!(
         "{IMPL_HEADER}impl ::serde::Serialize for {name} {{\n\
-         fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn serialize_to<__S: ::serde::Sink>(&self, __s: &mut __S) {{\n{body}\n}}\n}}\n"
     )
 }
 
-/// Serialize body for a struct shape (`prefix` is `None` for `self.`-based
-/// access).
-fn gen_serialize_shape(shape: &Shape, name: &str, _prefix: Option<&str>) -> String {
+/// Statements streaming one struct or variant body into `__s`; `access`
+/// turns a field's name (or tuple index) into a reference to it.
+/// Newtypes are transparent, tuples are arrays, named fields an object
+/// (a `skip_default` field only while it is off its default), a unit
+/// struct `null`.
+fn gen_serialize_shape(shape: &Shape, access: impl Fn(&str) -> String) -> String {
+    let write =
+        |field: &str| format!("::serde::Serialize::serialize_to({}, __s);\n", access(field));
     match shape {
-        Shape::Unit => "::serde::Value::Null".to_string(),
-        Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
+        Shape::Unit => "::serde::Sink::null(__s);\n".to_string(),
+        Shape::Tuple(1) => write("0"),
         Shape::Tuple(n) => {
-            let items = (0..*n)
-                .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("::serde::Value::Array(::std::vec![{items}])")
+            let items: String = (0..*n).map(|i| write(&i.to_string())).collect();
+            format!("::serde::Sink::begin_array(__s);\n{items}::serde::Sink::end_array(__s);\n")
         }
         Shape::Named(fields) => {
-            let _ = name;
-            if fields.iter().any(|f| f.attrs.skip_default) {
-                let pushes: String = fields
-                    .iter()
-                    .map(|f| {
-                        let push = format!(
-                            "__entries.push((::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize(&self.{0})));\n",
-                            f.name
-                        );
-                        if f.attrs.skip_default {
-                            format!("if !::serde::is_default(&self.{}) {{ {push} }}\n", f.name)
-                        } else {
-                            push
-                        }
-                    })
-                    .collect();
-                format!(
-                    "{{\nlet mut __entries: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n{pushes}::serde::Value::Object(__entries)\n}}"
-                )
-            } else {
-                let entries = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "(::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize(&self.{0}))",
-                            f.name
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("::serde::Value::Object(::std::vec![{entries}])")
-            }
+            let entries: String = fields
+                .iter()
+                .map(|f| {
+                    let (fname, x) = (&f.name, access(&f.name));
+                    let entry = format!("::serde::Sink::field(__s, \"{fname}\", {x});\n");
+                    if f.attrs.skip_default {
+                        format!("if !::serde::is_default({x}) {{ {entry} }}\n")
+                    } else {
+                        entry
+                    }
+                })
+                .collect();
+            format!("::serde::Sink::begin_object(__s);\n{entries}::serde::Sink::end_object(__s);\n")
         }
     }
 }

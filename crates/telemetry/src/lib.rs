@@ -203,8 +203,8 @@ pub fn counters_value(counters: &BTreeMap<String, u64>) -> Value {
 pub struct CountersSnapshot(pub BTreeMap<String, u64>);
 
 impl serde::Serialize for CountersSnapshot {
-    fn serialize(&self) -> Value {
-        counters_value(&self.0)
+    fn serialize_to<S: serde::Sink>(&self, sink: &mut S) {
+        serde::Serialize::serialize_to(&counters_value(&self.0), sink);
     }
 }
 

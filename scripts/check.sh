@@ -8,6 +8,27 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> doc paths (every repo path the docs name in backticks exists)"
+# A backticked token containing `/` whose first component is a top-level
+# directory of the repo must exist (a `:LINE` suffix is allowed).
+# `benchmark/BENCHMARK.md` is not scanned: the benchmark package changes
+# only with the benchmark.
+python3 - README.md DESIGN.md EXPERIMENTS.md CHANGELOG.md docs/*.md <<'EOF'
+import os, re, sys
+roots = {e for e in os.listdir(".") if os.path.isdir(e) and not e.startswith(".")} - {"target"}
+dead = []
+for doc in sys.argv[1:]:
+    for n, line in enumerate(open(doc, encoding="utf-8"), 1):
+        for tok in re.findall(r"`([^`\s]+)`", line):
+            path = re.sub(r":\d+(-\d+)?$", "", tok).rstrip("/")
+            if "/" not in path or not re.fullmatch(r"[\w.\-/]+", path):
+                continue
+            if path.split("/")[0] in roots and not os.path.exists(path):
+                dead.append(f"{doc}:{n}: `{tok}` does not exist")
+if dead:
+    sys.exit("\n".join(dead))
+EOF
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
