@@ -54,9 +54,11 @@
 //! mode wired into `scripts/check.sh`.
 
 use ipra_bench::harness::{
-    best_of, count, counters, differing, median, time, Args, Cmp, Counters, Host, Report, TRIALS,
+    best_of, count, counters, differing, median, time, BenchArgs, Cmp, Counters, Host, Report,
+    TRIALS,
 };
 use ipra_core::PaperConfig;
+use ipra_driver::args::Args;
 use ipra_driver::{
     compile_incremental, run_program, CompilationCache, CompileOptions, CompiledProgram,
     PhaseStats, SourceFile,
@@ -364,7 +366,7 @@ fn main() -> ExitCode {
     let sizes = args
         .value("--modules", "N,N,...", |v| v.split(',').map(count).collect())
         .unwrap_or_else(|| vec![8, 64, 256]);
-    let bench = args.bench("BENCH_compile.json");
+    let bench = BenchArgs::declare(&mut args, "BENCH_compile.json");
     args.finish();
 
     let config = PaperConfig::C;

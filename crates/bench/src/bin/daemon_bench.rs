@@ -53,10 +53,11 @@
 //! go to `BENCH_daemon.json`.
 
 use ipra_bench::harness::{
-    best_of, count, counters, median, time, Args, Cmp, Counters, Host, Report,
+    best_of, count, counters, median, time, BenchArgs, Cmp, Counters, Host, Report,
 };
 use ipra_daemon::protocol::{executable_artifact, BuildRequest, WireSource};
 use ipra_daemon::{Client, Server, ServerOptions};
+use ipra_driver::args::Args;
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_workloads::scaled::scaled_module;
 use std::path::Path;
@@ -166,7 +167,7 @@ impl Clients {
 fn main() -> ExitCode {
     let mut args = Args::new("daemon_bench", std::env::args().skip(1));
     let modules = args.value("--modules", "N", count).unwrap_or(16);
-    let bench = args.bench("BENCH_daemon.json");
+    let bench = BenchArgs::declare(&mut args, "BENCH_daemon.json");
     args.finish();
 
     let socket = std::env::temp_dir().join(format!("cmind-bench-{}.sock", std::process::id()));

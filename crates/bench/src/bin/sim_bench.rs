@@ -45,9 +45,10 @@
 //! cargo run --release -p ipra-bench --bin sim_bench -- --check
 //! ```
 
-use ipra_bench::harness::{best_of, differing, Args, Cmp, Host, Report};
+use ipra_bench::harness::{best_of, differing, BenchArgs, Cmp, Host, Report};
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::PaperConfig;
+use ipra_driver::args::Args;
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_workloads::scaled::scaled_sim_program;
 use std::process::ExitCode;
@@ -145,7 +146,7 @@ fn measure(
 
 fn main() -> ExitCode {
     let mut args = Args::new("sim_bench", std::env::args().skip(1));
-    let bench = args.bench("BENCH_sim.json");
+    let bench = BenchArgs::declare(&mut args, "BENCH_sim.json");
     args.finish();
 
     let scaled_name = format!("scaled-{SCALED_MODULES}");

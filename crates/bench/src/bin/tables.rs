@@ -6,11 +6,11 @@
 //! cargo run --release -p ipra-bench --bin tables -- --fast  # training inputs
 //! ```
 
-use ipra_bench::harness::Args;
 use ipra_bench::{
     ablation_table, breakdown_table, measure_workload, stats_table, table3, table4, table5,
 };
 use ipra_core::PaperConfig;
+use ipra_driver::args::Args;
 
 /// The `--table` ids.
 const TABLES: [&str; 7] = ["3", "4", "5", "stats", "ablation", "breakdown", "all"];

@@ -1,6 +1,6 @@
 //! The one harness behind `compile_bench`, `sim_bench` and `daemon_bench`:
-//! a flag parser, a best-of-[`TRIALS`] timer, and one report shape with one
-//! JSON writer, one stderr printer and one exit rule.
+//! their shared flags, a best-of-[`TRIALS`] timer, and one report shape
+//! with one JSON writer, one stderr printer and one exit rule.
 //!
 //! Every report is `{bench, host, rows, gates}`:
 //!
@@ -14,8 +14,9 @@
 //!
 //! A bench exits non-zero when its report cannot be written, or when
 //! `--check` is given and a gate failed. A bad command line exits 2 before
-//! anything is measured.
+//! anything is measured ([`ipra_driver::args`] parses every bench's flags).
 
+use ipra_driver::args::Args;
 use ipra_telemetry::CountersSnapshot;
 use serde::{Serialize, Sink};
 use std::collections::BTreeMap;
@@ -88,20 +89,6 @@ pub fn count(v: &str) -> Option<usize> {
     v.parse().ok().filter(|&n| n > 0)
 }
 
-/// A bench's command line, checked against the flags the bench declares.
-///
-/// Each getter declares one flag and returns its value; [`Args::finish`]
-/// then rejects whatever was unknown, missing its value or unparsable, so
-/// a bench calls every getter before it measures anything.
-#[derive(Debug)]
-pub struct Args {
-    bin: &'static str,
-    argv: Vec<String>,
-    used: Vec<bool>,
-    usage: Vec<String>,
-    error: Option<String>,
-}
-
 /// The flags every bench shares.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
@@ -111,95 +98,14 @@ pub struct BenchArgs {
     pub check: bool,
 }
 
-impl Args {
-    /// Starts checking `argv` (the arguments after the program name).
-    pub fn new(bin: &'static str, argv: impl IntoIterator<Item = String>) -> Args {
-        let argv: Vec<String> = argv.into_iter().collect();
-        let used = vec![false; argv.len()];
-        Args { bin, argv, used, usage: Vec::new(), error: None }
-    }
-
-    /// Declares the switch `flag`; true when it was given.
-    pub fn switch(&mut self, flag: &'static str) -> bool {
-        self.usage.push(format!("[{flag}]"));
-        let mut given = false;
-        for i in 0..self.argv.len() {
-            if !self.used[i] && self.argv[i] == flag {
-                self.used[i] = true;
-                given = true;
-            }
-        }
-        given
-    }
-
-    /// Declares `flag` with a value described by `meta` in the usage line,
-    /// and returns the value `parse` accepted (`None` when the flag was not
-    /// given; a missing or rejected value is reported by [`Args::finish`]).
-    pub fn value<T>(
-        &mut self,
-        flag: &'static str,
-        meta: &'static str,
-        parse: impl Fn(&str) -> Option<T>,
-    ) -> Option<T> {
-        self.usage.push(format!("[{flag} {meta}]"));
-        let mut value = None;
-        for i in 0..self.argv.len() {
-            if self.used[i] || self.argv[i] != flag {
-                continue;
-            }
-            self.used[i] = true;
-            let Some(v) = self.argv.get(i + 1).filter(|v| !v.starts_with("--")) else {
-                self.fail(format!("{flag} needs a value ({meta})"));
-                continue;
-            };
-            self.used[i + 1] = true;
-            match parse(v) {
-                Some(x) => value = Some(x),
-                None => self.fail(format!("bad value `{v}` for {flag} (want {meta})")),
-            }
-        }
-        value
-    }
-
+impl BenchArgs {
     /// Declares the shared `--out FILE` (defaulting to `default_out`) and
-    /// `--check`.
-    pub fn bench(&mut self, default_out: &str) -> BenchArgs {
-        let out = self.value("--out", "FILE", |v| Some(v.to_string()));
+    /// `--check` on `args`.
+    pub fn declare(args: &mut Args, default_out: &str) -> BenchArgs {
+        let out = args.path("--out", "FILE");
         BenchArgs {
             out: out.unwrap_or_else(|| default_out.to_string()),
-            check: self.switch("--check"),
-        }
-    }
-
-    fn fail(&mut self, message: String) {
-        self.error.get_or_insert(message);
-    }
-
-    /// The first problem with the command line, as an error message ending
-    /// in the usage line.
-    fn verdict(mut self) -> Result<(), String> {
-        if self.error.is_none() {
-            if let Some(i) = self.used.iter().position(|u| !u) {
-                let arg = &self.argv[i];
-                let kind =
-                    if arg.starts_with("--") { "unknown flag" } else { "unexpected argument" };
-                self.error = Some(format!("{kind} `{arg}`"));
-            }
-        }
-        match self.error {
-            None => Ok(()),
-            Some(e) => {
-                Err(format!("{}: {e}\nusage: {} {}", self.bin, self.bin, self.usage.join(" ")))
-            }
-        }
-    }
-
-    /// Ends the declarations: on any problem, prints it with the usage line
-    /// and exits with status 2.
-    pub fn finish(self) {
-        if let Err(e) = self.verdict() {
-            eprintln!("{e}");
-            std::process::exit(2);
+            check: args.switch("--check"),
         }
     }
 }
@@ -414,15 +320,6 @@ mod tests {
     use serde::Value;
     use std::time::Duration;
 
-    /// A bench declaring `--modules N,N,...` plus the shared flags.
-    fn declare(argv: &[&str]) -> Result<(Option<Vec<usize>>, BenchArgs), String> {
-        let mut a = Args::new("bench", argv.iter().map(|s| s.to_string()));
-        let modules =
-            a.value("--modules", "N,N,...", |v| v.split(',').map(count).collect::<Option<_>>());
-        let bench = a.bench("BENCH_x.json");
-        a.verdict().map(|()| (modules, bench))
-    }
-
     #[test]
     fn median_takes_the_middle_or_the_mean_of_the_middle_two() {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
@@ -430,35 +327,20 @@ mod tests {
     }
 
     #[test]
-    fn declared_flags_parse() {
-        let (modules, bench) =
-            declare(&["--modules", "8,64", "--check", "--out", "x.json"]).unwrap();
-        assert_eq!(modules, Some(vec![8, 64]));
-        assert_eq!(bench.out, "x.json");
-        assert!(bench.check);
-        let (modules, bench) = declare(&[]).unwrap();
-        assert_eq!(modules, None);
-        assert_eq!(bench.out, "BENCH_x.json");
-        assert!(!bench.check);
-    }
-
-    #[test]
-    fn bad_arguments_name_the_flag_with_the_usage_line() {
-        for (argv, want) in [
-            (&["--modlues", "8", "--check"][..], "unknown flag `--modlues`"),
-            (&["--check", "stray"][..], "unexpected argument `stray`"),
-            (&["--modules"][..], "--modules needs a value"),
-            (&["--modules", "--check"][..], "--modules needs a value"),
-            (&["--modules", "8,x"][..], "bad value `8,x` for --modules"),
-            (&["--modules", "0"][..], "bad value `0` for --modules"),
-        ] {
-            let err = declare(argv).unwrap_err();
-            assert!(err.contains(want), "{argv:?}: {err}");
-            assert!(
-                err.ends_with("usage: bench [--modules N,N,...] [--out FILE] [--check]"),
-                "{argv:?}: {err}"
-            );
-        }
+    fn shared_flags_parse_with_their_default() {
+        let declare = |argv: &[&str]| {
+            let mut a = Args::new("bench", argv.iter().map(|s| s.to_string()));
+            let bench = BenchArgs::declare(&mut a, "BENCH_x.json");
+            a.verdict().map(|()| bench)
+        };
+        let bench = declare(&["--check", "--out", "x.json"]).unwrap();
+        assert_eq!((bench.out.as_str(), bench.check), ("x.json", true));
+        let bench = declare(&[]).unwrap();
+        assert_eq!((bench.out.as_str(), bench.check), ("BENCH_x.json", false));
+        let err = declare(&["--out"]).unwrap_err();
+        assert!(err.ends_with("usage: bench [--out FILE] [--check]"), "{err}");
+        assert_eq!(count("8"), Some(8));
+        assert_eq!(count("0"), None);
     }
 
     #[test]

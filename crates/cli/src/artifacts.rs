@@ -4,18 +4,18 @@
 //! `objdump` subcommands. A file without an artifact header — bare JSON,
 //! say — is an error that names the file.
 
-use crate::{flag_value, module_name, positionals, read};
+use crate::{module_name, read};
 use ipra_artifact::{
     ArtifactKind, DirectivesArtifact, ExecutableArtifact, ExecutableView, LibraryArtifact,
     LibraryMember, ObjectArtifact, SummaryArtifact,
 };
 use ipra_core::ProgramDatabase;
-use ipra_driver::SourceFile;
+use ipra_driver::args::Args;
+use ipra_driver::{CompilationCache, SourceFile};
 use ipra_summary::ModuleSummary;
 use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use vpr::inst::Inst;
 use vpr::program::{Executable, ObjectModule};
 use vpr::regs::RegSet;
 use vpr::target::{TargetDesc, TargetId};
@@ -65,7 +65,12 @@ pub fn load_database(path: &str) -> Result<ProgramDatabase, String> {
 
 /// Reads an executable artifact.
 pub fn load_executable(path: &str) -> Result<Executable, String> {
-    load::<ExecutableArtifact>(ArtifactKind::Executable, path).map(|a| a.exe)
+    decode_executable(path, &read(path)?)
+}
+
+/// Decodes `text`, read from `path`, as an executable artifact.
+pub fn decode_executable(path: &str, text: &str) -> Result<Executable, String> {
+    decode::<ExecutableArtifact>(ArtifactKind::Executable, path, text).map(|a| a.exe)
 }
 
 /// Writes a program database as a directives artifact, its header stamped
@@ -89,13 +94,14 @@ pub fn write_executable(path: &str, exe: &Executable) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
-/// Opens the compilation cache: persistent when `--cache-dir` is given,
-/// in-memory (useless across processes, but harmless) otherwise.
-pub fn open_cache(args: &[String]) -> Result<ipra_driver::CompilationCache, String> {
-    match flag_value(args, "--cache-dir") {
-        Some(dir) => ipra_driver::CompilationCache::with_disk(&dir)
-            .map_err(|e| format!("--cache-dir {dir}: {e}")),
-        None => Ok(ipra_driver::CompilationCache::new()),
+/// Opens the compilation cache: persistent when `--cache-dir` gave a
+/// directory, in-memory (useless across processes, but harmless) otherwise.
+pub fn open_cache(dir: Option<&str>) -> Result<CompilationCache, String> {
+    match dir {
+        Some(dir) => {
+            CompilationCache::with_disk(dir).map_err(|e| format!("--cache-dir {dir}: {e}"))
+        }
+        None => Ok(CompilationCache::new()),
     }
 }
 
@@ -104,23 +110,28 @@ pub fn open_cache(args: &[String]) -> Result<ipra_driver::CompilationCache, Stri
 /// `.vo` object and, beside it unless `--summary` says otherwise, the
 /// `.csum` summary. With `--cache-dir`, both phases are served from the
 /// persistent cache when their fingerprints still match.
-pub fn c_cmd(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
+pub fn c_cmd(mut a: Args) -> Result<(), String> {
+    let out = a.path("-o", "<mod.vo>");
+    let summary = a.path("--summary", "<mod.csum>");
+    let dir = a.path("--dir", "<prog.cdir>");
+    let cache_dir = a.path("--cache-dir", "DIR");
+    let target = crate::target(&mut a);
+    let files = a.positionals("<src.cmin>");
+    a.finish();
     let [src_path] = files.as_slice() else {
         return Err("c takes exactly one source file".into());
     };
     let stem = module_name(src_path);
-    let out = flag_value(args, "-o").unwrap_or(format!("{stem}.vo"));
-    let sum_out = match flag_value(args, "--summary") {
+    let out = out.unwrap_or(format!("{stem}.vo"));
+    let sum_out = match summary {
         Some(path) => PathBuf::from(path),
         None => summary_path_for(&out),
     };
-    let database = match flag_value(args, "--dir") {
+    let database = match dir {
         Some(p) => load_database(&p)?,
         None => ProgramDatabase::new(),
     };
-    let target = crate::parse_target(args)?;
-    let mut cache = open_cache(args)?;
+    let mut cache = open_cache(cache_dir.as_deref())?;
     let src = SourceFile::new(stem, read(src_path)?);
     let product =
         ipra_driver::separate::build_module_for(&src, &database, true, &mut cache, target)
@@ -143,12 +154,14 @@ pub fn c_cmd(args: &[String]) -> Result<(), String> {
 
 /// `cminc lib`: archives `.vo` objects (each with its sibling `.csum`
 /// summary) into a `.vlib` library, in argument order.
-pub fn lib_cmd(args: &[String]) -> Result<(), String> {
-    let objs = positionals(args);
+pub fn lib_cmd(mut a: Args) -> Result<(), String> {
+    let out = a.path("-o", "<lib.vlib>");
+    let objs = a.positionals("<mod.vo>...");
+    a.finish();
     if objs.is_empty() {
         return Err("lib needs at least one .vo object file".into());
     }
-    let out = flag_value(args, "-o").ok_or("lib needs -o <lib.vlib>")?;
+    let out = out.ok_or("lib needs -o <lib.vlib>")?;
     let mut members = Vec::with_capacity(objs.len());
     for o in &objs {
         let object = load_object(o)?;
@@ -191,8 +204,9 @@ pub fn collect_link_inputs(paths: &[String]) -> Result<Vec<ObjectModule>, String
 // objdump.
 
 /// `cminc objdump <file>`: pretty-prints any of the five artifact kinds.
-pub fn objdump_cmd(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
+pub fn objdump_cmd(mut a: Args) -> Result<(), String> {
+    let files = a.positionals("<artifact-file>");
+    a.finish();
     let [path] = files.as_slice() else {
         return Err("objdump takes exactly one artifact file".into());
     };
@@ -219,8 +233,7 @@ pub fn objdump_cmd(args: &[String]) -> Result<(), String> {
             print!("{}", dump_object(&a.object));
         }
         ArtifactKind::Executable => {
-            let a: ExecutableArtifact = decode(kind, path, &text)?;
-            print!("{}", dump_executable(&a.exe));
+            print!("{}", vpr::asm::executable_asm(&decode_executable(path, &text)?));
         }
         ArtifactKind::Library => {
             let a: LibraryArtifact = decode(kind, path, &text)?;
@@ -328,29 +341,5 @@ fn dump_object(m: &ObjectModule) -> String {
     let _ = writeln!(out, "; defines globals [{}]", list(&symbols.defined_globals));
     let _ = writeln!(out, "; needs funcs [{}]", list(&symbols.undefined_funcs));
     let _ = writeln!(out, "; needs globals [{}]", list(&symbols.undefined_globals));
-    out
-}
-
-/// Linked disassembly with call targets symbolized back to `proc+offset`
-/// through [`Executable::symbolize`].
-fn dump_executable(exe: &Executable) -> String {
-    let desc = exe.target().desc();
-    let mut out = String::new();
-    for (pc, inst) in exe.insts().iter().enumerate() {
-        if let Some(fi) = exe.funcs().iter().find(|fi| fi.entry == pc) {
-            let _ = writeln!(out, "\n{}:  ; @{}", fi.name, fi.entry);
-        }
-        let _ = write!(out, "  {pc:6}  {}", vpr::asm::inst_asm(inst, desc));
-        if let Inst::CallAbs { entry } = inst {
-            if let Some(sym) = exe.symbolize(*entry as usize) {
-                let _ = write!(out, "  ; -> {sym}");
-            }
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(out, "\n; --- data ---");
-    for g in exe.globals() {
-        let _ = writeln!(out, ";   {} @ {} ({} words)", g.sym, g.addr, g.size);
-    }
     out
 }

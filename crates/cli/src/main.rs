@@ -30,41 +30,51 @@ mod artifacts;
 use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, PaperConfig};
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::{ProfileData, ProgramDatabase};
-use ipra_driver::SourceFile;
+use ipra_driver::args::{parsed, Args};
+use ipra_driver::{CompilationCache, CompileOptions, CompiledProgram, SourceFile};
 use ipra_summary::ProgramSummary;
 use ipra_telemetry::Telemetry;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
+use vpr::target::TargetId;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let result = match cmd.as_str() {
-        "c" => artifacts::c_cmd(rest),
-        "lib" => artifacts::lib_cmd(rest),
-        "objdump" => artifacts::objdump_cmd(rest),
-        "analyze" => analyze_cmd(rest),
-        "link" => link_cmd(rest),
-        "verify" => verify_cmd(rest),
-        "run" => run_cmd(rest),
-        "build" => build_cmd(rest),
-        "profile" => profile_cmd(rest),
-        "stats" => stats_cmd(rest),
-        "explain" => explain_cmd(rest),
-        "report" => report_cmd(rest),
-        "fuzz" => fuzz_cmd(rest),
-        "serve" => serve_cmd(rest),
-        "remote" => remote_cmd(rest),
-        "--help" | "-h" | "help" => {
+    let mut argv = std::env::args().skip(1);
+    let cmd = argv.next().unwrap_or_default();
+    let sub = if cmd == "remote" { argv.next().unwrap_or_default() } else { String::new() };
+    // Each command declares its own flags, and usage lines name it in full.
+    let args = |name: &str| Args::new(format!("cminc {name}"), argv);
+    let result = match (cmd.as_str(), sub.as_str()) {
+        ("c", _) => artifacts::c_cmd(args("c")),
+        ("lib", _) => artifacts::lib_cmd(args("lib")),
+        ("objdump", _) => artifacts::objdump_cmd(args("objdump")),
+        ("analyze", _) => analyze_cmd(args("analyze")),
+        ("link", _) => link_cmd(args("link")),
+        ("verify", _) => verify_cmd(args("verify")),
+        ("run", _) => run_cmd(args("run")),
+        ("build", _) => build_cmd(args("build")),
+        ("profile", _) => profile_cmd(args("profile")),
+        ("explain", _) => explain_cmd(args("explain")),
+        ("report", _) => report_cmd(args("report")),
+        ("fuzz", _) => fuzz_cmd(args("fuzz")),
+        ("serve", _) => serve_cmd(args("serve")),
+        ("remote", "build") => remote_build(args("remote build")),
+        ("remote", "ping" | "stats" | "shutdown") => {
+            remote_cmd(&sub, args(&format!("remote {sub}")))
+        }
+        ("--help" | "-h" | "help", _) => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        _ => {
+            if !cmd.is_empty() {
+                eprintln!("cminc: unknown command `{}`", format!("{cmd} {sub}").trim_end());
+            }
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -77,16 +87,15 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   cminc c <src.cmin> [-o <mod.vo>] [--summary <mod.csum>] [--dir <prog.cdir>] [--cache-dir DIR] [--target vpr|rv32]
-  cminc analyze <mod.csum|lib.vlib>... [--config L2|A|B|C|D|E|F|P] [--profile <prof.json>] [--report] [--dot <graph.dot>] [--trace <trace.json>] [--target vpr|rv32] -o <prog.cdir>
+  cminc analyze <mod.csum|lib.vlib>... [--config L2|A|B|C|D|E|F|P] [--profile <prof.json>] [--report] [--dot <graph.dot>] [--decisions-out <decisions.json>] [--target vpr|rv32] -o <prog.cdir>
   cminc link <mod.vo|lib.vlib>... [--allow-undefined] -o <prog.vx>
   cminc lib <mod.vo>... -o <lib.vlib>
   cminc verify <mod.vo>... [--db <prog.cdir>]
-  cminc run <prog.vx> [--input \"v v v\"] [--engine fast|ref] [--stats] [--stats-json <out.json>] [--metrics-out <m.json>] [--profile-out <prof.json>] [--asm]
-  cminc build <src.cmin>... [--config ...] [--target vpr|rv32] [-o <prog.vx>] [--cache-dir DIR] [-j|--jobs N] [--repeat N] [--verify] [--run] [--stats] [--trace <trace.json>] [--trace-out <t.json>] [--metrics-out <m.json>] [--stats-json <s.json>] [--input \"v v v\"]
+  cminc run <prog.vx> [--input \"v v v\"] [--engine fast|ref] [--stats] [--stats-json <out.json>] [--metrics-out <m.json>] [--profile-out <prof.json>]
+  cminc build <src.cmin>... [--config ...] [--target vpr|rv32] [-o <prog.vx>] [--cache-dir DIR] [-j|--jobs N] [--repeat N] [--verify] [--run] [--stats] [--decisions-out <decisions.json>] [--trace-out <t.json>] [--metrics-out <m.json>] [--input \"v v v\"]
   cminc profile <prog.vx | src.cmin...> [--config ...] [--input \"v v v\"] [--engine fast|ref] [--top N] [--json <out.json>]
-  cminc stats <src.cmin>... [--config ...] [--input \"v v v\"] [-j|--jobs N] [--run]
   cminc objdump <artifact-file>
-  cminc explain <symbol> (--trace <trace.json> | <src.cmin>... [--config ...]) [--target vpr|rv32]
+  cminc explain <symbol> (--decisions <decisions.json> | <src.cmin>... [--config ...] [--input \"v v v\"]) [--target vpr|rv32]
   cminc report <src.cmin>... --config-b L2|A|B|C|D|E|F|P [--config-a ...] [--input \"v v v\"] [--json <out.json>]
   cminc fuzz [--seed N] [--iters N | --time-budget SECS] [-j|--jobs N] [--corpus DIR] [--reduce-budget N] [--self-validate] [--metrics-out <m.json>]
   cminc serve --socket PATH [--cache-dir DIR] [-j|--jobs N] [--shards N] [--cap N] [--timeout SECS]
@@ -97,6 +106,10 @@ artifacts (`objdump` prints any of them):
   .csum  per-module summary     .cdir  analyzer directives   .vo  object code
   .vx    linked executable      .vlib  object+summary archive
   inputs are recognized by their artifact header, not their file name
+
+a bad command line (an unknown flag, another command's flag, a missing or
+unparsable value) exits 2 with that command's usage line before any file
+is read or written
 
 separate compilation:
   c              one module, both phases; --dir supplies the analyzer's
@@ -115,7 +128,8 @@ build flags:
   --repeat N     build N times through one incremental cache (recompilation demo)
   -o FILE        write the linked executable (a .vx artifact)
   --stats        per-phase wall-clock and cache hit/miss table (plus run stats with --run)
-  --trace FILE   persist the analyzer's decision trace as JSON (also: analyze)
+  --decisions-out FILE  persist the analyzer's decision trace as JSON (also:
+                 analyze); explain --decisions reads it back
 
 telemetry (spans + counters, see docs/telemetry.md):
   --trace-out FILE    (build) export pipeline spans as Chrome trace-event
@@ -124,17 +138,14 @@ telemetry (spans + counters, see docs/telemetry.md):
   --metrics-out FILE  (build, run, fuzz) export the counters registry as
                       canonical JSON: byte-identical across --jobs widths,
                       engines, and machines (never contains wall-clock data)
-  --stats-json FILE   (build) machine-readable build stats: cache hit/miss
-                      tiers + counters, deterministic (no wall-clock)
   profile             run a program with per-pc execution counts and print
                       symbolized per-procedure / hot-block / opcode tables;
                       identical on both engines, totals equal run cycles
-  stats               build (and optionally run) sources, print the
-                      canonical metrics JSON on stdout
 
 observability:
   explain        render every analyzer decision that mentions one global or
-                 procedure, from a saved trace or by compiling sources
+                 procedure, from a saved --decisions-out file or by compiling
+                 sources
   report         compile under two configs (A defaults to L2), run both with
                  exact per-procedure attribution, and explain each delta;
                  --json writes the full deterministic report
@@ -154,72 +165,6 @@ fuzz:
   --self-validate    inject the known miscompile classes and prove the
                      oracle detects them; repros shrink into --corpus too";
 
-/// Pulls the value following `flag` out of `args`, if present.
-pub(crate) fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Positional arguments: everything not a flag or a flag value.
-pub(crate) fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            // Flags with values:
-            let takes_value = matches!(
-                a.as_str(),
-                "--summary"
-                    | "--config"
-                    | "--profile"
-                    | "--db"
-                    | "-o"
-                    | "--input"
-                    | "--profile-out"
-                    | "--dot"
-                    | "--jobs"
-                    | "--repeat"
-                    | "--trace"
-                    | "--stats-json"
-                    | "--config-a"
-                    | "--config-b"
-                    | "--json"
-                    | "--seed"
-                    | "--iters"
-                    | "--time-budget"
-                    | "--corpus"
-                    | "--reduce-budget"
-                    | "--dir"
-                    | "--cache-dir"
-                    | "--engine"
-                    | "--trace-out"
-                    | "--metrics-out"
-                    | "--top"
-                    | "--socket"
-                    | "--shards"
-                    | "--cap"
-                    | "--timeout"
-                    | "--target"
-            );
-            skip = takes_value && args.get(i + 1).is_some();
-            continue;
-        }
-        if a == "-o" || a == "-j" {
-            skip = true;
-            continue;
-        }
-        out.push(a.clone());
-    }
-    out
-}
-
 pub(crate) fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
@@ -235,48 +180,51 @@ pub(crate) fn module_name(path: &str) -> String {
         .unwrap_or_else(|| "module".into())
 }
 
-/// Resolves a configuration flag (`--config`, `--config-a`, `--config-b`)
-/// to a paper configuration (default: L2).
-fn parse_config(args: &[String], flag: &str) -> Result<PaperConfig, String> {
-    match flag_value(args, flag) {
-        None => Ok(PaperConfig::L2),
-        Some(name) => PaperConfig::parse(&name).ok_or_else(|| format!("unknown config `{name}`")),
-    }
+/// Declares a configuration flag (`--config`, `--config-a`, `--config-b`).
+fn config(a: &mut Args, flag: &'static str) -> Option<PaperConfig> {
+    a.value(flag, "L2|A|B|C|D|E|F|P", PaperConfig::parse)
 }
 
-/// Resolves `--target` to a machine description id (default: VPR).
-pub(crate) fn parse_target(args: &[String]) -> Result<vpr::target::TargetId, String> {
-    match flag_value(args, "--target") {
-        None => Ok(vpr::target::TargetId::Vpr),
-        Some(s) => vpr::target::TargetId::parse(&s).ok_or_else(|| {
-            let names: Vec<&str> = vpr::target::TargetId::ALL.iter().map(|t| t.name()).collect();
-            format!("unknown target `{s}` (targets: {})", names.join(", "))
-        }),
-    }
+/// Declares `--target`, the machine description (default: VPR).
+pub(crate) fn target(a: &mut Args) -> TargetId {
+    a.value("--target", "vpr|rv32", TargetId::parse).unwrap_or(TargetId::Vpr)
 }
 
-fn parse_input(args: &[String]) -> Result<Vec<i64>, String> {
-    match flag_value(args, "--input") {
-        None => Ok(Vec::new()),
-        Some(text) => text
-            .split_whitespace()
-            .map(|t| t.parse::<i64>().map_err(|e| format!("bad input value `{t}`: {e}")))
-            .collect(),
-    }
+/// Declares `--input`, the program's input values.
+fn input(a: &mut Args) -> Vec<i64> {
+    a.value("--input", "\"v v v\"", |text| text.split_whitespace().map(parsed).collect())
+        .unwrap_or_default()
 }
 
-fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    let sums = positionals(args);
+/// Declares `--engine`, the simulator engine (default: fast).
+fn engine(a: &mut Args) -> vpr::Engine {
+    a.value("--engine", "fast|ref", |v| match v {
+        "fast" => Some(vpr::Engine::Fast),
+        "ref" | "reference" => Some(vpr::Engine::Reference),
+        _ => None,
+    })
+    .unwrap_or(vpr::Engine::Fast)
+}
+
+fn analyze_cmd(mut a: Args) -> Result<(), String> {
+    let config = config(&mut a, "--config").unwrap_or(PaperConfig::L2);
+    let profile = a.path("--profile", "<prof.json>");
+    let report = a.switch("--report");
+    let dot = a.path("--dot", "<graph.dot>");
+    let decisions_out = a.path("--decisions-out", "<decisions.json>");
+    let target = target(&mut a);
+    let out = a.path("-o", "<prog.cdir>");
+    let sums = a.positionals("<mod.csum|lib.vlib>...");
+    a.finish();
     if sums.is_empty() {
         return Err("analyze needs at least one summary file".into());
     }
-    let out = flag_value(args, "-o").ok_or("analyze needs -o <prog.cdir>")?;
+    let out = out.ok_or("analyze needs -o <prog.cdir>")?;
     let mut program = ProgramSummary::default();
     for s in &sums {
         program.modules.extend(artifacts::load_summaries(s)?);
     }
-    let config = parse_config(args, "--config")?;
-    let profile = match flag_value(args, "--profile") {
+    let profile = match profile {
         Some(p) => {
             Some(serde_json::from_str::<ProfileData>(&read(&p)?).map_err(|e| format!("{p}: {e}"))?)
         }
@@ -287,10 +235,8 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
             None
         }
     };
-    let target = parse_target(args)?;
     let analyzer_opts = AnalyzerOptions::paper_config_for(config, profile, target);
-    let trace_path = flag_value(args, "--trace");
-    let (analysis, trace) = match &trace_path {
+    let (analysis, trace) = match &decisions_out {
         Some(_) => {
             let (a, t) = analyze_traced(&program, &analyzer_opts);
             (a, Some(t))
@@ -298,20 +244,20 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
         None => (analyze(&program, &analyzer_opts), None),
     };
     artifacts::write_database_for(&out, &config.to_string(), &analysis.database, target)?;
-    if let (Some(path), Some(t)) = (&trace_path, &trace) {
+    if let (Some(path), Some(t)) = (&decisions_out, &trace) {
         write(path, &t.to_json())?;
-        eprintln!("trace: {} events -> {path}", t.events.len());
+        eprintln!("decisions: {} events -> {path}", t.events.len());
     }
     let s = &analysis.stats;
     eprintln!(
         "analyze: {} nodes, {} eligible globals, {}/{} webs colored, {} clusters -> {out}",
         s.nodes, s.eligible_globals, s.webs_colored, s.webs_total, s.clusters
     );
-    if let Some(path) = flag_value(args, "--dot") {
+    if let Some(path) = dot {
         write(&path, &ipra_core::dot::call_graph_dot(&program, &analysis))?;
         eprintln!("dot: -> {path}");
     }
-    if has_flag(args, "--report") {
+    if report {
         for w in &analysis.webs {
             println!(
                 "web {:<14} reg {:<4} entries [{}] nodes [{}]{}",
@@ -331,14 +277,17 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn link_cmd(args: &[String]) -> Result<(), String> {
-    let objs = positionals(args);
+fn link_cmd(mut a: Args) -> Result<(), String> {
+    let allow_undefined_functions = a.switch("--allow-undefined");
+    let out = a.path("-o", "<prog.vx>");
+    let objs = a.positionals("<mod.vo|lib.vlib>...");
+    a.finish();
     if objs.is_empty() {
         return Err("link needs at least one object or library file".into());
     }
-    let out = flag_value(args, "-o").ok_or("link needs -o <prog.vx>")?;
+    let out = out.ok_or("link needs -o <prog.vx>")?;
     let modules = artifacts::collect_link_inputs(&objs)?;
-    let opts = vpr::LinkOptions { allow_undefined_functions: has_flag(args, "--allow-undefined") };
+    let opts = vpr::LinkOptions { allow_undefined_functions };
     let exe = vpr::link_with(&modules, &opts).map_err(|e| e.to_string())?;
     artifacts::write_executable(&out, &exe)?;
     eprintln!("link: {} instructions -> {out}", exe.code_len());
@@ -348,12 +297,14 @@ fn link_cmd(args: &[String]) -> Result<(), String> {
 /// Runs the register-discipline verifier over already-compiled object
 /// modules, against the program database that directed their codegen
 /// (without `--db`, every procedure is held to the standard convention).
-fn verify_cmd(args: &[String]) -> Result<(), String> {
-    let objs = positionals(args);
+fn verify_cmd(mut a: Args) -> Result<(), String> {
+    let db = a.path("--db", "<prog.cdir>");
+    let objs = a.positionals("<mod.vo>...");
+    a.finish();
     if objs.is_empty() {
         return Err("verify needs at least one object file".into());
     }
-    let db = match flag_value(args, "--db") {
+    let db = match db {
         Some(p) => artifacts::load_database(&p)?,
         None => ProgramDatabase::new(),
     };
@@ -378,46 +329,27 @@ fn report_verify(report: &ipra_verify::VerifyReport) -> Result<(), String> {
 /// Deterministic simulator counters for one run: `sim.cycles`, memory and
 /// call totals, and `sim.op.<class>` instructions-retired per opcode class
 /// (from the run's [`vpr::ExecProfile`], so both engines agree exactly).
+/// The run must have been profiled.
 fn sim_counters(exe: &vpr::Executable, result: &vpr::RunResult) -> BTreeMap<String, u64> {
-    let mut c = match &result.profile {
-        Some(p) => p.sim_counters(exe, &result.stats),
-        None => {
-            // No profile recorded (no `sim.op.*` breakdown), but the
-            // RunStats totals are still deterministic counters.
-            let mut c = BTreeMap::new();
-            c.insert("sim.cycles".to_string(), result.stats.cycles);
-            c.insert("sim.loads".to_string(), result.stats.loads);
-            c.insert("sim.stores".to_string(), result.stats.stores);
-            c.insert("sim.calls".to_string(), result.stats.calls);
-            c
-        }
-    };
+    let profile = result.profile.as_ref().expect("profiling was requested");
+    let mut c = profile.sim_counters(exe, &result.stats);
     c.insert("sim.runs".to_string(), 1);
     c
 }
 
-fn parse_engine(args: &[String]) -> Result<vpr::Engine, String> {
-    match flag_value(args, "--engine").as_deref() {
-        None | Some("fast") => Ok(vpr::Engine::Fast),
-        Some("ref") | Some("reference") => Ok(vpr::Engine::Reference),
-        Some(other) => Err(format!("unknown engine `{other}` (use fast or ref)")),
-    }
-}
-
-fn run_cmd(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
+fn run_cmd(mut a: Args) -> Result<(), String> {
+    let input = input(&mut a);
+    let engine = engine(&mut a);
+    let stats = a.switch("--stats");
+    let stats_json = a.path("--stats-json", "<out.json>");
+    let metrics_out = a.path("--metrics-out", "<m.json>");
+    let profile_out = a.path("--profile-out", "<prof.json>");
+    let files = a.positionals("<prog.vx>");
+    a.finish();
     let [exe_path] = files.as_slice() else {
         return Err("run takes exactly one executable".into());
     };
     let exe = artifacts::load_executable(exe_path)?;
-    if has_flag(args, "--asm") {
-        print!("{}", vpr::asm::executable_asm(&exe));
-        return Ok(());
-    }
-    let input = parse_input(args)?;
-    let stats_json = flag_value(args, "--stats-json");
-    let metrics_out = flag_value(args, "--metrics-out");
-    let engine = parse_engine(args)?;
     let opts = vpr::SimOptions {
         input,
         attribute: stats_json.is_some(),
@@ -454,7 +386,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
         write(path, &ipra_telemetry::metrics_json_from(&sim_counters(&exe, &result)))?;
         eprintln!("metrics: -> {path}");
     }
-    if has_flag(args, "--stats") {
+    if stats {
         let s = &result.stats;
         eprintln!(
             "cycles: {}  loads: {}  stores: {}  singleton refs: {}  calls: {}",
@@ -465,7 +397,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
             s.calls
         );
     }
-    if let Some(path) = flag_value(args, "--profile-out") {
+    if let Some(path) = profile_out {
         let profile = ipra_driver::collect_profile_from(&exe, &result);
         write(&path, &serde_json::to_string_pretty(&profile).expect("serialize"))?;
         eprintln!("profile: -> {path}");
@@ -478,55 +410,66 @@ fn read_sources(paths: &[String]) -> Result<Vec<SourceFile>, String> {
     paths.iter().map(|p| Ok(SourceFile::new(module_name(p), read(p)?))).collect()
 }
 
+/// Compiles `sources` under `config` (with its training run on `input`
+/// when the configuration is profile-fed) through `cache`.
+fn compile(
+    sources: &[SourceFile],
+    config: PaperConfig,
+    input: &[i64],
+    opts: &CompileOptions,
+    cache: &mut CompilationCache,
+) -> Result<CompiledProgram, String> {
+    ipra_driver::compile_configured(sources, config, input, opts, cache)
+        .map_err(|e| e.to_string())?
+        .map_err(|e| format!("training run trapped: {e}"))
+}
+
 /// `cminc explain <symbol>`: renders every analyzer decision mentioning one
-/// global or procedure, from a saved `--trace` file or by compiling the
-/// given sources with tracing on.
-fn explain_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
+/// global or procedure, from a saved `--decisions-out` file or by compiling
+/// the given sources with tracing on.
+fn explain_cmd(mut a: Args) -> Result<(), String> {
+    let decisions = a.path("--decisions", "<decisions.json>");
+    let config = config(&mut a, "--config").unwrap_or(PaperConfig::L2);
+    let input = input(&mut a);
+    let target = target(&mut a);
+    let pos = a.positionals("<symbol> [<src.cmin>...]");
+    a.finish();
     let Some((symbol, srcs)) = pos.split_first() else {
         return Err("explain needs a <symbol> (a global or procedure name)".into());
     };
-    let trace = match flag_value(args, "--trace") {
+    let trace = match decisions {
         Some(path) => {
             AnalyzerTrace::from_json(&read(&path)?).map_err(|e| format!("{path}: {e}"))?
         }
         None => {
             if srcs.is_empty() {
-                return Err("explain needs --trace <trace.json> or source files to compile".into());
+                return Err(
+                    "explain needs --decisions <decisions.json> or source files to compile".into(),
+                );
             }
             let sources = read_sources(srcs)?;
-            let config = parse_config(args, "--config")?;
-            let input = parse_input(args)?;
-            let opts = ipra_driver::CompileOptions {
-                trace: true,
-                target: parse_target(args)?,
-                ..ipra_driver::CompileOptions::default()
-            };
-            let mut cache = ipra_driver::CompilationCache::new();
-            let program =
-                ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-                    .map_err(|e| e.to_string())?
-                    .map_err(|e| format!("training run trapped: {e}"))?;
+            let opts = CompileOptions { trace: true, target, ..Default::default() };
+            let program = compile(&sources, config, &input, &opts, &mut CompilationCache::new())?;
             program.trace.expect("tracing was requested")
         }
     };
-    print!("{}", ipra_obsv::explain_for(&trace, symbol, parse_target(args)?.desc()));
+    print!("{}", ipra_obsv::explain_for(&trace, symbol, target.desc()));
     Ok(())
 }
 
 /// `cminc report`: compile under two configurations, run both with exact
 /// attribution, and explain every per-procedure delta.
-fn report_cmd(args: &[String]) -> Result<(), String> {
-    let srcs = positionals(args);
+fn report_cmd(mut a: Args) -> Result<(), String> {
+    let config_b = config(&mut a, "--config-b");
+    let config_a = config(&mut a, "--config-a").unwrap_or(PaperConfig::L2);
+    let input = input(&mut a);
+    let json = a.path("--json", "<out.json>");
+    let srcs = a.positionals("<src.cmin>...");
+    a.finish();
     if srcs.is_empty() {
         return Err("report needs at least one source file".into());
     }
-    if flag_value(args, "--config-b").is_none() {
-        return Err("report needs --config-b <config>".into());
-    }
-    let config_a = parse_config(args, "--config-a")?;
-    let config_b = parse_config(args, "--config-b")?;
-    let input = parse_input(args)?;
+    let config_b = config_b.ok_or("report needs --config-b <config>")?;
     let sources = read_sources(&srcs)?;
     let report = ipra_driver::diff_report(&sources, config_a, config_b, &input, 1)
         .map_err(|e| e.to_string())?
@@ -535,7 +478,7 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
         return Err("internal error: per-procedure sums diverge from program totals".into());
     }
     print!("{}", report.render_table());
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         write(&path, &report.to_json())?;
         eprintln!("report: -> {path}");
     }
@@ -545,40 +488,33 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
 /// `cminc fuzz`: run the differential fuzzer (and/or oracle
 /// self-validation). The report on stdout is deterministic for a given
 /// `--seed`/`--iters` regardless of `--jobs`; wall-clock goes to stderr.
-fn fuzz_cmd(args: &[String]) -> Result<(), String> {
-    let parse_num = |flag: &str, default: u64| -> Result<u64, String> {
-        match flag_value(args, flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("bad {flag} value `{v}`: {e}")),
-        }
-    };
-    let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
-        None => 0,
-    };
+fn fuzz_cmd(mut a: Args) -> Result<(), String> {
     let defaults = ipra_fuzz::FuzzOptions::default();
+    let seed = a.value("--seed", "N", parsed).unwrap_or(defaults.seed);
+    let iters = a.value("--iters", "N", parsed);
+    let time_budget =
+        a.value("--time-budget", "SECS", |v| parsed(v).map(std::time::Duration::from_secs));
+    let jobs = a.jobs().unwrap_or(0);
+    let corpus_dir = a.path("--corpus", "DIR").map(std::path::PathBuf::from);
+    let reduce_checks = a
+        .value("--reduce-budget", "N", parsed)
+        .unwrap_or(ipra_fuzz::ReduceOptions::default().max_checks);
+    let self_validate = a.switch("--self-validate");
+    let metrics_out = a.path("--metrics-out", "<m.json>");
+    a.finish();
     let opts = ipra_fuzz::FuzzOptions {
-        seed: parse_num("--seed", defaults.seed)?,
-        iters: parse_num("--iters", defaults.iters as u64)? as usize,
-        time_budget: flag_value(args, "--time-budget")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map(std::time::Duration::from_secs)
-                    .map_err(|e| format!("bad --time-budget value `{v}`: {e}"))
-            })
-            .transpose()?,
+        seed,
+        iters: iters.unwrap_or(defaults.iters),
+        time_budget,
         jobs,
-        corpus_dir: flag_value(args, "--corpus").map(std::path::PathBuf::from),
-        reduce_checks: parse_num(
-            "--reduce-budget",
-            ipra_fuzz::ReduceOptions::default().max_checks as u64,
-        )? as usize,
+        corpus_dir,
+        reduce_checks,
         max_reported: defaults.max_reported,
     };
 
     let start = std::time::Instant::now();
     let mut failed = false;
-    if has_flag(args, "--self-validate") {
+    if self_validate {
         let results = ipra_fuzz::self_validate(&opts)?;
         for r in &results {
             println!(
@@ -593,12 +529,11 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    if !has_flag(args, "--self-validate") || has_flag(args, "--iters") || opts.time_budget.is_some()
-    {
+    if !self_validate || iters.is_some() || opts.time_budget.is_some() {
         let outcome = ipra_fuzz::fuzz(&opts);
         print!("{}", outcome.render());
         failed = outcome.total_failures > 0;
-        if let Some(path) = flag_value(args, "--metrics-out") {
+        if let Some(path) = metrics_out {
             let mut counters = BTreeMap::new();
             counters.insert("fuzz.iterations".to_string(), outcome.iterations as u64);
             counters.insert("fuzz.failures".to_string(), outcome.total_failures as u64);
@@ -642,53 +577,42 @@ fn phase_table(b: &ipra_driver::BuildReport) -> String {
     out
 }
 
-fn build_cmd(args: &[String]) -> Result<(), String> {
-    let srcs = positionals(args);
+fn build_cmd(mut a: Args) -> Result<(), String> {
+    let config = config(&mut a, "--config").unwrap_or(PaperConfig::L2);
+    let target = target(&mut a);
+    let out = a.path("-o", "<prog.vx>");
+    let cache_dir = a.path("--cache-dir", "DIR");
+    let jobs = a.jobs().unwrap_or(1);
+    let repeat = a.value("--repeat", "N", parsed).map_or(1, |n: usize| n.max(1));
+    let verify = a.switch("--verify");
+    let run = a.switch("--run");
+    let stats = a.switch("--stats");
+    let decisions_out = a.path("--decisions-out", "<decisions.json>");
+    let trace_out = a.path("--trace-out", "<t.json>");
+    let metrics_out = a.path("--metrics-out", "<m.json>");
+    let input = input(&mut a);
+    let srcs = a.positionals("<src.cmin>...");
+    a.finish();
     if srcs.is_empty() {
         return Err("build needs at least one source file".into());
     }
-    let config = parse_config(args, "--config")?;
-    let input = parse_input(args)?;
-    let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
-        None => 1,
-    };
-    let repeat = match flag_value(args, "--repeat") {
-        Some(v) => {
-            let n = v.parse::<usize>().map_err(|e| format!("bad --repeat value `{v}`: {e}"))?;
-            n.max(1)
-        }
-        None => 1,
-    };
-    let stats = has_flag(args, "--stats");
-    let target = parse_target(args)?;
-    let mut sources = Vec::new();
-    for s in &srcs {
-        sources.push(SourceFile::new(module_name(s), read(s)?));
-    }
+    let sources = read_sources(&srcs)?;
     // One cache across every repetition: iteration 1 is the cold build,
     // the rest demonstrate the paper's recompilation story (§3) — pure
     // cache hits when nothing changed. With --cache-dir the cache is also
     // persistent, so the story holds across separate cminc processes.
-    let trace_path = flag_value(args, "--trace");
-    let trace_out = flag_value(args, "--trace-out");
-    let metrics_out = flag_value(args, "--metrics-out");
-    let stats_json = flag_value(args, "--stats-json");
-    let telemetry =
-        (trace_out.is_some() || metrics_out.is_some() || stats_json.is_some()).then(Telemetry::new);
-    let mut cache = artifacts::open_cache(args)?;
+    let telemetry = (trace_out.is_some() || metrics_out.is_some()).then(Telemetry::new);
+    let mut cache = artifacts::open_cache(cache_dir.as_deref())?;
     let mut program = None;
     for i in 0..repeat {
-        let opts = ipra_driver::CompileOptions {
+        let opts = CompileOptions {
             jobs,
-            trace: trace_path.is_some(),
+            trace: decisions_out.is_some(),
             telemetry: telemetry.clone(),
             target,
-            ..ipra_driver::CompileOptions::default()
+            ..CompileOptions::default()
         };
-        let built = ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-            .map_err(|e| e.to_string())?
-            .map_err(|e| format!("training run trapped: {e}"))?;
+        let built = compile(&sources, config, &input, &opts, &mut cache)?;
         if stats && repeat > 1 && i + 1 < repeat {
             eprintln!("build {} of {repeat}:", i + 1);
             eprint!("{}", phase_table(&built.build));
@@ -701,12 +625,12 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
         "build: config {config}; {} nodes, {}/{} webs colored, {} clusters",
         s.nodes, s.webs_colored, s.webs_total, s.clusters
     );
-    if let Some(path) = &trace_path {
+    if let Some(path) = &decisions_out {
         let t = program.trace.as_ref().expect("tracing was requested");
         write(path, &t.to_json())?;
-        eprintln!("trace: {} events -> {path}", t.events.len());
+        eprintln!("decisions: {} events -> {path}", t.events.len());
     }
-    if let Some(out) = flag_value(args, "-o") {
+    if let Some(out) = out {
         artifacts::write_executable(&out, &program.exe)?;
         eprintln!("build: {} instructions -> {out}", program.exe.code_len());
     }
@@ -716,10 +640,10 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
         }
         eprint!("{}", phase_table(&program.build));
     }
-    if has_flag(args, "--verify") {
+    if verify {
         report_verify(&ipra_driver::verify_program(&program))?;
     }
-    if has_flag(args, "--run") {
+    if run {
         // With a collector attached, the run also profiles so `sim.*`
         // counters (cycles, memory traffic, per-opcode-class retirement)
         // land in the exported metrics. Profiling is pure observation.
@@ -741,7 +665,7 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
             println!("{v}");
         }
         eprintln!("exit: {}", result.exit);
-        if has_flag(args, "--stats") {
+        if stats {
             let st = &result.stats;
             eprintln!(
                 "cycles: {}  singleton refs: {}  calls: {}",
@@ -760,45 +684,8 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
             write(path, &t.metrics_json())?;
             eprintln!("metrics: {} counters -> {path}", t.counters().len());
         }
-        if let Some(path) = &stats_json {
-            write(path, &build_stats_json(config, &sources, &program.build, t))?;
-            eprintln!("stats-json: -> {path}");
-        }
     }
     Ok(())
-}
-
-/// The `--stats-json` payload: machine-readable build statistics with the
-/// wall-clock columns deliberately left out, so the bytes are deterministic
-/// across runs, `--jobs` widths, and machines. Timings belong in
-/// `--trace-out`; this file is the counted work.
-fn build_stats_json(
-    config: PaperConfig,
-    sources: &[SourceFile],
-    build: &ipra_driver::BuildReport,
-    tele: &Telemetry,
-) -> String {
-    let names = |it: &[String]| Value::Array(it.iter().map(|s| Value::Str(s.clone())).collect());
-    let phase = |p: &ipra_driver::PhaseStats| {
-        Value::Object(vec![
-            ("hits".to_string(), Value::UInt(p.hits as u64)),
-            ("misses".to_string(), Value::UInt(p.misses as u64)),
-            ("disk_hits".to_string(), Value::UInt(p.disk_hits as u64)),
-        ])
-    };
-    let modules: Vec<String> = sources.iter().map(|s| s.name.clone()).collect();
-    let doc = Value::Object(vec![
-        ("schema".to_string(), Value::Str("ipra-build-stats-v1".to_string())),
-        ("config".to_string(), Value::Str(config.to_string())),
-        ("modules".to_string(), names(&modules)),
-        ("phase1".to_string(), phase(&build.phase1)),
-        ("phase2".to_string(), phase(&build.phase2)),
-        ("recompiled".to_string(), names(&build.recompiled)),
-        ("counters".to_string(), ipra_telemetry::counters_value(&tele.counters())),
-    ]);
-    let mut s = serde_json::to_string_pretty(&doc).expect("serialize");
-    s.push('\n');
-    s
 }
 
 /// `cminc profile`: run a program (an existing `.vx`, or sources compiled
@@ -806,28 +693,44 @@ fn build_stats_json(
 /// per-procedure, hot-block and opcode-class tables. The profile is
 /// recorded identically by both engines, and every table totals to the
 /// run's cycle count exactly.
-fn profile_cmd(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
+fn profile_cmd(mut a: Args) -> Result<(), String> {
+    let config = config(&mut a, "--config").unwrap_or(PaperConfig::L2);
+    let input = input(&mut a);
+    let engine = engine(&mut a);
+    let top = a.value("--top", "N", parsed).unwrap_or(10);
+    let json = a.path("--json", "<out.json>");
+    let files = a.positionals("<prog.vx | src.cmin...>");
+    a.finish();
     if files.is_empty() {
         return Err("profile needs an executable or source files".into());
     }
-    let input = parse_input(args)?;
-    let engine = parse_engine(args)?;
-    let top = match flag_value(args, "--top") {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --top value `{v}`: {e}"))?,
-        None => 10,
-    };
-    let exe = if files.len() == 1 && !files[0].ends_with(".cmin") {
-        artifacts::load_executable(&files[0])?
-    } else {
-        let sources = read_sources(&files)?;
-        let config = parse_config(args, "--config")?;
-        let mut cache = ipra_driver::CompilationCache::new();
-        let opts = ipra_driver::CompileOptions::default();
-        ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-            .map_err(|e| e.to_string())?
-            .map_err(|e| format!("training run trapped: {e}"))?
-            .exe
+    // Inputs go by their header: a lone executable runs as is, any other
+    // artifact is an error, and a file without a header is a source.
+    let mut sources = Vec::new();
+    let mut exe = None;
+    for path in &files {
+        let text = read(path)?;
+        match ipra_artifact::sniff(&text) {
+            Err(ipra_artifact::ArtifactError::BadMagic) => {
+                sources.push(SourceFile::new(module_name(path), text));
+            }
+            Ok((ipra_artifact::ArtifactKind::Executable, ..)) if files.len() == 1 => {
+                exe = Some(artifacts::decode_executable(path, &text)?);
+            }
+            Ok((kind, ..)) => {
+                return Err(format!(
+                    "{path}: {kind} artifact; profile takes one executable or source files"
+                ))
+            }
+            Err(e) => return Err(format!("{path}: {e}")),
+        }
+    }
+    let exe = match exe {
+        Some(exe) => exe,
+        None => {
+            let opts = CompileOptions::default();
+            compile(&sources, config, &input, &opts, &mut CompilationCache::new())?.exe
+        }
     };
     let opts = vpr::SimOptions { input, profile: true, engine, ..vpr::SimOptions::default() };
     let result = vpr::run_with(&exe, &opts).map_err(|e| e.to_string())?;
@@ -846,7 +749,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
     };
     let histogram = profile.opcode_histogram(&exe);
 
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         let doc = Value::Object(vec![
             ("schema".to_string(), Value::Str("ipra-profile-v1".to_string())),
             ("total_cycles".to_string(), Value::UInt(result.stats.cycles)),
@@ -890,70 +793,23 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cminc stats`: build the sources with a collector attached (optionally
-/// running the program too) and print the canonical metrics JSON on
-/// stdout — the byte-deterministic counters registry, never wall-clock.
-fn stats_cmd(args: &[String]) -> Result<(), String> {
-    let srcs = positionals(args);
-    if srcs.is_empty() {
-        return Err("stats needs at least one source file".into());
-    }
-    let sources = read_sources(&srcs)?;
-    let config = parse_config(args, "--config")?;
-    let input = parse_input(args)?;
-    let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
-        None => 1,
-    };
-    let telemetry = Telemetry::new();
-    let opts = ipra_driver::CompileOptions {
-        jobs,
-        telemetry: Some(telemetry.clone()),
-        ..ipra_driver::CompileOptions::default()
-    };
-    let mut cache = ipra_driver::CompilationCache::new();
-    let program = ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-        .map_err(|e| e.to_string())?
-        .map_err(|e| format!("training run trapped: {e}"))?;
-    if has_flag(args, "--run") {
-        let opts = vpr::SimOptions { input, profile: true, ..vpr::SimOptions::default() };
-        let result = vpr::run_with(&program.exe, &opts).map_err(|e| e.to_string())?;
-        for (k, n) in sim_counters(&program.exe, &result) {
-            telemetry.add(&k, n);
-        }
-    }
-    print!("{}", telemetry.metrics_json());
-    Ok(())
-}
-
 /// `cminc serve`: run `cmind`, the build-service daemon, until a client
 /// sends a shutdown request. All sessions share one sharded, optionally
 /// size-capped, optionally persistent compilation cache.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let socket = flag_value(args, "--socket").ok_or("serve needs --socket PATH")?;
-    let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
-        None => 1,
-    };
-    let shards = match flag_value(args, "--shards") {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --shards value `{v}`: {e}"))?,
-        None => 4,
-    };
-    let capacity = match flag_value(args, "--cap") {
-        Some(v) => Some(v.parse::<usize>().map_err(|e| format!("bad --cap value `{v}`: {e}"))?),
-        None => None,
-    };
-    let request_timeout = match flag_value(args, "--timeout") {
-        Some(v) => {
-            let secs = v.parse::<u64>().map_err(|e| format!("bad --timeout value `{v}`: {e}"))?;
-            Some(std::time::Duration::from_secs(secs))
-        }
-        None => None,
-    };
+fn serve_cmd(mut a: Args) -> Result<(), String> {
+    let socket = a.path("--socket", "PATH");
+    let cache_dir = a.path("--cache-dir", "DIR");
+    let jobs = a.jobs().unwrap_or(1);
+    let shards = a.value("--shards", "N", parsed).unwrap_or(4);
+    let capacity = a.value("--cap", "N", parsed);
+    let request_timeout =
+        a.value("--timeout", "SECS", |v| parsed(v).map(std::time::Duration::from_secs));
+    a.finish();
+    let socket = socket.ok_or("serve needs --socket PATH")?;
     let opts = ipra_daemon::ServerOptions {
         socket: socket.clone().into(),
         jobs,
-        cache_dir: flag_value(args, "--cache-dir").map(Into::into),
+        cache_dir: cache_dir.map(Into::into),
         shards,
         capacity,
         request_timeout,
@@ -965,53 +821,51 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cminc remote`: talk to a running `cmind`. `build` falls back to a
-/// local compile when the daemon is unreachable, so scripts can use it
-/// unconditionally.
-fn remote_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
-    let Some((sub, rest)) = pos.split_first() else {
-        return Err("remote needs a subcommand: build | ping | stats | shutdown".into());
-    };
-    let socket = flag_value(args, "--socket").ok_or("remote needs --socket PATH")?;
-    match sub.as_str() {
-        "build" => remote_build(args, rest, &socket),
+/// `cminc remote ping|stats|shutdown`: talk to a running `cmind`.
+fn remote_cmd(sub: &str, mut a: Args) -> Result<(), String> {
+    let socket = a.path("--socket", "PATH");
+    a.finish();
+    let socket = socket.ok_or("remote needs --socket PATH")?;
+    let mut client = connect_daemon(&socket)?;
+    match sub {
         "ping" => {
-            let mut client = connect_daemon(&socket)?;
             client.ping().map_err(|e| e.to_string())?;
             println!("pong");
-            Ok(())
         }
         "stats" => {
-            let mut client = connect_daemon(&socket)?;
             let counters = client.stats().map_err(|e| e.to_string())?;
             let map: BTreeMap<String, u64> =
                 counters.into_iter().map(|c| (c.name, c.value)).collect();
             print!("{}", ipra_telemetry::metrics_json_from(&map));
-            Ok(())
         }
-        "shutdown" => {
-            let mut client = connect_daemon(&socket)?;
+        _ => {
             client.shutdown().map_err(|e| e.to_string())?;
             eprintln!("cmind at {socket}: shutting down");
-            Ok(())
         }
-        other => Err(format!("unknown remote subcommand `{other}`")),
     }
+    Ok(())
 }
 
 fn connect_daemon(socket: &str) -> Result<ipra_daemon::Client, String> {
     ipra_daemon::Client::connect(socket).map_err(|e| e.to_string())
 }
 
-fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), String> {
+/// `cminc remote build`: build on a running `cmind`, falling back to a
+/// local compile when the daemon is unreachable, so scripts can use it
+/// unconditionally.
+fn remote_build(mut a: Args) -> Result<(), String> {
+    let socket = a.path("--socket", "PATH");
+    let config = config(&mut a, "--config").unwrap_or(PaperConfig::L2);
+    let out = a.path("-o", "<prog.vx>");
+    let input = input(&mut a);
+    let srcs = a.positionals("<src.cmin>...");
+    a.finish();
+    let socket = socket.ok_or("remote needs --socket PATH")?;
     if srcs.is_empty() {
         return Err("remote build needs at least one source file".into());
     }
-    let config = parse_config(args, "--config")?; // validate locally before shipping
-    let input = parse_input(args)?;
-    let sources = read_sources(srcs)?;
-    let vx = match connect_daemon(socket) {
+    let sources = read_sources(&srcs)?;
+    let vx = match connect_daemon(&socket) {
         Ok(mut client) => {
             let request = ipra_daemon::BuildRequest {
                 config: config.to_string(),
@@ -1036,16 +890,12 @@ fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), St
             // local compile of the same inputs — byte-identical output by
             // construction.
             eprintln!("cminc: daemon unavailable ({e}); building locally");
-            let opts = ipra_driver::CompileOptions::default();
-            let mut cache = ipra_driver::CompilationCache::new();
-            let program =
-                ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-                    .map_err(|e| e.to_string())?
-                    .map_err(|e| format!("training run trapped: {e}"))?;
+            let opts = CompileOptions::default();
+            let program = compile(&sources, config, &input, &opts, &mut CompilationCache::new())?;
             ipra_daemon::protocol::executable_artifact(&program.exe).0
         }
     };
-    match flag_value(args, "-o") {
+    match out {
         Some(path) => write(&path, &vx),
         None => Ok(()),
     }

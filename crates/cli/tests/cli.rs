@@ -1,7 +1,9 @@
 //! End-to-end test of the `cminc` command-line driver: the full file-based
 //! Figure 1 pipeline — `c` per module, analyze, `c --dir` per module, link,
-//! run — plus the profile round trip and the one-shot `build`.
+//! run — plus the profile round trip, the one-shot `build`, and the
+//! per-command flag checking.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -196,15 +198,30 @@ fn explain_is_deterministic_and_names_the_decisions() {
     assert!(missing.status.success());
     assert!(String::from_utf8_lossy(&missing.stdout).contains("no analyzer decisions"));
 
-    // The saved-trace path renders the same chain.
+    // The saved-decisions path renders the same chain.
     let out = cminc()
         .current_dir(&dir)
-        .args(["build", "counterlib.cmin", "app.cmin", "--config", "C", "--trace", "t.json"])
+        .args([
+            "build",
+            "counterlib.cmin",
+            "app.cmin",
+            "--config",
+            "C",
+            "--decisions-out",
+            "t.json",
+        ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "build --trace: {}", String::from_utf8_lossy(&out.stderr));
-    let from_file =
-        cminc().current_dir(&dir).args(["explain", "total", "--trace", "t.json"]).output().unwrap();
+    assert!(
+        out.status.success(),
+        "build --decisions-out: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let from_file = cminc()
+        .current_dir(&dir)
+        .args(["explain", "total", "--decisions", "t.json"])
+        .output()
+        .unwrap();
     assert!(from_file.status.success());
     assert_eq!(String::from_utf8_lossy(&from_file.stdout), text);
     let _ = std::fs::remove_dir_all(&dir);
@@ -304,5 +321,128 @@ fn config_b_requires_profile() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--profile"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `profile` goes by the artifact header, not the file name: an executable
+/// under any name runs as is, a source under any name is compiled, and any
+/// other artifact is an error naming its kind.
+#[test]
+fn profile_reads_the_header_not_the_suffix() {
+    let dir = tempdir("profile-header");
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    write(&dir, "app.cmin", MAIN_SRC);
+    staged_build(&dir, "C");
+    std::fs::copy(dir.join("prog.vx"), dir.join("prog.bin")).unwrap();
+    let from_vx = ok(&dir, &["profile", "prog.vx", "--input", "5 10 15"]);
+    let from_bin = ok(&dir, &["profile", "prog.bin", "--input", "5 10 15"]);
+    assert_eq!(from_vx.stdout, from_bin.stdout);
+    write(&dir, "solo.src", "int main() { out(7); return 0; }");
+    let out = ok(&dir, &["profile", "solo.src"]);
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("profile: "));
+    let out = cminc().current_dir(&dir).args(["profile", "app.vo"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("app.vo: object artifact"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every command (each `remote` subcommand included): a plausible command
+/// line, and a flag that only other commands take. The inputs need not
+/// exist, since a bad flag is rejected before any file is read, and the
+/// socket's directory does not exist either, so nothing can bind to it.
+const COMMANDS: [(&[&str], &[&str], [&str; 2]); 17] = [
+    (&["c"], &["m.cmin", "-o", "m.vo"], ["--config", "C"]),
+    (&["lib"], &["m.vo", "-o", "l.vlib"], ["--target", "rv32"]),
+    (&["objdump"], &["p.vx"], ["-o", "dump.txt"]),
+    (&["analyze"], &["m.csum", "-o", "p.cdir"], ["--jobs", "2"]),
+    (&["link"], &["m.vo", "-o", "p.vx"], ["--config", "C"]),
+    (&["verify"], &["m.vo"], ["--target", "rv32"]),
+    (&["run"], &["p.vx"], ["--shards", "9"]),
+    (&["build"], &["m.cmin", "-o", "p.vx"], ["--engine", "ref"]),
+    (&["profile"], &["p.vx", "--json", "p.json"], ["--metrics-out", "m.json"]),
+    (&["explain"], &["g", "m.cmin"], ["--decisions-out", "d.json"]),
+    (&["report"], &["m.cmin", "--config-b", "C", "--json", "r.json"], ["--config", "C"]),
+    (&["fuzz"], &["--iters", "1", "--metrics-out", "f.json"], ["--top", "5"]),
+    (&["serve"], &["--socket", "none/s.sock"], ["--config", "C"]),
+    (
+        &["remote", "build"],
+        &["m.cmin", "--socket", "none/s.sock", "-o", "r.vx"],
+        ["--target", "rv32"],
+    ),
+    (&["remote", "ping"], &["--socket", "none/s.sock"], ["--config", "C"]),
+    (&["remote", "stats"], &["--socket", "none/s.sock"], ["-o", "stats.json"]),
+    (&["remote", "shutdown"], &["--socket", "none/s.sock"], ["--input", "1"]),
+];
+
+/// Runs `cminc <cmd> <base> <bad>` in an empty directory, asserts that it
+/// was rejected as a bad command line naming `bad[0]` having done nothing,
+/// and returns the usage line it printed.
+fn rejected(dir: &Path, cmd: &[&str], base: &[&str], bad: &[&str]) -> String {
+    let out = cminc().current_dir(dir).args(cmd).args(base).args(bad).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let line = format!("{cmd:?} {bad:?}");
+    assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.contains(bad[0]), "{line}: {stderr}");
+    assert!(out.stdout.is_empty(), "{line} printed before rejecting");
+    assert_eq!(std::fs::read_dir(dir).unwrap().count(), 0, "{line} created a file");
+    let usage = stderr.lines().find(|l| l.starts_with("usage: ")).unwrap_or_default();
+    assert!(usage.starts_with(&format!("usage: cminc {}", cmd.join(" "))), "{line}: {stderr}");
+    usage.to_string()
+}
+
+#[test]
+fn bad_flags_exit_2_with_the_command_usage_before_any_io() {
+    let dir = tempdir("bad-flags");
+    for (cmd, base, foreign) in COMMANDS {
+        rejected(&dir, cmd, base, &["--bogus"]);
+        rejected(&dir, cmd, base, &foreign);
+    }
+    // A flag missing its value or with a value that does not parse.
+    rejected(&dir, &["build"], &["m.cmin"], &["--config", "Z"]);
+    rejected(&dir, &["run"], &["p.vx"], &["--input", "1 x"]);
+    rejected(&dir, &["fuzz"], &[], &["--jobs"]);
+    rejected(&dir, &["serve"], &["--socket", "none/s.sock"], &["--shards", "many"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The flags a usage line names: `[-j|--jobs N]` names `-j` and `--jobs`.
+fn flags_of(line: &str) -> BTreeSet<&str> {
+    line.split(|c: char| c.is_whitespace() || "[]()|".contains(c))
+        .filter(|w| w.len() > 1 && w.starts_with('-'))
+        .collect()
+}
+
+/// Each command's usage line, made from the flags it declares, names the
+/// same flags as its line of `cminc --help`, and every `--help` line is
+/// some command's.
+#[test]
+fn help_synopsis_lists_exactly_the_declared_flags() {
+    let help = ok(Path::new("."), &["--help"]);
+    let help = String::from_utf8(help.stdout).unwrap();
+    let synopsis: Vec<Vec<&str>> = help
+        .lines()
+        .filter(|l| l.starts_with("  cminc "))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    // `cminc remote ping|stats|shutdown ...` is the line of all three.
+    let names = |words: &[&str], cmd: &[&str]| {
+        let word = |i: usize| words.get(1 + i).copied().unwrap_or_default();
+        cmd.iter().enumerate().all(|(i, c)| word(i).split('|').any(|w| w == *c))
+    };
+    let dir = tempdir("synopsis");
+    for (cmd, base, _) in COMMANDS {
+        let usage = rejected(&dir, cmd, base, &["--bogus"]);
+        let line = synopsis.iter().find(|w| names(w, cmd)).expect("command listed in --help");
+        assert_eq!(flags_of(&usage), flags_of(&line.join(" ")), "cminc {}", cmd.join(" "));
+    }
+    for words in &synopsis {
+        assert!(
+            COMMANDS.iter().any(|(cmd, ..)| names(words, cmd)),
+            "`{}` has no case in COMMANDS",
+            words.join(" ")
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -33,7 +33,8 @@
 //!
 //! The [`separate`] module stages the same pipeline through real on-disk
 //! artifacts (`.csum`/`.cdir`/`.vo`/`.vx`, see [`ipra_artifact`]) —
-//! required to be bit-identical to the in-memory path.
+//! required to be bit-identical to the in-memory path. The [`args`] module
+//! is the command-line parser that `cminc` and the bench binaries share.
 //!
 //! Profile feedback (configurations B and F) is a closed loop here
 //! ([`compile_configured`]): compile at the baseline, run on a training
@@ -56,6 +57,7 @@
 
 #![warn(missing_docs)]
 
+pub mod args;
 mod cache;
 mod framed;
 pub mod separate;

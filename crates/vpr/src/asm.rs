@@ -1,7 +1,7 @@
 //! Textual assembly rendering for VPR code.
 //!
-//! Purely diagnostic: the driver's `--emit asm` mode and failing-test output
-//! use this to show what the code generator produced.
+//! Purely diagnostic: `cminc objdump` and failing-test output use this to
+//! show what the code generator and the linker produced.
 
 use crate::inst::Inst;
 use crate::program::{Executable, MachineFunction};
@@ -82,11 +82,6 @@ impl fmt::Display for Inst {
     }
 }
 
-/// Renders one instruction with `desc`'s ABI register names.
-pub fn inst_asm(inst: &Inst, desc: &TargetDesc) -> String {
-    InstWith { inst, desc: Some(desc) }.to_string()
-}
-
 /// Renders a single pre-link function, with label markers and raw `r<N>`
 /// register names.
 pub fn function_asm(f: &MachineFunction) -> String {
@@ -120,8 +115,10 @@ fn function_asm_impl(f: &MachineFunction, desc: Option<&TargetDesc>) -> String {
     out
 }
 
-/// Renders a full linked executable with function headers and addresses.
-/// Registers render as the ABI names of the executable's own target.
+/// Renders a full linked executable with function headers and addresses,
+/// each call's target symbolized back to `proc+offset` through
+/// [`Executable::symbolize`]. Registers render as the ABI names of the
+/// executable's own target.
 pub fn executable_asm(exe: &Executable) -> String {
     use std::fmt::Write;
     let desc = exe.target().desc();
@@ -131,7 +128,13 @@ pub fn executable_asm(exe: &Executable) -> String {
         if let Some(fi) = exe.funcs().iter().find(|fi| fi.entry == pc) {
             let _ = writeln!(out, "\n{}:  ; @{}", fi.name, fi.entry);
         }
-        let _ = writeln!(out, "  {pc:6}  {}", InstWith { inst, desc: Some(desc) });
+        let _ = write!(out, "  {pc:6}  {}", InstWith { inst, desc: Some(desc) });
+        if let Inst::CallAbs { entry } = inst {
+            if let Some(sym) = exe.symbolize(*entry as usize) {
+                let _ = write!(out, "  ; -> {sym}");
+            }
+        }
+        out.push('\n');
     }
     let _ = writeln!(out, "\n; --- data ---");
     for g in exe.globals() {
@@ -191,5 +194,7 @@ mod tests {
         let text = executable_asm(&exe);
         assert!(text.contains("main:"));
         assert!(text.contains("g @ 16 (2 words)"));
+        // The startup stub's call into `main` names its target.
+        assert!(text.contains("call    @2  ; -> main+0"), "{text}");
     }
 }

@@ -45,13 +45,18 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+# The bench reports land under target/check/ for inspection; the committed
+# BENCH_*.json files change only through an explicit `--out BENCH_x.json`.
+bench_out=target/check
+mkdir -p "$bench_out"
+
 echo "==> simulator benchmark (both engines; parity, counter identity and the 1.2x scaled-64 floor gated)"
-cargo run --release -q -p ipra-bench --bin sim_bench -- --check --out BENCH_sim.json
-test -s BENCH_sim.json
+cargo run --release -q -p ipra-bench --bin sim_bench -- --check --out "$bench_out/BENCH_sim.json"
+test -s "$bench_out/BENCH_sim.json"
 
 echo "==> compile-time benchmark (8/64/256 modules, cache checks on, cold scaling 512-4096 gated at 2.5x per doubling)"
-cargo run --release -q -p ipra-bench --bin compile_bench -- --check --out BENCH_compile.json
-test -s BENCH_compile.json
+cargo run --release -q -p ipra-bench --bin compile_bench -- --check --out "$bench_out/BENCH_compile.json"
+test -s "$bench_out/BENCH_compile.json"
 
 echo "==> cminc report smoke (two runs must be byte-identical)"
 report_dir="$(mktemp -d)"
@@ -174,8 +179,7 @@ echo "==> telemetry smoke (Chrome-trace shape; metrics byte-identical across job
 tele="$report_dir/tele"
 mkdir -p "$tele"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C --run -j 4 \
-  --trace-out "$tele/trace.json" --metrics-out "$tele/m1.json" \
-  --stats-json "$tele/stats.json" > /dev/null 2>&1
+  --trace-out "$tele/trace.json" --metrics-out "$tele/m1.json" > /dev/null 2>&1
 python3 - "$tele/trace.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -203,14 +207,16 @@ EOF
   --metrics-out "$tele/m2.json" > /dev/null 2>&1
 cmp "$tele/m1.json" "$tele/m2.json"
 grep -q '"sim.cycles"' "$tele/m1.json"
-grep -q '"schema": "ipra-build-stats-v1"' "$tele/stats.json"
+# The cold build's cache counters: both modules missed phase 1 and were
+# compiled in phase 2. The run's per-opcode-class retirement counts too.
+grep -q '"phase1.misses": 2' "$tele/m1.json"
+grep -q '"phase2.recompiled": 2' "$tele/m1.json"
+grep -q '"sim.op.' "$tele/m1.json"
 # The profiler must render identically on both engines.
 "$cminc" profile "$sep/prog.vx" --top 5 > "$tele/profile-fast.txt" 2>/dev/null
 "$cminc" profile "$sep/prog.vx" --top 5 --engine ref > "$tele/profile-ref.txt" 2>/dev/null
 cmp "$tele/profile-fast.txt" "$tele/profile-ref.txt"
 grep -q 'procedures (self cycles):' "$tele/profile-fast.txt"
-"$cminc" stats "$sep/m1.cmin" "$sep/m2.cmin" --config C --run > "$tele/stats-run.json" 2>/dev/null
-grep -q '"sim.op.' "$tele/stats-run.json"
 "$cminc" fuzz --seed 1 --iters 5 --metrics-out "$tele/fuzz.json" > /dev/null 2>&1
 grep -q '"fuzz.iterations": 5' "$tele/fuzz.json"
 
@@ -344,8 +350,8 @@ cmp "$dm/fallback.vx" "$dm/local.vx"
 
 echo "==> daemon benchmark (cold/warm/N-client throughput and dedup gated, responses byte-checked)"
 cargo run --release -q -p ipra-bench --bin daemon_bench -- --check \
-  --out BENCH_daemon.json
-test -s BENCH_daemon.json
-grep -q '"warm_n_over_cold_1"' BENCH_daemon.json
+  --out "$bench_out/BENCH_daemon.json"
+test -s "$bench_out/BENCH_daemon.json"
+grep -q '"warm_n_over_cold_1"' "$bench_out/BENCH_daemon.json"
 
 echo "All checks passed."
