@@ -98,7 +98,7 @@ const USAGE: &str = "usage:
   cminc explain <symbol> (--decisions <decisions.json> | <src.cmin>... [--config ...] [--input \"v v v\"]) [--target vpr|rv32]
   cminc report <src.cmin>... --config-b L2|A|B|C|D|E|F|P [--config-a ...] [--input \"v v v\"] [--json <out.json>]
   cminc fuzz [--seed N] [--iters N | --time-budget SECS] [-j|--jobs N] [--corpus DIR] [--reduce-budget N] [--self-validate] [--metrics-out <m.json>]
-  cminc serve --socket PATH [--cache-dir DIR] [-j|--jobs N] [--shards N] [--cap N] [--timeout SECS]
+  cminc serve --socket PATH [--cache-dir DIR] [-j|--jobs N] [--shards N] [--timeout SECS]
   cminc remote build <src.cmin>... --socket PATH [--config ...] [-o <prog.vx>] [--input \"v v v\"]
   cminc remote ping|stats|shutdown --socket PATH
 
@@ -426,12 +426,13 @@ fn compile(
 
 /// `cminc explain <symbol>`: renders every analyzer decision mentioning one
 /// global or procedure, from a saved `--decisions-out` file or by compiling
-/// the given sources with tracing on.
+/// the given sources with tracing on. Registers are named for the trace's
+/// own target; a `--target` that contradicts a saved file's is an error.
 fn explain_cmd(mut a: Args) -> Result<(), String> {
     let decisions = a.path("--decisions", "<decisions.json>");
     let config = config(&mut a, "--config").unwrap_or(PaperConfig::L2);
     let input = input(&mut a);
-    let target = target(&mut a);
+    let target = a.value("--target", "vpr|rv32", TargetId::parse);
     let pos = a.positionals("<symbol> [<src.cmin>...]");
     a.finish();
     let Some((symbol, srcs)) = pos.split_first() else {
@@ -439,7 +440,17 @@ fn explain_cmd(mut a: Args) -> Result<(), String> {
     };
     let trace = match decisions {
         Some(path) => {
-            AnalyzerTrace::from_json(&read(&path)?).map_err(|e| format!("{path}: {e}"))?
+            let trace =
+                AnalyzerTrace::from_json(&read(&path)?).map_err(|e| format!("{path}: {e}"))?;
+            match target {
+                Some(t) if t != trace.target => {
+                    return Err(format!(
+                        "{path} records decisions for target {}, not --target {t}",
+                        trace.target
+                    ));
+                }
+                _ => trace,
+            }
         }
         None => {
             if srcs.is_empty() {
@@ -448,12 +459,13 @@ fn explain_cmd(mut a: Args) -> Result<(), String> {
                 );
             }
             let sources = read_sources(srcs)?;
+            let target = target.unwrap_or_default();
             let opts = CompileOptions { trace: true, target, ..Default::default() };
             let program = compile(&sources, config, &input, &opts, &mut CompilationCache::new())?;
             program.trace.expect("tracing was requested")
         }
     };
-    print!("{}", ipra_obsv::explain_for(&trace, symbol, target.desc()));
+    print!("{}", ipra_obsv::explain(&trace, symbol));
     Ok(())
 }
 
@@ -795,13 +807,13 @@ fn profile_cmd(mut a: Args) -> Result<(), String> {
 
 /// `cminc serve`: run `cmind`, the build-service daemon, until a client
 /// sends a shutdown request. All sessions share one sharded, optionally
-/// size-capped, optionally persistent compilation cache.
+/// persistent compilation cache, whose memory holds what each shard's
+/// recent builds used.
 fn serve_cmd(mut a: Args) -> Result<(), String> {
     let socket = a.path("--socket", "PATH");
     let cache_dir = a.path("--cache-dir", "DIR");
     let jobs = a.jobs().unwrap_or(1);
     let shards = a.value("--shards", "N", parsed).unwrap_or(4);
-    let capacity = a.value("--cap", "N", parsed);
     let request_timeout =
         a.value("--timeout", "SECS", |v| parsed(v).map(std::time::Duration::from_secs));
     a.finish();
@@ -811,7 +823,6 @@ fn serve_cmd(mut a: Args) -> Result<(), String> {
         jobs,
         cache_dir: cache_dir.map(Into::into),
         shards,
-        capacity,
         request_timeout,
     };
     let server = ipra_daemon::Server::start(opts).map_err(|e| format!("serve: {socket}: {e}"))?;

@@ -227,6 +227,42 @@ fn explain_is_deterministic_and_names_the_decisions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A saved decisions file names registers for the target it was traced
+/// for, with or without a matching `--target`, exactly as explaining the
+/// sources for that target does; a `--target` that contradicts the file is
+/// an error naming both.
+#[test]
+fn explain_names_registers_for_the_saved_traces_target() {
+    let dir = tempdir("explain-target");
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    write(&dir, "app.cmin", MAIN_SRC);
+    let build = ["build", "counterlib.cmin", "app.cmin", "--config", "C", "--decisions-out"];
+    ok(&dir, &[&build[..], &["rv.json", "--target", "rv32"]].concat());
+    ok(&dir, &[&build[..], &["vpr.json"]].concat());
+    let stdout = |args: &[&str]| String::from_utf8(ok(&dir, args).stdout).unwrap();
+    let explain = ["explain", "total", "counterlib.cmin", "app.cmin", "--config", "C"];
+    let compiled = stdout(&[&explain[..], &["--target", "rv32"]].concat());
+    assert!(compiled.contains("promoted to s"), "{compiled}");
+    for extra in [&[][..], &["--target", "rv32"][..]] {
+        let args = [&["explain", "total", "--decisions", "rv.json"][..], extra].concat();
+        assert_eq!(stdout(&args), compiled, "{args:?}");
+    }
+    assert_eq!(stdout(&["explain", "total", "--decisions", "vpr.json"]), stdout(&explain));
+    // A VPR trace names no target, so its bytes are what they were.
+    assert!(!std::fs::read_to_string(dir.join("vpr.json")).unwrap().contains("target"));
+
+    let out = cminc()
+        .current_dir(&dir)
+        .args(["explain", "total", "--decisions", "rv.json", "--target", "vpr"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("rv32") && stderr.contains("--target vpr"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn report_is_byte_deterministic_and_sums() {
     let dir = tempdir("report");

@@ -289,7 +289,7 @@ pub fn analyze_traced(
     summary: &ProgramSummary,
     opts: &AnalyzerOptions,
 ) -> (Analysis, AnalyzerTrace) {
-    let mut trace = AnalyzerTrace::default();
+    let mut trace = AnalyzerTrace { target: opts.target, ..AnalyzerTrace::default() };
     let analysis = analyze_impl(summary, opts, Some(&mut trace));
     (analysis, trace)
 }

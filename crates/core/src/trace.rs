@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use vpr::regs::{Reg, RegSet};
+use vpr::target::TargetId;
 
 /// Which heuristic discarded a web (paper §6.2 and §7.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -204,6 +205,11 @@ impl TraceEvent {
 pub struct AnalyzerTrace {
     /// All recorded events.
     pub events: Vec<TraceEvent>,
+    /// The target the analyzer ran for, which names the events' registers.
+    /// Serialized only when not [`TargetId::Vpr`], so VPR traces keep their
+    /// bytes and a trace that names no target reads as VPR.
+    #[serde(default, skip_default)]
+    pub target: TargetId,
 }
 
 impl AnalyzerTrace {

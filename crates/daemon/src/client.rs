@@ -77,7 +77,7 @@ impl Client {
             .write_all(&frame)
             .and_then(|()| self.stream.flush())
             .map_err(|e| ClientError::Io(e.to_string()))?;
-        let frame = protocol::read_frame(&mut self.stream, TAG_RESPONSE)
+        let frame = protocol::read_frame(&mut self.stream, TAG_RESPONSE, || false)
             .map_err(ClientError::Protocol)?
             .ok_or_else(|| ClientError::Io("daemon closed the connection".to_string()))?;
         protocol::decode_response(&frame).map_err(ClientError::Protocol)

@@ -12,9 +12,10 @@
 //! * [`server`] — the daemon: a content-keyed
 //!   [`CompilationCache`](ipra_driver::CompilationCache) shared by every
 //!   session, sharded by project and bounded by what its recent builds
-//!   used (plus an optional LRU size cap), in-flight request dedup
-//!   (identical concurrent requests ride one build), per-request
-//!   timeouts, per-shard telemetry counters, and graceful drain;
+//!   used, in-flight request dedup (identical concurrent requests ride
+//!   one build), per-request timeouts, per-shard telemetry counters (each
+//!   build's own phase counters, filed under its shard), and graceful
+//!   drain;
 //! * [`client`] — the client: one call per request/response round trip,
 //!   with a fingerprint cross-check that refuses mismatched bytes.
 //!

@@ -357,15 +357,21 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtocolError> {
     decode_frame(bytes, TAG_RESPONSE)
 }
 
-/// Fills `buf` from `r`, tolerating short reads; returns how many bytes
-/// arrived before EOF.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ProtocolError> {
+/// Fills `buf` from `r`, tolerating short reads and waiting through read
+/// timeouts; returns how many bytes arrived before EOF, or 0 when `stop`
+/// holds before the first byte.
+fn read_full(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    stop: impl Fn() -> bool,
+) -> Result<usize, ProtocolError> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
     let mut have = 0;
-    while have < buf.len() {
+    while have < buf.len() && !(have == 0 && stop()) {
         match r.read(&mut buf[have..]) {
             Ok(0) => break,
             Ok(n) => have += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), Interrupted | WouldBlock | TimedOut) => {}
             Err(e) => return Err(ProtocolError::Io(e.to_string())),
         }
     }
@@ -374,16 +380,24 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ProtocolError> 
 
 /// Reads one complete frame of the expected tag from a stream. Returns
 /// `Ok(None)` on a clean EOF at a frame boundary (the peer hung up between
-/// requests — not an error). The header is validated *before* the payload
-/// is read, so an oversize length prefix is rejected without allocating.
+/// requests — not an error), or when `stop` holds before the frame's first
+/// byte: on a stream with a read timeout, `stop` is polled once per
+/// timeout while the stream is idle. A frame that has started arriving is
+/// read to its end (or to typed truncation) whatever `stop` says. The
+/// header is validated *before* the payload is read, so an oversize length
+/// prefix is rejected without allocating.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::Truncated`] when the stream ends mid-frame, any header
 /// check failure, or [`ProtocolError::Io`].
-pub fn read_frame(r: &mut impl Read, expect_tag: u8) -> Result<Option<Vec<u8>>, ProtocolError> {
+pub fn read_frame(
+    r: &mut impl Read,
+    expect_tag: u8,
+    stop: impl Fn() -> bool,
+) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(r, &mut header)? {
+    match read_full(r, &mut header, stop)? {
         0 => return Ok(None),
         n if n < HEADER_LEN => return Err(ProtocolError::Truncated { need: HEADER_LEN, have: n }),
         _ => {}
@@ -392,7 +406,7 @@ pub fn read_frame(r: &mut impl Read, expect_tag: u8) -> Result<Option<Vec<u8>>, 
     let need = HEADER_LEN + payload_len + 8;
     let mut frame = vec![0u8; need];
     frame[..HEADER_LEN].copy_from_slice(&header);
-    let got = read_full(r, &mut frame[HEADER_LEN..])?;
+    let got = read_full(r, &mut frame[HEADER_LEN..], || false)?;
     if got < need - HEADER_LEN {
         return Err(ProtocolError::Truncated { need, have: HEADER_LEN + got });
     }
@@ -503,12 +517,54 @@ mod tests {
     fn stream_reader_matches_slice_decoder() {
         let frame = encode_request(&sample_request());
         let mut cursor: &[u8] = &frame;
-        let got = read_frame(&mut cursor, TAG_REQUEST).unwrap().expect("one frame");
+        let got = read_frame(&mut cursor, TAG_REQUEST, || false).unwrap().expect("one frame");
         assert_eq!(got, frame);
-        assert_eq!(read_frame(&mut cursor, TAG_REQUEST).unwrap(), None, "clean EOF after");
+        assert_eq!(read_frame(&mut cursor, TAG_REQUEST, || false).unwrap(), None, "clean EOF");
         // Mid-frame EOF is typed truncation.
         let mut partial: &[u8] = &frame[..frame.len() - 3];
-        assert_eq!(read_frame(&mut partial, TAG_REQUEST).unwrap_err().kind(), "truncated");
+        let err = read_frame(&mut partial, TAG_REQUEST, || false).unwrap_err();
+        assert_eq!(err.kind(), "truncated");
+    }
+
+    /// A stream that times out `idle` times, then yields `bytes` one at a
+    /// time.
+    struct Trickle<'a> {
+        idle: usize,
+        bytes: &'a [u8],
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.idle > 0 {
+                self.idle -= 1;
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            let n = self.bytes.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn stop_ends_an_idle_read_but_not_a_started_frame() {
+        let frame = encode_request(&sample_request());
+        let polls = std::cell::Cell::new(0);
+        let stop_at_third_poll = || {
+            polls.set(polls.get() + 1);
+            polls.get() >= 3
+        };
+        // Idle through two timeouts; the third poll ends the read.
+        let mut idle = Trickle { idle: 5, bytes: &frame };
+        assert_eq!(read_frame(&mut idle, TAG_REQUEST, stop_at_third_poll).unwrap(), None);
+        assert_eq!(idle.bytes.len(), frame.len(), "nothing was consumed");
+        // A frame whose first byte lands at the second poll is read to its
+        // end: `stop` is not asked again.
+        polls.set(0);
+        let mut late = Trickle { idle: 1, bytes: &frame };
+        let got = read_frame(&mut late, TAG_REQUEST, stop_at_third_poll).unwrap();
+        assert_eq!(got.as_deref(), Some(&frame[..]));
+        assert_eq!(polls.get(), 2);
     }
 
     #[test]
@@ -519,6 +575,6 @@ mod tests {
         header[5] = TAG_REQUEST;
         header[6..10].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         let mut stream: &[u8] = &header;
-        assert_eq!(read_frame(&mut stream, TAG_REQUEST).unwrap_err().kind(), "oversize");
+        assert_eq!(read_frame(&mut stream, TAG_REQUEST, || false).unwrap_err().kind(), "oversize");
     }
 }

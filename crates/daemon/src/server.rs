@@ -33,15 +33,15 @@
 //! finishes and populates the cache behind the scenes.
 
 use crate::protocol::{
-    self, BuildRequest, BuildResponse, Counter, ProtocolError, Request, Response, StatsResponse,
-    WireError, HEADER_LEN, TAG_REQUEST,
+    self, BuildRequest, BuildResponse, Counter, Request, Response, StatsResponse, WireError,
+    TAG_REQUEST,
 };
 use ipra_core::analyzer::PaperConfig;
 use ipra_core::fingerprint::Fnv64;
-use ipra_driver::{CacheStats, CompilationCache, CompileOptions, SourceFile};
+use ipra_driver::{CompilationCache, CompileOptions, SourceFile};
 use ipra_telemetry::Telemetry;
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,27 +61,22 @@ pub struct ServerOptions {
     pub cache_dir: Option<PathBuf>,
     /// Number of cache shards (clamped to at least 1). A request builds
     /// on its project's shard, so shards let different projects compile
-    /// concurrently.
+    /// concurrently. Each shard's memory holds what its last
+    /// [`RETAINED_BUILDS`](ipra_driver::RETAINED_BUILDS) builds used.
     pub shards: usize,
-    /// Per-shard in-memory size cap (entries per tier); `None` is
-    /// unbounded. Either way, entries that none of a shard's last
-    /// [`RETAINED_BUILDS`](ipra_driver::RETAINED_BUILDS) builds used leave
-    /// its memory. See [`CompilationCache::set_capacity`].
-    pub capacity: Option<usize>,
     /// Per-request build timeout. `None` waits indefinitely.
     pub request_timeout: Option<Duration>,
 }
 
 impl ServerOptions {
-    /// Defaults for a daemon at `socket`: 4 shards, no size cap, no
-    /// timeout, memory-only cache.
+    /// Defaults for a daemon at `socket`: 4 shards, no timeout,
+    /// memory-only cache.
     pub fn new(socket: impl Into<PathBuf>) -> ServerOptions {
         ServerOptions {
             socket: socket.into(),
             jobs: 1,
             cache_dir: None,
             shards: 4,
-            capacity: None,
             request_timeout: None,
         }
     }
@@ -149,12 +144,10 @@ impl Server {
         let shards = opts.shards.max(1);
         let mut caches = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let mut cache = match &opts.cache_dir {
+            caches.push(Mutex::new(match &opts.cache_dir {
                 Some(dir) => CompilationCache::with_disk(dir)?,
                 None => CompilationCache::new(),
-            };
-            cache.set_capacity(opts.capacity);
-            caches.push(Mutex::new(cache));
+            }));
         }
         let shared = Arc::new(Shared {
             opts,
@@ -243,54 +236,6 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads one request frame, polling so the handler notices shutdown while
-/// idle. Partial reads are never discarded: once a frame has started
-/// arriving we keep reading it to completion (or typed truncation).
-fn read_request(
-    stream: &mut UnixStream,
-    shared: &Shared,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut have = 0;
-    while have < HEADER_LEN {
-        if have == 0 && shared.shutting_down() {
-            return Ok(None);
-        }
-        match stream.read(&mut header[have..]) {
-            Ok(0) => {
-                return if have == 0 {
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::Truncated { need: HEADER_LEN, have })
-                };
-            }
-            Ok(n) => have += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e.to_string())),
-        }
-    }
-    let payload_len = protocol::check_header(&header, TAG_REQUEST)?;
-    let need = HEADER_LEN + payload_len + 8;
-    let mut frame = vec![0u8; need];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    let mut have = HEADER_LEN;
-    while have < need {
-        match stream.read(&mut frame[have..]) {
-            Ok(0) => return Err(ProtocolError::Truncated { need, have }),
-            Ok(n) => have += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e.to_string())),
-        }
-    }
-    Ok(Some(frame))
-}
-
 fn send_response(stream: &mut UnixStream, shared: &Shared, resp: &Response) -> bool {
     let frame = protocol::encode_response(resp);
     match stream.write_all(&frame).and_then(|()| stream.flush()) {
@@ -305,9 +250,12 @@ fn send_response(stream: &mut UnixStream, shared: &Shared, resp: &Response) -> b
 }
 
 fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
+    // The read timeout lets an idle handler poll for shutdown between
+    // frames; a frame that has started arriving is read to the end.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let stop = || shared.shutting_down();
     loop {
-        let frame = match read_request(&mut stream, shared) {
+        let frame = match protocol::read_frame(&mut stream, TAG_REQUEST, stop) {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean EOF or idle at shutdown
             Err(e) => {
@@ -446,7 +394,8 @@ fn project_shard(req: &BuildRequest, shards: usize) -> usize {
 }
 
 /// The leader's computation: pick the project's shard, compile under its
-/// lock, export per-shard counter deltas, package the `.vx` artifact.
+/// lock, fold the build's counters into the daemon's (and its phase
+/// counters under the shard's name), package the `.vx` artifact.
 fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireError> {
     let config = PaperConfig::parse(&req.config)
         .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
@@ -470,7 +419,6 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
     };
     let shard_index = project_shard(req, shared.shards.len());
     let mut cache = shared.shards[shard_index].lock().expect("shard lock");
-    let before = cache.stats();
     let built = ipra_driver::compile_configured(
         &sources,
         config,
@@ -478,12 +426,12 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
         &options,
         &mut cache,
     );
-    let after = cache.stats();
     drop(cache);
-    for (key, n) in build_tele.counters() {
-        shared.tele.add(&key, n);
+    let counters = build_tele.counters();
+    for (key, &n) in &counters {
+        shared.tele.add(key, n);
     }
-    export_shard_counters(&shared.tele, shard_index, before, after);
+    export_shard_counters(&shared.tele, shard_index, &counters);
     shared.tele.add("daemon.builds", 1);
     let program = match built {
         Ok(Ok(program)) => program,
@@ -499,18 +447,16 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
     })
 }
 
-fn export_shard_counters(tele: &Telemetry, shard: usize, before: CacheStats, after: CacheStats) {
-    let deltas = [
-        ("p1.hits", after.phase1_hits - before.phase1_hits),
-        ("p1.misses", after.phase1_misses - before.phase1_misses),
-        ("p1.evictions", after.phase1_evictions - before.phase1_evictions),
-        ("p2.hits", after.phase2_hits - before.phase2_hits),
-        ("p2.misses", after.phase2_misses - before.phase2_misses),
-        ("p2.evictions", after.phase2_evictions - before.phase2_evictions),
-    ];
-    for (name, delta) in deltas {
-        if delta > 0 {
-            tele.add(&format!("daemon.shard{shard}.{name}"), delta);
+/// Files one request's `phase{1,2}.{hits,misses,evictions}` counters (both
+/// builds of a profile-fed request) under its shard, as
+/// `daemon.shard{i}.p{1,2}.*`.
+fn export_shard_counters(tele: &Telemetry, shard: usize, build: &BTreeMap<String, u64>) {
+    for phase in 1..=2 {
+        for what in ["hits", "misses", "evictions"] {
+            match build.get(&format!("phase{phase}.{what}")) {
+                Some(&n) if n > 0 => tele.add(&format!("daemon.shard{shard}.p{phase}.{what}"), n),
+                _ => {}
+            }
         }
     }
 }

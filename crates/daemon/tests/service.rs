@@ -153,3 +153,47 @@ fn cumulative_edits_recompile_only_the_edited_module() {
     }
     server.stop();
 }
+
+/// The per-shard counters are each build's own phase counters filed under
+/// its shard: over two projects (one of them under the profile-fed F,
+/// which builds twice per request) and a re-request, the shards' sums
+/// equal the daemon's `phase1.*` and `phase2.*` totals.
+#[test]
+fn shard_counters_sum_to_the_phase_counters() {
+    let server = Server::start(ServerOptions::new(sock("shards"))).expect("server start");
+    let mut client = Client::connect(server.socket()).expect("connect");
+    let request = |config: &str, sources: &[SourceFile]| BuildRequest {
+        config: config.to_string(),
+        optimize: true,
+        sources: wire_sources(sources),
+        training_input: Vec::new(),
+    };
+    let first = scaled_program(6);
+    let second: Vec<SourceFile> = scaled_program(6)
+        .into_iter()
+        .map(|s| SourceFile { name: format!("b_{}", s.name), ..s })
+        .collect();
+    for (config, sources) in [("L2", &first), ("F", &second), ("L2", &first)] {
+        client.build(&request(config, sources)).expect("build");
+    }
+    let counters = client.stats().expect("stats");
+    let get = |name: &str| counters.iter().find(|c| c.name == name).map_or(0, |c| c.value);
+    let shards = |suffix: &str| -> u64 {
+        counters
+            .iter()
+            .filter(|c| c.name.starts_with("daemon.shard") && c.name.ends_with(suffix))
+            .map(|c| c.value)
+            .sum()
+    };
+    for phase in 1..=2 {
+        for what in ["hits", "misses", "evictions"] {
+            let total = get(&format!("phase{phase}.{what}"));
+            assert_eq!(shards(&format!(".p{phase}.{what}")), total, "phase{phase}.{what}");
+            if what != "evictions" {
+                assert!(total > 0, "phase{phase}.{what} is never exercised");
+            }
+        }
+    }
+    assert_eq!(get("build.builds"), 4, "F builds twice");
+    server.stop();
+}

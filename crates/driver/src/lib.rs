@@ -63,9 +63,7 @@ mod framed;
 pub mod separate;
 mod stages;
 
-pub use cache::{
-    BuildReport, CacheStats, CompilationCache, DiskCache, PhaseStats, RETAINED_BUILDS,
-};
+pub use cache::{BuildReport, CompilationCache, PhaseStats, RETAINED_BUILDS};
 
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
@@ -320,9 +318,7 @@ pub fn compile_incremental(
     // Entries no recent build used leave memory (not disk), then one burst
     // of disk-tier writes per build (entries stay served from memory either
     // way; see `DiskCache`). Both are charged to the build total.
-    let (retired1, retired2) = cache.end_build();
-    report.phase1.evictions += retired1;
-    report.phase2.evictions += retired2;
+    (report.phase1.evictions, report.phase2.evictions) = cache.end_build();
     cache.flush();
     report.total_seconds = build_timer.finish();
 
@@ -729,8 +725,6 @@ mod tests {
         assert!(warm.build.recompiled.is_empty());
         assert_eq!(warm.exe, cold.exe);
         assert_eq!(warm.database, cold.database);
-        assert_eq!(cache.stats().phase1_hits, 2);
-        assert_eq!(cache.stats().phase1_misses, 2);
     }
 
     #[test]
@@ -756,7 +750,6 @@ mod tests {
         let opts = CompileOptions::paper(PaperConfig::C);
         let cold = {
             let mut cache = CompilationCache::with_disk(&dir).unwrap();
-            assert_eq!(cache.cache_dir(), Some(dir.as_path()));
             compile_incremental(&sources, &opts, &mut cache).unwrap()
         };
         assert_eq!(cold.build.phase1.misses, 2);
@@ -811,7 +804,7 @@ mod tests {
     /// frame.
     #[test]
     fn an_undecodable_ir_tail_reruns_phase1_from_source() {
-        use crate::cache::Phase1Head;
+        use crate::cache::{DiskCache, Phase1Head};
         use crate::framed::{decode_head, encode_frame, KIND_PHASE1};
         let sources = two_module_program();
         let dir = tmpdir("forged-tail");

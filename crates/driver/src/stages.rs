@@ -129,7 +129,6 @@ pub(crate) fn phase1(
     report: &mut BuildReport,
 ) -> Result<Vec<Arc<Phase1Entry>>, CompileError> {
     let tele = cache.telemetry().cloned();
-    let evictions_before = cache.stats.phase1_evictions;
     let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
     let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
     let mut miss_idx: Vec<usize> = Vec::new();
@@ -159,9 +158,6 @@ pub(crate) fn phase1(
             Err(e) => first_error = first_error.or(Some(e)),
         }
     }
-    cache.stats.phase1_hits += report.phase1.hits as u64;
-    cache.stats.phase1_misses += report.phase1.misses as u64;
-    report.phase1.evictions = (cache.stats.phase1_evictions - evictions_before) as usize;
     if let Some(e) = first_error {
         return Err(e);
     }
@@ -244,7 +240,6 @@ pub(crate) fn phase2(
     report: &mut BuildReport,
 ) -> Result<Vec<ObjectArtifact>, CompileError> {
     let tele = cache.telemetry().cloned();
-    let evictions_before = cache.stats.phase2_evictions;
     let db_fps: Vec<u64> = entries
         .iter()
         .map(|e| {
@@ -296,9 +291,6 @@ pub(crate) fn phase2(
         cache.store_phase2(Phase2Entry { ir_fp, db_fp, object: object.clone() });
         objects[i] = Some(ObjectArtifact { object, ir_fp, dir_fp: db_fp });
     }
-    cache.stats.phase2_hits += report.phase2.hits as u64;
-    cache.stats.phase2_misses += report.phase2.misses as u64;
-    report.phase2.evictions = (cache.stats.phase2_evictions - evictions_before) as usize;
     Ok(objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect())
 }
 

@@ -25,14 +25,9 @@ pub(crate) fn regset_names(set: RegSet, desc: &TargetDesc) -> String {
     format!("{{{}}}", names.join(", "))
 }
 
-/// [`render_event_for`] under the default (VPR) machine description.
-pub fn render_event(e: &TraceEvent) -> String {
-    render_event_for(e, &vpr::target::VPR)
-}
-
 /// Renders one trace event as a single human-readable line, naming
 /// registers in `desc`'s ABI convention.
-pub fn render_event_for(e: &TraceEvent, desc: &TargetDesc) -> String {
+pub fn render_event(e: &TraceEvent, desc: &TargetDesc) -> String {
     match e {
         TraceEvent::WebFormed { web, sym, nodes, entries, written, benefit, entry_cost } => {
             format!(
@@ -107,15 +102,10 @@ pub fn render_event_for(e: &TraceEvent, desc: &TargetDesc) -> String {
     }
 }
 
-/// [`explain_for`] under the default (VPR) machine description.
-pub fn explain(trace: &AnalyzerTrace, symbol: &str) -> String {
-    explain_for(trace, symbol, &vpr::target::VPR)
-}
-
 /// Renders the causal chain for one symbol (a global or a procedure) from a
 /// decision trace, one event per line in emission order, naming registers
-/// in `desc`'s ABI convention.
-pub fn explain_for(trace: &AnalyzerTrace, symbol: &str, desc: &TargetDesc) -> String {
+/// in the ABI convention of the trace's target.
+pub fn explain(trace: &AnalyzerTrace, symbol: &str) -> String {
     let events = trace.for_symbol(symbol);
     if events.is_empty() {
         return format!("no analyzer decisions mention `{symbol}`\n");
@@ -127,7 +117,7 @@ pub fn explain_for(trace: &AnalyzerTrace, symbol: &str, desc: &TargetDesc) -> St
     );
     for e in events {
         out.push_str("  - ");
-        out.push_str(&render_event_for(e, desc));
+        out.push_str(&render_event(e, trace.target.desc()));
         out.push('\n');
     }
     out
@@ -169,8 +159,9 @@ mod tests {
             reg: Reg::new(8),
             priority: 10,
         });
-        let vpr_text = explain_for(&t, "g", &vpr::target::VPR);
-        let rv_text = explain_for(&t, "g", &vpr::target::RV32);
+        let vpr_text = explain(&t, "g");
+        t.target = vpr::target::TargetId::Rv32;
+        let rv_text = explain(&t, "g");
         assert!(vpr_text.contains("promoted to s5"), "{vpr_text}");
         assert!(rv_text.contains("promoted to s0"), "{rv_text}");
     }

@@ -22,5 +22,5 @@
 mod explain;
 mod report;
 
-pub use explain::{explain, explain_for, render_event, render_event_for};
+pub use explain::{explain, render_event};
 pub use report::{DiffReport, ProcDelta, Totals};

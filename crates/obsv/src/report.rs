@@ -7,6 +7,7 @@ use ipra_core::trace::AnalyzerTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use vpr::sim::{Attribution, ProcCost, RunStats};
+use vpr::target::TargetDesc;
 
 /// Whole-program totals of one run (the columns the paper's Tables 4–5
 /// report).
@@ -96,11 +97,9 @@ fn delta(b: u64, a: u64) -> i64 {
 }
 
 /// Configuration B's directive summary for one procedure, if it deviates
-/// from the standard linkage convention.
-fn directive_summary(d: &ProcDirectives) -> Option<String> {
-    // Reports explain VPR builds; registers render with the VPR ABI names,
-    // matching `explain` and `objdump`.
-    let desc = &vpr::target::VPR;
+/// from the standard linkage convention, naming registers in `desc`'s ABI
+/// convention (as `explain` and `objdump` do).
+fn directive_summary(d: &ProcDirectives, desc: &TargetDesc) -> Option<String> {
     let mut parts: Vec<String> = Vec::new();
     for p in &d.promotions {
         let mut s = format!("holds `{}` in {}", p.sym, desc.reg_name(p.reg));
@@ -128,7 +127,8 @@ fn directive_summary(d: &ProcDirectives) -> Option<String> {
 
 impl DiffReport {
     /// Builds the report from both runs' attributions and statistics plus
-    /// configuration B's program database and decision trace.
+    /// configuration B's program database and decision trace. Registers
+    /// are named for the trace's target.
     #[allow(clippy::too_many_arguments)] // the join really has seven inputs
     pub fn build(
         config_a: &str,
@@ -141,6 +141,7 @@ impl DiffReport {
         trace_b: &AnalyzerTrace,
     ) -> DiffReport {
         let names: BTreeSet<&String> = attr_a.procs.keys().chain(attr_b.procs.keys()).collect();
+        let desc = trace_b.target.desc();
         let mut procs: Vec<ProcDelta> = names
             .into_iter()
             .map(|name| {
@@ -149,9 +150,9 @@ impl DiffReport {
                 let b = attr_b.get(name).unwrap_or(&zero);
                 let mut reasons: Vec<String> = Vec::new();
                 if let Some(d) = db_b.get(name) {
-                    reasons.extend(directive_summary(d));
+                    reasons.extend(directive_summary(d, desc));
                 }
-                reasons.extend(trace_b.for_symbol(name).iter().map(|e| render_event(e)));
+                reasons.extend(trace_b.for_symbol(name).iter().map(|e| render_event(e, desc)));
                 ProcDelta {
                     name: name.clone(),
                     cycles_a: a.cycles,

@@ -42,8 +42,9 @@ cargo build --release -q -p ipra-cli
 echo "==> tier-1: cargo test"
 cargo test -q
 
-echo "==> workspace tests"
-cargo test --workspace -q
+# The root package's tests ran in the tier-1 step above.
+echo "==> workspace tests (every crate but the root package)"
+cargo test --workspace --exclude ipra-repro -q
 
 # The bench reports land under target/check/ for inspection; the committed
 # BENCH_*.json files change only through an explicit `--out BENCH_x.json`.
@@ -317,7 +318,7 @@ echo "==> daemon smoke (serve, concurrent remote builds == local build, drain, f
 dm="$report_dir/daemon"
 mkdir -p "$dm"
 dsock="$dm/cmind.sock"
-"$cminc" serve --socket "$dsock" --shards 2 --cap 64 2> "$dm/serve.log" &
+"$cminc" serve --socket "$dsock" --shards 2 2> "$dm/serve.log" &
 serve_pid=$!
 for _ in $(seq 1 100); do
   [ -S "$dsock" ] && break

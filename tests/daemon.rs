@@ -141,42 +141,59 @@ fn stress_many_clients_with_interleaved_edits() {
 }
 
 /// Distinct programs from different clients share one daemon and its
-/// sharded cache without cross-talk: interleaved builds of per-client
-/// variants all come back byte-correct, and re-requesting a variant
-/// after *other* clients' builds still matches (nothing was evicted into
-/// wrongness, only into recompilation).
+/// sharded cache without cross-talk. Every client rotates through its own
+/// variants of one project (so all of them meet one shard) in lockstep
+/// with the others: between two requests for a variant, the shard serves
+/// at least `RETAINED_BUILDS` other builds, so the variant's entries
+/// leave memory and are recompiled. Every response is still byte-exact:
+/// an eviction costs recompilation, never wrong bytes.
 #[test]
 fn stress_distinct_programs_share_the_cache_without_crosstalk() {
-    let opts = ServerOptions {
-        // A deliberately tight cap so eviction churns while clients race.
-        capacity: Some(8),
-        ..ServerOptions::new(sock("crosstalk"))
-    };
-    let server = Server::start(opts).expect("server start");
+    const VARIANTS: usize = 3;
+    // A variant's next request comes at least CLIENTS * (VARIANTS - 1)
+    // shard builds after its last one.
+    const { assert!(CLIENTS * (VARIANTS - 1) >= ipra_driver::RETAINED_BUILDS) };
+    let server = Server::start(ServerOptions::new(sock("crosstalk"))).expect("server start");
     let oracle = Arc::new(Oracle::new());
+    let barrier = Arc::new(Barrier::new(CLIENTS));
     let socket = server.socket().to_path_buf();
 
     let workers: Vec<_> = (0..CLIENTS)
         .map(|client_id| {
             let oracle = Arc::clone(&oracle);
+            let barrier = Arc::clone(&barrier);
             let socket = socket.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&socket).expect("connect");
-                // Each client owns one variant (its own tune) of a smaller
-                // program, rebuilt repeatedly while the others churn the
-                // shared shards.
-                let mut sources = scaled_program(12);
-                perturb(&mut sources, client_id % 12, 1000 + client_id as i64);
-                let request = request_for(&sources);
-                let expected = oracle.vx_for(&request, &sources);
-                for round in 0..4 {
+                // The client's variants of a smaller program: its own
+                // module, re-tuned a different way in each.
+                let module = client_id % 12;
+                let variants: Vec<Vec<SourceFile>> = (0..VARIANTS)
+                    .map(|v| {
+                        let mut sources = scaled_program(12);
+                        perturb(&mut sources, module, 1000 + (client_id * VARIANTS + v) as i64);
+                        sources
+                    })
+                    .collect();
+                for step in 0..2 * VARIANTS {
+                    let sources = &variants[step % VARIANTS];
+                    let request = request_for(sources);
+                    let expected = oracle.vx_for(&request, sources);
+                    // Each step is one build per client.
+                    barrier.wait();
                     let built = client
                         .build(&request)
-                        .unwrap_or_else(|e| panic!("client {client_id} round {round}: {e}"));
+                        .unwrap_or_else(|e| panic!("client {client_id} step {step}: {e}"));
                     assert_eq!(
                         built.vx, expected,
-                        "client {client_id} round {round}: shared cache served wrong bytes"
+                        "client {client_id} step {step}: shared cache served wrong bytes"
                     );
+                    if step >= VARIANTS {
+                        assert!(
+                            built.recompiled.contains(&format!("s{module}")),
+                            "client {client_id} step {step}: the variant stayed in memory"
+                        );
+                    }
                 }
             })
         })
@@ -184,5 +201,13 @@ fn stress_distinct_programs_share_the_cache_without_crosstalk() {
     for w in workers {
         w.join().expect("client thread");
     }
+    let mut client = Client::connect(&socket).expect("stats connect");
+    let counters = client.stats().expect("stats");
+    let evictions: u64 = counters
+        .iter()
+        .filter(|c| c.name.starts_with("daemon.shard") && c.name.ends_with(".p1.evictions"))
+        .map(|c| c.value)
+        .sum();
+    assert!(evictions > 0, "retention evicted nothing");
     server.stop();
 }

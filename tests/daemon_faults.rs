@@ -85,20 +85,17 @@ fn wait_for_counter(client: &mut Client, name: &str, want: u64) -> u64 {
     }
 }
 
-/// Corrupt and truncate cache files between requests: the daemon must
-/// fall back to recompiling (counting the damage) and still serve bytes
-/// identical to a pristine cold compile.
+/// Corrupt and truncate cache files between daemons: the restarted
+/// daemon must fall back to recompiling (counting the damage) and still
+/// serve bytes identical to a pristine cold compile.
 #[test]
 fn corrupted_cache_files_degrade_to_misses_with_correct_bytes() {
     let cache_dir = tmpdir("cache");
-    let opts = ServerOptions {
+    let opts = |tag: &str| ServerOptions {
         cache_dir: Some(cache_dir.clone()),
-        // Memory tier holds one module per phase: later requests must go
-        // through the (vandalized) disk tier.
-        capacity: Some(1),
-        ..ServerOptions::new(sock("cache"))
+        ..ServerOptions::new(sock(tag))
     };
-    let server = Server::start(opts).expect("server start");
+    let server = Server::start(opts("cache")).expect("server start");
     let mut client = Client::connect(server.socket()).expect("connect");
 
     let sources_a = scaled_program(6);
@@ -111,37 +108,26 @@ fn corrupted_cache_files_degrade_to_misses_with_correct_bytes() {
     assert_eq!(built.vx, expected_a);
     let built = client.build(&request_for(&sources_b)).expect("build b");
     assert_eq!(built.vx, expected_b);
-
-    let vandalized = corrupt_cache_files(&cache_dir);
-    assert!(vandalized > 0, "the first builds should have persisted cache entries");
-
-    // Round two against a poisoned disk tier: every answer must still be
-    // byte-identical, and the daemon must have noticed the damage.
-    let built = client.build(&request_for(&sources_a)).expect("rebuild a");
-    assert_eq!(built.vx, expected_a, "corrupt cache must not change output bytes");
-    let built = client.build(&request_for(&sources_b)).expect("rebuild b");
-    assert_eq!(built.vx, expected_b, "corrupt cache must not change output bytes");
-
-    assert!(counter(&mut client, "cache.disk.corrupt") > 0, "disk damage goes unlogged");
-
     client.shutdown().expect("shutdown");
     server.wait();
 
-    // Round three: a restarted daemon over a freshly poisoned directory
-    // has nothing in memory, so the analysis must come off disk too — and
-    // its damaged frame must send the build back to the analyzer.
     assert!(std::fs::read_dir(cache_dir.join("an")).expect("an/").next().is_some());
-    corrupt_cache_files(&cache_dir);
-    let opts = ServerOptions {
-        cache_dir: Some(cache_dir.clone()),
-        ..ServerOptions::new(sock("cache-restart"))
-    };
-    let server = Server::start(opts).expect("server restart");
+    let vandalized = corrupt_cache_files(&cache_dir);
+    assert!(vandalized > 0, "the first builds should have persisted cache entries");
+
+    // Round two: a restarted daemon has nothing in memory, so both
+    // programs — their analyses included — load through the poisoned disk
+    // tier. Every answer must still be byte-identical, a damaged analysis
+    // frame must send the build back to the analyzer, and the daemon must
+    // have noticed the damage.
+    let server = Server::start(opts("cache-restart")).expect("server restart");
     let mut client = Client::connect(server.socket()).expect("connect");
-    let built = client.build(&request_for(&sources_a)).expect("build a after restart");
+    let built = client.build(&request_for(&sources_a)).expect("rebuild a");
     assert_eq!(built.vx, expected_a, "corrupt cache must not change output bytes");
     assert_eq!(counter(&mut client, "analyze.misses"), 1, "the analyzer re-ran");
     assert_eq!(counter(&mut client, "analyze.hits"), 0);
+    let built = client.build(&request_for(&sources_b)).expect("rebuild b");
+    assert_eq!(built.vx, expected_b, "corrupt cache must not change output bytes");
     assert!(counter(&mut client, "cache.disk.corrupt") > 0, "disk damage goes unlogged");
     client.shutdown().expect("shutdown");
     server.wait();

@@ -137,8 +137,7 @@ fn vx(program: &ipra_driver::CompiledProgram) -> String {
 }
 
 /// Two branches of one program — the same module names, every module of
-/// `B` re-tuned — built A, B, A, B through one memory-only cache (and
-/// again through one capped at exactly both branches' entries): each
+/// `B` re-tuned — built A, B, A, B through one memory-only cache: each
 /// branch keeps its entries beside the other's, so from the third build
 /// on both phases are all hits and nothing recompiles.
 #[test]
@@ -153,20 +152,16 @@ fn alternating_branches_hit_in_both_phases() {
     let fresh: Vec<String> =
         [&a, &b].iter().map(|s| vx(&ipra_driver::compile(s, &opts).unwrap())).collect();
     assert_ne!(fresh[0], fresh[1], "the branches differ in their code");
-    for (label, mut cache) in [
-        ("uncapped", CompilationCache::new()),
-        ("capped at 2N", CompilationCache::with_capacity(2 * N)),
-    ] {
-        for round in 0..4 {
-            let branch = round % 2;
-            let built = compile_incremental([&a, &b][branch], &opts, &mut cache).unwrap();
-            assert_eq!(vx(&built), fresh[branch], "{label}, build {round}: bytes");
-            if round >= 2 {
-                let r = &built.build;
-                assert_eq!((r.phase1.hits, r.phase2.hits), (N, N), "{label}, build {round}");
-                assert!(r.recompiled.is_empty(), "{label}, build {round}: {:?}", r.recompiled);
-                assert_eq!((r.phase1.evictions, r.phase2.evictions), (0, 0), "{label}");
-            }
+    let mut cache = CompilationCache::new();
+    for round in 0..4 {
+        let branch = round % 2;
+        let built = compile_incremental([&a, &b][branch], &opts, &mut cache).unwrap();
+        assert_eq!(vx(&built), fresh[branch], "build {round}: bytes");
+        if round >= 2 {
+            let r = &built.build;
+            assert_eq!((r.phase1.hits, r.phase2.hits), (N, N), "build {round}");
+            assert!(r.recompiled.is_empty(), "build {round}: {:?}", r.recompiled);
+            assert_eq!((r.phase1.evictions, r.phase2.evictions), (0, 0), "build {round}");
         }
     }
 }
