@@ -109,6 +109,32 @@ pub fn scaled_sim_program(n: usize, outer: i64) -> Vec<SourceFile> {
     (0..n).map(|i| scaled_module_with_outer(i, n, 0, outer)).collect()
 }
 
+/// A one-module program whose `main` is a single procedure of
+/// `statements` statements: the workload that exposes how the compiler's
+/// two phases grow with the length of one procedure (the scaled programs
+/// keep every procedure short).
+///
+/// `main` reads `a`, `b` and `i` with `in()`, then alternates
+/// `a = a * k + b;` and `b = b + a - i;` with `k` cycling through 3..=9.
+/// Every 16th statement is instead a small `for` loop, so the procedure
+/// has loop depths to weigh and a liveness fixpoint that iterates. The
+/// program prints `a` and `b`.
+pub fn long_program(statements: usize) -> Vec<SourceFile> {
+    let mut out = String::from("int main() {\n    int a = in();\n    int b = in();\n");
+    out.push_str("    int i = in();\n");
+    for s in 0..statements {
+        let _ = if s % 16 == 15 {
+            writeln!(out, "    for (int j = 0; j < 3; j = j + 1) {{ b = b + a * j; }}")
+        } else if s % 2 == 0 {
+            writeln!(out, "    a = a * {} + b;", 3 + (s / 2) % 7)
+        } else {
+            writeln!(out, "    b = b + a - i;")
+        };
+    }
+    out.push_str("    out(a);\n    out(b);\n    return 0;\n}\n");
+    vec![SourceFile::new(format!("long{statements}"), out)]
+}
+
 /// Replaces module `index` with a re-tuned copy: the canonical "edit one
 /// module" of the incremental-build benchmark. The edit changes the
 /// module's IR (a returned constant) without changing its summary record,
@@ -168,6 +194,19 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         assert_eq!(scaled_program(8), scaled_program(8));
+        assert_eq!(long_program(64), long_program(64));
+    }
+
+    #[test]
+    fn long_program_matches_interpreter_with_loops() {
+        let sources = long_program(100);
+        assert_eq!(sources[0].text.matches("for (").count(), 100 / 16);
+        let input = [3, -5, 7];
+        let oracle = interpret_sources(&sources, &input).unwrap().unwrap();
+        let p = compile(&sources, &CompileOptions::paper(PaperConfig::C)).unwrap();
+        let r = run_program(&p, &input).unwrap();
+        assert_eq!(r.output, oracle.output);
+        assert_eq!(r.output.len(), 2);
     }
 
     #[test]

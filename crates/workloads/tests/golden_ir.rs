@@ -8,8 +8,9 @@
 //! build cache and the `.csum`/`.vo` artifacts carry.
 //!
 //! Inputs: every Table 3 workload, the scaled programs at 64 and 256
-//! modules, and the generated programs of `golden_analysis.rs`, in the
-//! same shape rotation.
+//! modules, the long-procedure programs at 1,000 and 2,000 statements, and
+//! the generated programs of `golden_analysis.rs`, in the same shape
+//! rotation.
 //!
 //! A pure performance change to the optimizer must leave this file alone.
 //! Regenerate only when an *intentional* change to lowering or
@@ -26,7 +27,7 @@ use common::{check_golden, optimized_ir, shape, SEEDS};
 use ipra_core::fingerprint::Fnv64;
 use ipra_driver::SourceFile;
 use ipra_workloads::generator::random_program_with;
-use ipra_workloads::scaled::scaled_program;
+use ipra_workloads::scaled::{long_program, scaled_program};
 use serde::BinSerialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -59,6 +60,9 @@ fn current_fingerprints() -> String {
     }
     for n in [64, 256] {
         lines(&mut out, &format!("scaled-{n}"), &scaled_program(n));
+    }
+    for n in [1000, 2000] {
+        lines(&mut out, &format!("long-{n}"), &long_program(n));
     }
     for seed in 0..SEEDS {
         let (name, cfg) = shape(seed);

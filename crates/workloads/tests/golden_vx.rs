@@ -5,7 +5,10 @@
 //! layer existed. This test pins that promise: for every Table 3 workload
 //! under every paper configuration (the seven configs plus alias-precision
 //! P), the serialized executable's fingerprint must equal the golden
-//! recorded from the pre-refactor tree.
+//! recorded from the pre-refactor tree. The scaled program at 64 modules
+//! and the long-procedure programs at 1,000 and 2,000 statements are
+//! pinned too, under L2 and C: they are the inputs whose compile time the
+//! benchmarks track, so a faster phase 1 or phase 2 must leave them alone.
 //!
 //! The golden file was generated from the last commit in which the VPR
 //! convention was still hardcoded; regenerate only when an *intentional*
@@ -17,7 +20,8 @@
 
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::PaperConfig;
-use ipra_driver::{compile_configured, CompilationCache, CompileOptions};
+use ipra_driver::{compile_configured, CompilationCache, CompileOptions, SourceFile};
+use ipra_workloads::scaled::{long_program, scaled_program};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -34,19 +38,34 @@ fn exe_fingerprint(exe: &vpr::Executable) -> u64 {
     h.finish()
 }
 
+/// One golden line per config: the input's name, the config and the
+/// executable's fingerprint.
+fn lines(
+    out: &mut String,
+    name: &str,
+    sources: &[SourceFile],
+    configs: &[PaperConfig],
+    training: &[i64],
+) {
+    let mut cache = CompilationCache::new();
+    for &config in configs {
+        let opts = CompileOptions::default();
+        let program = compile_configured(sources, config, training, &opts, &mut cache)
+            .unwrap_or_else(|e| panic!("{name}/{config}: {e}"))
+            .unwrap_or_else(|e| panic!("{name}/{config}: training trap {e}"));
+        let _ = writeln!(out, "{name} {config} fnv64:{:016x}", exe_fingerprint(&program.exe));
+    }
+}
+
 fn current_fingerprints() -> String {
     let mut out = String::new();
     for w in ipra_workloads::all() {
-        let mut cache = CompilationCache::new();
-        for config in PaperConfig::ALL_WITH_ALIAS {
-            let opts = CompileOptions::default();
-            let program =
-                compile_configured(&w.sources, config, &w.training_input, &opts, &mut cache)
-                    .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                    .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name));
-            let _ =
-                writeln!(out, "{} {config} fnv64:{:016x}", w.name, exe_fingerprint(&program.exe));
-        }
+        lines(&mut out, w.name, &w.sources, &PaperConfig::ALL_WITH_ALIAS, &w.training_input);
+    }
+    let configs = [PaperConfig::L2, PaperConfig::C];
+    lines(&mut out, "scaled-64", &scaled_program(64), &configs, &[]);
+    for n in [1000, 2000] {
+        lines(&mut out, &format!("long-{n}"), &long_program(n), &configs, &[]);
     }
     out
 }
