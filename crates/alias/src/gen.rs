@@ -16,14 +16,14 @@ fn node(op: Operand) -> Option<Node> {
     }
 }
 
-/// Derives the pointer-flow constraints of one function.
+/// Derives the pointer-flow constraints of one function, whose CFG is
+/// `cfg`.
 ///
 /// Only reachable blocks contribute (an unreachable block can never
 /// execute); within them, every instruction that can move or dereference
 /// an address becomes a constraint. Arithmetic propagates both operands —
 /// pointer arithmetic conservatively keeps the base's targets.
-pub fn constraints_for(f: &Function) -> ProcConstraints {
-    let cfg = Cfg::new(f);
+pub fn constraints_for(f: &Function, cfg: &Cfg) -> ProcConstraints {
     let mut out: Vec<Constraint> = Vec::new();
     for (i, &p) in f.params.iter().enumerate() {
         out.push(Constraint::Assign {
@@ -114,7 +114,7 @@ mod tests {
         let mut ir = lower_module(&m, &info);
         optimize_module(&mut ir);
         let f = ir.functions.iter().find(|f| f.name == name).unwrap();
-        constraints_for(f)
+        constraints_for(f, &Cfg::new(f))
     }
 
     #[test]

@@ -48,8 +48,10 @@ fn local_pts(pc: &ProcConstraints) -> BTreeMap<u32, BTreeSet<String>> {
                     changed |= pts.entry(*v).or_default().insert(sym.clone());
                 }
                 Constraint::Assign { dst: Node::Var(d), src: Node::Var(s) } => {
-                    let add: Vec<String> =
-                        pts.get(s).map(|x| x.iter().cloned().collect()).unwrap_or_default();
+                    // Most temps hold no address: touch `pts` only when
+                    // there is one to pass on.
+                    let Some(from) = pts.get(s).filter(|x| !x.is_empty()) else { continue };
+                    let add: Vec<String> = from.iter().cloned().collect();
                     let e = pts.entry(*d).or_default();
                     for sym in add {
                         changed |= e.insert(sym);
@@ -136,6 +138,7 @@ mod tests {
     use super::*;
     use crate::gen::constraints_for;
     use cmin_frontend::{analyze, parse_module};
+    use cmin_ir::cfg::Cfg;
     use cmin_ir::{lower_module, optimize_module};
 
     fn bits(src: &str, name: &str) -> BTreeMap<String, LocalBits> {
@@ -144,7 +147,7 @@ mod tests {
         let mut ir = lower_module(&m, &info);
         optimize_module(&mut ir);
         let f = ir.functions.iter().find(|f| f.name == name).unwrap();
-        local_bits(&constraints_for(f))
+        local_bits(&constraints_for(f, &Cfg::new(f)))
     }
 
     #[test]

@@ -374,6 +374,7 @@ mod tests {
     use super::*;
     use crate::gen::constraints_for;
     use cmin_frontend::{analyze, parse_module};
+    use cmin_ir::cfg::Cfg;
     use cmin_ir::{lower_module, optimize_module};
 
     fn solved(modules: &[(&str, &str)], roots: &[&str]) -> Solution {
@@ -384,7 +385,7 @@ mod tests {
             let mut ir = lower_module(&m, &info);
             optimize_module(&mut ir);
             for f in &ir.functions {
-                records.push((f.name.clone(), constraints_for(f)));
+                records.push((f.name.clone(), constraints_for(f, &Cfg::new(f))));
             }
         }
         let map: BTreeMap<String, &ProcConstraints> =

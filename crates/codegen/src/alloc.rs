@@ -17,7 +17,7 @@
 //! Temps that get no register are assigned frame spill slots; the emitter
 //! materializes them through the two reserved scratch registers.
 
-use cmin_ir::cfg::{depth_weight, loop_depths, Cfg};
+use cmin_ir::cfg::{depth_weight, dominators, loop_depths, Cfg};
 use cmin_ir::ir::{Callee, Function, Inst, Temp};
 use cmin_ir::liveness::{live_across_calls, Liveness, TempSet};
 use ipra_core::caller_prealloc::claim_pool_set;
@@ -60,8 +60,9 @@ fn cross_clobbers(
     pool: RegSet,
 ) -> Vec<RegSet> {
     let mut clobber: Vec<RegSet> = vec![RegSet::new(); f.temp_count as usize];
+    let mut live = TempSet::new(f.temp_count);
     for b in f.block_ids() {
-        let mut live = liveness.live_out(b).clone();
+        liveness.live_out_into(b, &mut live);
         let block = f.block(b);
         block.term.for_each_use(|o| {
             if let Some(t) = o.as_temp() {
@@ -103,8 +104,9 @@ pub enum Loc {
 /// The allocator's result for one function.
 #[derive(Debug, Clone)]
 pub struct Allocation {
-    /// Location of every temp that is ever live.
-    pub locs: HashMap<Temp, Loc>,
+    /// Location of every temp that is ever live, indexed by temp number
+    /// (`None` for a temp that is never live).
+    pub locs: Vec<Option<Loc>>,
     /// Callee-saves registers that must be saved/restored by this
     /// procedure (used registers from the `CALLEE` class).
     pub used_callee: RegSet,
@@ -115,7 +117,7 @@ pub struct Allocation {
 impl Allocation {
     /// The location of `t`, if it was allocated.
     pub fn loc(&self, t: Temp) -> Option<Loc> {
-        self.locs.get(&t).copied()
+        self.locs.get(t.0 as usize).copied().flatten()
     }
 }
 
@@ -154,43 +156,50 @@ pub fn allocate_with(
     pins: &HashMap<Temp, Reg>,
     prealloc: &CallerPrealloc<'_>,
 ) -> Allocation {
-    allocate_for(f, usage, forbidden, pins, prealloc, &vpr::target::VPR)
+    allocate_for(f, &Cfg::new(f), usage, forbidden, pins, prealloc, &vpr::target::VPR)
 }
 
 /// [`allocate_with`] against an explicit target description: scratch
 /// registers, the argument/return roles and the claim pool all come from
-/// `desc` instead of the VPR convention.
+/// `desc` instead of the VPR convention. `cfg` is `f`'s CFG.
+///
+/// The interference graph is kept as neighbour lists: each temp's sorted,
+/// deduplicated interfering temps. A straight-line stretch interferes as
+/// an interval graph, where a value meets only the few values live beside
+/// it, so the lists stay near-linear in the function's size where a
+/// `temp_count`² matrix would not. The registers a temp may not take are
+/// the union over its list, exactly what the matrix row gave.
 pub fn allocate_for(
     f: &Function,
+    cfg: &Cfg,
     usage: &RegUsage,
     forbidden: RegSet,
     pins: &HashMap<Temp, Reg>,
     prealloc: &CallerPrealloc<'_>,
     desc: &TargetDesc,
 ) -> Allocation {
-    let cfg = Cfg::new(f);
-    let liveness = Liveness::compute(f, &cfg);
+    let liveness = Liveness::compute(f, cfg);
     let crossing = live_across_calls(f, &liveness);
-    let idom = cmin_ir::cfg::dominators(f, &cfg);
-    let depths = loop_depths(f, &cfg, &idom);
+    let depths = loop_depths(f, cfg, &dominators(f, cfg));
 
     let n = f.temp_count as usize;
-    // Interference graph and use-weight priorities.
-    let mut interferes: Vec<TempSet> = (0..n).map(|_| TempSet::new(f.temp_count)).collect();
+    // Interference edges (both directions) and use-weight priorities.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut weight: Vec<u64> = vec![0; n];
     let mut ever_live: Vec<bool> = vec![false; n];
 
-    let add_edge = |a: Temp, b: Temp, graph: &mut Vec<TempSet>| {
+    let add_edge = |a: Temp, b: Temp, edges: &mut Vec<(u32, u32)>| {
         if a != b {
-            graph[a.0 as usize].insert(b);
-            graph[b.0 as usize].insert(a);
+            edges.push((a.0, b.0));
+            edges.push((b.0, a.0));
         }
     };
 
+    let mut live = TempSet::new(f.temp_count);
     for b in f.block_ids() {
         let w = depth_weight(depths.get(b.index()).copied().unwrap_or(0));
-        let mut live = liveness.live_out(b).clone();
-        for t in live.iter() {
+        liveness.live_out_into(b, &mut live);
+        for t in liveness.live_out(b).iter() {
             ever_live[t.0 as usize] = true;
         }
         let block = f.block(b);
@@ -206,7 +215,7 @@ pub fn allocate_for(
                 ever_live[d.0 as usize] = true;
                 weight[d.0 as usize] += w;
                 for l in live.iter() {
-                    add_edge(d, l, &mut interferes);
+                    add_edge(d, l, &mut edges);
                 }
                 live.remove(d);
             }
@@ -224,12 +233,46 @@ pub fn allocate_for(
     for (i, &p) in f.params.iter().enumerate() {
         ever_live[p.0 as usize] = true;
         for l in entry_live.iter() {
-            add_edge(p, l, &mut interferes);
+            add_edge(p, l, &mut edges);
         }
         for &q in f.params.iter().skip(i + 1) {
-            add_edge(p, q, &mut interferes);
+            add_edge(p, q, &mut edges);
         }
     }
+    // Neighbour lists, `adj[start[t]..start[t + 1]]`: the edges bucketed
+    // by their first temp, then each bucket cleared of repeats (a temp
+    // redefined while another stays live adds their edge once per
+    // definition).
+    let mut start: Vec<usize> = vec![0; n + 1];
+    for &(a, _) in &edges {
+        start[a as usize + 1] += 1;
+    }
+    for t in 0..n {
+        start[t + 1] += start[t];
+    }
+    let mut adj: Vec<u32> = vec![0; edges.len()];
+    let mut fill = start.clone();
+    for &(a, b) in &edges {
+        adj[fill[a as usize]] = b;
+        fill[a as usize] += 1;
+    }
+    // `seen[u] == t + 1`: `u` is already in `t`'s compacted bucket.
+    let mut seen: Vec<u32> = vec![0; n];
+    let mut len = 0;
+    for t in 0..n {
+        let bucket = start[t]..start[t + 1];
+        start[t] = len;
+        for i in bucket {
+            let u = adj[i];
+            if seen[u as usize] != t as u32 + 1 {
+                seen[u as usize] = t as u32 + 1;
+                adj[len] = u;
+                len += 1;
+            }
+        }
+    }
+    start[n] = len;
+    let neighbours = |t: Temp| &adj[start[t.0 as usize]..start[t.0 as usize + 1]];
 
     // Register pools, in allocation preference order.
     let (s1, s2) = scratch_regs_for(desc);
@@ -257,32 +300,32 @@ pub fn allocate_for(
         .map(Temp)
         .filter(|t| ever_live[t.0 as usize] && !pins.contains_key(t))
         .collect();
-    order.sort_by(|a, b| weight[b.0 as usize].cmp(&weight[a.0 as usize]).then(a.0.cmp(&b.0)));
+    order.sort_unstable_by_key(|t| (std::cmp::Reverse(weight[t.0 as usize]), t.0));
 
-    let mut locs: HashMap<Temp, Loc> = HashMap::new();
+    let mut locs: Vec<Option<Loc>> = vec![None; n];
     for (&t, &r) in pins {
-        locs.insert(t, Loc::Reg(r));
+        locs[t.0 as usize] = Some(Loc::Reg(r));
     }
     let mut used_callee = RegSet::new();
     let mut spill_slots: u32 = 0;
 
     for &t in &order {
-        let taken: RegSet = interferes[t.0 as usize]
+        let taken: RegSet = neighbours(t)
             .iter()
-            .filter_map(|u| match locs.get(&u) {
-                Some(Loc::Reg(r)) => Some(*r),
+            .filter_map(|&u| match locs[u as usize] {
+                Some(Loc::Reg(r)) => Some(r),
                 _ => None,
             })
             .collect();
         let safe_callers: Vec<Reg>;
-        let pools: Vec<&[Reg]> = if crossing.contains(t) {
+        let pools: [&[Reg]; 3] = if crossing.contains(t) {
             // §7.6.2: claimed caller registers that every crossed call
             // leaves alone cost nothing — try them before the preserved
             // classes.
             safe_callers = (safe_base - clobber[t.0 as usize]).iter().collect();
-            vec![&safe_callers, &free_pool, &callee_pool]
+            [&safe_callers, &free_pool, &callee_pool]
         } else {
-            vec![&caller_pool, &free_pool, &callee_pool]
+            [&caller_pool, &free_pool, &callee_pool]
         };
         let choice =
             pools.into_iter().flat_map(|p| p.iter().copied()).find(|r| !taken.contains(*r));
@@ -291,10 +334,10 @@ pub fn allocate_for(
                 if callee_pool.contains(&r) {
                     used_callee.insert(r);
                 }
-                locs.insert(t, Loc::Reg(r));
+                locs[t.0 as usize] = Some(Loc::Reg(r));
             }
             None => {
-                locs.insert(t, Loc::Slot(spill_slots));
+                locs[t.0 as usize] = Some(Loc::Slot(spill_slots));
                 spill_slots += 1;
             }
         }
@@ -346,8 +389,9 @@ pub fn validate_for(
 
     let caller_class = (usage.caller | usage.mspill) - usage.free;
     #[allow(clippy::needless_range_loop)]
-    for (&t, &loc) in &alloc.locs {
-        if let Loc::Reg(r) = loc {
+    for (t, loc) in alloc.locs.iter().enumerate() {
+        let t = Temp(t as u32);
+        if let Some(Loc::Reg(r)) = *loc {
             if forbidden.contains(r) && pins.get(&t) != Some(&r) {
                 return Err(format!("{t} allocated to forbidden register {r}"));
             }
@@ -366,8 +410,9 @@ pub fn validate_for(
         }
     }
     // Interference: recompute pairwise at each def point.
+    let mut live = TempSet::new(f.temp_count);
     for b in f.block_ids() {
-        let mut live = liveness.live_out(b).clone();
+        liveness.live_out_into(b, &mut live);
         let block = f.block(b);
         block.term.for_each_use(|o| {
             if let Some(t) = o.as_temp() {
@@ -426,7 +471,7 @@ mod tests {
         let a = alloc_std(&f);
         assert!(a.used_callee.is_empty());
         assert_eq!(a.spill_slots, 0);
-        for loc in a.locs.values() {
+        for loc in a.locs.iter().flatten() {
             match loc {
                 Loc::Reg(r) => assert!(r.is_caller_saves(), "unexpected {r}"),
                 Loc::Slot(_) => panic!("unexpected spill"),
@@ -530,7 +575,7 @@ mod tests {
         let f = func("int f(int a, int b, int c) { return a + b * c; }", "f");
         let a = alloc_std(&f);
         let (s1, s2) = scratch_regs();
-        for loc in a.locs.values() {
+        for loc in a.locs.iter().flatten() {
             if let Loc::Reg(r) = loc {
                 assert_ne!(*r, s1);
                 assert_ne!(*r, s2);

@@ -27,8 +27,10 @@
 
 use crate::alloc::{allocate_for, scratch_regs_for, validate_for, Allocation, CallerPrealloc, Loc};
 use crate::promote::rewrite_promotions;
+use cmin_ir::cfg::Cfg;
 use cmin_ir::ir::{self, BlockId, Callee, Function, IrModule, Operand, Temp};
 use ipra_core::{ProcDirectives, ProgramDatabase};
+use std::collections::HashMap;
 use vpr::inst::{AluOp, Cond, Inst, Label, MemClass};
 use vpr::program::{GlobalDef, MachineFunction, ObjectModule};
 use vpr::regs::{Reg, RegSet};
@@ -90,24 +92,33 @@ pub fn compile_function_for(
     safe_lookup: &dyn Fn(&str) -> vpr::regs::RegSet,
     desc: &TargetDesc,
 ) -> MachineFunction {
-    // Rewrite promoted-global accesses against pinned temps; their
-    // registers are off limits to the allocator for anything else.
-    let mut f = f.clone();
-    let promo: Vec<(String, vpr::regs::Reg)> =
-        directives.promotions.iter().map(|p| (p.sym.clone(), p.reg)).collect();
-    let pins = rewrite_promotions(&mut f, &promo);
+    // Rewrite promoted-global accesses against pinned temps (in a copy of
+    // `f`, made only when there are promotions); their registers are off
+    // limits to the allocator for anything else. The rewrite keeps the
+    // block structure, so one CFG serves both steps.
+    let cfg = Cfg::new(f);
+    let mut rewritten;
+    let (f, pins) = if directives.promotions.is_empty() {
+        (f, HashMap::new())
+    } else {
+        rewritten = f.clone();
+        let promo: Vec<(String, vpr::regs::Reg)> =
+            directives.promotions.iter().map(|p| (p.sym.clone(), p.reg)).collect();
+        let pins = rewrite_promotions(&mut rewritten, &cfg, &promo);
+        (&rewritten, pins)
+    };
     let mut forbidden = RegSet::new();
     for p in &directives.promotions {
         forbidden.insert(p.reg);
     }
     let prealloc = CallerPrealloc { claimed: directives.claimed_caller, safe_lookup };
-    let alloc = allocate_for(&f, &directives.usage, forbidden, &pins, &prealloc, desc);
+    let alloc = allocate_for(f, &cfg, &directives.usage, forbidden, &pins, &prealloc, desc);
     debug_assert!(
-        validate_for(&f, &directives.usage, forbidden, &pins, &alloc, &prealloc, desc).is_ok(),
+        validate_for(f, &directives.usage, forbidden, &pins, &alloc, &prealloc, desc).is_ok(),
         "allocator produced an invalid assignment for {}",
         f.name
     );
-    Emitter::new(&f, directives, alloc, desc).run()
+    Emitter::new(f, directives, alloc, desc).run()
 }
 
 struct Emitter<'a> {

@@ -20,13 +20,18 @@
 
 use cmin_ir::cfg::Cfg;
 use cmin_ir::ir::{Function, Inst, Operand, Temp};
-use cmin_ir::liveness::Liveness;
+use cmin_ir::liveness::{Liveness, TempSet};
 use std::collections::HashMap;
 use vpr::regs::Reg;
 
-/// Rewrites `f` for the given promotions (`sym → dedicated register`).
-/// Returns the pin map for the allocator (`temp → register`).
-pub fn rewrite_promotions(f: &mut Function, promotions: &[(String, Reg)]) -> HashMap<Temp, Reg> {
+/// Rewrites `f`, whose CFG is `cfg` (the rewrite keeps it), for the given
+/// promotions (`sym → dedicated register`). Returns the pin map for the
+/// allocator (`temp → register`).
+pub fn rewrite_promotions(
+    f: &mut Function,
+    cfg: &Cfg,
+    promotions: &[(String, Reg)],
+) -> HashMap<Temp, Reg> {
     if promotions.is_empty() {
         return HashMap::new();
     }
@@ -59,64 +64,75 @@ pub fn rewrite_promotions(f: &mut Function, promotions: &[(String, Reg)]) -> Has
 
     // 2. Forward-propagate pinned reads within each block: a use of `t`
     //    where `t = tw` and neither has been redefined since reads `tw`
-    //    directly.
+    //    directly. `equals[t] = (tw, era)` records the copy at a tick of
+    //    `era`; it stands while no block start, call or write to `tw` has
+    //    ticked since, so going stale costs nothing.
+    let mut era: u32 = 0;
+    let mut equals: HashMap<Temp, (Temp, u32)> = HashMap::new();
+    let mut written: HashMap<Temp, u32> = pins.keys().map(|&tw| (tw, 0)).collect();
     for block in &mut f.blocks {
-        let mut equals: HashMap<Temp, Temp> = HashMap::new(); // t -> tw
+        era += 1;
+        // Aliases made before this tick are stale.
+        let mut reset = era;
+        let alias = |equals: &HashMap<Temp, (Temp, u32)>,
+                     written: &HashMap<Temp, u32>,
+                     reset: u32,
+                     o: Operand| match o {
+            Operand::Temp(t) => match equals.get(&t) {
+                Some(&(tw, at)) if at > reset && at > written[&tw] => Operand::Temp(tw),
+                _ => o,
+            },
+            c => c,
+        };
         for inst in &mut block.insts {
-            inst.map_uses(|o| match o {
-                Operand::Temp(t) => match equals.get(&t) {
-                    Some(&tw) => Operand::Temp(tw),
-                    None => o,
-                },
-                c => c,
-            });
+            inst.map_uses(|o| alias(&equals, &written, reset, o));
             if matches!(inst, Inst::Call { .. }) {
                 // A call may execute other web members, which read and
                 // write the promoted globals through their registers:
                 // every alias is stale afterwards.
-                equals.clear();
+                era += 1;
+                reset = era;
             }
             if let Some(d) = inst.def() {
                 equals.remove(&d);
-                if pins.contains_key(&d) {
+                era += 1;
+                if let Some(w) = written.get_mut(&d) {
                     // The pinned temp was redefined (a store): all aliases
                     // to it are stale.
-                    equals.retain(|_, v| *v != d);
+                    *w = era;
                 } else if let Inst::Copy { dst, src: Operand::Temp(s) } = inst {
                     if pins.contains_key(s) {
-                        equals.insert(*dst, *s);
+                        equals.insert(*dst, (*s, era));
                     }
                 }
             }
         }
-        block.term.map_uses(|o| match o {
-            Operand::Temp(t) => match equals.get(&t) {
-                Some(&tw) => Operand::Temp(tw),
-                None => o,
-            },
-            c => c,
-        });
+        block.term.map_uses(|o| alias(&equals, &written, reset, o));
     }
 
     // 3. Drop read copies whose destination died: `t ← tw` with `t` dead.
     //    Writes (`tw ← x`) are global stores and always stay.
-    let cfg = Cfg::new(f);
-    let liveness = Liveness::compute(f, &cfg);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut live = liveness.live_out(b).clone();
-        f.block(b).term.for_each_use(|o| {
+    let liveness = Liveness::compute(f, cfg);
+    let mut live = TempSet::new(f.temp_count);
+    let mut dead: Vec<bool> = Vec::new();
+    for b in f.block_ids() {
+        liveness.live_out_into(b, &mut live);
+        let block = &mut f.blocks[b.index()];
+        block.term.for_each_use(|o| {
             if let Some(t) = o.as_temp() {
                 live.insert(t);
             }
         });
-        let block = &mut f.blocks[b.index()];
-        let mut kept = Vec::with_capacity(block.insts.len());
-        for inst in block.insts.drain(..).rev() {
-            if let Inst::Copy { dst, src: Operand::Temp(s) } = &inst {
+        // `dead` lists the verdicts last instruction first.
+        dead.clear();
+        for inst in block.insts.iter().rev() {
+            if let Inst::Copy { dst, src: Operand::Temp(s) } = inst {
                 if pins.contains_key(s) && !pins.contains_key(dst) && !live.contains(*dst) {
-                    continue; // dead read of the web register
+                    dead.push(true); // dead read of the web register
+                    continue;
                 }
             }
+            dead.push(false);
             if let Some(d) = inst.def() {
                 live.remove(d);
             }
@@ -125,10 +141,12 @@ pub fn rewrite_promotions(f: &mut Function, promotions: &[(String, Reg)]) -> Has
                     live.insert(t);
                 }
             });
-            kept.push(inst);
         }
-        kept.reverse();
-        block.insts = kept;
+        let mut i = dead.len();
+        block.insts.retain(|_| {
+            i -= 1;
+            !dead[i]
+        });
     }
     pins
 }
@@ -145,6 +163,11 @@ mod tests {
         let mut ir = lower_module(&m, &info);
         optimize_module(&mut ir);
         ir.function(name).unwrap().clone()
+    }
+
+    fn rewrite_promotions_of(f: &mut Function, promotions: &[(String, Reg)]) -> HashMap<Temp, Reg> {
+        let cfg = Cfg::new(f);
+        rewrite_promotions(f, &cfg, promotions)
     }
 
     fn count_global_ops(f: &Function, sym: &str) -> usize {
@@ -165,7 +188,7 @@ mod tests {
             "main",
         );
         assert!(count_global_ops(&f, "g") > 0);
-        let pins = rewrite_promotions(&mut f, &[("g".to_string(), Reg::new(3))]);
+        let pins = rewrite_promotions_of(&mut f, &[("g".to_string(), Reg::new(3))]);
         assert_eq!(pins.len(), 1);
         assert_eq!(count_global_ops(&f, "g"), 0);
         assert_eq!(*pins.values().next().unwrap(), Reg::new(3));
@@ -174,7 +197,7 @@ mod tests {
     #[test]
     fn read_copies_are_eliminated() {
         let mut f = func("int g; int main() { int a = g; int b = g; return a + b; }", "main");
-        let pins = rewrite_promotions(&mut f, &[("g".to_string(), Reg::new(4))]);
+        let pins = rewrite_promotions_of(&mut f, &[("g".to_string(), Reg::new(4))]);
         let tw = *pins.keys().next().unwrap();
         // No surviving copies out of tw; the add reads tw directly.
         let copies_from_tw = f
@@ -191,7 +214,7 @@ mod tests {
         // The final store to g must never be removed even though nothing in
         // this function reads it afterwards: callers observe the register.
         let mut f = func("int g; int set() { g = 42; return 0; }", "set");
-        let pins = rewrite_promotions(&mut f, &[("g".to_string(), Reg::new(3))]);
+        let pins = rewrite_promotions_of(&mut f, &[("g".to_string(), Reg::new(3))]);
         let tw = *pins.keys().next().unwrap();
         let writes =
             f.blocks.iter().flat_map(|b| b.insts.iter()).filter(|i| i.def() == Some(tw)).count();
@@ -201,7 +224,7 @@ mod tests {
     #[test]
     fn unpromoted_globals_untouched() {
         let mut f = func("int g; int h; int main() { g = h; return g + h; }", "main");
-        rewrite_promotions(&mut f, &[("g".to_string(), Reg::new(3))]);
+        rewrite_promotions_of(&mut f, &[("g".to_string(), Reg::new(3))]);
         assert_eq!(count_global_ops(&f, "g"), 0);
         assert!(count_global_ops(&f, "h") > 0);
     }
@@ -211,7 +234,7 @@ mod tests {
         // a reads old g, then g is stored; a's value must not read the new
         // register content.
         let mut f = func("int g; int main() { int a = g; g = 7; return a; }", "main");
-        let pins = rewrite_promotions(&mut f, &[("g".to_string(), Reg::new(3))]);
+        let pins = rewrite_promotions_of(&mut f, &[("g".to_string(), Reg::new(3))]);
         let tw = *pins.keys().next().unwrap();
         // The return must NOT be `ret tw` (that would read 7).
         for b in &f.blocks {
@@ -231,7 +254,7 @@ mod tests {
              int check() { int ch = g; bump(); if (ch == 43) { out(1); } return ch; }",
             "check",
         );
-        let pins = rewrite_promotions(&mut f, &[("g".to_string(), Reg::new(3))]);
+        let pins = rewrite_promotions_of(&mut f, &[("g".to_string(), Reg::new(3))]);
         let tw = *pins.keys().next().unwrap();
         // After the call, no instruction or terminator may read tw where
         // the source read `ch`: the only legal tw reads are *before* the
@@ -261,7 +284,7 @@ mod tests {
     fn empty_promotions_do_nothing() {
         let mut f = func("int g; int main() { return g; }", "main");
         let before = f.clone();
-        let pins = rewrite_promotions(&mut f, &[]);
+        let pins = rewrite_promotions_of(&mut f, &[]);
         assert!(pins.is_empty());
         assert_eq!(f, before);
     }

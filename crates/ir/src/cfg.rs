@@ -7,61 +7,107 @@
 
 use crate::ir::{BlockId, Function};
 
+/// Marks an unreachable block in [`Cfg`]'s reverse-postorder index.
+const UNREACHED: u32 = u32::MAX;
+
 /// Predecessor/successor structure and a reverse postorder for a function.
-#[derive(Debug, Clone)]
+///
+/// The edge lists are stored flat (each block's predecessors, then its
+/// successors, are one slice of a shared vector), and
+/// [`Cfg::recompute`] refills the same vectors, so a pass pipeline that
+/// rebuilds the graph after a structural change allocates nothing new.
+#[derive(Debug, Clone, Default)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    /// `preds[pred_start[b]..pred_start[b + 1]]` are `b`'s predecessors, one
+    /// entry per edge, in (source block, successor position) order.
+    pred_start: Vec<u32>,
+    preds: Vec<BlockId>,
+    /// Likewise for successors, in terminator order.
+    succ_start: Vec<u32>,
+    succs: Vec<BlockId>,
     rpo: Vec<BlockId>,
-    rpo_index: Vec<Option<usize>>,
+    rpo_index: Vec<u32>,
+    /// The depth-first search's stack: a block and its next successor.
+    stack: Vec<(BlockId, u32)>,
 }
 
 impl Cfg {
     /// Builds the CFG for `f`.
     pub fn new(f: &Function) -> Cfg {
-        let n = f.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for id in f.block_ids() {
-            for s in f.block(id).term.successors() {
-                succs[id.index()].push(s);
-                preds[s.index()].push(id);
-            }
-        }
-        // Iterative DFS postorder from entry.
-        let mut post = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
-        visited[f.entry.index()] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b.index()].len() {
-                let s = succs[b.index()][*i];
-                *i += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![None; n];
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = Some(i);
-        }
-        Cfg { preds, succs, rpo, rpo_index }
+        let mut cfg = Cfg::default();
+        cfg.recompute(f);
+        cfg
     }
 
-    /// Immediate predecessors of `b`.
+    /// Rebuilds the CFG for `f` (which may have changed since) in place.
+    pub fn recompute(&mut self, f: &Function) {
+        let n = f.blocks.len();
+        self.succ_start.clear();
+        self.succs.clear();
+        self.pred_start.clear();
+        self.pred_start.resize(n + 1, 0);
+        for b in &f.blocks {
+            self.succ_start.push(self.succs.len() as u32);
+            for s in b.term.successors() {
+                self.succs.push(s);
+                self.pred_start[s.index()] += 1;
+            }
+        }
+        self.succ_start.push(self.succs.len() as u32);
+        // Counts become end offsets; filling each block's slice from its
+        // end, sources in reverse, leaves the offsets at the starts and the
+        // predecessors in source order.
+        let mut end = 0;
+        for c in &mut self.pred_start[..n] {
+            end += *c;
+            *c = end;
+        }
+        self.pred_start[n] = end;
+        self.preds.clear();
+        self.preds.resize(end as usize, BlockId(0));
+        for (b, succs) in self.succ_start.windows(2).enumerate().rev() {
+            for &s in self.succs[succs[0] as usize..succs[1] as usize].iter().rev() {
+                let at = &mut self.pred_start[s.index()];
+                *at -= 1;
+                self.preds[*at as usize] = BlockId(b as u32);
+            }
+        }
+        // Iterative DFS postorder from the entry; `rpo_index` marks visited
+        // blocks until the order is known.
+        self.rpo.clear();
+        self.rpo_index.clear();
+        self.rpo_index.resize(n, UNREACHED);
+        self.stack.clear();
+        self.stack.push((f.entry, 0));
+        self.rpo_index[f.entry.index()] = 0;
+        while let Some(&mut (b, ref mut next)) = self.stack.last_mut() {
+            let at = self.succ_start[b.index()] + *next;
+            if at < self.succ_start[b.index() + 1] {
+                let s = self.succs[at as usize];
+                *next += 1;
+                if self.rpo_index[s.index()] == UNREACHED {
+                    self.rpo_index[s.index()] = 0;
+                    self.stack.push((s, 0));
+                }
+            } else {
+                self.rpo.push(b);
+                self.stack.pop();
+            }
+        }
+        self.rpo.reverse();
+        for (i, b) in self.rpo.iter().enumerate() {
+            self.rpo_index[b.index()] = i as u32;
+        }
+    }
+
+    /// Immediate predecessors of `b`, one entry per edge.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        &self.preds[self.pred_start[b.index()] as usize..self.pred_start[b.index() + 1] as usize]
     }
 
     /// Immediate successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        &self.succs[self.succ_start[b.index()] as usize..self.succ_start[b.index() + 1] as usize]
     }
 
     /// Blocks in reverse postorder from the entry (unreachable blocks are
@@ -72,12 +118,13 @@ impl Cfg {
 
     /// Position of `b` in the reverse postorder, `None` if unreachable.
     pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
-        self.rpo_index[b.index()]
+        let i = self.rpo_index[b.index()];
+        (i != UNREACHED).then_some(i as usize)
     }
 
     /// Is `b` reachable from the entry?
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index(b).is_some()
+        self.rpo_index[b.index()] != UNREACHED
     }
 }
 
@@ -139,37 +186,35 @@ pub fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
 ///
 /// A back edge `u → v` (where `v` dominates `u`) defines the natural loop of
 /// `v`: all blocks that reach `u` without passing through `v`, plus `v`.
+/// Each back edge counts once, so a header with two back edges, and every
+/// block inside both of their loops, gains 2. The cost is the total size of
+/// the natural loops: a dominator precedes the blocks it dominates in
+/// reverse postorder, so only edges that go back in that order are tested
+/// for dominance, and each loop's walk marks its blocks with the back
+/// edge's own stamp instead of clearing a set.
 pub fn loop_depths(f: &Function, cfg: &Cfg, idom: &[Option<BlockId>]) -> Vec<u32> {
     let n = f.blocks.len();
     let mut depth = vec![0u32; n];
-    for u in f.block_ids() {
-        if !cfg.is_reachable(u) {
-            continue;
-        }
+    // `stamp[b] == k` marks `b` as inside the k-th back edge's loop.
+    let mut stamp = vec![0u32; n];
+    let mut edges = 0u32;
+    let mut work = Vec::new();
+    for &u in cfg.rpo() {
         for &v in cfg.succs(u) {
-            if !dominates(idom, v, u) {
+            if cfg.rpo_index(v) > cfg.rpo_index(u) || !dominates(idom, v, u) {
                 continue;
             }
-            // Collect the natural loop of back edge u -> v.
-            let mut in_loop = vec![false; n];
-            in_loop[v.index()] = true;
-            let mut work = Vec::new();
-            if !in_loop[u.index()] {
-                in_loop[u.index()] = true;
-                work.push(u);
-            }
+            edges += 1;
+            stamp[v.index()] = edges;
+            depth[v.index()] += 1;
+            work.push(u);
             while let Some(b) = work.pop() {
-                for &p in cfg.preds(b) {
-                    if !in_loop[p.index()] {
-                        in_loop[p.index()] = true;
-                        work.push(p);
-                    }
+                if stamp[b.index()] == edges {
+                    continue;
                 }
-            }
-            for (i, &inside) in in_loop.iter().enumerate() {
-                if inside {
-                    depth[i] += 1;
-                }
+                stamp[b.index()] = edges;
+                depth[b.index()] += 1;
+                work.extend(cfg.preds(b).iter().filter(|p| stamp[p.index()] != edges));
             }
         }
     }

@@ -397,13 +397,14 @@ pub enum Term {
 }
 
 impl Term {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Term::Jump(b) => vec![*b],
-            Term::Branch { then_b, else_b, .. } => vec![*then_b, *else_b],
-            Term::Ret(_) => vec![],
-        }
+    /// Successor block ids, `then_b` before `else_b`.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (pair, len) = match *self {
+            Term::Jump(b) => ([b, b], 1),
+            Term::Branch { then_b, else_b, .. } => ([then_b, else_b], 2),
+            Term::Ret(_) => ([BlockId(0); 2], 0),
+        };
+        pair.into_iter().take(len)
     }
 
     /// Invokes `f` on every operand used.
@@ -616,8 +617,9 @@ mod tests {
 
     #[test]
     fn term_successors() {
-        assert_eq!(Term::Jump(BlockId(3)).successors(), vec![BlockId(3)]);
-        assert_eq!(Term::Ret(None).successors(), vec![]);
+        let succs = |t: &Term| t.successors().collect::<Vec<_>>();
+        assert_eq!(succs(&Term::Jump(BlockId(3))), vec![BlockId(3)]);
+        assert_eq!(succs(&Term::Ret(None)), vec![]);
         let b = Term::Branch {
             cond: BinOp::Ne,
             lhs: Temp(0).into(),
@@ -625,7 +627,7 @@ mod tests {
             then_b: BlockId(1),
             else_b: BlockId(2),
         };
-        assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(succs(&b), vec![BlockId(1), BlockId(2)]);
     }
 
     #[test]

@@ -1,168 +1,335 @@
 //! Live-temp analysis.
 //!
-//! Classic backward iterative dataflow over basic blocks, with a dense
-//! [`TempSet`] bitset representation. The results feed dead-code
-//! elimination, the code generator's interference graph, and the "temps
-//! live across calls" classification that decides which values need
+//! Classic backward iterative dataflow over basic blocks. The results feed
+//! dead-code elimination, the code generator's interference graph, and the
+//! "temps live across calls" classification that decides which values need
 //! callee-saves registers (the heart of the paper's spill accounting).
+//!
+//! Only a temp that some block reads before writing it can be live at a
+//! block boundary; most temps are born and die inside one block. So the
+//! per-block sets range over those boundary temps alone, which keeps a long
+//! procedure's sets small, and a backward walk through a block starts from
+//! a reusable [`TempSet`] ([`Liveness::live_out_into`]) whose cost follows
+//! the values live, not the temps allocated.
 
 use crate::cfg::Cfg;
-use crate::ir::{Function, Inst, Temp};
+use crate::ir::{BlockId, Function, Inst, Operand, Temp};
 
-/// A dense bitset of [`Temp`]s.
-#[derive(Clone, PartialEq, Eq)]
+/// A set of [`Temp`]s with constant-time insert, remove, membership and
+/// clear, and iteration in time proportional to its size (a Briggs–Torczon
+/// sparse set): a backward walk keeps a few live values out of thousands
+/// of temps, and pays for those few.
+#[derive(Clone, Default)]
 pub struct TempSet {
-    words: Vec<u64>,
+    /// The members, in no particular order.
+    members: Vec<Temp>,
+    /// Per temp, its position in `members` (meaningless for non-members).
+    index: Vec<u32>,
 }
 
 impl TempSet {
     /// An empty set able to hold temps `0..capacity`.
     pub fn new(capacity: u32) -> TempSet {
-        TempSet { words: vec![0; (capacity as usize).div_ceil(64)] }
+        TempSet { members: Vec::new(), index: vec![0; capacity as usize] }
+    }
+
+    /// Empties the set and makes it able to hold temps `0..capacity`,
+    /// keeping its allocation.
+    pub fn reset(&mut self, capacity: u32) {
+        self.members.clear();
+        self.index.resize(capacity as usize, 0);
+    }
+
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        self.members.clear();
     }
 
     /// Inserts `t`; returns whether it was newly added.
     pub fn insert(&mut self, t: Temp) -> bool {
-        let (w, b) = (t.0 as usize / 64, t.0 as usize % 64);
-        let added = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
-        added
+        if self.contains(t) {
+            return false;
+        }
+        self.index[t.0 as usize] = self.members.len() as u32;
+        self.members.push(t);
+        true
     }
 
     /// Removes `t`; returns whether it was present.
     pub fn remove(&mut self, t: Temp) -> bool {
-        let (w, b) = (t.0 as usize / 64, t.0 as usize % 64);
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        present
+        if !self.contains(t) {
+            return false;
+        }
+        let at = self.index[t.0 as usize];
+        let last = self.members.pop().expect("a member");
+        if last != t {
+            self.members[at as usize] = last;
+            self.index[last.0 as usize] = at;
+        }
+        true
     }
 
     /// Membership test.
     pub fn contains(&self, t: Temp) -> bool {
-        let (w, b) = (t.0 as usize / 64, t.0 as usize % 64);
-        self.words.get(w).is_some_and(|x| x & (1 << b) != 0)
+        let at = self.index.get(t.0 as usize).map_or(usize::MAX, |&i| i as usize);
+        self.members.get(at) == Some(&t)
     }
 
     /// Unions `other` into `self`; returns whether anything changed.
     pub fn union_with(&mut self, other: &TempSet) -> bool {
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | b;
-            changed |= new != *a;
-            *a = new;
+        for t in other.iter() {
+            changed |= self.insert(t);
         }
         changed
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.members.len()
     }
 
     /// Is the set empty?
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.members.is_empty()
     }
 
-    /// Iterates over members in ascending order. Each step clears the
-    /// lowest set bit of the current word, so an empty word costs one test.
+    /// Iterates over the members, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = Temp> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let b = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    Temp((wi * 64 + b) as u32)
-                })
-            })
-        })
+        self.members.iter().copied()
     }
 }
 
 impl std::fmt::Debug for TempSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
+        let mut members = self.members.clone();
+        members.sort_unstable();
+        f.debug_set().entries(members).finish()
     }
 }
 
+/// A temp's `slot` when it is never live at a block boundary.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Per-block live-in/live-out sets.
-#[derive(Debug, Clone)]
+///
+/// The sets are bit rows over the *boundary temps*, the temps that some
+/// reachable block reads before it writes them; every other temp is dead
+/// at every block boundary. [`Liveness::recompute`] refills the same
+/// buffers, so a pass pipeline can recompute liveness without allocating.
+#[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    live_in: Vec<TempSet>,
-    live_out: Vec<TempSet>,
+    /// Per temp, its bit among the boundary temps, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    /// The boundary temps, ascending: bit `i` of a row is `temps[i]`.
+    temps: Vec<Temp>,
+    /// Words per row.
+    words: usize,
+    /// Block-major rows: `live_in[b * words..][..words]` is block `b`'s.
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+    /// Per-block upward-exposed uses and definitions, as rows.
+    uses: Vec<u64>,
+    defs: Vec<u64>,
+    /// Scratch: the upward-exposed temps of each block, flat, with
+    /// `exposed_start` offsets, and a per-temp stamp of the block that last
+    /// defined (`2b + 1`) or exposed (`2b + 2`) it.
+    exposed: Vec<Temp>,
+    exposed_start: Vec<u32>,
+    stamp: Vec<u32>,
+    row: Vec<u64>,
 }
 
 impl Liveness {
     /// Computes liveness for `f` using its `cfg`.
     pub fn compute(f: &Function, cfg: &Cfg) -> Liveness {
+        let mut lv = Liveness::default();
+        lv.recompute(f, cfg);
+        lv
+    }
+
+    /// Recomputes liveness for `f` (which may have changed since) in place.
+    /// Unreachable blocks have empty sets and contribute nothing.
+    pub fn recompute(&mut self, f: &Function, cfg: &Cfg) {
         let n = f.blocks.len();
-        let cap = f.temp_count;
-        // Per-block use (upward-exposed) and def sets.
-        let mut use_s = Vec::with_capacity(n);
-        let mut def_s = Vec::with_capacity(n);
-        for b in &f.blocks {
-            let mut u = TempSet::new(cap);
-            let mut d = TempSet::new(cap);
-            for inst in &b.insts {
-                inst.for_each_use(|o| {
-                    if let Some(t) = o.as_temp() {
-                        if !d.contains(t) {
-                            u.insert(t);
-                        }
+        let cap = f.temp_count as usize;
+        // Upward-exposed uses of each reachable block.
+        self.stamp.clear();
+        self.stamp.resize(cap, 0);
+        self.exposed.clear();
+        self.exposed_start.clear();
+        self.exposed_start.push(0);
+        for (b, block) in f.blocks.iter().enumerate() {
+            if cfg.is_reachable(BlockId(b as u32)) {
+                let defined = 2 * b as u32 + 1;
+                let (stamp, exposed) = (&mut self.stamp, &mut self.exposed);
+                for inst in &block.insts {
+                    inst.for_each_use(|o| expose(o, defined, stamp, exposed));
+                    if let Some(t) = inst.def() {
+                        stamp[t.0 as usize] = defined;
                     }
-                });
-                if let Some(t) = inst.def() {
-                    d.insert(t);
+                }
+                block.term.for_each_use(|o| expose(o, defined, stamp, exposed));
+            }
+            self.exposed_start.push(self.exposed.len() as u32);
+        }
+        // Number the boundary temps in ascending order.
+        self.slot.clear();
+        self.slot.resize(cap, NO_SLOT);
+        for t in &self.exposed {
+            self.slot[t.0 as usize] = 0;
+        }
+        self.temps.clear();
+        for (t, slot) in self.slot.iter_mut().enumerate() {
+            if *slot != NO_SLOT {
+                *slot = self.temps.len() as u32;
+                self.temps.push(Temp(t as u32));
+            }
+        }
+        let w = self.temps.len().div_ceil(64);
+        self.words = w;
+        for rows in [&mut self.live_in, &mut self.live_out, &mut self.uses, &mut self.defs] {
+            rows.clear();
+            rows.resize(n * w, 0);
+        }
+        if w == 0 {
+            return;
+        }
+        for b in 0..n {
+            let row = &mut self.uses[b * w..][..w];
+            for t in
+                &self.exposed[self.exposed_start[b] as usize..self.exposed_start[b + 1] as usize]
+            {
+                let i = self.slot[t.0 as usize] as usize;
+                row[i / 64] |= 1 << (i % 64);
+            }
+            if cfg.is_reachable(BlockId(b as u32)) {
+                let row = &mut self.defs[b * w..][..w];
+                for t in f.blocks[b].insts.iter().filter_map(Inst::def) {
+                    let i = self.slot[t.0 as usize];
+                    if i != NO_SLOT {
+                        row[i as usize / 64] |= 1 << (i % 64);
+                    }
                 }
             }
-            b.term.for_each_use(|o| {
-                if let Some(t) = o.as_temp() {
-                    if !d.contains(t) {
-                        u.insert(t);
-                    }
-                }
-            });
-            use_s.push(u);
-            def_s.push(d);
         }
-
-        let mut live_in: Vec<TempSet> = (0..n).map(|_| TempSet::new(cap)).collect();
-        let mut live_out: Vec<TempSet> = (0..n).map(|_| TempSet::new(cap)).collect();
+        // Backward fixpoint, iterating the reverse postorder backward for
+        // fast convergence: out = ∪ in(succ), in = uses ∪ (out − defs).
+        self.row.clear();
+        self.row.resize(w, 0);
         let mut changed = true;
         while changed {
             changed = false;
-            // Backward: iterate RPO in reverse for fast convergence.
             for &b in cfg.rpo().iter().rev() {
                 let bi = b.index();
-                let mut out = TempSet::new(cap);
+                self.row.fill(0);
                 for &s in cfg.succs(b) {
-                    out.union_with(&live_in[s.index()]);
+                    for (o, i) in self.row.iter_mut().zip(&self.live_in[s.index() * w..][..w]) {
+                        *o |= i;
+                    }
                 }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
+                let out = &mut self.live_out[bi * w..][..w];
+                if *out != *self.row {
+                    out.copy_from_slice(&self.row);
                     changed = true;
                 }
-                // in = use ∪ (out − def), a word at a time.
-                let words = use_s[bi].words.iter().zip(&live_out[bi].words).zip(&def_s[bi].words);
-                let inp = TempSet { words: words.map(|((u, o), d)| u | (o & !d)).collect() };
-                if inp != live_in[bi] {
-                    live_in[bi] = inp;
-                    changed = true;
+                let rows = self.uses[bi * w..][..w].iter().zip(&self.defs[bi * w..][..w]);
+                for ((inp, (u, d)), o) in
+                    self.live_in[bi * w..][..w].iter_mut().zip(rows).zip(&self.row)
+                {
+                    let new = u | (o & !d);
+                    changed |= new != *inp;
+                    *inp = new;
                 }
             }
         }
-        Liveness { live_in, live_out }
     }
 
     /// Temps live at entry to block `b`.
-    pub fn live_in(&self, b: crate::ir::BlockId) -> &TempSet {
-        &self.live_in[b.index()]
+    pub fn live_in(&self, b: BlockId) -> LiveSet<'_> {
+        self.set(&self.live_in, b)
     }
 
     /// Temps live at exit of block `b`.
-    pub fn live_out(&self, b: crate::ir::BlockId) -> &TempSet {
-        &self.live_out[b.index()]
+    pub fn live_out(&self, b: BlockId) -> LiveSet<'_> {
+        self.set(&self.live_out, b)
+    }
+
+    /// Overwrites `set` with the temps live at exit of block `b`: the start
+    /// of a backward walk through `b`. `set` keeps its capacity, which
+    /// must cover every temp of the function.
+    pub fn live_out_into(&self, b: BlockId, set: &mut TempSet) {
+        set.clear();
+        for t in self.live_out(b).iter() {
+            set.insert(t);
+        }
+    }
+
+    fn set<'a>(&'a self, rows: &'a [u64], b: BlockId) -> LiveSet<'a> {
+        let w = self.words;
+        LiveSet { row: &rows[b.index() * w..][..w], temps: &self.temps, slot: &self.slot }
+    }
+}
+
+/// Records a use `o` in the block whose definitions carry stamp `defined`:
+/// a temp the block has neither defined nor exposed yet (stamp
+/// `defined + 1`) is upward-exposed.
+fn expose(o: Operand, defined: u32, stamp: &mut [u32], exposed: &mut Vec<Temp>) {
+    if let Some(t) = o.as_temp() {
+        let s = &mut stamp[t.0 as usize];
+        if *s != defined && *s != defined + 1 {
+            *s = defined + 1;
+            exposed.push(t);
+        }
+    }
+}
+
+/// One block's live-in or live-out set (see [`Liveness`]).
+#[derive(Clone, Copy)]
+pub struct LiveSet<'a> {
+    row: &'a [u64],
+    temps: &'a [Temp],
+    slot: &'a [u32],
+}
+
+impl<'a> LiveSet<'a> {
+    /// Membership test.
+    pub fn contains(&self, t: Temp) -> bool {
+        match self.slot.get(t.0 as usize) {
+            Some(&i) if i != NO_SLOT => self.row[i as usize / 64] & (1 << (i % 64)) != 0,
+            _ => false,
+        }
+    }
+
+    /// Members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = Temp> + 'a {
+        let temps = self.temps;
+        self.row.iter().enumerate().flat_map(move |(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    temps[wi * 64 + b]
+                })
+            })
+        })
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.row.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.row.iter().all(|&w| w == 0)
+    }
+}
+
+impl std::fmt::Debug for LiveSet<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -173,38 +340,32 @@ impl Liveness {
 /// motion exists to make their registers cheap.
 pub fn live_across_calls(f: &Function, liveness: &Liveness) -> TempSet {
     let mut across = TempSet::new(f.temp_count);
+    let mut live = TempSet::new(f.temp_count);
     for b in f.block_ids() {
-        let mut live = liveness.live_out(b).clone();
-        // Walk the block backward.
-        b_rev(f, b, &mut live, &mut across);
-    }
-    across
-}
-
-fn b_rev(f: &Function, b: crate::ir::BlockId, live: &mut TempSet, across: &mut TempSet) {
-    let block = f.block(b);
-    block.term.for_each_use(|o| {
-        if let Some(t) = o.as_temp() {
-            live.insert(t);
-        }
-    });
-    for inst in block.insts.iter().rev() {
-        if let Some(t) = inst.def() {
-            live.remove(t);
-        }
-        if matches!(inst, Inst::Call { .. }) {
-            // Everything live *after* the call (minus its own def, removed
-            // above) crosses this call.
-            for t in live.iter() {
-                across.insert(t);
-            }
-        }
-        inst.for_each_use(|o| {
+        liveness.live_out_into(b, &mut live);
+        let block = f.block(b);
+        block.term.for_each_use(|o| {
             if let Some(t) = o.as_temp() {
                 live.insert(t);
             }
         });
+        for inst in block.insts.iter().rev() {
+            if let Some(t) = inst.def() {
+                live.remove(t);
+            }
+            if matches!(inst, Inst::Call { .. }) {
+                // Everything live *after* the call (minus its own def,
+                // removed above) crosses this call.
+                across.union_with(&live);
+            }
+            inst.for_each_use(|o| {
+                if let Some(t) = o.as_temp() {
+                    live.insert(t);
+                }
+            });
+        }
     }
+    across
 }
 
 #[cfg(test)]
@@ -227,23 +388,33 @@ mod tests {
         assert!(s.insert(Temp(129)));
         assert!(!s.insert(Temp(129)));
         assert!(s.contains(Temp(129)));
+        assert!(!s.contains(Temp(500)), "beyond capacity is never a member");
         assert_eq!(s.len(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![Temp(0), Temp(129)]);
+        let mut members: Vec<Temp> = s.iter().collect();
+        members.sort();
+        assert_eq!(members, vec![Temp(0), Temp(129)]);
         assert!(s.remove(Temp(0)));
         assert!(!s.remove(Temp(0)));
         assert!(!s.is_empty());
     }
 
     #[test]
-    fn tempset_iter_skips_empty_words() {
+    fn tempset_remove_keeps_the_others_and_clear_empties() {
         let mut s = TempSet::new(64 * 4);
         for t in [0, 63, 64 * 2 + 5, 64 * 3 + 63] {
             s.insert(Temp(t));
         }
-        // Word 1 is empty; bits 0 and 63 are each word's extremes.
-        let members = vec![Temp(0), Temp(63), Temp(133), Temp(255)];
-        assert_eq!(s.iter().collect::<Vec<_>>(), members);
-        assert_eq!(TempSet::new(200).iter().count(), 0);
+        // Removing a middle member moves the last one into its place.
+        assert!(s.remove(Temp(63)));
+        for t in [0, 133, 255] {
+            assert!(s.contains(Temp(t)), "t{t}");
+        }
+        assert!(!s.contains(Temp(63)));
+        assert_eq!(format!("{s:?}"), "{Temp(0), Temp(133), Temp(255)}");
+        s.clear();
+        assert!(s.is_empty() && !s.contains(Temp(0)));
+        assert!(s.insert(Temp(255)));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![Temp(255)]);
     }
 
     #[test]

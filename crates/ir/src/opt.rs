@@ -15,248 +15,417 @@
 //! nonzero constant, and every indexed/indirect memory access, are treated
 //! as side-effecting and survive DCE; constant folding never folds a
 //! trapping division.
+//!
+//! Each function's work is proportional to what it contains. A round keeps
+//! one [`Cfg`], rebuilt only after a pass that changed the block structure
+//! (value numbering and DCE never do); block merging contracts every
+//! single-predecessor jump chain in one walk and renumbers once; blocks
+//! and value-numbering states move instead of being cloned; and a
+//! redefinition kills only the value-numbering entries that depend on the
+//! redefined temp. The buffers live in one scratch value that
+//! [`optimize_module`] reuses from function to function.
 
 use crate::cfg::Cfg;
 use crate::ir::*;
-use crate::liveness::Liveness;
+use crate::liveness::{Liveness, TempSet};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Optimizes every function of a module in place.
 pub fn optimize_module(m: &mut IrModule) {
+    let mut scratch = Scratch::default();
     for f in &mut m.functions {
-        optimize_function(f);
+        scratch.optimize(f);
     }
 }
 
 /// Runs the pass pipeline on one function until it stops changing.
 pub fn optimize_function(f: &mut Function) {
-    for _ in 0..10 {
-        let mut changed = false;
-        changed |= local_opt(f);
-        changed |= fold_branches(f);
-        changed |= thread_jumps(f);
-        changed |= remove_unreachable(f);
-        changed |= merge_blocks(f);
-        changed |= dce(f);
-        if !changed {
-            break;
+    Scratch::default().optimize(f);
+}
+
+/// What one optimizer run reuses from function to function.
+#[derive(Default)]
+struct Scratch {
+    cfg: Cfg,
+    liveness: Liveness,
+    live: TempSet,
+    dead: Vec<bool>,
+    vn: ValueNumbering,
+}
+
+impl Scratch {
+    /// Runs the six passes, in order, until a round changes nothing (at
+    /// most 10 rounds). Every pass leaves `self.cfg` describing `f`.
+    fn optimize(&mut self, f: &mut Function) {
+        self.cfg.recompute(f);
+        for _ in 0..10 {
+            let mut changed = self.vn.run(f, &self.cfg);
+            // Both run, in order: `|`, not `||`.
+            if fold_branches(f) | thread_jumps(f) {
+                changed = true;
+                self.cfg.recompute(f);
+            }
+            changed |= remove_unreachable(f, &mut self.cfg);
+            changed |= merge_blocks(f, &mut self.cfg);
+            changed |= dce(f, &self.cfg, &mut self.liveness, &mut self.live, &mut self.dead);
+            if !changed {
+                break;
+            }
         }
     }
 }
 
+/// A multiplicative word hasher (the rustc "Fx" scheme) for the optimizer's
+/// maps, whose keys are temps, interned symbol ids and value-numbering keys
+/// built from them.
+#[derive(Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_i64(&mut self, i: i64) {
+        self.add(i as u64);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// A value-numbering key for pure (or memory-versioned) expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Symbols are interned ids, so a key is a few words and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Bin(BinOp, Operand, Operand),
     Un(UnOp, Operand),
-    LoadGlobal(String, u64),
-    AddrGlobal(String),
-    AddrFunc(String),
+    LoadGlobal(u32, u64),
+    AddrGlobal(u32),
+    AddrFunc(u32),
 }
+
+impl Key {
+    /// The temps the key reads.
+    fn operands(self) -> [Option<Temp>; 2] {
+        match self {
+            Key::Bin(_, a, b) => [a.as_temp(), b.as_temp()],
+            Key::Un(_, a) => [a.as_temp(), None],
+            _ => [None, None],
+        }
+    }
+}
+
+/// An entry of [`VnState`] that dies with a temp.
+#[derive(Debug, Clone, Copy)]
+enum Dep {
+    /// `env[t]`, which was bound to the temp.
+    Env(Temp),
+    /// `exprs[k]`, whose key reads the temp or whose value is the temp.
+    Expr(Key),
+}
+
+/// End of a [`VnState::deps`] list.
+const NIL: u32 = u32::MAX;
 
 /// Value-numbering state carried across extended basic blocks.
 #[derive(Clone, Default)]
 struct VnState {
     /// temp -> known equal operand (constant or older temp).
-    env: HashMap<Temp, Operand>,
+    env: WordMap<Temp, Operand>,
     /// expression -> temp holding it.
-    exprs: HashMap<Key, Temp>,
+    exprs: WordMap<Key, Temp>,
+    /// temp -> head of the list, threaded through `deps`, of the entries
+    /// that name it. A list may hold entries that were since replaced;
+    /// [`VnState::kill`] checks each before removing it.
+    heads: WordMap<Temp, u32>,
+    /// The list cells: an entry and the index of the next cell (or [`NIL`]).
+    deps: Vec<(Dep, u32)>,
     /// per-global memory version (bumping invalidates Load keys).
-    global_ver: HashMap<String, u64>,
+    global_ver: WordMap<u32, u64>,
     heap_ver: u64,
 }
 
-/// Value numbering, copy/constant propagation and folding over extended
-/// basic blocks: a block with a single CFG predecessor inherits that
-/// predecessor's exit state (every dynamic entry to the block passes
-/// through that exit, so the facts still hold). Returns whether anything
-/// changed.
-fn local_opt(f: &mut Function) -> bool {
-    let mut changed = false;
-    let cfg = Cfg::new(f);
-    let mut exit_states: Vec<Option<VnState>> = vec![None; f.blocks.len()];
-    let mut ver_counter: u64 = 1;
-    let order: Vec<usize> = {
+impl VnState {
+    fn depend(&mut self, on: Temp, dep: Dep) {
+        let next = self.heads.insert(on, self.deps.len() as u32).unwrap_or(NIL);
+        self.deps.push((dep, next));
+    }
+
+    /// `env[t] = o`.
+    fn bind(&mut self, t: Temp, o: Operand) {
+        self.env.insert(t, o);
+        if let Operand::Temp(u) = o {
+            self.depend(u, Dep::Env(t));
+        }
+    }
+
+    /// `exprs[k] = t`.
+    fn remember(&mut self, k: Key, t: Temp) {
+        self.exprs.insert(k, t);
+        self.depend(t, Dep::Expr(k));
+        for u in k.operands().into_iter().flatten() {
+            self.depend(u, Dep::Expr(k));
+        }
+    }
+
+    /// Forgets everything that holds for `t`'s old value: its own binding,
+    /// every binding to it, and every expression that reads it or that it
+    /// holds. Costs the entries that named `t`, not the whole state.
+    fn kill(&mut self, t: Temp) {
+        self.env.remove(&t);
+        let mut cell = self.heads.remove(&t).unwrap_or(NIL);
+        while cell != NIL {
+            let (dep, next) = self.deps[cell as usize];
+            match dep {
+                Dep::Env(u) => {
+                    if self.env.get(&u) == Some(&Operand::Temp(t)) {
+                        self.env.remove(&u);
+                    }
+                }
+                Dep::Expr(k) => {
+                    let reads = k.operands().contains(&Some(t));
+                    if self.exprs.get(&k).is_some_and(|&v| v == t || reads) {
+                        self.exprs.remove(&k);
+                    }
+                }
+            }
+            cell = next;
+        }
+    }
+
+    /// Follows copy chains from `o` (bounded: acyclic by construction
+    /// since values reference older temps only).
+    fn resolve(&self, o: Operand) -> Operand {
+        let mut cur = o;
+        for _ in 0..64 {
+            match cur {
+                Operand::Temp(t) => match self.env.get(&t) {
+                    Some(&next) => cur = next,
+                    None => break,
+                },
+                Operand::Const(_) => break,
+            }
+        }
+        cur
+    }
+}
+
+/// Value numbering's buffers, reused across rounds and functions.
+#[derive(Default)]
+struct ValueNumbering {
+    /// Symbol name -> id, across the whole module.
+    names: WordMap<Box<str>, u32>,
+    order: Vec<BlockId>,
+    /// Position of each block in `order`.
+    pos: Vec<u32>,
+    /// Blocks that will still inherit each block's exit state.
+    heirs: Vec<u32>,
+    exit_states: Vec<Option<VnState>>,
+}
+
+impl ValueNumbering {
+    fn intern(&mut self, sym: &str) -> u32 {
+        if let Some(&id) = self.names.get(sym) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.insert(sym.into(), id);
+        id
+    }
+
+    /// Value numbering, copy/constant propagation and folding over extended
+    /// basic blocks: a block with a single CFG predecessor inherits that
+    /// predecessor's exit state (every dynamic entry to the block passes
+    /// through that exit, so the facts still hold) if the predecessor was
+    /// processed first. The last such heir takes the state; earlier ones
+    /// copy it. Returns whether anything changed.
+    fn run(&mut self, f: &mut Function, cfg: &Cfg) -> bool {
+        let n = f.blocks.len();
         // Reverse postorder, then any unreachable stragglers (they must
         // still be processed: later passes will drop them, but until then
         // they have to stay well formed).
-        let mut seen = vec![false; f.blocks.len()];
-        let mut o: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
-        for &i in &o {
-            seen[i] = true;
+        self.order.clear();
+        self.order.extend_from_slice(cfg.rpo());
+        if self.order.len() < n {
+            self.order.extend(f.block_ids().filter(|&b| !cfg.is_reachable(b)));
         }
-        o.extend((0..f.blocks.len()).filter(|&i| !seen[i]));
-        o
-    };
-    for b in order {
-        let state = {
-            let preds = cfg.preds(crate::ir::BlockId(b as u32));
-            match preds {
-                [single] => exit_states[single.index()].clone().unwrap_or_default(),
-                _ => VnState::default(),
-            }
+        self.pos.clear();
+        self.pos.resize(n, 0);
+        for (i, b) in self.order.iter().enumerate() {
+            self.pos[b.index()] = i as u32;
+        }
+        let parent = |pos: &[u32], b: BlockId| match cfg.preds(b) {
+            &[p] if pos[p.index()] < pos[b.index()] => Some(p),
+            _ => None,
         };
-        let VnState { mut env, mut exprs, mut global_ver, mut heap_ver } = state;
-        let block = &mut f.blocks[b];
+        self.heirs.clear();
+        self.heirs.resize(n, 0);
+        for &b in &self.order {
+            if let Some(p) = parent(&self.pos, b) {
+                self.heirs[p.index()] += 1;
+            }
+        }
+        self.exit_states.clear();
+        self.exit_states.resize_with(n, || None);
 
-        let resolve = |env: &HashMap<Temp, Operand>, o: Operand| -> Operand {
-            let mut cur = o;
-            // Path-compress through copy chains (bounded: acyclic by
-            // construction since values reference older temps only).
-            for _ in 0..64 {
-                match cur {
-                    Operand::Temp(t) => match env.get(&t) {
-                        Some(&next) => cur = next,
-                        None => break,
-                    },
-                    Operand::Const(_) => break,
+        let mut changed = false;
+        let mut ver_counter: u64 = 1;
+        for i in 0..n {
+            let b = self.order[i];
+            let mut st = match parent(&self.pos, b) {
+                Some(p) => {
+                    self.heirs[p.index()] -= 1;
+                    let slot = &mut self.exit_states[p.index()];
+                    if self.heirs[p.index()] == 0 { slot.take() } else { slot.clone() }
+                        .expect("a parent's exit state is kept for its heirs")
                 }
-            }
-            cur
-        };
-
-        let kill_temp =
-            |env: &mut HashMap<Temp, Operand>, exprs: &mut HashMap<Key, Temp>, t: Temp| {
-                env.remove(&t);
-                env.retain(|_, v| *v != Operand::Temp(t));
-                exprs.retain(|k, v| {
-                    if *v == t {
-                        return false;
-                    }
-                    let uses = |o: &Operand| *o == Operand::Temp(t);
-                    !match k {
-                        Key::Bin(_, a, b2) => uses(a) || uses(b2),
-                        Key::Un(_, a) => uses(a),
-                        _ => false,
-                    }
-                });
+                None => VnState::default(),
             };
+            let block = &mut f.blocks[b.index()];
+            for inst in &mut block.insts {
+                inst.map_uses(|o| {
+                    let r = st.resolve(o);
+                    changed |= r != o;
+                    r
+                });
 
-        let mut out: Vec<Inst> = Vec::with_capacity(block.insts.len());
-        for mut inst in std::mem::take(&mut block.insts) {
-            inst.map_uses(|o| {
-                let r = resolve(&env, o);
-                if r != o {
+                // Fold.
+                let folded: Option<Inst> = match &*inst {
+                    Inst::Un { op, dst, src: Operand::Const(c) } => {
+                        Some(Inst::Copy { dst: *dst, src: Operand::Const(op.eval(*c)) })
+                    }
+                    Inst::Bin { op, dst, lhs, rhs } => match (lhs, rhs) {
+                        (Operand::Const(a), Operand::Const(b)) => op
+                            .eval(*a, *b)
+                            .map(|v| Inst::Copy { dst: *dst, src: Operand::Const(v) }),
+                        _ => algebraic_identity(*op, *dst, *lhs, *rhs),
+                    },
+                    _ => None,
+                };
+                if let Some(fi) = folded {
                     changed = true;
+                    *inst = fi;
                 }
+
+                // Value numbering for pure-ish defs; memory effects.
+                let key = match &*inst {
+                    Inst::Copy { dst, src } => {
+                        st.kill(*dst);
+                        if *src != Operand::Temp(*dst) {
+                            st.bind(*dst, *src);
+                        }
+                        continue;
+                    }
+                    Inst::StoreGlobal { sym, src } => {
+                        // New version for this global, then forward the
+                        // stored value to subsequent loads.
+                        ver_counter += 1;
+                        let id = self.intern(sym);
+                        st.global_ver.insert(id, ver_counter);
+                        if let Some(t) = src.as_temp() {
+                            st.remember(Key::LoadGlobal(id, ver_counter), t);
+                        }
+                        continue;
+                    }
+                    Inst::StoreElem { .. } | Inst::StoreInd { .. } | Inst::Call { .. } => {
+                        // Conservative: clobber all memory (an indirect store
+                        // may hit any global; a call may modify anything).
+                        ver_counter += 1;
+                        st.heap_ver = ver_counter;
+                        st.global_ver.clear();
+                        if let Inst::Call { dst: Some(d), .. } = &*inst {
+                            st.kill(*d);
+                        }
+                        continue;
+                    }
+                    Inst::Bin { op, lhs, rhs, .. } => {
+                        let (mut l, mut r) = (*lhs, *rhs);
+                        // Canonical operand order for commutative ops: any
+                        // total order puts `(a, b)` and `(b, a)` under one key.
+                        if op.is_commutative() && l > r {
+                            std::mem::swap(&mut l, &mut r);
+                        }
+                        // Never CSE potentially trapping division.
+                        if matches!(op, BinOp::Div | BinOp::Rem)
+                            && !matches!(r, Operand::Const(c) if c != 0)
+                        {
+                            None
+                        } else {
+                            Some(Key::Bin(*op, l, r))
+                        }
+                    }
+                    Inst::Un { op, src, .. } => Some(Key::Un(*op, *src)),
+                    Inst::LoadGlobal { sym, .. } => {
+                        let id = self.intern(sym);
+                        let v = st.global_ver.get(&id).copied().unwrap_or(st.heap_ver);
+                        Some(Key::LoadGlobal(id, v))
+                    }
+                    Inst::AddrGlobal { sym, .. } => Some(Key::AddrGlobal(self.intern(sym))),
+                    Inst::AddrFunc { func, .. } => Some(Key::AddrFunc(self.intern(func))),
+                    // Loads with possibly-trapping addressing are not CSE'd
+                    // (keep trap equivalence simple).
+                    _ => None,
+                };
+                match (key, inst.def()) {
+                    (Some(k), Some(d)) => {
+                        if let Some(&prev) = st.exprs.get(&k) {
+                            changed = true;
+                            st.kill(d);
+                            st.bind(d, Operand::Temp(prev));
+                            *inst = Inst::Copy { dst: d, src: Operand::Temp(prev) };
+                        } else {
+                            st.kill(d);
+                            st.remember(k, d);
+                        }
+                    }
+                    (_, Some(d)) => st.kill(d),
+                    _ => {}
+                }
+            }
+            block.term.map_uses(|o| {
+                let r = st.resolve(o);
+                changed |= r != o;
                 r
             });
-
-            // Fold.
-            let folded: Option<Inst> = match &inst {
-                Inst::Un { op, dst, src: Operand::Const(c) } => {
-                    Some(Inst::Copy { dst: *dst, src: Operand::Const(op.eval(*c)) })
-                }
-                Inst::Bin { op, dst, lhs, rhs } => match (lhs, rhs) {
-                    (Operand::Const(a), Operand::Const(b)) => {
-                        op.eval(*a, *b).map(|v| Inst::Copy { dst: *dst, src: Operand::Const(v) })
-                    }
-                    _ => algebraic_identity(*op, *dst, *lhs, *rhs),
-                },
-                _ => None,
-            };
-            if let Some(fi) = folded {
-                changed = true;
-                inst = fi;
-            }
-
-            match &inst {
-                Inst::Copy { dst, src } => {
-                    let (dst, src) = (*dst, *src);
-                    kill_temp(&mut env, &mut exprs, dst);
-                    if src != Operand::Temp(dst) {
-                        env.insert(dst, src);
-                    }
-                    out.push(Inst::Copy { dst, src });
-                    continue;
-                }
-                Inst::StoreGlobal { sym, src } => {
-                    // New version for this global, then forward the stored
-                    // value to subsequent loads.
-                    ver_counter += 1;
-                    global_ver.insert(sym.clone(), ver_counter);
-                    let key = Key::LoadGlobal(sym.clone(), ver_counter);
-                    if let Some(t) = src.as_temp() {
-                        exprs.insert(key, t);
-                    }
-                    out.push(inst);
-                    continue;
-                }
-                Inst::StoreElem { .. } | Inst::StoreInd { .. } | Inst::Call { .. } => {
-                    // Conservative: clobber all memory (an indirect store may
-                    // hit any global; a call may modify anything).
-                    ver_counter += 1;
-                    heap_ver = ver_counter;
-                    global_ver.clear();
-                    if let Inst::Call { dst: Some(d), .. } = &inst {
-                        kill_temp(&mut env, &mut exprs, *d);
-                    }
-                    out.push(inst);
-                    continue;
-                }
-                _ => {}
-            }
-
-            // Value numbering for pure-ish defs.
-            let key = match &inst {
-                Inst::Bin { op, lhs, rhs, .. } => {
-                    let (mut l, mut r) = (*lhs, *rhs);
-                    // Canonical operand order for commutative ops: any
-                    // total order puts `(a, b)` and `(b, a)` under one key.
-                    if op.is_commutative() && l > r {
-                        std::mem::swap(&mut l, &mut r);
-                    }
-                    // Never CSE potentially trapping division.
-                    if matches!(op, BinOp::Div | BinOp::Rem)
-                        && !matches!(r, Operand::Const(c) if c != 0)
-                    {
-                        None
-                    } else {
-                        Some(Key::Bin(*op, l, r))
-                    }
-                }
-                Inst::Un { op, src, .. } => Some(Key::Un(*op, *src)),
-                Inst::LoadGlobal { sym, .. } => {
-                    let v = global_ver.get(sym).copied().unwrap_or(heap_ver);
-                    Some(Key::LoadGlobal(sym.clone(), v))
-                }
-                Inst::AddrGlobal { sym, .. } => Some(Key::AddrGlobal(sym.clone())),
-                Inst::AddrFunc { func, .. } => Some(Key::AddrFunc(func.clone())),
-                // Loads with possibly-trapping addressing are not CSE'd (keep
-                // trap equivalence simple).
-                _ => None,
-            };
-            match (key, inst.def()) {
-                (Some(k), Some(d)) => {
-                    if let Some(&prev) = exprs.get(&k) {
-                        changed = true;
-                        kill_temp(&mut env, &mut exprs, d);
-                        env.insert(d, Operand::Temp(prev));
-                        out.push(Inst::Copy { dst: d, src: Operand::Temp(prev) });
-                    } else {
-                        kill_temp(&mut env, &mut exprs, d);
-                        exprs.insert(k, d);
-                        out.push(inst);
-                    }
-                }
-                (_, Some(d)) => {
-                    kill_temp(&mut env, &mut exprs, d);
-                    out.push(inst);
-                }
-                _ => out.push(inst),
+            if self.heirs[b.index()] > 0 {
+                self.exit_states[b.index()] = Some(st);
             }
         }
-        block.insts = out;
-        block.term.map_uses(|o| {
-            let r = resolve(&env, o);
-            if r != o {
-                changed = true;
-            }
-            r
-        });
-        exit_states[b] = Some(VnState { env, exprs, global_ver, heap_ver });
+        changed
     }
-    changed
 }
 
 /// `x+0`, `x*1`, `x*0`, `x-0`, `x/1`, `x-x`, `x==x` style identities.
@@ -281,7 +450,7 @@ fn algebraic_identity(op: BinOp, dst: Temp, lhs: Operand, rhs: Operand) -> Optio
 fn fold_branches(f: &mut Function) -> bool {
     let mut changed = false;
     for b in &mut f.blocks {
-        if let Term::Branch { cond, lhs, rhs, then_b, else_b } = b.term.clone() {
+        if let Term::Branch { cond, lhs, rhs, then_b, else_b } = b.term {
             if then_b == else_b {
                 b.term = Term::Jump(then_b);
                 changed = true;
@@ -339,96 +508,106 @@ fn thread_jumps(f: &mut Function) -> bool {
     changed
 }
 
-/// Drops unreachable blocks, remapping ids. Returns whether anything
-/// changed.
-fn remove_unreachable(f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
+/// Drops unreachable blocks: the reachable ones move, in reverse
+/// postorder, to the front with their ids remapped. Returns whether
+/// anything changed; `cfg` must describe `f` and is rebuilt if it did.
+fn remove_unreachable(f: &mut Function, cfg: &mut Cfg) -> bool {
     if cfg.rpo().len() == f.blocks.len() {
         return false;
     }
-    let mut remap: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
-    for (new_idx, &old) in cfg.rpo().iter().enumerate() {
-        remap[old.index()] = Some(BlockId(new_idx as u32));
-    }
-    let old_blocks = std::mem::take(&mut f.blocks);
-    let mut new_blocks: Vec<Block> = Vec::with_capacity(cfg.rpo().len());
-    for &old in cfg.rpo() {
-        let mut blk = old_blocks[old.index()].clone();
-        blk.term = match blk.term {
-            Term::Jump(t) => Term::Jump(remap[t.index()].expect("reachable successor")),
-            Term::Branch { cond, lhs, rhs, then_b, else_b } => Term::Branch {
-                cond,
-                lhs,
-                rhs,
-                then_b: remap[then_b.index()].expect("reachable successor"),
-                else_b: remap[else_b.index()].expect("reachable successor"),
-            },
-            r @ Term::Ret(_) => r,
-        };
-        new_blocks.push(blk);
-    }
-    f.blocks = new_blocks;
+    let new_id = |b: BlockId| BlockId(cfg.rpo_index(b).expect("reachable successor") as u32);
+    let mut old_blocks = std::mem::take(&mut f.blocks);
+    f.blocks = cfg
+        .rpo()
+        .iter()
+        .map(|&old| {
+            let slot = &mut old_blocks[old.index()];
+            let mut blk =
+                std::mem::replace(slot, Block { insts: Vec::new(), term: Term::Ret(None) });
+            match &mut blk.term {
+                Term::Jump(t) => *t = new_id(*t),
+                Term::Branch { then_b, else_b, .. } => {
+                    *then_b = new_id(*then_b);
+                    *else_b = new_id(*else_b);
+                }
+                Term::Ret(_) => {}
+            }
+            blk
+        })
+        .collect();
     f.entry = BlockId(0);
+    cfg.recompute(f);
     true
 }
 
 /// Appends single-predecessor blocks onto their unique `Jump` predecessor.
-fn merge_blocks(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut merged = false;
-        for a in f.block_ids() {
-            let Term::Jump(b) = f.block(a).term else { continue };
+///
+/// Such a merge never makes another pair mergeable or unmergeable, so one
+/// walk contracts every chain: each block absorbs its successor while the
+/// successor's only edge in is the block's jump, and absorbed blocks are
+/// left empty and unreachable. One renumbering then drops them. Returns
+/// whether anything merged; `cfg` must describe `f` (with every block
+/// reachable) and is rebuilt if anything did.
+fn merge_blocks(f: &mut Function, cfg: &mut Cfg) -> bool {
+    let mut merged = false;
+    for a in f.block_ids() {
+        while let Term::Jump(b) = f.block(a).term {
             if b == a || b == f.entry || cfg.preds(b).len() != 1 {
-                continue;
+                break;
             }
-            // Merge b into a.
-            let donor = f.blocks[b.index()].clone();
+            let donor = std::mem::replace(
+                f.block_mut(b),
+                Block { insts: Vec::new(), term: Term::Ret(None) },
+            );
             let dst = f.block_mut(a);
             dst.insts.extend(donor.insts);
             dst.term = donor.term;
-            // Leave b in place but unreachable; the next cleanup removes it.
-            f.block_mut(b).insts.clear();
-            f.block_mut(b).term = Term::Ret(None);
             merged = true;
-            changed = true;
-            break;
         }
-        if !merged {
-            break;
-        }
-        remove_unreachable(f);
     }
-    changed
+    if merged {
+        cfg.recompute(f);
+        remove_unreachable(f, cfg);
+    }
+    merged
 }
 
 /// Liveness-based dead code elimination. Also drops unused call results.
-fn dce(f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
-    let lv = Liveness::compute(f, &cfg);
+/// `lv`, `live` and `dead` are scratch buffers.
+fn dce(
+    f: &mut Function,
+    cfg: &Cfg,
+    lv: &mut Liveness,
+    live: &mut TempSet,
+    dead: &mut Vec<bool>,
+) -> bool {
+    lv.recompute(f, cfg);
+    live.reset(f.temp_count);
     let mut changed = false;
     for b in f.block_ids() {
-        let mut live = lv.live_out(b).clone();
-        f.block(b).term.for_each_use(|o| {
+        lv.live_out_into(b, live);
+        let block = &mut f.blocks[b.index()];
+        block.term.for_each_use(|o| {
             if let Some(t) = o.as_temp() {
                 live.insert(t);
             }
         });
-        let block = &mut f.blocks[b.index()];
-        let mut kept: Vec<Inst> = Vec::with_capacity(block.insts.len());
-        for mut inst in block.insts.drain(..).rev() {
+        // `dead` lists the verdicts last instruction first.
+        dead.clear();
+        for inst in block.insts.iter_mut().rev() {
             let dead_def = inst.def().map(|d| !live.contains(d)).unwrap_or(false);
             if dead_def {
-                if let Inst::Call { dst, .. } = &mut inst {
+                if let Inst::Call { dst, .. } = inst {
                     // Keep the call, discard the unused result.
                     *dst = None;
                     changed = true;
                 } else if !inst.has_side_effects() {
                     changed = true;
+                    dead.push(true);
                     continue;
                 }
             }
+            dead.push(false);
             if let Some(d) = inst.def() {
                 live.remove(d);
             }
@@ -437,10 +616,14 @@ fn dce(f: &mut Function) -> bool {
                     live.insert(t);
                 }
             });
-            kept.push(inst);
         }
-        kept.reverse();
-        block.insts = kept;
+        if dead.contains(&true) {
+            let mut i = dead.len();
+            block.insts.retain(|_| {
+                i -= 1;
+                !dead[i]
+            });
+        }
     }
     changed
 }

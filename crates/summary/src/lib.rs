@@ -23,9 +23,9 @@
 
 #![warn(missing_docs)]
 
-use cmin_ir::cfg::{depth_weight, loop_depths, Cfg};
+use cmin_ir::cfg::{depth_weight, dominators, loop_depths, Cfg};
 use cmin_ir::ir::{Callee, Inst, IrModule};
-use cmin_ir::liveness::{live_across_calls, Liveness};
+use cmin_ir::liveness::{live_across_calls, Liveness, TempSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -190,8 +190,9 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
         .functions
         .iter()
         .map(|f| {
+            // One CFG serves the loop depths, the alias record and liveness.
             let cfg = Cfg::new(f);
-            let idom = cmin_ir::cfg::dominators(f, &cfg);
+            let idom = dominators(f, &cfg);
             let depths = loop_depths(f, &cfg, &idom);
             // BTreeMaps for deterministic summary files.
             let mut grefs: BTreeMap<String, GlobalRef> = BTreeMap::new();
@@ -217,7 +218,12 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
                             taken.push(func.clone());
                         }
                         Inst::Call { callee, .. } => match callee {
-                            Callee::Direct(n) => *calls.entry(n.clone()).or_insert(0) += w,
+                            Callee::Direct(n) => match calls.get_mut(n) {
+                                Some(freq) => *freq += w,
+                                None => {
+                                    calls.insert(n.clone(), w);
+                                }
+                            },
                             Callee::Indirect(_) => indirect = true,
                         },
                         _ => {}
@@ -227,7 +233,7 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
             // The alias constraint record doubles as the source of the
             // split per-global bits: address-taken is classified into
             // pointer-read, pointer-write and escape by local flow.
-            let alias = ipra_alias::constraints_for(f);
+            let alias = ipra_alias::constraints_for(f, &cfg);
             for (sym, bits) in ipra_alias::local_bits(&alias) {
                 let e = entry(&mut grefs, &sym);
                 e.ptr_mod = bits.ptr_mod;
@@ -238,18 +244,13 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
             let across = live_across_calls(f, &liveness);
             // Ever-live temps that do not cross calls want caller-saves
             // registers.
-            let mut ever_live = std::collections::HashSet::new();
+            let mut ever_live = TempSet::new(f.temp_count);
             for b in f.block_ids() {
-                for t in liveness.live_in(b).iter() {
+                for t in liveness.live_in(b).iter().chain(liveness.live_out(b).iter()) {
                     ever_live.insert(t);
                 }
-                for t in liveness.live_out(b).iter() {
-                    ever_live.insert(t);
-                }
-                for inst in &f.block(b).insts {
-                    if let Some(d) = inst.def() {
-                        ever_live.insert(d);
-                    }
+                for d in f.block(b).insts.iter().filter_map(Inst::def) {
+                    ever_live.insert(d);
                 }
             }
             let ever_live_count = ever_live.len() as u32;
@@ -270,15 +271,21 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
     ModuleSummary { module: ir.name.clone(), procs, globals }
 }
 
+/// `sym`'s record, created empty on first use (the name is copied only
+/// then).
 fn entry<'a>(m: &'a mut BTreeMap<String, GlobalRef>, sym: &str) -> &'a mut GlobalRef {
-    m.entry(sym.to_string()).or_insert_with(|| GlobalRef {
-        sym: sym.to_string(),
-        freq: 0,
-        written: false,
-        ptr_mod: false,
-        ptr_ref: false,
-        escapes: false,
-    })
+    if !m.contains_key(sym) {
+        let empty = GlobalRef {
+            sym: sym.to_string(),
+            freq: 0,
+            written: false,
+            ptr_mod: false,
+            ptr_ref: false,
+            escapes: false,
+        };
+        m.insert(sym.to_string(), empty);
+    }
+    m.get_mut(sym).expect("inserted above")
 }
 
 #[cfg(test)]
