@@ -24,12 +24,20 @@
 //! layer `build` is the trial's wall clock, and `phase1`, `analyze`,
 //! `phase2` and `link` are the same build's own span timers, so a bench
 //! and `--stats` cannot disagree. The phase and analyzer rows count cache
-//! hits, disk hits and misses, and `phase2` the modules recompiled.
+//! hits, disk hits and misses, and `phase2` the modules recompiled. A
+//! build that ran phase 1 anywhere adds five more layers,
+//! `phase1.parse`, `phase1.check`, `phase1.lower`, `phase1.optimize` and
+//! `phase1.summarize`: each step's seconds summed over the modules it
+//! compiled.
 //!
-//! Three more regimes follow the same row shape:
+//! Four more regimes follow the same row shape:
 //!
 //! * **scaling** — serial cold builds at [`SCALING_SIZES`] (512 to 4096
 //!   modules), one row set per size per round (`scaling/{modules}/round{k}`);
+//! * **long** — serial cold builds of one procedure of [`LONG_SIZES`]
+//!   statements (1,000 to 8,000), round-robin like scaling
+//!   (`long/{statements}/round{k}`): the series that sees how the two
+//!   compiler phases grow with the length of one procedure;
 //! * **target** — the 8-module workload built once per machine
 //!   description, verified under that target's register convention and run
 //!   (`target/{name}/8`, counting instructions and cycles);
@@ -39,7 +47,7 @@
 //!   singleton memory references).
 //!
 //! ```sh
-//! cargo run --release -p ipra-bench --bin compile_bench   # 8/64/256 + scaling to 4096
+//! cargo run --release -p ipra-bench --bin compile_bench   # 8/64/256, scaling to 4096, long to 8000
 //! cargo run --release -p ipra-bench --bin compile_bench -- --modules 8 --check
 //! ```
 //!
@@ -48,7 +56,8 @@
 //! cold, disk-warm beat disk-cold and was all disk hits, the analyzer ran
 //! in the cold build and was a hit in the warm, edit and disk-warm ones,
 //! and the counters were identical across jobs widths; no doubling of the scaling series
-//! took more than [`MAX_DOUBLING_RATIO`] times as long; both targets
+//! took more than [`MAX_DOUBLING_RATIO`] times as long, nor did phase 1 or
+//! phase 2 over a doubling of the long series; both targets
 //! verified clean with equal exit codes; and P promoted at least C's
 //! globals with at most C's singleton references. This is the CI smoke
 //! mode wired into `scripts/check.sh`.
@@ -65,15 +74,19 @@ use ipra_driver::{
 };
 use ipra_telemetry::Telemetry;
 use ipra_workloads::generator::{random_program_with, GenConfig};
-use ipra_workloads::scaled::{perturb, scaled_program};
+use ipra_workloads::scaled::{long_program, perturb, scaled_program};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 /// Module counts of the scaling series: each doubles the previous one.
 const SCALING_SIZES: [usize; 4] = [512, 1024, 2048, 4096];
 
+/// Statement counts of the long series: each doubles the previous one.
+const LONG_SIZES: [usize; 4] = [1000, 2000, 4000, 8000];
+
 /// The scaling gate: the most a doubling of the module count may multiply
-/// the cold build time by. Linear work doubles; the analyzer's
+/// the cold build time by, and a doubling of the long series' statements
+/// phase 1's or phase 2's time. Linear work doubles; the analyzer's
 /// node × global reference bitsets and cache effects add some on top; a
 /// quadratic scan would not fit.
 const MAX_DOUBLING_RATIO: f64 = 2.5;
@@ -114,6 +127,11 @@ fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram
     phase2.insert("recompiled".to_string(), b.recompiled.len() as u64);
     report.row(name, "build", seconds, work);
     report.row(name, "phase1", b.phase1.seconds, phase(&b.phase1));
+    if b.phase1.misses > 0 {
+        for (step, seconds) in b.phase1_steps.named() {
+            report.row(name, &format!("phase1.{step}"), seconds, Counters::new());
+        }
+    }
     report.row(name, "analyze", b.analyze.seconds, phase(&b.analyze));
     report.row(name, "phase2", b.phase2.seconds, phase2);
     report.row(name, "link", b.link_seconds, Counters::new());
@@ -288,6 +306,51 @@ fn measure_scaling(report: &mut Report, config: PaperConfig) {
     }
 }
 
+/// The long series: serial cold builds of each [`LONG_SIZES`] procedure,
+/// round-robin over [`TRIALS`] rounds like [`measure_scaling`], and the
+/// median growth of phase 1 and of phase 2 over each doubling.
+fn measure_long(report: &mut Report, config: PaperConfig) {
+    const N: usize = LONG_SIZES.len();
+    let opts = CompileOptions::paper(config);
+    let programs = LONG_SIZES.map(long_program);
+    let cold = |sources: &[SourceFile]| {
+        let cache = CompilationCache::new();
+        let ((_, p), seconds) = time(|| build(sources, &opts, cache));
+        (p, seconds)
+    };
+    if let Some(largest) = programs.last() {
+        cold(largest);
+    }
+    let mut rounds: Vec<[(f64, f64); N]> = Vec::new();
+    for round in 1..=TRIALS {
+        let mut phases = [(0.0, 0.0); N];
+        for (i, sources) in programs.iter().enumerate() {
+            let (p, s) = cold(sources);
+            build_rows(
+                report,
+                &format!("long/{}/round{round}", LONG_SIZES[i]),
+                s,
+                &p,
+                Counters::new(),
+            );
+            phases[i] = (p.build.phase1.seconds, p.build.phase2.seconds);
+        }
+        rounds.push(phases);
+    }
+    for (i, statements) in LONG_SIZES.iter().enumerate().skip(1) {
+        let phase1 = rounds.iter().map(|r| r[i].0 / r[i - 1].0).collect();
+        let phase2 = rounds.iter().map(|r| r[i].1 / r[i - 1].1).collect();
+        for (phase, ratios) in [("phase1", phase1), ("phase2", phase2)] {
+            report.gate(
+                format!("long/{statements}.{phase}_doubling_ratio"),
+                median(ratios),
+                Cmp::AtMost,
+                MAX_DOUBLING_RATIO,
+            );
+        }
+    }
+}
+
 /// The target regime: one cold build of the scaled workload per machine
 /// description, each verified under its own convention and run once. The
 /// exit codes must agree — register conventions differ, observable
@@ -378,5 +441,6 @@ fn main() -> ExitCode {
         measure_size(&mut report, n, jobs, config);
     }
     measure_scaling(&mut report, config);
+    measure_long(&mut report, config);
     report.finish(&bench)
 }

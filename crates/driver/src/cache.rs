@@ -67,12 +67,53 @@ pub struct PhaseStats {
     pub seconds: f64,
 }
 
+/// Where compiler phase 1's time went: each step's seconds, summed over
+/// the modules the phase compiled (its misses). Sums, not spans: with
+/// `jobs > 1` they add up worker time and can exceed the phase's wall
+/// clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Phase1Steps {
+    /// Parsing the source.
+    pub parse: f64,
+    /// Semantic checks.
+    pub check: f64,
+    /// Lowering the AST to IR.
+    pub lower: f64,
+    /// The level-2 optimizer (zero when optimization is off).
+    pub optimize: f64,
+    /// Deriving the summary record.
+    pub summarize: f64,
+}
+
+impl Phase1Steps {
+    /// The steps as `(name, seconds)`, in pipeline order.
+    pub fn named(&self) -> [(&'static str, f64); 5] {
+        [
+            ("parse", self.parse),
+            ("check", self.check),
+            ("lower", self.lower),
+            ("optimize", self.optimize),
+            ("summarize", self.summarize),
+        ]
+    }
+
+    pub(crate) fn add(&mut self, other: &Phase1Steps) {
+        self.parse += other.parse;
+        self.check += other.check;
+        self.lower += other.lower;
+        self.optimize += other.optimize;
+        self.summarize += other.summarize;
+    }
+}
+
 /// Per-phase wall-clock and cache accounting for one build: the one record
 /// of the cache's hits, misses and evictions.
 #[derive(Debug, Clone, Default)]
 pub struct BuildReport {
     /// Compiler first phase (parse → check → lower → optimize → summarize).
     pub phase1: PhaseStats,
+    /// Phase 1's time by step, summed over the modules it compiled.
+    pub phase1_steps: Phase1Steps,
     /// Program analyzer: one lookup per build, a hit when the module
     /// summaries and the resolved analyzer options both repeat.
     pub analyze: PhaseStats,

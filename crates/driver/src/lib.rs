@@ -63,7 +63,7 @@ mod framed;
 pub mod separate;
 mod stages;
 
-pub use cache::{BuildReport, CompilationCache, PhaseStats, RETAINED_BUILDS};
+pub use cache::{BuildReport, CompilationCache, Phase1Steps, PhaseStats, RETAINED_BUILDS};
 
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};

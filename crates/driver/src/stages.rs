@@ -11,7 +11,7 @@
 //! program analyzer as the same kind of step, keyed on
 //! [`analysis_key`].
 
-use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase2Entry};
+use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase1Steps, Phase2Entry};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
@@ -26,6 +26,7 @@ use ipra_telemetry::{SpanTimer, Telemetry};
 use serde::BinSerialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use vpr::target::TargetId;
 
 /// Applies `f` to every item on up to `jobs` scoped worker threads,
@@ -114,7 +115,8 @@ fn direct_callees(ir: &IrModule) -> Vec<String> {
 }
 
 /// The compiler first phase over `sources`, through `cache`: returns one
-/// entry per source, in order, and fills `report.phase1`.
+/// entry per source, in order, and fills `report.phase1` and
+/// `report.phase1_steps`.
 ///
 /// # Errors
 ///
@@ -148,10 +150,12 @@ pub(crate) fn phase1(
     }
     let computed = parallel_map(&miss_idx, jobs, |&i| {
         let _task = task_span(tele.as_ref(), "phase1", &sources[i].name);
-        run_phase1(&sources[i], optimize, keys[i])
+        let mut steps = Phase1Steps::default();
+        (run_phase1(&sources[i], optimize, keys[i], &mut steps), steps)
     });
     let mut first_error: Option<CompileError> = None;
-    for (&i, result) in miss_idx.iter().zip(computed) {
+    for (&i, (result, steps)) in miss_idx.iter().zip(computed) {
+        report.phase1_steps.add(&steps);
         match result {
             Ok((head, ir)) => entries[i] = Some(cache.store_phase1(head, ir)),
             // `miss_idx` ascends, so the first error kept is the lowest-index one.
@@ -274,7 +278,8 @@ pub(crate) fn phase2(
             Some(ir) => Ok((cmin_codegen::compile_module_for(ir, database, target), None)),
             None => {
                 let _redo = task_span(tele.as_ref(), "phase1", &sources[i].name);
-                let (head, ir) = run_phase1(&sources[i], optimize, e.head.key)?;
+                let (head, ir) =
+                    run_phase1(&sources[i], optimize, e.head.key, &mut Phase1Steps::default())?;
                 let object = cmin_codegen::compile_module_for(&ir, database, target);
                 Ok((object, Some((head, ir))))
             }
@@ -300,19 +305,29 @@ fn task_span(tele: Option<&Telemetry>, phase: &str, module: &str) -> Option<Span
     tele.map(|t| t.span(phase, &format!("{phase}:{module}")))
 }
 
-/// Runs the full first phase for one module.
+/// Runs `f`, adding its wall-clock seconds to `seconds`.
+fn timed<T>(seconds: &mut f64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *seconds += start.elapsed().as_secs_f64();
+    out
+}
+
+/// Runs the full first phase for one module, adding each step's time to
+/// `steps`.
 fn run_phase1(
     src: &SourceFile,
     optimize: bool,
     key: u64,
+    steps: &mut Phase1Steps,
 ) -> Result<(Phase1Head, IrModule), CompileError> {
-    let m = parse_module(&src.name, &src.text)?;
-    let info = check_module(&m)?;
-    let mut ir = lower_module(&m, &info);
+    let m = timed(&mut steps.parse, || parse_module(&src.name, &src.text))?;
+    let info = timed(&mut steps.check, || check_module(&m))?;
+    let mut ir = timed(&mut steps.lower, || lower_module(&m, &info));
     if optimize {
-        optimize_module(&mut ir);
+        timed(&mut steps.optimize, || optimize_module(&mut ir));
     }
-    let summary = ipra_summary::summarize_module(&ir);
+    let summary = timed(&mut steps.summarize, || ipra_summary::summarize_module(&ir));
     let summary_fp = bin_fingerprint(&summary);
     let ir_fp = bin_fingerprint(&ir);
     let callees = direct_callees(&ir);

@@ -28,20 +28,32 @@
 use crate::cfg::Cfg;
 use crate::ir::*;
 use crate::liveness::{Liveness, TempSet};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+thread_local! {
+    /// Each thread's optimizer buffers, reused from function to function
+    /// and module to module.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 /// Optimizes every function of a module in place.
 pub fn optimize_module(m: &mut IrModule) {
-    let mut scratch = Scratch::default();
-    for f in &mut m.functions {
-        scratch.optimize(f);
-    }
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.vn.names.clear();
+        for f in &mut m.functions {
+            scratch.optimize(f);
+        }
+    });
 }
 
 /// Runs the pass pipeline on one function until it stops changing.
 pub fn optimize_function(f: &mut Function) {
-    Scratch::default().optimize(f);
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.vn.names.clear();
+        scratch.optimize(f);
+    });
 }
 
 /// What one optimizer run reuses from function to function.
@@ -161,7 +173,7 @@ enum Dep {
 const NIL: u32 = u32::MAX;
 
 /// Value-numbering state carried across extended basic blocks.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct VnState {
     /// temp -> known equal operand (constant or older temp).
     env: WordMap<Temp, Operand>,
@@ -179,6 +191,26 @@ struct VnState {
 }
 
 impl VnState {
+    /// Overwrites `self` with `other`, reusing `self`'s allocations.
+    fn copy_from(&mut self, other: &VnState) {
+        self.env.clone_from(&other.env);
+        self.exprs.clone_from(&other.exprs);
+        self.heads.clone_from(&other.heads);
+        self.deps.clone_from(&other.deps);
+        self.global_ver.clone_from(&other.global_ver);
+        self.heap_ver = other.heap_ver;
+    }
+
+    /// Empties the state, keeping its allocations.
+    fn clear(&mut self) {
+        self.env.clear();
+        self.exprs.clear();
+        self.heads.clear();
+        self.deps.clear();
+        self.global_ver.clear();
+        self.heap_ver = 0;
+    }
+
     fn depend(&mut self, on: Temp, dep: Dep) {
         let next = self.heads.insert(on, self.deps.len() as u32).unwrap_or(NIL);
         self.deps.push((dep, next));
@@ -254,9 +286,24 @@ struct ValueNumbering {
     /// Blocks that will still inherit each block's exit state.
     heirs: Vec<u32>,
     exit_states: Vec<Option<VnState>>,
+    /// Emptied states, to be reused.
+    pool: Vec<VnState>,
 }
 
+/// The most expressions a state may have room for and still return to the
+/// pool: clearing a map costs its capacity, so a state that grew in one
+/// long block would tax every small block after it.
+const POOLED_CAPACITY: usize = 64;
+
 impl ValueNumbering {
+    /// Returns a state no block will inherit to the pool.
+    fn recycle(&mut self, mut st: VnState) {
+        if st.exprs.capacity() <= POOLED_CAPACITY && st.env.capacity() <= POOLED_CAPACITY {
+            st.clear();
+            self.pool.push(st);
+        }
+    }
+
     fn intern(&mut self, sym: &str) -> u32 {
         if let Some(&id) = self.names.get(sym) {
             return id;
@@ -308,11 +355,17 @@ impl ValueNumbering {
             let mut st = match parent(&self.pos, b) {
                 Some(p) => {
                     self.heirs[p.index()] -= 1;
-                    let slot = &mut self.exit_states[p.index()];
-                    if self.heirs[p.index()] == 0 { slot.take() } else { slot.clone() }
-                        .expect("a parent's exit state is kept for its heirs")
+                    let kept = &mut self.exit_states[p.index()];
+                    let kept_msg = "a parent's exit state is kept for its heirs";
+                    if self.heirs[p.index()] == 0 {
+                        kept.take().expect(kept_msg)
+                    } else {
+                        let mut copy = self.pool.pop().unwrap_or_default();
+                        copy.copy_from(kept.as_ref().expect(kept_msg));
+                        copy
+                    }
                 }
-                None => VnState::default(),
+                None => self.pool.pop().unwrap_or_default(),
             };
             let block = &mut f.blocks[b.index()];
             for inst in &mut block.insts {
@@ -422,6 +475,8 @@ impl ValueNumbering {
             });
             if self.heirs[b.index()] > 0 {
                 self.exit_states[b.index()] = Some(st);
+            } else {
+                self.recycle(st);
             }
         }
         changed
