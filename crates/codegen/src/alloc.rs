@@ -19,7 +19,7 @@
 
 use cmin_ir::cfg::{depth_weight, dominators, loop_depths, Cfg};
 use cmin_ir::ir::{Callee, Function, Inst, Temp};
-use cmin_ir::liveness::{live_across_calls, Liveness, TempSet};
+use cmin_ir::liveness::{Liveness, TempSet};
 use ipra_core::caller_prealloc::claim_pool_set;
 use ipra_core::regsets::RegUsage;
 use std::collections::HashMap;
@@ -49,17 +49,17 @@ impl CallerPrealloc<'_> {
     }
 }
 
-/// Per-temp caller-saves clobber set: for each temp, the claim-pool
-/// registers clobbered by some call the temp is live across. Temps that
-/// cross an indirect call (or a call to a procedure with an empty safe
-/// set) end up with the full pool.
-fn cross_clobbers(
+/// The calls each temp is live across, as the claim-pool registers they
+/// clobber: `None` for a temp live across no call, otherwise the union
+/// over its crossed calls. Temps that cross an indirect call (or a call to
+/// a procedure with an empty safe set) get the full pool.
+fn call_crossings(
     f: &Function,
     liveness: &Liveness,
     safe_lookup: &dyn Fn(&str) -> RegSet,
     pool: RegSet,
-) -> Vec<RegSet> {
-    let mut clobber: Vec<RegSet> = vec![RegSet::new(); f.temp_count as usize];
+) -> Vec<Option<RegSet>> {
+    let mut crossings: Vec<Option<RegSet>> = vec![None; f.temp_count as usize];
     let mut live = TempSet::new(f.temp_count);
     for b in f.block_ids() {
         liveness.live_out_into(b, &mut live);
@@ -74,12 +74,14 @@ fn cross_clobbers(
                 live.remove(d);
             }
             if let Inst::Call { callee, .. } = inst {
+                // Everything live *after* the call (minus its own def,
+                // removed above) crosses it.
                 let cl = match callee {
                     Callee::Direct(name) => pool - safe_lookup(name),
                     Callee::Indirect(_) => pool,
                 };
                 for t in live.iter() {
-                    clobber[t.0 as usize] |= cl;
+                    *crossings[t.0 as usize].get_or_insert_with(RegSet::new) |= cl;
                 }
             }
             inst.for_each_use(|o| {
@@ -89,7 +91,7 @@ fn cross_clobbers(
             });
         }
     }
-    clobber
+    crossings
 }
 
 /// Where a temp lives at run time.
@@ -179,7 +181,6 @@ pub fn allocate_for(
     desc: &TargetDesc,
 ) -> Allocation {
     let liveness = Liveness::compute(f, cfg);
-    let crossing = live_across_calls(f, &liveness);
     let depths = loop_depths(f, cfg, &dominators(f, cfg));
 
     let n = f.temp_count as usize;
@@ -240,21 +241,21 @@ pub fn allocate_for(
         }
     }
     // Neighbour lists, `adj[start[t]..start[t + 1]]`: the edges bucketed
-    // by their first temp, then each bucket cleared of repeats (a temp
-    // redefined while another stays live adds their edge once per
+    // by their first temp (each bucket filled from its end, leaving
+    // `start` at its beginning), then each bucket cleared of repeats (a
+    // temp redefined while another stays live adds their edge once per
     // definition).
     let mut start: Vec<usize> = vec![0; n + 1];
     for &(a, _) in &edges {
-        start[a as usize + 1] += 1;
+        start[a as usize] += 1;
     }
-    for t in 0..n {
-        start[t + 1] += start[t];
+    for t in 1..=n {
+        start[t] += start[t - 1];
     }
     let mut adj: Vec<u32> = vec![0; edges.len()];
-    let mut fill = start.clone();
     for &(a, b) in &edges {
-        adj[fill[a as usize]] = b;
-        fill[a as usize] += 1;
+        start[a as usize] -= 1;
+        adj[start[a as usize]] = b;
     }
     // `seen[u] == t + 1`: `u` is already in `t`'s compacted bucket.
     let mut seen: Vec<u32> = vec![0; n];
@@ -287,11 +288,10 @@ pub fn allocate_for(
     // Claim-pool registers beyond this procedure's claim are untouchable:
     // ancestors may be keeping values in them across calls to us.
     let unclaimed = pool - prealloc.claimed;
-    let caller_pool: Vec<Reg> =
-        ((usage.caller | usage.mspill) - reserved - unclaimed).iter().collect();
-    let free_pool: Vec<Reg> = (usage.free - reserved).iter().collect();
-    let callee_pool: Vec<Reg> = (usage.callee - reserved).iter().collect();
-    let clobber = cross_clobbers(f, &liveness, prealloc.safe_lookup, pool);
+    let caller_pool = (usage.caller | usage.mspill) - reserved - unclaimed;
+    let free_pool = usage.free - reserved;
+    let callee_pool = usage.callee - reserved;
+    let crossings = call_crossings(f, &liveness, prealloc.safe_lookup, pool);
     // Claimed caller registers usable by a crossing temp, per temp.
     let safe_base = (pool & prealloc.claimed & usage.caller) - reserved;
 
@@ -317,21 +317,18 @@ pub fn allocate_for(
                 _ => None,
             })
             .collect();
-        let safe_callers: Vec<Reg>;
-        let pools: [&[Reg]; 3] = if crossing.contains(t) {
+        // Each pool tries its registers in ascending order.
+        let pools = match crossings[t.0 as usize] {
             // §7.6.2: claimed caller registers that every crossed call
             // leaves alone cost nothing — try them before the preserved
             // classes.
-            safe_callers = (safe_base - clobber[t.0 as usize]).iter().collect();
-            [&safe_callers, &free_pool, &callee_pool]
-        } else {
-            [&caller_pool, &free_pool, &callee_pool]
+            Some(clobber) => [safe_base - clobber, free_pool, callee_pool],
+            None => [caller_pool, free_pool, callee_pool],
         };
-        let choice =
-            pools.into_iter().flat_map(|p| p.iter().copied()).find(|r| !taken.contains(*r));
+        let choice = pools.iter().flat_map(|p| p.iter()).find(|r| !taken.contains(*r));
         match choice {
             Some(r) => {
-                if callee_pool.contains(&r) {
+                if callee_pool.contains(r) {
                     used_callee.insert(r);
                 }
                 locs[t.0 as usize] = Some(Loc::Reg(r));
@@ -383,9 +380,8 @@ pub fn validate_for(
 ) -> Result<(), String> {
     let cfg = Cfg::new(f);
     let liveness = Liveness::compute(f, &cfg);
-    let crossing = live_across_calls(f, &liveness);
     let pool = desc.claim_pool_set();
-    let clobber = cross_clobbers(f, &liveness, prealloc.safe_lookup, pool);
+    let crossings = call_crossings(f, &liveness, prealloc.safe_lookup, pool);
 
     let caller_class = (usage.caller | usage.mspill) - usage.free;
     #[allow(clippy::needless_range_loop)]
@@ -395,11 +391,10 @@ pub fn validate_for(
             if forbidden.contains(r) && pins.get(&t) != Some(&r) {
                 return Err(format!("{t} allocated to forbidden register {r}"));
             }
-            if crossing.contains(t) && caller_class.contains(r) {
+            if let (Some(clobber), true) = (crossings[t.0 as usize], caller_class.contains(r)) {
                 // Permitted only under the §7.6.2 contract.
-                let allowed = pool.contains(r)
-                    && prealloc.claimed.contains(r)
-                    && !clobber[t.0 as usize].contains(r);
+                let allowed =
+                    pool.contains(r) && prealloc.claimed.contains(r) && !clobber.contains(r);
                 if !allowed {
                     return Err(format!("call-crossing {t} allocated to caller-class {r}"));
                 }

@@ -131,13 +131,8 @@ pub struct Liveness {
     /// Per-block upward-exposed uses and definitions, as rows.
     uses: Vec<u64>,
     defs: Vec<u64>,
-    /// Scratch: the upward-exposed temps of each block, flat, with
-    /// `exposed_start` offsets, and a per-temp stamp of the block that last
-    /// defined (`2b + 1`) or exposed (`2b + 2`) it.
-    exposed: Vec<Temp>,
-    exposed_start: Vec<u32>,
+    /// Scratch: per temp, the stamp of the block walk that last defined it.
     stamp: Vec<u32>,
-    row: Vec<u64>,
 }
 
 impl Liveness {
@@ -153,31 +148,16 @@ impl Liveness {
     pub fn recompute(&mut self, f: &Function, cfg: &Cfg) {
         let n = f.blocks.len();
         let cap = f.temp_count as usize;
-        // Upward-exposed uses of each reachable block.
+        // Walk 1 marks the boundary temps; walk 2, once they are numbered,
+        // fills the rows. Each walk stamps a block's definitions with its
+        // own value, so the stamps never need clearing.
         self.stamp.clear();
         self.stamp.resize(cap, 0);
-        self.exposed.clear();
-        self.exposed_start.clear();
-        self.exposed_start.push(0);
-        for (b, block) in f.blocks.iter().enumerate() {
-            if cfg.is_reachable(BlockId(b as u32)) {
-                let defined = 2 * b as u32 + 1;
-                let (stamp, exposed) = (&mut self.stamp, &mut self.exposed);
-                for inst in &block.insts {
-                    inst.for_each_use(|o| expose(o, defined, stamp, exposed));
-                    if let Some(t) = inst.def() {
-                        stamp[t.0 as usize] = defined;
-                    }
-                }
-                block.term.for_each_use(|o| expose(o, defined, stamp, exposed));
-            }
-            self.exposed_start.push(self.exposed.len() as u32);
-        }
-        // Number the boundary temps in ascending order.
         self.slot.clear();
         self.slot.resize(cap, NO_SLOT);
-        for t in &self.exposed {
-            self.slot[t.0 as usize] = 0;
+        for b in cfg.rpo() {
+            let slot = &mut self.slot;
+            walk_block(f, *b, 1 + b.0, &mut self.stamp, |t| slot[t.0 as usize] = 0, |_| {});
         }
         self.temps.clear();
         for (t, slot) in self.slot.iter_mut().enumerate() {
@@ -195,51 +175,33 @@ impl Liveness {
         if w == 0 {
             return;
         }
-        for b in 0..n {
-            let row = &mut self.uses[b * w..][..w];
-            for t in
-                &self.exposed[self.exposed_start[b] as usize..self.exposed_start[b + 1] as usize]
-            {
-                let i = self.slot[t.0 as usize] as usize;
-                row[i / 64] |= 1 << (i % 64);
-            }
-            if cfg.is_reachable(BlockId(b as u32)) {
-                let row = &mut self.defs[b * w..][..w];
-                for t in f.blocks[b].insts.iter().filter_map(Inst::def) {
-                    let i = self.slot[t.0 as usize];
-                    if i != NO_SLOT {
-                        row[i as usize / 64] |= 1 << (i % 64);
-                    }
+        for b in cfg.rpo() {
+            let (slot, uses, defs) = (&self.slot, &mut self.uses, &mut self.defs);
+            let row = b.index() * w;
+            let bit = |rows: &mut Vec<u64>, t: Temp| {
+                let i = slot[t.0 as usize];
+                if i != NO_SLOT {
+                    rows[row + i as usize / 64] |= 1 << (i % 64);
                 }
-            }
+            };
+            let stamp = 1 + n as u32 + b.0;
+            walk_block(f, *b, stamp, &mut self.stamp, |t| bit(uses, t), |t| bit(defs, t));
         }
         // Backward fixpoint, iterating the reverse postorder backward for
-        // fast convergence: out = ∪ in(succ), in = uses ∪ (out − defs).
-        self.row.clear();
-        self.row.resize(w, 0);
+        // fast convergence: out = ∪ in(succ), in = uses ∪ (out − defs),
+        // a word at a time.
         let mut changed = true;
         while changed {
             changed = false;
             for &b in cfg.rpo().iter().rev() {
-                let bi = b.index();
-                self.row.fill(0);
-                for &s in cfg.succs(b) {
-                    for (o, i) in self.row.iter_mut().zip(&self.live_in[s.index() * w..][..w]) {
-                        *o |= i;
-                    }
-                }
-                let out = &mut self.live_out[bi * w..][..w];
-                if *out != *self.row {
-                    out.copy_from_slice(&self.row);
-                    changed = true;
-                }
-                let rows = self.uses[bi * w..][..w].iter().zip(&self.defs[bi * w..][..w]);
-                for ((inp, (u, d)), o) in
-                    self.live_in[bi * w..][..w].iter_mut().zip(rows).zip(&self.row)
-                {
-                    let new = u | (o & !d);
-                    changed |= new != *inp;
-                    *inp = new;
+                for k in b.index() * w..(b.index() + 1) * w {
+                    let word = k % w;
+                    let succs = cfg.succs(b).iter();
+                    let out = succs.fold(0, |acc, s| acc | self.live_in[s.index() * w + word]);
+                    let inp = self.uses[k] | (out & !self.defs[k]);
+                    changed |= out != self.live_out[k] || inp != self.live_in[k];
+                    self.live_out[k] = out;
+                    self.live_in[k] = inp;
                 }
             }
         }
@@ -271,17 +233,39 @@ impl Liveness {
     }
 }
 
-/// Records a use `o` in the block whose definitions carry stamp `defined`:
-/// a temp the block has neither defined nor exposed yet (stamp
-/// `defined + 1`) is upward-exposed.
-fn expose(o: Operand, defined: u32, stamp: &mut [u32], exposed: &mut Vec<Temp>) {
-    if let Some(t) = o.as_temp() {
-        let s = &mut stamp[t.0 as usize];
-        if *s != defined && *s != defined + 1 {
-            *s = defined + 1;
-            exposed.push(t);
+/// Walks block `b` forward, calling `exposed` on each use of a temp the
+/// block has not defined yet (terminator included) and `defined` on each
+/// definition. `stamp` holds, per temp, the `walk` value of the walk that
+/// last defined it; `walk` must differ from every earlier walk's.
+fn walk_block(
+    f: &Function,
+    b: BlockId,
+    walk: u32,
+    stamp: &mut [u32],
+    mut exposed: impl FnMut(Temp),
+    mut defined: impl FnMut(Temp),
+) {
+    let block = f.block(b);
+    for inst in &block.insts {
+        inst.for_each_use(|o| {
+            if let Operand::Temp(t) = o {
+                if stamp[t.0 as usize] != walk {
+                    exposed(t);
+                }
+            }
+        });
+        if let Some(t) = inst.def() {
+            stamp[t.0 as usize] = walk;
+            defined(t);
         }
     }
+    block.term.for_each_use(|o| {
+        if let Operand::Temp(t) = o {
+            if stamp[t.0 as usize] != walk {
+                exposed(t);
+            }
+        }
+    });
 }
 
 /// One block's live-in or live-out set (see [`Liveness`]).

@@ -186,12 +186,15 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
         })
         .collect();
 
+    // One CFG per function serves the loop depths, the alias record and
+    // liveness; both analyses refill the same buffers function to function.
+    let mut cfg = Cfg::default();
+    let mut liveness = Liveness::default();
     let procs = ir
         .functions
         .iter()
         .map(|f| {
-            // One CFG serves the loop depths, the alias record and liveness.
-            let cfg = Cfg::new(f);
+            cfg.recompute(f);
             let idom = dominators(f, &cfg);
             let depths = loop_depths(f, &cfg, &idom);
             // BTreeMaps for deterministic summary files.
@@ -240,7 +243,7 @@ pub fn summarize_module(ir: &IrModule) -> ModuleSummary {
                 e.ptr_ref = bits.ptr_ref;
                 e.escapes = bits.escapes;
             }
-            let liveness = Liveness::compute(f, &cfg);
+            liveness.recompute(f, &cfg);
             let across = live_across_calls(f, &liveness);
             // Ever-live temps that do not cross calls want caller-saves
             // registers.
