@@ -18,7 +18,7 @@
 //! materializes them through the two reserved scratch registers.
 
 use cmin_ir::cfg::{depth_weight, dominators, loop_depths, Cfg};
-use cmin_ir::ir::{Callee, Function, Inst, Temp};
+use cmin_ir::ir::{Callee, Function, Inst, Operand, Temp};
 use cmin_ir::liveness::{Liveness, TempSet};
 use ipra_core::caller_prealloc::claim_pool_set;
 use ipra_core::regsets::RegUsage;
@@ -94,6 +94,109 @@ fn call_crossings(
     crossings
 }
 
+/// Which temps interfere: each temp's neighbours, in one flat list.
+///
+/// Two temps interfere when one is defined while the other is live; the
+/// parameters, all defined at entry, interfere with each other and with
+/// everything live into the entry. A straight-line stretch interferes as
+/// an interval graph, where a value meets only the few values live beside
+/// it, so the lists stay near-linear in the function's size where a
+/// `temp_count`² matrix would not.
+#[derive(Debug, Clone)]
+pub struct Interference {
+    /// `adj[start[t]..start[t + 1]]` are temp `t`'s neighbours.
+    start: Vec<usize>,
+    adj: Vec<u32>,
+}
+
+impl Interference {
+    /// The temps `t` interferes with, each once, in no particular order.
+    pub fn neighbours(&self, t: Temp) -> impl Iterator<Item = Temp> + '_ {
+        let i = t.0 as usize;
+        self.adj[self.start[i]..self.start[i + 1]].iter().map(|&u| Temp(u))
+    }
+}
+
+/// The interference graph of `f` under `liveness`.
+pub fn interference(f: &Function, liveness: &Liveness) -> Interference {
+    let n = f.temp_count as usize;
+    // Every edge twice, once from each end.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut add_edge = |a: Temp, b: Temp| {
+        if a != b {
+            edges.push((a.0, b.0));
+            edges.push((b.0, a.0));
+        }
+    };
+    let mut live = TempSet::new(f.temp_count);
+    for b in f.block_ids() {
+        liveness.live_out_into(b, &mut live);
+        let block = f.block(b);
+        block.term.for_each_use(|o| {
+            if let Some(t) = o.as_temp() {
+                live.insert(t);
+            }
+        });
+        for inst in block.insts.iter().rev() {
+            if let Some(d) = inst.def() {
+                for l in live.iter() {
+                    add_edge(d, l);
+                }
+                live.remove(d);
+            }
+            inst.for_each_use(|o| {
+                if let Some(t) = o.as_temp() {
+                    live.insert(t);
+                }
+            });
+        }
+    }
+    // Parameters are all defined simultaneously at entry.
+    let entry_live = liveness.live_in(f.entry);
+    for (i, &p) in f.params.iter().enumerate() {
+        for l in entry_live.iter() {
+            add_edge(p, l);
+        }
+        for &q in f.params.iter().skip(i + 1) {
+            add_edge(p, q);
+        }
+    }
+    // Bucket the edges by their first temp, filling each bucket from its
+    // end so that `start` ends at the buckets' beginnings, then drop
+    // repeats (a temp redefined while another stays live adds their edge
+    // once per definition).
+    let mut start: Vec<usize> = vec![0; n + 1];
+    for &(a, _) in &edges {
+        start[a as usize] += 1;
+    }
+    for t in 1..=n {
+        start[t] += start[t - 1];
+    }
+    let mut adj: Vec<u32> = vec![0; edges.len()];
+    for &(a, b) in &edges {
+        start[a as usize] -= 1;
+        adj[start[a as usize]] = b;
+    }
+    // `seen[u] == t + 1`: `u` is already in `t`'s compacted bucket.
+    let mut seen: Vec<u32> = vec![0; n];
+    let mut len = 0;
+    for t in 0..n {
+        let bucket = start[t]..start[t + 1];
+        start[t] = len;
+        for i in bucket {
+            let u = adj[i];
+            if seen[u as usize] != t as u32 + 1 {
+                seen[u as usize] = t as u32 + 1;
+                adj[len] = u;
+                len += 1;
+            }
+        }
+    }
+    start[n] = len;
+    adj.truncate(len);
+    Interference { start, adj }
+}
+
 /// Where a temp lives at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loc {
@@ -158,122 +261,57 @@ pub fn allocate_with(
     pins: &HashMap<Temp, Reg>,
     prealloc: &CallerPrealloc<'_>,
 ) -> Allocation {
-    allocate_for(f, &Cfg::new(f), usage, forbidden, pins, prealloc, &vpr::target::VPR)
+    let cfg = Cfg::new(f);
+    let liveness = Liveness::compute(f, &cfg);
+    allocate_for(f, &cfg, &liveness, usage, forbidden, pins, prealloc, &vpr::target::VPR)
 }
 
 /// [`allocate_with`] against an explicit target description: scratch
 /// registers, the argument/return roles and the claim pool all come from
-/// `desc` instead of the VPR convention. `cfg` is `f`'s CFG.
-///
-/// The interference graph is kept as neighbour lists: each temp's sorted,
-/// deduplicated interfering temps. A straight-line stretch interferes as
-/// an interval graph, where a value meets only the few values live beside
-/// it, so the lists stay near-linear in the function's size where a
-/// `temp_count`² matrix would not. The registers a temp may not take are
-/// the union over its list, exactly what the matrix row gave.
+/// `desc` instead of the VPR convention. `cfg` and `liveness` describe `f`
+/// as it is (after any promotion rewrite). The registers a temp may not
+/// take are those of its [`interference`] neighbours.
+#[allow(clippy::too_many_arguments)] // the function's two analyses ride along
 pub fn allocate_for(
     f: &Function,
     cfg: &Cfg,
+    liveness: &Liveness,
     usage: &RegUsage,
     forbidden: RegSet,
     pins: &HashMap<Temp, Reg>,
     prealloc: &CallerPrealloc<'_>,
     desc: &TargetDesc,
 ) -> Allocation {
-    let liveness = Liveness::compute(f, cfg);
     let depths = loop_depths(f, cfg, &dominators(f, cfg));
 
     let n = f.temp_count as usize;
-    // Interference edges (both directions) and use-weight priorities.
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // Use-weight priorities, and which temps are ever live.
     let mut weight: Vec<u64> = vec![0; n];
     let mut ever_live: Vec<bool> = vec![false; n];
-
-    let add_edge = |a: Temp, b: Temp, edges: &mut Vec<(u32, u32)>| {
-        if a != b {
-            edges.push((a.0, b.0));
-            edges.push((b.0, a.0));
-        }
-    };
-
-    let mut live = TempSet::new(f.temp_count);
     for b in f.block_ids() {
         let w = depth_weight(depths.get(b.index()).copied().unwrap_or(0));
-        liveness.live_out_into(b, &mut live);
         for t in liveness.live_out(b).iter() {
             ever_live[t.0 as usize] = true;
         }
-        let block = f.block(b);
-        block.term.for_each_use(|o| {
+        let mut count = |o: Operand| {
             if let Some(t) = o.as_temp() {
-                live.insert(t);
                 weight[t.0 as usize] += w;
                 ever_live[t.0 as usize] = true;
             }
-        });
-        for inst in block.insts.iter().rev() {
+        };
+        let block = f.block(b);
+        block.term.for_each_use(&mut count);
+        for inst in &block.insts {
             if let Some(d) = inst.def() {
-                ever_live[d.0 as usize] = true;
-                weight[d.0 as usize] += w;
-                for l in live.iter() {
-                    add_edge(d, l, &mut edges);
-                }
-                live.remove(d);
+                count(Operand::Temp(d));
             }
-            inst.for_each_use(|o| {
-                if let Some(t) = o.as_temp() {
-                    live.insert(t);
-                    weight[t.0 as usize] += w;
-                    ever_live[t.0 as usize] = true;
-                }
-            });
+            inst.for_each_use(&mut count);
         }
     }
-    // Parameters are all defined simultaneously at entry.
-    let entry_live = liveness.live_in(f.entry);
-    for (i, &p) in f.params.iter().enumerate() {
+    for &p in &f.params {
         ever_live[p.0 as usize] = true;
-        for l in entry_live.iter() {
-            add_edge(p, l, &mut edges);
-        }
-        for &q in f.params.iter().skip(i + 1) {
-            add_edge(p, q, &mut edges);
-        }
     }
-    // Neighbour lists, `adj[start[t]..start[t + 1]]`: the edges bucketed
-    // by their first temp (each bucket filled from its end, leaving
-    // `start` at its beginning), then each bucket cleared of repeats (a
-    // temp redefined while another stays live adds their edge once per
-    // definition).
-    let mut start: Vec<usize> = vec![0; n + 1];
-    for &(a, _) in &edges {
-        start[a as usize] += 1;
-    }
-    for t in 1..=n {
-        start[t] += start[t - 1];
-    }
-    let mut adj: Vec<u32> = vec![0; edges.len()];
-    for &(a, b) in &edges {
-        start[a as usize] -= 1;
-        adj[start[a as usize]] = b;
-    }
-    // `seen[u] == t + 1`: `u` is already in `t`'s compacted bucket.
-    let mut seen: Vec<u32> = vec![0; n];
-    let mut len = 0;
-    for t in 0..n {
-        let bucket = start[t]..start[t + 1];
-        start[t] = len;
-        for i in bucket {
-            let u = adj[i];
-            if seen[u as usize] != t as u32 + 1 {
-                seen[u as usize] = t as u32 + 1;
-                adj[len] = u;
-                len += 1;
-            }
-        }
-    }
-    start[n] = len;
-    let neighbours = |t: Temp| &adj[start[t.0 as usize]..start[t.0 as usize + 1]];
+    let graph = interference(f, liveness);
 
     // Register pools, in allocation preference order.
     let (s1, s2) = scratch_regs_for(desc);
@@ -291,7 +329,7 @@ pub fn allocate_for(
     let caller_pool = (usage.caller | usage.mspill) - reserved - unclaimed;
     let free_pool = usage.free - reserved;
     let callee_pool = usage.callee - reserved;
-    let crossings = call_crossings(f, &liveness, prealloc.safe_lookup, pool);
+    let crossings = call_crossings(f, liveness, prealloc.safe_lookup, pool);
     // Claimed caller registers usable by a crossing temp, per temp.
     let safe_base = (pool & prealloc.claimed & usage.caller) - reserved;
 
@@ -310,9 +348,9 @@ pub fn allocate_for(
     let mut spill_slots: u32 = 0;
 
     for &t in &order {
-        let taken: RegSet = neighbours(t)
-            .iter()
-            .filter_map(|&u| match locs[u as usize] {
+        let taken: RegSet = graph
+            .neighbours(t)
+            .filter_map(|u| match locs[u.0 as usize] {
                 Some(Loc::Reg(r)) => Some(r),
                 _ => None,
             })

@@ -29,6 +29,7 @@ use crate::alloc::{allocate_for, scratch_regs_for, validate_for, Allocation, Cal
 use crate::promote::rewrite_promotions;
 use cmin_ir::cfg::Cfg;
 use cmin_ir::ir::{self, BlockId, Callee, Function, IrModule, Operand, Temp};
+use cmin_ir::liveness::Liveness;
 use ipra_core::{ProcDirectives, ProgramDatabase};
 use std::collections::HashMap;
 use vpr::inst::{AluOp, Cond, Inst, Label, MemClass};
@@ -53,12 +54,14 @@ pub fn compile_module_for(ir: &IrModule, db: &ProgramDatabase, target: TargetId)
     let safe_lookup = |name: &str| -> vpr::regs::RegSet {
         db.get(name).map(|d| d.safe_caller_across).unwrap_or_default()
     };
+    // The functions refill one CFG's and one liveness's buffers.
+    let (mut cfg, mut liveness) = (Cfg::default(), Liveness::default());
     let functions = ir
         .functions
         .iter()
         .map(|f| {
             let directives = db.lookup_for(&f.name, target);
-            compile_function_for(f, &directives, &safe_lookup, desc)
+            compile_function_in(f, &directives, &safe_lookup, desc, &mut cfg, &mut liveness)
         })
         .collect();
     let globals = ir
@@ -92,11 +95,25 @@ pub fn compile_function_for(
     safe_lookup: &dyn Fn(&str) -> vpr::regs::RegSet,
     desc: &TargetDesc,
 ) -> MachineFunction {
+    let (mut cfg, mut liveness) = (Cfg::default(), Liveness::default());
+    compile_function_in(f, directives, safe_lookup, desc, &mut cfg, &mut liveness)
+}
+
+/// [`compile_function_for`], refilling `cfg` and `liveness`, whose
+/// buffers the caller reuses from function to function.
+fn compile_function_in(
+    f: &Function,
+    directives: &ProcDirectives,
+    safe_lookup: &dyn Fn(&str) -> vpr::regs::RegSet,
+    desc: &TargetDesc,
+    cfg: &mut Cfg,
+    liveness: &mut Liveness,
+) -> MachineFunction {
     // Rewrite promoted-global accesses against pinned temps (in a copy of
     // `f`, made only when there are promotions); their registers are off
     // limits to the allocator for anything else. The rewrite keeps the
     // block structure, so one CFG serves both steps.
-    let cfg = Cfg::new(f);
+    cfg.recompute(f);
     let mut rewritten;
     let (f, pins) = if directives.promotions.is_empty() {
         (f, HashMap::new())
@@ -104,7 +121,7 @@ pub fn compile_function_for(
         rewritten = f.clone();
         let promo: Vec<(String, vpr::regs::Reg)> =
             directives.promotions.iter().map(|p| (p.sym.clone(), p.reg)).collect();
-        let pins = rewrite_promotions(&mut rewritten, &cfg, &promo);
+        let pins = rewrite_promotions(&mut rewritten, cfg, &promo);
         (&rewritten, pins)
     };
     let mut forbidden = RegSet::new();
@@ -112,7 +129,9 @@ pub fn compile_function_for(
         forbidden.insert(p.reg);
     }
     let prealloc = CallerPrealloc { claimed: directives.claimed_caller, safe_lookup };
-    let alloc = allocate_for(f, &cfg, &directives.usage, forbidden, &pins, &prealloc, desc);
+    liveness.recompute(f, cfg);
+    let alloc =
+        allocate_for(f, cfg, liveness, &directives.usage, forbidden, &pins, &prealloc, desc);
     debug_assert!(
         validate_for(f, &directives.usage, forbidden, &pins, &alloc, &prealloc, desc).is_ok(),
         "allocator produced an invalid assignment for {}",

@@ -311,6 +311,67 @@ mod tests {
         assert_eq!(d[5], 0);
     }
 
+    /// The natural-loop count as first written: one scan of every block
+    /// per back edge.
+    fn depths_by_scan(f: &Function, cfg: &Cfg, idom: &[Option<BlockId>]) -> Vec<u32> {
+        let n = f.blocks.len();
+        let mut depth = vec![0u32; n];
+        for u in f.block_ids().filter(|&u| cfg.is_reachable(u)) {
+            for &v in cfg.succs(u).iter().filter(|&&v| dominates(idom, v, u)) {
+                let mut in_loop = vec![false; n];
+                in_loop[v.index()] = true;
+                let mut work = Vec::new();
+                if !in_loop[u.index()] {
+                    in_loop[u.index()] = true;
+                    work.push(u);
+                }
+                while let Some(b) = work.pop() {
+                    for &p in cfg.preds(b) {
+                        if !in_loop[p.index()] {
+                            in_loop[p.index()] = true;
+                            work.push(p);
+                        }
+                    }
+                }
+                for (d, inside) in depth.iter_mut().zip(in_loop) {
+                    *d += u32::from(inside);
+                }
+            }
+        }
+        depth
+    }
+
+    fn depths(f: &Function) -> Vec<u32> {
+        let cfg = Cfg::new(f);
+        let idom = dominators(f, &cfg);
+        let d = loop_depths(f, &cfg, &idom);
+        assert_eq!(d, depths_by_scan(f, &cfg, &idom), "walk and scan disagree");
+        d
+    }
+
+    #[test]
+    fn triply_nested_loops_count_each_level() {
+        // 0 -> 1 (outer header) -> 2 (middle) -> 3 (inner) -> 3 | 4;
+        // 4 -> 2 | 5; 5 -> 1 | 6; 6 exits. The unreachable block 7 jumps
+        // into the inner loop, so it reaches the middle and outer back
+        // edges' sources without passing their headers and counts in both
+        // loops, but not in the inner self loop.
+        let f = graph(
+            8,
+            &[(0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 2), (4, 5), (5, 1), (5, 6), (7, 3)],
+        );
+        assert_eq!(depths(&f), vec![0, 1, 2, 3, 2, 1, 0, 2]);
+    }
+
+    #[test]
+    fn a_header_with_two_back_edges_counts_both() {
+        // 1 branches to 2 and the exit 5; 2 branches to 3 and 4, and each
+        // jumps back to 1: two back edges to one header. 1 and 2 lie in
+        // both loops, 3 and 4 in one each.
+        let f = graph(6, &[(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 1), (4, 1)]);
+        assert_eq!(depths(&f), vec![0, 2, 2, 1, 1, 0]);
+    }
+
     #[test]
     fn self_loop() {
         let f = graph(3, &[(0, 1), (1, 1), (1, 2)]);

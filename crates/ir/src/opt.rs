@@ -816,6 +816,160 @@ mod tests {
         assert!(f.blocks.len() <= 4, "{f}");
     }
 
+    /// A block that prints `tag` (so merged contents stay traceable) and
+    /// ends in `term`.
+    fn tagged(tag: i64, term: Term) -> Block {
+        Block { insts: vec![Inst::Out { src: Operand::Const(tag) }], term }
+    }
+
+    fn function(blocks: Vec<Block>) -> Function {
+        Function { name: "f".into(), params: vec![], blocks, entry: BlockId(0), temp_count: 0 }
+    }
+
+    fn branch(then_b: u32, else_b: u32) -> Term {
+        let (lhs, rhs) = (Operand::Const(0), Operand::Const(1));
+        Term::Branch { cond: BinOp::Lt, lhs, rhs, then_b: BlockId(then_b), else_b: BlockId(else_b) }
+    }
+
+    /// Block merging as first written: merge the lowest-numbered mergeable
+    /// pair, renumber, repeat.
+    fn merge_one_at_a_time(f: &mut Function) -> bool {
+        let mut changed = false;
+        loop {
+            let cfg = Cfg::new(f);
+            let pair = f.block_ids().find_map(|a| match f.block(a).term {
+                Term::Jump(b) if b != a && b != f.entry && cfg.preds(b).len() == 1 => Some((a, b)),
+                _ => None,
+            });
+            let Some((a, b)) = pair else { return changed };
+            let donor =
+                std::mem::replace(f.block_mut(b), Block { insts: vec![], term: Term::Ret(None) });
+            f.block_mut(a).insts.extend(donor.insts);
+            f.block_mut(a).term = donor.term;
+            let mut cfg = Cfg::new(f);
+            remove_unreachable(f, &mut cfg);
+            changed = true;
+        }
+    }
+
+    /// Merges `blocks` both ways, checks they agree and that the walk
+    /// leaves its CFG current, and returns the result.
+    fn merged(blocks: Vec<Block>) -> Function {
+        let mut walk = function(blocks);
+        let mut one_by_one = walk.clone();
+        let mut cfg = Cfg::new(&walk);
+        let changed = merge_blocks(&mut walk, &mut cfg);
+        assert_eq!(changed, merge_one_at_a_time(&mut one_by_one));
+        assert_eq!(walk, one_by_one);
+        assert_eq!(cfg.rpo().len(), walk.blocks.len(), "the CFG describes the result");
+        walk
+    }
+
+    fn tags(b: &Block) -> Vec<i64> {
+        b.insts
+            .iter()
+            .filter_map(|i| if let Inst::Out { src } = i { src.as_const() } else { None })
+            .collect()
+    }
+
+    #[test]
+    fn merging_contracts_a_chain_listed_out_of_order() {
+        // 0 -> 3 -> 1 -> 2 -> ret.
+        let f = merged(vec![
+            tagged(0, Term::Jump(BlockId(3))),
+            tagged(1, Term::Jump(BlockId(2))),
+            tagged(2, Term::Ret(None)),
+            tagged(3, Term::Jump(BlockId(1))),
+        ]);
+        assert_eq!(f.blocks.len(), 1);
+        assert_eq!(tags(&f.blocks[0]), vec![0, 3, 1, 2]);
+    }
+
+    #[test]
+    fn merging_a_diamond_keeps_the_join() {
+        // 0 branches to 1 and 2; 1 -> 3; 2 -> 4 -> 3; the join 3 has two
+        // predecessors and absorbs only its tail 5.
+        let f = merged(vec![
+            tagged(0, branch(1, 2)),
+            tagged(1, Term::Jump(BlockId(3))),
+            tagged(2, Term::Jump(BlockId(4))),
+            tagged(3, Term::Jump(BlockId(5))),
+            tagged(4, Term::Jump(BlockId(3))),
+            tagged(5, Term::Ret(None)),
+        ]);
+        // Renumbered in reverse postorder: the else arm's finish comes first.
+        let contents: Vec<Vec<i64>> = f.blocks.iter().map(tags).collect();
+        assert_eq!(contents, vec![vec![0], vec![2, 4], vec![1], vec![3, 5]]);
+    }
+
+    #[test]
+    fn merging_stops_at_a_jump_back_to_the_entry() {
+        // 0 -> 1 -> 2, and 2 loops back to the entry or leaves for 3: the
+        // entry absorbs 1 and 2, never the other way round.
+        let f = merged(vec![
+            tagged(0, Term::Jump(BlockId(1))),
+            tagged(1, Term::Jump(BlockId(2))),
+            tagged(2, branch(0, 3)),
+            tagged(3, Term::Ret(None)),
+        ]);
+        assert_eq!(f.blocks.iter().map(tags).collect::<Vec<_>>(), vec![vec![0, 1, 2], vec![3]]);
+        // A two-block cycle through the entry collapses into a self loop.
+        let f = merged(vec![tagged(0, Term::Jump(BlockId(1))), tagged(1, Term::Jump(BlockId(0)))]);
+        assert_eq!(f.blocks.len(), 1);
+        assert_eq!(f.blocks[0].term, Term::Jump(BlockId(0)));
+    }
+
+    /// The kill as first written: scan every entry of both maps.
+    fn kill_by_scan(env: &mut HashMap<Temp, Operand>, exprs: &mut HashMap<Key, Temp>, t: Temp) {
+        env.remove(&t);
+        env.retain(|_, v| *v != Operand::Temp(t));
+        exprs.retain(|k, v| *v != t && !k.operands().contains(&Some(t)));
+    }
+
+    #[test]
+    fn a_redefinition_drops_exactly_the_entries_that_name_the_temp() {
+        // A long single block over 24 temps: each step redefines one temp
+        // as a copy, a sum or a global load, so most steps kill entries
+        // that earlier steps made, including ones made stale since.
+        let mut st = VnState::default();
+        let (mut env, mut exprs) = (HashMap::new(), HashMap::new());
+        let mut seed: u64 = 7;
+        let mut next = |m: u64| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for step in 0..4000u64 {
+            let t = Temp(next(24) as u32);
+            let (u, v) =
+                (Operand::Temp(Temp(next(24) as u32)), Operand::Temp(Temp(next(24) as u32)));
+            st.kill(t);
+            kill_by_scan(&mut env, &mut exprs, t);
+            match next(3) {
+                0 => {
+                    let src = if next(4) == 0 { Operand::Const(step as i64) } else { u };
+                    st.bind(t, src);
+                    env.insert(t, src);
+                }
+                1 => {
+                    let k = Key::Bin(BinOp::Add, u.min(v), u.max(v));
+                    if !st.exprs.contains_key(&k) {
+                        st.remember(k, t);
+                        exprs.insert(k, t);
+                    }
+                }
+                _ => {
+                    let k = Key::LoadGlobal(next(3) as u32, next(2));
+                    st.remember(k, t);
+                    exprs.insert(k, t);
+                }
+            }
+            assert_eq!(st.env.len(), env.len(), "step {step}");
+            assert!(env.iter().all(|(t, o)| st.env.get(t) == Some(o)), "step {step}");
+            assert_eq!(st.exprs.len(), exprs.len(), "step {step}");
+            assert!(exprs.iter().all(|(k, t)| st.exprs.get(k) == Some(t)), "step {step}");
+        }
+    }
+
     #[test]
     fn out_is_never_removed() {
         let f = optimized("int f() { out(42); return 0; }", "f");

@@ -138,6 +138,41 @@ pub fn random_program(seed: u64) -> Vec<SourceFile> {
     random_program_with(seed, &GenConfig::default())
 }
 
+impl GenConfig {
+    /// The shape of the `i`-th program of a rotating suite (the analysis
+    /// and IR goldens, and the interference check): each rotation slot
+    /// turns on one of the shape knobs, and the last turns on all of them
+    /// at once. Returns the slot's name with the shape.
+    pub fn rotating(i: u64) -> (&'static str, GenConfig) {
+        let g = GenConfig::default;
+        match i % 5 {
+            0 => {
+                ("recursion", GenConfig { modules: 3, funcs_per_module: 6, recursion: true, ..g() })
+            }
+            1 => (
+                "alias_mix",
+                GenConfig { globals_per_module: 8, funcs_per_module: 5, alias_mix: true, ..g() },
+            ),
+            2 => ("global_fn_ptrs", GenConfig { global_fn_ptrs: true, ..g() }),
+            3 => (
+                "ptr_shapes",
+                GenConfig { globals_per_module: 6, alias_mix: true, ptr_shapes: true, ..g() },
+            ),
+            _ => (
+                "all",
+                GenConfig {
+                    modules: 3,
+                    recursion: true,
+                    alias_mix: true,
+                    global_fn_ptrs: true,
+                    ptr_shapes: true,
+                    ..g()
+                },
+            ),
+        }
+    }
+}
+
 /// Generates a random program with explicit shape limits.
 ///
 /// # Panics

@@ -10,33 +10,9 @@ use std::path::Path;
 /// Generated programs in each golden.
 pub const SEEDS: u64 = 200;
 
-/// The generator shape of seed `i`: each rotation slot turns on one of the
-/// fuzzer's shape knobs, and the last turns on all of them at once.
+/// The generator shape of seed `i` ([`GenConfig::rotating`]).
 pub fn shape(i: u64) -> (&'static str, GenConfig) {
-    let g = GenConfig::default;
-    match i % 5 {
-        0 => ("recursion", GenConfig { modules: 3, funcs_per_module: 6, recursion: true, ..g() }),
-        1 => (
-            "alias_mix",
-            GenConfig { globals_per_module: 8, funcs_per_module: 5, alias_mix: true, ..g() },
-        ),
-        2 => ("global_fn_ptrs", GenConfig { global_fn_ptrs: true, ..g() }),
-        3 => (
-            "ptr_shapes",
-            GenConfig { globals_per_module: 6, alias_mix: true, ptr_shapes: true, ..g() },
-        ),
-        _ => (
-            "all",
-            GenConfig {
-                modules: 3,
-                recursion: true,
-                alias_mix: true,
-                global_fn_ptrs: true,
-                ptr_shapes: true,
-                ..g()
-            },
-        ),
-    }
+    GenConfig::rotating(i)
 }
 
 /// Compiler phase 1 up to the optimized IR, for every module.

@@ -55,7 +55,7 @@ echo "==> simulator benchmark (both engines; parity, counter identity and the 1.
 cargo run --release -q -p ipra-bench --bin sim_bench -- --check --out "$bench_out/BENCH_sim.json"
 test -s "$bench_out/BENCH_sim.json"
 
-echo "==> compile-time benchmark (8/64/256 modules, cache checks on, cold scaling 512-4096 gated at 2.5x per doubling)"
+echo "==> compile-time benchmark (8/64/256 modules, cache checks on, cold scaling 512-4096 and phases 1 and 2 over 1k-8k-statement procedures gated at 2.5x per doubling)"
 cargo run --release -q -p ipra-bench --bin compile_bench -- --check --out "$bench_out/BENCH_compile.json"
 test -s "$bench_out/BENCH_compile.json"
 
