@@ -142,7 +142,7 @@ impl ProgramDatabase {
 
     /// Stable fingerprint of the *module-relevant slice* of the database:
     /// everything the compiler second phase consults while compiling one
-    /// module. That is, per [`cmin_codegen`]'s query pattern:
+    /// module. That is, per `cmin_codegen`'s query pattern:
     ///
     /// * the **full directives** of every procedure the module defines
     ///   (`defined`), and

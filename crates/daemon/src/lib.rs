@@ -7,7 +7,7 @@
 //!
 //! * [`protocol`] — the wire format: length-prefixed, checksummed binary
 //!   frames (the PR-7 positional codec) over a Unix-domain socket, with a
-//!   typed [`ProtocolError`](protocol::ProtocolError) for every way a
+//!   typed [`ProtocolError`] for every way a
 //!   frame can be rejected;
 //! * [`server`] — the daemon: a content-keyed
 //!   [`CompilationCache`](ipra_driver::CompilationCache) shared by every

@@ -149,8 +149,8 @@ impl Liveness {
         let n = f.blocks.len();
         let cap = f.temp_count as usize;
         // Walk 1 marks the boundary temps; walk 2, once they are numbered,
-        // fills the rows. Each walk stamps a block's definitions with its
-        // own value, so the stamps never need clearing.
+        // fills the rows. Each walk of a block stamps its definitions with
+        // a value of its own, so one clearing serves all of them.
         self.stamp.clear();
         self.stamp.resize(cap, 0);
         self.slot.clear();
@@ -194,8 +194,8 @@ impl Liveness {
         while changed {
             changed = false;
             for &b in cfg.rpo().iter().rev() {
-                for k in b.index() * w..(b.index() + 1) * w {
-                    let word = k % w;
+                for word in 0..w {
+                    let k = b.index() * w + word;
                     let succs = cfg.succs(b).iter();
                     let out = succs.fold(0, |acc, s| acc | self.live_in[s.index() * w + word]);
                     let inp = self.uses[k] | (out & !self.defs[k]);
@@ -298,16 +298,6 @@ impl<'a> LiveSet<'a> {
                 })
             })
         })
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.row.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.row.iter().all(|&w| w == 0)
     }
 }
 

@@ -80,7 +80,7 @@ impl Scratch {
             }
             changed |= remove_unreachable(f, &mut self.cfg);
             changed |= merge_blocks(f, &mut self.cfg);
-            changed |= dce(f, &self.cfg, &mut self.liveness, &mut self.live, &mut self.dead);
+            changed |= self.dce(f);
             if !changed {
                 break;
             }
@@ -90,7 +90,10 @@ impl Scratch {
 
 /// A multiplicative word hasher (the rustc "Fx" scheme) for the optimizer's
 /// maps, whose keys are temps, interned symbol ids and value-numbering keys
-/// built from them.
+/// built from them. It is several times faster than the default hasher on
+/// such keys, but not collision resistant: a program whose constants or
+/// names are crafted to collide can slow its own compilation, never change
+/// its result.
 #[derive(Default, Clone, Copy)]
 struct WordHasher(u64);
 
@@ -121,10 +124,6 @@ impl Hasher for WordHasher {
 
     fn write_u64(&mut self, i: u64) {
         self.add(i);
-    }
-
-    fn write_i64(&mut self, i: i64) {
-        self.add(i as u64);
     }
 
     fn write_usize(&mut self, i: usize) {
@@ -627,60 +626,57 @@ fn merge_blocks(f: &mut Function, cfg: &mut Cfg) -> bool {
     merged
 }
 
-/// Liveness-based dead code elimination. Also drops unused call results.
-/// `lv`, `live` and `dead` are scratch buffers.
-fn dce(
-    f: &mut Function,
-    cfg: &Cfg,
-    lv: &mut Liveness,
-    live: &mut TempSet,
-    dead: &mut Vec<bool>,
-) -> bool {
-    lv.recompute(f, cfg);
-    live.reset(f.temp_count);
-    let mut changed = false;
-    for b in f.block_ids() {
-        lv.live_out_into(b, live);
-        let block = &mut f.blocks[b.index()];
-        block.term.for_each_use(|o| {
-            if let Some(t) = o.as_temp() {
-                live.insert(t);
-            }
-        });
-        // `dead` lists the verdicts last instruction first.
-        dead.clear();
-        for inst in block.insts.iter_mut().rev() {
-            let dead_def = inst.def().map(|d| !live.contains(d)).unwrap_or(false);
-            if dead_def {
-                if let Inst::Call { dst, .. } = inst {
-                    // Keep the call, discard the unused result.
-                    *dst = None;
-                    changed = true;
-                } else if !inst.has_side_effects() {
-                    changed = true;
-                    dead.push(true);
-                    continue;
-                }
-            }
-            dead.push(false);
-            if let Some(d) = inst.def() {
-                live.remove(d);
-            }
-            inst.for_each_use(|o| {
+impl Scratch {
+    /// Liveness-based dead code elimination. Also drops unused call
+    /// results.
+    fn dce(&mut self, f: &mut Function) -> bool {
+        let Scratch { cfg, liveness, live, dead, .. } = self;
+        liveness.recompute(f, cfg);
+        live.reset(f.temp_count);
+        let mut changed = false;
+        for b in f.block_ids() {
+            liveness.live_out_into(b, live);
+            let block = &mut f.blocks[b.index()];
+            block.term.for_each_use(|o| {
                 if let Some(t) = o.as_temp() {
                     live.insert(t);
                 }
             });
+            // `dead` lists the verdicts last instruction first.
+            dead.clear();
+            for inst in block.insts.iter_mut().rev() {
+                let dead_def = inst.def().map(|d| !live.contains(d)).unwrap_or(false);
+                if dead_def {
+                    if let Inst::Call { dst, .. } = inst {
+                        // Keep the call, discard the unused result.
+                        *dst = None;
+                        changed = true;
+                    } else if !inst.has_side_effects() {
+                        changed = true;
+                        dead.push(true);
+                        continue;
+                    }
+                }
+                dead.push(false);
+                if let Some(d) = inst.def() {
+                    live.remove(d);
+                }
+                inst.for_each_use(|o| {
+                    if let Some(t) = o.as_temp() {
+                        live.insert(t);
+                    }
+                });
+            }
+            if dead.contains(&true) {
+                let mut i = dead.len();
+                block.insts.retain(|_| {
+                    i -= 1;
+                    !dead[i]
+                });
+            }
         }
-        if dead.contains(&true) {
-            let mut i = dead.len();
-            block.insts.retain(|_| {
-                i -= 1;
-                !dead[i]
-            });
-        }
+        changed
     }
-    changed
 }
 
 #[cfg(test)]

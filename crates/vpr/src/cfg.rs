@@ -1,4 +1,4 @@
-//! Control-flow graphs over [`MachineFunction`](crate::program::MachineFunction)s.
+//! Control-flow graphs over [`MachineFunction`]s.
 //!
 //! The graph is built at single-instruction granularity: node *i* is
 //! instruction *i*, and edges follow the architectural successor relation.

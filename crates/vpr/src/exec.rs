@@ -1,7 +1,7 @@
 //! The fast VPR execution engine: pre-decoded direct-threaded dispatch.
 //!
 //! [`decode`] lowers a linked [`Executable`] once into a [`DecodedProgram`]:
-//! a flat, dense array of fixed-size [`Op`]s with every source of per-step
+//! a flat, dense array of fixed-size `Op`s with every source of per-step
 //! overhead resolved away —
 //!
 //! * pseudo-instruction variants and their `String` symbols are gone (an
@@ -16,7 +16,7 @@
 //! loop tight while staying *bit-identical* to the reference interpreter
 //! ([`crate::sim`]) in every observable:
 //!
-//! * call/edge counters are dense `Vec`s ([`CallCounters`], shared with the
+//! * call/edge counters are dense `Vec`s (`CallCounters`, shared with the
 //!   reference engine) folded into the `BTreeMap`-shaped [`RunStats`] only
 //!   at `HALT`;
 //! * the loop is monomorphized on one flag: the plain instantiation does

@@ -12,7 +12,7 @@
 //!   analyzer,
 //! * [`inst`] — the instruction set, including relocatable pseudo
 //!   instructions for global and procedure references,
-//! * [`cfg`] — per-instruction control-flow graphs over machine functions,
+//! * [`cfg`](mod@cfg) — per-instruction control-flow graphs over machine functions,
 //!   the substrate for machine-level dataflow (the `ipra-verify` checker),
 //! * [`object`] — symbolic relocation and symbol-table views of object
 //!   modules (what the linker resolves and `objdump` renders),

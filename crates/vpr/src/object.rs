@@ -1,6 +1,6 @@
 //! Symbolic views of object modules: relocations and symbol tables.
 //!
-//! An [`ObjectModule`](crate::program::ObjectModule) carries its external
+//! An [`ObjectModule`] carries its external
 //! references as relocatable *pseudo* instructions (`LDG`/`STG`/`LGA`/
 //! `LDFA`/`CALL`). This module exposes that implicit structure explicitly:
 //! [`ObjectModule::relocations`] lists every symbolic reference with its

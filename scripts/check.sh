@@ -32,6 +32,9 @@ EOF
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "==> cargo doc --workspace (deny rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "==> tier-1: cargo build --release"
 cargo build --release -q
 # The root build only compiles dependency *libraries*; the cminc binary
