@@ -69,8 +69,8 @@ use ipra_bench::harness::{
 use ipra_core::PaperConfig;
 use ipra_driver::args::Args;
 use ipra_driver::{
-    compile_incremental, run_program, CompilationCache, CompileOptions, CompiledProgram,
-    PhaseStats, SourceFile,
+    compile_incremental, run_program, BuildReport, CompilationCache, CompileOptions,
+    CompiledProgram, PhaseStats, SourceFile,
 };
 use ipra_telemetry::Telemetry;
 use ipra_workloads::generator::{random_program_with, GenConfig};
@@ -261,21 +261,32 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     }
 }
 
-/// The scaling series: serial cold builds of each size, and the growth of
-/// each size over the previous one.
+/// A time of one build, from its wall clock and its report.
+type TimeOf = fn(f64, &BuildReport) -> f64;
+
+/// A doubling series: serial cold builds of each of `programs`, whose
+/// sizes (modules or statements) are `sizes`, and the growth of each over
+/// the previous one.
 ///
 /// A shared host's speed drifts by a third within seconds, more than the
 /// gap between linear and quadratic growth over one doubling. So each
-/// round builds every size in turn, and a doubling's ratio is the median,
-/// over the rounds, of one size's time over the previous size's in the
-/// same round: the two builds ran back to back, on about the same host. An
-/// untimed build of the largest size first grows the heap to the series'
-/// need, so no size pays for page faults that a larger size, run just
-/// before, spared another.
-fn measure_scaling(report: &mut Report, config: PaperConfig) {
-    const N: usize = SCALING_SIZES.len();
+/// round builds every size in turn (rows `{series}/{size}/round{k}`), and
+/// a doubling's ratio is the median, over the rounds, of one size's time
+/// over the previous size's in the same round: the two builds ran back to
+/// back, on about the same host. An untimed build of the largest size
+/// first grows the heap to the series' need, so no size pays for page
+/// faults that a larger size, run just before, spared another. Each of
+/// `gates` names a time of a build (its seconds and report) and gates its
+/// ratios as `{series}/{size}.{name}`.
+fn measure_doubling<const N: usize>(
+    report: &mut Report,
+    series: &str,
+    sizes: [usize; N],
+    programs: [Vec<SourceFile>; N],
+    config: PaperConfig,
+    gates: &[(&str, TimeOf)],
+) {
     let opts = CompileOptions::paper(config);
-    let programs = SCALING_SIZES.map(scaled_program);
     let cold = |sources: &[SourceFile]| {
         let cache = CompilationCache::new();
         let ((_, p), seconds) = time(|| build(sources, &opts, cache));
@@ -284,69 +295,24 @@ fn measure_scaling(report: &mut Report, config: PaperConfig) {
     if let Some(largest) = programs.last() {
         cold(largest);
     }
-    let mut rounds: Vec<[f64; N]> = Vec::new();
+    let mut rounds: Vec<[(f64, BuildReport); N]> = Vec::new();
     for round in 1..=TRIALS {
-        let mut seconds = [0.0; N];
-        for (i, sources) in programs.iter().enumerate() {
-            let (p, s) = cold(sources);
-            let name = format!("scaling/{}/round{round}", SCALING_SIZES[i]);
+        let builds = std::array::from_fn(|i| {
+            let (p, s) = cold(&programs[i]);
+            let name = format!("{series}/{}/round{round}", sizes[i]);
             build_rows(report, &name, s, &p, Counters::new());
-            seconds[i] = s;
-        }
-        rounds.push(seconds);
+            (s, p.build)
+        });
+        rounds.push(builds);
     }
-    for (i, modules) in SCALING_SIZES.iter().enumerate().skip(1) {
-        let ratios = rounds.iter().map(|r| r[i] / r[i - 1]).collect();
-        report.gate(
-            format!("scaling/{modules}.doubling_ratio"),
-            median(ratios),
-            Cmp::AtMost,
-            MAX_DOUBLING_RATIO,
-        );
-    }
-}
-
-/// The long series: serial cold builds of each [`LONG_SIZES`] procedure,
-/// round-robin over [`TRIALS`] rounds like [`measure_scaling`], and the
-/// median growth of phase 1 and of phase 2 over each doubling.
-fn measure_long(report: &mut Report, config: PaperConfig) {
-    const N: usize = LONG_SIZES.len();
-    let opts = CompileOptions::paper(config);
-    let programs = LONG_SIZES.map(long_program);
-    let cold = |sources: &[SourceFile]| {
-        let cache = CompilationCache::new();
-        let ((_, p), seconds) = time(|| build(sources, &opts, cache));
-        (p, seconds)
-    };
-    if let Some(largest) = programs.last() {
-        cold(largest);
-    }
-    let mut rounds: Vec<[(f64, f64); N]> = Vec::new();
-    for round in 1..=TRIALS {
-        let mut phases = [(0.0, 0.0); N];
-        for (i, sources) in programs.iter().enumerate() {
-            let (p, s) = cold(sources);
-            build_rows(
-                report,
-                &format!("long/{}/round{round}", LONG_SIZES[i]),
-                s,
-                &p,
-                Counters::new(),
-            );
-            phases[i] = (p.build.phase1.seconds, p.build.phase2.seconds);
-        }
-        rounds.push(phases);
-    }
-    for (i, statements) in LONG_SIZES.iter().enumerate().skip(1) {
-        let phase1 = rounds.iter().map(|r| r[i].0 / r[i - 1].0).collect();
-        let phase2 = rounds.iter().map(|r| r[i].1 / r[i - 1].1).collect();
-        for (phase, ratios) in [("phase1", phase1), ("phase2", phase2)] {
-            report.gate(
-                format!("long/{statements}.{phase}_doubling_ratio"),
-                median(ratios),
-                Cmp::AtMost,
-                MAX_DOUBLING_RATIO,
-            );
+    for (i, size) in sizes.iter().enumerate().skip(1) {
+        for (name, time_of) in gates {
+            let ratios = rounds
+                .iter()
+                .map(|r| time_of(r[i].0, &r[i].1) / time_of(r[i - 1].0, &r[i - 1].1))
+                .collect();
+            let gate = format!("{series}/{size}.{name}");
+            report.gate(gate, median(ratios), Cmp::AtMost, MAX_DOUBLING_RATIO);
         }
     }
 }
@@ -440,7 +406,14 @@ fn main() -> ExitCode {
     for &n in &sizes {
         measure_size(&mut report, n, jobs, config);
     }
-    measure_scaling(&mut report, config);
-    measure_long(&mut report, config);
+    let scaling = SCALING_SIZES.map(scaled_program);
+    let gates: [(&str, TimeOf); 1] = [("doubling_ratio", |seconds, _| seconds)];
+    measure_doubling(&mut report, "scaling", SCALING_SIZES, scaling, config, &gates);
+    let long = LONG_SIZES.map(long_program);
+    let gates: [(&str, TimeOf); 2] = [
+        ("phase1_doubling_ratio", |_, b| b.phase1.seconds),
+        ("phase2_doubling_ratio", |_, b| b.phase2.seconds),
+    ];
+    measure_doubling(&mut report, "long", LONG_SIZES, long, config, &gates);
     report.finish(&bench)
 }

@@ -913,6 +913,14 @@ mod tests {
         let f = merged(vec![tagged(0, Term::Jump(BlockId(1))), tagged(1, Term::Jump(BlockId(0)))]);
         assert_eq!(f.blocks.len(), 1);
         assert_eq!(f.blocks[0].term, Term::Jump(BlockId(0)));
+        // The entry's only predecessor jumps to it, but the entry is never
+        // absorbed.
+        let blocks = vec![
+            tagged(0, branch(1, 2)),
+            tagged(1, Term::Jump(BlockId(0))),
+            tagged(2, Term::Ret(None)),
+        ];
+        assert_eq!(merged(blocks.clone()), function(blocks));
     }
 
     /// The kill as first written: scan every entry of both maps.
