@@ -9,7 +9,8 @@
 //!
 //! [`generator`] additionally provides a seeded random-program generator
 //! used by the differential test suite, and [`scaled`] builds deterministic
-//! N-module programs for the compile-time benchmark.
+//! N-module programs and N-statement procedures for the compile-time
+//! benchmark.
 
 #![warn(missing_docs)]
 

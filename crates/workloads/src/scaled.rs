@@ -13,6 +13,9 @@
 //! does not, so the program database is unchanged and an incremental driver
 //! should re-run codegen for that module alone. This is the workload behind
 //! `BENCH_compile.json` and the cache-correctness test suite.
+//!
+//! [`long_program`] scales the other axis: one procedure of any length,
+//! the input on which the compiler phases' cost per procedure shows.
 
 use crate::SourceFile;
 use std::fmt::Write;
