@@ -197,10 +197,6 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-fn fp_hex(body: &str) -> String {
-    format!("{:016x}", fingerprint_str(body))
-}
-
 /// Encodes a payload into artifact text (header line + canonical JSON).
 /// Deterministic: equal payloads encode to identical bytes.
 pub fn encode<T: Serialize>(kind: ArtifactKind, payload: &T) -> String {
@@ -212,12 +208,24 @@ pub fn encode<T: Serialize>(kind: ArtifactKind, payload: &T) -> String {
 /// convention without decoding the body. VPR emits no token — every
 /// pre-machine-description artifact byte stays exactly as it was.
 pub fn encode_for<T: Serialize>(kind: ArtifactKind, payload: &T, target: TargetId) -> String {
+    encode_fingerprinted(kind, payload, target).0
+}
+
+/// [`encode_for`], returning as well the body fingerprint the header
+/// carries (what [`verify`] returns for the text), so a caller that needs
+/// both hashes the body once.
+pub fn encode_fingerprinted<T: Serialize>(
+    kind: ArtifactKind,
+    payload: &T,
+    target: TargetId,
+) -> (String, u64) {
     let body = serde_json::to_string(payload).expect("artifact payloads always serialize");
+    let fp = fingerprint_str(&body);
     let stamp = match target {
         TargetId::Vpr => String::new(),
         t => format!(" target:{}", t.name()),
     };
-    format!("{MAGIC} {} v{FORMAT_VERSION} fnv64:{}{stamp}\n{body}\n", kind.tag(), fp_hex(&body))
+    (format!("{MAGIC} {} v{FORMAT_VERSION} fnv64:{fp:016x}{stamp}\n{body}\n", kind.tag()), fp)
 }
 
 /// Header fields plus the body slice.
@@ -269,9 +277,20 @@ pub fn sniff(text: &str) -> Result<(ArtifactKind, u32, TargetId), ArtifactError>
     Ok((p.kind, p.version, p.target))
 }
 
-/// Decodes artifact text as `kind`, checking magic, kind, version, and
-/// body fingerprint before parsing the payload.
-pub fn decode<T: Deserialize>(kind: ArtifactKind, text: &str) -> Result<T, ArtifactError> {
+/// Checks that `text` is a whole artifact of `kind` (magic, kind, version,
+/// and a body that hashes to the header's fingerprint) and returns that
+/// fingerprint. One FNV-64 pass over the body, which is not parsed:
+/// [`decode`] runs this check before it parses.
+///
+/// # Errors
+///
+/// A header problem, or [`ArtifactError::Corrupt`] when the body does not
+/// hash to the header's fingerprint.
+pub fn verify(kind: ArtifactKind, text: &str) -> Result<u64, ArtifactError> {
+    verified_body(kind, text).map(|(fp, _)| fp)
+}
+
+fn verified_body(kind: ArtifactKind, text: &str) -> Result<(u64, &str), ArtifactError> {
     let p = parse(text)?;
     if p.kind != kind {
         return Err(ArtifactError::WrongKind { expected: kind, found: p.kind });
@@ -282,11 +301,19 @@ pub fn decode<T: Deserialize>(kind: ArtifactKind, text: &str) -> Result<T, Artif
             supported: FORMAT_VERSION,
         });
     }
-    let found = fp_hex(p.body);
+    let fp = fingerprint_str(p.body);
+    let found = format!("{fp:016x}");
     if found != p.fp {
         return Err(ArtifactError::Corrupt { expected: p.fp.to_string(), found });
     }
-    serde_json::from_str(p.body).map_err(|e| ArtifactError::Json { detail: e.to_string() })
+    Ok((fp, p.body))
+}
+
+/// Decodes artifact text as `kind`, checking magic, kind, version, and
+/// body fingerprint ([`verify`]) before parsing the payload.
+pub fn decode<T: Deserialize>(kind: ArtifactKind, text: &str) -> Result<T, ArtifactError> {
+    let (_, body) = verified_body(kind, text)?;
+    serde_json::from_str(body).map_err(|e| ArtifactError::Json { detail: e.to_string() })
 }
 
 /// [`encode`] + write to `path`.
@@ -520,6 +547,20 @@ mod tests {
         );
         let back: ExecutableArtifact = decode(ArtifactKind::Executable, &text).unwrap();
         assert_eq!(back.exe, exe);
+    }
+
+    #[test]
+    fn verify_returns_the_fingerprint_the_encoder_wrote() {
+        let (text, fp) =
+            encode_fingerprinted(ArtifactKind::Summary, &sample_summary(), TargetId::Vpr);
+        assert_eq!(text, encode(ArtifactKind::Summary, &sample_summary()));
+        assert!(text.lines().next().unwrap().ends_with(&format!("fnv64:{fp:016x}")));
+        assert_eq!(verify(ArtifactKind::Summary, &text), Ok(fp));
+        let e = verify(ArtifactKind::Object, &text).unwrap_err();
+        assert!(matches!(e, ArtifactError::WrongKind { .. }), "{e}");
+        let tampered = text.replace("\"source_fp\"", "\"source_fq\"");
+        let e = verify(ArtifactKind::Summary, &tampered).unwrap_err();
+        assert!(matches!(e, ArtifactError::Corrupt { .. }), "{e}");
     }
 
     #[test]

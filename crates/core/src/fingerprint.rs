@@ -14,6 +14,9 @@
 //! of modules that risk is negligible for a build cache (and any paranoia
 //! can be settled by `cargo clean`'s moral equivalent,
 //! `CompilationCache::clear`).
+//!
+//! FNV-1a reads one byte per multiply. Frame integrity, which needs no
+//! stable key, uses [`checksum`] instead, which reads eight.
 
 /// An incremental FNV-1a 64-bit hasher.
 ///
@@ -80,9 +83,59 @@ pub fn fingerprint_str(s: &str) -> u64 {
     h.finish()
 }
 
+/// The integrity checksum of a binary frame: the daemon's `CMND` frames
+/// and the cache tier's `IPRF` frames. It is never a key: keys and the
+/// fingerprints artifacts carry stay [`Fnv64`], whose values are pinned.
+///
+/// The state starts from the FNV offset basis xor the length, then takes
+/// each 8-byte little-endian word (the last one zero-padded) with one
+/// multiply:
+/// `s = (s ^ w) * K; s ^= s >> 32`. For a fixed word each step is a
+/// bijection of the state, and for a fixed state a bijection of the word,
+/// so a change confined to one word, such as any single changed byte,
+/// always changes the result, as with FNV-1a. So does a trailing zero
+/// byte that stays inside the last word: the words are the same, the
+/// starting state is not.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |s: u64, word: [u8; 8]| {
+        let s = (s ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        s ^ (s >> 32)
+    };
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut s = FNV_OFFSET ^ bytes.len() as u64;
+    for &word in words {
+        s = step(s, word);
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        s = step(s, last);
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every single-bit flip at every length up to eight words changes the
+    /// checksum, and so does appending a zero byte.
+    #[test]
+    fn checksum_sees_every_bit_flip_and_a_trailing_zero() {
+        for len in 0..=64usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let base = checksum(&bytes);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), base, "length {len}, bit {bit}");
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(checksum(&longer), base, "length {len} plus a zero byte");
+        }
+    }
 
     #[test]
     fn deterministic_and_discriminating() {

@@ -6,32 +6,36 @@
 //! survives corruption testing there:
 //!
 //! ```text
-//! magic "CMND" | version u8 | tag u8 | payload_len u32 | payload | fnv64(payload)
+//! magic "CMND" | version u8 | tag u8 | payload_len u32 | payload | checksum(payload)
 //! ```
 //!
 //! All integers are little-endian. `tag` separates requests from responses
 //! so a frame can never deserialize as the wrong direction. Payloads are
 //! the derive-emitted positional binary codec ([`serde::BinSerialize`] /
 //! [`serde::BinDeserialize`]) — the PR-7 codec the cache tier uses, not
-//! JSON.
+//! JSON. The checksum is [`ipra_core::fingerprint::checksum`], which reads
+//! a word per multiply; FNV-64, which reads a byte, stays for keys and
+//! for the `.vx` fingerprint a [`BuildResponse`] carries.
 //!
 //! Unlike the cache tier (where any mismatch is just a miss), a protocol
 //! peer needs to know *why* a frame was rejected, so every check failure
-//! is a typed [`ProtocolError`]. Version 1 frames (the JSON-payload
-//! prototype) are explicitly rejected as [`ProtocolError::UnsupportedVersion`].
+//! is a typed [`ProtocolError`]. Frames of other versions are rejected as
+//! [`ProtocolError::UnsupportedVersion`], never half-decoded: version 1
+//! carried JSON payloads and version 2 an FNV-64 checksum.
 //!
 //! The length prefix is validated against [`MAX_FRAME`] *before* the
 //! payload is read, so a hostile or corrupt prefix cannot balloon memory.
 
-use ipra_core::fingerprint::Fnv64;
+use ipra_core::fingerprint::{checksum, Fnv64};
 use serde::{BinDeserialize, BinSerialize, Deserialize, Serialize};
 use std::io::Read;
 
 /// Frame magic: `cmind`'s four-byte signature.
 pub const MAGIC: [u8; 4] = *b"CMND";
-/// Current protocol version. Version 1 was the JSON-payload prototype;
-/// its frames are rejected with a typed error, never half-decoded.
-pub const VERSION: u8 = 2;
+/// Current protocol version. Version 1 was the JSON-payload prototype and
+/// version 2 checksummed payloads with FNV-64; their frames are rejected
+/// with a typed error, never half-decoded.
+pub const VERSION: u8 = 3;
 /// Frame tag for client → daemon requests.
 pub const TAG_REQUEST: u8 = 1;
 /// Frame tag for daemon → client responses.
@@ -63,7 +67,7 @@ pub enum ProtocolError {
         /// Whole-frame bytes actually present.
         have: usize,
     },
-    /// The payload's FNV-64 checksum did not match.
+    /// The payload's checksum did not match.
     Checksum,
     /// The payload failed to deserialize as the tagged type.
     Decode(String),
@@ -189,9 +193,11 @@ pub struct BuildResponse {
     /// The `.vx` executable artifact text — byte-identical to what
     /// `cminc build -o prog.vx` writes for the same inputs.
     pub vx: String,
-    /// FNV-64 over the artifact text. The client re-hashes and refuses a
-    /// response that fails this cross-check, mirroring the cache tier's
-    /// fingerprint discipline: degrade loudly, never accept wrong bytes.
+    /// The body fingerprint in the artifact's header (`fnv64:…`, the
+    /// FNV-64 of the JSON body). The client accepts the response only
+    /// when that header token is this value and the body hashes to it,
+    /// mirroring the cache tier's fingerprint discipline: degrade loudly,
+    /// never accept wrong bytes.
     pub fingerprint: u64,
     /// Did this response ride on another client's identical in-flight
     /// build rather than computing its own?
@@ -249,25 +255,19 @@ pub enum Response {
     Error(WireError),
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
 /// Encodes `value` as a self-checking frame with the given tag.
 pub fn encode_frame<T: BinSerialize>(tag: u8, value: &T) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(256);
-    value.bin_serialize(&mut payload);
-    assert!(payload.len() <= MAX_FRAME as usize, "frame payload exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN + 8);
+    let mut out = Vec::with_capacity(256);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let checksum = fnv64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the payload length, written once known
+    value.bin_serialize(&mut out);
+    let payload_len = out.len() - HEADER_LEN;
+    assert!(payload_len <= MAX_FRAME as usize, "frame payload exceeds MAX_FRAME");
+    out[6..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let sum = checksum(&out[HEADER_LEN..]);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -316,8 +316,8 @@ pub fn decode_frame<T: BinDeserialize>(bytes: &[u8], expect_tag: u8) -> Result<T
         return Err(ProtocolError::TrailingBytes(bytes.len() - need));
     }
     let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let checksum = u64::from_le_bytes(bytes[need - 8..].try_into().expect("8-byte slice"));
-    if checksum != fnv64(payload) {
+    let sum = u64::from_le_bytes(bytes[need - 8..].try_into().expect("8-byte slice"));
+    if sum != checksum(payload) {
         return Err(ProtocolError::Checksum);
     }
     let mut cursor = payload;
@@ -413,16 +413,17 @@ pub fn read_frame(
     Ok(Some(frame))
 }
 
-/// Encodes a linked executable as `.vx` artifact text plus its FNV-64
-/// fingerprint — exactly the bytes `cminc build -o prog.vx` writes, which
-/// is what makes a daemon response byte-comparable to a local build.
+/// Encodes a linked executable as `.vx` artifact text — exactly the bytes
+/// `cminc build -o prog.vx` writes, which is what makes a daemon response
+/// byte-comparable to a local build — with the body fingerprint its header
+/// carries, taken from the encoder: the header's FNV-64 pass is the only
+/// one over the text.
 pub fn executable_artifact(exe: &vpr::program::Executable) -> (String, u64) {
-    let text = ipra_artifact::encode(
+    ipra_artifact::encode_fingerprinted(
         ipra_artifact::ArtifactKind::Executable,
         &ipra_artifact::ExecutableView { exe },
-    );
-    let fp = fnv64(text.as_bytes());
-    (text, fp)
+        vpr::target::TargetId::Vpr,
+    )
 }
 
 #[cfg(test)]

@@ -6,7 +6,12 @@
 //! decoder can be checked in verbatim as a regression (the same policy as
 //! `cminc fuzz`'s corpus).
 
-use ipra_daemon::protocol::{decode_request, Request};
+use ipra_core::analyzer::PaperConfig;
+use ipra_daemon::protocol::{
+    decode_request, decode_response, encode_response, executable_artifact, BuildResponse, Request,
+    Response, HEADER_LEN,
+};
+use ipra_driver::{compile, CompileOptions};
 
 fn unhex(s: &str) -> Vec<u8> {
     assert!(s.len().is_multiple_of(2), "odd hex length");
@@ -74,5 +79,38 @@ fn corpus_covers_the_required_rejection_classes() {
         "trailing-bytes",
     ] {
         assert!(kinds.contains(&required), "corpus lacks a `{required}` case");
+    }
+}
+
+/// A response frame the size of a `daemon-mix` hit, carrying the `.vx` of
+/// a real 64-module program: single-byte flips at sampled offsets and at
+/// every offset of the frame's edges (header, first and last payload
+/// words, checksum), and every truncation, each give a typed error.
+#[test]
+fn a_real_response_frame_rejects_flips_and_truncations() {
+    let sources = ipra_workloads::scaled::scaled_program(64);
+    let program = compile(&sources, &CompileOptions::paper(PaperConfig::C)).expect("compile");
+    let (vx, fingerprint) = executable_artifact(&program.exe);
+    assert!(vx.len() > 100_000, "a 64-module .vx is about 140 KB, got {}", vx.len());
+    let response = Response::Built(BuildResponse {
+        vx,
+        fingerprint,
+        coalesced: false,
+        recompiled: vec!["m0".to_string()],
+    });
+    let frame = encode_response(&response);
+    assert_eq!(decode_response(&frame), Ok(response));
+
+    let edges = (0..HEADER_LEN + 16).chain(frame.len() - 16..frame.len());
+    for i in edges.chain((0..frame.len()).step_by(251)) {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut bad = frame.clone();
+            bad[i] ^= mask;
+            assert!(decode_response(&bad).is_err(), "byte {i} ^ {mask:#04x} decoded");
+        }
+    }
+    for len in 0..frame.len() {
+        let err = decode_response(&frame[..len]).unwrap_err();
+        assert_eq!(err.kind(), "truncated", "prefix of length {len}");
     }
 }

@@ -19,21 +19,24 @@
 //! Frame layout (all integers little-endian):
 //!
 //! ```text
-//! magic "IPRF" | version u8 | kind u8 | payload_len u32 | payload | fnv64(payload)
+//! magic "IPRF" | version u8 | kind u8 | payload_len u32 | payload | checksum(payload)
 //! ```
 //!
 //! `kind` separates entry types so a phase-1 frame can never deserialize as
-//! a phase-2 entry. The trailing FNV-64 checksum plus the decoder's strict
-//! bounds checks make a truncated or corrupted file decode to `None` — a
-//! cache miss. (The caller additionally cross-checks the embedded
-//! fingerprints against the requested key, exactly as the JSON tier did.)
+//! a phase-2 entry. The trailing checksum plus the decoder's strict bounds
+//! checks make a truncated or corrupted file decode to `None` — a cache
+//! miss. (The caller additionally cross-checks the embedded fingerprints
+//! against the requested key, exactly as the JSON tier did.) The checksum
+//! is [`ipra_core::fingerprint::checksum`], which reads a word per
+//! multiply, where the FNV-64 of versions up to 5 read a byte; it guards
+//! the frame only, and the keys and fingerprints inside stay FNV-64.
 //!
 //! A payload may be a decoded *head* followed by a raw *tail* under the
 //! same checksum ([`decode_head`]): phase-1 frames carry the module's
 //! summary as the head and its IR as the tail, so a load decodes only what
 //! the analyzer needs and leaves the IR to the phase-2 misses.
 
-use ipra_core::fingerprint::Fnv64;
+use ipra_core::fingerprint::checksum;
 use serde::{BinDeserialize, BinSerialize};
 
 const MAGIC: [u8; 4] = *b"IPRF";
@@ -42,10 +45,11 @@ const MAGIC: [u8; 4] = *b"IPRF";
 // garbage or stale results: v3 widened RegSet's encoding to 8 bytes; v4
 // split phase-1 frames into head and IR tail, added analysis frames, and
 // moved directive-slice fingerprints off JSON; v5 moved `ir_fp`, which
-// keys phase-2 frames, off JSON as well. Keys cover a step's
+// keys phase-2 frames, off JSON as well; v6 replaced the FNV-64 frame
+// checksum with the word-at-a-time `checksum`. Keys cover a step's
 // *inputs*, not the code that runs it, so a change to what the frontend,
 // the analyzer or codegen emits bumps this too.
-const VERSION: u8 = 5;
+const VERSION: u8 = 6;
 
 /// Frame kind for phase-1 cache entries.
 pub(crate) const KIND_PHASE1: u8 = 1;
@@ -54,24 +58,21 @@ pub(crate) const KIND_PHASE2: u8 = 2;
 /// Frame kind for program-analysis cache entries.
 pub(crate) const KIND_ANALYSIS: u8 = 3;
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
+/// Bytes before the payload: magic, version, kind, length prefix.
+const HEADER_LEN: usize = 10;
 
 /// Encodes `value` as a self-checking binary frame of the given kind.
 pub(crate) fn encode_frame<T: BinSerialize>(kind: u8, value: &T) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(256);
-    value.bin_serialize(&mut payload);
-    let mut out = Vec::with_capacity(payload.len() + 18);
+    let mut out = Vec::with_capacity(256);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let checksum = fnv64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the payload length, written once known
+    value.bin_serialize(&mut out);
+    let payload_len = (out.len() - HEADER_LEN) as u32;
+    out[6..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let sum = checksum(&out[HEADER_LEN..]);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -99,7 +100,7 @@ pub(crate) fn decode_head<T: BinDeserialize>(bytes: &[u8], kind: u8) -> Option<(
         return None;
     }
     let (payload, checksum_bytes) = rest.split_at(payload_len);
-    if u64::from_le_bytes(checksum_bytes.try_into().ok()?) != fnv64(payload) {
+    if u64::from_le_bytes(checksum_bytes.try_into().ok()?) != checksum(payload) {
         return None;
     }
     let mut cursor = payload;

@@ -798,6 +798,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A cache directory written at frame version 5, whose frames carried
+    /// an FNV-64 checksum: every frame reads as a miss, and the flush
+    /// rewrites it as the current version would have written it.
+    #[test]
+    fn version_5_frames_read_as_misses_and_the_flush_rewrites_them() {
+        let sources = two_module_program();
+        let dir = tmpdir("v5-frames");
+        let original = {
+            let mut cache = CompilationCache::with_disk(&dir).unwrap();
+            compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap()
+        };
+        let mut current = Vec::new();
+        for sub in ["p1", "p2", "an"] {
+            for f in std::fs::read_dir(dir.join(sub)).unwrap() {
+                let path = f.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                let (framed, _) = bytes.split_at(bytes.len() - 8);
+                let mut fnv = ipra_core::fingerprint::Fnv64::new();
+                fnv.write(&framed[10..]);
+                let mut v5 = framed.to_vec();
+                v5[4] = 5;
+                v5.extend_from_slice(&fnv.finish().to_le_bytes());
+                std::fs::write(&path, v5).unwrap();
+                current.push((path, bytes));
+            }
+        }
+        assert_eq!(current.len(), 5, "two p1, two p2 and one an frame");
+        let tele = Telemetry::new();
+        let opts = CompileOptions { telemetry: Some(tele.clone()), ..CompileOptions::default() };
+        let rebuilt = {
+            let mut cache = CompilationCache::with_disk(&dir).unwrap();
+            compile_incremental(&sources, &opts, &mut cache).unwrap()
+        };
+        assert_eq!(rebuilt.build.phase1.misses, 2);
+        assert_eq!(rebuilt.build.analyze.misses, 1);
+        assert_eq!(rebuilt.build.phase2.misses, 2);
+        assert_eq!(tele.counter("cache.disk.corrupt"), 5);
+        assert_eq!(rebuilt.exe, original.exe);
+        for (path, bytes) in &current {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{} not rewritten", path.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A phase-1 frame whose IR tail does not decode behind a valid
     /// checksum: the head serves phase 1 and the analyzer, and the phase-2
     /// miss that needs the IR re-runs phase 1 from source and rewrites the

@@ -84,29 +84,44 @@ impl SymbolTable {
     }
 }
 
+/// A [`Relocation`] that borrows its names from the module, for callers
+/// that only test them against symbol sets.
+pub(crate) struct RelocSite<'a> {
+    pub(crate) func: &'a str,
+    pub(crate) inst: usize,
+    pub(crate) kind: RelocKind,
+    pub(crate) sym: &'a str,
+}
+
 impl ObjectModule {
     /// Every symbolic reference site, in (function, instruction) order.
     pub fn relocations(&self) -> Vec<Relocation> {
-        let mut out = Vec::new();
-        for f in &self.functions {
-            for (i, inst) in f.insts().iter().enumerate() {
-                let (kind, sym) = match inst {
+        self.reloc_sites()
+            .map(|r| Relocation {
+                func: r.func.to_string(),
+                inst: r.inst,
+                kind: r.kind,
+                sym: r.sym.to_string(),
+            })
+            .collect()
+    }
+
+    /// [`relocations`](ObjectModule::relocations), borrowed: the same
+    /// sites in the same order, with no string copied.
+    pub(crate) fn reloc_sites(&self) -> impl Iterator<Item = RelocSite<'_>> {
+        self.functions.iter().flat_map(|f| {
+            f.insts().iter().enumerate().filter_map(move |(inst, op)| {
+                let (kind, sym) = match op {
                     Inst::Call { target } => (RelocKind::Call, target),
                     Inst::Ldfa { func, .. } => (RelocKind::FuncAddr, func),
                     Inst::Ldg { sym, .. } => (RelocKind::GlobalLoad, sym),
                     Inst::Stg { sym, .. } => (RelocKind::GlobalStore, sym),
                     Inst::Lga { sym, .. } => (RelocKind::GlobalAddr, sym),
-                    _ => continue,
+                    _ => return None,
                 };
-                out.push(Relocation {
-                    func: f.name().to_string(),
-                    inst: i,
-                    kind,
-                    sym: sym.clone(),
-                });
-            }
-        }
-        out
+                Some(RelocSite { func: f.name(), inst, kind, sym })
+            })
+        })
     }
 
     /// The module's defined/undefined symbol split.
@@ -129,13 +144,14 @@ pub fn program_symbols(modules: &[ObjectModule]) -> SymbolTable {
         }
     }
     for m in modules {
-        for r in m.relocations() {
-            if r.kind.is_function() {
-                if !t.defined_funcs.contains(&r.sym) {
-                    t.undefined_funcs.insert(r.sym);
-                }
-            } else if !t.defined_globals.contains(&r.sym) {
-                t.undefined_globals.insert(r.sym);
+        for r in m.reloc_sites() {
+            let (defined, undefined) = if r.kind.is_function() {
+                (&t.defined_funcs, &mut t.undefined_funcs)
+            } else {
+                (&t.defined_globals, &mut t.undefined_globals)
+            };
+            if !defined.contains(r.sym) && !undefined.contains(r.sym) {
+                undefined.insert(r.sym.to_string());
             }
         }
     }

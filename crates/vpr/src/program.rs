@@ -421,19 +421,24 @@ pub fn link_with(modules: &[ObjectModule], opts: &LinkOptions) -> Result<Executa
 
     // 3. Resolve every relocation up front, in (module, function,
     //    instruction) order, collecting trap stubs where allowed.
-    let mut stubs: BTreeSet<String> = BTreeSet::new();
+    let mut stubs: BTreeSet<&str> = BTreeSet::new();
     for m in modules {
-        for r in m.relocations() {
+        for r in m.reloc_sites() {
             if r.kind.is_function() {
-                if !defined.contains(r.sym.as_str()) && !stubs.contains(&r.sym) {
-                    if opts.allow_undefined_functions {
-                        stubs.insert(r.sym);
-                    } else {
-                        return Err(LinkError::UndefinedFunction { name: r.sym, in_func: r.func });
+                if !defined.contains(r.sym) && !stubs.contains(r.sym) {
+                    if !opts.allow_undefined_functions {
+                        return Err(LinkError::UndefinedFunction {
+                            name: r.sym.to_string(),
+                            in_func: r.func.to_string(),
+                        });
                     }
+                    stubs.insert(r.sym);
                 }
-            } else if !global_addr.contains_key(r.sym.as_str()) {
-                return Err(LinkError::UndefinedGlobal { sym: r.sym, in_func: r.func });
+            } else if !global_addr.contains_key(r.sym) {
+                return Err(LinkError::UndefinedGlobal {
+                    sym: r.sym.to_string(),
+                    in_func: r.func.to_string(),
+                });
             }
         }
     }
@@ -452,9 +457,9 @@ pub fn link_with(modules: &[ObjectModule], opts: &LinkOptions) -> Result<Executa
             pc += len;
         }
     }
-    for s in &stubs {
-        func_entry.insert(s.as_str(), pc);
-        infos.push(FuncInfo { name: s.clone(), entry: pc, len: 1 });
+    for &s in &stubs {
+        func_entry.insert(s, pc);
+        infos.push(FuncInfo { name: s.to_string(), entry: pc, len: 1 });
         pc += 1;
     }
     let main_entry = func_entry["main"];
