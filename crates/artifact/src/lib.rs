@@ -219,13 +219,23 @@ pub fn encode_fingerprinted<T: Serialize>(
     payload: &T,
     target: TargetId,
 ) -> (String, u64) {
-    let body = serde_json::to_string(payload).expect("artifact payloads always serialize");
-    let fp = fingerprint_str(&body);
-    let stamp = match target {
-        TargetId::Vpr => String::new(),
-        t => format!(" target:{}", t.name()),
-    };
-    (format!("{MAGIC} {} v{FORMAT_VERSION} fnv64:{fp:016x}{stamp}\n{body}\n", kind.tag()), fp)
+    // One string: the header, with the fingerprint's 16 digits left as
+    // zeros, then the body serialized after it; the digits are filled in
+    // once the body is hashed.
+    let mut text = format!("{MAGIC} {} v{FORMAT_VERSION} fnv64:", kind.tag());
+    let digits = text.len()..text.len() + 16;
+    text.push_str("0000000000000000");
+    if target != TargetId::Vpr {
+        text.push_str(" target:");
+        text.push_str(target.name());
+    }
+    text.push('\n');
+    let body = text.len();
+    serde_json::append_to_string(&mut text, payload).expect("artifact payloads always serialize");
+    let fp = fingerprint_str(&text[body..]);
+    text.push('\n');
+    text.replace_range(digits, &format!("{fp:016x}"));
+    (text, fp)
 }
 
 /// Header fields plus the body slice.

@@ -15,16 +15,21 @@
 //! * **disk_cold / disk_warm** — the persistent `--cache-dir` tier: a cold
 //!   build paying the write-through cost into an empty directory, then a
 //!   *fresh* cache instance over the same directory (the separate `cminc`
-//!   invocation scenario) rebuilding entirely from disk.
+//!   invocation scenario) rebuilding entirely from disk;
+//! * **oneshot** — `compile()`, serial: the same stages with no cache at
+//!   all (no keys, fingerprints, stores or clones).
 //!
 //! Every leg is timed best of [`TRIALS`] with its precondition
 //! re-established before each trial (empty cache, wiped directory, fresh
 //! re-tune), and every leg's executable is asserted bit-identical to a
-//! fresh build. A build is written as five rows named `{regime}/{modules}`:
+//! fresh build. A build is written as six rows named `{regime}/{modules}`:
 //! layer `build` is the trial's wall clock, and `phase1`, `analyze`,
 //! `phase2` and `link` are the same build's own span timers, so a bench
-//! and `--stats` cannot disagree. The phase and analyzer rows count cache
-//! hits, disk hits and misses, and `phase2` the modules recompiled. A
+//! and `--stats` cannot disagree; `cache` is its seconds in the disk tier
+//! (loading frames, inside the phase rows, and the end-of-build flush,
+//! outside them; zero without a disk tier). The phase and analyzer rows
+//! count cache hits, disk hits and misses, and `phase2` the modules
+//! recompiled. A
 //! build that ran phase 1 anywhere adds five more layers,
 //! `phase1.parse`, `phase1.check`, `phase1.lower`, `phase1.optimize` and
 //! `phase1.summarize`: each step's seconds summed over the modules it
@@ -55,7 +60,8 @@
 //! the edit recompiled fewer modules than there are, warm and edit beat
 //! cold, disk-warm beat disk-cold and was all disk hits, the analyzer ran
 //! in the cold build and was a hit in the warm, edit and disk-warm ones,
-//! and the counters were identical across jobs widths; no doubling of the scaling series
+//! the counters were identical across jobs widths, and a one-shot build
+//! counted what the cold one did; no doubling of the scaling series
 //! took more than [`MAX_DOUBLING_RATIO`] times as long, nor did phase 1 or
 //! phase 2 over a doubling of the long series; both targets
 //! verified clean with equal exit codes; and P promoted at least C's
@@ -69,7 +75,7 @@ use ipra_bench::harness::{
 use ipra_core::PaperConfig;
 use ipra_driver::args::Args;
 use ipra_driver::{
-    compile_incremental, run_program, BuildReport, CompilationCache, CompileOptions,
+    compile, compile_incremental, run_program, BuildReport, CompilationCache, CompileOptions,
     CompiledProgram, PhaseStats, SourceFile,
 };
 use ipra_telemetry::Telemetry;
@@ -113,7 +119,8 @@ fn build(
 }
 
 /// Adds one build's rows: `build` over the trial's `seconds` (counting
-/// `work`), then its four layers as the build's own spans timed them.
+/// `work`), then its four layers as the build's own spans timed them, and
+/// its seconds in the cache's disk tier.
 fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram, work: Counters) {
     let b = &p.build;
     let phase = |s: &PhaseStats| {
@@ -135,6 +142,7 @@ fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram
     report.row(name, "analyze", b.analyze.seconds, phase(&b.analyze));
     report.row(name, "phase2", b.phase2.seconds, phase2);
     report.row(name, "link", b.link_seconds, Counters::new());
+    report.row(name, "cache", b.cache_seconds, Counters::new());
 }
 
 fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig) {
@@ -158,7 +166,7 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     };
     let serial = counted(&opts);
     let across_jobs = differing(&serial, &counted(&par_opts));
-    build_rows(report, &format!("cold/{n}"), cold_s, &cold, serial);
+    build_rows(report, &format!("cold/{n}"), cold_s, &cold, serial.clone());
 
     if jobs > 1 {
         let ((_, par), par_s) = best_of(CompilationCache::new, |c| build(&sources, &par_opts, c));
@@ -213,6 +221,18 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     assert_eq!(edited.exe, fresh.exe, "incremental edit build must match a fresh build");
     build_rows(report, &format!("edit/{n}"), edit_s, &edited, Counters::new());
 
+    // One-shot: `compile()`, serial, after the cached legs, so that its
+    // allocations do not change the heap they run on. The counters of one
+    // more, untimed, must be the cold build's.
+    let (oneshot, oneshot_s) =
+        best_of(|| (), |()| compile(&sources, &opts).expect("one-shot build"));
+    assert_eq!(oneshot.exe, cold.exe, "one-shot build must be bit-identical to cold");
+    build_rows(report, &format!("oneshot/{n}"), oneshot_s, &oneshot, Counters::new());
+    let tele = Telemetry::new();
+    compile(&sources, &CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() })
+        .expect("one-shot build");
+    let oneshot_differing = differing(&serial, &tele.counters());
+
     report.gate(format!("warm/{n}.phase1_hits"), warm.build.phase1.hits as f64, Cmp::Equal, nf);
     report.gate(format!("warm/{n}.phase2_hits"), warm.build.phase2.hits as f64, Cmp::Equal, nf);
     report.gate(format!("warm/{n}.seconds"), warm_s, Cmp::Below, cold_s);
@@ -245,6 +265,12 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     report.gate(
         format!("cold/{n}.counters_differing_across_jobs"),
         across_jobs as f64,
+        Cmp::Equal,
+        0.0,
+    );
+    report.gate(
+        format!("oneshot/{n}.counters_differing"),
+        oneshot_differing as f64,
         Cmp::Equal,
         0.0,
     );

@@ -27,10 +27,10 @@
 //!
 //! The cache keeps no record of its own traffic: the steps that probe it
 //! count hits, disk hits and misses into the build's [`BuildReport`], and
-//! `CompilationCache::end_build` returns the retention rule's drops for the
-//! same report. Only the disk tier counts into telemetry, and only
-//! what the report cannot see: file traffic and corrupt frames
-//! (`cache.disk.*`).
+//! `CompilationCache::end_build` records the retention rule's drops and
+//! the disk tier's seconds in the same report. Only the disk tier counts
+//! into telemetry, and only what the report cannot see: file traffic and
+//! corrupt frames (`cache.disk.*`).
 
 use cmin_ir::IrModule;
 use ipra_core::analyzer::AnalyzerStats;
@@ -43,6 +43,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use vpr::program::ObjectModule;
 
 /// Cache accounting for one step of one build: a per-module phase, or the
@@ -121,6 +122,11 @@ pub struct BuildReport {
     pub phase2: PhaseStats,
     /// Link seconds (always runs).
     pub link_seconds: f64,
+    /// Seconds in the cache's on-disk tier: loading frames, inside the
+    /// phase and analyzer rows that probe it, and the end-of-build flush of
+    /// its writes, after the link and in no other row. Zero without a disk
+    /// tier, so always zero for [`crate::compile`].
+    pub cache_seconds: f64,
     /// End-to-end seconds for the build.
     pub total_seconds: f64,
     /// Names of modules whose second phase actually re-ran, in source
@@ -216,6 +222,8 @@ pub(crate) struct DiskCache {
     /// Telemetry sink for tier traffic (reads/writes with byte counts);
     /// attached per build by [`CompilationCache::set_telemetry`].
     tele: Option<Telemetry>,
+    /// Seconds spent loading frames and flushing since the build began.
+    seconds: f64,
 }
 
 impl DiskCache {
@@ -230,7 +238,7 @@ impl DiskCache {
         for tier in ["p1", "p2", "an"] {
             std::fs::create_dir_all(root.join(tier))?;
         }
-        Ok(DiskCache { root, pending: Vec::new(), tele: None })
+        Ok(DiskCache { root, pending: Vec::new(), tele: None, seconds: 0.0 })
     }
 
     fn phase1_path(&self, key: u64) -> PathBuf {
@@ -248,32 +256,39 @@ impl DiskCache {
         self.root.join("an").join(format!("{key:016x}.bin"))
     }
 
-    /// Records the outcome of one disk-tier load attempt: read traffic in
-    /// bytes, plus a corrupt-frame counter when a file read fine but failed
-    /// to decode or fingerprint-check (it degrades to a miss).
-    fn count_load<T>(&self, bytes: &[u8], decoded: &Option<T>) {
-        if let Some(t) = &self.tele {
-            t.add("cache.disk.reads", 1);
-            t.add("cache.disk.read_bytes", bytes.len() as u64);
-            if decoded.is_none() {
-                t.add("cache.disk.corrupt", 1);
+    /// Reads the file at `path` and decodes it with `decode`, adding the
+    /// load's seconds to the build's. Counts the read traffic in bytes,
+    /// plus a corrupt-frame counter when a file read fine but failed to
+    /// decode or fingerprint-check (it degrades to a miss).
+    fn load<T>(&mut self, path: PathBuf, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        let start = Instant::now();
+        let decoded = std::fs::read(path).ok().and_then(|bytes| {
+            let decoded = decode(&bytes);
+            if let Some(t) = &self.tele {
+                t.add("cache.disk.reads", 1);
+                t.add("cache.disk.read_bytes", bytes.len() as u64);
+                if decoded.is_none() {
+                    t.add("cache.disk.corrupt", 1);
+                }
             }
-        }
+            decoded
+        });
+        self.seconds += start.elapsed().as_secs_f64();
+        decoded
     }
 
     /// Loads a phase-1 frame's head; its IR tail stays encoded until
     /// [`Phase1Entry::ir`] asks for it.
-    pub(crate) fn load_phase1(&self, key: u64) -> Option<Phase1Entry> {
-        let bytes = std::fs::read(self.phase1_path(key)).ok()?;
-        let e = crate::framed::decode_head::<Phase1Head>(&bytes, crate::framed::KIND_PHASE1)
-            .filter(|(head, _)| head.key == key)
-            .map(|(head, tail)| Phase1Entry {
-                head,
-                encoded_ir: tail.to_vec(),
-                ir: OnceLock::new(),
-            });
-        self.count_load(&bytes, &e);
-        e
+    pub(crate) fn load_phase1(&mut self, key: u64) -> Option<Phase1Entry> {
+        self.load(self.phase1_path(key), |bytes| {
+            crate::framed::decode_head::<Phase1Head>(bytes, crate::framed::KIND_PHASE1)
+                .filter(|(head, _)| head.key == key)
+                .map(|(head, tail)| Phase1Entry {
+                    head,
+                    encoded_ir: tail.to_vec(),
+                    ir: OnceLock::new(),
+                })
+        })
     }
 
     /// Buffers a phase-1 frame: the head, then the IR's encoding as the
@@ -284,13 +299,11 @@ impl DiskCache {
         self.pending.push((self.phase1_path(head.key), frame));
     }
 
-    pub(crate) fn load_phase2(&self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
-        let bytes = std::fs::read(self.phase2_path(ir_fp, db_fp)).ok()?;
-        let e: Option<Phase2Entry> =
-            crate::framed::decode_frame(&bytes, crate::framed::KIND_PHASE2)
-                .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp);
-        self.count_load(&bytes, &e);
-        e
+    pub(crate) fn load_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
+        self.load(self.phase2_path(ir_fp, db_fp), |bytes| {
+            crate::framed::decode_frame(bytes, crate::framed::KIND_PHASE2)
+                .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp)
+        })
     }
 
     pub(crate) fn store_phase2(&mut self, entry: &Phase2Entry) {
@@ -299,13 +312,11 @@ impl DiskCache {
         self.pending.push((self.phase2_path(entry.ir_fp, entry.db_fp), frame));
     }
 
-    pub(crate) fn load_analysis(&self, key: u64) -> Option<AnalysisEntry> {
-        let bytes = std::fs::read(self.analysis_path(key)).ok()?;
-        let e: Option<AnalysisEntry> =
-            crate::framed::decode_frame(&bytes, crate::framed::KIND_ANALYSIS)
-                .filter(|e: &AnalysisEntry| e.key == key);
-        self.count_load(&bytes, &e);
-        e
+    pub(crate) fn load_analysis(&mut self, key: u64) -> Option<AnalysisEntry> {
+        self.load(self.analysis_path(key), |bytes| {
+            crate::framed::decode_frame(bytes, crate::framed::KIND_ANALYSIS)
+                .filter(|e: &AnalysisEntry| e.key == key)
+        })
     }
 
     pub(crate) fn store_analysis(&mut self, entry: &AnalysisEntry) {
@@ -323,13 +334,15 @@ impl DiskCache {
         }
     }
 
-    /// Writes all buffered entries to disk. Best-effort per entry: a failed
-    /// write leaves the disk tier cold for that key, not wrong.
+    /// Writes all buffered entries to disk, adding the seconds to the
+    /// build's. Best-effort per entry: a failed write leaves the disk tier
+    /// cold for that key, not wrong.
     fn flush(&mut self) {
-        let _s = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
+        let span = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
         for (path, bytes) in self.pending.drain(..) {
             let _ = std::fs::write(path, bytes);
         }
+        self.seconds += span.finish();
     }
 }
 
@@ -457,25 +470,36 @@ impl CompilationCache {
         self.tick
     }
 
-    /// Marks the start of a build, for the retention rule.
+    /// Marks the start of a build, for the retention rule and the disk
+    /// tier's seconds.
     pub(crate) fn begin_build(&mut self) {
         if self.build_starts.len() == RETAINED_BUILDS {
             self.build_starts.pop_front();
         }
         self.build_starts.push_back(self.tick + 1);
+        if let Some(d) = &mut self.disk {
+            d.seconds = 0.0;
+        }
     }
 
-    /// The retention rule, applied as a build ends — the memory tier's
-    /// only eviction: drops from memory every entry that none of the last
-    /// [`RETAINED_BUILDS`] builds looked up or stored. The current build's
-    /// entries stay, and so does the disk tier. Returns the phase-1 and
-    /// phase-2 drops, the build's [`PhaseStats::evictions`].
-    pub(crate) fn end_build(&mut self) -> (usize, usize) {
-        if self.build_starts.len() < RETAINED_BUILDS {
-            return (0, 0);
+    /// Ends a build. First the retention rule, the memory tier's only
+    /// eviction: it drops from memory every entry that none of the last
+    /// [`RETAINED_BUILDS`] builds looked up or stored, and the current
+    /// build's entries stay, as does the disk tier. Then the disk tier
+    /// writes the build's entries in one burst. Records the phase-1 and
+    /// phase-2 drops as `report`'s [`PhaseStats::evictions`], and the disk
+    /// tier's seconds since [`begin_build`](Self::begin_build) as its
+    /// [`BuildReport::cache_seconds`].
+    pub(crate) fn end_build(&mut self, report: &mut BuildReport) {
+        if self.build_starts.len() == RETAINED_BUILDS {
+            let oldest = self.build_starts[0];
+            report.phase1.evictions = self.phase1.retire_before(oldest);
+            report.phase2.evictions = self.phase2.retire_before(oldest);
         }
-        let oldest = self.build_starts[0];
-        (self.phase1.retire_before(oldest), self.phase2.retire_before(oldest))
+        if let Some(d) = &mut self.disk {
+            d.flush();
+            report.cache_seconds = std::mem::take(&mut d.seconds);
+        }
     }
 
     /// Phase-1 lookup by phase-1 key: memory first, then the disk tier
@@ -491,7 +515,7 @@ impl CompilationCache {
         if let Some(e) = self.phase1.get(key, tick) {
             return Some((Arc::clone(e), false));
         }
-        let e = Arc::new(self.disk.as_ref()?.load_phase1(key)?);
+        let e = Arc::new(self.disk.as_mut()?.load_phase1(key)?);
         self.phase1.insert(key, Arc::clone(&e), tick);
         Some((e, true))
     }
@@ -529,7 +553,7 @@ impl CompilationCache {
         if let Some(object) = self.phase2.get((ir_fp, db_fp), tick) {
             return Some((object.clone(), false));
         }
-        let e = self.disk.as_ref()?.load_phase2(ir_fp, db_fp)?;
+        let e = self.disk.as_mut()?.load_phase2(ir_fp, db_fp)?;
         let object = e.object.clone();
         self.phase2.insert((ir_fp, db_fp), e.object, tick);
         Some((object, true))
@@ -552,7 +576,7 @@ impl CompilationCache {
         if let Some(e) = self.analysis.as_ref().filter(|e| e.key == key) {
             return Some((Arc::clone(e), false));
         }
-        let e = Arc::new(self.disk.as_ref()?.load_analysis(key)?);
+        let e = Arc::new(self.disk.as_mut()?.load_analysis(key)?);
         self.analysis = Some(Arc::clone(&e));
         Some((e, true))
     }
@@ -616,6 +640,14 @@ mod tests {
         d
     }
 
+    /// Ends a build; returns the retention rule's phase-1 and phase-2
+    /// drops.
+    fn end(c: &mut CompilationCache) -> (usize, usize) {
+        let mut report = BuildReport::default();
+        c.end_build(&mut report);
+        (report.phase1.evictions, report.phase2.evictions)
+    }
+
     /// One build that stores phase-1 key `stored` and looks up `used`;
     /// returns the retention rule's drops.
     fn one_build(c: &mut CompilationCache, stored: u64, used: &[u64]) -> (usize, usize) {
@@ -624,7 +656,7 @@ mod tests {
         for &k in used {
             assert!(c.lookup_phase1(k).is_some(), "key {k} is still in memory");
         }
-        c.end_build()
+        end(c)
     }
 
     #[test]
@@ -633,7 +665,7 @@ mod tests {
         c.begin_build();
         store1(&mut c, "a", 1);
         c.store_phase2(p2(1, 1));
-        assert_eq!(c.end_build(), (0, 0));
+        assert_eq!(end(&mut c), (0, 0));
         // Builds 2..=16 store keys 2..=16; key 1 was used by build 1, still
         // one of the last 16.
         for b in 2..=16 {

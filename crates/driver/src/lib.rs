@@ -24,9 +24,13 @@
 //!   one module re-runs codegen only for modules whose directives actually
 //!   changed — the paper's recompilation story (§3) made real.
 //!
-//! [`compile`] is one-shot; [`compile_incremental`] reuses a cache across
-//! builds and reports per-phase timings and hit/miss counts in
-//! [`CompiledProgram::build`]. A cache opened with
+//! Each stage exists once; the cache is a layer around it. [`compile`] is
+//! one-shot: it runs the stages on every module with no cache at all, so
+//! it computes no keys or fingerprints and stores and clones nothing.
+//! [`compile_incremental`] reuses a cache across builds: it probes the
+//! cache and runs the same stages on the misses. Both report per-phase
+//! timings and hit/miss counts in [`CompiledProgram::build`] (a one-shot
+//! build misses everywhere). A cache opened with
 //! [`CompilationCache::with_disk`] additionally persists its entries to a
 //! cache directory, so the same fingerprints keep working across *process*
 //! invocations (`cminc --cache-dir`).
@@ -67,6 +71,7 @@ pub use cache::{BuildReport, CompilationCache, Phase1Steps, PhaseStats, RETAINED
 
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
+use cmin_ir::IrModule;
 use ipra_core::analyzer::{AnalyzerOptions, AnalyzerStats, PaperConfig};
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::{ProfileData, ProgramDatabase};
@@ -239,7 +244,12 @@ pub fn frontend(sources: &[SourceFile]) -> Result<Vec<(Module, ModuleInfo)>, Com
 }
 
 /// Compiles a multi-module program through the full two-pass pipeline,
-/// from scratch (a fresh [`CompilationCache`] each call).
+/// once. It runs the stages [`compile_incremental`] runs on its cache
+/// misses, on every module, with no cache: no keys or fingerprints are
+/// computed, nothing is stored, and each stage's products move into the
+/// next stage and the result. [`CompiledProgram::build`] counts every
+/// module as a phase-1 and a phase-2 miss and the analyzer as one miss,
+/// exactly as a cold [`compile_incremental`] into an empty cache does.
 ///
 /// # Errors
 ///
@@ -248,7 +258,59 @@ pub fn compile(
     sources: &[SourceFile],
     options: &CompileOptions,
 ) -> Result<CompiledProgram, DriverError> {
-    compile_incremental(sources, options, &mut CompilationCache::new())
+    let tele = options.telemetry.as_ref();
+    let build_timer = span(tele, "build", "build");
+    let pool = stages::Pool { jobs: options.effective_jobs(), tele };
+    let mut report = BuildReport::default();
+
+    // ---- Compiler first phase, every module on the pool.
+    let phase1_timer = span(tele, "build", "phase1");
+    let every: Vec<usize> = (0..sources.len()).collect();
+    let mut modules = Vec::with_capacity(sources.len());
+    let mut irs = Vec::with_capacity(sources.len());
+    let steps = &mut report.phase1_steps;
+    let keep = |_, (summary, ir)| {
+        modules.push(summary);
+        irs.push(ir);
+    };
+    stages::run_phase1(pool, sources, &every, options.optimize, steps, |_, s, ir| (s, ir), keep)?;
+    report.phase1.misses = sources.len();
+    report.phase1.seconds = phase1_timer.finish();
+
+    // ---- The program analyzer.
+    let analyze_timer = span(tele, "build", "analyze");
+    let summary = ProgramSummary { modules };
+    let opts = stages::analyzer_options(options);
+    let (analysis, trace) = stages::run_analyzer(&summary, &opts, options.trace);
+    report.analyze.misses = 1;
+    report.analyze.seconds = analyze_timer.finish();
+
+    // ---- Compiler second phase, every module on the pool.
+    let phase2_timer = span(tele, "build", "phase2");
+    let mut objects = Vec::with_capacity(sources.len());
+    let keep = |ir: &IrModule, object, _| {
+        report.recompiled.push(ir.name.clone());
+        objects.push(object);
+    };
+    stages::run_phase2(pool, &irs, |ir| &ir.name, &analysis.database, options.target, Ok, keep)?;
+    // Every object is emitted, so the IR goes before the link.
+    drop(irs);
+    report.phase2.misses = sources.len();
+    report.phase2.seconds = phase2_timer.finish();
+
+    let exe = link_objects(tele, &objects, &mut report)?;
+    report.total_seconds = build_timer.finish();
+    let program = CompiledProgram {
+        exe,
+        objects,
+        summary,
+        database: analysis.database,
+        stats: analysis.stats,
+        build: report,
+        trace,
+    };
+    count_build(tele, &program);
+    Ok(program)
 }
 
 /// Compiles a multi-module program, reusing `cache` across builds.
@@ -256,7 +318,7 @@ pub fn compile(
 /// Phase 1 re-runs only for modules whose source changed; the analyzer
 /// only when a summary or the resolved analyzer options changed; phase 2
 /// only for modules whose IR or whose slice of the program database
-/// changed. The result is bit-identical to a cold [`compile`] of the same
+/// changed. The result is bit-identical to a [`compile`] of the same
 /// sources and options; [`CompiledProgram::build`] reports what was reused.
 /// When the cache has an on-disk tier ([`CompilationCache::with_disk`]),
 /// entries persisted by earlier *processes* count as hits too
@@ -310,40 +372,13 @@ pub fn compile_incremental(
     .collect();
     report.phase2.seconds = phase2_timer.finish();
 
-    // ---- Link (whole-program; always runs).
-    let link_timer = span(tele, "build", "link");
-    let exe = link(&objects)?;
-    report.link_seconds = link_timer.finish();
-
+    let exe = link_objects(tele, &objects, &mut report)?;
     // Entries no recent build used leave memory (not disk), then one burst
     // of disk-tier writes per build (entries stay served from memory either
     // way; see `DiskCache`). Both are charged to the build total.
-    (report.phase1.evictions, report.phase2.evictions) = cache.end_build();
-    cache.flush();
+    cache.end_build(&mut report);
     report.total_seconds = build_timer.finish();
-
-    if let Some(t) = tele {
-        t.add("build.builds", 1);
-        t.add("build.modules", sources.len() as u64);
-        t.add("phase1.hits", report.phase1.hits as u64);
-        t.add("phase1.disk_hits", report.phase1.disk_hits as u64);
-        t.add("phase1.misses", report.phase1.misses as u64);
-        t.add("phase1.evictions", report.phase1.evictions as u64);
-        t.add("analyze.hits", report.analyze.hits as u64);
-        t.add("analyze.disk_hits", report.analyze.disk_hits as u64);
-        t.add("analyze.misses", report.analyze.misses as u64);
-        t.add("phase2.hits", report.phase2.hits as u64);
-        t.add("phase2.disk_hits", report.phase2.disk_hits as u64);
-        t.add("phase2.misses", report.phase2.misses as u64);
-        t.add("phase2.evictions", report.phase2.evictions as u64);
-        t.add("phase2.recompiled", report.recompiled.len() as u64);
-        t.add("analyze.nodes", analysis.stats.nodes as u64);
-        t.add("analyze.webs", analysis.stats.webs_total as u64);
-        t.add("link.objects", objects.len() as u64);
-        t.add("link.insts", exe.code_len() as u64);
-    }
-
-    Ok(CompiledProgram {
+    let program = CompiledProgram {
         exe,
         objects,
         summary,
@@ -351,7 +386,47 @@ pub fn compile_incremental(
         stats: analysis.stats.clone(),
         build: report,
         trace,
-    })
+    };
+    count_build(tele, &program);
+    Ok(program)
+}
+
+/// Links a build's objects (whole-program; always runs) in the build's
+/// `link` span.
+fn link_objects(
+    tele: Option<&Telemetry>,
+    objects: &[ObjectModule],
+    report: &mut BuildReport,
+) -> Result<Executable, LinkError> {
+    let link_timer = span(tele, "build", "link");
+    let exe = link(objects)?;
+    report.link_seconds = link_timer.finish();
+    Ok(exe)
+}
+
+/// The tail every build shares: writes the build's `build.*`, `phase*.*`,
+/// `analyze.*` and `link.*` counters into its collector, when it has one.
+fn count_build(tele: Option<&Telemetry>, program: &CompiledProgram) {
+    let Some(t) = tele else { return };
+    let report = &program.build;
+    t.add("build.builds", 1);
+    t.add("build.modules", program.summary.modules.len() as u64);
+    t.add("phase1.hits", report.phase1.hits as u64);
+    t.add("phase1.disk_hits", report.phase1.disk_hits as u64);
+    t.add("phase1.misses", report.phase1.misses as u64);
+    t.add("phase1.evictions", report.phase1.evictions as u64);
+    t.add("analyze.hits", report.analyze.hits as u64);
+    t.add("analyze.disk_hits", report.analyze.disk_hits as u64);
+    t.add("analyze.misses", report.analyze.misses as u64);
+    t.add("phase2.hits", report.phase2.hits as u64);
+    t.add("phase2.disk_hits", report.phase2.disk_hits as u64);
+    t.add("phase2.misses", report.phase2.misses as u64);
+    t.add("phase2.evictions", report.phase2.evictions as u64);
+    t.add("phase2.recompiled", report.recompiled.len() as u64);
+    t.add("analyze.nodes", program.stats.nodes as u64);
+    t.add("analyze.webs", program.stats.webs_total as u64);
+    t.add("link.objects", program.objects.len() as u64);
+    t.add("link.insts", program.exe.code_len() as u64);
 }
 
 /// Runs the interprocedural register-discipline verifier over a compiled
@@ -884,7 +959,7 @@ mod tests {
         assert_eq!(rebuilt.exe, original.exe);
         drop(cache);
         // The flush replaced the forged frame with a whole one.
-        let disk = DiskCache::open(&dir).unwrap();
+        let mut disk = DiskCache::open(&dir).unwrap();
         let entry = disk.load_phase1(forged_key).expect("rewritten frame");
         assert!(entry.ir().is_some(), "the rewritten tail decodes");
         let _ = std::fs::remove_dir_all(&dir);

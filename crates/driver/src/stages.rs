@@ -1,15 +1,21 @@
 //! The pipeline steps and the worker pool they fan out on.
 //!
-//! [`phase1`] and [`phase2`] are the paper's two per-module compiler
-//! phases as cached steps: probe the [cache](crate::CompilationCache),
-//! compute the misses on the worker pool, store the results, and count
-//! hits, disk hits and misses into a [`BuildReport`]. They are the driver's
-//! only place either phase runs: [`crate::compile_incremental`],
-//! [`crate::separate::build_module_for`] (`cminc c`) and the staged
-//! artifact build all go through them, so a cache key cannot drift
-//! between the in-memory and the file-based pipelines. [`analyze`] is the
-//! program analyzer as the same kind of step, keyed on
-//! [`analysis_key`].
+//! Each computing step exists once, as a routine over the modules it is
+//! handed: [`run_phase1`] (parse → check → lower → optimize → summarize),
+//! [`run_analyzer`] and [`run_phase2`] (register allocation and emission).
+//! The two per-module routines fan out on the worker pool through one
+//! helper, which opens each module's task span and applies the one error
+//! rule (the lowest-index diagnostic wins). [`crate::compile`] calls the
+//! routines on every module, with no cache at all.
+//!
+//! The cache is a layer around them. [`phase1`], [`analyze`] and
+//! [`phase2`] probe the [cache](crate::CompilationCache), call the routine
+//! on the misses, store the results, and count hits, disk hits and misses
+//! into a [`BuildReport`]. They are the driver's only cached steps:
+//! [`crate::compile_incremental`], [`crate::separate::build_module_for`]
+//! (`cminc c`) and the staged artifact build all go through them, so a
+//! cache key cannot drift between the in-memory and the file-based
+//! pipelines. The analyzer's key is [`analysis_key`].
 
 use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase1Steps, Phase2Entry};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
@@ -17,25 +23,27 @@ use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
 use cmin_ir::{lower_module, optimize_module, IrModule};
 use ipra_artifact::ObjectArtifact;
-use ipra_core::analyzer::{analyze_traced, AnalyzerOptions, PaperConfig};
+use ipra_core::analyzer::{analyze_traced, Analysis, AnalyzerOptions, PaperConfig};
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::ProgramDatabase;
-use ipra_summary::ProgramSummary;
+use ipra_summary::{ModuleSummary, ProgramSummary};
 use ipra_telemetry::{SpanTimer, Telemetry};
 use serde::BinSerialize;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use vpr::program::ObjectModule;
 use vpr::target::TargetId;
 
 /// Applies `f` to every item on up to `jobs` scoped worker threads,
 /// preserving item order in the result. Work is pulled from a shared
 /// index so uneven module sizes balance automatically.
-pub(crate) fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
+pub(crate) fn parallel_map<'a, T: Sync, R: Send>(
+    items: &'a [T],
     jobs: usize,
-    f: impl Fn(&T) -> R + Sync,
+    f: impl Fn(&'a T) -> R + Sync,
 ) -> Vec<R> {
     let n = items.len();
     if jobs <= 1 || n <= 1 {
@@ -68,6 +76,121 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(
             m.into_inner().expect("worker result slot poisoned").expect("worker result missing")
         })
         .collect()
+}
+
+/// What the per-module routines of one build share: the worker-pool width
+/// and the build's collector, which records each module's task span.
+#[derive(Clone, Copy)]
+pub(crate) struct Pool<'t> {
+    pub(crate) jobs: usize,
+    pub(crate) tele: Option<&'t Telemetry>,
+}
+
+/// Runs `task` on each of `items` on the pool, each in a span
+/// `{phase}:{name}`, and hands each success to `keep` on the calling
+/// thread, in item order.
+///
+/// # Errors
+///
+/// The first failing item's error, the one a serial left-to-right run
+/// would have stopped at, once every success has been kept.
+fn fan_out<'a, T: Sync, R: Send>(
+    pool: Pool<'_>,
+    phase: &str,
+    items: &'a [T],
+    name: impl Fn(&'a T) -> &'a str + Sync,
+    task: impl Fn(&'a T) -> Result<R, CompileError> + Sync,
+    mut keep: impl FnMut(&'a T, R),
+) -> Result<(), CompileError> {
+    let results = parallel_map(items, pool.jobs, |item| {
+        let _task = task_span(pool.tele, phase, name(item));
+        task(item)
+    });
+    let mut first_error = None;
+    for (item, result) in items.iter().zip(results) {
+        match result {
+            Ok(r) => keep(item, r),
+            Err(e) => first_error = first_error.or(Some(e)),
+        }
+    }
+    first_error.map_or(Ok(()), Err)
+}
+
+/// The compiler first phase proper (parse → check → lower → optimize →
+/// summarize) of `sources[i]` for each `i` of `indices`, on the pool.
+/// `finish` runs on each module's worker, on its summary and IR; `keep`
+/// gets what it returned on the calling thread, in `indices` order, and
+/// each compiled module's step times go into `steps`.
+///
+/// # Errors
+///
+/// The lowest-index module's diagnostic, once every module that did
+/// compile has been kept.
+pub(crate) fn run_phase1<R: Send>(
+    pool: Pool<'_>,
+    sources: &[SourceFile],
+    indices: &[usize],
+    optimize: bool,
+    steps: &mut Phase1Steps,
+    finish: impl Fn(usize, ModuleSummary, IrModule) -> R + Sync,
+    mut keep: impl FnMut(usize, R),
+) -> Result<(), CompileError> {
+    let task = |&i: &usize| {
+        let mut module_steps = Phase1Steps::default();
+        let (summary, ir) = front_end(&sources[i], optimize, &mut module_steps)?;
+        Ok((finish(i, summary, ir), module_steps))
+    };
+    fan_out(
+        pool,
+        "phase1",
+        indices,
+        |&i| &sources[i].name,
+        task,
+        |&i, (r, module_steps)| {
+            steps.add(&module_steps);
+            keep(i, r);
+        },
+    )
+}
+
+/// The program analyzer proper over `summary` under `opts`, recording its
+/// decisions when `trace` is set.
+pub(crate) fn run_analyzer(
+    summary: &ProgramSummary,
+    opts: &AnalyzerOptions,
+    trace: bool,
+) -> (Analysis, Option<AnalyzerTrace>) {
+    if trace {
+        let (analysis, trace) = analyze_traced(summary, opts);
+        (analysis, Some(trace))
+    } else {
+        (ipra_core::analyze(summary, opts), None)
+    }
+}
+
+/// The compiler second phase proper (register allocation and emission
+/// under `database` for `target`) of each of `modules`, on the pool, each
+/// module's task span named by `name`. `ir` yields a module's IR on its
+/// worker, as a reference or an owned value; `keep` gets each object with
+/// that IR on the calling thread, in module order.
+///
+/// # Errors
+///
+/// The first error `ir` returned, once every object has been kept.
+pub(crate) fn run_phase2<'a, T: Sync, M: Borrow<IrModule> + Send>(
+    pool: Pool<'_>,
+    modules: &'a [T],
+    name: impl Fn(&'a T) -> &'a str + Sync,
+    database: &ProgramDatabase,
+    target: TargetId,
+    ir: impl Fn(&'a T) -> Result<M, CompileError> + Sync,
+    mut keep: impl FnMut(&'a T, ObjectModule, M),
+) -> Result<(), CompileError> {
+    let task = |module: &'a T| {
+        let ir = ir(module)?;
+        Ok((cmin_codegen::compile_module_for(ir.borrow(), database, target), ir))
+    };
+    fan_out(pool, "phase2", modules, name, task, |module, (object, ir)| keep(module, object, ir))
 }
 
 /// Phase-1 cache key: module name + source text + optimize flag.
@@ -114,14 +237,21 @@ fn direct_callees(ir: &IrModule) -> Vec<String> {
     out
 }
 
+/// What the cache records about a module whose phase 1 ran under `key`,
+/// besides its IR: the fingerprints and callees its later lookups read.
+fn phase1_head(key: u64, summary: ModuleSummary, ir: &IrModule) -> Phase1Head {
+    let summary_fp = bin_fingerprint(&summary);
+    Phase1Head { key, ir_fp: bin_fingerprint(ir), callees: direct_callees(ir), summary, summary_fp }
+}
+
 /// The compiler first phase over `sources`, through `cache`: returns one
 /// entry per source, in order, and fills `report.phase1` and
-/// `report.phase1_steps`.
+/// `report.phase1_steps`. The misses run [`run_phase1`], fingerprinting
+/// each module on its worker.
 ///
 /// # Errors
 ///
-/// The lowest-index module's diagnostic — the one a serial left-to-right
-/// compile would have reported first. Entries of the modules that did
+/// The lowest-index module's diagnostic. Entries of the modules that did
 /// compile are stored anyway, so a fixed-up rebuild stays incremental.
 pub(crate) fn phase1(
     sources: &[SourceFile],
@@ -148,23 +278,12 @@ pub(crate) fn phase1(
             }
         }
     }
-    let computed = parallel_map(&miss_idx, jobs, |&i| {
-        let _task = task_span(tele.as_ref(), "phase1", &sources[i].name);
-        let mut steps = Phase1Steps::default();
-        (run_phase1(&sources[i], optimize, keys[i], &mut steps), steps)
-    });
-    let mut first_error: Option<CompileError> = None;
-    for (&i, (result, steps)) in miss_idx.iter().zip(computed) {
-        report.phase1_steps.add(&steps);
-        match result {
-            Ok((head, ir)) => entries[i] = Some(cache.store_phase1(head, ir)),
-            // `miss_idx` ascends, so the first error kept is the lowest-index one.
-            Err(e) => first_error = first_error.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
+    let pool = Pool { jobs, tele: tele.as_ref() };
+    let finish = |i: usize, summary, ir: IrModule| (phase1_head(keys[i], summary, &ir), ir);
+    let steps = &mut report.phase1_steps;
+    run_phase1(pool, sources, &miss_idx, optimize, steps, finish, |i, (head, ir)| {
+        entries[i] = Some(cache.store_phase1(head, ir));
+    })?;
     Ok(entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect())
 }
 
@@ -208,20 +327,33 @@ pub(crate) fn analyze(
         }
     }
     report.analyze.misses = 1;
-    let (analysis, trace) = if options.trace {
-        let (a, t) = analyze_traced(summary, &opts);
-        (a, Some(t))
-    } else {
-        (ipra_core::analyze(summary, &opts), None)
-    };
+    let (analysis, trace) = run_analyzer(summary, &opts, options.trace);
     let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
     (cache.store_analysis(entry), trace)
+}
+
+/// The IR a cached second phase recompiles a module from: the phase-1
+/// entry's, or, when that did not decode, phase 1 re-run from source
+/// with the head that replaces the entry.
+enum StaleIr<'a> {
+    Cached(&'a IrModule),
+    Redone(Phase1Head, IrModule),
+}
+
+impl Borrow<IrModule> for StaleIr<'_> {
+    fn borrow(&self) -> &IrModule {
+        match self {
+            StaleIr::Cached(ir) => ir,
+            StaleIr::Redone(_, ir) => ir,
+        }
+    }
 }
 
 /// The compiler second phase over phase-1 `entries` under `database`,
 /// through `cache`, keyed on (IR, database slice, target). Returns each
 /// module's object with the fingerprints codegen consumed (the `.vo`
 /// payload), in order, and fills `report.phase2` and `report.recompiled`.
+/// The misses run [`run_phase2`].
 ///
 /// Only the modules it recompiles decode their IR. One whose cached IR
 /// does not decode re-runs phase 1 from its source (`sources` and
@@ -271,31 +403,27 @@ pub(crate) fn phase2(
             }
         }
     }
-    let compiled = parallel_map(&stale_idx, jobs, |&i| {
-        let e = &entries[i];
-        let _task = task_span(tele.as_ref(), "phase2", &e.head.summary.module);
-        match e.ir() {
-            Some(ir) => Ok((cmin_codegen::compile_module_for(ir, database, target), None)),
-            None => {
-                let _redo = task_span(tele.as_ref(), "phase1", &sources[i].name);
-                let (head, ir) =
-                    run_phase1(&sources[i], optimize, e.head.key, &mut Phase1Steps::default())?;
-                let object = cmin_codegen::compile_module_for(&ir, database, target);
-                Ok((object, Some((head, ir))))
-            }
+    let pool = Pool { jobs, tele: tele.as_ref() };
+    let ir = |&i: &usize| match entries[i].ir() {
+        Some(ir) => Ok(StaleIr::Cached(ir)),
+        None => {
+            let _redo = task_span(pool.tele, "phase1", &sources[i].name);
+            let mut steps = Phase1Steps::default();
+            let (summary, ir) = front_end(&sources[i], optimize, &mut steps)?;
+            Ok(StaleIr::Redone(phase1_head(entries[i].head.key, summary, &ir), ir))
         }
-    });
-    for (&i, result) in stale_idx.iter().zip(compiled) {
-        let (object, redone) = result?;
-        let (e, db_fp) = (&entries[i], db_fps[i]);
-        if let Some((head, ir)) = redone {
+    };
+    let name = |&i: &usize| entries[i].head.summary.module.as_str();
+    run_phase2(pool, &stale_idx, name, database, target, ir, |&i, object, ir| {
+        if let StaleIr::Redone(head, ir) = ir {
             cache.repair_phase1(head, ir);
         }
+        let (e, db_fp) = (&entries[i], db_fps[i]);
         report.recompiled.push(e.head.summary.module.clone());
         let ir_fp = e.head.ir_fp;
         cache.store_phase2(Phase2Entry { ir_fp, db_fp, object: object.clone() });
         objects[i] = Some(ObjectArtifact { object, ir_fp, dir_fp: db_fp });
-    }
+    })?;
     Ok(objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect())
 }
 
@@ -314,13 +442,12 @@ fn timed<T>(seconds: &mut f64, f: impl FnOnce() -> T) -> T {
 }
 
 /// Runs the full first phase for one module, adding each step's time to
-/// `steps`.
-fn run_phase1(
+/// `steps`: its summary record and optimized IR.
+fn front_end(
     src: &SourceFile,
     optimize: bool,
-    key: u64,
     steps: &mut Phase1Steps,
-) -> Result<(Phase1Head, IrModule), CompileError> {
+) -> Result<(ModuleSummary, IrModule), CompileError> {
     let m = timed(&mut steps.parse, || parse_module(&src.name, &src.text))?;
     let info = timed(&mut steps.check, || check_module(&m))?;
     let mut ir = timed(&mut steps.lower, || lower_module(&m, &info));
@@ -328,10 +455,7 @@ fn run_phase1(
         timed(&mut steps.optimize, || optimize_module(&mut ir));
     }
     let summary = timed(&mut steps.summarize, || ipra_summary::summarize_module(&ir));
-    let summary_fp = bin_fingerprint(&summary);
-    let ir_fp = bin_fingerprint(&ir);
-    let callees = direct_callees(&ir);
-    Ok((Phase1Head { key, ir_fp, callees, summary, summary_fp }, ir))
+    Ok((summary, ir))
 }
 
 /// FNV-64 over `value`'s binary encoding.
@@ -346,7 +470,7 @@ fn bin_fingerprint(value: &impl BinSerialize) -> u64 {
 /// Resolves the analyzer options a build will run under: explicit
 /// [`CompileOptions::analyzer`] wins, then `config`+`profile`, then plain
 /// level-2. The build's target is threaded in either way.
-fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
+pub(crate) fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
     let mut opts = match (&options.analyzer, options.config) {
         (Some(a), _) => a.clone(),
         (None, Some(c)) => AnalyzerOptions::paper_config(c, options.profile.clone()),

@@ -4,7 +4,8 @@
 //! serializer into a text sink, so no [`Value`] tree is built; reading
 //! parses into a [`Value`] tree first. The API surface matches what this
 //! workspace calls: [`to_string`], [`to_string_pretty`], [`from_str`] and
-//! the [`Error`] type.
+//! the [`Error`] type, plus [`append_to_string`], which writes the text at
+//! the end of an existing string.
 
 pub use serde::Value;
 
@@ -31,16 +32,27 @@ impl From<serde::DeError> for Error {
 
 /// Serializes `value` as compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(write(value, None))
+    let mut out = String::new();
+    append_to_string(&mut out, value)?;
+    Ok(out)
+}
+
+/// Serializes `value` as compact JSON text at the end of `out`, so text
+/// that follows something else (an artifact's header line) is written
+/// in place instead of into a string of its own.
+pub fn append_to_string<T: Serialize + ?Sized>(out: &mut String, value: &T) -> Result<(), Error> {
+    *out = write(std::mem::take(out), value, None);
+    Ok(())
 }
 
 /// Serializes `value` as human-indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(write(value, Some(2)))
+    Ok(write(String::new(), value, Some(2)))
 }
 
-fn write<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
-    let mut sink = TextSink { out: String::new(), indent, depth: 0, empty: false, keyed: false };
+/// `out` with `value`'s text written at its end.
+fn write<T: Serialize + ?Sized>(out: String, value: &T, indent: Option<usize>) -> String {
+    let mut sink = TextSink { out, indent, depth: 0, empty: false, keyed: false };
     value.serialize_to(&mut sink);
     sink.out
 }

@@ -9,6 +9,10 @@
 //! and the long-procedure programs at 1,000 and 2,000 statements are
 //! pinned too, under L2 and C: they are the inputs whose compile time the
 //! benchmarks track, so a faster phase 1 or phase 2 must leave them alone.
+//! Every input is built twice, through `compile_configured` (the cached
+//! path) and through the one-shot `compile()`, and both must match the
+//! same golden line; for B and F, `compile()` takes the profile the L2
+//! training run records.
 //!
 //! The golden file was generated from the last commit in which the VPR
 //! convention was still hardcoded; regenerate only when an *intentional*
@@ -20,7 +24,10 @@
 
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::PaperConfig;
-use ipra_driver::{compile_configured, CompilationCache, CompileOptions, SourceFile};
+use ipra_driver::{
+    collect_profile_from, compile, compile_configured, run_program, CompilationCache,
+    CompileOptions, SourceFile,
+};
 use ipra_workloads::scaled::{long_program, scaled_program};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -38,56 +45,68 @@ fn exe_fingerprint(exe: &vpr::Executable) -> u64 {
     h.finish()
 }
 
-/// One golden line per config: the input's name, the config and the
-/// executable's fingerprint.
-fn lines(
-    out: &mut String,
-    name: &str,
-    sources: &[SourceFile],
-    configs: &[PaperConfig],
-    training: &[i64],
-) {
-    let mut cache = CompilationCache::new();
-    for &config in configs {
-        let opts = CompileOptions::default();
-        let program = compile_configured(sources, config, training, &opts, &mut cache)
-            .unwrap_or_else(|e| panic!("{name}/{config}: {e}"))
-            .unwrap_or_else(|e| panic!("{name}/{config}: training trap {e}"));
-        let _ = writeln!(out, "{name} {config} fnv64:{:016x}", exe_fingerprint(&program.exe));
+/// The golden lines of every input, one per config (the input's name, the
+/// config and the executable's fingerprint): built through
+/// `compile_configured`, then through `compile()`.
+struct Lines {
+    configured: String,
+    oneshot: String,
+}
+
+impl Lines {
+    fn add(
+        &mut self,
+        name: &str,
+        sources: &[SourceFile],
+        configs: &[PaperConfig],
+        training: &[i64],
+    ) {
+        let mut cache = CompilationCache::new();
+        let oneshot = |opts: &CompileOptions| {
+            compile(sources, opts).unwrap_or_else(|e| panic!("{name}: one-shot: {e}"))
+        };
+        let train = || {
+            let l2 = oneshot(&CompileOptions::paper(PaperConfig::L2));
+            let run = run_program(&l2, training).unwrap_or_else(|e| panic!("{name}: training {e}"));
+            collect_profile_from(&l2.exe, &run)
+        };
+        let mut trained = None;
+        for &config in configs {
+            let opts = CompileOptions::default();
+            let program = compile_configured(sources, config, training, &opts, &mut cache)
+                .unwrap_or_else(|e| panic!("{name}/{config}: {e}"))
+                .unwrap_or_else(|e| panic!("{name}/{config}: training trap {e}"));
+            let fp = exe_fingerprint(&program.exe);
+            let _ = writeln!(self.configured, "{name} {config} fnv64:{fp:016x}");
+            let profile = config.wants_profile().then(|| trained.get_or_insert_with(train).clone());
+            let program = oneshot(&CompileOptions { config: Some(config), profile, ..opts });
+            let fp = exe_fingerprint(&program.exe);
+            let _ = writeln!(self.oneshot, "{name} {config} fnv64:{fp:016x}");
+        }
     }
 }
 
-fn current_fingerprints() -> String {
-    let mut out = String::new();
+fn current_fingerprints() -> Lines {
+    let mut lines = Lines { configured: String::new(), oneshot: String::new() };
     for w in ipra_workloads::all() {
-        lines(&mut out, w.name, &w.sources, &PaperConfig::ALL_WITH_ALIAS, &w.training_input);
+        lines.add(w.name, &w.sources, &PaperConfig::ALL_WITH_ALIAS, &w.training_input);
     }
     let configs = [PaperConfig::L2, PaperConfig::C];
-    lines(&mut out, "scaled-64", &scaled_program(64), &configs, &[]);
+    lines.add("scaled-64", &scaled_program(64), &configs, &[]);
     for n in [1000, 2000] {
-        lines(&mut out, &format!("long-{n}"), &long_program(n), &configs, &[]);
+        lines.add(&format!("long-{n}"), &long_program(n), &configs, &[]);
     }
-    out
+    lines
 }
 
-#[test]
-fn vpr_executables_match_pre_refactor_goldens() {
-    let current = current_fingerprints();
-    let path = golden_path();
-    if std::env::var_os("IPRA_UPDATE_GOLDENS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &current).unwrap();
-        eprintln!("golden_vx: wrote {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+/// Checks `current` against the golden text, line by line.
+fn assert_matches(golden: &str, current: &str, path: &str) {
     let golden_lines: Vec<&str> = golden.lines().collect();
     let current_lines: Vec<&str> = current.lines().collect();
     assert_eq!(
         golden_lines.len(),
         current_lines.len(),
-        "workload x config matrix changed; regenerate goldens deliberately"
+        "{path}: workload x config matrix changed; regenerate goldens deliberately"
     );
     let mut diffs = String::new();
     for (g, c) in golden_lines.iter().zip(&current_lines) {
@@ -97,6 +116,22 @@ fn vpr_executables_match_pre_refactor_goldens() {
     }
     assert!(
         diffs.is_empty(),
-        "VPR output is no longer byte-identical to the pre-refactor backend:\n{diffs}"
+        "{path}: VPR output is no longer byte-identical to the pre-refactor backend:\n{diffs}"
     );
+}
+
+#[test]
+fn vpr_executables_match_pre_refactor_goldens() {
+    let current = current_fingerprints();
+    let path = golden_path();
+    if std::env::var_os("IPRA_UPDATE_GOLDENS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &current.configured).unwrap();
+        eprintln!("golden_vx: wrote {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+    assert_matches(&golden, &current.configured, "compile_configured");
+    assert_matches(&golden, &current.oneshot, "compile()");
 }

@@ -8,10 +8,12 @@
 
 use ipra_core::PaperConfig;
 use ipra_driver::{
-    compile_configured, compile_incremental, run_program, verify_program, CompilationCache,
-    CompileOptions,
+    collect_profile_from, compile_configured, compile_incremental, run_program, verify_program,
+    BuildReport, CompilationCache, CompileOptions, CompiledProgram, DriverError,
 };
+use ipra_telemetry::Telemetry;
 use ipra_workloads::scaled::{perturb, scaled_program};
+use vpr::target::TargetId;
 
 /// Editing one module of twenty re-runs the first phase for that module
 /// alone, and — because the edit is summary-invariant — the second phase
@@ -218,4 +220,83 @@ fn entries_idle_for_sixteen_builds_leave_memory_but_not_disk() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A build's cache accounting: each step's (hits, disk hits, misses,
+/// evictions), then the modules recompiled.
+type Counts = ([(usize, usize, usize, usize); 3], Vec<String>);
+
+fn counts(b: &BuildReport) -> Counts {
+    let step = |s: &ipra_driver::PhaseStats| (s.hits, s.disk_hits, s.misses, s.evictions);
+    ([step(&b.phase1), step(&b.analyze), step(&b.phase2)], b.recompiled.clone())
+}
+
+/// One build under `opts` with a fresh collector attached: the program and
+/// the collector's counters as `metrics_json`.
+fn counted(
+    opts: &CompileOptions,
+    build: impl FnOnce(&CompileOptions) -> Result<CompiledProgram, DriverError>,
+) -> (CompiledProgram, String) {
+    let tele = Telemetry::new();
+    let opts = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
+    (build(&opts).unwrap(), tele.metrics_json())
+}
+
+/// `compile()` runs the stages `compile_incremental` runs on its misses,
+/// with no cache. So it builds what a build through a fresh cache and one
+/// through a warm cache build, down to the objects, summaries, database,
+/// statistics and decision trace, and it counts what the fresh-cache build
+/// counts: every module a miss in both phases, the analyzer one miss.
+/// Every configuration, with a profile where it wants one, plus C with
+/// the optimizer off and C for rv32, each at pool widths 1 and 4,
+/// untraced and traced.
+#[test]
+fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
+    const N: usize = 12;
+    let sources = scaled_program(N);
+    let l2 = ipra_driver::compile(&sources, &CompileOptions::paper(PaperConfig::L2)).unwrap();
+    let profile = collect_profile_from(&l2.exe, &run_program(&l2, &[]).unwrap());
+    let mut cases: Vec<CompileOptions> = PaperConfig::ALL_WITH_ALIAS
+        .into_iter()
+        .map(|config| CompileOptions {
+            config: Some(config),
+            profile: config.wants_profile().then(|| profile.clone()),
+            ..CompileOptions::default()
+        })
+        .collect();
+    let c = CompileOptions::paper(PaperConfig::C);
+    cases.push(CompileOptions { optimize: false, ..c.clone() });
+    cases.push(CompileOptions { target: TargetId::Rv32, ..c });
+    let every: Vec<String> = sources.iter().map(|s| s.name.clone()).collect();
+    let cold = ([(0, 0, N, 0), (0, 0, 1, 0), (0, 0, N, 0)], every);
+    for case in &cases {
+        for (jobs, trace) in [(1, false), (4, false), (1, true), (4, true)] {
+            let opts = CompileOptions { jobs, trace, ..case.clone() };
+            let label = format!(
+                "{:?} optimize={} target={} jobs={jobs} trace={trace}",
+                opts.config,
+                opts.optimize,
+                opts.target.name()
+            );
+            let (oneshot, oneshot_metrics) = counted(&opts, |o| ipra_driver::compile(&sources, o));
+            let mut cache = CompilationCache::new();
+            let (fresh, fresh_metrics) =
+                counted(&opts, |o| compile_incremental(&sources, o, &mut cache));
+            let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
+            assert!(warm.build.recompiled.is_empty(), "{label}: the warm build hits");
+            for (built, how) in [(&fresh, "fresh cache"), (&warm, "warm cache")] {
+                assert_eq!(oneshot.exe, built.exe, "{label}, {how}: exe");
+                assert_eq!(oneshot.objects, built.objects, "{label}, {how}: objects");
+                assert_eq!(oneshot.summary, built.summary, "{label}, {how}: summary");
+                assert_eq!(oneshot.database, built.database, "{label}, {how}: database");
+                assert_eq!(oneshot.stats, built.stats, "{label}, {how}: stats");
+                assert_eq!(oneshot.trace, built.trace, "{label}, {how}: trace");
+            }
+            assert_eq!(oneshot.trace.is_some(), trace, "{label}: trace");
+            assert_eq!(counts(&oneshot.build), cold, "{label}: one-shot counts");
+            assert_eq!(counts(&fresh.build), cold, "{label}: fresh-cache counts");
+            assert_eq!(oneshot_metrics, fresh_metrics, "{label}: counters");
+            assert_eq!(oneshot.build.cache_seconds, 0.0, "{label}: no disk tier");
+        }
+    }
 }
