@@ -40,9 +40,10 @@
 //! * **scaling** — serial cold builds at [`SCALING_SIZES`] (512 to 4096
 //!   modules), one row set per size per round (`scaling/{modules}/round{k}`);
 //! * **long** — serial cold builds of one procedure of [`LONG_SIZES`]
-//!   statements (1,000 to 8,000), round-robin like scaling
-//!   (`long/{statements}/round{k}`): the series that sees how the two
-//!   compiler phases grow with the length of one procedure;
+//!   statements (1,000 to 8,000), round-robin like scaling over
+//!   [`LONG_ROUNDS`] rounds (`long/{statements}/round{k}`): the series
+//!   that sees how the two compiler phases grow with the length of one
+//!   procedure;
 //! * **target** — the 8-module workload built once per machine
 //!   description, verified under that target's register convention and run
 //!   (`target/{name}/8`, counting instructions and cycles);
@@ -89,6 +90,13 @@ const SCALING_SIZES: [usize; 4] = [512, 1024, 2048, 4096];
 
 /// Statement counts of the long series: each doubles the previous one.
 const LONG_SIZES: [usize; 4] = [1000, 2000, 4000, 8000];
+
+/// Rounds of the long series. Its phase 2 takes 0.3 ms at 1,000
+/// statements and 3.5 ms at 8,000, and on a shared host one round's ratio
+/// of two sizes ranges from 1.6 to 3.4, so the median of [`TRIALS`] or 7
+/// rounds can cross the gate; a round's builds take about 55 ms, so 15
+/// rounds cost under a second.
+const LONG_ROUNDS: usize = 15;
 
 /// The scaling gate: the most a doubling of the module count may multiply
 /// the cold build time by, and a doubling of the long series' statements
@@ -295,11 +303,11 @@ type TimeOf = fn(f64, &BuildReport) -> f64;
 /// the previous one.
 ///
 /// A shared host's speed drifts by a third within seconds, more than the
-/// gap between linear and quadratic growth over one doubling. So each
-/// round builds every size in turn (rows `{series}/{size}/round{k}`), and
-/// a doubling's ratio is the median, over the rounds, of one size's time
-/// over the previous size's in the same round: the two builds ran back to
-/// back, on about the same host. An untimed build of the largest size
+/// gap between linear and quadratic growth over one doubling. So each of
+/// `rounds` rounds builds every size in turn (rows
+/// `{series}/{size}/round{k}`), and a doubling's ratio is the median, over
+/// the rounds, of one size's time over the previous size's in the same
+/// round: the two builds ran back to back, on about the same host. An untimed build of the largest size
 /// first grows the heap to the series' need, so no size pays for page
 /// faults that a larger size, run just before, spared another. Each of
 /// `gates` names a time of a build (its seconds and report) and gates its
@@ -310,6 +318,7 @@ fn measure_doubling<const N: usize>(
     sizes: [usize; N],
     programs: [Vec<SourceFile>; N],
     config: PaperConfig,
+    rounds: usize,
     gates: &[(&str, TimeOf)],
 ) {
     let opts = CompileOptions::paper(config);
@@ -321,19 +330,19 @@ fn measure_doubling<const N: usize>(
     if let Some(largest) = programs.last() {
         cold(largest);
     }
-    let mut rounds: Vec<[(f64, BuildReport); N]> = Vec::new();
-    for round in 1..=TRIALS {
+    let mut builds_by_round: Vec<[(f64, BuildReport); N]> = Vec::new();
+    for round in 1..=rounds {
         let builds = std::array::from_fn(|i| {
             let (p, s) = cold(&programs[i]);
             let name = format!("{series}/{}/round{round}", sizes[i]);
             build_rows(report, &name, s, &p, Counters::new());
             (s, p.build)
         });
-        rounds.push(builds);
+        builds_by_round.push(builds);
     }
     for (i, size) in sizes.iter().enumerate().skip(1) {
         for (name, time_of) in gates {
-            let ratios = rounds
+            let ratios = builds_by_round
                 .iter()
                 .map(|r| time_of(r[i].0, &r[i].1) / time_of(r[i - 1].0, &r[i - 1].1))
                 .collect();
@@ -434,12 +443,12 @@ fn main() -> ExitCode {
     }
     let scaling = SCALING_SIZES.map(scaled_program);
     let gates: [(&str, TimeOf); 1] = [("doubling_ratio", |seconds, _| seconds)];
-    measure_doubling(&mut report, "scaling", SCALING_SIZES, scaling, config, &gates);
+    measure_doubling(&mut report, "scaling", SCALING_SIZES, scaling, config, TRIALS, &gates);
     let long = LONG_SIZES.map(long_program);
     let gates: [(&str, TimeOf); 2] = [
         ("phase1_doubling_ratio", |_, b| b.phase1.seconds),
         ("phase2_doubling_ratio", |_, b| b.phase2.seconds),
     ];
-    measure_doubling(&mut report, "long", LONG_SIZES, long, config, &gates);
+    measure_doubling(&mut report, "long", LONG_SIZES, long, config, LONG_ROUNDS, &gates);
     report.finish(&bench)
 }

@@ -8,7 +8,8 @@
 //!   never-seen module names: the daemon compiles from scratch each time,
 //!   analysis included (the no-daemon baseline, plus wire overhead);
 //! * **warm/1** — one client re-requesting a primed program: pure cache
-//!   hits through one connection;
+//!   hits through one connection, and from its second link on the
+//!   daemon's `.vx` tier serves the program's text without a link;
 //! * **cold/N** — N clients submitting N distinct never-seen programs
 //!   concurrently, each under never-seen module names (a project of its
 //!   own, so the programs spread across shards): shard parallelism on
@@ -19,7 +20,8 @@
 //! * **branches/1** — one client re-requesting, round-robin, 4 primed
 //!   branches of one program (the same module names, every module
 //!   re-tuned per branch): the branches share their project's shard, and
-//!   each keeps its entries there, so no request recompiles anything;
+//!   each keeps its entries there, so no request recompiles anything, and
+//!   once a branch is linked twice the `.vx` tier serves it;
 //! * **dedup/N** — N clients racing one identical never-seen request from
 //!   behind a barrier, once: the in-flight map must coalesce followers onto
 //!   the leader's build.
@@ -33,7 +35,8 @@
 //! requests, so requests/s is `requests / seconds`. Every row
 //! also counts what the daemon did from the end of the previous row to the
 //! end of this one, untimed setup included (the daemon's counters summed
-//! over the rows are its counters at the end of the run). Every warm and
+//! over the rows are its counters at the end of the run), the `.vx`
+//! tier's `vx.hits` and `vx.misses` (links) among them. Every warm and
 //! concurrent response is asserted byte-identical to an independent cold
 //! `compile()`, so the throughput being measured is the throughput of
 //! *correct* responses.
@@ -47,7 +50,13 @@
 //! requests/s of cold/1 (`warm_n_over_cold_1`), neither cold leg reused
 //! an analysis (`cold/1.analyze.hits`, `cold/N.analyze.hits`), the
 //! branches/1 leg recompiled no module (`branches/1.recompiled`, the sum
-//! of every timed response's `recompiled` list), and the dedup round
+//! of every timed response's `recompiled` list), warm/1 and branches/1
+//! linked each of their programs at most twice and the `.vx` tier served
+//! every other request (`{leg}.vx.misses`, `{leg}.vx.hits`: the two links
+//! are the untimed priming build and, as the tier keeps a text from its
+//! second link, the first re-request; both legs build under L2, so these
+//! gates see the daemon route a configuration other than `daemon-mix`'s C
+//! through the tier), and the dedup round
 //! coalesced at least one request with every request either leading or
 //! coalesced — the CI smoke mode wired into `scripts/check.sh`. Results
 //! go to `BENCH_daemon.json`.
@@ -321,10 +330,26 @@ fn main() -> ExitCode {
     let cold_n = format!("cold/{CLIENTS}");
     let (cold_1_hits, cold_n_hits) =
         (counter("cold/1", "analyze.hits"), counter(&cold_n, "analyze.hits"));
+    // A leg links each of its programs at most twice, and the `.vx` tier
+    // serves every other build.
+    let tier_gates: Vec<_> = [("warm/1", 1), ("branches/1", BRANCHES)]
+        .into_iter()
+        .flat_map(|(leg, programs)| {
+            let links = 2.0 * programs as f64;
+            let builds = counter(leg, "daemon.builds");
+            [
+                (format!("{leg}.vx.misses"), counter(leg, "vx.misses"), Cmp::AtMost, links),
+                (format!("{leg}.vx.hits"), counter(leg, "vx.hits"), Cmp::AtLeast, builds - links),
+            ]
+        })
+        .collect();
     report.gate("warm_n_over_cold_1", ratio, Cmp::AtLeast, MIN_WARM_N_OVER_COLD_1);
     report.gate("cold/1.analyze.hits", cold_1_hits, Cmp::Equal, 0.0);
     report.gate(format!("{cold_n}.analyze.hits"), cold_n_hits, Cmp::Equal, 0.0);
     report.gate("branches/1.recompiled", branch_recompiles, Cmp::Equal, 0.0);
+    for (name, value, cmp, bound) in tier_gates {
+        report.gate(name, value, cmp, bound);
+    }
     report.gate(format!("{name}.coalesced"), coalesced, Cmp::AtLeast, 1.0);
     report.gate(
         format!("{name}.leads_plus_coalesced"),

@@ -898,12 +898,15 @@ fn remote_build(mut a: Args) -> Result<(), String> {
         }
         Err(e) => {
             // The daemon being down must not break builds: degrade to a
-            // local compile of the same inputs — byte-identical output by
-            // construction.
+            // local build of the same inputs through the daemon's own build
+            // path — byte-identical output by construction.
             eprintln!("cminc: daemon unavailable ({e}); building locally");
             let opts = CompileOptions::default();
-            let program = compile(&sources, config, &input, &opts, &mut CompilationCache::new())?;
-            ipra_daemon::protocol::executable_artifact(&program.exe).0
+            let cache = &mut CompilationCache::new();
+            ipra_driver::compile_artifact(&sources, config, &input, &opts, cache)
+                .map_err(|e| e.to_string())?
+                .map_err(|e| format!("training run trapped: {e}"))?
+                .vx
         }
     };
     match out {

@@ -79,10 +79,10 @@ impl Client {
         Ok(Client { stream })
     }
 
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let frame = protocol::encode_request(request);
+    /// Sends one encoded request frame and reads the response.
+    fn round_trip(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
         self.stream
-            .write_all(&frame)
+            .write_all(frame)
             .and_then(|()| self.stream.flush())
             .map_err(|e| ClientError::Io(e.to_string()))?;
         let frame = protocol::read_frame(&mut self.stream, TAG_RESPONSE, || false)
@@ -97,7 +97,7 @@ impl Client {
     ///
     /// Any [`ClientError`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.round_trip(&Request::Ping)? {
+        match self.round_trip(&protocol::encode_request(&Request::Ping))? {
             Response::Pong => Ok(()),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
@@ -114,7 +114,7 @@ impl Client {
     /// Any [`ClientError`]; notably [`ClientError::FingerprintMismatch`]
     /// when the artifact text does not verify to its declared fingerprint.
     pub fn build(&mut self, request: &BuildRequest) -> Result<BuildResponse, ClientError> {
-        match self.round_trip(&Request::Build(request.clone()))? {
+        match self.round_trip(&protocol::encode_build_request(request))? {
             Response::Built(built) => {
                 let got = ipra_artifact::verify(ArtifactKind::Executable, &built.vx);
                 if got != Ok(built.fingerprint) {
@@ -136,7 +136,7 @@ impl Client {
     ///
     /// Any [`ClientError`].
     pub fn stats(&mut self) -> Result<Vec<Counter>, ClientError> {
-        match self.round_trip(&Request::Stats)? {
+        match self.round_trip(&protocol::encode_request(&Request::Stats))? {
             Response::Stats(s) => Ok(s.counters),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
@@ -149,7 +149,7 @@ impl Client {
     ///
     /// Any [`ClientError`].
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.round_trip(&Request::Shutdown)? {
+        match self.round_trip(&protocol::encode_request(&Request::Shutdown))? {
             Response::ShuttingDown => Ok(()),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),

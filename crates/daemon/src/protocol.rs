@@ -334,6 +334,24 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     encode_frame(TAG_REQUEST, req)
 }
 
+/// [`Request::Build`] borrowing its request. Its encoding is the derived
+/// one of the owned variant: the variant's `u32` index, then the request.
+struct BuildRef<'a>(&'a BuildRequest);
+
+impl BinSerialize for BuildRef<'_> {
+    fn bin_serialize(&self, out: &mut Vec<u8>) {
+        // `Request::Build` is the second variant.
+        out.extend_from_slice(&1u32.to_le_bytes());
+        self.0.bin_serialize(out);
+    }
+}
+
+/// Encodes the frame of `Request::Build(req.clone())` from a borrow of
+/// `req`, so a client sends its sources without copying them first.
+pub(crate) fn encode_build_request(req: &BuildRequest) -> Vec<u8> {
+    encode_frame(TAG_REQUEST, &BuildRef(req))
+}
+
 /// Decodes a request frame.
 ///
 /// # Errors
@@ -448,6 +466,14 @@ mod tests {
             let frame = encode_request(&req);
             assert_eq!(decode_request(&frame), Ok(req));
         }
+    }
+
+    #[test]
+    fn a_borrowed_build_request_encodes_as_the_owned_one() {
+        let Request::Build(req) = sample_request() else { unreachable!() };
+        assert_eq!(encode_build_request(&req), encode_request(&Request::Build(req.clone())));
+        let empty = BuildRequest { sources: Vec::new(), training_input: Vec::new(), ..req };
+        assert_eq!(encode_build_request(&empty), encode_request(&Request::Build(empty.clone())));
     }
 
     #[test]

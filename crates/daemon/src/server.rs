@@ -393,9 +393,11 @@ fn project_shard(req: &BuildRequest, shards: usize) -> usize {
     ((u128::from(h.finish()) * shards as u128) >> 64) as usize
 }
 
-/// The leader's computation: pick the project's shard, compile under its
-/// lock, fold the build's counters into the daemon's (and its phase
-/// counters under the shard's name), package the `.vx` artifact.
+/// The leader's computation: pick the project's shard, build the `.vx`
+/// artifact under its lock ([`ipra_driver::compile_artifact`], whose
+/// `.vx` tier serves a repeated program's text), and fold the build's
+/// counters into the daemon's (and its phase counters under the shard's
+/// name).
 fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireError> {
     let config = PaperConfig::parse(&req.config)
         .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
@@ -419,13 +421,8 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
     };
     let shard_index = project_shard(req, shared.shards.len());
     let mut cache = shared.shards[shard_index].lock().expect("shard lock");
-    let built = ipra_driver::compile_configured(
-        &sources,
-        config,
-        &req.training_input,
-        &options,
-        &mut cache,
-    );
+    let built =
+        ipra_driver::compile_artifact(&sources, config, &req.training_input, &options, &mut cache);
     drop(cache);
     let counters = build_tele.counters();
     for (key, &n) in &counters {
@@ -433,18 +430,16 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
     }
     export_shard_counters(&shared.tele, shard_index, &counters);
     shared.tele.add("daemon.builds", 1);
-    let program = match built {
-        Ok(Ok(program)) => program,
-        Ok(Err(sim)) => return Err(WireError::Training(sim.to_string())),
-        Err(e) => return Err(WireError::Compile(e.to_string())),
-    };
-    let (vx, fingerprint) = protocol::executable_artifact(&program.exe);
-    Ok(BuildResponse {
-        vx,
-        fingerprint,
-        coalesced: false,
-        recompiled: program.build.recompiled.clone(),
-    })
+    match built {
+        Ok(Ok(built)) => Ok(BuildResponse {
+            vx: built.vx,
+            fingerprint: built.fingerprint,
+            coalesced: false,
+            recompiled: built.build.recompiled,
+        }),
+        Ok(Err(sim)) => Err(WireError::Training(sim.to_string())),
+        Err(e) => Err(WireError::Compile(e.to_string())),
+    }
 }
 
 /// Files one request's `phase{1,2}.{hits,misses,evictions}` counters (both

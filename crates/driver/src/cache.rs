@@ -11,7 +11,11 @@
 //!   of one project (or a baseline and a profile-fed build) keep their
 //!   entries side by side. Each tier keeps a recency index, and an entry
 //!   that none of the last [`RETAINED_BUILDS`] builds used leaves memory:
-//!   that retention rule is the tier's only bound;
+//!   that retention rule is the tier's only bound. Beside them, memory
+//!   only, the **`.vx` tier** holds linked programs' `.vx` text under the
+//!   phase-2 keys of their objects (see [`crate::compile_artifact`]): the
+//!   first link of a key list leaves a key-only marker, and only a second
+//!   link stores the text, so a one-off program never holds its text;
 //! * an optional **on-disk** tier ([`DiskCache`], enabled through
 //!   [`CompilationCache::with_disk`] / `cminc --cache-dir`) holding the
 //!   same entries content-addressed by the same keys, so the fingerprints
@@ -46,16 +50,18 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use vpr::program::ObjectModule;
 
-/// Cache accounting for one step of one build: a per-module phase, or the
-/// program analyzer (one lookup per build).
+/// Cache accounting for one step of one build: a per-module phase, the
+/// program analyzer (one lookup per build) or the `.vx` tier (one lookup
+/// per [`crate::compile_artifact`] build).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseStats {
-    /// Modules (or analyses) served from the cache (memory or disk).
+    /// Modules (or analyses, or texts) served from the cache (memory or
+    /// disk).
     pub hits: usize,
     /// Of those hits, how many were loaded from the on-disk tier (always
     /// zero when the cache has no disk directory).
     pub disk_hits: usize,
-    /// Modules (or analyses) recomputed.
+    /// Modules (or analyses) recomputed, or programs linked.
     pub misses: usize,
     /// Entries of this phase's tier that the retention rule
     /// ([`RETAINED_BUILDS`]) dropped from memory as the build ended
@@ -120,7 +126,14 @@ pub struct BuildReport {
     pub analyze: PhaseStats,
     /// Compiler second phase (register allocation + emission).
     pub phase2: PhaseStats,
-    /// Link seconds (always runs).
+    /// The `.vx` tier, which only [`crate::compile_artifact`] probes: a
+    /// hit serves the build's linked text, and a miss links. Its
+    /// evictions are counted by every build, like phase 2's; its
+    /// `disk_hits` and `seconds` stay zero (the tier is memory only, and a
+    /// probe is timed in `phase2`).
+    pub vx: PhaseStats,
+    /// Link seconds: the link always runs, except where the `.vx` tier
+    /// served the build's text.
     pub link_seconds: f64,
     /// Seconds in the cache's on-disk tier: loading frames, inside the
     /// phase and analyzer rows that probe it, and the end-of-build flush of
@@ -197,6 +210,26 @@ pub(crate) struct AnalysisEntry {
     pub(crate) key: u64,
     pub(crate) database: ProgramDatabase,
     pub(crate) stats: AnalyzerStats,
+}
+
+/// A linked program as [`crate::compile_artifact`] hands it out.
+#[derive(Debug, Clone)]
+pub(crate) struct Linked {
+    /// The `.vx` artifact text.
+    pub(crate) vx: String,
+    /// The body fingerprint its header carries.
+    pub(crate) fingerprint: u64,
+    /// The executable's instruction count (`link.insts`).
+    pub(crate) insts: usize,
+}
+
+/// A `.vx` tier entry: the phase-2 keys `(ir_fp, db_fp)` of the linked
+/// objects, in source order, and the text once a second link of them
+/// admitted it (`None` is the first link's marker).
+#[derive(Debug)]
+struct VxEntry {
+    keys: Vec<(u64, u64)>,
+    linked: Option<Linked>,
 }
 
 /// The persistent tier: cache entries as length-prefixed binary frames
@@ -353,9 +386,10 @@ impl Drop for DiskCache {
 }
 
 /// How many recent builds keep an entry in memory: at the end of each
-/// [`crate::compile_incremental`] call, an entry that none of the cache's
-/// last `RETAINED_BUILDS` builds (that one included) looked up or stored
-/// leaves the memory tier. The disk tier keeps it.
+/// [`crate::compile_incremental`] or [`crate::compile_artifact`] build, an
+/// entry that none of the cache's last `RETAINED_BUILDS` builds (that one
+/// included) looked up or stored leaves the memory tier, the `.vx` tier's
+/// included. The disk tier keeps it.
 pub const RETAINED_BUILDS: usize = 16;
 
 /// One in-memory tier: values by content key, each with the tick of its
@@ -415,6 +449,8 @@ pub struct CompilationCache {
     phase1: Tier<u64, Arc<Phase1Entry>>,
     /// Phase-2 objects by `(ir_fp, db_fp)`.
     phase2: Tier<(u64, u64), ObjectModule>,
+    /// Linked `.vx` text by link key (`stages::link_key`). Memory only.
+    vx: Tier<u64, VxEntry>,
     /// The most recent program analysis. One slot, outside the retention
     /// rule: the warm and edit rebuilds it serves repeat the previous
     /// build's key.
@@ -486,15 +522,16 @@ impl CompilationCache {
     /// eviction: it drops from memory every entry that none of the last
     /// [`RETAINED_BUILDS`] builds looked up or stored, and the current
     /// build's entries stay, as does the disk tier. Then the disk tier
-    /// writes the build's entries in one burst. Records the phase-1 and
-    /// phase-2 drops as `report`'s [`PhaseStats::evictions`], and the disk
-    /// tier's seconds since [`begin_build`](Self::begin_build) as its
-    /// [`BuildReport::cache_seconds`].
+    /// writes the build's entries in one burst. Records the phase-1,
+    /// phase-2 and `.vx` drops as `report`'s [`PhaseStats::evictions`], and
+    /// the disk tier's seconds since [`begin_build`](Self::begin_build) as
+    /// its [`BuildReport::cache_seconds`].
     pub(crate) fn end_build(&mut self, report: &mut BuildReport) {
         if self.build_starts.len() == RETAINED_BUILDS {
             let oldest = self.build_starts[0];
             report.phase1.evictions = self.phase1.retire_before(oldest);
             report.phase2.evictions = self.phase2.retire_before(oldest);
+            report.vx.evictions = self.vx.retire_before(oldest);
         }
         if let Some(d) = &mut self.disk {
             d.flush();
@@ -547,16 +584,24 @@ impl CompilationCache {
 
     /// Phase-2 lookup by `(ir_fp, db_fp)`: memory first, then the disk tier
     /// (promoting to memory). The flag reports whether the object came from
-    /// disk.
-    pub(crate) fn lookup_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<(ObjectModule, bool)> {
+    /// disk. The object stays in memory for the rest of the build, where
+    /// [`phase2_object`](Self::phase2_object) reads it: a build served by
+    /// the `.vx` tier never copies it.
+    pub(crate) fn lookup_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<bool> {
         let tick = self.next_tick();
-        if let Some(object) = self.phase2.get((ir_fp, db_fp), tick) {
-            return Some((object.clone(), false));
+        if self.phase2.get((ir_fp, db_fp), tick).is_some() {
+            return Some(false);
         }
         let e = self.disk.as_mut()?.load_phase2(ir_fp, db_fp)?;
-        let object = e.object.clone();
         self.phase2.insert((ir_fp, db_fp), e.object, tick);
-        Some((object, true))
+        Some(true)
+    }
+
+    /// The phase-2 object under `(ir_fp, db_fp)`, if memory holds it. No
+    /// entry leaves memory before its build ends, so one that this build
+    /// looked up or stored is here.
+    pub(crate) fn phase2_object(&self, ir_fp: u64, db_fp: u64) -> Option<&ObjectModule> {
+        self.phase2.entries.get(&(ir_fp, db_fp)).map(|(object, _)| object)
     }
 
     /// Stores a freshly compiled object in memory and, when attached,
@@ -567,6 +612,28 @@ impl CompilationCache {
         }
         let tick = self.next_tick();
         self.phase2.insert((entry.ir_fp, entry.db_fp), entry.object, tick);
+    }
+
+    /// `.vx` lookup by link key: the text linked from the objects under
+    /// `keys`, when the tier holds it under `key` for exactly that key
+    /// list. A marker, or an entry for another key list, is a miss.
+    pub(crate) fn lookup_vx(&mut self, key: u64, keys: &[(u64, u64)]) -> Option<Linked> {
+        let tick = self.next_tick();
+        match self.vx.get(key, tick)? {
+            VxEntry { keys: stored, linked: Some(linked) } if stored[..] == *keys => {
+                Some(linked.clone())
+            }
+            _ => None,
+        }
+    }
+
+    /// Offers the text a build linked from the objects under `keys`. The
+    /// first link of a key list leaves a marker; a second, finding the
+    /// marker, stores the text.
+    pub(crate) fn store_vx(&mut self, key: u64, keys: Vec<(u64, u64)>, linked: &Linked) {
+        let tick = self.next_tick();
+        let seen = self.vx.entries.get(&key).is_some_and(|(e, _)| e.keys == keys);
+        self.vx.insert(key, VxEntry { keys, linked: seen.then(|| linked.clone()) }, tick);
     }
 
     /// Analysis lookup: the memory slot first, then the disk tier
@@ -677,6 +744,69 @@ mod tests {
         assert_eq!(one_build(&mut c, 18, &[]), (0, 0), "key 2 was used by build 17");
         assert_eq!(one_build(&mut c, 19, &[]), (1, 0), "key 3 (build 3) leaves");
         assert_eq!(c.phase1.entries.len(), 17, "keys 2 and 4..=19");
+    }
+
+    fn linked(text: &str) -> Linked {
+        Linked { vx: text.to_string(), fingerprint: 7, insts: 3 }
+    }
+
+    /// The text the `.vx` tier serves for `keys` under link key 9.
+    fn served(c: &mut CompilationCache, keys: &[(u64, u64)]) -> Option<String> {
+        c.lookup_vx(9, keys).map(|l| l.vx)
+    }
+
+    #[test]
+    fn the_vx_tier_stores_text_from_the_second_link_of_a_key_list() {
+        let mut c = CompilationCache::new();
+        let keys = vec![(1, 2), (3, 4)];
+        assert_eq!(served(&mut c, &keys), None);
+        c.store_vx(9, keys.clone(), &linked("a"));
+        assert!(c.vx.entries[&9].0.linked.is_none(), "the first link leaves a marker");
+        assert_eq!(served(&mut c, &keys), None, "a marker serves nothing");
+        c.store_vx(9, keys.clone(), &linked("a"));
+        assert_eq!(served(&mut c, &keys).as_deref(), Some("a"));
+    }
+
+    #[test]
+    fn retention_drops_vx_entries_and_the_next_link_starts_over() {
+        let mut c = CompilationCache::new();
+        let keys = vec![(1, 2)];
+        for _ in 0..2 {
+            c.begin_build();
+            c.store_vx(9, keys.clone(), &linked("a"));
+            assert_eq!(end(&mut c), (0, 0));
+        }
+        assert_eq!(served(&mut c, &keys).as_deref(), Some("a"));
+        // Builds 3..=17 do not use the entry; build 2 is still one of the
+        // last 16 when build 17 ends, and no longer when build 18 does.
+        for b in 3..=17 {
+            one_build(&mut c, b, &[]);
+        }
+        assert!(c.vx.entries.contains_key(&9));
+        c.begin_build();
+        let mut report = BuildReport::default();
+        c.end_build(&mut report);
+        assert_eq!(report.vx.evictions, 1);
+        assert_eq!(served(&mut c, &keys), None);
+        c.store_vx(9, keys.clone(), &linked("a"));
+        assert_eq!(served(&mut c, &keys), None, "the next link leaves a marker again");
+    }
+
+    #[test]
+    fn a_vx_entry_for_another_key_list_is_never_served() {
+        let mut c = CompilationCache::new();
+        let (keys, forged) = (vec![(1, 2), (3, 4)], vec![(1, 2), (3, 5)]);
+        // A text under `keys`' link key, stored for another key list.
+        c.store_vx(9, forged.clone(), &linked("forged"));
+        c.store_vx(9, forged.clone(), &linked("forged"));
+        assert_eq!(served(&mut c, &forged).as_deref(), Some("forged"));
+        assert_eq!(served(&mut c, &keys), None);
+        assert_eq!(served(&mut c, &keys[..1]), None);
+        // A link of `keys` replaces it with its own marker, then its text.
+        c.store_vx(9, keys.clone(), &linked("real"));
+        assert_eq!((served(&mut c, &keys), served(&mut c, &forged)), (None, None));
+        c.store_vx(9, keys.clone(), &linked("real"));
+        assert_eq!(served(&mut c, &keys).as_deref(), Some("real"));
     }
 
     /// A small real module's IR, so the frame's tail has some shape.

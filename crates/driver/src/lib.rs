@@ -30,7 +30,11 @@
 //! [`compile_incremental`] reuses a cache across builds: it probes the
 //! cache and runs the same stages on the misses. Both report per-phase
 //! timings and hit/miss counts in [`CompiledProgram::build`] (a one-shot
-//! build misses everywhere). A cache opened with
+//! build misses everywhere). [`compile_artifact`] is the cached build for
+//! a caller that wants only the `.vx` executable artifact (the `cmind`
+//! daemon): the cache's `.vx` tier serves the text of a link whose
+//! objects' keys repeat, so a repeated program costs its keys and
+//! lookups. A cache opened with
 //! [`CompilationCache::with_disk`] additionally persists its entries to a
 //! cache directory, so the same fingerprints keep working across *process*
 //! invocations (`cminc --cache-dir`).
@@ -69,9 +73,11 @@ mod stages;
 
 pub use cache::{BuildReport, CompilationCache, Phase1Steps, PhaseStats, RETAINED_BUILDS};
 
+use cache::Linked;
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
 use cmin_ir::IrModule;
+use ipra_artifact::ArtifactKind;
 use ipra_core::analyzer::{AnalyzerOptions, AnalyzerStats, PaperConfig};
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::{ProfileData, ProgramDatabase};
@@ -300,7 +306,8 @@ pub fn compile(
 
     let exe = link_objects(tele, &objects, &mut report)?;
     report.total_seconds = build_timer.finish();
-    let program = CompiledProgram {
+    count_build(tele, &report, &analysis.stats, objects.len(), exe.code_len());
+    Ok(CompiledProgram {
         exe,
         objects,
         summary,
@@ -308,9 +315,7 @@ pub fn compile(
         stats: analysis.stats,
         build: report,
         trace,
-    };
-    count_build(tele, &program);
-    Ok(program)
+    })
 }
 
 /// Compiles a multi-module program, reusing `cache` across builds.
@@ -350,9 +355,8 @@ pub fn compile_incremental(
     // ---- The program analyzer: whole-program, keyed on the summaries and
     // the resolved options.
     let analyze_timer = span(tele, "build", "analyze");
-    let summary =
-        ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() };
-    let (analysis, trace) = stages::analyze(&entries, &summary, options, cache, &mut report);
+    let summary = stages::program_summary(&entries);
+    let (analysis, trace) = stages::analyze(&entries, Some(&summary), options, cache, &mut report);
     report.analyze.seconds = analyze_timer.finish();
 
     // ---- Compiler second phase: per module, keyed on (IR, database slice).
@@ -378,7 +382,8 @@ pub fn compile_incremental(
     // way; see `DiskCache`). Both are charged to the build total.
     cache.end_build(&mut report);
     report.total_seconds = build_timer.finish();
-    let program = CompiledProgram {
+    count_build(tele, &report, &analysis.stats, objects.len(), exe.code_len());
+    Ok(CompiledProgram {
         exe,
         objects,
         summary,
@@ -386,9 +391,7 @@ pub fn compile_incremental(
         stats: analysis.stats.clone(),
         build: report,
         trace,
-    };
-    count_build(tele, &program);
-    Ok(program)
+    })
 }
 
 /// Links a build's objects (whole-program; always runs) in the build's
@@ -405,12 +408,20 @@ fn link_objects(
 }
 
 /// The tail every build shares: writes the build's `build.*`, `phase*.*`,
-/// `analyze.*` and `link.*` counters into its collector, when it has one.
-fn count_build(tele: Option<&Telemetry>, program: &CompiledProgram) {
+/// `analyze.*` and `link.*` counters into its collector, when it has one,
+/// for a program of `modules` modules linked into `insts` instructions.
+/// A `vx.*` counter is written once it is nonzero, so a build through a
+/// cache whose `.vx` tier was never used writes what it always has.
+fn count_build(
+    tele: Option<&Telemetry>,
+    report: &BuildReport,
+    stats: &AnalyzerStats,
+    modules: usize,
+    insts: usize,
+) {
     let Some(t) = tele else { return };
-    let report = &program.build;
     t.add("build.builds", 1);
-    t.add("build.modules", program.summary.modules.len() as u64);
+    t.add("build.modules", modules as u64);
     t.add("phase1.hits", report.phase1.hits as u64);
     t.add("phase1.disk_hits", report.phase1.disk_hits as u64);
     t.add("phase1.misses", report.phase1.misses as u64);
@@ -423,10 +434,18 @@ fn count_build(tele: Option<&Telemetry>, program: &CompiledProgram) {
     t.add("phase2.misses", report.phase2.misses as u64);
     t.add("phase2.evictions", report.phase2.evictions as u64);
     t.add("phase2.recompiled", report.recompiled.len() as u64);
-    t.add("analyze.nodes", program.stats.nodes as u64);
-    t.add("analyze.webs", program.stats.webs_total as u64);
-    t.add("link.objects", program.objects.len() as u64);
-    t.add("link.insts", program.exe.code_len() as u64);
+    t.add("analyze.nodes", stats.nodes as u64);
+    t.add("analyze.webs", stats.webs_total as u64);
+    t.add("link.objects", modules as u64);
+    t.add("link.insts", insts as u64);
+    let vx = &report.vx;
+    for (name, n) in
+        [("vx.hits", vx.hits), ("vx.misses", vx.misses), ("vx.evictions", vx.evictions)]
+    {
+        if n > 0 {
+            t.add(name, n as u64);
+        }
+    }
 }
 
 /// Runs the interprocedural register-discipline verifier over a compiled
@@ -509,6 +528,128 @@ pub fn compile_configured(
     };
     let opts = CompileOptions { config: Some(config), profile, ..options.clone() };
     Ok(Ok(compile_incremental(sources, &opts, cache)?))
+}
+
+/// A build's linked program as `.vx` artifact text, as
+/// [`compile_artifact`] returns it.
+#[derive(Debug, Clone)]
+pub struct BuiltArtifact {
+    /// The `.vx` text: byte for byte [`ipra_artifact`]'s encoding, for the
+    /// build's target, of the executable a [`compile`] of the same inputs
+    /// links.
+    pub vx: String,
+    /// The body fingerprint the text's header carries (its `fnv64:`
+    /// token).
+    pub fingerprint: u64,
+    /// Per-phase timing and cache accounting for the build that produced
+    /// the text, the `.vx` tier's included.
+    pub build: BuildReport,
+}
+
+/// [`compile_configured`] for a caller that wants only the executable
+/// artifact: the same training build for B and F, then the same phase 1,
+/// analyzer and phase 2 through `cache`, and the `.vx` text of the link.
+/// No [`CompiledProgram`] is assembled.
+///
+/// The text is a function of the target and each module's phase-2 key, so
+/// the cache's memory-only `.vx` tier keeps it under those keys: a build
+/// whose every object hits and whose key list the tier holds copies no
+/// object, links nothing and neither writes nor hashes the text. The tier
+/// keeps a text from the second link of its key list on, and drops it by
+/// the retention rule ([`RETAINED_BUILDS`]). The report's phase-1,
+/// analyzer and phase-2 accounting, its `recompiled` list, and the build's
+/// spans and counters other than `vx.*` are those [`compile_configured`]
+/// records for the same sequence of builds.
+///
+/// # Errors
+///
+/// As [`compile_configured`].
+pub fn compile_artifact(
+    sources: &[SourceFile],
+    config: PaperConfig,
+    training_input: &[i64],
+    options: &CompileOptions,
+    cache: &mut CompilationCache,
+) -> Result<Result<BuiltArtifact, SimError>, DriverError> {
+    let profile = match training_profile(sources, config, training_input, options, cache)? {
+        Ok(profile) => profile,
+        Err(e) => return Ok(Err(e)),
+    };
+    let opts = CompileOptions { config: Some(config), profile, ..options.clone() };
+    Ok(Ok(artifact_incremental(sources, &opts, cache)?))
+}
+
+/// [`compile_incremental`]'s build, ending in `.vx` text rather than a
+/// [`CompiledProgram`]: see [`compile_artifact`].
+fn artifact_incremental(
+    sources: &[SourceFile],
+    options: &CompileOptions,
+    cache: &mut CompilationCache,
+) -> Result<BuiltArtifact, DriverError> {
+    let tele = options.telemetry.as_ref();
+    cache.set_telemetry(options.telemetry.clone());
+    let build_timer = span(tele, "build", "build");
+    let jobs = options.effective_jobs();
+    let mut report = BuildReport::default();
+    cache.begin_build();
+
+    let phase1_timer = span(tele, "build", "phase1");
+    let entries = stages::phase1(sources, options.optimize, jobs, cache, &mut report)?;
+    report.phase1.seconds = phase1_timer.finish();
+
+    // ---- The analyzer, which assembles the program summary only to run.
+    let analyze_timer = span(tele, "build", "analyze");
+    let (analysis, _) = stages::analyze(&entries, None, options, cache, &mut report);
+    report.analyze.seconds = analyze_timer.finish();
+
+    // ---- Phase 2's lookups. When every object hits, the `.vx` tier may
+    // hold their link; otherwise, or when it does not, phase 2 finishes.
+    let phase2_timer = span(tele, "build", "phase2");
+    let (database, target) = (&analysis.database, options.target);
+    let keys = stages::phase2_keys(&entries, database, target);
+    let stale = stages::probe_phase2(&keys, cache, &mut report);
+    let link_key = stages::link_key(&keys, target);
+    let served = if stale.is_empty() { cache.lookup_vx(link_key, &keys) } else { None };
+    let objects = match served {
+        Some(_) => Vec::new(),
+        None => stages::phase2_objects(
+            sources,
+            options.optimize,
+            &entries,
+            &keys,
+            &stale,
+            database,
+            target,
+            jobs,
+            cache,
+            &mut report,
+        )?,
+    };
+    report.phase2.seconds = phase2_timer.finish();
+
+    let linked = match served {
+        Some(linked) => {
+            report.vx.hits = 1;
+            // The link step keeps its span, empty: the tier served it.
+            report.link_seconds = span(tele, "build", "link").finish();
+            linked
+        }
+        None => {
+            report.vx.misses = 1;
+            let objects: Vec<ObjectModule> = objects.into_iter().map(|a| a.object).collect();
+            let exe = link_objects(tele, &objects, &mut report)?;
+            let view = ipra_artifact::ExecutableView { exe: &exe };
+            let (vx, fingerprint) =
+                ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);
+            let linked = Linked { vx, fingerprint, insts: exe.code_len() };
+            cache.store_vx(link_key, keys, &linked);
+            linked
+        }
+    };
+    cache.end_build(&mut report);
+    report.total_seconds = build_timer.finish();
+    count_build(tele, &report, &analysis.stats, sources.len(), linked.insts);
+    Ok(BuiltArtifact { vx: linked.vx, fingerprint: linked.fingerprint, build: report })
 }
 
 /// The training half of [`compile_configured`], which the staged artifact
@@ -1104,6 +1245,32 @@ mod tests {
             // Determinism: building it again yields byte-identical JSON.
             let again = diff_report(&sources, PaperConfig::L2, config_b, &[], 1).unwrap().unwrap();
             assert_eq!(r.to_json(), again.to_json());
+        }
+    }
+
+    #[test]
+    fn the_artifact_path_serves_a_programs_third_build_from_the_vx_tier() {
+        use vpr::target::TargetId;
+        let sources = two_module_program();
+        for target in TargetId::ALL {
+            let opts = CompileOptions { target, ..CompileOptions::paper(PaperConfig::C) };
+            let exe = compile(&sources, &opts).unwrap().exe;
+            let view = ipra_artifact::ExecutableView { exe: &exe };
+            let want = ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);
+            let mut cache = CompilationCache::new();
+            for (build, tier) in [(1, (0, 1)), (2, (0, 1)), (3, (1, 0)), (4, (1, 0))] {
+                let tele = Telemetry::new();
+                let traced = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
+                let built = compile_artifact(&sources, PaperConfig::C, &[], &traced, &mut cache)
+                    .unwrap()
+                    .unwrap();
+                let label = format!("{} build {build}", target.name());
+                assert_eq!((built.vx, built.fingerprint), want.clone(), "{label}");
+                assert_eq!((built.build.vx.hits, built.build.vx.misses), tier, "{label}");
+                let counted = (tele.counter("vx.hits"), tele.counter("vx.misses"));
+                assert_eq!(counted, (tier.0 as u64, tier.1 as u64), "{label}");
+                assert_eq!(tele.counter("link.insts"), exe.code_len() as u64, "{label}");
+            }
         }
     }
 

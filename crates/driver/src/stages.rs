@@ -12,10 +12,14 @@
 //! [`phase2`] probe the [cache](crate::CompilationCache), call the routine
 //! on the misses, store the results, and count hits, disk hits and misses
 //! into a [`BuildReport`]. They are the driver's only cached steps:
-//! [`crate::compile_incremental`], [`crate::separate::build_module_for`]
-//! (`cminc c`) and the staged artifact build all go through them, so a
-//! cache key cannot drift between the in-memory and the file-based
-//! pipelines. The analyzer's key is [`analysis_key`].
+//! [`crate::compile_incremental`], [`crate::compile_artifact`],
+//! [`crate::separate::build_module_for`] (`cminc c`) and the staged
+//! artifact build all go through them, so a cache key cannot drift
+//! between the in-memory and the file-based pipelines. The analyzer's key
+//! is [`analysis_key`]. [`phase2`] is [`phase2_keys`], [`probe_phase2`]
+//! and [`phase2_objects`] in turn; `compile_artifact` calls them one by
+//! one, and between the probe and the objects asks the `.vx` tier for the
+//! text linked from the objects under those keys ([`link_key`]).
 
 use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase1Steps, Phase2Entry};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
@@ -304,14 +308,21 @@ pub(crate) fn analysis_key(summary_fps: &[u64], opts: &AnalyzerOptions) -> u64 {
     h.finish()
 }
 
-/// The program analyzer over phase-1 `entries` (whose summaries make up
-/// `summary`) under `options`' analyzer settings, through `cache`'s
-/// analysis tier, and fills `report.analyze`. A traced build always runs
-/// the analyzer, to record its decisions, and stores the result like any
-/// miss.
+/// The program summary of phase-1 `entries`: a copy of each module's
+/// summary record, in order.
+pub(crate) fn program_summary(entries: &[Arc<Phase1Entry>]) -> ProgramSummary {
+    ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() }
+}
+
+/// The program analyzer over phase-1 `entries` under `options`' analyzer
+/// settings, through `cache`'s analysis tier, and fills `report.analyze`.
+/// `summary` is the entries' [`program_summary`] when the caller has made
+/// it; otherwise a miss makes it, and a hit, which reads none, does not. A
+/// traced build always runs the analyzer, to record its decisions, and
+/// stores the result like any miss.
 pub(crate) fn analyze(
     entries: &[Arc<Phase1Entry>],
-    summary: &ProgramSummary,
+    summary: Option<&ProgramSummary>,
     options: &CompileOptions,
     cache: &mut CompilationCache,
     report: &mut BuildReport,
@@ -327,6 +338,14 @@ pub(crate) fn analyze(
         }
     }
     report.analyze.misses = 1;
+    let made;
+    let summary = match summary {
+        Some(summary) => summary,
+        None => {
+            made = program_summary(entries);
+            &made
+        }
+    };
     let (analysis, trace) = run_analyzer(summary, &opts, options.trace);
     let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
     (cache.store_analysis(entry), trace)
@@ -349,21 +368,73 @@ impl Borrow<IrModule> for StaleIr<'_> {
     }
 }
 
+/// The phase-2 cache keys `(ir_fp, db_fp)` of phase-1 `entries` under
+/// `database` for `target`, in order: the key of (IR, database slice,
+/// target) that a module's object is a function of, and so, as a list,
+/// what a link of the objects is a function of.
+pub(crate) fn phase2_keys(
+    entries: &[Arc<Phase1Entry>],
+    database: &ProgramDatabase,
+    target: TargetId,
+) -> Vec<(u64, u64)> {
+    entries
+        .iter()
+        .map(|e| {
+            let fp = database.module_slice_fingerprint(
+                e.head.summary.procs.iter().map(|p| p.name.as_str()),
+                e.head.callees.iter().map(|s| s.as_str()),
+            );
+            (e.head.ir_fp, mix_target(fp, target))
+        })
+        .collect()
+}
+
+/// The `.vx` tier's key for the objects under phase-2 `keys`, linked for
+/// `target`: FNV-64 over the target's name and every key in order.
+pub(crate) fn link_key(keys: &[(u64, u64)], target: TargetId) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str(target.name());
+    h.write_u64(keys.len() as u64);
+    for &(ir_fp, db_fp) in keys {
+        h.write_u64(ir_fp);
+        h.write_u64(db_fp);
+    }
+    h.finish()
+}
+
+/// Looks every module's phase-2 key up in `cache`, counting hits, disk
+/// hits and misses into `report.phase2`, and returns the misses' indices.
+/// A hit's object stays in the cache: only [`phase2_objects`] copies it.
+pub(crate) fn probe_phase2(
+    keys: &[(u64, u64)],
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Vec<usize> {
+    let mut stale = Vec::new();
+    for (i, &(ir_fp, db_fp)) in keys.iter().enumerate() {
+        match cache.lookup_phase2(ir_fp, db_fp) {
+            Some(from_disk) => {
+                report.phase2.hits += 1;
+                report.phase2.disk_hits += usize::from(from_disk);
+            }
+            None => {
+                report.phase2.misses += 1;
+                stale.push(i);
+            }
+        }
+    }
+    stale
+}
+
 /// The compiler second phase over phase-1 `entries` under `database`,
 /// through `cache`, keyed on (IR, database slice, target). Returns each
 /// module's object with the fingerprints codegen consumed (the `.vo`
 /// payload), in order, and fills `report.phase2` and `report.recompiled`.
-/// The misses run [`run_phase2`].
-///
-/// Only the modules it recompiles decode their IR. One whose cached IR
-/// does not decode re-runs phase 1 from its source (`sources` and
-/// `optimize` are what [`phase1`] was given) and replaces the cached entry;
-/// the frame counts as corrupt, while `report.phase1` keeps the lookup's
-/// hit, since the head was served.
+/// It is [`phase2_keys`], [`probe_phase2`] and [`phase2_objects`] in turn.
 ///
 /// # Errors
 ///
-/// The lowest-index diagnostic of such a re-run.
+/// As [`phase2_objects`].
 #[allow(clippy::too_many_arguments)] // phase 1's inputs ride along for the fallback
 pub(crate) fn phase2(
     sources: &[SourceFile],
@@ -375,34 +446,40 @@ pub(crate) fn phase2(
     cache: &mut CompilationCache,
     report: &mut BuildReport,
 ) -> Result<Vec<ObjectArtifact>, CompileError> {
+    let keys = phase2_keys(entries, database, target);
+    let stale = probe_phase2(&keys, cache, report);
+    phase2_objects(sources, optimize, entries, &keys, &stale, database, target, jobs, cache, report)
+}
+
+/// The rest of the second phase once [`probe_phase2`] has probed `keys`:
+/// runs [`run_phase2`] on the misses `stale`, stores their objects and
+/// names them in `report.recompiled`, and returns every module's object
+/// (a hit's copied from the cache) with its fingerprints, in order.
+///
+/// Only the modules it recompiles decode their IR. One whose cached IR
+/// does not decode re-runs phase 1 from its source (`sources` and
+/// `optimize` are what [`phase1`] was given) and replaces the cached entry;
+/// the frame counts as corrupt, while `report.phase1` keeps the lookup's
+/// hit, since the head was served.
+///
+/// # Errors
+///
+/// The lowest-index diagnostic of such a re-run.
+#[allow(clippy::too_many_arguments)] // phase 1's inputs ride along for the fallback
+pub(crate) fn phase2_objects(
+    sources: &[SourceFile],
+    optimize: bool,
+    entries: &[Arc<Phase1Entry>],
+    keys: &[(u64, u64)],
+    stale: &[usize],
+    database: &ProgramDatabase,
+    target: TargetId,
+    jobs: usize,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Result<Vec<ObjectArtifact>, CompileError> {
     let tele = cache.telemetry().cloned();
-    let db_fps: Vec<u64> = entries
-        .iter()
-        .map(|e| {
-            let fp = database.module_slice_fingerprint(
-                e.head.summary.procs.iter().map(|p| p.name.as_str()),
-                e.head.callees.iter().map(|s| s.as_str()),
-            );
-            mix_target(fp, target)
-        })
-        .collect();
-    let mut objects: Vec<Option<ObjectArtifact>> = Vec::with_capacity(entries.len());
-    let mut stale_idx: Vec<usize> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        let ir_fp = e.head.ir_fp;
-        match cache.lookup_phase2(ir_fp, db_fps[i]) {
-            Some((object, from_disk)) => {
-                report.phase2.hits += 1;
-                report.phase2.disk_hits += usize::from(from_disk);
-                objects.push(Some(ObjectArtifact { object, ir_fp, dir_fp: db_fps[i] }));
-            }
-            None => {
-                report.phase2.misses += 1;
-                stale_idx.push(i);
-                objects.push(None);
-            }
-        }
-    }
+    let mut compiled: Vec<Option<ObjectModule>> = (0..keys.len()).map(|_| None).collect();
     let pool = Pool { jobs, tele: tele.as_ref() };
     let ir = |&i: &usize| match entries[i].ir() {
         Some(ir) => Ok(StaleIr::Cached(ir)),
@@ -414,17 +491,23 @@ pub(crate) fn phase2(
         }
     };
     let name = |&i: &usize| entries[i].head.summary.module.as_str();
-    run_phase2(pool, &stale_idx, name, database, target, ir, |&i, object, ir| {
+    run_phase2(pool, stale, name, database, target, ir, |&i, object, ir| {
         if let StaleIr::Redone(head, ir) = ir {
             cache.repair_phase1(head, ir);
         }
-        let (e, db_fp) = (&entries[i], db_fps[i]);
-        report.recompiled.push(e.head.summary.module.clone());
-        let ir_fp = e.head.ir_fp;
+        report.recompiled.push(entries[i].head.summary.module.clone());
+        let (ir_fp, db_fp) = keys[i];
         cache.store_phase2(Phase2Entry { ir_fp, db_fp, object: object.clone() });
-        objects[i] = Some(ObjectArtifact { object, ir_fp, dir_fp: db_fp });
+        compiled[i] = Some(object);
     })?;
-    Ok(objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect())
+    let objects = keys.iter().zip(compiled).map(|(&(ir_fp, db_fp), object)| {
+        let object = object.unwrap_or_else(|| {
+            let hit = cache.phase2_object(ir_fp, db_fp);
+            hit.expect("a probed hit stays in memory until its build ends").clone()
+        });
+        ObjectArtifact { object, ir_fp, dir_fp: db_fp }
+    });
+    Ok(objects.collect())
 }
 
 /// The span of one module's task in `phase` ("phase1:NAME"), recorded

@@ -300,3 +300,116 @@ fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
         }
     }
 }
+
+/// The span names a collector recorded, sorted: which spans a build
+/// opened, whatever order its workers closed them in.
+fn span_names(tele: &Telemetry) -> Vec<String> {
+    let trace = tele.chrome_trace_json();
+    let mut names: Vec<String> = trace
+        .lines()
+        .filter(|l| l.trim_start().starts_with("\"name\""))
+        .map(|l| l.trim().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A request's build through the artifact path and through
+/// `compile_configured` + `executable_artifact`: the `.vx` text and
+/// fingerprint, the report, the counters (the `.vx` tier's left out) and
+/// the span names.
+type Observed = ((String, u64), BuildReport, std::collections::BTreeMap<String, u64>, Vec<String>);
+
+fn observed(
+    opts: &CompileOptions,
+    build: impl FnOnce(&CompileOptions) -> ((String, u64), BuildReport),
+) -> Observed {
+    let tele = Telemetry::new();
+    let (artifact, report) =
+        build(&CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() });
+    let mut counters = tele.counters();
+    counters.retain(|name, _| !name.starts_with("vx."));
+    (artifact, report, counters, span_names(&tele))
+}
+
+/// `compile_artifact` builds and counts what `compile_configured` does,
+/// and hands out the text `executable_artifact` writes for its
+/// executable. Two caches see the same mixed sequence of requests, one
+/// through each path: under every configuration (B and F trained on an
+/// input), branch switches, one-module edits and never-seen programs, at
+/// pool widths 1 and 2, through memory-only caches that serve every
+/// request and through disk-backed ones reopened before each. The `.vx`
+/// tier serves a branch's third build when the cache stays open.
+#[test]
+fn the_artifact_path_builds_and_counts_what_compile_configured_does() {
+    const N: usize = 6;
+    let a = scaled_program(N);
+    let mut b = a.clone();
+    for i in 0..N {
+        perturb(&mut b, i, 500 + i as i64);
+    }
+    let input = [3, 5];
+    let dirs = ["artifact", "configured"]
+        .map(|side| std::env::temp_dir().join(format!("ipra-twin-{side}-{}", std::process::id())));
+    for reopened in [false, true] {
+        for jobs in [1, 2] {
+            for dir in &dirs {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            let open = || dirs.each_ref().map(|d| CompilationCache::with_disk(d).unwrap());
+            let [mut artifact_cache, mut configured_cache] =
+                if reopened { open() } else { [CompilationCache::new(), CompilationCache::new()] };
+            let opts = CompileOptions { jobs, ..CompileOptions::default() };
+            let mut fresh = 0;
+            for config in PaperConfig::ALL_WITH_ALIAS {
+                let mut edit = a.clone();
+                perturb(&mut edit, fresh % N, 900 + fresh as i64);
+                let mut never_seen = scaled_program(N);
+                for i in 0..N {
+                    fresh += 1;
+                    perturb(&mut never_seen, i, 2000 + fresh as i64);
+                }
+                let requests = [&a, &b, &a, &b, &a, &edit, &never_seen, &b];
+                for (k, sources) in requests.into_iter().enumerate() {
+                    let label = format!("reopened={reopened} jobs={jobs} {config} request {k}");
+                    if reopened {
+                        [artifact_cache, configured_cache] = open();
+                    }
+                    let got = observed(&opts, |o| {
+                        let built = ipra_driver::compile_artifact(
+                            sources,
+                            config,
+                            &input,
+                            o,
+                            &mut artifact_cache,
+                        )
+                        .unwrap()
+                        .unwrap();
+                        ((built.vx, built.fingerprint), built.build)
+                    });
+                    let want = observed(&opts, |o| {
+                        let program =
+                            compile_configured(sources, config, &input, o, &mut configured_cache)
+                                .unwrap()
+                                .unwrap();
+                        (ipra_daemon::protocol::executable_artifact(&program.exe), program.build)
+                    });
+                    assert_eq!(got.0, want.0, "{label}: .vx text and fingerprint");
+                    assert_eq!(counts(&got.1), counts(&want.1), "{label}: report");
+                    assert_eq!(got.2, want.2, "{label}: counters");
+                    assert_eq!(got.3, want.3, "{label}: spans");
+                    let tier = (got.1.vx.hits, got.1.vx.misses);
+                    let third = !reopened && (k == 4 || k == 7);
+                    assert_eq!(tier, if third { (1, 0) } else { (tier.0, 1 - tier.0) }, "{label}");
+                    assert!(
+                        !reopened || tier == (0, 1),
+                        "{label}: a reopened cache's tier is empty"
+                    );
+                }
+            }
+        }
+    }
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
