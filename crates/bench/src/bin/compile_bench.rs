@@ -12,10 +12,13 @@
 //! * **edit** — one module's leaf constant re-tuned: phase 1 re-runs for
 //!   that module, the analyzer not at all (no summary moved), and phase 2
 //!   only where the database slice changed;
-//! * **disk_cold / disk_warm** — the persistent `--cache-dir` tier: a cold
-//!   build paying the write-through cost into an empty directory, then a
-//!   *fresh* cache instance over the same directory (the separate `cminc`
-//!   invocation scenario) rebuilding entirely from disk;
+//! * **disk_cold / disk_warm / disk_edit** — the persistent `--cache-dir`
+//!   tier: a cold build paying the write-through cost into an empty
+//!   directory, then a *fresh* cache instance over the same directory (the
+//!   separate `cminc` invocation scenario) rebuilding entirely from disk,
+//!   and one more after one module's re-tune (the benchmark's `edit-loop`
+//!   op: one module recompiled, every other probe and the analysis a disk
+//!   hit);
 //! * **oneshot** — `compile()`, serial: the same stages with no cache at
 //!   all (no keys, fingerprints, stores or clones).
 //!
@@ -59,8 +62,10 @@
 //!
 //! `--check` fails the run unless, per size, the warm build was all hits,
 //! the edit recompiled fewer modules than there are, warm and edit beat
-//! cold, disk-warm beat disk-cold and was all disk hits, the analyzer ran
-//! in the cold build and was a hit in the warm, edit and disk-warm ones,
+//! cold, disk-warm beat disk-cold and was all disk hits, the disk edit
+//! recompiled one module and took every other module and the analysis off
+//! disk, the analyzer ran in the cold build and was a hit in the warm,
+//! edit and disk-warm ones,
 //! the counters were identical across jobs widths, and a one-shot build
 //! counted what the cold one did; no doubling of the scaling series
 //! took more than [`MAX_DOUBLING_RATIO`] times as long, nor did phase 1 or
@@ -207,8 +212,28 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     drop(disk_cache);
     let ((_, disk_warm), disk_warm_s) = best_of(disk, |c| build(&sources, &opts, c));
     assert_eq!(disk_warm.exe, cold.exe, "disk-served build must be bit-identical to cold");
-    let _ = std::fs::remove_dir_all(&dir);
     build_rows(report, &format!("disk_warm/{n}"), disk_warm_s, &disk_warm, Counters::new());
+
+    // Disk edit: a fresh cache instance over the populated directory after
+    // one module's re-tune, a new value each trial — the next `cminc`
+    // invocation of an edit loop.
+    let mut disk_tune = 0;
+    let ((disk_edited_sources, (_, disk_edit)), disk_edit_s) = best_of(
+        || {
+            disk_tune -= 1;
+            let mut edited = sources.clone();
+            perturb(&mut edited, n / 2, disk_tune);
+            (edited, disk())
+        },
+        |(edited, c)| {
+            let built = build(&edited, &opts, c);
+            (edited, built)
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_, fresh) = build(&disk_edited_sources, &opts, CompilationCache::new());
+    assert_eq!(disk_edit.exe, fresh.exe, "disk-served edit build must match a fresh build");
+    build_rows(report, &format!("disk_edit/{n}"), disk_edit_s, &disk_edit, Counters::new());
 
     // One edit: each trial re-tunes the middle module to a new value, so
     // exactly one module is stale every time.
@@ -270,6 +295,17 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
         Cmp::Equal,
         nf,
     );
+    // An edit moves no summary, so only the edited module misses, and
+    // the analysis comes off disk.
+    let disk_edit_gates = [
+        ("recompiled", disk_edit.build.recompiled.len(), 1),
+        ("phase1_disk_hits", disk_edit.build.phase1.disk_hits, n - 1),
+        ("phase2_disk_hits", disk_edit.build.phase2.disk_hits, n - 1),
+        ("analyze_disk_hits", disk_edit.build.analyze.disk_hits, 1),
+    ];
+    for (counter, value, want) in disk_edit_gates {
+        report.gate(format!("disk_edit/{n}.{counter}"), value as f64, Cmp::Equal, want as f64);
+    }
     report.gate(
         format!("cold/{n}.counters_differing_across_jobs"),
         across_jobs as f64,

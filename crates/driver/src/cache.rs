@@ -18,10 +18,13 @@
 //!   link stores the text, so a one-off program never holds its text;
 //! * an optional **on-disk** tier ([`DiskCache`], enabled through
 //!   [`CompilationCache::with_disk`] / `cminc --cache-dir`) holding the
-//!   same entries content-addressed by the same keys, so the fingerprints
-//!   persist across *process* invocations: a one-module edit in a fresh
-//!   `cminc` run recompiles only modules whose directive slices moved, and
-//!   skips the analyzer when no summary changed.
+//!   same entries under the same keys, as frames in one append-only pack
+//!   with an append-only index of where each key's frame lies, so the
+//!   fingerprints persist across *process* invocations: a one-module edit
+//!   in a fresh `cminc` run recompiles only modules whose directive slices
+//!   moved, and skips the analyzer when no summary changed. A build reads
+//!   the index once and each disk hit with one positioned read; any number
+//!   of processes may append to one directory.
 //!
 //! Reuse across builds — including builds at *different*
 //! [`PaperConfig`](ipra_core::analyzer::PaperConfig)s — is sound because a
@@ -36,16 +39,20 @@
 //! into telemetry, and only what the report cannot see: file traffic and
 //! corrupt frames (`cache.disk.*`).
 
+use crate::framed::{self, KIND_ANALYSIS, KIND_INDEX, KIND_PHASE1, KIND_PHASE2};
 use cmin_ir::IrModule;
 use ipra_core::analyzer::AnalyzerStats;
-use ipra_core::fingerprint::Fnv64;
 use ipra_core::ProgramDatabase;
 use ipra_summary::ModuleSummary;
 use ipra_telemetry::Telemetry;
-use serde::{BinDeserialize, Deserialize, Serialize};
+use serde::{BinDeserialize, BinSerialize, Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fs::{File, OpenOptions};
 use std::hash::Hash;
-use std::path::PathBuf;
+use std::io::Write;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use vpr::program::ObjectModule;
@@ -173,9 +180,11 @@ pub(crate) struct Phase1Head {
 #[derive(Debug)]
 pub(crate) struct Phase1Entry {
     pub(crate) head: Phase1Head,
-    /// The IR's binary encoding when the entry came off disk (empty when
-    /// phase 1 ran in this process).
-    encoded_ir: Vec<u8>,
+    /// The frame the entry was read from when it came off disk (empty when
+    /// phase 1 ran in this process), and where in it the IR's binary
+    /// encoding lies.
+    frame: Vec<u8>,
+    tail: Range<usize>,
     /// The IR, decoded on first use; `None` when the encoding is malformed.
     ir: OnceLock<Option<IrModule>>,
 }
@@ -187,7 +196,7 @@ impl Phase1Entry {
     pub(crate) fn ir(&self) -> Option<&IrModule> {
         self.ir
             .get_or_init(|| {
-                let mut cursor = self.encoded_ir.as_slice();
+                let mut cursor = &self.frame[self.tail.clone()];
                 let ir = IrModule::bin_deserialize(&mut cursor).ok()?;
                 cursor.is_empty().then_some(ir)
             })
@@ -232,26 +241,172 @@ struct VxEntry {
     linked: Option<Linked>,
 }
 
+/// The pack's file name in a cache directory: every frame the disk tier
+/// ever stored, back to back. The layout's version is in the name, so a
+/// later layout ignores these files.
+pub(crate) const PACK_FILE: &str = "frames-v1.pack";
+/// The index's file name: one [`KIND_INDEX`] frame per flush.
+pub(crate) const INDEX_FILE: &str = "frames-v1.idx";
+
+/// A frame's kind and key: the phase-1 or analysis key with a zero second
+/// word, or a phase-2 entry's `(ir_fp, db_fp)`.
+type Slot = (u8, (u64, u64));
+
+/// One index record: where the frame of one slot lies in the pack.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct IndexRecord {
+    pub(crate) kind: u8,
+    pub(crate) key: (u64, u64),
+    /// Byte offset of the frame in the pack.
+    pub(crate) offset: u64,
+    /// The frame's length in bytes.
+    pub(crate) len: u64,
+}
+
+/// The two files of a cache directory, each open for reading and
+/// appending (for reading only where the directory is not writable).
+#[derive(Debug)]
+struct Files {
+    pack: File,
+    index: File,
+}
+
+impl Files {
+    fn open(root: &Path) -> Option<Files> {
+        let open = |name: &str| {
+            let path = root.join(name);
+            OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .open(&path)
+                .or_else(|_| File::open(&path))
+                .ok()
+        };
+        Some(Files { pack: open(PACK_FILE)?, index: open(INDEX_FILE)? })
+    }
+}
+
+/// What this process has read of the index file.
+#[derive(Debug, Default)]
+struct Index {
+    /// Each slot's `(offset, len)` in the pack; a later record for a slot
+    /// replaces an earlier one.
+    extents: HashMap<Slot, (u64, u64)>,
+    /// Bytes of the index file read so far: the end of its last whole frame.
+    read: u64,
+    /// The pack's length after the last read of the index. A record is
+    /// written after its frame, so every record read lies inside it.
+    pack_len: u64,
+}
+
+impl Index {
+    /// Reads the index file's bytes past [`read`](Index::read), if it grew,
+    /// and adds their records. A frame that fails its checksum is skipped
+    /// and counted corrupt; a torn or unreadable tail stops the read, so
+    /// the next one starts there again. Returns the index file's length.
+    fn refresh(&mut self, files: &Files, tele: Option<&Telemetry>) -> std::io::Result<u64> {
+        let len = files.index.metadata()?.len();
+        if len < self.read {
+            // Cut below what was read (not by a writer of this tier, which
+            // truncates only torn tails): read it again from the start.
+            *self = Index::default();
+        }
+        if len == self.read {
+            return Ok(len);
+        }
+        let mut bytes = vec![0; (len - self.read) as usize];
+        files.index.read_exact_at(&mut bytes, self.read)?;
+        let mut pos = 0;
+        while let Some(frame) = framed::frame_len(&bytes[pos..], KIND_INDEX)
+            .and_then(|n| bytes.get(pos..pos.checked_add(n)?))
+        {
+            match framed::decode_frame::<Vec<IndexRecord>>(frame, KIND_INDEX) {
+                Some(records) => {
+                    for r in records {
+                        self.extents.insert((r.kind, r.key), (r.offset, r.len));
+                    }
+                }
+                None => {
+                    if let Some(t) = tele {
+                        t.add("cache.disk.corrupt", 1);
+                    }
+                }
+            }
+            pos += frame.len();
+        }
+        self.read += pos as u64;
+        self.pack_len = files.pack.metadata()?.len();
+        Ok(len)
+    }
+
+    /// A flush's writes, under the pack's lock: cuts the index file's torn
+    /// tail, appends `frames` to the pack, then an index frame of their
+    /// `records` (whose offsets count from the start of `frames`), and adds
+    /// the records.
+    fn append(
+        &mut self,
+        files: &Files,
+        frames: &[u8],
+        records: &mut [IndexRecord],
+        tele: Option<&Telemetry>,
+    ) -> std::io::Result<()> {
+        if self.refresh(files, tele)? > self.read {
+            files.index.set_len(self.read)?;
+        }
+        let base = files.pack.metadata()?.len();
+        (&files.pack).write_all(frames)?;
+        for r in records.iter_mut() {
+            r.offset += base;
+        }
+        let frame = framed::encode_frame(KIND_INDEX, &*records);
+        (&files.index).write_all(&frame)?;
+        self.read += frame.len() as u64;
+        self.pack_len = base + frames.len() as u64;
+        for r in records.iter() {
+            self.extents.insert((r.kind, r.key), (r.offset, r.len));
+        }
+        Ok(())
+    }
+}
+
 /// The persistent tier: cache entries as length-prefixed binary frames
-/// ([`crate::framed`]) content-addressed by their fingerprint keys under
-/// `p1/`, `p2/` and `an/` (program analyses) of a cache directory.
+/// ([`crate::framed`]) in two files of a cache directory. The pack,
+/// [`PACK_FILE`], holds the frames back to back; the index,
+/// [`INDEX_FILE`], holds one [`KIND_INDEX`] frame per flush, recording
+/// each of that flush's frames' kind, key, offset and length. Neither file
+/// is ever rewritten, only appended to (and the index's torn tail cut).
 ///
-/// Because file names *are* the keys, concurrent writers can only race on
-/// identical content, and a load checks the frame's checksum and
-/// cross-checks the embedded fingerprints against the requested key — a
-/// corrupt or truncated file degrades to a cache miss, never to a wrong
+/// A cache reads the index on its first lookup, and again, from where it
+/// stopped, when a lookup finds no record and the file has grown, so
+/// frames other processes appended meanwhile are hits. A hit is one
+/// positioned read of the frame's recorded length. The frame's checksum
+/// and the embedded fingerprints cross-checked against the requested key
+/// decide whether it is served: a damaged pack, a damaged or forged index
+/// record, or a truncated file degrades to a cache miss, never to a wrong
 /// object.
 ///
-/// Stores are *batched*: entries are encoded immediately but buffered in
-/// memory and written out together by [`DiskCache::flush`] (the driver
-/// flushes at the end of each build, and `Drop` flushes whatever remains),
-/// so a build issues one burst of writes instead of interleaving I/O with
-/// compilation. Same-build reuse is unaffected — the in-memory tier serves
+/// Stores are *batched*: entries are encoded immediately into one buffer
+/// and written out together by [`DiskCache::flush`] (the driver flushes at
+/// the end of each build, and `Drop` flushes whatever remains). A flush
+/// takes an exclusive lock on the pack, cuts any torn index tail a crashed
+/// writer left, appends the frames in one write, then their index frame
+/// in another, and unlocks. A reader that finds a record therefore finds
+/// its frame. Same-build reuse is unaffected — the in-memory tier serves
 /// entries the current process computed.
+///
+/// Nothing is ever removed: the tier keeps every frame it stored, and the
+/// index costs about 40 bytes per frame, on disk and in memory.
 #[derive(Debug)]
 pub(crate) struct DiskCache {
-    root: PathBuf,
-    pending: Vec<(PathBuf, Vec<u8>)>,
+    /// `None` when the directory's files cannot be opened: every lookup
+    /// misses and every flush drops its frames.
+    files: Option<Files>,
+    index: Index,
+    /// Frames awaiting the flush, back to back, and their records, whose
+    /// offsets count from the buffer's start.
+    pending: Vec<u8>,
+    pending_records: Vec<IndexRecord>,
     /// Telemetry sink for tier traffic (reads/writes with byte counts);
     /// attached per build by [`CompilationCache::set_telemetry`].
     tele: Option<Telemetry>,
@@ -260,49 +415,58 @@ pub(crate) struct DiskCache {
 }
 
 impl DiskCache {
-    /// Opens (creating if needed) a cache directory.
+    /// Opens (creating if needed) a cache directory and its two files.
     ///
     /// # Errors
     ///
-    /// Any I/O error creating `root` or its `p1`, `p2` and `an`
-    /// subdirectories.
+    /// Any I/O error creating `root`. Files that cannot be opened leave a
+    /// tier whose lookups miss.
     pub(crate) fn open(root: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
         let root = root.into();
-        for tier in ["p1", "p2", "an"] {
-            std::fs::create_dir_all(root.join(tier))?;
+        std::fs::create_dir_all(&root)?;
+        Ok(DiskCache {
+            files: Files::open(&root),
+            index: Index::default(),
+            pending: Vec::new(),
+            pending_records: Vec::new(),
+            tele: None,
+            seconds: 0.0,
+        })
+    }
+
+    /// The frame of `slot` as the index records it, re-reading the index
+    /// first when it has no record. `None` when no record exists; `Some`
+    /// of `None` when the record's bytes cannot be read.
+    fn read(&mut self, slot: Slot) -> Option<Option<Vec<u8>>> {
+        let files = self.files.as_ref()?;
+        let index = &mut self.index;
+        if !index.extents.contains_key(&slot) {
+            let _ = index.refresh(files, self.tele.as_ref());
         }
-        Ok(DiskCache { root, pending: Vec::new(), tele: None, seconds: 0.0 })
+        let &(offset, len) = index.extents.get(&slot)?;
+        if offset.checked_add(len).is_none_or(|end| end > index.pack_len) {
+            return Some(None);
+        }
+        let mut frame = vec![0; len as usize];
+        Some(files.pack.read_exact_at(&mut frame, offset).ok().map(|()| frame))
     }
 
-    fn phase1_path(&self, key: u64) -> PathBuf {
-        self.root.join("p1").join(format!("{key:016x}.bin"))
-    }
-
-    fn phase2_path(&self, ir_fp: u64, db_fp: u64) -> PathBuf {
-        let mut h = Fnv64::new();
-        h.write_u64(ir_fp);
-        h.write_u64(db_fp);
-        self.root.join("p2").join(format!("{:016x}.bin", h.finish()))
-    }
-
-    fn analysis_path(&self, key: u64) -> PathBuf {
-        self.root.join("an").join(format!("{key:016x}.bin"))
-    }
-
-    /// Reads the file at `path` and decodes it with `decode`, adding the
+    /// Reads the frame of `slot` and decodes it with `decode`, adding the
     /// load's seconds to the build's. Counts the read traffic in bytes,
-    /// plus a corrupt-frame counter when a file read fine but failed to
-    /// decode or fingerprint-check (it degrades to a miss).
-    fn load<T>(&mut self, path: PathBuf, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+    /// plus a corrupt-frame counter when a recorded frame could not be
+    /// read, or failed to decode or fingerprint-check (it degrades to a
+    /// miss).
+    fn load<T>(&mut self, slot: Slot, decode: impl FnOnce(Vec<u8>) -> Option<T>) -> Option<T> {
         let start = Instant::now();
-        let decoded = std::fs::read(path).ok().and_then(|bytes| {
-            let decoded = decode(&bytes);
-            if let Some(t) = &self.tele {
+        let decoded = self.read(slot).and_then(|frame| {
+            let tele = self.tele.as_ref();
+            if let (Some(t), Some(frame)) = (tele, &frame) {
                 t.add("cache.disk.reads", 1);
-                t.add("cache.disk.read_bytes", bytes.len() as u64);
-                if decoded.is_none() {
-                    t.add("cache.disk.corrupt", 1);
-                }
+                t.add("cache.disk.read_bytes", frame.len() as u64);
+            }
+            let decoded = frame.and_then(decode);
+            if let (Some(t), None) = (tele, &decoded) {
+                t.add("cache.disk.corrupt", 1);
             }
             decoded
         });
@@ -310,71 +474,78 @@ impl DiskCache {
         decoded
     }
 
-    /// Loads a phase-1 frame's head; its IR tail stays encoded until
-    /// [`Phase1Entry::ir`] asks for it.
+    /// Loads a phase-1 frame's head; its IR tail stays encoded, in the
+    /// frame the entry keeps, until [`Phase1Entry::ir`] asks for it.
     pub(crate) fn load_phase1(&mut self, key: u64) -> Option<Phase1Entry> {
-        self.load(self.phase1_path(key), |bytes| {
-            crate::framed::decode_head::<Phase1Head>(bytes, crate::framed::KIND_PHASE1)
+        self.load((KIND_PHASE1, (key, 0)), |frame| {
+            let (head, tail_len) = framed::decode_head::<Phase1Head>(&frame, KIND_PHASE1)
                 .filter(|(head, _)| head.key == key)
-                .map(|(head, tail)| Phase1Entry {
-                    head,
-                    encoded_ir: tail.to_vec(),
-                    ir: OnceLock::new(),
-                })
+                .map(|(head, tail)| (head, tail.len()))?;
+            // The tail ends where the checksum's 8 bytes begin.
+            let tail = frame.len() - 8 - tail_len..frame.len() - 8;
+            Some(Phase1Entry { head, frame, tail, ir: OnceLock::new() })
         })
     }
 
     /// Buffers a phase-1 frame: the head, then the IR's encoding as the
     /// tail.
     pub(crate) fn store_phase1(&mut self, head: &Phase1Head, ir: &IrModule) {
-        let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE1, &(head, ir));
-        self.count_store(&frame);
-        self.pending.push((self.phase1_path(head.key), frame));
+        self.store(KIND_PHASE1, (head.key, 0), &(head, ir));
     }
 
     pub(crate) fn load_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
-        self.load(self.phase2_path(ir_fp, db_fp), |bytes| {
-            crate::framed::decode_frame(bytes, crate::framed::KIND_PHASE2)
+        self.load((KIND_PHASE2, (ir_fp, db_fp)), |frame| {
+            framed::decode_frame(&frame, KIND_PHASE2)
                 .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp)
         })
     }
 
     pub(crate) fn store_phase2(&mut self, entry: &Phase2Entry) {
-        let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE2, entry);
-        self.count_store(&frame);
-        self.pending.push((self.phase2_path(entry.ir_fp, entry.db_fp), frame));
+        self.store(KIND_PHASE2, (entry.ir_fp, entry.db_fp), entry);
     }
 
     pub(crate) fn load_analysis(&mut self, key: u64) -> Option<AnalysisEntry> {
-        self.load(self.analysis_path(key), |bytes| {
-            crate::framed::decode_frame(bytes, crate::framed::KIND_ANALYSIS)
-                .filter(|e: &AnalysisEntry| e.key == key)
+        self.load((KIND_ANALYSIS, (key, 0)), |frame| {
+            framed::decode_frame(&frame, KIND_ANALYSIS).filter(|e: &AnalysisEntry| e.key == key)
         })
     }
 
     pub(crate) fn store_analysis(&mut self, entry: &AnalysisEntry) {
-        let frame = crate::framed::encode_frame(crate::framed::KIND_ANALYSIS, entry);
-        self.count_store(&frame);
-        self.pending.push((self.analysis_path(entry.key), frame));
+        self.store(KIND_ANALYSIS, (entry.key, 0), entry);
     }
 
-    /// Records one buffered disk-tier store (counted at encode time; the
-    /// actual write happens at [`flush`](DiskCache::flush)).
-    fn count_store(&self, frame: &[u8]) {
+    /// Encodes one frame into the pending buffer with its index record, and
+    /// counts it as a disk-tier store (the write happens at
+    /// [`flush`](DiskCache::flush)).
+    fn store<T: BinSerialize>(&mut self, kind: u8, key: (u64, u64), value: &T) {
+        let offset = self.pending.len() as u64;
+        let len = framed::append_frame(kind, value, &mut self.pending) as u64;
+        self.pending_records.push(IndexRecord { kind, key, offset, len });
         if let Some(t) = &self.tele {
             t.add("cache.disk.writes", 1);
-            t.add("cache.disk.write_bytes", frame.len() as u64);
+            t.add("cache.disk.write_bytes", len);
         }
     }
 
-    /// Writes all buffered entries to disk, adding the seconds to the
-    /// build's. Best-effort per entry: a failed write leaves the disk tier
-    /// cold for that key, not wrong.
+    /// Appends the buffered frames and their index frame, adding the
+    /// seconds to the build's. Best effort: a failed write leaves the disk
+    /// tier cold for those keys, not wrong.
     fn flush(&mut self) {
-        let span = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
-        for (path, bytes) in self.pending.drain(..) {
-            let _ = std::fs::write(path, bytes);
+        if self.pending_records.is_empty() {
+            return;
         }
+        let span = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
+        if let Some(files) = &self.files {
+            if files.pack.lock().is_ok() {
+                let records = &mut self.pending_records;
+                let _ = self.index.append(files, &self.pending, records, self.tele.as_ref());
+                let _ = files.pack.unlock();
+            }
+        }
+        // A cold build's frames are megabytes; a long-lived cache does not
+        // keep their buffer.
+        self.pending = Vec::new();
+        self.pending_records.clear();
         self.seconds += span.finish();
     }
 }
@@ -565,8 +736,8 @@ impl CompilationCache {
             d.store_phase1(&head, &ir);
         }
         let key = head.key;
-        let entry =
-            Arc::new(Phase1Entry { head, encoded_ir: Vec::new(), ir: OnceLock::from(Some(ir)) });
+        let ir = OnceLock::from(Some(ir));
+        let entry = Arc::new(Phase1Entry { head, frame: Vec::new(), tail: 0..0, ir });
         let tick = self.next_tick();
         self.phase1.insert(key, Arc::clone(&entry), tick);
         entry
@@ -574,7 +745,8 @@ impl CompilationCache {
 
     /// Replaces a phase-1 entry whose IR tail passed the checksum but did
     /// not decode with one recomputed from source: the frame counts as
-    /// corrupt, and the flush overwrites the file.
+    /// corrupt, and the flush appends the new frame, whose index record
+    /// replaces the old one's.
     pub(crate) fn repair_phase1(&mut self, head: Phase1Head, ir: IrModule) {
         if let Some(t) = &self.tele {
             t.add("cache.disk.corrupt", 1);
@@ -667,6 +839,28 @@ impl CompilationCache {
         if let Some(d) = &mut self.disk {
             d.flush();
         }
+    }
+}
+
+/// Reading and forging a cache directory's index, for tests that damage
+/// it.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// The record in force for each key of the index under `dir`.
+    pub(crate) fn records(dir: &Path) -> Vec<IndexRecord> {
+        let files = Files::open(dir).expect("the cache directory's files open");
+        let mut index = Index::default();
+        index.refresh(&files, None).expect("the index reads");
+        let records = index.extents.into_iter();
+        records.map(|((kind, key), (offset, len))| IndexRecord { kind, key, offset, len }).collect()
+    }
+
+    /// Appends one index frame of `records` to the index under `dir`.
+    pub(crate) fn append_records(dir: &Path, records: &[IndexRecord]) {
+        let mut index = OpenOptions::new().append(true).open(dir.join(INDEX_FILE)).unwrap();
+        index.write_all(&framed::encode_frame(KIND_INDEX, records)).unwrap();
     }
 }
 
@@ -841,7 +1035,8 @@ mod tests {
         let mut c = CompilationCache::with_disk(&dir).unwrap();
         c.store_phase1(head("m", 9), real_ir());
         c.flush();
-        let path = c.disk.as_ref().unwrap().phase1_path(9);
+        // The pack holds the one frame.
+        let path = dir.join(PACK_FILE);
         let frame = std::fs::read(&path).unwrap();
         let mut head_bytes = Vec::new();
         serde::BinSerialize::bin_serialize(&head("m", 9), &mut head_bytes);
@@ -868,6 +1063,45 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn a_disk_hit_keeps_its_frame_and_copies_no_tail() {
+        let dir = tmpdir("kept-frame");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.store_phase1(head("m", 5), real_ir());
+        c.flush();
+        let pack = std::fs::read(dir.join(PACK_FILE)).unwrap();
+        let (e, _) = CompilationCache::with_disk(&dir).unwrap().lookup_phase1(5).unwrap();
+        assert_eq!(e.frame, pack, "the entry holds the frame as read");
+        assert_eq!(e.tail.end, pack.len() - 8, "the tail ends at the checksum");
+        assert!(e.ir().is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flush_writes_nothing_while_another_holds_the_packs_lock() {
+        let dir = tmpdir("lock");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        store1(&mut c, "m", 3);
+        let pack = dir.join(PACK_FILE);
+        let holder = File::open(&pack).unwrap();
+        holder.lock().unwrap();
+        let (flushed, done) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                c.flush();
+                flushed.send(()).unwrap();
+            });
+            let waited = done.recv_timeout(std::time::Duration::from_millis(200));
+            assert!(waited.is_err(), "the flush finished under another's lock");
+            assert_eq!(std::fs::metadata(&pack).unwrap().len(), 0);
+            holder.unlock().unwrap();
+            done.recv().unwrap();
+        });
+        assert!(std::fs::metadata(&pack).unwrap().len() > 0);
+        assert_eq!(testing::records(&dir).len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn analysis(key: u64) -> AnalysisEntry {
         let mut database = ProgramDatabase::new();
         database.insert(ipra_core::ProcDirectives::standard("main"));
@@ -890,11 +1124,20 @@ mod tests {
         assert!(from_disk);
         assert_eq!((&e.database, &e.stats), (&analysis(1).database, &analysis(1).stats));
         assert!(!c.lookup_analysis(1).unwrap().1, "promoted into the slot");
-        // A frame under the wrong name does not serve its key.
-        let an = dir.join("an");
-        std::fs::rename(an.join(format!("{:016x}.bin", 2)), an.join(format!("{:016x}.bin", 3)))
-            .unwrap();
-        assert!(CompilationCache::with_disk(&dir).unwrap().lookup_analysis(3).is_none());
+        // A record that points key 3 at key 2's frame does not serve key 3.
+        let records = testing::records(&dir);
+        let two = records.iter().find(|r| (r.kind, r.key) == (KIND_ANALYSIS, (2, 0))).unwrap();
+        testing::append_records(&dir, &[IndexRecord { key: (3, 0), ..two.clone() }]);
+        let tele = Telemetry::new();
+        let mut fresh = CompilationCache::with_disk(&dir).unwrap();
+        fresh.set_telemetry(Some(tele.clone()));
+        assert!(fresh.lookup_analysis(3).is_none());
+        assert_eq!(tele.counter("cache.disk.corrupt"), 1, "the frame is key 2's");
+        assert!(fresh.lookup_analysis(2).is_some_and(|(e, _)| e.key == 2));
+        // A record reaching past the pack's end is read as a miss, not
+        // allocated for.
+        testing::append_records(&dir, &[IndexRecord { key: (4, 0), len: 1 << 60, ..two.clone() }]);
+        assert!(CompilationCache::with_disk(&dir).unwrap().lookup_analysis(4).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

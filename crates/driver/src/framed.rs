@@ -23,11 +23,13 @@
 //! ```
 //!
 //! `kind` separates entry types so a phase-1 frame can never deserialize as
-//! a phase-2 entry. The trailing checksum plus the decoder's strict bounds
-//! checks make a truncated or corrupted file decode to `None` — a cache
-//! miss. (The caller additionally cross-checks the embedded fingerprints
-//! against the requested key, exactly as the JSON tier did.) The checksum
-//! is [`ipra_core::fingerprint::checksum`], which reads a word per
+//! a phase-2 entry, or an index frame (the disk tier's records of where its
+//! frames lie in its pack, see [`crate::cache`]) as either. The trailing
+//! checksum plus the decoder's strict bounds checks make a truncated or
+//! corrupted frame decode to `None` — a cache miss. (The caller
+//! additionally cross-checks the embedded fingerprints against the
+//! requested key, exactly as the JSON tier did.) The checksum is
+//! [`ipra_core::fingerprint::checksum`], which reads a word per
 //! multiply, where the FNV-64 of versions up to 5 read a byte; it guards
 //! the frame only, and the keys and fingerprints inside stay FNV-64.
 //!
@@ -57,23 +59,53 @@ pub(crate) const KIND_PHASE1: u8 = 1;
 pub(crate) const KIND_PHASE2: u8 = 2;
 /// Frame kind for program-analysis cache entries.
 pub(crate) const KIND_ANALYSIS: u8 = 3;
+/// Frame kind for the disk tier's index: one frame per flush, holding
+/// where that flush's frames lie in the pack.
+pub(crate) const KIND_INDEX: u8 = 4;
 
 /// Bytes before the payload: magic, version, kind, length prefix.
 const HEADER_LEN: usize = 10;
 
 /// Encodes `value` as a self-checking binary frame of the given kind.
-pub(crate) fn encode_frame<T: BinSerialize>(kind: u8, value: &T) -> Vec<u8> {
+pub(crate) fn encode_frame<T: BinSerialize + ?Sized>(kind: u8, value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
+    append_frame(kind, value, &mut out);
+    out
+}
+
+/// Appends `value`'s frame of the given kind to `out`; returns the frame's
+/// length.
+pub(crate) fn append_frame<T: BinSerialize + ?Sized>(
+    kind: u8,
+    value: &T,
+    out: &mut Vec<u8>,
+) -> usize {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
     out.extend_from_slice(&[0; 4]); // the payload length, written once known
-    value.bin_serialize(&mut out);
-    let payload_len = (out.len() - HEADER_LEN) as u32;
-    out[6..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = checksum(&out[HEADER_LEN..]);
+    value.bin_serialize(out);
+    let payload = start + HEADER_LEN;
+    let payload_len = (out.len() - payload) as u32;
+    out[start + 6..payload].copy_from_slice(&payload_len.to_le_bytes());
+    let sum = checksum(&out[payload..]);
     out.extend_from_slice(&sum.to_le_bytes());
-    out
+    out.len() - start
+}
+
+/// The length of the frame at the front of `bytes`, as its header declares
+/// it: `None` when `bytes` does not start with the header of a frame of
+/// this version and kind. The frame itself may be longer than `bytes` (a
+/// torn write) and need not check out.
+pub(crate) fn frame_len(bytes: &[u8], kind: u8) -> Option<usize> {
+    let rest = bytes.strip_prefix(&MAGIC)?;
+    let (&[version, got_kind], rest) = rest.split_first_chunk::<2>()?;
+    if version != VERSION || got_kind != kind {
+        return None;
+    }
+    let (len_bytes, _) = rest.split_first_chunk::<4>()?;
+    Some(HEADER_LEN + u32::from_le_bytes(*len_bytes) as usize + 8)
 }
 
 /// Decodes a frame of the expected kind directly into its entry type. Any
@@ -89,17 +121,10 @@ pub(crate) fn decode_frame<T: BinDeserialize>(bytes: &[u8], kind: u8) -> Option<
 /// payload and returns it with the rest of the payload, undecoded. The
 /// checksum covers head and tail alike, so a damaged tail fails here too.
 pub(crate) fn decode_head<T: BinDeserialize>(bytes: &[u8], kind: u8) -> Option<(T, &[u8])> {
-    let rest = bytes.strip_prefix(&MAGIC)?;
-    let (&[version, got_kind], rest) = rest.split_first_chunk::<2>()?;
-    if version != VERSION || got_kind != kind {
+    if frame_len(bytes, kind)? != bytes.len() {
         return None;
     }
-    let (len_bytes, rest) = rest.split_first_chunk::<4>()?;
-    let payload_len = u32::from_le_bytes(*len_bytes) as usize;
-    if rest.len() != payload_len + 8 {
-        return None;
-    }
-    let (payload, checksum_bytes) = rest.split_at(payload_len);
+    let (payload, checksum_bytes) = bytes[HEADER_LEN..].split_at(bytes.len() - HEADER_LEN - 8);
     if u64::from_le_bytes(checksum_bytes.try_into().ok()?) != checksum(payload) {
         return None;
     }
@@ -168,6 +193,20 @@ mod tests {
         assert_eq!(rest, tail_bytes.as_slice());
         // A whole-frame decode rejects the same bytes as trailing garbage.
         assert_eq!(decode_frame::<Sample>(&frame, KIND_PHASE1), None);
+    }
+
+    #[test]
+    fn frame_len_reads_the_header_of_whole_and_torn_frames() {
+        let mut two = Vec::new();
+        let first = append_frame(KIND_INDEX, &sample(), &mut two);
+        let second = append_frame(KIND_INDEX, &Node::Count(3), &mut two);
+        assert_eq!(two.len(), first + second);
+        assert_eq!(frame_len(&two, KIND_INDEX), Some(first));
+        assert_eq!(frame_len(&two[first..], KIND_INDEX), Some(second));
+        assert_eq!(frame_len(&two[first..first + HEADER_LEN], KIND_INDEX), Some(second));
+        assert_eq!(frame_len(&two[first..first + HEADER_LEN - 1], KIND_INDEX), None);
+        assert_eq!(frame_len(&two, KIND_PHASE1), None);
+        assert_eq!(decode_frame::<Node>(&two[first..], KIND_INDEX), Some(Node::Count(3)));
     }
 
     #[test]

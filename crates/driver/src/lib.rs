@@ -992,13 +992,16 @@ mod tests {
             let mut cache = CompilationCache::with_disk(&dir).unwrap();
             compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap()
         };
-        // Truncate every persisted entry; the rebuild must recompute, not
-        // fail or produce wrong code.
-        for sub in ["p1", "p2", "an"] {
-            for f in std::fs::read_dir(dir.join(sub)).unwrap() {
-                std::fs::write(f.unwrap().path(), "{garbage").unwrap();
-            }
+        // Overwrite the start of every persisted frame in the pack; the
+        // rebuild must recompute, not fail or produce wrong code.
+        let pack = dir.join(cache::PACK_FILE);
+        let mut bytes = std::fs::read(&pack).unwrap();
+        let records = cache::testing::records(&dir);
+        for r in &records {
+            bytes[r.offset as usize..][..8].copy_from_slice(b"{garbage");
         }
+        std::fs::write(&pack, bytes).unwrap();
+        assert_eq!(records.len(), 5, "two p1, two p2 and one an frame");
         let mut cache = CompilationCache::with_disk(&dir).unwrap();
         let tele = Telemetry::new();
         let opts = CompileOptions { telemetry: Some(tele.clone()), ..CompileOptions::default() };
@@ -1014,58 +1017,97 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A cache directory written at frame version 5, whose frames carried
-    /// an FNV-64 checksum: every frame reads as a miss, and the flush
-    /// rewrites it as the current version would have written it.
+    /// Two directories from older layouts: one with a frame per file under
+    /// `p1/`, `p2/` and `an/`, and one whose pack holds frames of version
+    /// 5, whose checksum was FNV-64. Both read as misses; the per-file
+    /// frames are neither read nor deleted, and the flush appends frames
+    /// that the next build hits.
     #[test]
-    fn version_5_frames_read_as_misses_and_the_flush_rewrites_them() {
+    fn per_file_directories_and_version_5_frames_read_as_misses() {
         let sources = two_module_program();
         let dir = tmpdir("v5-frames");
         let original = {
             let mut cache = CompilationCache::with_disk(&dir).unwrap();
             compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap()
         };
-        let mut current = Vec::new();
-        for sub in ["p1", "p2", "an"] {
-            for f in std::fs::read_dir(dir.join(sub)).unwrap() {
-                let path = f.unwrap().path();
-                let bytes = std::fs::read(&path).unwrap();
-                let (framed, _) = bytes.split_at(bytes.len() - 8);
-                let mut fnv = ipra_core::fingerprint::Fnv64::new();
-                fnv.write(&framed[10..]);
-                let mut v5 = framed.to_vec();
-                v5[4] = 5;
-                v5.extend_from_slice(&fnv.finish().to_le_bytes());
-                std::fs::write(&path, v5).unwrap();
-                current.push((path, bytes));
-            }
+        let pack = dir.join(cache::PACK_FILE);
+        let current = std::fs::read(&pack).unwrap();
+        let records = cache::testing::records(&dir);
+        assert_eq!(records.len(), 5, "two p1, two p2 and one an frame");
+        let per_file = tmpdir("per-file");
+        let mut v5 = current.clone();
+        for r in &records {
+            let frame = &mut v5[r.offset as usize..][..r.len as usize];
+            let sum = frame.len() - 8;
+            let mut fnv = ipra_core::fingerprint::Fnv64::new();
+            fnv.write(&frame[10..sum]);
+            frame[4] = 5;
+            frame[sum..].copy_from_slice(&fnv.finish().to_le_bytes());
+            // The per-file layout named a phase-2 frame by the FNV-64 of
+            // its key's two words.
+            let (sub, name) = match r.kind {
+                framed::KIND_PHASE1 => ("p1", r.key.0),
+                framed::KIND_PHASE2 => {
+                    let mut h = ipra_core::fingerprint::Fnv64::new();
+                    h.write_u64(r.key.0);
+                    h.write_u64(r.key.1);
+                    ("p2", h.finish())
+                }
+                _ => ("an", r.key.0),
+            };
+            std::fs::create_dir_all(per_file.join(sub)).unwrap();
+            let path = per_file.join(sub).join(format!("{name:016x}.bin"));
+            std::fs::write(path, &current[r.offset as usize..][..r.len as usize]).unwrap();
         }
-        assert_eq!(current.len(), 5, "two p1, two p2 and one an frame");
-        let tele = Telemetry::new();
-        let opts = CompileOptions { telemetry: Some(tele.clone()), ..CompileOptions::default() };
-        let rebuilt = {
-            let mut cache = CompilationCache::with_disk(&dir).unwrap();
-            compile_incremental(&sources, &opts, &mut cache).unwrap()
+        std::fs::write(&pack, &v5).unwrap();
+        let build = |dir: &PathBuf| {
+            let tele = Telemetry::new();
+            let opts =
+                CompileOptions { telemetry: Some(tele.clone()), ..CompileOptions::default() };
+            let mut cache = CompilationCache::with_disk(dir).unwrap();
+            let built = compile_incremental(&sources, &opts, &mut cache).unwrap();
+            (built, tele.counter("cache.disk.corrupt"))
         };
+        let (from_files, corrupt) = build(&per_file);
+        assert_eq!(from_files.build.phase1.misses, 2);
+        assert_eq!(from_files.build.analyze.misses, 1);
+        assert_eq!(from_files.build.phase2.misses, 2);
+        assert_eq!(corrupt, 0, "the per-file frames are not read");
+        assert_eq!(from_files.exe, original.exe);
+        let old_files = ["p1", "p2", "an"]
+            .iter()
+            .flat_map(|sub| std::fs::read_dir(per_file.join(sub)).unwrap())
+            .count();
+        assert_eq!(old_files, 5, "nor deleted");
+        let (rebuilt, corrupt) = build(&dir);
         assert_eq!(rebuilt.build.phase1.misses, 2);
         assert_eq!(rebuilt.build.analyze.misses, 1);
         assert_eq!(rebuilt.build.phase2.misses, 2);
-        assert_eq!(tele.counter("cache.disk.corrupt"), 5);
+        assert_eq!(corrupt, 5);
         assert_eq!(rebuilt.exe, original.exe);
-        for (path, bytes) in &current {
-            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{} not rewritten", path.display());
-        }
+        let after = std::fs::read(&pack).unwrap();
+        assert_eq!(after.len(), 2 * current.len(), "the flush appended a whole set of frames");
+        assert_eq!(after[..v5.len()], v5[..], "and rewrote nothing");
+        assert_eq!(after[v5.len()..], current[..], "the same bytes as the first build's");
+        let (warm, corrupt) = build(&dir);
+        assert_eq!(warm.build.phase1.disk_hits, 2);
+        assert_eq!(warm.build.analyze.disk_hits, 1);
+        assert_eq!(warm.build.phase2.disk_hits, 2);
+        assert_eq!(corrupt, 0);
+        assert_eq!(warm.exe, original.exe);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&per_file);
     }
 
     /// A phase-1 frame whose IR tail does not decode behind a valid
     /// checksum: the head serves phase 1 and the analyzer, and the phase-2
-    /// miss that needs the IR re-runs phase 1 from source and rewrites the
-    /// frame.
+    /// miss that needs the IR re-runs phase 1 from source and appends a
+    /// whole frame, whose index record replaces the forged one's.
     #[test]
     fn an_undecodable_ir_tail_reruns_phase1_from_source() {
-        use crate::cache::{DiskCache, Phase1Head};
-        use crate::framed::{decode_head, encode_frame, KIND_PHASE1};
+        use crate::cache::{testing, DiskCache, Phase1Head};
+        use crate::framed::{decode_head, encode_frame, KIND_PHASE1, KIND_PHASE2};
+        use std::io::Write;
         let sources = two_module_program();
         let dir = tmpdir("forged-tail");
         let opts = CompileOptions::paper(PaperConfig::C);
@@ -1073,22 +1115,32 @@ mod tests {
             let mut cache = CompilationCache::with_disk(&dir).unwrap();
             compile_incremental(&sources, &opts, &mut cache).unwrap()
         };
-        let mut forged_key = None;
-        for f in std::fs::read_dir(dir.join("p1")).unwrap() {
-            let path = f.unwrap().path();
-            let bytes = std::fs::read(&path).unwrap();
-            let (head, _) = decode_head::<Phase1Head>(&bytes, KIND_PHASE1).unwrap();
+        let pack_path = dir.join(cache::PACK_FILE);
+        let pack = std::fs::read(&pack_path).unwrap();
+        let mut records = testing::records(&dir);
+        // Without phase-2 entries every module's IR is needed: the index
+        // is rewritten without their records.
+        records.retain(|r| r.kind != KIND_PHASE2);
+        let mut forged = None;
+        for r in &records {
+            let frame = &pack[r.offset as usize..][..r.len as usize];
+            let Some((head, _)) = decode_head::<Phase1Head>(frame, KIND_PHASE1) else { continue };
             if head.summary.module == "counter" {
                 // `u64::MAX` reads as a name length past the end of the tail.
-                std::fs::write(&path, encode_frame(KIND_PHASE1, &(&head, &u64::MAX))).unwrap();
-                forged_key = Some(head.key);
+                forged = Some((head.key, encode_frame(KIND_PHASE1, &(&head, &u64::MAX))));
             }
         }
-        let forged_key = forged_key.expect("counter's phase-1 frame");
-        // Without phase-2 entries every module's IR is needed.
-        for f in std::fs::read_dir(dir.join("p2")).unwrap() {
-            std::fs::remove_file(f.unwrap().path()).unwrap();
-        }
+        let (forged_key, frame) = forged.expect("counter's phase-1 frame");
+        let mut pack_file = std::fs::OpenOptions::new().append(true).open(&pack_path).unwrap();
+        pack_file.write_all(&frame).unwrap();
+        records.push(cache::IndexRecord {
+            kind: KIND_PHASE1,
+            key: (forged_key, 0),
+            offset: pack.len() as u64,
+            len: frame.len() as u64,
+        });
+        std::fs::write(dir.join(cache::INDEX_FILE), b"").unwrap();
+        testing::append_records(&dir, &records);
         let tele = Telemetry::new();
         let traced = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
         let mut cache = CompilationCache::with_disk(&dir).unwrap();
@@ -1099,7 +1151,7 @@ mod tests {
         assert_eq!(tele.counter("cache.disk.corrupt"), 1);
         assert_eq!(rebuilt.exe, original.exe);
         drop(cache);
-        // The flush replaced the forged frame with a whole one.
+        // The flush appended a whole frame, and its record wins.
         let mut disk = DiskCache::open(&dir).unwrap();
         let entry = disk.load_phase1(forged_key).expect("rewritten frame");
         assert!(entry.ir().is_some(), "the rewritten tail decodes");

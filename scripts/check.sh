@@ -236,6 +236,26 @@ grep -q 'recompiled: m2$' "$sep/cache-stats.txt"
 grep -q '"analyze.disk_hits": 1' "$sep/cache-metrics.json"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C -o "$sep/nocache.vx" > /dev/null
 cmp "$sep/cache2.vx" "$sep/nocache.vx"
+# The disk tier is two files: the pack of frames and its index.
+cache_files="$(ls -A "$bcache" | tr '\n' ' ')"
+if [ "$cache_files" != "frames-v1.idx frames-v1.pack " ]; then
+  echo "cache directory holds: $cache_files" >&2
+  exit 1
+fi
+
+echo "==> concurrent cache smoke (two processes append to one cache directory)"
+pcache="$sep/.pcache"
+"$cminc" c "$sep/m1.cmin" -o "$sep/pm1.vo" --summary "$sep/pm1.csum" --cache-dir "$pcache" 2>/dev/null &
+first=$!
+"$cminc" c "$sep/m2.cmin" -o "$sep/pm2.vo" --summary "$sep/pm2.csum" --cache-dir "$pcache" 2>/dev/null &
+second=$!
+wait "$first"
+wait "$second"
+for m in m1 m2; do
+  "$cminc" c "$sep/$m.cmin" -o "$sep/p$m.vo" --summary "$sep/p$m.csum" --cache-dir "$pcache" \
+    2> "$sep/p$m-c.txt"
+  grep -q '(phase1 hit, phase2 hit)' "$sep/p$m-c.txt"
+done
 
 echo "==> .vlib link smoke (unresolved library callee: clean failure, then trap stubs)"
 cat > "$sep/libm.cmin" <<'EOF'

@@ -1,8 +1,8 @@
 //! Fault injection for `cmind`: the daemon must degrade — never lie,
 //! never die.
 //!
-//! Three failure families from the issue, each pushed through a live
-//! daemon: corrupted/truncated persistent-cache files (degrade to cache
+//! Three failure families, each pushed through a live daemon:
+//! corrupted/truncated persistent-cache files (degrade to cache
 //! misses, count `cache.disk.corrupt`, rebuild the right bytes), hostile
 //! and truncated wire frames (typed protocol errors, connection-local
 //! damage only), and clients that vanish mid-exchange (the daemon logs a
@@ -46,24 +46,22 @@ fn local_vx(sources: &[SourceFile]) -> String {
     protocol::executable_artifact(&program.exe).0
 }
 
-/// Overwrites or truncates every cached phase and analysis artifact under
-/// `dir`, alternating damage modes; returns how many files were vandalized.
+/// The disk tier's two files under a cache directory.
+const PACK: &str = "frames-v1.pack";
+const INDEX: &str = "frames-v1.idx";
+
+/// Damages the disk tier under `dir`: the pack's first half is overwritten
+/// with garbage and its second half cut off, so every frame the index
+/// records is damaged, and the index loses its last byte, which tears its
+/// last frame. Returns how many bytes the pack held.
 fn corrupt_cache_files(dir: &Path) -> usize {
-    let mut hit = 0;
-    for tier in ["p1", "p2", "an"] {
-        let Ok(entries) = std::fs::read_dir(dir.join(tier)) else { continue };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if hit % 2 == 0 {
-                std::fs::write(&path, b"not a cache entry").expect("corrupt");
-            } else {
-                let bytes = std::fs::read(&path).expect("read entry");
-                std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-            }
-            hit += 1;
-        }
-    }
-    hit
+    let pack = std::fs::read(dir.join(PACK)).expect("read the pack");
+    let garbage: Vec<u8> =
+        b"not a cache entry".iter().copied().cycle().take(pack.len() / 2).collect();
+    std::fs::write(dir.join(PACK), garbage).expect("corrupt the pack");
+    let index = std::fs::read(dir.join(INDEX)).expect("read the index");
+    std::fs::write(dir.join(INDEX), &index[..index.len() - 1]).expect("truncate the index");
+    pack.len()
 }
 
 fn counter(client: &mut Client, name: &str) -> u64 {
@@ -111,7 +109,10 @@ fn corrupted_cache_files_degrade_to_misses_with_correct_bytes() {
     client.shutdown().expect("shutdown");
     server.wait();
 
-    assert!(std::fs::read_dir(cache_dir.join("an")).expect("an/").next().is_some());
+    let mut files: Vec<_> =
+        std::fs::read_dir(&cache_dir).expect("cache dir").map(|e| e.unwrap().file_name()).collect();
+    files.sort();
+    assert_eq!(files, [INDEX, PACK], "the disk tier is one pack and its index");
     let vandalized = corrupt_cache_files(&cache_dir);
     assert!(vandalized > 0, "the first builds should have persisted cache entries");
 
