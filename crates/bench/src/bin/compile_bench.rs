@@ -12,13 +12,14 @@
 //! * **edit** — one module's leaf constant re-tuned: phase 1 re-runs for
 //!   that module, the analyzer not at all (no summary moved), and phase 2
 //!   only where the database slice changed;
-//! * **disk_cold / disk_warm / disk_edit** — the persistent `--cache-dir`
-//!   tier: a cold build paying the write-through cost into an empty
-//!   directory, then a *fresh* cache instance over the same directory (the
-//!   separate `cminc` invocation scenario) rebuilding entirely from disk,
-//!   and one more after one module's re-tune (the benchmark's `edit-loop`
-//!   op: one module recompiled, every other probe and the analysis a disk
-//!   hit);
+//! * **disk_cold / disk_warm / disk_rebuild / disk_edit** — the persistent
+//!   `--cache-dir` tier: a cold build paying the write-through cost into an
+//!   empty directory, then a *fresh* cache instance over the same directory
+//!   (the separate `cminc` invocation scenario) rebuilding entirely from
+//!   disk, that cache building again (every lookup a memory hit, decoding
+//!   the frame the first build left in memory), and one more fresh cache
+//!   after one module's re-tune (the benchmark's `edit-loop` op: one module
+//!   recompiled, every other probe and the analysis a disk hit);
 //! * **oneshot** — `compile()`, serial: the same stages with no cache at
 //!   all (no keys, fingerprints, stores or clones).
 //!
@@ -214,6 +215,14 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     assert_eq!(disk_warm.exe, cold.exe, "disk-served build must be bit-identical to cold");
     build_rows(report, &format!("disk_warm/{n}"), disk_warm_s, &disk_warm, Counters::new());
 
+    // Disk rebuild: the disk-warm build again through its own cache, whose
+    // memory holds the frames that build read.
+    let ((_, disk_rebuild), disk_rebuild_s) =
+        best_of(|| build(&sources, &opts, disk()).0, |c| build(&sources, &opts, c));
+    assert_eq!(disk_rebuild.exe, cold.exe, "a rebuild from held frames must be bit-identical");
+    let name = format!("disk_rebuild/{n}");
+    build_rows(report, &name, disk_rebuild_s, &disk_rebuild, Counters::new());
+
     // Disk edit: a fresh cache instance over the populated directory after
     // one module's re-tune, a new value each trial — the next `cminc`
     // invocation of an edit loop.
@@ -305,6 +314,19 @@ fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig)
     ];
     for (counter, value, want) in disk_edit_gates {
         report.gate(format!("disk_edit/{n}.{counter}"), value as f64, Cmp::Equal, want as f64);
+    }
+    // The rebuild reads nothing off disk: the first build's frames serve
+    // every lookup from memory.
+    let b = &disk_rebuild.build;
+    let disk_rebuild_gates = [
+        ("phase1_hits", b.phase1.hits, n),
+        ("phase2_hits", b.phase2.hits, n),
+        ("analyze_hits", b.analyze.hits, 1),
+        ("disk_hits", b.phase1.disk_hits + b.phase2.disk_hits + b.analyze.disk_hits, 0),
+        ("recompiled", b.recompiled.len(), 0),
+    ];
+    for (counter, value, want) in disk_rebuild_gates {
+        report.gate(format!("disk_rebuild/{n}.{counter}"), value as f64, Cmp::Equal, want as f64);
     }
     report.gate(
         format!("cold/{n}.counters_differing_across_jobs"),

@@ -257,7 +257,13 @@ pub enum Response {
 
 /// Encodes `value` as a self-checking frame with the given tag.
 pub fn encode_frame<T: BinSerialize>(tag: u8, value: &T) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+    encode_frame_in(tag, value, 256)
+}
+
+/// [`encode_frame`] into a buffer that starts with room for `capacity`
+/// bytes.
+fn encode_frame_in<T: BinSerialize>(tag: u8, value: &T, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(tag);
@@ -361,9 +367,15 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtocolError> {
     decode_frame(bytes, TAG_REQUEST)
 }
 
-/// Encodes a response frame.
+/// Encodes a response frame. A build's frame is mostly its text, so the
+/// buffer starts with room for the text and 256 bytes besides, and is
+/// not regrown on the way.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_frame(TAG_RESPONSE, resp)
+    let text = match resp {
+        Response::Built(b) => b.vx.len() + b.recompiled.iter().map(|n| 4 + n.len()).sum::<usize>(),
+        _ => 0,
+    };
+    encode_frame_in(TAG_RESPONSE, resp, 256 + text)
 }
 
 /// Decodes a response frame.
@@ -496,6 +508,21 @@ mod tests {
             let frame = encode_response(&resp);
             assert_eq!(decode_response(&frame), Ok(resp));
         }
+    }
+
+    #[test]
+    fn a_build_response_fits_the_buffer_sized_from_its_text() {
+        let built = BuildResponse {
+            vx: "x".repeat(100_000),
+            fingerprint: 1,
+            coalesced: false,
+            recompiled: (0..50).map(|i| format!("module_{i}")).collect(),
+        };
+        let room =
+            256 + built.vx.len() + built.recompiled.iter().map(|n| 4 + n.len()).sum::<usize>();
+        let frame = encode_response(&Response::Built(built.clone()));
+        assert!(frame.len() <= room, "{} bytes overflow {room}", frame.len());
+        assert_eq!(frame, encode_frame(TAG_RESPONSE, &Response::Built(built)));
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //!   the index once and each disk hit with one positioned read; any number
 //!   of processes may append to one directory.
 //!
+//! A disk hit decodes its frame once, for the build that asked, and the
+//! memory tier keeps only the frame: the build alone holds the decoded
+//! summary, object or analysis, so it moves them into what it returns
+//! rather than copying them out of memory. The next lookup of the key
+//! decodes the held frame into memory and counts a memory hit; from then
+//! on memory holds the value, under the same retention rule.
+//!
 //! Reuse across builds — including builds at *different*
 //! [`PaperConfig`](ipra_core::analyzer::PaperConfig)s — is sound because a
 //! matching slice fingerprint certifies codegen would see identical
@@ -180,16 +187,28 @@ pub(crate) struct Phase1Head {
 #[derive(Debug)]
 pub(crate) struct Phase1Entry {
     pub(crate) head: Phase1Head,
-    /// The frame the entry was read from when it came off disk (empty when
-    /// phase 1 ran in this process), and where in it the IR's binary
-    /// encoding lies.
-    frame: Vec<u8>,
+    /// The frame the entry was decoded from when it came off disk (empty
+    /// when phase 1 ran in this process), shared with the memory tier
+    /// that holds it, and where in it the IR's binary encoding lies.
+    frame: Arc<Vec<u8>>,
     tail: Range<usize>,
     /// The IR, decoded on first use; `None` when the encoding is malformed.
     ir: OnceLock<Option<IrModule>>,
 }
 
 impl Phase1Entry {
+    /// Decodes a phase-1 frame's head; its IR tail stays encoded, in the
+    /// frame the entry keeps, until [`ir`](Self::ir) asks for it. `None`
+    /// unless the frame checks out and holds `key`'s head.
+    fn decode(frame: Arc<Vec<u8>>, key: u64) -> Option<Phase1Entry> {
+        let (head, tail_len) = framed::decode_head::<Phase1Head>(&frame, KIND_PHASE1)
+            .filter(|(head, _)| head.key == key)
+            .map(|(head, tail)| (head, tail.len()))?;
+        // The tail ends where the checksum's 8 bytes begin.
+        let tail = frame.len() - 8 - tail_len..frame.len() - 8;
+        Some(Phase1Entry { head, frame, tail, ir: OnceLock::new() })
+    }
+
     /// The module's optimized IR, decoded from the frame's tail on first
     /// use. `None` when the tail does not decode: the checksum passed, so
     /// the frame was written that way, and the caller recomputes phase 1.
@@ -211,6 +230,14 @@ pub(crate) struct Phase2Entry {
     pub(crate) object: ObjectModule,
 }
 
+/// The object of a phase-2 frame: `None` unless the frame checks out and
+/// holds the entry of `(ir_fp, db_fp)`.
+fn decode_phase2(frame: &[u8], (ir_fp, db_fp): (u64, u64)) -> Option<ObjectModule> {
+    framed::decode_frame(frame, KIND_PHASE2)
+        .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp)
+        .map(|e| e.object)
+}
+
 /// The program analyzer's result under one analysis key (see
 /// `stages::analysis_key`). The analyzer's web reports are not kept: no
 /// build product carries them.
@@ -219,6 +246,23 @@ pub(crate) struct AnalysisEntry {
     pub(crate) key: u64,
     pub(crate) database: ProgramDatabase,
     pub(crate) stats: AnalyzerStats,
+}
+
+/// The analysis of an analysis frame: `None` unless the frame checks out
+/// and holds `key`'s entry.
+fn decode_analysis(frame: &[u8], key: u64) -> Option<AnalysisEntry> {
+    framed::decode_frame(frame, KIND_ANALYSIS).filter(|e: &AnalysisEntry| e.key == key)
+}
+
+/// A phase-2 lookup's hit.
+#[derive(Debug)]
+pub(crate) enum Phase2Hit {
+    /// Memory holds the object decoded, where
+    /// [`CompilationCache::phase2_object`] reads it.
+    Memory,
+    /// The disk tier served the object, decoded for this build alone;
+    /// memory keeps the frame.
+    Disk(ObjectModule),
 }
 
 /// A linked program as [`crate::compile_artifact`] hands it out.
@@ -474,16 +518,12 @@ impl DiskCache {
         decoded
     }
 
-    /// Loads a phase-1 frame's head; its IR tail stays encoded, in the
-    /// frame the entry keeps, until [`Phase1Entry::ir`] asks for it.
-    pub(crate) fn load_phase1(&mut self, key: u64) -> Option<Phase1Entry> {
+    /// Loads a phase-1 frame: the frame, and the entry decoded from its
+    /// head, which shares it (see [`Phase1Entry::decode`]).
+    pub(crate) fn load_phase1(&mut self, key: u64) -> Option<(Arc<Vec<u8>>, Phase1Entry)> {
         self.load((KIND_PHASE1, (key, 0)), |frame| {
-            let (head, tail_len) = framed::decode_head::<Phase1Head>(&frame, KIND_PHASE1)
-                .filter(|(head, _)| head.key == key)
-                .map(|(head, tail)| (head, tail.len()))?;
-            // The tail ends where the checksum's 8 bytes begin.
-            let tail = frame.len() - 8 - tail_len..frame.len() - 8;
-            Some(Phase1Entry { head, frame, tail, ir: OnceLock::new() })
+            let frame = Arc::new(frame);
+            Some((Arc::clone(&frame), Phase1Entry::decode(frame, key)?))
         })
     }
 
@@ -493,10 +533,11 @@ impl DiskCache {
         self.store(KIND_PHASE1, (head.key, 0), &(head, ir));
     }
 
-    pub(crate) fn load_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
-        self.load((KIND_PHASE2, (ir_fp, db_fp)), |frame| {
-            framed::decode_frame(&frame, KIND_PHASE2)
-                .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp)
+    /// Loads a phase-2 frame: the frame, and the object decoded from it.
+    pub(crate) fn load_phase2(&mut self, key: (u64, u64)) -> Option<(Vec<u8>, ObjectModule)> {
+        self.load((KIND_PHASE2, key), |frame| {
+            let object = decode_phase2(&frame, key)?;
+            Some((frame, object))
         })
     }
 
@@ -504,9 +545,12 @@ impl DiskCache {
         self.store(KIND_PHASE2, (entry.ir_fp, entry.db_fp), entry);
     }
 
-    pub(crate) fn load_analysis(&mut self, key: u64) -> Option<AnalysisEntry> {
+    /// Loads an analysis frame: the frame, and the analysis decoded from
+    /// it.
+    pub(crate) fn load_analysis(&mut self, key: u64) -> Option<(Vec<u8>, AnalysisEntry)> {
         self.load((KIND_ANALYSIS, (key, 0)), |frame| {
-            framed::decode_frame(&frame, KIND_ANALYSIS).filter(|e: &AnalysisEntry| e.key == key)
+            let entry = decode_analysis(&frame, key)?;
+            Some((frame, entry))
         })
     }
 
@@ -581,7 +625,7 @@ impl<K, V> Default for Tier<K, V> {
 
 impl<K: Copy + Eq + Hash, V> Tier<K, V> {
     /// The entry under `key`, marked used at `tick`.
-    fn get(&mut self, key: K, tick: u64) -> Option<&V> {
+    fn get(&mut self, key: K, tick: u64) -> Option<&mut V> {
         let (value, used) = self.entries.get_mut(&key)?;
         self.recency.remove(used);
         *used = tick;
@@ -611,21 +655,46 @@ impl<K: Copy + Eq + Hash, V> Tier<K, V> {
     }
 }
 
+/// What the memory tier keeps under a key: the decoded value, or, after a
+/// first disk hit, only the frame the disk tier read, whose decoded value
+/// went to that build.
+#[derive(Debug)]
+enum Kept<V, F = Vec<u8>> {
+    Decoded(V),
+    Frame(F),
+}
+
+impl<V, F> Kept<V, F> {
+    /// The decoded value, once `decode` has turned a held frame into it
+    /// (and memory keeps it from then on). `None` when the frame does not
+    /// decode, which it did when it came off disk.
+    fn decoded(&mut self, decode: impl FnOnce(&F) -> Option<V>) -> Option<&V> {
+        if let Kept::Frame(frame) = self {
+            let value = decode(frame)?;
+            *self = Kept::Decoded(value);
+        }
+        match self {
+            Kept::Decoded(value) => Some(value),
+            Kept::Frame(_) => None,
+        }
+    }
+}
+
 /// The incremental recompilation cache: the in-memory tier plus an
 /// optional on-disk tier behind it, opened by
 /// [`with_disk`](CompilationCache::with_disk).
 #[derive(Debug, Default)]
 pub struct CompilationCache {
     /// Phase-1 entries by phase-1 key.
-    phase1: Tier<u64, Arc<Phase1Entry>>,
+    phase1: Tier<u64, Kept<Arc<Phase1Entry>, Arc<Vec<u8>>>>,
     /// Phase-2 objects by `(ir_fp, db_fp)`.
-    phase2: Tier<(u64, u64), ObjectModule>,
+    phase2: Tier<(u64, u64), Kept<ObjectModule>>,
     /// Linked `.vx` text by link key (`stages::link_key`). Memory only.
     vx: Tier<u64, VxEntry>,
-    /// The most recent program analysis. One slot, outside the retention
-    /// rule: the warm and edit rebuilds it serves repeat the previous
-    /// build's key.
-    analysis: Option<Arc<AnalysisEntry>>,
+    /// The most recent program analysis, under its key. One slot, outside
+    /// the retention rule: the warm and edit rebuilds it serves repeat the
+    /// previous build's key.
+    analysis: Option<(u64, Kept<Arc<AnalysisEntry>>)>,
     disk: Option<DiskCache>,
     tele: Option<Telemetry>,
     /// Monotonic operation clock driving recency; bumped on every lookup
@@ -710,22 +779,24 @@ impl CompilationCache {
         }
     }
 
-    /// Phase-1 lookup by phase-1 key: memory first, then the disk tier
-    /// (promoting to memory). The flag reports whether the entry came from
-    /// disk.
+    /// Phase-1 lookup by phase-1 key: memory first, then the disk tier.
+    /// The flag reports whether the entry came from disk.
     ///
-    /// Entries are shared, not copied: a hit is a refcount bump, so the
-    /// hot path of a warm build never deep-clones an `IrModule`, and a
-    /// disk-warm one never decodes the IR of a module phase 2 does not
-    /// recompile.
+    /// A disk hit hands the build the entry it decoded, which the build
+    /// alone holds, and memory keeps the frame; the next lookup of the key
+    /// decodes that frame into memory. Entries in memory are shared, not
+    /// copied: a hit is a refcount bump, so the hot path of a warm build
+    /// never deep-clones an `IrModule`, and a disk-served one never decodes
+    /// the IR of a module phase 2 does not recompile.
     pub(crate) fn lookup_phase1(&mut self, key: u64) -> Option<(Arc<Phase1Entry>, bool)> {
         let tick = self.next_tick();
-        if let Some(e) = self.phase1.get(key, tick) {
-            return Some((Arc::clone(e), false));
+        if let Some(kept) = self.phase1.get(key, tick) {
+            let decode = |frame: &Arc<_>| Phase1Entry::decode(Arc::clone(frame), key).map(Arc::new);
+            return kept.decoded(decode).map(|e| (Arc::clone(e), false));
         }
-        let e = Arc::new(self.disk.as_mut()?.load_phase1(key)?);
-        self.phase1.insert(key, Arc::clone(&e), tick);
-        Some((e, true))
+        let (frame, entry) = self.disk.as_mut()?.load_phase1(key)?;
+        self.phase1.insert(key, Kept::Frame(frame), tick);
+        Some((Arc::new(entry), true))
     }
 
     /// Stores a freshly computed phase-1 entry in memory and, when
@@ -737,9 +808,9 @@ impl CompilationCache {
         }
         let key = head.key;
         let ir = OnceLock::from(Some(ir));
-        let entry = Arc::new(Phase1Entry { head, frame: Vec::new(), tail: 0..0, ir });
+        let entry = Arc::new(Phase1Entry { head, frame: Arc::default(), tail: 0..0, ir });
         let tick = self.next_tick();
-        self.phase1.insert(key, Arc::clone(&entry), tick);
+        self.phase1.insert(key, Kept::Decoded(Arc::clone(&entry)), tick);
         entry
     }
 
@@ -754,26 +825,31 @@ impl CompilationCache {
         self.store_phase1(head, ir);
     }
 
-    /// Phase-2 lookup by `(ir_fp, db_fp)`: memory first, then the disk tier
-    /// (promoting to memory). The flag reports whether the object came from
-    /// disk. The object stays in memory for the rest of the build, where
-    /// [`phase2_object`](Self::phase2_object) reads it: a build served by
-    /// the `.vx` tier never copies it.
-    pub(crate) fn lookup_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<bool> {
+    /// Phase-2 lookup by `(ir_fp, db_fp)`: memory first, then the disk
+    /// tier. A memory hit leaves the object decoded in memory for the rest
+    /// of the build, where [`phase2_object`](Self::phase2_object) reads it:
+    /// a build served by the `.vx` tier never copies it. A disk hit hands
+    /// the build the object it decoded, and memory keeps the frame, which
+    /// the next lookup of the key decodes into memory.
+    pub(crate) fn lookup_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<Phase2Hit> {
         let tick = self.next_tick();
-        if self.phase2.get((ir_fp, db_fp), tick).is_some() {
-            return Some(false);
+        let key = (ir_fp, db_fp);
+        if let Some(kept) = self.phase2.get(key, tick) {
+            return kept.decoded(|frame| decode_phase2(frame, key)).map(|_| Phase2Hit::Memory);
         }
-        let e = self.disk.as_mut()?.load_phase2(ir_fp, db_fp)?;
-        self.phase2.insert((ir_fp, db_fp), e.object, tick);
-        Some(true)
+        let (frame, object) = self.disk.as_mut()?.load_phase2(key)?;
+        self.phase2.insert(key, Kept::Frame(frame), tick);
+        Some(Phase2Hit::Disk(object))
     }
 
-    /// The phase-2 object under `(ir_fp, db_fp)`, if memory holds it. No
-    /// entry leaves memory before its build ends, so one that this build
-    /// looked up or stored is here.
+    /// The phase-2 object under `(ir_fp, db_fp)`, if memory holds it
+    /// decoded. No entry leaves memory before its build ends, so one that
+    /// this build found in memory or stored is here.
     pub(crate) fn phase2_object(&self, ir_fp: u64, db_fp: u64) -> Option<&ObjectModule> {
-        self.phase2.entries.get(&(ir_fp, db_fp)).map(|(object, _)| object)
+        match self.phase2.entries.get(&(ir_fp, db_fp))? {
+            (Kept::Decoded(object), _) => Some(object),
+            (Kept::Frame(_), _) => None,
+        }
     }
 
     /// Stores a freshly compiled object in memory and, when attached,
@@ -783,7 +859,7 @@ impl CompilationCache {
             d.store_phase2(&entry);
         }
         let tick = self.next_tick();
-        self.phase2.insert((entry.ir_fp, entry.db_fp), entry.object, tick);
+        self.phase2.insert((entry.ir_fp, entry.db_fp), Kept::Decoded(entry.object), tick);
     }
 
     /// `.vx` lookup by link key: the text linked from the objects under
@@ -808,16 +884,18 @@ impl CompilationCache {
         self.vx.insert(key, VxEntry { keys, linked: seen.then(|| linked.clone()) }, tick);
     }
 
-    /// Analysis lookup: the memory slot first, then the disk tier
-    /// (promoting into the slot). The flag reports whether the entry came
-    /// from disk.
+    /// Analysis lookup: the memory slot first, then the disk tier. The
+    /// flag reports whether the entry came from disk. A disk hit hands the
+    /// build the analysis it decoded and leaves the frame in the slot, which
+    /// the next lookup of the key decodes into the slot.
     pub(crate) fn lookup_analysis(&mut self, key: u64) -> Option<(Arc<AnalysisEntry>, bool)> {
-        if let Some(e) = self.analysis.as_ref().filter(|e| e.key == key) {
-            return Some((Arc::clone(e), false));
+        if let Some((_, kept)) = self.analysis.as_mut().filter(|(held, _)| *held == key) {
+            let decode = |frame: &Vec<u8>| decode_analysis(frame, key).map(Arc::new);
+            return kept.decoded(decode).map(|e| (Arc::clone(e), false));
         }
-        let e = Arc::new(self.disk.as_mut()?.load_analysis(key)?);
-        self.analysis = Some(Arc::clone(&e));
-        Some((e, true))
+        let (frame, entry) = self.disk.as_mut()?.load_analysis(key)?;
+        self.analysis = Some((key, Kept::Frame(frame)));
+        Some((Arc::new(entry), true))
     }
 
     /// Stores a freshly computed analysis in the memory slot and, when
@@ -827,7 +905,7 @@ impl CompilationCache {
             d.store_analysis(&entry);
         }
         let entry = Arc::new(entry);
-        self.analysis = Some(Arc::clone(&entry));
+        self.analysis = Some((entry.key, Kept::Decoded(Arc::clone(&entry))));
         entry
     }
 
@@ -1071,7 +1149,7 @@ mod tests {
         c.flush();
         let pack = std::fs::read(dir.join(PACK_FILE)).unwrap();
         let (e, _) = CompilationCache::with_disk(&dir).unwrap().lookup_phase1(5).unwrap();
-        assert_eq!(e.frame, pack, "the entry holds the frame as read");
+        assert_eq!(*e.frame, pack, "the entry holds the frame as read");
         assert_eq!(e.tail.end, pack.len() - 8, "the tail ends at the checksum");
         assert!(e.ir().is_some());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1099,6 +1177,116 @@ mod tests {
         });
         assert!(std::fs::metadata(&pack).unwrap().len() > 0);
         assert_eq!(testing::records(&dir).len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache directory holding phase-1 key 5 (with a real IR), the
+    /// phase-2 entry `(5, 6)` and analysis key 7.
+    fn populated(tag: &str) -> PathBuf {
+        let dir = tmpdir(tag);
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.store_phase1(head("m", 5), real_ir());
+        c.store_phase2(Phase2Entry {
+            object: ObjectModule { name: "m".into(), ..ObjectModule::default() },
+            ..p2(5, 6)
+        });
+        c.store_analysis(analysis(7));
+        c.flush();
+        dir
+    }
+
+    /// Whether memory holds only a frame under each of the three keys
+    /// [`populated`] stores.
+    fn held(c: &CompilationCache) -> [bool; 3] {
+        [
+            matches!(c.phase1.entries.get(&5), Some((Kept::Frame(_), _))),
+            matches!(c.phase2.entries.get(&(5, 6)), Some((Kept::Frame(_), _))),
+            matches!(c.analysis, Some((7, Kept::Frame(_)))),
+        ]
+    }
+
+    #[test]
+    fn a_first_disk_use_holds_the_frame_and_hands_the_value_to_the_build() {
+        let dir = populated("first-use");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        let (entry, from_disk) = c.lookup_phase1(5).unwrap();
+        assert!(from_disk);
+        assert_eq!(Arc::strong_count(&entry), 1, "the build alone holds the entry");
+        let Some(Phase2Hit::Disk(object)) = c.lookup_phase2(5, 6) else {
+            panic!("a disk hit hands the build its object");
+        };
+        assert_eq!(object.name, "m");
+        let (analysis, from_disk) = c.lookup_analysis(7).unwrap();
+        assert!(from_disk);
+        assert_eq!(Arc::strong_count(&analysis), 1, "the build alone holds the analysis");
+        assert_eq!(held(&c), [true; 3]);
+        assert!(c.phase2_object(5, 6).is_none(), "memory holds no decoded object");
+        // The held phase-1 frame is the one the entry decoded its head from.
+        let Kept::Frame(frame) = &c.phase1.entries[&5].0 else { unreachable!() };
+        assert!(Arc::ptr_eq(frame, &entry.frame));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_use_decodes_the_held_frame_and_counts_a_memory_hit() {
+        let dir = populated("second-use");
+        let tele = Telemetry::new();
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.set_telemetry(Some(tele.clone()));
+        let (first, _) = c.lookup_phase1(5).unwrap();
+        let Some(Phase2Hit::Disk(object)) = c.lookup_phase2(5, 6) else { panic!("disk hit") };
+        let (analysis, _) = c.lookup_analysis(7).unwrap();
+        let (again, from_disk) = c.lookup_phase1(5).unwrap();
+        assert!(!from_disk);
+        let Some((Kept::Decoded(kept), _)) = c.phase1.entries.get(&5) else { panic!("decoded") };
+        assert!(Arc::ptr_eq(kept, &again), "memory keeps the decoded entry");
+        assert_eq!((again.head.key, again.head.ir_fp), (first.head.key, first.head.ir_fp));
+        assert_eq!(again.ir(), Some(&real_ir()));
+        assert!(matches!(c.lookup_phase2(5, 6), Some(Phase2Hit::Memory)));
+        assert_eq!(c.phase2_object(5, 6), Some(&object));
+        let (again, from_disk) = c.lookup_analysis(7).unwrap();
+        assert!(!from_disk);
+        assert_eq!((&again.database, &again.stats), (&analysis.database, &analysis.stats));
+        assert_eq!(held(&c), [false; 3]);
+        // Only the first uses read the disk tier.
+        assert_eq!(tele.counter("cache.disk.reads"), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retention_drops_held_frames_and_counts_them() {
+        let dir = populated("held-retention");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.begin_build();
+        assert!(c.lookup_phase1(5).is_some_and(|(_, disk)| disk));
+        assert!(matches!(c.lookup_phase2(5, 6), Some(Phase2Hit::Disk(_))));
+        assert_eq!(end(&mut c), (0, 0));
+        assert_eq!(held(&c)[..2], [true, true]);
+        // Builds 2..=16 use other keys; build 17 ends build 1's window.
+        for b in 2..=16 {
+            assert_eq!(one_build(&mut c, 100 + b, &[]), (0, 0), "build {b}");
+        }
+        assert_eq!(one_build(&mut c, 117, &[]), (1, 1), "both held frames leave memory");
+        assert!(!c.phase1.entries.contains_key(&5) && !c.phase2.entries.contains_key(&(5, 6)));
+        // The disk tier still serves them.
+        assert!(c.lookup_phase1(5).is_some_and(|(_, disk)| disk));
+        assert!(matches!(c.lookup_phase2(5, 6), Some(Phase2Hit::Disk(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repair_phase1_replaces_a_held_frame() {
+        let dir = populated("held-repair");
+        let tele = Telemetry::new();
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        c.set_telemetry(Some(tele.clone()));
+        assert!(c.lookup_phase1(5).is_some_and(|(_, disk)| disk));
+        assert!(held(&c)[0]);
+        c.repair_phase1(head("m", 5), ir("redone"));
+        assert_eq!(tele.counter("cache.disk.corrupt"), 1);
+        let (e, from_disk) = c.lookup_phase1(5).unwrap();
+        assert!(!from_disk);
+        assert_eq!(e.ir().map(|ir| ir.name.as_str()), Some("redone"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

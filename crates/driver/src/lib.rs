@@ -86,6 +86,7 @@ use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
 use std::fmt;
+use std::sync::Arc;
 use vpr::program::{link, Executable, LinkError, ObjectModule};
 use vpr::sim::{run_with, RunResult, SimError, SimOptions};
 
@@ -355,8 +356,7 @@ pub fn compile_incremental(
     // ---- The program analyzer: whole-program, keyed on the summaries and
     // the resolved options.
     let analyze_timer = span(tele, "build", "analyze");
-    let summary = stages::program_summary(&entries);
-    let (analysis, trace) = stages::analyze(&entries, Some(&summary), options, cache, &mut report);
+    let (analysis, summary, trace) = stages::analyze(&entries, options, cache, &mut report);
     report.analyze.seconds = analyze_timer.finish();
 
     // ---- Compiler second phase: per module, keyed on (IR, database slice).
@@ -381,17 +381,17 @@ pub fn compile_incremental(
     // of disk-tier writes per build (entries stay served from memory either
     // way; see `DiskCache`). Both are charged to the build total.
     cache.end_build(&mut report);
+    // What the build alone holds, a first disk hit's decoded values, moves
+    // into the program; what memory shares is copied. On an analyzer hit
+    // the summary is assembled only now, once phase 2 is done reading it.
+    let summary = summary.unwrap_or_else(|| stages::program_summary(entries));
+    let (database, stats) = match Arc::try_unwrap(analysis) {
+        Ok(analysis) => (analysis.database, analysis.stats),
+        Err(shared) => (shared.database.clone(), shared.stats.clone()),
+    };
     report.total_seconds = build_timer.finish();
-    count_build(tele, &report, &analysis.stats, objects.len(), exe.code_len());
-    Ok(CompiledProgram {
-        exe,
-        objects,
-        summary,
-        database: analysis.database.clone(),
-        stats: analysis.stats.clone(),
-        build: report,
-        trace,
-    })
+    count_build(tele, &report, &stats, objects.len(), exe.code_len());
+    Ok(CompiledProgram { exe, objects, summary, database, stats, build: report, trace })
 }
 
 /// Links a build's objects (whole-program; always runs) in the build's
@@ -599,7 +599,7 @@ fn artifact_incremental(
 
     // ---- The analyzer, which assembles the program summary only to run.
     let analyze_timer = span(tele, "build", "analyze");
-    let (analysis, _) = stages::analyze(&entries, None, options, cache, &mut report);
+    let (analysis, _, _) = stages::analyze(&entries, options, cache, &mut report);
     report.analyze.seconds = analyze_timer.finish();
 
     // ---- Phase 2's lookups. When every object hits, the `.vx` tier may
@@ -607,9 +607,9 @@ fn artifact_incremental(
     let phase2_timer = span(tele, "build", "phase2");
     let (database, target) = (&analysis.database, options.target);
     let keys = stages::phase2_keys(&entries, database, target);
-    let stale = stages::probe_phase2(&keys, cache, &mut report);
+    let probe = stages::probe_phase2(&keys, cache, &mut report);
     let link_key = stages::link_key(&keys, target);
-    let served = if stale.is_empty() { cache.lookup_vx(link_key, &keys) } else { None };
+    let served = if probe.stale.is_empty() { cache.lookup_vx(link_key, &keys) } else { None };
     let objects = match served {
         Some(_) => Vec::new(),
         None => stages::phase2_objects(
@@ -617,7 +617,7 @@ fn artifact_incremental(
             options.optimize,
             &entries,
             &keys,
-            &stale,
+            probe,
             database,
             target,
             jobs,
@@ -1153,7 +1153,7 @@ mod tests {
         drop(cache);
         // The flush appended a whole frame, and its record wins.
         let mut disk = DiskCache::open(&dir).unwrap();
-        let entry = disk.load_phase1(forged_key).expect("rewritten frame");
+        let (_, entry) = disk.load_phase1(forged_key).expect("rewritten frame");
         assert!(entry.ir().is_some(), "the rewritten tail decodes");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -75,13 +75,10 @@ pub fn build_module_for(
             .remove(0);
     // One burst of disk-tier writes per module build (see `DiskCache`).
     cache.flush();
-    let head = &entries[0].head;
+    let (source_fp, ir_fp) = (entries[0].head.key, entries[0].head.ir_fp);
+    let summary = stages::program_summary(entries).modules.remove(0);
     Ok(ModuleProduct {
-        summary: SummaryArtifact {
-            summary: head.summary.clone(),
-            source_fp: head.key,
-            ir_fp: head.ir_fp,
-        },
+        summary: SummaryArtifact { summary, source_fp, ir_fp },
         object,
         phase1_hit: report.phase1.hits == 1,
         phase2_hit: report.phase2.hits == 1,

@@ -21,7 +21,7 @@
 //! one, and between the probe and the objects asks the `.vx` tier for the
 //! text linked from the objects under those keys ([`link_key`]).
 
-use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase1Steps, Phase2Entry};
+use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase1Steps, Phase2Entry, Phase2Hit};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
@@ -308,25 +308,30 @@ pub(crate) fn analysis_key(summary_fps: &[u64], opts: &AnalyzerOptions) -> u64 {
     h.finish()
 }
 
-/// The program summary of phase-1 `entries`: a copy of each module's
-/// summary record, in order.
-pub(crate) fn program_summary(entries: &[Arc<Phase1Entry>]) -> ProgramSummary {
-    ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() }
+/// The program summary of phase-1 `entries`, in order, once the build
+/// is done with them: the summary of an entry the build alone holds (one
+/// a first disk hit decoded for it) moves, and one memory shares is
+/// copied.
+pub(crate) fn program_summary(entries: Vec<Arc<Phase1Entry>>) -> ProgramSummary {
+    let summary = |e: Arc<Phase1Entry>| match Arc::try_unwrap(e) {
+        Ok(alone) => alone.head.summary,
+        Err(shared) => shared.head.summary.clone(),
+    };
+    ProgramSummary { modules: entries.into_iter().map(summary).collect() }
 }
 
 /// The program analyzer over phase-1 `entries` under `options`' analyzer
 /// settings, through `cache`'s analysis tier, and fills `report.analyze`.
-/// `summary` is the entries' [`program_summary`] when the caller has made
-/// it; otherwise a miss makes it, and a hit, which reads none, does not. A
-/// traced build always runs the analyzer, to record its decisions, and
-/// stores the result like any miss.
+/// Returns the analysis, the program summary the analyzer ran on (`None`
+/// on a hit, which reads none) and the decision trace. A traced build
+/// always runs the analyzer, to record its decisions, and stores the
+/// result like any miss.
 pub(crate) fn analyze(
     entries: &[Arc<Phase1Entry>],
-    summary: Option<&ProgramSummary>,
     options: &CompileOptions,
     cache: &mut CompilationCache,
     report: &mut BuildReport,
-) -> (Arc<AnalysisEntry>, Option<AnalyzerTrace>) {
+) -> (Arc<AnalysisEntry>, Option<ProgramSummary>, Option<AnalyzerTrace>) {
     let opts = analyzer_options(options);
     let fps: Vec<u64> = entries.iter().map(|e| e.head.summary_fp).collect();
     let key = analysis_key(&fps, &opts);
@@ -334,21 +339,16 @@ pub(crate) fn analyze(
         if let Some((entry, from_disk)) = cache.lookup_analysis(key) {
             report.analyze.hits = 1;
             report.analyze.disk_hits = usize::from(from_disk);
-            return (entry, None);
+            return (entry, None, None);
         }
     }
     report.analyze.misses = 1;
-    let made;
-    let summary = match summary {
-        Some(summary) => summary,
-        None => {
-            made = program_summary(entries);
-            &made
-        }
-    };
-    let (analysis, trace) = run_analyzer(summary, &opts, options.trace);
+    // Phase 2 still reads the entries, so the summaries are copied.
+    let summary =
+        ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() };
+    let (analysis, trace) = run_analyzer(&summary, &opts, options.trace);
     let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
-    (cache.store_analysis(entry), trace)
+    (cache.store_analysis(entry), Some(summary), trace)
 }
 
 /// The IR a cached second phase recompiles a module from: the phase-1
@@ -402,28 +402,47 @@ pub(crate) fn link_key(keys: &[(u64, u64)], target: TargetId) -> u64 {
     h.finish()
 }
 
+/// What [`probe_phase2`] found for a build's modules.
+pub(crate) struct Probe {
+    /// The indices of the modules that missed.
+    pub(crate) stale: Vec<usize>,
+    /// Each module's object where the build alone holds it: a disk hit's,
+    /// decoded for this build while memory kept the frame. `None` for a
+    /// memory hit, whose object stays in the cache, and for a miss.
+    objects: Vec<Option<ObjectModule>>,
+}
+
 /// Looks every module's phase-2 key up in `cache`, counting hits, disk
-/// hits and misses into `report.phase2`, and returns the misses' indices.
-/// A hit's object stays in the cache: only [`phase2_objects`] copies it.
+/// hits and misses into `report.phase2`. A memory hit's object stays in
+/// the cache, where only [`phase2_objects`] copies it; a disk hit's goes
+/// to the build, which moves it there.
 pub(crate) fn probe_phase2(
     keys: &[(u64, u64)],
     cache: &mut CompilationCache,
     report: &mut BuildReport,
-) -> Vec<usize> {
-    let mut stale = Vec::new();
+) -> Probe {
+    let mut probe = Probe { stale: Vec::new(), objects: Vec::with_capacity(keys.len()) };
     for (i, &(ir_fp, db_fp)) in keys.iter().enumerate() {
-        match cache.lookup_phase2(ir_fp, db_fp) {
-            Some(from_disk) => {
+        let object = match cache.lookup_phase2(ir_fp, db_fp) {
+            Some(hit) => {
                 report.phase2.hits += 1;
-                report.phase2.disk_hits += usize::from(from_disk);
+                match hit {
+                    Phase2Hit::Memory => None,
+                    Phase2Hit::Disk(object) => {
+                        report.phase2.disk_hits += 1;
+                        Some(object)
+                    }
+                }
             }
             None => {
                 report.phase2.misses += 1;
-                stale.push(i);
+                probe.stale.push(i);
+                None
             }
-        }
+        };
+        probe.objects.push(object);
     }
-    stale
+    probe
 }
 
 /// The compiler second phase over phase-1 `entries` under `database`,
@@ -447,14 +466,15 @@ pub(crate) fn phase2(
     report: &mut BuildReport,
 ) -> Result<Vec<ObjectArtifact>, CompileError> {
     let keys = phase2_keys(entries, database, target);
-    let stale = probe_phase2(&keys, cache, report);
-    phase2_objects(sources, optimize, entries, &keys, &stale, database, target, jobs, cache, report)
+    let probe = probe_phase2(&keys, cache, report);
+    phase2_objects(sources, optimize, entries, &keys, probe, database, target, jobs, cache, report)
 }
 
 /// The rest of the second phase once [`probe_phase2`] has probed `keys`:
-/// runs [`run_phase2`] on the misses `stale`, stores their objects and
+/// runs [`run_phase2`] on the probe's misses, stores their objects and
 /// names them in `report.recompiled`, and returns every module's object
-/// (a hit's copied from the cache) with its fingerprints, in order.
+/// with its fingerprints, in order: a miss's and a disk hit's moved in, a
+/// memory hit's copied from the cache.
 ///
 /// Only the modules it recompiles decode their IR. One whose cached IR
 /// does not decode re-runs phase 1 from its source (`sources` and
@@ -471,7 +491,7 @@ pub(crate) fn phase2_objects(
     optimize: bool,
     entries: &[Arc<Phase1Entry>],
     keys: &[(u64, u64)],
-    stale: &[usize],
+    probe: Probe,
     database: &ProgramDatabase,
     target: TargetId,
     jobs: usize,
@@ -479,7 +499,7 @@ pub(crate) fn phase2_objects(
     report: &mut BuildReport,
 ) -> Result<Vec<ObjectArtifact>, CompileError> {
     let tele = cache.telemetry().cloned();
-    let mut compiled: Vec<Option<ObjectModule>> = (0..keys.len()).map(|_| None).collect();
+    let Probe { stale, mut objects } = probe;
     let pool = Pool { jobs, tele: tele.as_ref() };
     let ir = |&i: &usize| match entries[i].ir() {
         Some(ir) => Ok(StaleIr::Cached(ir)),
@@ -491,19 +511,19 @@ pub(crate) fn phase2_objects(
         }
     };
     let name = |&i: &usize| entries[i].head.summary.module.as_str();
-    run_phase2(pool, stale, name, database, target, ir, |&i, object, ir| {
+    run_phase2(pool, &stale, name, database, target, ir, |&i, object, ir| {
         if let StaleIr::Redone(head, ir) = ir {
             cache.repair_phase1(head, ir);
         }
         report.recompiled.push(entries[i].head.summary.module.clone());
         let (ir_fp, db_fp) = keys[i];
         cache.store_phase2(Phase2Entry { ir_fp, db_fp, object: object.clone() });
-        compiled[i] = Some(object);
+        objects[i] = Some(object);
     })?;
-    let objects = keys.iter().zip(compiled).map(|(&(ir_fp, db_fp), object)| {
+    let objects = keys.iter().zip(objects).map(|(&(ir_fp, db_fp), object)| {
         let object = object.unwrap_or_else(|| {
             let hit = cache.phase2_object(ir_fp, db_fp);
-            hit.expect("a probed hit stays in memory until its build ends").clone()
+            hit.expect("a memory hit stays decoded in memory until its build ends").clone()
         });
         ObjectArtifact { object, ir_fp, dir_fp: db_fp }
     });

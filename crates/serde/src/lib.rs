@@ -623,25 +623,33 @@ pub trait BinDeserialize: Sized {
 }
 
 /// Splits `n` bytes off the front of `cursor` (decode building block).
+#[inline]
 pub fn bin_take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], DeError> {
     if cursor.len() < n {
-        return Err(DeError(format!(
-            "binary payload truncated: need {n} bytes, have {}",
-            cursor.len()
-        )));
+        return Err(bin_truncated(n, cursor.len()));
     }
     let (head, tail) = cursor.split_at(n);
     *cursor = tail;
     Ok(head)
 }
 
+/// The error of a read of `need` bytes from a cursor holding `have`: kept
+/// out of line, so the inlined reads carry only their bounds check.
+#[cold]
+#[inline(never)]
+fn bin_truncated(need: usize, have: usize) -> DeError {
+    DeError(format!("binary payload truncated: need {need} bytes, have {have}"))
+}
+
 /// Writes a u32 length prefix (panics on `> u32::MAX` elements).
+#[inline]
 pub fn bin_put_len(n: usize, out: &mut Vec<u8>) {
     let n = u32::try_from(n).expect("binary codec: collection exceeds u32::MAX elements");
     out.extend_from_slice(&n.to_le_bytes());
 }
 
 /// Reads a u32 (length prefixes, enum variant indices).
+#[inline]
 pub fn bin_take_u32(cursor: &mut &[u8]) -> Result<u32, DeError> {
     Ok(u32::from_le_bytes(bin_take(cursor, 4)?.try_into().expect("4-byte slice")))
 }
@@ -649,6 +657,7 @@ pub fn bin_take_u32(cursor: &mut &[u8]) -> Result<u32, DeError> {
 /// Reads a length prefix. The value is *claimed*, not trusted: callers cap
 /// pre-allocation at the bytes actually remaining, so a corrupt length
 /// fails on a later read instead of ballooning memory.
+#[inline]
 pub fn bin_take_len(cursor: &mut &[u8]) -> Result<usize, DeError> {
     Ok(bin_take_u32(cursor)? as usize)
 }
@@ -661,11 +670,13 @@ pub fn bin_bad_variant<T>(ty: &str, index: u32) -> Result<T, DeError> {
 macro_rules! impl_bin_int {
     ($wide:ty; $($t:ty),*) => {$(
         impl BinSerialize for $t {
+            #[inline]
             fn bin_serialize(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&(*self as $wide).to_le_bytes());
             }
         }
         impl BinDeserialize for $t {
+            #[inline]
             fn bin_deserialize(cursor: &mut &[u8]) -> Result<$t, DeError> {
                 let n = <$wide>::from_le_bytes(bin_take(cursor, 8)?.try_into().expect("8-byte slice"));
                 <$t>::try_from(n)
@@ -679,12 +690,14 @@ impl_bin_int!(i64; i8, i16, i32, i64, isize);
 impl_bin_int!(u64; u8, u16, u32, u64, usize);
 
 impl BinSerialize for bool {
+    #[inline]
     fn bin_serialize(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
 }
 
 impl BinDeserialize for bool {
+    #[inline]
     fn bin_deserialize(cursor: &mut &[u8]) -> Result<bool, DeError> {
         match bin_take(cursor, 1)?[0] {
             0 => Ok(false),
@@ -695,12 +708,14 @@ impl BinDeserialize for bool {
 }
 
 impl BinSerialize for f64 {
+    #[inline]
     fn bin_serialize(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
 }
 
 impl BinDeserialize for f64 {
+    #[inline]
     fn bin_deserialize(cursor: &mut &[u8]) -> Result<f64, DeError> {
         Ok(f64::from_bits(u64::from_le_bytes(
             bin_take(cursor, 8)?.try_into().expect("8-byte slice"),
@@ -709,12 +724,14 @@ impl BinDeserialize for f64 {
 }
 
 impl BinSerialize for String {
+    #[inline]
     fn bin_serialize(&self, out: &mut Vec<u8>) {
         self.as_str().bin_serialize(out);
     }
 }
 
 impl BinDeserialize for String {
+    #[inline]
     fn bin_deserialize(cursor: &mut &[u8]) -> Result<String, DeError> {
         let len = bin_take_len(cursor)?;
         String::from_utf8(bin_take(cursor, len)?.to_vec())
@@ -723,6 +740,7 @@ impl BinDeserialize for String {
 }
 
 impl BinSerialize for str {
+    #[inline]
     fn bin_serialize(&self, out: &mut Vec<u8>) {
         bin_put_len(self.len(), out);
         out.extend_from_slice(self.as_bytes());
@@ -730,12 +748,14 @@ impl BinSerialize for str {
 }
 
 impl BinSerialize for char {
+    #[inline]
     fn bin_serialize(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(*self as u32).to_le_bytes());
     }
 }
 
 impl BinDeserialize for char {
+    #[inline]
     fn bin_deserialize(cursor: &mut &[u8]) -> Result<char, DeError> {
         let n = bin_take_u32(cursor)?;
         char::from_u32(n).ok_or_else(|| DeError(format!("char: invalid scalar value {n}")))

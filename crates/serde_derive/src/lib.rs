@@ -575,6 +575,7 @@ fn gen_bin_serialize(input: &Input) -> String {
     };
     format!(
         "{IMPL_HEADER}impl ::serde::BinSerialize for {name} {{\n\
+         #[inline]\n\
          fn bin_serialize(&self, __out: &mut ::std::vec::Vec<u8>) {{\n{body}\n}}\n}}\n"
     )
 }
@@ -654,6 +655,7 @@ fn gen_bin_deserialize(input: &Input) -> String {
     };
     format!(
         "{IMPL_HEADER}impl ::serde::BinDeserialize for {name} {{\n\
+         #[inline]\n\
          fn bin_deserialize(__c: &mut &[u8]) -> ::std::result::Result<{name}, ::serde::DeError> {{\n\
          {body}\n}}\n}}\n"
     )

@@ -236,6 +236,13 @@ grep -q 'recompiled: m2$' "$sep/cache-stats.txt"
 grep -q '"analyze.disk_hits": 1' "$sep/cache-metrics.json"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C -o "$sep/nocache.vx" > /dev/null
 cmp "$sep/cache2.vx" "$sep/nocache.vx"
+# Two builds of the warm directory in one process: only the first reads
+# disk, and the second decodes the frames the first left in memory.
+"$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C --cache-dir "$bcache" --repeat 2 \
+  --metrics-out "$sep/cache-repeat.json" -o "$sep/cache3.vx" > /dev/null 2>&1
+grep -q '"phase1.disk_hits": 2' "$sep/cache-repeat.json"
+grep -q '"phase1.hits": 4' "$sep/cache-repeat.json"
+cmp "$sep/cache3.vx" "$sep/nocache.vx"
 # The disk tier is two files: the pack of frames and its index.
 cache_files="$(ls -A "$bcache" | tr '\n' ' ')"
 if [ "$cache_files" != "frames-v1.idx frames-v1.pack " ]; then
