@@ -64,7 +64,7 @@
 use ipra_bench::harness::{
     best_of, count, counters, median, time, BenchArgs, Cmp, Counters, Host, Report,
 };
-use ipra_daemon::protocol::{executable_artifact, BuildRequest, WireSource};
+use ipra_daemon::protocol::{executable_artifact, BuildRequest};
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::args::Args;
 use ipra_driver::{compile, CompileOptions, SourceFile};
@@ -111,10 +111,7 @@ fn request_for(sources: &[SourceFile]) -> BuildRequest {
     BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: sources
-            .iter()
-            .map(|s| WireSource { name: s.name.clone(), text: s.text.clone() })
-            .collect(),
+        sources: sources.to_vec(),
         training_input: Vec::new(),
     }
 }

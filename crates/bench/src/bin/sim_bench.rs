@@ -19,12 +19,14 @@
 //!
 //! Each (workload, target, mode) gets two rows named
 //! `{workload}/{target}/{plain|attributed}`, one per engine (layer `fast`
-//! or `reference`). A row times `runs` repetitions, best of
-//! [`TRIALS`](ipra_bench::harness::TRIALS), and counts `runs`, the FNV-64
-//! of the engine's `RunResult` (`result_fnv64`) and the simulator counters
-//! of one profiled run on that engine (`sim.*`; every instruction takes
-//! one cycle, so instructions/s is `sim.cycles × runs / seconds`). The
-//! speedup is the reference row's seconds over the fast row's.
+//! or `reference`). A row times `runs` repetitions, best of [`TRIALS`],
+//! and counts `runs`, the FNV-64 of the engine's `RunResult`
+//! (`result_fnv64`) and the simulator counters of one profiled run on that
+//! engine (`sim.*`; every instruction takes one cycle, so instructions/s
+//! is `sim.cycles × runs / seconds`). After one warm-up run of each
+//! engine, the two engines' trials alternate, so a slow spell on a shared
+//! host lands on both rather than moving their ratio. The speedup is the
+//! reference row's seconds over the fast row's.
 //!
 //! `--check` (the CI smoke mode wired into `scripts/check.sh`) fails the
 //! run unless every row's engines agreed and counted identically, and the
@@ -45,7 +47,7 @@
 //! cargo run --release -p ipra-bench --bin sim_bench -- --check
 //! ```
 
-use ipra_bench::harness::{best_of, differing, BenchArgs, Cmp, Host, Report};
+use ipra_bench::harness::{differing, time, BenchArgs, Cmp, Host, Report, TRIALS};
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::PaperConfig;
 use ipra_driver::args::Args;
@@ -123,17 +125,23 @@ fn measure(
     report.gate(format!("{row}.counters_differing"), differ as f64, Cmp::Equal, 0.0);
 
     let runs = (TARGET_INSTRUCTIONS / fast.stats.cycles.max(1)).max(1);
-    let time_runs = |one: &dyn Fn()| {
-        // One warmup rep: page in the code path and the allocator's arenas.
-        one();
-        best_of(|| (), |()| (0..runs).for_each(|_| one())).1
-    };
-    let fast_s = time_runs(&|| {
+    let fast_run = || {
         std::hint::black_box(decoded.run_with(&opts)).ok();
-    });
-    let reference_s = time_runs(&|| {
+    };
+    let reference_run = || {
         std::hint::black_box(vpr::run_with(exe, &ref_opts)).ok();
-    });
+    };
+    // One warm-up run per engine pages in its code path and the
+    // allocator's arenas. The legs then alternate, fast and reference, so
+    // a slow spell on a shared host slows trials of both engines rather
+    // than all of one engine's; each keeps its best of `TRIALS`.
+    fast_run();
+    reference_run();
+    let (mut fast_s, mut reference_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TRIALS {
+        fast_s = fast_s.min(time(|| (0..runs).for_each(|_| fast_run())).1);
+        reference_s = reference_s.min(time(|| (0..runs).for_each(|_| reference_run())).1);
+    }
     for (layer, seconds, result, mut counters) in [
         ("fast", fast_s, &fast, fast_counters),
         ("reference", reference_s, &reference, ref_counters),

@@ -332,7 +332,7 @@ pub fn ablation_table(workloads: &[Workload], fast: bool) -> String {
         for (_, opts) in &variants {
             let p = compile(
                 &w.sources,
-                &CompileOptions { analyzer: Some(opts.clone()), ..Default::default() },
+                &CompileOptions { analyzer: opts.clone(), ..Default::default() },
             )
             .expect("compile");
             let r = run_program(&p, input).expect("run");
@@ -387,9 +387,8 @@ mod tests {
     fn ablation_variants_all_run() {
         let w = ipra_workloads::dhrystone();
         for (label, opts) in ablation_variants() {
-            let p =
-                compile(&w.sources, &CompileOptions { analyzer: Some(opts), ..Default::default() })
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let p = compile(&w.sources, &CompileOptions { analyzer: opts, ..Default::default() })
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let r = run_program(&p, &w.training_input).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(!r.output.is_empty(), "{label}");
         }

@@ -881,16 +881,13 @@ fn remote_build(mut a: Args) -> Result<(), String> {
             let request = ipra_daemon::BuildRequest {
                 config: config.to_string(),
                 optimize: true,
-                sources: sources
-                    .iter()
-                    .map(|s| ipra_daemon::WireSource { name: s.name.clone(), text: s.text.clone() })
-                    .collect(),
+                sources,
                 training_input: input,
             };
             let built = client.build(&request).map_err(|e| e.to_string())?;
             eprintln!(
                 "cmind: {} modules, {} recompiled{}",
-                sources.len(),
+                request.sources.len(),
                 built.recompiled.len(),
                 if built.coalesced { " (coalesced with an identical in-flight build)" } else { "" }
             );

@@ -79,10 +79,15 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// Sends one encoded request frame and reads the response.
-    fn round_trip(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
+    /// Sends one encoded request frame and reads the response. A request
+    /// that could not be encoded is not sent.
+    fn round_trip(
+        &mut self,
+        frame: Result<Vec<u8>, ProtocolError>,
+    ) -> Result<Response, ClientError> {
+        let frame = frame.map_err(ClientError::Protocol)?;
         self.stream
-            .write_all(frame)
+            .write_all(&frame)
             .and_then(|()| self.stream.flush())
             .map_err(|e| ClientError::Io(e.to_string()))?;
         let frame = protocol::read_frame(&mut self.stream, TAG_RESPONSE, || false)
@@ -97,7 +102,7 @@ impl Client {
     ///
     /// Any [`ClientError`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.round_trip(&protocol::encode_request(&Request::Ping))? {
+        match self.round_trip(protocol::encode_request(&Request::Ping))? {
             Response::Pong => Ok(()),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
@@ -112,9 +117,11 @@ impl Client {
     /// # Errors
     ///
     /// Any [`ClientError`]; notably [`ClientError::FingerprintMismatch`]
-    /// when the artifact text does not verify to its declared fingerprint.
+    /// when the artifact text does not verify to its declared fingerprint,
+    /// and [`ClientError::Protocol`], with nothing sent, when the request
+    /// exceeds the frame cap ([`protocol::MAX_FRAME`]).
     pub fn build(&mut self, request: &BuildRequest) -> Result<BuildResponse, ClientError> {
-        match self.round_trip(&protocol::encode_build_request(request))? {
+        match self.round_trip(protocol::encode_build_request(request))? {
             Response::Built(built) => {
                 let got = ipra_artifact::verify(ArtifactKind::Executable, &built.vx);
                 if got != Ok(built.fingerprint) {
@@ -136,7 +143,7 @@ impl Client {
     ///
     /// Any [`ClientError`].
     pub fn stats(&mut self) -> Result<Vec<Counter>, ClientError> {
-        match self.round_trip(&protocol::encode_request(&Request::Stats))? {
+        match self.round_trip(protocol::encode_request(&Request::Stats))? {
             Response::Stats(s) => Ok(s.counters),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
@@ -149,7 +156,7 @@ impl Client {
     ///
     /// Any [`ClientError`].
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.round_trip(&protocol::encode_request(&Request::Shutdown))? {
+        match self.round_trip(protocol::encode_request(&Request::Shutdown))? {
             Response::ShuttingDown => Ok(()),
             Response::Error(e) => Err(ClientError::Server(e)),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
@@ -190,7 +197,7 @@ mod tests {
                 let (mut stream, _) = listener.accept().expect("accept");
                 let request = protocol::read_frame(&mut stream, protocol::TAG_REQUEST, || false);
                 assert!(matches!(request, Ok(Some(_))), "one request frame");
-                let frame = protocol::encode_response(&Response::Built(reply));
+                let frame = protocol::encode_response(&Response::Built(reply)).expect("encodes");
                 stream.write_all(&frame).expect("reply");
             });
             let request = BuildRequest {
@@ -203,6 +210,39 @@ mod tests {
         });
         let _ = std::fs::remove_file(&socket);
         got
+    }
+
+    #[test]
+    fn a_request_over_the_frame_cap_is_a_typed_error_and_sends_nothing() {
+        let socket =
+            std::env::temp_dir().join(format!("cmind-client-oversize-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let listener = UnixListener::bind(&socket).expect("bind");
+        let listener = &listener;
+        let got = std::thread::scope(|scope| {
+            let daemon = scope.spawn(move || {
+                let (mut stream, _) = listener.accept().expect("accept");
+                protocol::read_frame(&mut stream, protocol::TAG_REQUEST, || false)
+            });
+            // One source as long as the cap: the request's payload is
+            // longer by its framing.
+            let text = "x".repeat(protocol::MAX_FRAME as usize);
+            let request = BuildRequest {
+                config: "L2".to_string(),
+                optimize: true,
+                sources: vec![protocol::WireSource::new("big", text)],
+                training_input: Vec::new(),
+            };
+            let built = Client::connect(&socket).expect("connect").build(&request);
+            // The client hung up: the daemon read a clean end of stream.
+            assert_eq!(daemon.join().expect("daemon side"), Ok(None), "nothing was sent");
+            built
+        });
+        let _ = std::fs::remove_file(&socket);
+        match got {
+            Err(ClientError::Protocol(e)) => assert_eq!(e.kind(), "oversize", "{e}"),
+            other => panic!("an over-cap request must be refused before sending: {other:?}"),
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! client's build. This crate provides it in three layers:
 //!
 //! * [`protocol`] — the wire format: length-prefixed, checksummed binary
-//!   frames (the PR-7 positional codec) over a Unix-domain socket, with a
-//!   typed [`ProtocolError`] for every way a
-//!   frame can be rejected;
+//!   frames over a Unix-domain socket, written and checked by
+//!   [`ipra_driver::framed`], the cache pack's codec, with a typed
+//!   [`ProtocolError`] for every way a frame can be rejected;
 //! * [`server`] — the daemon: a content-keyed
 //!   [`CompilationCache`](ipra_driver::CompilationCache) shared by every
 //!   session, sharded by project and bounded by what its recent builds

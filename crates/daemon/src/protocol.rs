@@ -1,33 +1,34 @@
 //! The `cmind` wire protocol: length-prefixed, checksummed binary frames
 //! over a Unix-domain socket.
 //!
-//! The frame layout deliberately mirrors the persistent cache tier's
-//! ([`ipra_driver`]'s `framed` module) — the same shape that already
-//! survives corruption testing there:
-//!
-//! ```text
-//! magic "CMND" | version u8 | tag u8 | payload_len u32 | payload | checksum(payload)
-//! ```
-//!
-//! All integers are little-endian. `tag` separates requests from responses
-//! so a frame can never deserialize as the wrong direction. Payloads are
-//! the derive-emitted positional binary codec ([`serde::BinSerialize`] /
-//! [`serde::BinDeserialize`]) — the PR-7 codec the cache tier uses, not
-//! JSON. The checksum is [`ipra_core::fingerprint::checksum`], which reads
-//! a word per multiply; FNV-64, which reads a byte, stays for keys and
-//! for the `.vx` fingerprint a [`BuildResponse`] carries.
+//! A frame is [`ipra_driver::framed`]'s, the codec the persistent cache
+//! tier's pack uses too; this module sets the wire's magic ([`MAGIC`]),
+//! version ([`VERSION`]) and payload cap ([`MAX_FRAME`]). Its kind byte is
+//! the *tag*, which separates requests from responses so a frame can never
+//! deserialize as the wrong direction. Payloads are the derive-emitted
+//! positional binary codec ([`serde::BinSerialize`] /
+//! [`serde::BinDeserialize`]), not JSON. FNV-64 stays for keys and for the
+//! `.vx` fingerprint a [`BuildResponse`] carries.
 //!
 //! Unlike the cache tier (where any mismatch is just a miss), a protocol
 //! peer needs to know *why* a frame was rejected, so every check failure
 //! is a typed [`ProtocolError`]. Frames of other versions are rejected as
 //! [`ProtocolError::UnsupportedVersion`], never half-decoded: version 1
-//! carried JSON payloads and version 2 an FNV-64 checksum.
-//!
-//! The length prefix is validated against [`MAX_FRAME`] *before* the
-//! payload is read, so a hostile or corrupt prefix cannot balloon memory.
+//! carried JSON payloads and version 2 an FNV-64 checksum. A message whose
+//! payload would exceed [`MAX_FRAME`] is not encoded
+//! ([`ProtocolError::Oversize`]), and a length prefix above it is rejected
+//! before the payload is read, so a hostile or corrupt prefix cannot
+//! balloon memory.
 
-use ipra_core::fingerprint::{checksum, Fnv64};
-use serde::{BinDeserialize, BinSerialize, Deserialize, Serialize};
+use ipra_core::fingerprint::Fnv64;
+use ipra_driver::framed::Format;
+pub use ipra_driver::framed::{FrameError as ProtocolError, HEADER_LEN};
+/// One module source on the wire: the driver's [`SourceFile`], whose
+/// fields encode in order.
+///
+/// [`SourceFile`]: ipra_driver::SourceFile
+pub use ipra_driver::SourceFile as WireSource;
+use serde::{BinSerialize, Deserialize, Serialize};
 use std::io::Read;
 
 /// Frame magic: `cmind`'s four-byte signature.
@@ -40,93 +41,12 @@ pub const VERSION: u8 = 3;
 pub const TAG_REQUEST: u8 = 1;
 /// Frame tag for daemon → client responses.
 pub const TAG_RESPONSE: u8 = 2;
-/// Hard cap on a frame's payload length. A length prefix above this is
-/// rejected before any allocation.
+/// Hard cap on a frame's payload length: a longer message is not encoded,
+/// and a length prefix above this is rejected before any allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
-/// Bytes before the payload: magic, version, tag, length prefix.
-pub const HEADER_LEN: usize = 10;
 
-/// Why a frame was rejected. Every decoder check failure maps to exactly
-/// one variant; [`kind`](ProtocolError::kind) gives the stable short name
-/// the corpus tests and counters key on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// The first four bytes were not [`MAGIC`].
-    BadMagic([u8; 4]),
-    /// A version byte other than [`VERSION`] (e.g. a v1 prototype frame).
-    UnsupportedVersion(u8),
-    /// A tag byte other than the expected direction's tag.
-    UnknownTag(u8),
-    /// The length prefix claimed more than [`MAX_FRAME`] payload bytes.
-    Oversize(u32),
-    /// The frame ended before its declared length (byte counts are for the
-    /// whole frame including header and checksum).
-    Truncated {
-        /// Whole-frame bytes the header promised.
-        need: usize,
-        /// Whole-frame bytes actually present.
-        have: usize,
-    },
-    /// The payload's checksum did not match.
-    Checksum,
-    /// The payload failed to deserialize as the tagged type.
-    Decode(String),
-    /// The payload decoded but left unconsumed bytes (a codec bug or a
-    /// foreign encoder; treated as corruption).
-    TrailingBytes(usize),
-    /// An I/O error on the socket.
-    Io(String),
-}
-
-impl ProtocolError {
-    /// Stable short name for counters and corpus expectations.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProtocolError::BadMagic(_) => "bad-magic",
-            ProtocolError::UnsupportedVersion(_) => "unsupported-version",
-            ProtocolError::UnknownTag(_) => "unknown-tag",
-            ProtocolError::Oversize(_) => "oversize",
-            ProtocolError::Truncated { .. } => "truncated",
-            ProtocolError::Checksum => "checksum",
-            ProtocolError::Decode(_) => "decode",
-            ProtocolError::TrailingBytes(_) => "trailing-bytes",
-            ProtocolError::Io(_) => "io",
-        }
-    }
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtocolError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
-            ProtocolError::UnsupportedVersion(v) => write!(f, "unsupported protocol version {v}"),
-            ProtocolError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
-            ProtocolError::Oversize(n) => {
-                write!(f, "frame payload length {n} exceeds the {MAX_FRAME}-byte cap")
-            }
-            ProtocolError::Truncated { need, have } => {
-                write!(f, "truncated frame: need {need} bytes, have {have}")
-            }
-            ProtocolError::Checksum => write!(f, "frame checksum mismatch"),
-            ProtocolError::Decode(d) => write!(f, "frame payload malformed: {d}"),
-            ProtocolError::TrailingBytes(n) => {
-                write!(f, "frame payload has {n} trailing bytes")
-            }
-            ProtocolError::Io(d) => write!(f, "socket i/o: {d}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-/// One module source on the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireSource {
-    /// Module name.
-    pub name: String,
-    /// Full source text.
-    pub text: String,
-}
+/// The wire's frames.
+const WIRE: Format = Format { magic: MAGIC, version: VERSION, max_payload: MAX_FRAME };
 
 /// A build job: the same inputs `cminc build` takes from the command line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -216,7 +136,8 @@ pub struct StatsResponse {
 /// A request-level failure, reported in-band (the connection survives).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireError {
-    /// The request itself was unacceptable (unknown config, no modules).
+    /// The request itself was unacceptable (unknown config, no modules, a
+    /// frame the daemon rejected, a result too large for one frame).
     BadRequest(String),
     /// The program failed to compile.
     Compile(String),
@@ -255,89 +176,22 @@ pub enum Response {
     Error(WireError),
 }
 
-/// Encodes `value` as a self-checking frame with the given tag.
-pub fn encode_frame<T: BinSerialize>(tag: u8, value: &T) -> Vec<u8> {
-    encode_frame_in(tag, value, 256)
-}
-
-/// [`encode_frame`] into a buffer that starts with room for `capacity`
-/// bytes.
-fn encode_frame_in<T: BinSerialize>(tag: u8, value: &T, capacity: usize) -> Vec<u8> {
+/// `value`'s frame under `tag`, in a buffer that starts with room for
+/// `capacity` bytes.
+fn encode(tag: u8, value: &impl BinSerialize, capacity: usize) -> Result<Vec<u8>, ProtocolError> {
     let mut out = Vec::with_capacity(capacity);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(tag);
-    out.extend_from_slice(&[0; 4]); // the payload length, written once known
-    value.bin_serialize(&mut out);
-    let payload_len = out.len() - HEADER_LEN;
-    assert!(payload_len <= MAX_FRAME as usize, "frame payload exceeds MAX_FRAME");
-    out[6..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    let sum = checksum(&out[HEADER_LEN..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Validates a header and returns the declared payload length.
-///
-/// # Errors
-///
-/// The typed [`ProtocolError`] for the first check that fails; checks run
-/// in wire order (magic, version, tag, length cap).
-pub fn check_header(header: &[u8; HEADER_LEN], expect_tag: u8) -> Result<usize, ProtocolError> {
-    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic(magic));
-    }
-    if header[4] != VERSION {
-        return Err(ProtocolError::UnsupportedVersion(header[4]));
-    }
-    if header[5] != expect_tag {
-        return Err(ProtocolError::UnknownTag(header[5]));
-    }
-    let payload_len = u32::from_le_bytes(header[6..10].try_into().expect("4-byte slice"));
-    if payload_len > MAX_FRAME {
-        return Err(ProtocolError::Oversize(payload_len));
-    }
-    Ok(payload_len as usize)
-}
-
-/// Decodes a complete frame of the expected tag into its payload type.
-///
-/// # Errors
-///
-/// The typed [`ProtocolError`] for the first failing check: header checks
-/// (see [`check_header`]), then whole-frame length, checksum, payload
-/// decode, and trailing-byte strictness.
-pub fn decode_frame<T: BinDeserialize>(bytes: &[u8], expect_tag: u8) -> Result<T, ProtocolError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ProtocolError::Truncated { need: HEADER_LEN, have: bytes.len() });
-    }
-    let header: [u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("header slice");
-    let payload_len = check_header(&header, expect_tag)?;
-    let need = HEADER_LEN + payload_len + 8;
-    if bytes.len() < need {
-        return Err(ProtocolError::Truncated { need, have: bytes.len() });
-    }
-    if bytes.len() > need {
-        return Err(ProtocolError::TrailingBytes(bytes.len() - need));
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let sum = u64::from_le_bytes(bytes[need - 8..].try_into().expect("8-byte slice"));
-    if sum != checksum(payload) {
-        return Err(ProtocolError::Checksum);
-    }
-    let mut cursor = payload;
-    let value =
-        T::bin_deserialize(&mut cursor).map_err(|e| ProtocolError::Decode(e.to_string()))?;
-    if !cursor.is_empty() {
-        return Err(ProtocolError::TrailingBytes(cursor.len()));
-    }
-    Ok(value)
+    WIRE.append_frame(tag, value, &mut out)?;
+    Ok(out)
 }
 
 /// Encodes a request frame.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_frame(TAG_REQUEST, req)
+///
+/// # Errors
+///
+/// [`ProtocolError::Oversize`] when the request's payload exceeds
+/// [`MAX_FRAME`].
+pub fn encode_request(req: &Request) -> Result<Vec<u8>, ProtocolError> {
+    encode(TAG_REQUEST, req, 256)
 }
 
 /// [`Request::Build`] borrowing its request. Its encoding is the derived
@@ -354,37 +208,46 @@ impl BinSerialize for BuildRef<'_> {
 
 /// Encodes the frame of `Request::Build(req.clone())` from a borrow of
 /// `req`, so a client sends its sources without copying them first.
-pub(crate) fn encode_build_request(req: &BuildRequest) -> Vec<u8> {
-    encode_frame(TAG_REQUEST, &BuildRef(req))
+///
+/// # Errors
+///
+/// As [`encode_request`].
+pub(crate) fn encode_build_request(req: &BuildRequest) -> Result<Vec<u8>, ProtocolError> {
+    encode(TAG_REQUEST, &BuildRef(req), 256)
 }
 
 /// Decodes a request frame.
 ///
 /// # Errors
 ///
-/// Any [`ProtocolError`] (see [`decode_frame`]).
+/// The first check that fails ([`Format::decode_frame`]).
 pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtocolError> {
-    decode_frame(bytes, TAG_REQUEST)
+    WIRE.decode_frame(bytes, TAG_REQUEST)
 }
 
 /// Encodes a response frame. A build's frame is mostly its text, so the
 /// buffer starts with room for the text and 256 bytes besides, and is
 /// not regrown on the way.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
+///
+/// # Errors
+///
+/// [`ProtocolError::Oversize`] when the response's payload exceeds
+/// [`MAX_FRAME`].
+pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ProtocolError> {
     let text = match resp {
         Response::Built(b) => b.vx.len() + b.recompiled.iter().map(|n| 4 + n.len()).sum::<usize>(),
         _ => 0,
     };
-    encode_frame_in(TAG_RESPONSE, resp, 256 + text)
+    encode(TAG_RESPONSE, resp, 256 + text)
 }
 
 /// Decodes a response frame.
 ///
 /// # Errors
 ///
-/// Any [`ProtocolError`] (see [`decode_frame`]).
+/// The first check that fails ([`Format::decode_frame`]).
 pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtocolError> {
-    decode_frame(bytes, TAG_RESPONSE)
+    WIRE.decode_frame(bytes, TAG_RESPONSE)
 }
 
 /// Fills `buf` from `r`, tolerating short reads and waiting through read
@@ -427,13 +290,11 @@ pub fn read_frame(
     stop: impl Fn() -> bool,
 ) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(r, &mut header, stop)? {
-        0 => return Ok(None),
-        n if n < HEADER_LEN => return Err(ProtocolError::Truncated { need: HEADER_LEN, have: n }),
-        _ => {}
+    let have = read_full(r, &mut header, stop)?;
+    if have == 0 {
+        return Ok(None);
     }
-    let payload_len = check_header(&header, expect_tag)?;
-    let need = HEADER_LEN + payload_len + 8;
+    let need = WIRE.check_header(&header[..have], expect_tag)?;
     let mut frame = vec![0u8; need];
     frame[..HEADER_LEN].copy_from_slice(&header);
     let got = read_full(r, &mut frame[HEADER_LEN..], || false)?;
@@ -475,7 +336,7 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         for req in [sample_request(), Request::Ping, Request::Stats, Request::Shutdown] {
-            let frame = encode_request(&req);
+            let frame = encode_request(&req).unwrap();
             assert_eq!(decode_request(&frame), Ok(req));
         }
     }
@@ -483,9 +344,15 @@ mod tests {
     #[test]
     fn a_borrowed_build_request_encodes_as_the_owned_one() {
         let Request::Build(req) = sample_request() else { unreachable!() };
-        assert_eq!(encode_build_request(&req), encode_request(&Request::Build(req.clone())));
+        assert_eq!(
+            encode_build_request(&req).unwrap(),
+            encode_request(&Request::Build(req.clone())).unwrap()
+        );
         let empty = BuildRequest { sources: Vec::new(), training_input: Vec::new(), ..req };
-        assert_eq!(encode_build_request(&empty), encode_request(&Request::Build(empty.clone())));
+        assert_eq!(
+            encode_build_request(&empty).unwrap(),
+            encode_request(&Request::Build(empty.clone())).unwrap()
+        );
     }
 
     #[test]
@@ -505,7 +372,7 @@ mod tests {
             Response::Error(WireError::Timeout(30)),
         ];
         for resp in responses {
-            let frame = encode_response(&resp);
+            let frame = encode_response(&resp).unwrap();
             assert_eq!(decode_response(&frame), Ok(resp));
         }
     }
@@ -520,14 +387,14 @@ mod tests {
         };
         let room =
             256 + built.vx.len() + built.recompiled.iter().map(|n| 4 + n.len()).sum::<usize>();
-        let frame = encode_response(&Response::Built(built.clone()));
+        let frame = encode_response(&Response::Built(built.clone())).unwrap();
         assert!(frame.len() <= room, "{} bytes overflow {room}", frame.len());
-        assert_eq!(frame, encode_frame(TAG_RESPONSE, &Response::Built(built)));
+        assert_eq!(frame, encode(TAG_RESPONSE, &Response::Built(built), 0).unwrap());
     }
 
     #[test]
     fn every_single_byte_corruption_is_a_typed_error() {
-        let frame = encode_request(&sample_request());
+        let frame = encode_request(&sample_request()).unwrap();
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x41;
@@ -544,7 +411,7 @@ mod tests {
 
     #[test]
     fn tag_direction_is_enforced() {
-        let frame = encode_request(&Request::Ping);
+        let frame = encode_request(&Request::Ping).unwrap();
         assert_eq!(decode_response(&frame).unwrap_err().kind(), "unknown-tag");
     }
 
@@ -569,7 +436,7 @@ mod tests {
 
     #[test]
     fn stream_reader_matches_slice_decoder() {
-        let frame = encode_request(&sample_request());
+        let frame = encode_request(&sample_request()).unwrap();
         let mut cursor: &[u8] = &frame;
         let got = read_frame(&mut cursor, TAG_REQUEST, || false).unwrap().expect("one frame");
         assert_eq!(got, frame);
@@ -602,7 +469,7 @@ mod tests {
 
     #[test]
     fn stop_ends_an_idle_read_but_not_a_started_frame() {
-        let frame = encode_request(&sample_request());
+        let frame = encode_request(&sample_request()).unwrap();
         let polls = std::cell::Cell::new(0);
         let stop_at_third_poll = || {
             polls.set(polls.get() + 1);

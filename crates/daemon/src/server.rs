@@ -38,7 +38,7 @@ use crate::protocol::{
 };
 use ipra_core::analyzer::PaperConfig;
 use ipra_core::fingerprint::Fnv64;
-use ipra_driver::{CompilationCache, CompileOptions, SourceFile};
+use ipra_driver::{CompilationCache, CompileOptions};
 use ipra_telemetry::Telemetry;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
@@ -236,14 +236,22 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
     }
 }
 
-fn send_response(stream: &mut UnixStream, shared: &Shared, resp: &Response) -> bool {
-    let frame = protocol::encode_response(resp);
+/// Sends `resp`, or, when it exceeds the frame cap, an in-band
+/// [`WireError::BadRequest`] saying so; false when the client went away.
+fn send_response(stream: &mut UnixStream, tele: &Telemetry, resp: &Response) -> bool {
+    let frame = match protocol::encode_response(resp) {
+        Ok(frame) => frame,
+        Err(e) => {
+            let error = WireError::BadRequest(format!("response: {e}"));
+            return send_response(stream, tele, &Response::Error(error));
+        }
+    };
     match stream.write_all(&frame).and_then(|()| stream.flush()) {
         Ok(()) => true,
         Err(_) => {
             // The client went away mid-response. Its loss — the build (if
             // any) already populated the shared cache for the next asker.
-            shared.tele.add("daemon.client_disconnects", 1);
+            tele.add("daemon.client_disconnects", 1);
             false
         }
     }
@@ -264,7 +272,7 @@ fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
                 shared.tele.add("daemon.protocol_errors", 1);
                 shared.tele.add(&format!("daemon.protocol_errors.{}", e.kind()), 1);
                 let resp = Response::Error(WireError::BadRequest(format!("protocol: {e}")));
-                let _ = send_response(&mut stream, shared, &resp);
+                let _ = send_response(&mut stream, &shared.tele, &resp);
                 return;
             }
         };
@@ -274,7 +282,7 @@ fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
                 shared.tele.add("daemon.protocol_errors", 1);
                 shared.tele.add(&format!("daemon.protocol_errors.{}", e.kind()), 1);
                 let resp = Response::Error(WireError::BadRequest(format!("protocol: {e}")));
-                let _ = send_response(&mut stream, shared, &resp);
+                let _ = send_response(&mut stream, &shared.tele, &resp);
                 return;
             }
         };
@@ -284,7 +292,7 @@ fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
             Request::Shutdown => {
                 shared.tele.add("daemon.shutdowns", 1);
                 shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = send_response(&mut stream, shared, &Response::ShuttingDown);
+                let _ = send_response(&mut stream, &shared.tele, &Response::ShuttingDown);
                 return;
             }
             Request::Build(req) => {
@@ -301,7 +309,7 @@ fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
                 }
             }
         };
-        if !send_response(&mut stream, shared, &response) {
+        if !send_response(&mut stream, &shared.tele, &response) {
             return;
         }
     }
@@ -404,11 +412,6 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
     if req.sources.is_empty() {
         return Err(WireError::BadRequest("no modules in request".to_string()));
     }
-    let sources: Vec<SourceFile> = req
-        .sources
-        .iter()
-        .map(|s| SourceFile { name: s.name.clone(), text: s.text.clone() })
-        .collect();
     // Each build records into its own collector, whose counters are added
     // to the daemon's afterwards: the daemon reads only counters, so the
     // build's span events must not pile up for the daemon's lifetime.
@@ -421,8 +424,13 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
     };
     let shard_index = project_shard(req, shared.shards.len());
     let mut cache = shared.shards[shard_index].lock().expect("shard lock");
-    let built =
-        ipra_driver::compile_artifact(&sources, config, &req.training_input, &options, &mut cache);
+    let built = ipra_driver::compile_artifact(
+        &req.sources,
+        config,
+        &req.training_input,
+        &options,
+        &mut cache,
+    );
     drop(cache);
     let counters = build_tele.counters();
     for (key, &n) in &counters {
@@ -452,6 +460,34 @@ fn export_shard_counters(tele: &Telemetry, shard: usize, build: &BTreeMap<String
                 Some(&n) if n > 0 => tele.add(&format!("daemon.shard{shard}.p{phase}.{what}"), n),
                 _ => {}
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_response_over_the_frame_cap_goes_back_as_an_in_band_error() {
+        let (mut daemon, mut client) = UnixStream::pair().expect("socket pair");
+        let built = BuildResponse {
+            vx: "x".repeat(protocol::MAX_FRAME as usize),
+            fingerprint: 1,
+            coalesced: false,
+            recompiled: Vec::new(),
+        };
+        let tele = Telemetry::new();
+        assert!(send_response(&mut daemon, &tele, &Response::Built(built)), "a reply was sent");
+        let frame = protocol::read_frame(&mut client, protocol::TAG_RESPONSE, || false)
+            .expect("a whole frame")
+            .expect("one frame");
+        match protocol::decode_response(&frame) {
+            Ok(Response::Error(WireError::BadRequest(why))) => {
+                assert!(why.starts_with("response: frame payload length "), "{why}");
+                assert!(why.ends_with(&format!("exceeds the {}-byte cap", protocol::MAX_FRAME)));
+            }
+            other => panic!("an over-cap response must become an in-band error: {other:?}"),
         }
     }
 }

@@ -98,7 +98,7 @@ fn a_real_response_frame_rejects_flips_and_truncations() {
         coalesced: false,
         recompiled: vec!["m0".to_string()],
     });
-    let frame = encode_response(&response);
+    let frame = encode_response(&response).expect("a 140 KB response fits a frame");
     assert_eq!(decode_response(&frame), Ok(response));
 
     let edges = (0..HEADER_LEN + 16).chain(frame.len() - 16..frame.len());

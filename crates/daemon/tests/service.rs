@@ -3,7 +3,7 @@
 //! stats endpoint, request timeout, graceful shutdown.
 
 use ipra_core::PaperConfig;
-use ipra_daemon::protocol::{BuildRequest, WireSource};
+use ipra_daemon::protocol::BuildRequest;
 use ipra_daemon::{Client, ClientError, Server, ServerOptions, WireError};
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_workloads::scaled::{perturb, scaled_program};
@@ -12,10 +12,6 @@ use std::time::Duration;
 
 fn sock(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cmind-{tag}-{}.sock", std::process::id()))
-}
-
-fn wire_sources(sources: &[SourceFile]) -> Vec<WireSource> {
-    sources.iter().map(|s| WireSource { name: s.name.clone(), text: s.text.clone() }).collect()
 }
 
 fn local_vx(sources: &[SourceFile]) -> String {
@@ -33,7 +29,7 @@ fn daemon_serves_builds_byte_identical_to_local_compiles() {
     let request = BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: wire_sources(&sources),
+        sources: sources.clone(),
         training_input: Vec::new(),
     };
     let built = client.build(&request).expect("daemon build");
@@ -61,7 +57,7 @@ fn bad_config_is_an_in_band_error_and_the_connection_survives() {
     let request = BuildRequest {
         config: "Z".to_string(),
         optimize: true,
-        sources: wire_sources(&scaled_program(2)),
+        sources: scaled_program(2),
         training_input: Vec::new(),
     };
     match client.build(&request) {
@@ -86,11 +82,10 @@ fn request_timeout_is_a_typed_error_and_the_build_still_lands_in_cache() {
     // Big enough that the build cannot finish before the waiter's first
     // deadline check (the timeout is 1ns; a result that happens to land
     // before the check would legitimately be served instead).
-    let sources = scaled_program(64);
     let request = BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: wire_sources(&sources),
+        sources: scaled_program(64),
         training_input: Vec::new(),
     };
     match client.build(&request) {
@@ -114,7 +109,7 @@ fn builds_during_shutdown_are_refused_but_in_flight_work_drains() {
     let request = BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: wire_sources(&sources),
+        sources: sources.clone(),
         training_input: Vec::new(),
     };
     if let Ok(mut late) = Client::connect(server.socket()) {
@@ -138,7 +133,7 @@ fn cumulative_edits_recompile_only_the_edited_module() {
     let request = |sources: &[SourceFile]| BuildRequest {
         config: "C".to_string(),
         optimize: true,
-        sources: wire_sources(sources),
+        sources: sources.to_vec(),
         training_input: Vec::new(),
     };
     let built = client.build(&request(&sources)).expect("first build");
@@ -165,7 +160,7 @@ fn shard_counters_sum_to_the_phase_counters() {
     let request = |config: &str, sources: &[SourceFile]| BuildRequest {
         config: config.to_string(),
         optimize: true,
-        sources: wire_sources(sources),
+        sources: sources.to_vec(),
         training_input: Vec::new(),
     };
     let first = scaled_program(6);

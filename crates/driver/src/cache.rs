@@ -46,7 +46,7 @@
 //! into telemetry, and only what the report cannot see: file traffic and
 //! corrupt frames (`cache.disk.*`).
 
-use crate::framed::{self, KIND_ANALYSIS, KIND_INDEX, KIND_PHASE1, KIND_PHASE2};
+use crate::framed::{CACHE, KIND_ANALYSIS, KIND_INDEX, KIND_PHASE1, KIND_PHASE2};
 use cmin_ir::IrModule;
 use ipra_core::analyzer::AnalyzerStats;
 use ipra_core::ProgramDatabase;
@@ -201,7 +201,9 @@ impl Phase1Entry {
     /// frame the entry keeps, until [`ir`](Self::ir) asks for it. `None`
     /// unless the frame checks out and holds `key`'s head.
     fn decode(frame: Arc<Vec<u8>>, key: u64) -> Option<Phase1Entry> {
-        let (head, tail_len) = framed::decode_head::<Phase1Head>(&frame, KIND_PHASE1)
+        let (head, tail_len) = CACHE
+            .decode_head::<Phase1Head>(&frame, KIND_PHASE1)
+            .ok()
             .filter(|(head, _)| head.key == key)
             .map(|(head, tail)| (head, tail.len()))?;
         // The tail ends where the checksum's 8 bytes begin.
@@ -233,7 +235,9 @@ pub(crate) struct Phase2Entry {
 /// The object of a phase-2 frame: `None` unless the frame checks out and
 /// holds the entry of `(ir_fp, db_fp)`.
 fn decode_phase2(frame: &[u8], (ir_fp, db_fp): (u64, u64)) -> Option<ObjectModule> {
-    framed::decode_frame(frame, KIND_PHASE2)
+    CACHE
+        .decode_frame(frame, KIND_PHASE2)
+        .ok()
         .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp)
         .map(|e| e.object)
 }
@@ -251,7 +255,7 @@ pub(crate) struct AnalysisEntry {
 /// The analysis of an analysis frame: `None` unless the frame checks out
 /// and holds `key`'s entry.
 fn decode_analysis(frame: &[u8], key: u64) -> Option<AnalysisEntry> {
-    framed::decode_frame(frame, KIND_ANALYSIS).filter(|e: &AnalysisEntry| e.key == key)
+    CACHE.decode_frame(frame, KIND_ANALYSIS).ok().filter(|e: &AnalysisEntry| e.key == key)
 }
 
 /// A phase-2 lookup's hit.
@@ -362,16 +366,18 @@ impl Index {
         let mut bytes = vec![0; (len - self.read) as usize];
         files.index.read_exact_at(&mut bytes, self.read)?;
         let mut pos = 0;
-        while let Some(frame) = framed::frame_len(&bytes[pos..], KIND_INDEX)
+        while let Some(frame) = CACHE
+            .check_header(&bytes[pos..], KIND_INDEX)
+            .ok()
             .and_then(|n| bytes.get(pos..pos.checked_add(n)?))
         {
-            match framed::decode_frame::<Vec<IndexRecord>>(frame, KIND_INDEX) {
-                Some(records) => {
+            match CACHE.decode_frame::<Vec<IndexRecord>>(frame, KIND_INDEX) {
+                Ok(records) => {
                     for r in records {
                         self.extents.insert((r.kind, r.key), (r.offset, r.len));
                     }
                 }
-                None => {
+                Err(_) => {
                     if let Some(t) = tele {
                         t.add("cache.disk.corrupt", 1);
                     }
@@ -403,7 +409,8 @@ impl Index {
         for r in records.iter_mut() {
             r.offset += base;
         }
-        let frame = framed::encode_frame(KIND_INDEX, &*records);
+        let mut frame = Vec::new();
+        CACHE.append_frame(KIND_INDEX, &*records, &mut frame).map_err(std::io::Error::other)?;
         (&files.index).write_all(&frame)?;
         self.read += frame.len() as u64;
         self.pack_len = base + frames.len() as u64;
@@ -563,7 +570,10 @@ impl DiskCache {
     /// [`flush`](DiskCache::flush)).
     fn store<T: BinSerialize>(&mut self, kind: u8, key: (u64, u64), value: &T) {
         let offset = self.pending.len() as u64;
-        let len = framed::append_frame(kind, value, &mut self.pending) as u64;
+        // A payload the length prefix cannot hold is not stored: its key
+        // stays a disk miss.
+        let Ok(len) = CACHE.append_frame(kind, value, &mut self.pending) else { return };
+        let len = len as u64;
         self.pending_records.push(IndexRecord { kind, key, offset, len });
         if let Some(t) = &self.tele {
             t.add("cache.disk.writes", 1);
@@ -938,7 +948,9 @@ pub(crate) mod testing {
     /// Appends one index frame of `records` to the index under `dir`.
     pub(crate) fn append_records(dir: &Path, records: &[IndexRecord]) {
         let mut index = OpenOptions::new().append(true).open(dir.join(INDEX_FILE)).unwrap();
-        index.write_all(&framed::encode_frame(KIND_INDEX, records)).unwrap();
+        let mut frame = Vec::new();
+        CACHE.append_frame(KIND_INDEX, records, &mut frame).unwrap();
+        index.write_all(&frame).unwrap();
     }
 }
 

@@ -67,7 +67,7 @@
 
 pub mod args;
 mod cache;
-mod framed;
+pub mod framed;
 pub mod separate;
 mod stages;
 
@@ -85,13 +85,14 @@ use ipra_obsv::DiffReport;
 use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use vpr::program::{link, Executable, LinkError, ObjectModule};
 use vpr::sim::{run_with, RunResult, SimError, SimOptions};
 
-/// One source module (name + text).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One source module (name + text). `cmind`'s wire carries it as is.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SourceFile {
     /// Module name.
     pub name: String,
@@ -109,13 +110,11 @@ impl SourceFile {
 /// Driver options.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// The paper configuration to apply (`L2` when `None`: plain level-2).
-    pub config: Option<PaperConfig>,
-    /// Profile data for configurations B/F.
-    pub profile: Option<ProfileData>,
-    /// Full analyzer options; overrides `config`/`profile` when set
-    /// (used by the ablation benchmarks).
-    pub analyzer: Option<AnalyzerOptions>,
+    /// The program analyzer's options: a paper configuration's
+    /// ([`AnalyzerOptions::paper_config`], with profile data for B and F)
+    /// or any other, as the ablation benchmarks set. Plain level-2 by
+    /// default. Their `target` gives way to [`CompileOptions::target`].
+    pub analyzer: AnalyzerOptions,
     /// Run the level-2 global optimizer (on by default; turning it off
     /// gives the unoptimized baseline used to validate the optimizer and
     /// to quantify baseline quality).
@@ -136,16 +135,14 @@ pub struct CompileOptions {
     pub telemetry: Option<Telemetry>,
     /// The machine description codegen, the analyzer and the linker build
     /// against. The driver's target is authoritative: it overrides the
-    /// `target` field of an explicit [`CompileOptions::analyzer`].
+    /// `target` field of [`CompileOptions::analyzer`].
     pub target: vpr::target::TargetId,
 }
 
 impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
-            config: None,
-            profile: None,
-            analyzer: None,
+            analyzer: AnalyzerOptions::paper_config(PaperConfig::L2, None),
             optimize: true,
             jobs: 1,
             trace: false,
@@ -156,9 +153,11 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Options for one of the paper's configurations.
+    /// Options for one of the paper's configurations (without profile
+    /// data: [`compile_configured`] trains B and F).
     pub fn paper(config: PaperConfig) -> CompileOptions {
-        CompileOptions { config: Some(config), ..CompileOptions::default() }
+        let analyzer = AnalyzerOptions::paper_config(config, None);
+        CompileOptions { analyzer, ..CompileOptions::default() }
     }
 
     /// The worker-pool width this build will actually use.
@@ -508,8 +507,8 @@ pub fn collect_profile_from(exe: &Executable, result: &RunResult) -> ProfileData
 /// builds share `cache`, so the recompile's first phase is pure cache hits
 /// and its second phase re-runs only where the profile moved the database.
 /// The caller's `options` (jobs, trace, optimize, telemetry, target) are
-/// honored; its `config`/`profile` fields are overridden per build, and
-/// the baseline build never traces.
+/// honored; its analyzer options are replaced by `config`'s in each
+/// build, and the baseline build never traces.
 ///
 /// # Errors
 ///
@@ -522,11 +521,10 @@ pub fn compile_configured(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    let profile = match training_profile(sources, config, training_input, options, cache)? {
-        Ok(profile) => profile,
+    let opts = match configured_options(sources, config, training_input, options, cache)? {
+        Ok(opts) => opts,
         Err(e) => return Ok(Err(e)),
     };
-    let opts = CompileOptions { config: Some(config), profile, ..options.clone() };
     Ok(Ok(compile_incremental(sources, &opts, cache)?))
 }
 
@@ -571,11 +569,10 @@ pub fn compile_artifact(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<Result<BuiltArtifact, SimError>, DriverError> {
-    let profile = match training_profile(sources, config, training_input, options, cache)? {
-        Ok(profile) => profile,
+    let opts = match configured_options(sources, config, training_input, options, cache)? {
+        Ok(opts) => opts,
         Err(e) => return Ok(Err(e)),
     };
-    let opts = CompileOptions { config: Some(config), profile, ..options.clone() };
     Ok(Ok(artifact_incremental(sources, &opts, cache)?))
 }
 
@@ -652,26 +649,27 @@ fn artifact_incremental(
     Ok(BuiltArtifact { vx: linked.vx, fingerprint: linked.fingerprint, build: report })
 }
 
-/// The training half of [`compile_configured`], which the staged artifact
-/// build ([`separate::artifact_build_configured_for`]) shares: the profile
-/// `config` compiles against — `None` unless it wants one, otherwise the
-/// call-edge counts of the L2 build run on `training_input`.
-pub(crate) fn training_profile(
+/// The training half of [`compile_configured`], which
+/// [`compile_artifact`] and the staged artifact build
+/// ([`separate::artifact_build_configured_for`]) share: `options` under
+/// `config`'s analyzer options, whose profile, when `config` wants one, is
+/// the call-edge counts of the L2 build run on `training_input`.
+pub(crate) fn configured_options(
     sources: &[SourceFile],
     config: PaperConfig,
     training_input: &[i64],
     options: &CompileOptions,
     cache: &mut CompilationCache,
-) -> Result<Result<Option<ProfileData>, SimError>, DriverError> {
-    if !config.wants_profile() {
-        return Ok(Ok(None));
-    }
-    let baseline_opts = CompileOptions {
-        config: Some(PaperConfig::L2),
-        profile: None,
-        trace: false,
-        ..options.clone()
+) -> Result<Result<CompileOptions, SimError>, DriverError> {
+    let configured = |profile| {
+        let analyzer = AnalyzerOptions::paper_config(config, profile);
+        CompileOptions { analyzer, ..options.clone() }
     };
+    if !config.wants_profile() {
+        return Ok(Ok(configured(None)));
+    }
+    let analyzer = AnalyzerOptions::paper_config(PaperConfig::L2, None);
+    let baseline_opts = CompileOptions { analyzer, trace: false, ..options.clone() };
     let baseline = compile_incremental(sources, &baseline_opts, cache)?;
     let tele = options.telemetry.as_ref();
     let training_timer = span(tele, "sim", "training-run");
@@ -684,7 +682,7 @@ pub(crate) fn training_profile(
         t.add("sim.training.runs", 1);
         t.add("sim.training.cycles", training.stats.cycles);
     }
-    Ok(Ok(Some(collect_profile_from(&baseline.exe, &training))))
+    Ok(Ok(configured(Some(collect_profile_from(&baseline.exe, &training)))))
 }
 
 /// Compiles `sources` under two configurations (decision tracing on), runs
@@ -1106,7 +1104,7 @@ mod tests {
     #[test]
     fn an_undecodable_ir_tail_reruns_phase1_from_source() {
         use crate::cache::{testing, DiskCache, Phase1Head};
-        use crate::framed::{decode_head, encode_frame, KIND_PHASE1, KIND_PHASE2};
+        use crate::framed::{CACHE, KIND_PHASE1, KIND_PHASE2};
         use std::io::Write;
         let sources = two_module_program();
         let dir = tmpdir("forged-tail");
@@ -1124,10 +1122,14 @@ mod tests {
         let mut forged = None;
         for r in &records {
             let frame = &pack[r.offset as usize..][..r.len as usize];
-            let Some((head, _)) = decode_head::<Phase1Head>(frame, KIND_PHASE1) else { continue };
+            let Ok((head, _)) = CACHE.decode_head::<Phase1Head>(frame, KIND_PHASE1) else {
+                continue;
+            };
             if head.summary.module == "counter" {
                 // `u64::MAX` reads as a name length past the end of the tail.
-                forged = Some((head.key, encode_frame(KIND_PHASE1, &(&head, &u64::MAX))));
+                let mut frame = Vec::new();
+                CACHE.append_frame(KIND_PHASE1, &(&head, &u64::MAX), &mut frame).unwrap();
+                forged = Some((head.key, frame));
             }
         }
         let (forged_key, frame) = forged.expect("counter's phase-1 frame");

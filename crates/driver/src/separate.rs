@@ -162,8 +162,9 @@ pub fn artifact_build_configured_for(
         telemetry: cache.telemetry().cloned(),
         ..CompileOptions::default()
     };
-    let profile = match crate::training_profile(sources, config, training_input, &options, cache)? {
-        Ok(profile) => profile,
+    let trained = crate::configured_options(sources, config, training_input, &options, cache)?;
+    let profile = match trained {
+        Ok(options) => options.analyzer.profile,
         Err(e) => return Ok(Err(e)),
     };
     Ok(Ok(artifact_build_for(sources, config, profile, dir, cache, target)?))

@@ -27,7 +27,7 @@ use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
 use cmin_ir::{lower_module, optimize_module, IrModule};
 use ipra_artifact::ObjectArtifact;
-use ipra_core::analyzer::{analyze_traced, Analysis, AnalyzerOptions, PaperConfig};
+use ipra_core::analyzer::{analyze_traced, Analysis, AnalyzerOptions};
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::ProgramDatabase;
@@ -570,23 +570,16 @@ fn bin_fingerprint(value: &impl BinSerialize) -> u64 {
     h.finish()
 }
 
-/// Resolves the analyzer options a build will run under: explicit
-/// [`CompileOptions::analyzer`] wins, then `config`+`profile`, then plain
-/// level-2. The build's target is threaded in either way.
+/// The analyzer options a build runs under: [`CompileOptions::analyzer`]
+/// with the build's target.
 pub(crate) fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
-    let mut opts = match (&options.analyzer, options.config) {
-        (Some(a), _) => a.clone(),
-        (None, Some(c)) => AnalyzerOptions::paper_config(c, options.profile.clone()),
-        (None, None) => AnalyzerOptions::paper_config(PaperConfig::L2, None),
-    };
-    opts.target = options.target;
-    opts
+    AnalyzerOptions { target: options.target, ..options.analyzer.clone() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipra_core::ProfileData;
+    use ipra_core::{PaperConfig, ProfileData};
 
     #[test]
     fn profile_recording_order_does_not_move_the_analysis_key() {

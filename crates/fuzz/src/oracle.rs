@@ -591,15 +591,13 @@ fn check_separate(sources: &[SourceFile]) -> Result<(), Failure> {
 /// single byte of the request frame yields a typed [`ProtocolError`] —
 /// the corruption-rejection contract the shared-cache daemon leans on.
 fn check_daemon(sources: &[SourceFile]) -> Result<(), Failure> {
-    use ipra_daemon::protocol::{self, BuildRequest, BuildResponse, Request, Response, WireSource};
+    use ipra_daemon::protocol::{self, BuildRequest, BuildResponse, Request, Response};
 
     let fail = |detail: String| Failure::DaemonProtocol { detail };
-    let wire: Vec<WireSource> =
-        sources.iter().map(|s| WireSource { name: s.name.clone(), text: s.text.clone() }).collect();
     let base = BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: wire,
+        sources: sources.to_vec(),
         training_input: Vec::new(),
     };
     let salt = base.fingerprint();
@@ -612,7 +610,8 @@ fn check_daemon(sources: &[SourceFile]) -> Result<(), Failure> {
     };
     let fp = request.fingerprint();
     let req = Request::Build(request);
-    let frame = protocol::encode_request(&req);
+    let frame = protocol::encode_request(&req)
+        .map_err(|e| fail(format!("request rejected by the encoder: {e}")))?;
     match protocol::decode_request(&frame) {
         Err(e) => return Err(fail(format!("freshly encoded request rejected: {e}"))),
         Ok(decoded) => {
@@ -638,7 +637,9 @@ fn check_daemon(sources: &[SourceFile]) -> Result<(), Failure> {
         coalesced: salt & 16 == 0,
         recompiled: sources.iter().map(|s| s.name.clone()).collect(),
     });
-    match protocol::decode_response(&protocol::encode_response(&resp)) {
+    let resp_frame = protocol::encode_response(&resp)
+        .map_err(|e| fail(format!("response rejected by the encoder: {e}")))?;
+    match protocol::decode_response(&resp_frame) {
         Err(e) => return Err(fail(format!("freshly encoded response rejected: {e}"))),
         Ok(decoded) if decoded != resp => {
             return Err(fail("response round-trip changed the payload".to_string()))

@@ -23,7 +23,7 @@
 //! ```
 
 use ipra_core::fingerprint::Fnv64;
-use ipra_core::PaperConfig;
+use ipra_core::{AnalyzerOptions, PaperConfig};
 use ipra_driver::{
     collect_profile_from, compile, compile_configured, run_program, CompilationCache,
     CompileOptions, SourceFile,
@@ -79,7 +79,8 @@ impl Lines {
             let fp = exe_fingerprint(&program.exe);
             let _ = writeln!(self.configured, "{name} {config} fnv64:{fp:016x}");
             let profile = config.wants_profile().then(|| trained.get_or_insert_with(train).clone());
-            let program = oneshot(&CompileOptions { config: Some(config), profile, ..opts });
+            let analyzer = AnalyzerOptions::paper_config(config, profile);
+            let program = oneshot(&CompileOptions { analyzer, ..opts });
             let fp = exe_fingerprint(&program.exe);
             let _ = writeln!(self.oneshot, "{name} {config} fnv64:{fp:016x}");
         }

@@ -101,8 +101,7 @@ fn variants() -> Vec<Variant> {
             };
             for (k, p) in trained.into_iter().enumerate() {
                 let opts = CompileOptions {
-                    config: Some(config),
-                    profile: p.cloned(),
+                    analyzer: AnalyzerOptions::paper_config(config, p.cloned()),
                     target,
                     ..CompileOptions::default()
                 };
@@ -117,11 +116,8 @@ fn variants() -> Vec<Variant> {
             discard: DiscardHeuristics { min_lref_ratio: 0.9, ..c.discard },
             ..c
         };
-        let opts = CompileOptions {
-            analyzer: Some(explicit.clone()),
-            target,
-            ..CompileOptions::default()
-        };
+        let opts =
+            CompileOptions { analyzer: explicit.clone(), target, ..CompileOptions::default() };
         let label = format!("explicit/{}", target.name());
         out.push(variant(label, "base", &sources, opts, explicit));
     }

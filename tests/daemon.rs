@@ -10,7 +10,7 @@
 //! sources. A coalescing round behind a barrier then checks the dedup
 //! counters actually fire.
 
-use ipra_daemon::protocol::{BuildRequest, WireSource};
+use ipra_daemon::protocol::BuildRequest;
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_workloads::scaled::{perturb, scaled_program};
@@ -26,15 +26,11 @@ fn sock(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cmind-stress-{tag}-{}.sock", std::process::id()))
 }
 
-fn wire_sources(sources: &[SourceFile]) -> Vec<WireSource> {
-    sources.iter().map(|s| WireSource { name: s.name.clone(), text: s.text.clone() }).collect()
-}
-
 fn request_for(sources: &[SourceFile]) -> BuildRequest {
     BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: wire_sources(sources),
+        sources: sources.to_vec(),
         training_input: Vec::new(),
     }
 }

@@ -8,7 +8,7 @@
 //! damage only), and clients that vanish mid-exchange (the daemon logs a
 //! disconnect counter and keeps serving everyone else).
 
-use ipra_daemon::protocol::{self, BuildRequest, Request, WireSource};
+use ipra_daemon::protocol::{self, BuildRequest, Request};
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_workloads::scaled::{perturb, scaled_program};
@@ -28,15 +28,11 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn wire_sources(sources: &[SourceFile]) -> Vec<WireSource> {
-    sources.iter().map(|s| WireSource { name: s.name.clone(), text: s.text.clone() }).collect()
-}
-
 fn request_for(sources: &[SourceFile]) -> BuildRequest {
     BuildRequest {
         config: "L2".to_string(),
         optimize: true,
-        sources: wire_sources(sources),
+        sources: sources.to_vec(),
         training_input: Vec::new(),
     }
 }
@@ -150,7 +146,7 @@ fn wire_faults_and_client_disconnects_do_not_take_the_daemon_down() {
     // 2. A frame that promises 4096 payload bytes and delivers 10.
     {
         let sources = scaled_program(2);
-        let mut frame = protocol::encode_request(&Request::Build(request_for(&sources)));
+        let mut frame = protocol::encode_request(&Request::Build(request_for(&sources))).unwrap();
         frame[6..10].copy_from_slice(&4096u32.to_le_bytes());
         frame.truncate(protocol::HEADER_LEN + 10);
         let mut s = UnixStream::connect(&socket).expect("connect");
@@ -161,7 +157,7 @@ fn wire_faults_and_client_disconnects_do_not_take_the_daemon_down() {
     //    reading the response: the daemon's write fails and is counted.
     let sources = scaled_program(4);
     {
-        let frame = protocol::encode_request(&Request::Build(request_for(&sources)));
+        let frame = protocol::encode_request(&Request::Build(request_for(&sources))).unwrap();
         let mut s = UnixStream::connect(&socket).expect("connect");
         s.write_all(&frame).expect("write request");
         // Drop without reading: the build proceeds, the response bounces.

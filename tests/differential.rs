@@ -69,8 +69,7 @@ fn random_programs_agree_with_caller_preallocation() {
         let oracle = interpret_sources(&sources, &[]).unwrap().unwrap();
         let opts = AnalyzerOptions { caller_preallocation: true, ..AnalyzerOptions::default() };
         let program =
-            compile(&sources, &CompileOptions { analyzer: Some(opts), ..Default::default() })
-                .unwrap();
+            compile(&sources, &CompileOptions { analyzer: opts, ..Default::default() }).unwrap();
         let r = run_program(&program, &[]).unwrap();
         assert_eq!(r.output, oracle.output, "seed {seed} with caller preallocation");
         assert_eq!(r.exit, oracle.exit, "seed {seed} exit");

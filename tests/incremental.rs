@@ -6,7 +6,7 @@
 //! serial compile of the same sources — across every paper configuration —
 //! and the cache accounting must prove the skipped work was really skipped.
 
-use ipra_core::PaperConfig;
+use ipra_core::{AnalyzerOptions, PaperConfig};
 use ipra_driver::{
     collect_profile_from, compile_configured, compile_incremental, run_program, verify_program,
     BuildReport, CompilationCache, CompileOptions, CompiledProgram, DriverError,
@@ -256,25 +256,24 @@ fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
     let sources = scaled_program(N);
     let l2 = ipra_driver::compile(&sources, &CompileOptions::paper(PaperConfig::L2)).unwrap();
     let profile = collect_profile_from(&l2.exe, &run_program(&l2, &[]).unwrap());
-    let mut cases: Vec<CompileOptions> = PaperConfig::ALL_WITH_ALIAS
+    let mut cases: Vec<(PaperConfig, CompileOptions)> = PaperConfig::ALL_WITH_ALIAS
         .into_iter()
-        .map(|config| CompileOptions {
-            config: Some(config),
-            profile: config.wants_profile().then(|| profile.clone()),
-            ..CompileOptions::default()
+        .map(|config| {
+            let profile = config.wants_profile().then(|| profile.clone());
+            let analyzer = AnalyzerOptions::paper_config(config, profile);
+            (config, CompileOptions { analyzer, ..CompileOptions::default() })
         })
         .collect();
     let c = CompileOptions::paper(PaperConfig::C);
-    cases.push(CompileOptions { optimize: false, ..c.clone() });
-    cases.push(CompileOptions { target: TargetId::Rv32, ..c });
+    cases.push((PaperConfig::C, CompileOptions { optimize: false, ..c.clone() }));
+    cases.push((PaperConfig::C, CompileOptions { target: TargetId::Rv32, ..c }));
     let every: Vec<String> = sources.iter().map(|s| s.name.clone()).collect();
     let cold = ([(0, 0, N, 0), (0, 0, 1, 0), (0, 0, N, 0)], every);
-    for case in &cases {
+    for (config, case) in &cases {
         for (jobs, trace) in [(1, false), (4, false), (1, true), (4, true)] {
             let opts = CompileOptions { jobs, trace, ..case.clone() };
             let label = format!(
-                "{:?} optimize={} target={} jobs={jobs} trace={trace}",
-                opts.config,
+                "{config} optimize={} target={} jobs={jobs} trace={trace}",
                 opts.optimize,
                 opts.target.name()
             );
