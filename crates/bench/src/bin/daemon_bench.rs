@@ -22,6 +22,13 @@
 //!   re-tuned per branch): the branches share their project's shard, and
 //!   each keeps its entries there, so no request recompiles anything, and
 //!   once a branch is linked twice the `.vx` tier serves it;
+//! * **contended/2** — two clients on one project: one sends one-module
+//!   edits of the primed program, each a new tune, and the other
+//!   re-requests the primed program once per edit, as soon as the
+//!   daemon's `daemon.dedup.leads` shows the edit's build started, so
+//!   that it lands while the edit builds. A build holds its shard only for
+//!   its cache operations, so the re-requests should not queue behind the
+//!   edits' compiles;
 //! * **dedup/N** — N clients racing one identical never-seen request from
 //!   behind a barrier, once: the in-flight map must coalesce followers onto
 //!   the leader's build.
@@ -30,9 +37,14 @@
 //! warm/1 and branches/1 add a row at layer `latency` whose `seconds` is
 //! the median round trip of every request over all trials, and whose
 //! `samples` counts them (too few for a tail percentile, so none is
-//! reported). The five throughput legs are timed best of
-//! [`TRIALS`](ipra_bench::harness::TRIALS); `requests` counts one trial's
-//! requests, so requests/s is `requests / seconds`. Every row
+//! reported). contended/2 runs [`TRIALS`] trials, and its `daemon` row's
+//! `seconds` is the shortest time a trial's edits took (`requests` counts
+//! one trial's edits and re-requests); its `latency` row is the lowest
+//! trial median of the re-requests' round trips (`samples` counts every
+//! trial's): on a 2-core host a re-request sometimes waits for the core
+//! the edit's build runs on, which slows a whole trial. The five
+//! throughput legs are timed best of [`TRIALS`]; `requests` counts one
+//! trial's requests, so requests/s is `requests / seconds`. Every row
 //! also counts what the daemon did from the end of the previous row to the
 //! end of this one, untimed setup included (the daemon's counters summed
 //! over the rows are its counters at the end of the run), the `.vx`
@@ -42,9 +54,15 @@
 //! *correct* responses.
 //!
 //! ```sh
-//! cargo run --release -p ipra-bench --bin daemon_bench             # 16 modules, 8 clients
-//! cargo run --release -p ipra-bench --bin daemon_bench -- --modules 8 --check
+//! cargo run --release -p ipra-bench --bin daemon_bench             # 256 modules, 8 clients
+//! cargo run --release -p ipra-bench --bin daemon_bench -- --check
 //! ```
+//!
+//! Every leg builds programs of `--modules` modules (default
+//! [`DEFAULT_MODULES`]). The contended/2 gate is set for that default: in
+//! a smaller program an edit's build is too short against a hit's round
+//! trip for a hit that queues behind it to stand out from one that waits
+//! only for the other build's core.
 //!
 //! `--check` fails the run unless warm/N serves at least twice the
 //! requests/s of cold/1 (`warm_n_over_cold_1`), neither cold leg reused
@@ -58,32 +76,44 @@
 //! gates see the daemon route a configuration other than `daemon-mix`'s C
 //! through the tier), and the dedup round
 //! coalesced at least one request with every request either leading or
-//! coalesced — the CI smoke mode wired into `scripts/check.sh`. Results
-//! go to `BENCH_daemon.json`.
+//! coalesced, and the contended/2 re-requests' median round trip stayed
+//! within [`MAX_CONTENDED_OVER_WARM`] times warm/1's
+//! (`contended/2.latency_over_warm_1`) — the CI smoke mode wired into
+//! `scripts/check.sh`. Results go to `BENCH_daemon.json`.
 
 use ipra_bench::harness::{
-    best_of, count, counters, median, time, BenchArgs, Cmp, Counters, Host, Report,
+    best_of, count, counters, median, time, BenchArgs, Cmp, Counters, Host, Report, TRIALS,
 };
 use ipra_daemon::protocol::{executable_artifact, BuildRequest};
 use ipra_daemon::{Client, Server, ServerOptions};
 use ipra_driver::args::Args;
 use ipra_driver::{compile, CompileOptions, SourceFile};
-use ipra_workloads::scaled::scaled_module;
+use ipra_workloads::scaled::{perturb, scaled_module};
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
+/// Modules per program unless `--modules` says otherwise.
+const DEFAULT_MODULES: usize = 256;
 /// Concurrent clients of the N-client regimes.
 const CLIENTS: usize = 8;
-/// Requests per client in each throughput leg.
+/// Requests per client in each throughput leg but warm/1.
 const REQUESTS: usize = 3;
+/// Requests in each warm/1 trial: enough for a steady median round trip,
+/// which the contended/2 gate divides by.
+const WARM_REQUESTS: usize = 16;
 /// Branches of the branches/1 program.
 const BRANCHES: usize = 4;
 /// Round-robin passes over the branches in each branches/1 trial.
 const BRANCH_ROUNDS: usize = 2;
 /// The headline gate: warm/N requests/s over cold/1 requests/s.
 const MIN_WARM_N_OVER_COLD_1: f64 = 2.0;
+/// One-module edits the contended/2 leg's editing client sends.
+const CONTENDED_EDITS: usize = 32;
+/// The contended/2 gate: the re-requests' median round trip over warm/1's.
+const MAX_CONTENDED_OVER_WARM: f64 = 1.8;
 
 /// A program no earlier request has ever mentioned: every module carries
 /// the next tune from a monotone counter, so each call yields a distinct
@@ -172,7 +202,7 @@ impl Clients {
 
 fn main() -> ExitCode {
     let mut args = Args::new("daemon_bench", std::env::args().skip(1));
-    let modules = args.value("--modules", "N", count).unwrap_or(16);
+    let modules = args.value("--modules", "N", count).unwrap_or(DEFAULT_MODULES);
     let bench = BenchArgs::declare(&mut args, "BENCH_daemon.json");
     args.finish();
 
@@ -231,7 +261,7 @@ fn main() -> ExitCode {
     let ((), seconds) = best_of(
         || (),
         |()| {
-            for _ in 0..REQUESTS {
+            for _ in 0..WARM_REQUESTS {
                 let (built, seconds) = time(|| solo.build(&primed_request));
                 samples.push(seconds);
                 let built = built.expect("warm build");
@@ -239,7 +269,7 @@ fn main() -> ExitCode {
             }
         },
     );
-    row(&mut report, "warm/1", seconds, requests(REQUESTS));
+    row(&mut report, "warm/1", seconds, requests(WARM_REQUESTS));
     latency(&mut report, "warm/1", std::mem::take(&mut samples));
 
     // Cold, N clients: N distinct never-seen projects in flight at once
@@ -303,7 +333,71 @@ fn main() -> ExitCode {
         ("recompiled", recompiled as u64),
     ]);
     row(&mut report, "branches/1", seconds, work);
-    latency(&mut report, "branches/1", samples);
+    latency(&mut report, "branches/1", std::mem::take(&mut samples));
+
+    // Contended, two clients on one project: one edits the primed program
+    // a module at a time, each edit a never-seen tune, and the other
+    // re-requests the primed program, which the `.vx` tier serves, while
+    // each edit builds. The branches' builds retired the primed program's
+    // entries from the shard: two untimed builds bring them back and its
+    // text into the `.vx` tier.
+    for _ in 0..2 {
+        let built = solo.build(&primed_request).expect("re-priming build");
+        assert_eq!(built.vx, *primed_vx, "re-priming build: daemon bytes != solo cold compile");
+    }
+    let mut editor = Client::connect(&socket).expect("editing client connect");
+    // Every edit and every re-request leads a build of its own.
+    let leads = |client: &mut Client| {
+        let counters = client.stats().expect("stats");
+        counters.iter().find(|c| c.name == "daemon.dedup.leads").map_or(0, |c| c.value)
+    };
+    let (mut best_median, mut best_seconds, mut re_requests) = (f64::INFINITY, f64::INFINITY, 0);
+    for _ in 0..TRIALS {
+        let edits: Vec<(BuildRequest, Arc<String>)> = (0..CONTENDED_EDITS)
+            .map(|k| {
+                let mut sources = primed_sources.clone();
+                tune += 1;
+                perturb(&mut sources, k % modules, tune);
+                (request_for(&sources), oracle_vx(&sources))
+            })
+            .collect();
+        // The editing thread signals each edit as it sends it, and drops
+        // the sender when it returns or panics.
+        let (sending, sent) = mpsc::channel::<()>();
+        let editor = &mut editor;
+        let mut led = leads(&mut solo);
+        let seconds = std::thread::scope(|scope| {
+            let edits = scope.spawn(move || {
+                let ((), seconds) = time(|| {
+                    for (request, expect) in &edits {
+                        sending.send(()).expect("the re-requesting client waits");
+                        let built = editor.build(request).expect("edit build");
+                        assert_eq!(built.vx, **expect, "edit: daemon bytes != solo cold compile");
+                    }
+                });
+                seconds
+            });
+            for () in sent {
+                led += 1;
+                // An edit that fails before it leads ends the editor, whose
+                // panic the join below reports.
+                while leads(&mut solo) < led && !edits.is_finished() {}
+                led += 1;
+                let (built, seconds) = time(|| solo.build(&primed_request));
+                samples.push(seconds);
+                let built = built.expect("contended re-request");
+                assert_eq!(built.vx, *primed_vx, "re-request: daemon bytes != solo cold compile");
+            }
+            edits.join().expect("editing client thread")
+        });
+        re_requests += samples.len();
+        best_median = best_median.min(median(std::mem::take(&mut samples)));
+        best_seconds = best_seconds.min(seconds);
+    }
+    let work =
+        counters([("requests", 2 * CONTENDED_EDITS as u64), ("edits", CONTENDED_EDITS as u64)]);
+    row(&mut report, "contended/2", best_seconds, work);
+    report.row("contended/2", "latency", best_median, counters([("samples", re_requests as u64)]));
 
     // Dedup: N clients race one identical never-seen request from behind
     // a barrier, once; followers must coalesce onto the leader's build.
@@ -344,6 +438,14 @@ fn main() -> ExitCode {
     report.gate("cold/1.analyze.hits", cold_1_hits, Cmp::Equal, 0.0);
     report.gate(format!("{cold_n}.analyze.hits"), cold_n_hits, Cmp::Equal, 0.0);
     report.gate("branches/1.recompiled", branch_recompiles, Cmp::Equal, 0.0);
+    let contended = report.find("contended/2", "latency").seconds;
+    let warm = report.find("warm/1", "latency").seconds;
+    report.gate(
+        "contended/2.latency_over_warm_1",
+        contended / warm,
+        Cmp::AtMost,
+        MAX_CONTENDED_OVER_WARM,
+    );
     for (name, value, cmp, bound) in tier_gates {
         report.gate(name, value, cmp, bound);
     }

@@ -899,8 +899,8 @@ fn remote_build(mut a: Args) -> Result<(), String> {
             // path — byte-identical output by construction.
             eprintln!("cminc: daemon unavailable ({e}); building locally");
             let opts = CompileOptions::default();
-            let cache = &mut CompilationCache::new();
-            ipra_driver::compile_artifact(&sources, config, &input, &opts, cache)
+            let shard = std::sync::Mutex::new(CompilationCache::new());
+            ipra_driver::compile_artifact(&sources, config, &input, &opts, &shard)
                 .map_err(|e| e.to_string())?
                 .map_err(|e| format!("training run trapped: {e}"))?
                 .vx

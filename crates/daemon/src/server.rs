@@ -14,14 +14,21 @@
 //!
 //! ## Sharding and dedup
 //!
-//! The cache is split into `shards` independently locked
-//! [`CompilationCache`]s; a request maps to the shard of its *project*,
-//! the FNV-64 of its module names in order. Every branch and edit of one
+//! The cache is split into `shards` [`CompilationCache`]s, each behind
+//! its own lock; a request maps to the shard of its *project*, the
+//! FNV-64 of its module names in order. Every branch and edit of one
 //! project therefore meets the same shard and shares its content-keyed
-//! entries, while different projects compile concurrently. All shards
-//! share one disk directory when persistence is enabled — entries are
-//! content-addressed, so concurrent writers can only race on identical
-//! bytes.
+//! entries. All shards share one disk directory when persistence is
+//! enabled — entries are content-addressed, so concurrent writers can
+//! only race on identical bytes.
+//!
+//! A build holds its shard only for its batches of lookups and stores
+//! ([`ipra_driver::compile_artifact`]): the front end, the analyzer,
+//! codegen and the link run with the shard released, so builds of one
+//! project run concurrently too, and a request whose every object hits
+//! never waits for another's compile. Each lock acquisition that found
+//! the shard held is counted in `daemon.shard.waits`, and its wait in
+//! `daemon.shard.wait_us`.
 //!
 //! In-flight dedup sits above the shards and keys on the whole request's
 //! fingerprint: the first request for a fingerprint becomes the *leader*
@@ -402,10 +409,12 @@ fn project_shard(req: &BuildRequest, shards: usize) -> usize {
 }
 
 /// The leader's computation: pick the project's shard, build the `.vx`
-/// artifact under its lock ([`ipra_driver::compile_artifact`], whose
-/// `.vx` tier serves a repeated program's text), and fold the build's
-/// counters into the daemon's (and its phase counters under the shard's
-/// name).
+/// artifact through it ([`ipra_driver::compile_artifact`], which locks
+/// the shard around each batch of cache operations, and whose `.vx` tier
+/// serves a repeated program's text), and fold the build's counters into
+/// the daemon's (and its phase counters under the shard's name), and its
+/// `shard_wait` spans into `daemon.shard.waits` and
+/// `daemon.shard.wait_us`.
 fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireError> {
     let config = PaperConfig::parse(&req.config)
         .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
@@ -423,20 +432,21 @@ fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireE
         ..CompileOptions::default()
     };
     let shard_index = project_shard(req, shared.shards.len());
-    let mut cache = shared.shards[shard_index].lock().expect("shard lock");
     let built = ipra_driver::compile_artifact(
         &req.sources,
         config,
         &req.training_input,
         &options,
-        &mut cache,
+        &shared.shards[shard_index],
     );
-    drop(cache);
     let counters = build_tele.counters();
     for (key, &n) in &counters {
         shared.tele.add(key, n);
     }
     export_shard_counters(&shared.tele, shard_index, &counters);
+    let (waits, wait_us) = build_tele.span_totals("shard_wait");
+    shared.tele.add("daemon.shard.waits", waits);
+    shared.tele.add("daemon.shard.wait_us", wait_us);
     shared.tele.add("daemon.builds", 1);
     match built {
         Ok(Ok(built)) => Ok(BuildResponse {

@@ -192,3 +192,62 @@ fn shard_counters_sum_to_the_phase_counters() {
     assert_eq!(get("build.builds"), 4, "F builds twice");
     server.stop();
 }
+
+/// A build holds its project's shard only around its cache operations, so
+/// a request whose every object hits is not queued behind a compile of
+/// its project: once a never-seen 256-module build of the same module
+/// names (every module re-tuned) has started, a second client's
+/// re-request of the primed program is answered, with the primed bytes,
+/// while that build still runs. The daemon counts a build in
+/// `daemon.builds` as it ends, so when the re-request's answer arrives
+/// the count has grown by the re-request alone.
+#[test]
+fn a_hit_is_answered_while_its_project_compiles() {
+    const MODULES: usize = 256;
+    let server = Server::start(ServerOptions::new(sock("hit-first"))).expect("server start");
+    let request = |sources: &[SourceFile]| BuildRequest {
+        config: "L2".to_string(),
+        optimize: true,
+        sources: sources.to_vec(),
+        training_input: Vec::new(),
+    };
+    let primed = scaled_program(MODULES);
+    let mut never_seen = primed.clone();
+    for module in 0..MODULES {
+        perturb(&mut never_seen, module, 7000 + module as i64);
+    }
+    let mut rerequester = Client::connect(server.socket()).expect("connect");
+    // Two links of the primed program: from the second on, the shard's
+    // `.vx` tier holds its text.
+    let first = rerequester.build(&request(&primed)).expect("priming build");
+    assert_eq!(first.vx, local_vx(&primed));
+    rerequester.build(&request(&primed)).expect("second priming build");
+    let mut watcher = Client::connect(server.socket()).expect("connect");
+    let counter = |client: &mut Client, name: &str| {
+        let counters = client.stats().expect("stats");
+        counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+    };
+    let (led, built) =
+        (counter(&mut watcher, "daemon.dedup.leads"), counter(&mut watcher, "daemon.builds"));
+    std::thread::scope(|s| {
+        let compiler = s.spawn(|| {
+            let mut client = Client::connect(server.socket()).expect("connect");
+            client.build(&request(&never_seen)).expect("never-seen build")
+        });
+        while counter(&mut watcher, "daemon.dedup.leads") == led {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let hit = rerequester.build(&request(&primed)).expect("re-request");
+        assert_eq!(
+            counter(&mut watcher, "daemon.builds"),
+            built + 1,
+            "the re-request waited for the never-seen build to end"
+        );
+        assert_eq!(hit.vx, first.vx);
+        assert!(hit.recompiled.is_empty());
+        let compiled = compiler.join().expect("compiler thread");
+        assert_eq!(compiled.recompiled.len(), MODULES);
+        assert_eq!(compiled.vx, local_vx(&never_seen));
+    });
+    server.stop();
+}

@@ -33,18 +33,24 @@
 //! decodes the held frame into memory and counts a memory hit; from then
 //! on memory holds the value, under the same retention rule.
 //!
+//! Every value memory hands out is shared (`Arc`): a build keeps what its
+//! lookups returned however long it runs, so builds that share one cache
+//! (a `cmind` shard) may interleave their operations, and one build's
+//! retention rule may drop an entry another is still using.
+//!
 //! Reuse across builds — including builds at *different*
 //! [`PaperConfig`](ipra_core::analyzer::PaperConfig)s — is sound because a
 //! matching slice fingerprint certifies codegen would see identical
 //! directives, and the analyzer reads nothing but the summaries and its
 //! options.
 //!
-//! The cache keeps no record of its own traffic: the steps that probe it
-//! count hits, disk hits and misses into the build's [`BuildReport`], and
-//! `CompilationCache::end_build` records the retention rule's drops and
-//! the disk tier's seconds in the same report. Only the disk tier counts
-//! into telemetry, and only what the report cannot see: file traffic and
-//! corrupt frames (`cache.disk.*`).
+//! The cache keeps no record of its own traffic, nor any state of one
+//! build: the steps that probe it count hits, disk hits and misses into
+//! the build's [`BuildReport`], and `CompilationCache::end_build` records
+//! the retention rule's drops in the same report. The disk tier counts
+//! what the report cannot see, file traffic and corrupt frames
+//! (`cache.disk.*`), and its seconds into the [`Io`] each operation is
+//! handed by the build it serves.
 
 use crate::framed::{CACHE, KIND_ANALYSIS, KIND_INDEX, KIND_PHASE1, KIND_PHASE2};
 use cmin_ir::IrModule;
@@ -225,15 +231,16 @@ impl Phase1Entry {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct Phase2Entry {
-    pub(crate) ir_fp: u64,
-    pub(crate) db_fp: u64,
-    pub(crate) object: ObjectModule,
+#[derive(Debug, Deserialize)]
+struct Phase2Entry {
+    ir_fp: u64,
+    db_fp: u64,
+    object: ObjectModule,
 }
 
 /// The object of a phase-2 frame: `None` unless the frame checks out and
-/// holds the entry of `(ir_fp, db_fp)`.
+/// holds the entry of `(ir_fp, db_fp)`. A frame is written as the same
+/// three fields in the same order (see [`DiskCache::store_phase2`]).
 fn decode_phase2(frame: &[u8], (ir_fp, db_fp): (u64, u64)) -> Option<ObjectModule> {
     CACHE
         .decode_frame(frame, KIND_PHASE2)
@@ -258,17 +265,6 @@ fn decode_analysis(frame: &[u8], key: u64) -> Option<AnalysisEntry> {
     CACHE.decode_frame(frame, KIND_ANALYSIS).ok().filter(|e: &AnalysisEntry| e.key == key)
 }
 
-/// A phase-2 lookup's hit.
-#[derive(Debug)]
-pub(crate) enum Phase2Hit {
-    /// Memory holds the object decoded, where
-    /// [`CompilationCache::phase2_object`] reads it.
-    Memory,
-    /// The disk tier served the object, decoded for this build alone;
-    /// memory keeps the frame.
-    Disk(ObjectModule),
-}
-
 /// A linked program as [`crate::compile_artifact`] hands it out.
 #[derive(Debug, Clone)]
 pub(crate) struct Linked {
@@ -286,7 +282,7 @@ pub(crate) struct Linked {
 #[derive(Debug)]
 struct VxEntry {
     keys: Vec<(u64, u64)>,
-    linked: Option<Linked>,
+    linked: Option<Arc<Linked>>,
 }
 
 /// The pack's file name in a cache directory: every frame the disk tier
@@ -421,6 +417,17 @@ impl Index {
     }
 }
 
+/// One build's side of the disk tier's work: the collector the tier counts
+/// the build's file traffic and corrupt frames into (`cache.disk.*`, and
+/// the flush's span), and the seconds it spent on the build's behalf,
+/// loading frames and flushing. Each build brings its own to every cache
+/// operation, so builds that share a cache never mix their accounting.
+#[derive(Debug, Default)]
+pub(crate) struct Io {
+    pub(crate) tele: Option<Telemetry>,
+    pub(crate) seconds: f64,
+}
+
 /// The persistent tier: cache entries as length-prefixed binary frames
 /// ([`crate::framed`]) in two files of a cache directory. The pack,
 /// [`PACK_FILE`], holds the frames back to back; the index,
@@ -458,11 +465,6 @@ pub(crate) struct DiskCache {
     /// offsets count from the buffer's start.
     pending: Vec<u8>,
     pending_records: Vec<IndexRecord>,
-    /// Telemetry sink for tier traffic (reads/writes with byte counts);
-    /// attached per build by [`CompilationCache::set_telemetry`].
-    tele: Option<Telemetry>,
-    /// Seconds spent loading frames and flushing since the build began.
-    seconds: f64,
 }
 
 impl DiskCache {
@@ -480,19 +482,17 @@ impl DiskCache {
             index: Index::default(),
             pending: Vec::new(),
             pending_records: Vec::new(),
-            tele: None,
-            seconds: 0.0,
         })
     }
 
     /// The frame of `slot` as the index records it, re-reading the index
     /// first when it has no record. `None` when no record exists; `Some`
     /// of `None` when the record's bytes cannot be read.
-    fn read(&mut self, slot: Slot) -> Option<Option<Vec<u8>>> {
+    fn read(&mut self, slot: Slot, tele: Option<&Telemetry>) -> Option<Option<Vec<u8>>> {
         let files = self.files.as_ref()?;
         let index = &mut self.index;
         if !index.extents.contains_key(&slot) {
-            let _ = index.refresh(files, self.tele.as_ref());
+            let _ = index.refresh(files, tele);
         }
         let &(offset, len) = index.extents.get(&slot)?;
         if offset.checked_add(len).is_none_or(|end| end > index.pack_len) {
@@ -503,14 +503,19 @@ impl DiskCache {
     }
 
     /// Reads the frame of `slot` and decodes it with `decode`, adding the
-    /// load's seconds to the build's. Counts the read traffic in bytes,
-    /// plus a corrupt-frame counter when a recorded frame could not be
-    /// read, or failed to decode or fingerprint-check (it degrades to a
+    /// load's seconds to the build's `io`. Counts the read traffic in
+    /// bytes, plus a corrupt-frame counter when a recorded frame could not
+    /// be read, or failed to decode or fingerprint-check (it degrades to a
     /// miss).
-    fn load<T>(&mut self, slot: Slot, decode: impl FnOnce(Vec<u8>) -> Option<T>) -> Option<T> {
+    fn load<T>(
+        &mut self,
+        slot: Slot,
+        io: &mut Io,
+        decode: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
         let start = Instant::now();
-        let decoded = self.read(slot).and_then(|frame| {
-            let tele = self.tele.as_ref();
+        let tele = io.tele.as_ref();
+        let decoded = self.read(slot, tele).and_then(|frame| {
             if let (Some(t), Some(frame)) = (tele, &frame) {
                 t.add("cache.disk.reads", 1);
                 t.add("cache.disk.read_bytes", frame.len() as u64);
@@ -521,14 +526,18 @@ impl DiskCache {
             }
             decoded
         });
-        self.seconds += start.elapsed().as_secs_f64();
+        io.seconds += start.elapsed().as_secs_f64();
         decoded
     }
 
     /// Loads a phase-1 frame: the frame, and the entry decoded from its
     /// head, which shares it (see [`Phase1Entry::decode`]).
-    pub(crate) fn load_phase1(&mut self, key: u64) -> Option<(Arc<Vec<u8>>, Phase1Entry)> {
-        self.load((KIND_PHASE1, (key, 0)), |frame| {
+    pub(crate) fn load_phase1(
+        &mut self,
+        key: u64,
+        io: &mut Io,
+    ) -> Option<(Arc<Vec<u8>>, Phase1Entry)> {
+        self.load((KIND_PHASE1, (key, 0)), io, |frame| {
             let frame = Arc::new(frame);
             Some((Arc::clone(&frame), Phase1Entry::decode(frame, key)?))
         })
@@ -536,63 +545,65 @@ impl DiskCache {
 
     /// Buffers a phase-1 frame: the head, then the IR's encoding as the
     /// tail.
-    pub(crate) fn store_phase1(&mut self, head: &Phase1Head, ir: &IrModule) {
-        self.store(KIND_PHASE1, (head.key, 0), &(head, ir));
+    fn store_phase1(&mut self, head: &Phase1Head, ir: &IrModule, io: &Io) {
+        self.store(KIND_PHASE1, (head.key, 0), &(head, ir), io);
     }
 
     /// Loads a phase-2 frame: the frame, and the object decoded from it.
-    pub(crate) fn load_phase2(&mut self, key: (u64, u64)) -> Option<(Vec<u8>, ObjectModule)> {
-        self.load((KIND_PHASE2, key), |frame| {
+    fn load_phase2(&mut self, key: (u64, u64), io: &mut Io) -> Option<(Vec<u8>, ObjectModule)> {
+        self.load((KIND_PHASE2, key), io, |frame| {
             let object = decode_phase2(&frame, key)?;
             Some((frame, object))
         })
     }
 
-    pub(crate) fn store_phase2(&mut self, entry: &Phase2Entry) {
-        self.store(KIND_PHASE2, (entry.ir_fp, entry.db_fp), entry);
+    /// Buffers a phase-2 frame: the key's two words, then the object.
+    fn store_phase2(&mut self, (ir_fp, db_fp): (u64, u64), object: &ObjectModule, io: &Io) {
+        self.store(KIND_PHASE2, (ir_fp, db_fp), &(ir_fp, db_fp, object), io);
     }
 
     /// Loads an analysis frame: the frame, and the analysis decoded from
     /// it.
-    pub(crate) fn load_analysis(&mut self, key: u64) -> Option<(Vec<u8>, AnalysisEntry)> {
-        self.load((KIND_ANALYSIS, (key, 0)), |frame| {
+    fn load_analysis(&mut self, key: u64, io: &mut Io) -> Option<(Vec<u8>, AnalysisEntry)> {
+        self.load((KIND_ANALYSIS, (key, 0)), io, |frame| {
             let entry = decode_analysis(&frame, key)?;
             Some((frame, entry))
         })
     }
 
-    pub(crate) fn store_analysis(&mut self, entry: &AnalysisEntry) {
-        self.store(KIND_ANALYSIS, (entry.key, 0), entry);
+    fn store_analysis(&mut self, entry: &AnalysisEntry, io: &Io) {
+        self.store(KIND_ANALYSIS, (entry.key, 0), entry, io);
     }
 
     /// Encodes one frame into the pending buffer with its index record, and
     /// counts it as a disk-tier store (the write happens at
     /// [`flush`](DiskCache::flush)).
-    fn store<T: BinSerialize>(&mut self, kind: u8, key: (u64, u64), value: &T) {
+    fn store<T: BinSerialize>(&mut self, kind: u8, key: (u64, u64), value: &T, io: &Io) {
         let offset = self.pending.len() as u64;
         // A payload the length prefix cannot hold is not stored: its key
         // stays a disk miss.
         let Ok(len) = CACHE.append_frame(kind, value, &mut self.pending) else { return };
         let len = len as u64;
         self.pending_records.push(IndexRecord { kind, key, offset, len });
-        if let Some(t) = &self.tele {
+        if let Some(t) = &io.tele {
             t.add("cache.disk.writes", 1);
             t.add("cache.disk.write_bytes", len);
         }
     }
 
     /// Appends the buffered frames and their index frame, adding the
-    /// seconds to the build's. Best effort: a failed write leaves the disk
-    /// tier cold for those keys, not wrong.
-    fn flush(&mut self) {
+    /// seconds to `io`'s. Best effort: a failed write leaves the disk tier
+    /// cold for those keys, not wrong.
+    fn flush(&mut self, io: &mut Io) {
         if self.pending_records.is_empty() {
             return;
         }
-        let span = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
+        let tele = io.tele.as_ref();
+        let span = ipra_telemetry::span(tele, "cache", "cache:flush");
         if let Some(files) = &self.files {
             if files.pack.lock().is_ok() {
                 let records = &mut self.pending_records;
-                let _ = self.index.append(files, &self.pending, records, self.tele.as_ref());
+                let _ = self.index.append(files, &self.pending, records, tele);
                 let _ = files.pack.unlock();
             }
         }
@@ -600,13 +611,13 @@ impl DiskCache {
         // keep their buffer.
         self.pending = Vec::new();
         self.pending_records.clear();
-        self.seconds += span.finish();
+        io.seconds += span.finish();
     }
 }
 
 impl Drop for DiskCache {
     fn drop(&mut self) {
-        self.flush();
+        self.flush(&mut Io::default());
     }
 }
 
@@ -698,7 +709,7 @@ pub struct CompilationCache {
     /// Phase-1 entries by phase-1 key.
     phase1: Tier<u64, Kept<Arc<Phase1Entry>, Arc<Vec<u8>>>>,
     /// Phase-2 objects by `(ir_fp, db_fp)`.
-    phase2: Tier<(u64, u64), Kept<ObjectModule>>,
+    phase2: Tier<(u64, u64), Kept<Arc<ObjectModule>>>,
     /// Linked `.vx` text by link key (`stages::link_key`). Memory only.
     vx: Tier<u64, VxEntry>,
     /// The most recent program analysis, under its key. One slot, outside
@@ -706,7 +717,6 @@ pub struct CompilationCache {
     /// previous build's key.
     analysis: Option<(u64, Kept<Arc<AnalysisEntry>>)>,
     disk: Option<DiskCache>,
-    tele: Option<Telemetry>,
     /// Monotonic operation clock driving recency; bumped on every lookup
     /// and store, so recency is a pure function of the operation
     /// sequence — which entries retire is deterministic, never hash-map
@@ -734,59 +744,36 @@ impl CompilationCache {
         Ok(CompilationCache { disk: Some(DiskCache::open(dir)?), ..CompilationCache::default() })
     }
 
-    /// Attaches (or detaches, with `None`) a telemetry collector. Disk-tier
-    /// traffic is counted into it, and the pipeline steps
-    /// ([`crate::stages`], [`crate::separate`]) read it back via
-    /// [`telemetry`](CompilationCache::telemetry) so they share the build's
-    /// collector without widening every signature.
-    pub(crate) fn set_telemetry(&mut self, tele: Option<Telemetry>) {
-        if let Some(d) = &mut self.disk {
-            d.tele = tele.clone();
-        }
-        self.tele = tele;
-    }
-
-    /// The attached telemetry collector, if any.
-    pub(crate) fn telemetry(&self) -> Option<&Telemetry> {
-        self.tele.as_ref()
-    }
-
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
     }
 
-    /// Marks the start of a build, for the retention rule and the disk
-    /// tier's seconds.
+    /// Marks the start of a build, for the retention rule.
     pub(crate) fn begin_build(&mut self) {
         if self.build_starts.len() == RETAINED_BUILDS {
             self.build_starts.pop_front();
         }
         self.build_starts.push_back(self.tick + 1);
-        if let Some(d) = &mut self.disk {
-            d.seconds = 0.0;
-        }
     }
 
     /// Ends a build. First the retention rule, the memory tier's only
     /// eviction: it drops from memory every entry that none of the last
     /// [`RETAINED_BUILDS`] builds looked up or stored, and the current
     /// build's entries stay, as does the disk tier. Then the disk tier
-    /// writes the build's entries in one burst. Records the phase-1,
+    /// writes the buffered entries in one burst. Records the phase-1,
     /// phase-2 and `.vx` drops as `report`'s [`PhaseStats::evictions`], and
-    /// the disk tier's seconds since [`begin_build`](Self::begin_build) as
-    /// its [`BuildReport::cache_seconds`].
-    pub(crate) fn end_build(&mut self, report: &mut BuildReport) {
+    /// the disk tier's seconds for the build, `io`'s, as its
+    /// [`BuildReport::cache_seconds`].
+    pub(crate) fn end_build(&mut self, report: &mut BuildReport, io: &mut Io) {
         if self.build_starts.len() == RETAINED_BUILDS {
             let oldest = self.build_starts[0];
             report.phase1.evictions = self.phase1.retire_before(oldest);
             report.phase2.evictions = self.phase2.retire_before(oldest);
             report.vx.evictions = self.vx.retire_before(oldest);
         }
-        if let Some(d) = &mut self.disk {
-            d.flush();
-            report.cache_seconds = std::mem::take(&mut d.seconds);
-        }
+        self.flush(io);
+        report.cache_seconds = io.seconds;
     }
 
     /// Phase-1 lookup by phase-1 key: memory first, then the disk tier.
@@ -798,13 +785,17 @@ impl CompilationCache {
     /// copied: a hit is a refcount bump, so the hot path of a warm build
     /// never deep-clones an `IrModule`, and a disk-served one never decodes
     /// the IR of a module phase 2 does not recompile.
-    pub(crate) fn lookup_phase1(&mut self, key: u64) -> Option<(Arc<Phase1Entry>, bool)> {
+    pub(crate) fn lookup_phase1(
+        &mut self,
+        key: u64,
+        io: &mut Io,
+    ) -> Option<(Arc<Phase1Entry>, bool)> {
         let tick = self.next_tick();
         if let Some(kept) = self.phase1.get(key, tick) {
             let decode = |frame: &Arc<_>| Phase1Entry::decode(Arc::clone(frame), key).map(Arc::new);
             return kept.decoded(decode).map(|e| (Arc::clone(e), false));
         }
-        let (frame, entry) = self.disk.as_mut()?.load_phase1(key)?;
+        let (frame, entry) = self.disk.as_mut()?.load_phase1(key, io)?;
         self.phase1.insert(key, Kept::Frame(frame), tick);
         Some((Arc::new(entry), true))
     }
@@ -812,9 +803,14 @@ impl CompilationCache {
     /// Stores a freshly computed phase-1 entry in memory and, when
     /// attached, writes it through to disk. Returns the shared handle so
     /// the caller keeps using the entry without cloning it.
-    pub(crate) fn store_phase1(&mut self, head: Phase1Head, ir: IrModule) -> Arc<Phase1Entry> {
+    pub(crate) fn store_phase1(
+        &mut self,
+        head: Phase1Head,
+        ir: IrModule,
+        io: &Io,
+    ) -> Arc<Phase1Entry> {
         if let Some(d) = &mut self.disk {
-            d.store_phase1(&head, &ir);
+            d.store_phase1(&head, &ir, io);
         }
         let key = head.key;
         let ir = OnceLock::from(Some(ir));
@@ -828,58 +824,51 @@ impl CompilationCache {
     /// not decode with one recomputed from source: the frame counts as
     /// corrupt, and the flush appends the new frame, whose index record
     /// replaces the old one's.
-    pub(crate) fn repair_phase1(&mut self, head: Phase1Head, ir: IrModule) {
-        if let Some(t) = &self.tele {
+    pub(crate) fn repair_phase1(&mut self, head: Phase1Head, ir: IrModule, io: &Io) {
+        if let Some(t) = &io.tele {
             t.add("cache.disk.corrupt", 1);
         }
-        self.store_phase1(head, ir);
+        self.store_phase1(head, ir, io);
     }
 
     /// Phase-2 lookup by `(ir_fp, db_fp)`: memory first, then the disk
-    /// tier. A memory hit leaves the object decoded in memory for the rest
-    /// of the build, where [`phase2_object`](Self::phase2_object) reads it:
-    /// a build served by the `.vx` tier never copies it. A disk hit hands
-    /// the build the object it decoded, and memory keeps the frame, which
-    /// the next lookup of the key decodes into memory.
-    pub(crate) fn lookup_phase2(&mut self, ir_fp: u64, db_fp: u64) -> Option<Phase2Hit> {
+    /// tier. The flag reports whether the object came from disk. A memory
+    /// hit shares the object memory holds. A disk hit hands the build the
+    /// object it decoded, which the build alone holds, and memory keeps
+    /// the frame, which the next lookup of the key decodes into memory.
+    pub(crate) fn lookup_phase2(
+        &mut self,
+        key: (u64, u64),
+        io: &mut Io,
+    ) -> Option<(Arc<ObjectModule>, bool)> {
         let tick = self.next_tick();
-        let key = (ir_fp, db_fp);
         if let Some(kept) = self.phase2.get(key, tick) {
-            return kept.decoded(|frame| decode_phase2(frame, key)).map(|_| Phase2Hit::Memory);
+            let decode = |frame: &Vec<u8>| decode_phase2(frame, key).map(Arc::new);
+            return kept.decoded(decode).map(|object| (Arc::clone(object), false));
         }
-        let (frame, object) = self.disk.as_mut()?.load_phase2(key)?;
+        let (frame, object) = self.disk.as_mut()?.load_phase2(key, io)?;
         self.phase2.insert(key, Kept::Frame(frame), tick);
-        Some(Phase2Hit::Disk(object))
+        Some((Arc::new(object), true))
     }
 
-    /// The phase-2 object under `(ir_fp, db_fp)`, if memory holds it
-    /// decoded. No entry leaves memory before its build ends, so one that
-    /// this build found in memory or stored is here.
-    pub(crate) fn phase2_object(&self, ir_fp: u64, db_fp: u64) -> Option<&ObjectModule> {
-        match self.phase2.entries.get(&(ir_fp, db_fp))? {
-            (Kept::Decoded(object), _) => Some(object),
-            (Kept::Frame(_), _) => None,
-        }
-    }
-
-    /// Stores a freshly compiled object in memory and, when attached,
-    /// writes it through to disk.
-    pub(crate) fn store_phase2(&mut self, entry: Phase2Entry) {
+    /// Stores a freshly compiled object in memory, sharing the build's
+    /// handle, and, when attached, writes it through to disk.
+    pub(crate) fn store_phase2(&mut self, key: (u64, u64), object: Arc<ObjectModule>, io: &Io) {
         if let Some(d) = &mut self.disk {
-            d.store_phase2(&entry);
+            d.store_phase2(key, &object, io);
         }
         let tick = self.next_tick();
-        self.phase2.insert((entry.ir_fp, entry.db_fp), Kept::Decoded(entry.object), tick);
+        self.phase2.insert(key, Kept::Decoded(object), tick);
     }
 
     /// `.vx` lookup by link key: the text linked from the objects under
     /// `keys`, when the tier holds it under `key` for exactly that key
     /// list. A marker, or an entry for another key list, is a miss.
-    pub(crate) fn lookup_vx(&mut self, key: u64, keys: &[(u64, u64)]) -> Option<Linked> {
+    pub(crate) fn lookup_vx(&mut self, key: u64, keys: &[(u64, u64)]) -> Option<Arc<Linked>> {
         let tick = self.next_tick();
         match self.vx.get(key, tick)? {
             VxEntry { keys: stored, linked: Some(linked) } if stored[..] == *keys => {
-                Some(linked.clone())
+                Some(Arc::clone(linked))
             }
             _ => None,
         }
@@ -888,31 +877,35 @@ impl CompilationCache {
     /// Offers the text a build linked from the objects under `keys`. The
     /// first link of a key list leaves a marker; a second, finding the
     /// marker, stores the text.
-    pub(crate) fn store_vx(&mut self, key: u64, keys: Vec<(u64, u64)>, linked: &Linked) {
+    pub(crate) fn store_vx(&mut self, key: u64, keys: Vec<(u64, u64)>, linked: &Arc<Linked>) {
         let tick = self.next_tick();
         let seen = self.vx.entries.get(&key).is_some_and(|(e, _)| e.keys == keys);
-        self.vx.insert(key, VxEntry { keys, linked: seen.then(|| linked.clone()) }, tick);
+        self.vx.insert(key, VxEntry { keys, linked: seen.then(|| Arc::clone(linked)) }, tick);
     }
 
     /// Analysis lookup: the memory slot first, then the disk tier. The
     /// flag reports whether the entry came from disk. A disk hit hands the
     /// build the analysis it decoded and leaves the frame in the slot, which
     /// the next lookup of the key decodes into the slot.
-    pub(crate) fn lookup_analysis(&mut self, key: u64) -> Option<(Arc<AnalysisEntry>, bool)> {
+    pub(crate) fn lookup_analysis(
+        &mut self,
+        key: u64,
+        io: &mut Io,
+    ) -> Option<(Arc<AnalysisEntry>, bool)> {
         if let Some((_, kept)) = self.analysis.as_mut().filter(|(held, _)| *held == key) {
             let decode = |frame: &Vec<u8>| decode_analysis(frame, key).map(Arc::new);
             return kept.decoded(decode).map(|e| (Arc::clone(e), false));
         }
-        let (frame, entry) = self.disk.as_mut()?.load_analysis(key)?;
+        let (frame, entry) = self.disk.as_mut()?.load_analysis(key, io)?;
         self.analysis = Some((key, Kept::Frame(frame)));
         Some((Arc::new(entry), true))
     }
 
     /// Stores a freshly computed analysis in the memory slot and, when
     /// attached, writes it through to disk.
-    pub(crate) fn store_analysis(&mut self, entry: AnalysisEntry) -> Arc<AnalysisEntry> {
+    pub(crate) fn store_analysis(&mut self, entry: AnalysisEntry, io: &Io) -> Arc<AnalysisEntry> {
         if let Some(d) = &mut self.disk {
-            d.store_analysis(&entry);
+            d.store_analysis(&entry, io);
         }
         let entry = Arc::new(entry);
         self.analysis = Some((entry.key, Kept::Decoded(Arc::clone(&entry))));
@@ -923,9 +916,9 @@ impl CompilationCache {
     /// by the driver at the end of each build; dropping the cache flushes
     /// too, so entries are never lost — flushing early just bounds how long
     /// they sit in memory.
-    pub(crate) fn flush(&mut self) {
+    pub(crate) fn flush(&mut self, io: &mut Io) {
         if let Some(d) = &mut self.disk {
-            d.flush();
+            d.flush(io);
         }
     }
 }
@@ -976,12 +969,23 @@ mod tests {
         IrModule { name: name.to_string(), globals: Vec::new(), functions: Vec::new() }
     }
 
-    fn store1(c: &mut CompilationCache, name: &str, key: u64) {
-        c.store_phase1(head(name, key), ir(name));
+    /// A build's side of the disk tier with no collector attached.
+    fn io() -> Io {
+        Io::default()
     }
 
-    fn p2(ir_fp: u64, db_fp: u64) -> Phase2Entry {
-        Phase2Entry { ir_fp, db_fp, object: ObjectModule::default() }
+    /// A build's side of the disk tier counting into `tele`.
+    fn traced(tele: &Telemetry) -> Io {
+        Io { tele: Some(tele.clone()), ..Io::default() }
+    }
+
+    fn store1(c: &mut CompilationCache, name: &str, key: u64) {
+        c.store_phase1(head(name, key), ir(name), &io());
+    }
+
+    fn store2(c: &mut CompilationCache, key: (u64, u64), name: &str) {
+        let object = ObjectModule { name: name.into(), ..ObjectModule::default() };
+        c.store_phase2(key, Arc::new(object), &io());
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -995,7 +999,7 @@ mod tests {
     /// drops.
     fn end(c: &mut CompilationCache) -> (usize, usize) {
         let mut report = BuildReport::default();
-        c.end_build(&mut report);
+        c.end_build(&mut report, &mut io());
         (report.phase1.evictions, report.phase2.evictions)
     }
 
@@ -1005,7 +1009,7 @@ mod tests {
         c.begin_build();
         store1(c, "x", stored);
         for &k in used {
-            assert!(c.lookup_phase1(k).is_some(), "key {k} is still in memory");
+            assert!(c.lookup_phase1(k, &mut io()).is_some(), "key {k} is still in memory");
         }
         end(c)
     }
@@ -1015,7 +1019,7 @@ mod tests {
         let mut c = CompilationCache::new();
         c.begin_build();
         store1(&mut c, "a", 1);
-        c.store_phase2(p2(1, 1));
+        store2(&mut c, (1, 1), "");
         assert_eq!(end(&mut c), (0, 0));
         // Builds 2..=16 store keys 2..=16; key 1 was used by build 1, still
         // one of the last 16.
@@ -1024,19 +1028,20 @@ mod tests {
         }
         // A lookup refreshes key 2 in build 17, which ends build 1's window.
         assert_eq!(one_build(&mut c, 17, &[2]), (1, 1), "key 1 leaves both tiers");
-        assert!(c.lookup_phase1(1).is_none() && c.lookup_phase2(1, 1).is_none());
+        assert!(c.lookup_phase1(1, &mut io()).is_none());
+        assert!(c.lookup_phase2((1, 1), &mut io()).is_none());
         assert_eq!(one_build(&mut c, 18, &[]), (0, 0), "key 2 was used by build 17");
         assert_eq!(one_build(&mut c, 19, &[]), (1, 0), "key 3 (build 3) leaves");
         assert_eq!(c.phase1.entries.len(), 17, "keys 2 and 4..=19");
     }
 
-    fn linked(text: &str) -> Linked {
-        Linked { vx: text.to_string(), fingerprint: 7, insts: 3 }
+    fn linked(text: &str) -> Arc<Linked> {
+        Arc::new(Linked { vx: text.to_string(), fingerprint: 7, insts: 3 })
     }
 
     /// The text the `.vx` tier serves for `keys` under link key 9.
     fn served(c: &mut CompilationCache, keys: &[(u64, u64)]) -> Option<String> {
-        c.lookup_vx(9, keys).map(|l| l.vx)
+        c.lookup_vx(9, keys).map(|l| l.vx.clone())
     }
 
     #[test]
@@ -1069,7 +1074,7 @@ mod tests {
         assert!(c.vx.entries.contains_key(&9));
         c.begin_build();
         let mut report = BuildReport::default();
-        c.end_build(&mut report);
+        c.end_build(&mut report, &mut io());
         assert_eq!(report.vx.evictions, 1);
         assert_eq!(served(&mut c, &keys), None);
         c.store_vx(9, keys.clone(), &linked("a"));
@@ -1109,10 +1114,10 @@ mod tests {
         let dir = tmpdir("lazy-ir");
         let ir = real_ir();
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.store_phase1(head("m", 7), ir.clone());
-        c.flush();
+        c.store_phase1(head("m", 7), ir.clone(), &io());
+        c.flush(&mut io());
         let mut fresh = CompilationCache::with_disk(&dir).unwrap();
-        let (e, from_disk) = fresh.lookup_phase1(7).expect("disk hit");
+        let (e, from_disk) = fresh.lookup_phase1(7, &mut io()).expect("disk hit");
         assert!(from_disk);
         assert!(e.ir.get().is_none(), "a hit leaves the tail encoded");
         assert_eq!(e.ir(), Some(&ir));
@@ -1123,8 +1128,8 @@ mod tests {
     fn damage_inside_the_ir_tail_reads_as_a_miss() {
         let dir = tmpdir("tail-damage");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.store_phase1(head("m", 9), real_ir());
-        c.flush();
+        c.store_phase1(head("m", 9), real_ir(), &io());
+        c.flush(&mut io());
         // The pack holds the one frame.
         let path = dir.join(PACK_FILE);
         let frame = std::fs::read(&path).unwrap();
@@ -1137,8 +1142,7 @@ mod tests {
         let probe = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
             let mut fresh = CompilationCache::with_disk(&dir).unwrap();
-            fresh.set_telemetry(Some(tele.clone()));
-            fresh.lookup_phase1(9).is_none()
+            fresh.lookup_phase1(9, &mut traced(&tele)).is_none()
         };
         let mut probes = 0;
         for i in (tail_start..tail_end).step_by(7) {
@@ -1157,10 +1161,11 @@ mod tests {
     fn a_disk_hit_keeps_its_frame_and_copies_no_tail() {
         let dir = tmpdir("kept-frame");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.store_phase1(head("m", 5), real_ir());
-        c.flush();
+        c.store_phase1(head("m", 5), real_ir(), &io());
+        c.flush(&mut io());
         let pack = std::fs::read(dir.join(PACK_FILE)).unwrap();
-        let (e, _) = CompilationCache::with_disk(&dir).unwrap().lookup_phase1(5).unwrap();
+        let (e, _) =
+            CompilationCache::with_disk(&dir).unwrap().lookup_phase1(5, &mut io()).unwrap();
         assert_eq!(*e.frame, pack, "the entry holds the frame as read");
         assert_eq!(e.tail.end, pack.len() - 8, "the tail ends at the checksum");
         assert!(e.ir().is_some());
@@ -1178,7 +1183,7 @@ mod tests {
         let (flushed, done) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(move || {
-                c.flush();
+                c.flush(&mut io());
                 flushed.send(()).unwrap();
             });
             let waited = done.recv_timeout(std::time::Duration::from_millis(200));
@@ -1197,13 +1202,10 @@ mod tests {
     fn populated(tag: &str) -> PathBuf {
         let dir = tmpdir(tag);
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.store_phase1(head("m", 5), real_ir());
-        c.store_phase2(Phase2Entry {
-            object: ObjectModule { name: "m".into(), ..ObjectModule::default() },
-            ..p2(5, 6)
-        });
-        c.store_analysis(analysis(7));
-        c.flush();
+        c.store_phase1(head("m", 5), real_ir(), &io());
+        store2(&mut c, (5, 6), "m");
+        c.store_analysis(analysis(7), &io());
+        c.flush(&mut io());
         dir
     }
 
@@ -1221,18 +1223,17 @@ mod tests {
     fn a_first_disk_use_holds_the_frame_and_hands_the_value_to_the_build() {
         let dir = populated("first-use");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        let (entry, from_disk) = c.lookup_phase1(5).unwrap();
+        let (entry, from_disk) = c.lookup_phase1(5, &mut io()).unwrap();
         assert!(from_disk);
         assert_eq!(Arc::strong_count(&entry), 1, "the build alone holds the entry");
-        let Some(Phase2Hit::Disk(object)) = c.lookup_phase2(5, 6) else {
-            panic!("a disk hit hands the build its object");
-        };
+        let (object, from_disk) = c.lookup_phase2((5, 6), &mut io()).unwrap();
+        assert!(from_disk);
         assert_eq!(object.name, "m");
-        let (analysis, from_disk) = c.lookup_analysis(7).unwrap();
+        assert_eq!(Arc::strong_count(&object), 1, "the build alone holds the object");
+        let (analysis, from_disk) = c.lookup_analysis(7, &mut io()).unwrap();
         assert!(from_disk);
         assert_eq!(Arc::strong_count(&analysis), 1, "the build alone holds the analysis");
         assert_eq!(held(&c), [true; 3]);
-        assert!(c.phase2_object(5, 6).is_none(), "memory holds no decoded object");
         // The held phase-1 frame is the one the entry decoded its head from.
         let Kept::Frame(frame) = &c.phase1.entries[&5].0 else { unreachable!() };
         assert!(Arc::ptr_eq(frame, &entry.frame));
@@ -1244,19 +1245,22 @@ mod tests {
         let dir = populated("second-use");
         let tele = Telemetry::new();
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.set_telemetry(Some(tele.clone()));
-        let (first, _) = c.lookup_phase1(5).unwrap();
-        let Some(Phase2Hit::Disk(object)) = c.lookup_phase2(5, 6) else { panic!("disk hit") };
-        let (analysis, _) = c.lookup_analysis(7).unwrap();
-        let (again, from_disk) = c.lookup_phase1(5).unwrap();
+        let io = &mut traced(&tele);
+        let (first, _) = c.lookup_phase1(5, io).unwrap();
+        let (object, _) = c.lookup_phase2((5, 6), io).unwrap();
+        let (analysis, _) = c.lookup_analysis(7, io).unwrap();
+        let (again, from_disk) = c.lookup_phase1(5, io).unwrap();
         assert!(!from_disk);
         let Some((Kept::Decoded(kept), _)) = c.phase1.entries.get(&5) else { panic!("decoded") };
         assert!(Arc::ptr_eq(kept, &again), "memory keeps the decoded entry");
         assert_eq!((again.head.key, again.head.ir_fp), (first.head.key, first.head.ir_fp));
         assert_eq!(again.ir(), Some(&real_ir()));
-        assert!(matches!(c.lookup_phase2(5, 6), Some(Phase2Hit::Memory)));
-        assert_eq!(c.phase2_object(5, 6), Some(&object));
-        let (again, from_disk) = c.lookup_analysis(7).unwrap();
+        let (shared, from_disk) = c.lookup_phase2((5, 6), io).unwrap();
+        assert!(!from_disk);
+        let Some((Kept::Decoded(kept), _)) = c.phase2.entries.get(&(5, 6)) else { panic!() };
+        assert!(Arc::ptr_eq(kept, &shared), "a memory hit shares the object memory keeps");
+        assert_eq!(shared, object);
+        let (again, from_disk) = c.lookup_analysis(7, io).unwrap();
         assert!(!from_disk);
         assert_eq!((&again.database, &again.stats), (&analysis.database, &analysis.stats));
         assert_eq!(held(&c), [false; 3]);
@@ -1270,8 +1274,8 @@ mod tests {
         let dir = populated("held-retention");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
         c.begin_build();
-        assert!(c.lookup_phase1(5).is_some_and(|(_, disk)| disk));
-        assert!(matches!(c.lookup_phase2(5, 6), Some(Phase2Hit::Disk(_))));
+        assert!(c.lookup_phase1(5, &mut io()).is_some_and(|(_, disk)| disk));
+        assert!(c.lookup_phase2((5, 6), &mut io()).is_some_and(|(_, disk)| disk));
         assert_eq!(end(&mut c), (0, 0));
         assert_eq!(held(&c)[..2], [true, true]);
         // Builds 2..=16 use other keys; build 17 ends build 1's window.
@@ -1281,8 +1285,8 @@ mod tests {
         assert_eq!(one_build(&mut c, 117, &[]), (1, 1), "both held frames leave memory");
         assert!(!c.phase1.entries.contains_key(&5) && !c.phase2.entries.contains_key(&(5, 6)));
         // The disk tier still serves them.
-        assert!(c.lookup_phase1(5).is_some_and(|(_, disk)| disk));
-        assert!(matches!(c.lookup_phase2(5, 6), Some(Phase2Hit::Disk(_))));
+        assert!(c.lookup_phase1(5, &mut io()).is_some_and(|(_, disk)| disk));
+        assert!(c.lookup_phase2((5, 6), &mut io()).is_some_and(|(_, disk)| disk));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1291,12 +1295,12 @@ mod tests {
         let dir = populated("held-repair");
         let tele = Telemetry::new();
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        c.set_telemetry(Some(tele.clone()));
-        assert!(c.lookup_phase1(5).is_some_and(|(_, disk)| disk));
+        let io = &mut traced(&tele);
+        assert!(c.lookup_phase1(5, io).is_some_and(|(_, disk)| disk));
         assert!(held(&c)[0]);
-        c.repair_phase1(head("m", 5), ir("redone"));
+        c.repair_phase1(head("m", 5), ir("redone"), io);
         assert_eq!(tele.counter("cache.disk.corrupt"), 1);
-        let (e, from_disk) = c.lookup_phase1(5).unwrap();
+        let (e, from_disk) = c.lookup_phase1(5, io).unwrap();
         assert!(!from_disk);
         assert_eq!(e.ir().map(|ir| ir.name.as_str()), Some("redone"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1313,31 +1317,32 @@ mod tests {
     fn the_analysis_tier_keeps_one_slot_and_persists() {
         let dir = tmpdir("analysis");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
-        assert!(c.lookup_analysis(1).is_none());
-        c.store_analysis(analysis(1));
-        c.store_analysis(analysis(2));
-        let (e, from_disk) = c.lookup_analysis(2).expect("the slot");
+        assert!(c.lookup_analysis(1, &mut io()).is_none());
+        c.store_analysis(analysis(1), &io());
+        c.store_analysis(analysis(2), &io());
+        let (e, from_disk) = c.lookup_analysis(2, &mut io()).expect("the slot");
         assert!(!from_disk && e.key == 2);
-        c.flush();
+        c.flush(&mut io());
         // Key 1 left the slot but not the disk tier, and promotes back in.
-        let (e, from_disk) = c.lookup_analysis(1).expect("the disk tier");
+        let (e, from_disk) = c.lookup_analysis(1, &mut io()).expect("the disk tier");
         assert!(from_disk);
         assert_eq!((&e.database, &e.stats), (&analysis(1).database, &analysis(1).stats));
-        assert!(!c.lookup_analysis(1).unwrap().1, "promoted into the slot");
+        assert!(!c.lookup_analysis(1, &mut io()).unwrap().1, "promoted into the slot");
         // A record that points key 3 at key 2's frame does not serve key 3.
         let records = testing::records(&dir);
         let two = records.iter().find(|r| (r.kind, r.key) == (KIND_ANALYSIS, (2, 0))).unwrap();
         testing::append_records(&dir, &[IndexRecord { key: (3, 0), ..two.clone() }]);
         let tele = Telemetry::new();
         let mut fresh = CompilationCache::with_disk(&dir).unwrap();
-        fresh.set_telemetry(Some(tele.clone()));
-        assert!(fresh.lookup_analysis(3).is_none());
+        let io = &mut traced(&tele);
+        assert!(fresh.lookup_analysis(3, io).is_none());
         assert_eq!(tele.counter("cache.disk.corrupt"), 1, "the frame is key 2's");
-        assert!(fresh.lookup_analysis(2).is_some_and(|(e, _)| e.key == 2));
+        assert!(fresh.lookup_analysis(2, io).is_some_and(|(e, _)| e.key == 2));
         // A record reaching past the pack's end is read as a miss, not
         // allocated for.
         testing::append_records(&dir, &[IndexRecord { key: (4, 0), len: 1 << 60, ..two.clone() }]);
-        assert!(CompilationCache::with_disk(&dir).unwrap().lookup_analysis(4).is_none());
+        let mut fresh = CompilationCache::with_disk(&dir).unwrap();
+        assert!(fresh.lookup_analysis(4, &mut Io::default()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

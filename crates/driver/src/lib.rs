@@ -34,7 +34,12 @@
 //! a caller that wants only the `.vx` executable artifact (the `cmind`
 //! daemon): the cache's `.vx` tier serves the text of a link whose
 //! objects' keys repeat, so a repeated program costs its keys and
-//! lookups. A cache opened with
+//! lookups. It builds through a cache that other builds share (a
+//! `Mutex`), and holds it only around its batches of lookups and stores:
+//! the front end, the analyzer, codegen and the link run with it
+//! released, so a build that hits everywhere never waits for one that
+//! compiles. [`compile_incremental`] runs the same steps through a cache
+//! it has to itself. A cache opened with
 //! [`CompilationCache::with_disk`] additionally persists its entries to a
 //! cache directory, so the same fingerprints keep working across *process*
 //! invocations (`cminc --cache-dir`).
@@ -86,8 +91,10 @@ use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
 use serde::{Deserialize, Serialize};
+use stages::{BuildCache, Shard};
+use std::borrow::Borrow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vpr::program::{link, Executable, LinkError, ObjectModule};
 use vpr::sim::{run_with, RunResult, SimError, SimOptions};
 
@@ -340,12 +347,21 @@ pub fn compile_incremental(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<CompiledProgram, DriverError> {
+    program_incremental(sources, options, Shard::Own(cache))
+}
+
+/// [`compile_incremental`]'s build, through `shard`.
+fn program_incremental(
+    sources: &[SourceFile],
+    options: &CompileOptions,
+    shard: Shard<'_>,
+) -> Result<CompiledProgram, DriverError> {
     let tele = options.telemetry.as_ref();
-    cache.set_telemetry(options.telemetry.clone());
+    let cache = &mut BuildCache::new(shard, options.telemetry.clone());
     let build_timer = span(tele, "build", "build");
     let jobs = options.effective_jobs();
     let mut report = BuildReport::default();
-    cache.begin_build();
+    cache.batch(|c, _| c.begin_build());
 
     // ---- Compiler first phase, cache-probed then fanned out per module.
     let phase1_timer = span(tele, "build", "phase1");
@@ -379,7 +395,7 @@ pub fn compile_incremental(
     // Entries no recent build used leave memory (not disk), then one burst
     // of disk-tier writes per build (entries stay served from memory either
     // way; see `DiskCache`). Both are charged to the build total.
-    cache.end_build(&mut report);
+    cache.batch(|c, io| c.end_build(&mut report, io));
     // What the build alone holds, a first disk hit's decoded values, moves
     // into the program; what memory shares is copied. On an analyzer hit
     // the summary is assembled only now, once phase 2 is done reading it.
@@ -397,7 +413,7 @@ pub fn compile_incremental(
 /// `link` span.
 fn link_objects(
     tele: Option<&Telemetry>,
-    objects: &[ObjectModule],
+    objects: &[impl Borrow<ObjectModule>],
     report: &mut BuildReport,
 ) -> Result<Executable, LinkError> {
     let link_timer = span(tele, "build", "link");
@@ -521,11 +537,12 @@ pub fn compile_configured(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    let opts = match configured_options(sources, config, training_input, options, cache)? {
+    let mut shard = Shard::Own(cache);
+    let opts = match configured_options(sources, config, training_input, options, &mut shard)? {
         Ok(opts) => opts,
         Err(e) => return Ok(Err(e)),
     };
-    Ok(Ok(compile_incremental(sources, &opts, cache)?))
+    Ok(Ok(program_incremental(sources, &opts, shard)?))
 }
 
 /// A build's linked program as `.vx` artifact text, as
@@ -546,8 +563,20 @@ pub struct BuiltArtifact {
 
 /// [`compile_configured`] for a caller that wants only the executable
 /// artifact: the same training build for B and F, then the same phase 1,
-/// analyzer and phase 2 through `cache`, and the `.vx` text of the link.
+/// analyzer and phase 2 through `shard`, and the `.vx` text of the link.
 /// No [`CompiledProgram`] is assembled.
+///
+/// `shard` is a cache other builds may share, and each build locks it only
+/// for its batches of cache operations: its phase-1 lookups and stores,
+/// the analysis lookup and store, the phase-2 probe with the `.vx` lookup,
+/// the phase-2 and `.vx` stores, and the end of the build. Key hashing,
+/// the front end, the analyzer, codegen, the link and the artifact's
+/// encoding run with it released, and the build keeps what its lookups
+/// returned, so concurrent builds interleave only whole batches. A lock
+/// acquisition that finds the shard held is recorded as a `shard_wait`
+/// span in the build's collector ([`CompileOptions::telemetry`]). A serial
+/// sequence of builds performs the cache operations a [`compile_configured`]
+/// sequence on one cache would, in the same order.
 ///
 /// The text is a function of the target and each module's phase-2 key, so
 /// the cache's memory-only `.vx` tier keeps it under those keys: a build
@@ -567,13 +596,14 @@ pub fn compile_artifact(
     config: PaperConfig,
     training_input: &[i64],
     options: &CompileOptions,
-    cache: &mut CompilationCache,
+    shard: &Mutex<CompilationCache>,
 ) -> Result<Result<BuiltArtifact, SimError>, DriverError> {
-    let opts = match configured_options(sources, config, training_input, options, cache)? {
+    let mut shard = Shard::Shared(shard);
+    let opts = match configured_options(sources, config, training_input, options, &mut shard)? {
         Ok(opts) => opts,
         Err(e) => return Ok(Err(e)),
     };
-    Ok(Ok(artifact_incremental(sources, &opts, cache)?))
+    Ok(Ok(artifact_incremental(sources, &opts, shard)?))
 }
 
 /// [`compile_incremental`]'s build, ending in `.vx` text rather than a
@@ -581,14 +611,14 @@ pub fn compile_artifact(
 fn artifact_incremental(
     sources: &[SourceFile],
     options: &CompileOptions,
-    cache: &mut CompilationCache,
+    shard: Shard<'_>,
 ) -> Result<BuiltArtifact, DriverError> {
     let tele = options.telemetry.as_ref();
-    cache.set_telemetry(options.telemetry.clone());
+    let cache = &mut BuildCache::new(shard, options.telemetry.clone());
     let build_timer = span(tele, "build", "build");
     let jobs = options.effective_jobs();
     let mut report = BuildReport::default();
-    cache.begin_build();
+    cache.batch(|c, _| c.begin_build());
 
     let phase1_timer = span(tele, "build", "phase1");
     let entries = stages::phase1(sources, options.optimize, jobs, cache, &mut report)?;
@@ -599,14 +629,18 @@ fn artifact_incremental(
     let (analysis, _, _) = stages::analyze(&entries, options, cache, &mut report);
     report.analyze.seconds = analyze_timer.finish();
 
-    // ---- Phase 2's lookups. When every object hits, the `.vx` tier may
-    // hold their link; otherwise, or when it does not, phase 2 finishes.
+    // ---- Phase 2's lookups, one batch. When every object hits, the `.vx`
+    // tier may hold their link; otherwise, or when it does not, phase 2
+    // finishes.
     let phase2_timer = span(tele, "build", "phase2");
     let (database, target) = (&analysis.database, options.target);
     let keys = stages::phase2_keys(&entries, database, target);
-    let probe = stages::probe_phase2(&keys, cache, &mut report);
     let link_key = stages::link_key(&keys, target);
-    let served = if probe.stale.is_empty() { cache.lookup_vx(link_key, &keys) } else { None };
+    let (probe, served) = cache.batch(|c, io| {
+        let probe = stages::probe_phase2(&keys, c, io, &mut report);
+        let served = if probe.stale.is_empty() { c.lookup_vx(link_key, &keys) } else { None };
+        (probe, served)
+    });
     let objects = match served {
         Some(_) => Vec::new(),
         None => stages::phase2_objects(
@@ -629,37 +663,43 @@ fn artifact_incremental(
             report.vx.hits = 1;
             // The link step keeps its span, empty: the tier served it.
             report.link_seconds = span(tele, "build", "link").finish();
+            cache.batch(|c, io| c.end_build(&mut report, io));
             linked
         }
         None => {
             report.vx.misses = 1;
-            let objects: Vec<ObjectModule> = objects.into_iter().map(|a| a.object).collect();
+            // The objects link as the build holds them, with no copy.
             let exe = link_objects(tele, &objects, &mut report)?;
             let view = ipra_artifact::ExecutableView { exe: &exe };
             let (vx, fingerprint) =
                 ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);
-            let linked = Linked { vx, fingerprint, insts: exe.code_len() };
-            cache.store_vx(link_key, keys, &linked);
+            let linked = Arc::new(Linked { vx, fingerprint, insts: exe.code_len() });
+            cache.batch(|c, io| {
+                c.store_vx(link_key, keys, &linked);
+                c.end_build(&mut report, io);
+            });
             linked
         }
     };
-    cache.end_build(&mut report);
+    // The text the tier keeps is shared, and copied with the shard released.
+    let Linked { vx, fingerprint, insts } = Arc::unwrap_or_clone(linked);
     report.total_seconds = build_timer.finish();
-    count_build(tele, &report, &analysis.stats, sources.len(), linked.insts);
-    Ok(BuiltArtifact { vx: linked.vx, fingerprint: linked.fingerprint, build: report })
+    count_build(tele, &report, &analysis.stats, sources.len(), insts);
+    Ok(BuiltArtifact { vx, fingerprint, build: report })
 }
 
 /// The training half of [`compile_configured`], which
 /// [`compile_artifact`] and the staged artifact build
 /// ([`separate::artifact_build_configured_for`]) share: `options` under
 /// `config`'s analyzer options, whose profile, when `config` wants one, is
-/// the call-edge counts of the L2 build run on `training_input`.
+/// the call-edge counts of the L2 build through `shard` run on
+/// `training_input`.
 pub(crate) fn configured_options(
     sources: &[SourceFile],
     config: PaperConfig,
     training_input: &[i64],
     options: &CompileOptions,
-    cache: &mut CompilationCache,
+    shard: &mut Shard<'_>,
 ) -> Result<Result<CompileOptions, SimError>, DriverError> {
     let configured = |profile| {
         let analyzer = AnalyzerOptions::paper_config(config, profile);
@@ -670,7 +710,7 @@ pub(crate) fn configured_options(
     }
     let analyzer = AnalyzerOptions::paper_config(PaperConfig::L2, None);
     let baseline_opts = CompileOptions { analyzer, trace: false, ..options.clone() };
-    let baseline = compile_incremental(sources, &baseline_opts, cache)?;
+    let baseline = program_incremental(sources, &baseline_opts, shard.reborrow())?;
     let tele = options.telemetry.as_ref();
     let training_timer = span(tele, "sim", "training-run");
     let training = match run_program(&baseline, training_input) {
@@ -1103,7 +1143,7 @@ mod tests {
     /// whole frame, whose index record replaces the forged one's.
     #[test]
     fn an_undecodable_ir_tail_reruns_phase1_from_source() {
-        use crate::cache::{testing, DiskCache, Phase1Head};
+        use crate::cache::{testing, DiskCache, Io, Phase1Head};
         use crate::framed::{CACHE, KIND_PHASE1, KIND_PHASE2};
         use std::io::Write;
         let sources = two_module_program();
@@ -1155,7 +1195,7 @@ mod tests {
         drop(cache);
         // The flush appended a whole frame, and its record wins.
         let mut disk = DiskCache::open(&dir).unwrap();
-        let (_, entry) = disk.load_phase1(forged_key).expect("rewritten frame");
+        let (_, entry) = disk.load_phase1(forged_key, &mut Io::default()).expect("rewritten frame");
         assert!(entry.ir().is_some(), "the rewritten tail decodes");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1311,11 +1351,11 @@ mod tests {
             let exe = compile(&sources, &opts).unwrap().exe;
             let view = ipra_artifact::ExecutableView { exe: &exe };
             let want = ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);
-            let mut cache = CompilationCache::new();
+            let shard = Mutex::new(CompilationCache::new());
             for (build, tier) in [(1, (0, 1)), (2, (0, 1)), (3, (1, 0)), (4, (1, 0))] {
                 let tele = Telemetry::new();
                 let traced = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
-                let built = compile_artifact(&sources, PaperConfig::C, &[], &traced, &mut cache)
+                let built = compile_artifact(&sources, PaperConfig::C, &[], &traced, &shard)
                     .unwrap()
                     .unwrap();
                 let label = format!("{} build {build}", target.name());

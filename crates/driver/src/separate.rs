@@ -19,7 +19,8 @@
 //! run the phases through the same cached steps as
 //! [`crate::compile_incremental`].
 
-use crate::{stages, BuildReport, CompilationCache, CompileOptions, DriverError, SourceFile};
+use crate::stages::{self, BuildCache, Shard};
+use crate::{BuildReport, CompilationCache, CompileOptions, DriverError, SourceFile};
 use cmin_frontend::CompileError;
 use ipra_artifact::{
     ArtifactKind, DirectivesArtifact, ExecutableArtifact, ObjectArtifact, SummaryArtifact,
@@ -27,7 +28,6 @@ use ipra_artifact::{
 use ipra_core::analyzer::{analyze, AnalyzerOptions, PaperConfig};
 use ipra_core::{ProfileData, ProgramDatabase};
 use ipra_summary::ProgramSummary;
-use ipra_telemetry::{span, Telemetry};
 use std::path::{Path, PathBuf};
 use vpr::program::Executable;
 use vpr::sim::SimError;
@@ -69,12 +69,13 @@ pub fn build_module_for(
 ) -> Result<ModuleProduct, CompileError> {
     let mut report = BuildReport::default();
     let sources = std::slice::from_ref(src);
+    let cache = &mut BuildCache::new(Shard::Own(cache), None);
     let entries = stages::phase1(sources, optimize, 1, cache, &mut report)?;
     let object =
         stages::phase2(sources, optimize, &entries, database, target, 1, cache, &mut report)?
             .remove(0);
     // One burst of disk-tier writes per module build (see `DiskCache`).
-    cache.flush();
+    cache.batch(|c, io| c.flush(io));
     let (source_fp, ir_fp) = (entries[0].head.key, entries[0].head.ir_fp);
     let summary = stages::program_summary(entries).modules.remove(0);
     Ok(ModuleProduct {
@@ -112,28 +113,6 @@ fn io_err(path: &Path, e: std::io::Error) -> DriverError {
     })
 }
 
-/// Counts one artifact write into the build's telemetry (file count plus
-/// on-disk bytes; artifact encodings are byte-deterministic, so so are
-/// these counters).
-fn count_artifact_write(tele: Option<&Telemetry>, path: &Path) {
-    if let Some(t) = tele {
-        t.add("artifact.writes", 1);
-        if let Ok(m) = std::fs::metadata(path) {
-            t.add("artifact.write_bytes", m.len());
-        }
-    }
-}
-
-/// Counts one artifact read-back into the build's telemetry.
-fn count_artifact_read(tele: Option<&Telemetry>, path: &Path) {
-    if let Some(t) = tele {
-        t.add("artifact.reads", 1);
-        if let Ok(m) = std::fs::metadata(path) {
-            t.add("artifact.read_bytes", m.len());
-        }
-    }
-}
-
 /// Runs the four-stage separate-compilation pipeline into `dir` under
 /// `config`, staging every intermediate product through its on-disk
 /// artifact format (each stage re-reads its inputs from the files the
@@ -155,14 +134,9 @@ pub fn artifact_build_configured_for(
     cache: &mut CompilationCache,
     target: TargetId,
 ) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
-    // The staged build records into whatever collector the cache carries;
-    // the training build must not detach it.
-    let options = CompileOptions {
-        target,
-        telemetry: cache.telemetry().cloned(),
-        ..CompileOptions::default()
-    };
-    let trained = crate::configured_options(sources, config, training_input, &options, cache)?;
+    let options = CompileOptions { target, ..CompileOptions::default() };
+    let shard = &mut Shard::Own(cache);
+    let trained = crate::configured_options(sources, config, training_input, &options, shard)?;
     let profile = match trained {
         Ok(options) => options.analyzer.profile,
         Err(e) => return Ok(Err(e)),
@@ -186,13 +160,10 @@ pub fn artifact_build_for(
     target: TargetId,
 ) -> Result<ArtifactBuild, DriverError> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let tele = cache.telemetry().cloned();
-    let tele = tele.as_ref();
-    let _staged = span(tele, "build", "artifact-build");
     let mut report = BuildReport::default();
+    let cache = &mut BuildCache::new(Shard::Own(cache), None);
 
     // ---- Stage 1: summaries to disk, one `.csum` per module.
-    let stage1 = span(tele, "artifact", "stage1:summaries");
     let entries = stages::phase1(sources, true, 1, cache, &mut report)?;
     let mut summary_paths = Vec::with_capacity(sources.len());
     for (src, entry) in sources.iter().zip(&entries) {
@@ -203,17 +174,13 @@ pub fn artifact_build_for(
             ir_fp: entry.head.ir_fp,
         };
         ipra_artifact::write_file(ArtifactKind::Summary, &path, &payload)?;
-        count_artifact_write(tele, &path);
         summary_paths.push(path);
     }
-    stage1.finish();
 
     // ---- Stage 2: the analyzer, over summaries re-read from disk.
-    let stage2 = span(tele, "artifact", "stage2:analyze");
     let mut modules = Vec::with_capacity(summary_paths.len());
     for path in &summary_paths {
         let a: SummaryArtifact = ipra_artifact::read_file(ArtifactKind::Summary, path)?;
-        count_artifact_read(tele, path);
         modules.push(a.summary);
     }
     let summary = ProgramSummary { modules };
@@ -224,14 +191,10 @@ pub fn artifact_build_for(
     // their headers carry the build's target stamp (`.csum` summaries are
     // phase-1 products — target-independent and left unstamped).
     ipra_artifact::write_file_for(ArtifactKind::Directives, &directives_path, &payload, target)?;
-    count_artifact_write(tele, &directives_path);
-    stage2.finish();
 
     // ---- Stage 3: phase 2 per module, under directives re-read from disk.
-    let stage3 = span(tele, "artifact", "stage3:objects");
     let directives: DirectivesArtifact =
         ipra_artifact::read_file(ArtifactKind::Directives, &directives_path)?;
-    count_artifact_read(tele, &directives_path);
     let objects = stages::phase2(
         sources,
         true,
@@ -242,23 +205,19 @@ pub fn artifact_build_for(
         cache,
         &mut report,
     )?;
-    cache.flush();
+    cache.batch(|c, io| c.flush(io));
     let mut object_paths = Vec::with_capacity(sources.len());
     for (src, object) in sources.iter().zip(&objects) {
         let path = dir.join(format!("{}.vo", src.name));
         ipra_artifact::write_file_for(ArtifactKind::Object, &path, object, target)?;
-        count_artifact_write(tele, &path);
         object_paths.push(path);
     }
-    stage3.finish();
 
     // ---- Stage 4: link objects re-read from disk; write and re-read the
     // executable so what we return is literally what is on disk.
-    let stage4 = span(tele, "artifact", "stage4:link");
     let mut objects = Vec::with_capacity(object_paths.len());
     for path in &object_paths {
         let a: ObjectArtifact = ipra_artifact::read_file(ArtifactKind::Object, path)?;
-        count_artifact_read(tele, path);
         objects.push(a.object);
     }
     let exe = vpr::link(&objects)?;
@@ -269,12 +228,9 @@ pub fn artifact_build_for(
         &ExecutableArtifact { exe },
         target,
     )?;
-    count_artifact_write(tele, &executable_path);
     let exe =
         ipra_artifact::read_file::<ExecutableArtifact>(ArtifactKind::Executable, &executable_path)?
             .exe;
-    count_artifact_read(tele, &executable_path);
-    stage4.finish();
 
     Ok(ArtifactBuild {
         exe,

@@ -18,10 +18,20 @@
 //! between the in-memory and the file-based pipelines. The analyzer's key
 //! is [`analysis_key`]. [`phase2`] is [`phase2_keys`], [`probe_phase2`]
 //! and [`phase2_objects`] in turn; `compile_artifact` calls them one by
-//! one, and between the probe and the objects asks the `.vx` tier for the
-//! text linked from the objects under those keys ([`link_key`]).
+//! one, and with the probe asks the `.vx` tier for the text linked from
+//! the objects under those keys ([`link_key`]).
+//!
+//! Each cached step is probe → compute → store, and a build reaches its
+//! cache through a [`BuildCache`]: the step holds the cache for its lookup
+//! batch and its store batch only ([`BuildCache::batch`]), and hashes
+//! keys and runs the front end, the analyzer and codegen with it
+//! released. On a [`Shard::Shared`] cache, which `cmind`'s builds share,
+//! other builds' batches run in between; on a [`Shard::Own`] one, as
+//! [`crate::compile_incremental`] passes, nothing does. Either way a
+//! build performs the same cache operations in the same order, and keeps
+//! what its lookups returned (`Arc`s) rather than reading the cache again.
 
-use crate::cache::{AnalysisEntry, Phase1Entry, Phase1Head, Phase1Steps, Phase2Entry, Phase2Hit};
+use crate::cache::{AnalysisEntry, Io, Phase1Entry, Phase1Head, Phase1Steps};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
@@ -36,7 +46,7 @@ use ipra_telemetry::{SpanTimer, Telemetry};
 use serde::BinSerialize;
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 use vpr::program::ObjectModule;
 use vpr::target::TargetId;
@@ -197,6 +207,67 @@ pub(crate) fn run_phase2<'a, T: Sync, M: Borrow<IrModule> + Send>(
     fan_out(pool, "phase2", modules, name, task, |module, (object, ir)| keep(module, object, ir))
 }
 
+/// The cache a cached build goes through.
+pub(crate) enum Shard<'c> {
+    /// A cache the build has to itself for its whole run.
+    Own(&'c mut CompilationCache),
+    /// A cache other builds share (a `cmind` shard), which the build locks
+    /// around each batch of cache operations only.
+    Shared(&'c Mutex<CompilationCache>),
+}
+
+impl Shard<'_> {
+    /// The same cache, for one more build.
+    pub(crate) fn reborrow(&mut self) -> Shard<'_> {
+        match self {
+            Shard::Own(cache) => Shard::Own(cache),
+            Shard::Shared(shard) => Shard::Shared(shard),
+        }
+    }
+}
+
+/// One cached build's hold on its cache: the [`Shard`], and the build's
+/// own side of the disk tier's work ([`Io`]: its collector and its disk
+/// seconds), which travels with the build rather than living on a cache
+/// other builds share.
+pub(crate) struct BuildCache<'c> {
+    shard: Shard<'c>,
+    io: Io,
+}
+
+impl<'c> BuildCache<'c> {
+    /// A build through `shard` that records into `tele`.
+    pub(crate) fn new(shard: Shard<'c>, tele: Option<Telemetry>) -> BuildCache<'c> {
+        BuildCache { shard, io: Io { tele, seconds: 0.0 } }
+    }
+
+    /// The build's collector.
+    pub(crate) fn tele(&self) -> Option<&Telemetry> {
+        self.io.tele.as_ref()
+    }
+
+    /// Runs `ops`, one batch of cache operations, on the cache and the
+    /// build's [`Io`]. A shared shard is locked for the batch alone; an
+    /// acquisition that finds it held records its wait as a `shard_wait`
+    /// span in the build's collector.
+    pub(crate) fn batch<R>(&mut self, ops: impl FnOnce(&mut CompilationCache, &mut Io) -> R) -> R {
+        match &mut self.shard {
+            Shard::Own(cache) => ops(cache, &mut self.io),
+            Shard::Shared(shard) => {
+                let guard = shard.try_lock().or_else(|e| match e {
+                    TryLockError::WouldBlock => {
+                        let tele = self.io.tele.as_ref();
+                        let _wait = ipra_telemetry::span(tele, "cache", "shard_wait");
+                        shard.lock()
+                    }
+                    TryLockError::Poisoned(poisoned) => Err(poisoned),
+                });
+                ops(&mut guard.expect("shard lock"), &mut self.io)
+            }
+        }
+    }
+}
+
 /// Phase-1 cache key: module name + source text + optimize flag.
 fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
     let mut h = Fnv64::new();
@@ -261,15 +332,16 @@ pub(crate) fn phase1(
     sources: &[SourceFile],
     optimize: bool,
     jobs: usize,
-    cache: &mut CompilationCache,
+    cache: &mut BuildCache<'_>,
     report: &mut BuildReport,
 ) -> Result<Vec<Arc<Phase1Entry>>, CompileError> {
-    let tele = cache.telemetry().cloned();
     let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
+    let found: Vec<_> =
+        cache.batch(|c, io| keys.iter().map(|&key| c.lookup_phase1(key, io)).collect());
     let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
     let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        match cache.lookup_phase1(key) {
+    for (i, found) in found.into_iter().enumerate() {
+        match found {
             Some((e, from_disk)) => {
                 report.phase1.hits += 1;
                 report.phase1.disk_hits += usize::from(from_disk);
@@ -282,12 +354,21 @@ pub(crate) fn phase1(
             }
         }
     }
-    let pool = Pool { jobs, tele: tele.as_ref() };
+    let pool = Pool { jobs, tele: cache.tele() };
     let finish = |i: usize, summary, ir: IrModule| (phase1_head(keys[i], summary, &ir), ir);
+    let mut compiled = Vec::with_capacity(miss_idx.len());
     let steps = &mut report.phase1_steps;
-    run_phase1(pool, sources, &miss_idx, optimize, steps, finish, |i, (head, ir)| {
-        entries[i] = Some(cache.store_phase1(head, ir));
-    })?;
+    let ran = run_phase1(pool, sources, &miss_idx, optimize, steps, finish, |i, module| {
+        compiled.push((i, module));
+    });
+    if !compiled.is_empty() {
+        cache.batch(|c, io| {
+            for (i, (head, ir)) in compiled {
+                entries[i] = Some(c.store_phase1(head, ir, io));
+            }
+        });
+    }
+    ran?;
     Ok(entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect())
 }
 
@@ -329,14 +410,14 @@ pub(crate) fn program_summary(entries: Vec<Arc<Phase1Entry>>) -> ProgramSummary 
 pub(crate) fn analyze(
     entries: &[Arc<Phase1Entry>],
     options: &CompileOptions,
-    cache: &mut CompilationCache,
+    cache: &mut BuildCache<'_>,
     report: &mut BuildReport,
 ) -> (Arc<AnalysisEntry>, Option<ProgramSummary>, Option<AnalyzerTrace>) {
     let opts = analyzer_options(options);
     let fps: Vec<u64> = entries.iter().map(|e| e.head.summary_fp).collect();
     let key = analysis_key(&fps, &opts);
     if !options.trace {
-        if let Some((entry, from_disk)) = cache.lookup_analysis(key) {
+        if let Some((entry, from_disk)) = cache.batch(|c, io| c.lookup_analysis(key, io)) {
             report.analyze.hits = 1;
             report.analyze.disk_hits = usize::from(from_disk);
             return (entry, None, None);
@@ -348,7 +429,7 @@ pub(crate) fn analyze(
         ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() };
     let (analysis, trace) = run_analyzer(&summary, &opts, options.trace);
     let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
-    (cache.store_analysis(entry), Some(summary), trace)
+    (cache.batch(|c, io| c.store_analysis(entry, io)), Some(summary), trace)
 }
 
 /// The IR a cached second phase recompiles a module from: the phase-1
@@ -406,41 +487,36 @@ pub(crate) fn link_key(keys: &[(u64, u64)], target: TargetId) -> u64 {
 pub(crate) struct Probe {
     /// The indices of the modules that missed.
     pub(crate) stale: Vec<usize>,
-    /// Each module's object where the build alone holds it: a disk hit's,
-    /// decoded for this build while memory kept the frame. `None` for a
-    /// memory hit, whose object stays in the cache, and for a miss.
-    objects: Vec<Option<ObjectModule>>,
+    /// Each hit module's object as the cache handed it out: shared with
+    /// memory for a memory hit, the build's alone for a disk hit (memory
+    /// kept the frame). `None` for a miss.
+    objects: Vec<Option<Arc<ObjectModule>>>,
 }
 
-/// Looks every module's phase-2 key up in `cache`, counting hits, disk
-/// hits and misses into `report.phase2`. A memory hit's object stays in
-/// the cache, where only [`phase2_objects`] copies it; a disk hit's goes
-/// to the build, which moves it there.
+/// Looks every module's phase-2 key up in `cache`, one batch of cache
+/// operations, counting hits, disk hits and misses into `report.phase2`.
+/// The build keeps each hit's object from here on, whatever the cache
+/// does with the entry meanwhile.
 pub(crate) fn probe_phase2(
     keys: &[(u64, u64)],
     cache: &mut CompilationCache,
+    io: &mut Io,
     report: &mut BuildReport,
 ) -> Probe {
     let mut probe = Probe { stale: Vec::new(), objects: Vec::with_capacity(keys.len()) };
-    for (i, &(ir_fp, db_fp)) in keys.iter().enumerate() {
-        let object = match cache.lookup_phase2(ir_fp, db_fp) {
-            Some(hit) => {
+    for (i, &key) in keys.iter().enumerate() {
+        let object = cache.lookup_phase2(key, io);
+        match &object {
+            Some((_, from_disk)) => {
                 report.phase2.hits += 1;
-                match hit {
-                    Phase2Hit::Memory => None,
-                    Phase2Hit::Disk(object) => {
-                        report.phase2.disk_hits += 1;
-                        Some(object)
-                    }
-                }
+                report.phase2.disk_hits += usize::from(*from_disk);
             }
             None => {
                 report.phase2.misses += 1;
                 probe.stale.push(i);
-                None
             }
-        };
-        probe.objects.push(object);
+        }
+        probe.objects.push(object.map(|(object, _)| object));
     }
     probe
 }
@@ -462,19 +538,29 @@ pub(crate) fn phase2(
     database: &ProgramDatabase,
     target: TargetId,
     jobs: usize,
-    cache: &mut CompilationCache,
+    cache: &mut BuildCache<'_>,
     report: &mut BuildReport,
 ) -> Result<Vec<ObjectArtifact>, CompileError> {
     let keys = phase2_keys(entries, database, target);
-    let probe = probe_phase2(&keys, cache, report);
-    phase2_objects(sources, optimize, entries, &keys, probe, database, target, jobs, cache, report)
+    let probe = cache.batch(|c, io| probe_phase2(&keys, c, io, report));
+    let objects = phase2_objects(
+        sources, optimize, entries, &keys, probe, database, target, jobs, cache, report,
+    )?;
+    // What the build alone holds (a disk hit's object) moves in; what it
+    // shares with memory is copied.
+    let artifacts = keys.iter().zip(objects).map(|(&(ir_fp, db_fp), object)| ObjectArtifact {
+        object: Arc::unwrap_or_clone(object),
+        ir_fp,
+        dir_fp: db_fp,
+    });
+    Ok(artifacts.collect())
 }
 
 /// The rest of the second phase once [`probe_phase2`] has probed `keys`:
-/// runs [`run_phase2`] on the probe's misses, stores their objects and
-/// names them in `report.recompiled`, and returns every module's object
-/// with its fingerprints, in order: a miss's and a disk hit's moved in, a
-/// memory hit's copied from the cache.
+/// runs [`run_phase2`] on the probe's misses, stores their objects in one
+/// batch and names them in `report.recompiled`, and returns every
+/// module's object, in order, as the build holds it: shared with memory,
+/// or its own (a disk hit's).
 ///
 /// Only the modules it recompiles decode their IR. One whose cached IR
 /// does not decode re-runs phase 1 from its source (`sources` and
@@ -495,12 +581,11 @@ pub(crate) fn phase2_objects(
     database: &ProgramDatabase,
     target: TargetId,
     jobs: usize,
-    cache: &mut CompilationCache,
+    cache: &mut BuildCache<'_>,
     report: &mut BuildReport,
-) -> Result<Vec<ObjectArtifact>, CompileError> {
-    let tele = cache.telemetry().cloned();
+) -> Result<Vec<Arc<ObjectModule>>, CompileError> {
     let Probe { stale, mut objects } = probe;
-    let pool = Pool { jobs, tele: tele.as_ref() };
+    let pool = Pool { jobs, tele: cache.tele() };
     let ir = |&i: &usize| match entries[i].ir() {
         Some(ir) => Ok(StaleIr::Cached(ir)),
         None => {
@@ -511,23 +596,28 @@ pub(crate) fn phase2_objects(
         }
     };
     let name = |&i: &usize| entries[i].head.summary.module.as_str();
-    run_phase2(pool, &stale, name, database, target, ir, |&i, object, ir| {
-        if let StaleIr::Redone(head, ir) = ir {
-            cache.repair_phase1(head, ir);
-        }
+    let mut compiled = Vec::with_capacity(stale.len());
+    let ran = run_phase2(pool, &stale, name, database, target, ir, |&i, object, ir| {
+        let redone = match ir {
+            StaleIr::Redone(head, ir) => Some((head, ir)),
+            StaleIr::Cached(_) => None,
+        };
         report.recompiled.push(entries[i].head.summary.module.clone());
-        let (ir_fp, db_fp) = keys[i];
-        cache.store_phase2(Phase2Entry { ir_fp, db_fp, object: object.clone() });
-        objects[i] = Some(object);
-    })?;
-    let objects = keys.iter().zip(objects).map(|(&(ir_fp, db_fp), object)| {
-        let object = object.unwrap_or_else(|| {
-            let hit = cache.phase2_object(ir_fp, db_fp);
-            hit.expect("a memory hit stays decoded in memory until its build ends").clone()
-        });
-        ObjectArtifact { object, ir_fp, dir_fp: db_fp }
+        compiled.push((i, Arc::new(object), redone));
     });
-    Ok(objects.collect())
+    if !compiled.is_empty() {
+        cache.batch(|c, io| {
+            for (i, object, redone) in compiled {
+                if let Some((head, ir)) = redone {
+                    c.repair_phase1(head, ir, io);
+                }
+                c.store_phase2(keys[i], Arc::clone(&object), io);
+                objects[i] = Some(object);
+            }
+        });
+    }
+    ran?;
+    Ok(objects.into_iter().map(|object| object.expect("every module has its object")).collect())
 }
 
 /// The span of one module's task in `phase` ("phase1:NAME"), recorded

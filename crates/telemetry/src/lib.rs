@@ -59,7 +59,7 @@ pub fn current_lane() -> u64 {
 struct SpanEvent {
     /// Span name (e.g. `"phase1"`, `"phase1:mod_a"`).
     name: String,
-    /// Category (e.g. `"build"`, `"cache"`, `"artifact"`, `"sim"`).
+    /// Category (e.g. `"build"`, `"cache"`, `"sim"`).
     cat: String,
     /// `'B'` or `'E'`.
     ph: char,
@@ -150,6 +150,25 @@ impl Telemetry {
     /// begin and an end event).
     pub fn event_count(&self) -> usize {
         self.inner.state.lock().unwrap().events.len()
+    }
+
+    /// How many spans named `name` have ended, and their summed length in
+    /// microseconds: how an owner reads back spans it does not export
+    /// (`cmind` files a build's `shard_wait` spans as counters).
+    pub fn span_totals(&self, name: &str) -> (u64, u64) {
+        let st = self.inner.state.lock().unwrap();
+        // The begin timestamps of the spans still open, with their lanes.
+        let mut open: Vec<(u64, u64)> = Vec::new();
+        let (mut count, mut micros) = (0, 0);
+        for e in st.events.iter().filter(|e| e.name == name) {
+            if e.ph == 'B' {
+                open.push((e.lane, e.ts_us));
+            } else if let Some(at) = open.iter().rposition(|&(lane, _)| lane == e.lane) {
+                count += 1;
+                micros += e.ts_us - open.remove(at).1;
+            }
+        }
+        (count, micros)
     }
 
     /// Exports all recorded spans as Chrome trace-event JSON (the
@@ -290,6 +309,26 @@ mod tests {
         let json = t.chrome_trace_json();
         assert_eq!(json.matches("\"B\"").count(), 2);
         assert_eq!(json.matches("\"E\"").count(), 2);
+    }
+
+    #[test]
+    fn span_totals_count_and_sum_the_ended_spans_of_one_name() {
+        let t = Telemetry::new();
+        assert_eq!(t.span_totals("wait"), (0, 0));
+        let outer = t.span("cache", "wait");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let inner = t.span("cache", "wait");
+        let other = t.span("cache", "other");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        other.finish();
+        inner.finish();
+        outer.finish();
+        let open = t.span("cache", "wait");
+        let (count, micros) = t.span_totals("wait");
+        assert_eq!(count, 2, "the open span is not counted");
+        assert!(micros >= 6_000, "outer ≥ 4 ms, inner ≥ 2 ms: {micros}");
+        drop(open);
+        assert_eq!(t.span_totals("wait").0, 3);
     }
 
     #[test]

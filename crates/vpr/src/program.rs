@@ -9,6 +9,7 @@
 use crate::inst::{AluOp, Inst, Label, MemClass};
 use crate::target::{TargetDesc, TargetId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -346,7 +347,7 @@ pub struct LinkOptions {
 /// # Ok(())
 /// # }
 /// ```
-pub fn link(modules: &[ObjectModule]) -> Result<Executable, LinkError> {
+pub fn link<M: Borrow<ObjectModule>>(modules: &[M]) -> Result<Executable, LinkError> {
     link_with(modules, &LinkOptions::default())
 }
 
@@ -360,11 +361,23 @@ pub fn link(modules: &[ObjectModule]) -> Result<Executable, LinkError> {
 /// unresolved procedures link against synthesized trap stubs (appended in
 /// name order after all real code) instead of failing.
 ///
+/// The modules are owned or shared ([`Borrow`]): a caller that holds its
+/// objects behind `Arc`s links them without copying them.
+///
 /// # Errors
 ///
 /// Returns a [`LinkError`] as for [`link`]; undefined procedures are
 /// errors only when not allowed by `opts`.
-pub fn link_with(modules: &[ObjectModule], opts: &LinkOptions) -> Result<Executable, LinkError> {
+pub fn link_with<M: Borrow<ObjectModule>>(
+    modules: &[M],
+    opts: &LinkOptions,
+) -> Result<Executable, LinkError> {
+    let modules: Vec<&ObjectModule> = modules.iter().map(Borrow::borrow).collect();
+    link_modules(&modules, opts)
+}
+
+/// [`link_with`] over the modules' references.
+fn link_modules(modules: &[&ObjectModule], opts: &LinkOptions) -> Result<Executable, LinkError> {
     // 0. Every module must agree on the target; the executable carries it
     //    so the simulators can fetch their role registers.
     let target = modules.first().map(|m| m.target).unwrap_or_default();

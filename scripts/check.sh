@@ -368,6 +368,26 @@ wait "$c1" "$c2"
 "$cminc" build "$sep/m1.cmin" "$sep/m2.cmin" --config C -o "$dm/local.vx" > /dev/null
 cmp "$dm/r1.vx" "$dm/r2.vx"
 cmp "$dm/r1.vx" "$dm/local.vx"
+# Two concurrent clients on one project (the same module names, so the
+# same shard): one rebuilds the program the daemon holds, the other an
+# edited copy of it. Each result matches a local build of its sources.
+mkdir -p "$dm/edit"
+cp "$sep/m1.cmin" "$dm/edit/m1.cmin"
+sed 's/h_calls + 1/h_calls + 2/' "$sep/m2.cmin" > "$dm/edit/m2.cmin"
+"$cminc" remote build --socket "$dsock" "$sep/m1.cmin" "$sep/m2.cmin" \
+  --config C -o "$dm/r3.vx" 2>/dev/null &
+c3=$!
+"$cminc" remote build --socket "$dsock" "$dm/edit/m1.cmin" "$dm/edit/m2.cmin" \
+  --config C -o "$dm/e1.vx" 2>/dev/null &
+c4=$!
+wait "$c3" "$c4"
+"$cminc" build "$dm/edit/m1.cmin" "$dm/edit/m2.cmin" --config C -o "$dm/edit-local.vx" > /dev/null
+cmp "$dm/r3.vx" "$dm/local.vx"
+cmp "$dm/e1.vx" "$dm/edit-local.vx"
+if cmp -s "$dm/e1.vx" "$dm/local.vx"; then
+  echo "daemon smoke: the edited copy built the unedited program's bytes" >&2
+  exit 1
+fi
 "$cminc" remote stats --socket "$dsock" > "$dm/stats.json"
 grep -q '"daemon.builds"' "$dm/stats.json"
 "$cminc" remote shutdown --socket "$dsock"

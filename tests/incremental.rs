@@ -13,6 +13,8 @@ use ipra_driver::{
 };
 use ipra_telemetry::Telemetry;
 use ipra_workloads::scaled::{perturb, scaled_program};
+use std::sync::mpsc::TryRecvError;
+use std::sync::Mutex;
 use vpr::target::TargetId;
 
 /// Editing one module of twenty re-runs the first phase for that module
@@ -356,8 +358,9 @@ fn the_artifact_path_builds_and_counts_what_compile_configured_does() {
                 let _ = std::fs::remove_dir_all(dir);
             }
             let open = || dirs.each_ref().map(|d| CompilationCache::with_disk(d).unwrap());
-            let [mut artifact_cache, mut configured_cache] =
+            let [artifact_cache, mut configured_cache] =
                 if reopened { open() } else { [CompilationCache::new(), CompilationCache::new()] };
+            let mut artifact_shard = Mutex::new(artifact_cache);
             let opts = CompileOptions { jobs, ..CompileOptions::default() };
             let mut fresh = 0;
             for config in PaperConfig::ALL_WITH_ALIAS {
@@ -372,7 +375,9 @@ fn the_artifact_path_builds_and_counts_what_compile_configured_does() {
                 for (k, sources) in requests.into_iter().enumerate() {
                     let label = format!("reopened={reopened} jobs={jobs} {config} request {k}");
                     if reopened {
-                        [artifact_cache, configured_cache] = open();
+                        let [artifact_cache, reopened_cache] = open();
+                        *artifact_shard.get_mut().unwrap() = artifact_cache;
+                        configured_cache = reopened_cache;
                     }
                     let got = observed(&opts, |o| {
                         let built = ipra_driver::compile_artifact(
@@ -380,7 +385,7 @@ fn the_artifact_path_builds_and_counts_what_compile_configured_does() {
                             config,
                             &input,
                             o,
-                            &mut artifact_cache,
+                            &artifact_shard,
                         )
                         .unwrap()
                         .unwrap();
@@ -411,4 +416,53 @@ fn the_artifact_path_builds_and_counts_what_compile_configured_does() {
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Two threads build one project through one shared cache, and their
+/// batches of cache operations interleave: one edits a different module
+/// before each build, the other re-requests the primed program until the
+/// edits are done. Every text is the one a `compile()` of the same
+/// sources links, and no re-request recompiles anything, through a
+/// memory-only cache and a disk-backed one.
+#[test]
+fn an_editing_and_a_re_requesting_thread_share_one_cache() {
+    const N: usize = 24;
+    const EDITS: usize = 10;
+    let base = scaled_program(N);
+    let opts = CompileOptions::paper(PaperConfig::C);
+    let want =
+        |sources: &[ipra_driver::SourceFile]| vx(&ipra_driver::compile(sources, &opts).unwrap());
+    let base_vx = want(&base);
+    let dir = std::env::temp_dir().join(format!("ipra-shared-shard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for cache in [CompilationCache::new(), CompilationCache::with_disk(&dir).unwrap()] {
+        let shard = Mutex::new(cache);
+        let build = |sources: &[ipra_driver::SourceFile]| {
+            ipra_driver::compile_artifact(sources, PaperConfig::C, &[], &opts, &shard)
+                .unwrap()
+                .unwrap()
+        };
+        assert_eq!(build(&base).vx, base_vx, "priming build");
+        // The editor holds the sender until it returns or panics.
+        let (editing, edits_done) = std::sync::mpsc::channel::<()>();
+        let (mut sources, build, want) = (base.clone(), &build, &want);
+        std::thread::scope(|s| {
+            let editor = s.spawn(move || {
+                let _editing = editing;
+                for edit in 0..EDITS {
+                    perturb(&mut sources, edit * 7 % N, 300 + edit as i64);
+                    assert_eq!(build(&sources).vx, want(&sources), "edit {edit}");
+                }
+            });
+            let mut requests = 0;
+            while edits_done.try_recv() != Err(TryRecvError::Disconnected) || requests < 2 {
+                let built = build(&base);
+                assert_eq!(built.vx, base_vx, "re-request {requests}");
+                assert!(built.build.recompiled.is_empty(), "re-request {requests}");
+                requests += 1;
+            }
+            editor.join().unwrap();
+        });
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
