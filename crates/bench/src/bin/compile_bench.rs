@@ -42,12 +42,13 @@
 //! Four more regimes follow the same row shape:
 //!
 //! * **scaling** — serial cold builds at [`SCALING_SIZES`] (512 to 4096
-//!   modules), one row set per size per round (`scaling/{modules}/round{k}`);
+//!   modules), every size once per round over [`TRIALS`] rounds, and one
+//!   row set per size (`scaling/{modules}`), each layer the median over
+//!   the rounds;
 //! * **long** — serial cold builds of one procedure of [`LONG_SIZES`]
 //!   statements (1,000 to 8,000), round-robin like scaling over
-//!   [`LONG_ROUNDS`] rounds (`long/{statements}/round{k}`): the series
-//!   that sees how the two compiler phases grow with the length of one
-//!   procedure;
+//!   [`LONG_ROUNDS`] rounds (`long/{statements}`): the series that sees
+//!   how the two compiler phases grow with the length of one procedure;
 //! * **target** — the 8-module workload built once per machine
 //!   description, verified under that target's register convention and run
 //!   (`target/{name}/8`, counting instructions and cycles);
@@ -132,11 +133,10 @@ fn build(
     (cache, program)
 }
 
-/// Adds one build's rows: `build` over the trial's `seconds` (counting
-/// `work`), then its four layers as the build's own spans timed them, and
-/// its seconds in the cache's disk tier.
-fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram, work: Counters) {
-    let b = &p.build;
+/// One build's layers as `(layer, seconds, counters)`: `build` over the
+/// trial's `seconds` (counting `work`), then its four layers as the
+/// build's own spans timed them, and its seconds in the cache's disk tier.
+fn layers(seconds: f64, b: &BuildReport, work: Counters) -> Vec<(String, f64, Counters)> {
     let phase = |s: &PhaseStats| {
         counters([
             ("hits", s.hits as u64),
@@ -146,17 +146,29 @@ fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram
     };
     let mut phase2 = phase(&b.phase2);
     phase2.insert("recompiled".to_string(), b.recompiled.len() as u64);
-    report.row(name, "build", seconds, work);
-    report.row(name, "phase1", b.phase1.seconds, phase(&b.phase1));
+    let mut layers = vec![
+        ("build".to_string(), seconds, work),
+        ("phase1".to_string(), b.phase1.seconds, phase(&b.phase1)),
+    ];
     if b.phase1.misses > 0 {
         for (step, seconds) in b.phase1_steps.named() {
-            report.row(name, &format!("phase1.{step}"), seconds, Counters::new());
+            layers.push((format!("phase1.{step}"), seconds, Counters::new()));
         }
     }
-    report.row(name, "analyze", b.analyze.seconds, phase(&b.analyze));
-    report.row(name, "phase2", b.phase2.seconds, phase2);
-    report.row(name, "link", b.link_seconds, Counters::new());
-    report.row(name, "cache", b.cache_seconds, Counters::new());
+    layers.extend([
+        ("analyze".to_string(), b.analyze.seconds, phase(&b.analyze)),
+        ("phase2".to_string(), b.phase2.seconds, phase2),
+        ("link".to_string(), b.link_seconds, Counters::new()),
+        ("cache".to_string(), b.cache_seconds, Counters::new()),
+    ]);
+    layers
+}
+
+/// Adds one build's rows, one per layer (see [`layers`]).
+fn build_rows(report: &mut Report, name: &str, seconds: f64, p: &CompiledProgram, work: Counters) {
+    for (layer, seconds, counters) in layers(seconds, &p.build, work) {
+        report.row(name, &layer, seconds, counters);
+    }
 }
 
 fn measure_size(report: &mut Report, n: usize, jobs: usize, config: PaperConfig) {
@@ -362,14 +374,16 @@ type TimeOf = fn(f64, &BuildReport) -> f64;
 ///
 /// A shared host's speed drifts by a third within seconds, more than the
 /// gap between linear and quadratic growth over one doubling. So each of
-/// `rounds` rounds builds every size in turn (rows
-/// `{series}/{size}/round{k}`), and a doubling's ratio is the median, over
-/// the rounds, of one size's time over the previous size's in the same
-/// round: the two builds ran back to back, on about the same host. An untimed build of the largest size
-/// first grows the heap to the series' need, so no size pays for page
-/// faults that a larger size, run just before, spared another. Each of
-/// `gates` names a time of a build (its seconds and report) and gates its
-/// ratios as `{series}/{size}.{name}`.
+/// `rounds` rounds builds every size in turn, and a doubling's ratio is
+/// the median, over the rounds, of one size's time over the previous
+/// size's in the same round: the two builds ran back to back, on about
+/// the same host. An untimed build of the largest size first grows the
+/// heap to the series' need, so no size pays for page faults that a
+/// larger size, run just before, spared another. Each size writes one row
+/// set, `{series}/{size}`, each layer's seconds the median over the rounds
+/// (its counters are the same every round). Each of `gates` names a time
+/// of a build (its seconds and report) and gates its ratios as
+/// `{series}/{size}.{name}`.
 fn measure_doubling<const N: usize>(
     report: &mut Report,
     series: &str,
@@ -389,14 +403,19 @@ fn measure_doubling<const N: usize>(
         cold(largest);
     }
     let mut builds_by_round: Vec<[(f64, BuildReport); N]> = Vec::new();
-    for round in 1..=rounds {
-        let builds = std::array::from_fn(|i| {
+    for _ in 0..rounds {
+        builds_by_round.push(std::array::from_fn(|i| {
             let (p, s) = cold(&programs[i]);
-            let name = format!("{series}/{}/round{round}", sizes[i]);
-            build_rows(report, &name, s, &p, Counters::new());
             (s, p.build)
-        });
-        builds_by_round.push(builds);
+        }));
+    }
+    for (i, size) in sizes.iter().enumerate() {
+        let by_round: Vec<_> =
+            builds_by_round.iter().map(|r| layers(r[i].0, &r[i].1, Counters::new())).collect();
+        for (j, (layer, _, counters)) in by_round[0].iter().enumerate() {
+            let seconds = median(by_round.iter().map(|round| round[j].1).collect());
+            report.row(&format!("{series}/{size}"), layer, seconds, counters.clone());
+        }
     }
     for (i, size) in sizes.iter().enumerate().skip(1) {
         for (name, time_of) in gates {

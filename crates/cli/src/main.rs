@@ -411,17 +411,30 @@ fn read_sources(paths: &[String]) -> Result<Vec<SourceFile>, String> {
 }
 
 /// Compiles `sources` under `config` (with its training run on `input`
-/// when the configuration is profile-fed) through `cache`.
+/// when the configuration is profile-fed) through `cache`. Without one, a
+/// configuration that trains no profile builds once with no cache at all;
+/// B and F train through a fresh memory cache, so their final build's
+/// phase 1 hits.
 fn compile(
     sources: &[SourceFile],
     config: PaperConfig,
     input: &[i64],
     opts: &CompileOptions,
-    cache: &mut CompilationCache,
+    cache: Option<&mut CompilationCache>,
 ) -> Result<CompiledProgram, String> {
-    ipra_driver::compile_configured(sources, config, input, opts, cache)
-        .map_err(|e| e.to_string())?
-        .map_err(|e| format!("training run trapped: {e}"))
+    let built = match cache {
+        None if !config.wants_profile() => {
+            let analyzer = AnalyzerOptions::paper_config(config, None);
+            let opts = CompileOptions { analyzer, ..opts.clone() };
+            return ipra_driver::compile(sources, &opts).map_err(|e| e.to_string());
+        }
+        Some(cache) => ipra_driver::compile_configured(sources, config, input, opts, cache),
+        None => {
+            let cache = &mut CompilationCache::new();
+            ipra_driver::compile_configured(sources, config, input, opts, cache)
+        }
+    };
+    built.map_err(|e| e.to_string())?.map_err(|e| format!("training run trapped: {e}"))
 }
 
 /// `cminc explain <symbol>`: renders every analyzer decision mentioning one
@@ -461,7 +474,7 @@ fn explain_cmd(mut a: Args) -> Result<(), String> {
             let sources = read_sources(srcs)?;
             let target = target.unwrap_or_default();
             let opts = CompileOptions { trace: true, target, ..Default::default() };
-            let program = compile(&sources, config, &input, &opts, &mut CompilationCache::new())?;
+            let program = compile(&sources, config, &input, &opts, None)?;
             program.trace.expect("tracing was requested")
         }
     };
@@ -612,9 +625,14 @@ fn build_cmd(mut a: Args) -> Result<(), String> {
     // One cache across every repetition: iteration 1 is the cold build,
     // the rest demonstrate the paper's recompilation story (§3) — pure
     // cache hits when nothing changed. With --cache-dir the cache is also
-    // persistent, so the story holds across separate cminc processes.
+    // persistent, so the story holds across separate cminc processes. A
+    // one-off build, with neither, has no cache to fill.
     let telemetry = (trace_out.is_some() || metrics_out.is_some()).then(Telemetry::new);
-    let mut cache = artifacts::open_cache(cache_dir.as_deref())?;
+    let mut cache = if cache_dir.is_some() || repeat > 1 {
+        Some(artifacts::open_cache(cache_dir.as_deref())?)
+    } else {
+        None
+    };
     let mut program = None;
     for i in 0..repeat {
         let opts = CompileOptions {
@@ -624,7 +642,7 @@ fn build_cmd(mut a: Args) -> Result<(), String> {
             target,
             ..CompileOptions::default()
         };
-        let built = compile(&sources, config, &input, &opts, &mut cache)?;
+        let built = compile(&sources, config, &input, &opts, cache.as_mut())?;
         if stats && repeat > 1 && i + 1 < repeat {
             eprintln!("build {} of {repeat}:", i + 1);
             eprint!("{}", phase_table(&built.build));
@@ -741,7 +759,7 @@ fn profile_cmd(mut a: Args) -> Result<(), String> {
         Some(exe) => exe,
         None => {
             let opts = CompileOptions::default();
-            compile(&sources, config, &input, &opts, &mut CompilationCache::new())?.exe
+            compile(&sources, config, &input, &opts, None)?.exe
         }
     };
     let opts = vpr::SimOptions { input, profile: true, engine, ..vpr::SimOptions::default() };

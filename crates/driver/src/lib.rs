@@ -24,22 +24,23 @@
 //!   one module re-runs codegen only for modules whose directives actually
 //!   changed — the paper's recompilation story (§3) made real.
 //!
-//! Each stage exists once; the cache is a layer around it. [`compile`] is
-//! one-shot: it runs the stages on every module with no cache at all, so
-//! it computes no keys or fingerprints and stores and clones nothing.
-//! [`compile_incremental`] reuses a cache across builds: it probes the
-//! cache and runs the same stages on the misses. Both report per-phase
-//! timings and hit/miss counts in [`CompiledProgram::build`] (a one-shot
-//! build misses everywhere). [`compile_artifact`] is the cached build for
-//! a caller that wants only the `.vx` executable artifact (the `cmind`
-//! daemon): the cache's `.vx` tier serves the text of a link whose
-//! objects' keys repeat, so a repeated program costs its keys and
-//! lookups. It builds through a cache that other builds share (a
-//! `Mutex`), and holds it only around its batches of lookups and stores:
-//! the front end, the analyzer, codegen and the link run with it
-//! released, so a build that hits everywhere never waits for one that
-//! compiles. [`compile_incremental`] runs the same steps through a cache
-//! it has to itself. A cache opened with
+//! Each stage exists once, and one build routine runs them in order
+//! behind every entry point, which only prepares its arguments and unwraps
+//! its product; the cache is a layer around the stages. [`compile`] is
+//! one-shot: the routine runs the stages on every module with no cache at
+//! all, so it computes no keys or fingerprints and stores and clones
+//! nothing. [`compile_incremental`] reuses a cache across builds: each
+//! stage probes it and runs on the misses. Both report per-phase timings
+//! and hit/miss counts in [`CompiledProgram::build`] (a one-shot build
+//! misses everywhere). [`compile_artifact`] asks the routine for only the
+//! `.vx` executable artifact (the `cmind` daemon): the cache's `.vx` tier
+//! serves the text of a link whose objects' keys repeat, so a repeated
+//! program costs its keys and lookups. Every cached build reaches its
+//! cache through a `Mutex`, which it holds only around its batches of
+//! lookups and stores: the front end, the analyzer, codegen and the link
+//! run with it released, so a `cmind` build that hits everywhere never
+//! waits for one that compiles through the same shard. A caller's own
+//! cache is lent into a `Mutex` no other build takes. A cache opened with
 //! [`CompilationCache::with_disk`] additionally persists its entries to a
 //! cache directory, so the same fingerprints keep working across *process*
 //! invocations (`cminc --cache-dir`).
@@ -81,7 +82,6 @@ pub use cache::{BuildReport, CompilationCache, Phase1Steps, PhaseStats, RETAINED
 use cache::Linked;
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
-use cmin_ir::IrModule;
 use ipra_artifact::ArtifactKind;
 use ipra_core::analyzer::{AnalyzerOptions, AnalyzerStats, PaperConfig};
 use ipra_core::trace::AnalyzerTrace;
@@ -91,8 +91,7 @@ use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
 use serde::{Deserialize, Serialize};
-use stages::{BuildCache, Shard};
-use std::borrow::Borrow;
+use stages::{BuildCache, Front, Pool, Probe};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use vpr::program::{link, Executable, LinkError, ObjectModule};
@@ -257,12 +256,12 @@ pub fn frontend(sources: &[SourceFile]) -> Result<Vec<(Module, ModuleInfo)>, Com
 }
 
 /// Compiles a multi-module program through the full two-pass pipeline,
-/// once. It runs the stages [`compile_incremental`] runs on its cache
-/// misses, on every module, with no cache: no keys or fingerprints are
-/// computed, nothing is stored, and each stage's products move into the
-/// next stage and the result. [`CompiledProgram::build`] counts every
-/// module as a phase-1 and a phase-2 miss and the analyzer as one miss,
-/// exactly as a cold [`compile_incremental`] into an empty cache does.
+/// once, with no cache: no keys or fingerprints are computed, nothing is
+/// stored, and each stage's products move into the next stage and the
+/// result. It runs the build [`compile_incremental`] runs, on every
+/// module: [`CompiledProgram::build`] counts every module as a phase-1
+/// and a phase-2 miss and the analyzer as one miss, exactly as a cold
+/// [`compile_incremental`] into an empty cache does.
 ///
 /// # Errors
 ///
@@ -271,58 +270,7 @@ pub fn compile(
     sources: &[SourceFile],
     options: &CompileOptions,
 ) -> Result<CompiledProgram, DriverError> {
-    let tele = options.telemetry.as_ref();
-    let build_timer = span(tele, "build", "build");
-    let pool = stages::Pool { jobs: options.effective_jobs(), tele };
-    let mut report = BuildReport::default();
-
-    // ---- Compiler first phase, every module on the pool.
-    let phase1_timer = span(tele, "build", "phase1");
-    let every: Vec<usize> = (0..sources.len()).collect();
-    let mut modules = Vec::with_capacity(sources.len());
-    let mut irs = Vec::with_capacity(sources.len());
-    let steps = &mut report.phase1_steps;
-    let keep = |_, (summary, ir)| {
-        modules.push(summary);
-        irs.push(ir);
-    };
-    stages::run_phase1(pool, sources, &every, options.optimize, steps, |_, s, ir| (s, ir), keep)?;
-    report.phase1.misses = sources.len();
-    report.phase1.seconds = phase1_timer.finish();
-
-    // ---- The program analyzer.
-    let analyze_timer = span(tele, "build", "analyze");
-    let summary = ProgramSummary { modules };
-    let opts = stages::analyzer_options(options);
-    let (analysis, trace) = stages::run_analyzer(&summary, &opts, options.trace);
-    report.analyze.misses = 1;
-    report.analyze.seconds = analyze_timer.finish();
-
-    // ---- Compiler second phase, every module on the pool.
-    let phase2_timer = span(tele, "build", "phase2");
-    let mut objects = Vec::with_capacity(sources.len());
-    let keep = |ir: &IrModule, object, _| {
-        report.recompiled.push(ir.name.clone());
-        objects.push(object);
-    };
-    stages::run_phase2(pool, &irs, |ir| &ir.name, &analysis.database, options.target, Ok, keep)?;
-    // Every object is emitted, so the IR goes before the link.
-    drop(irs);
-    report.phase2.misses = sources.len();
-    report.phase2.seconds = phase2_timer.finish();
-
-    let exe = link_objects(tele, &objects, &mut report)?;
-    report.total_seconds = build_timer.finish();
-    count_build(tele, &report, &analysis.stats, objects.len(), exe.code_len());
-    Ok(CompiledProgram {
-        exe,
-        objects,
-        summary,
-        database: analysis.database,
-        stats: analysis.stats,
-        build: report,
-        trace,
-    })
+    build(sources, options, None, Want::Program).map(Built::program)
 }
 
 /// Compiles a multi-module program, reusing `cache` across builds.
@@ -347,79 +295,166 @@ pub fn compile_incremental(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<CompiledProgram, DriverError> {
-    program_incremental(sources, options, Shard::Own(cache))
+    stages::lend(cache, |shard| build(sources, options, Some(shard), Want::Program))
+        .map(Built::program)
 }
 
-/// [`compile_incremental`]'s build, through `shard`.
-fn program_incremental(
+/// The product a build is asked for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Want {
+    /// A [`CompiledProgram`].
+    Program,
+    /// Only the `.vx` text of the program's link, as a [`BuiltArtifact`].
+    Vx,
+}
+
+/// A build's product, as its [`Want`] asked.
+enum Built {
+    Program(Box<CompiledProgram>),
+    Vx(Box<BuiltArtifact>),
+}
+
+impl Built {
+    fn program(self) -> CompiledProgram {
+        match self {
+            Built::Program(program) => *program,
+            Built::Vx(_) => unreachable!("the build was asked for a program"),
+        }
+    }
+
+    fn artifact(self) -> BuiltArtifact {
+        match self {
+            Built::Vx(artifact) => *artifact,
+            Built::Program(_) => unreachable!("the build was asked for a `.vx` text"),
+        }
+    }
+}
+
+/// The one build routine behind every `compile*` entry point: phase 1,
+/// the program analyzer, phase 2 and the link over `sources` under
+/// `options` (the paper's Figure 1), ending in the product `want` names.
+///
+/// Through `shard`, each step asks the cache first, runs on the misses and
+/// stores what it computed, with the shard locked for those batches only
+/// (see [`compile_artifact`]), and a `.vx` text is asked of the cache's
+/// `.vx` tier once every object hits. With no cache, every step runs on
+/// every module, and none computes a key or fingerprint, stores anything
+/// or copies a product: each moves into the next step and the result.
+fn build(
     sources: &[SourceFile],
     options: &CompileOptions,
-    shard: Shard<'_>,
-) -> Result<CompiledProgram, DriverError> {
+    shard: Option<&Mutex<CompilationCache>>,
+    want: Want,
+) -> Result<Built, DriverError> {
     let tele = options.telemetry.as_ref();
-    let cache = &mut BuildCache::new(shard, options.telemetry.clone());
     let build_timer = span(tele, "build", "build");
-    let jobs = options.effective_jobs();
+    let (optimize, target) = (options.optimize, options.target);
+    let pool = Pool { jobs: options.effective_jobs(), tele };
+    let mut cache = shard.map(|shard| BuildCache::new(shard, options.telemetry.clone()));
     let mut report = BuildReport::default();
-    cache.batch(|c, _| c.begin_build());
+    if let Some(c) = &mut cache {
+        c.batch(|c, _| c.begin_build());
+    }
 
-    // ---- Compiler first phase, cache-probed then fanned out per module.
+    // ---- Compiler first phase, per module, keyed on its source.
     let phase1_timer = span(tele, "build", "phase1");
-    let entries = stages::phase1(sources, options.optimize, jobs, cache, &mut report)?;
+    let mut front = stages::phase1(sources, optimize, pool, cache.as_mut(), &mut report)?;
     report.phase1.seconds = phase1_timer.finish();
 
-    // ---- The program analyzer: whole-program, keyed on the summaries and
-    // the resolved options.
+    // ---- The program analyzer, keyed on every summary and the resolved
+    // options.
     let analyze_timer = span(tele, "build", "analyze");
-    let (analysis, summary, trace) = stages::analyze(&entries, options, cache, &mut report);
+    let (analysis, copied, trace) = stages::analyze(&front, options, cache.as_mut(), &mut report);
     report.analyze.seconds = analyze_timer.finish();
 
-    // ---- Compiler second phase: per module, keyed on (IR, database slice).
+    // ---- Compiler second phase, per module, keyed on (IR, database
+    // slice). A `.vx` text the tier serves needs no object.
     let phase2_timer = span(tele, "build", "phase2");
-    let objects: Vec<ObjectModule> = stages::phase2(
-        sources,
-        options.optimize,
-        &entries,
-        &analysis.database,
-        options.target,
-        jobs,
-        cache,
-        &mut report,
-    )?
-    .into_iter()
-    .map(|a| a.object)
-    .collect();
+    let database = &analysis.database;
+    let vx = want == Want::Vx;
+    let probe = stages::probe_phase2(&front, database, target, vx, cache.as_mut(), &mut report);
+    let Probe { keys, objects, link_key, served } = probe;
+    let mut objects = match served {
+        Some(_) => Vec::new(),
+        None => {
+            let c = cache.as_mut();
+            let report = &mut report;
+            stages::phase2(
+                sources, optimize, &front, &keys, objects, database, target, pool, c, report,
+            )?
+        }
+    };
+    // A program owns its objects, so it takes them before the link, which
+    // then reads them where the program keeps them: what the build alone
+    // holds moves, and what memory shares is copied. A `.vx` text links
+    // the objects as the build holds them.
+    let owned: Vec<ObjectModule> = match want {
+        Want::Program => objects.drain(..).map(Arc::unwrap_or_clone).collect(),
+        Want::Vx => Vec::new(),
+    };
+    // Every object is emitted, so a build's own IR goes before the link.
+    if let Front::Owned(_, irs) = &mut front {
+        *irs = Vec::new();
+    }
     report.phase2.seconds = phase2_timer.finish();
 
-    let exe = link_objects(tele, &objects, &mut report)?;
-    // Entries no recent build used leave memory (not disk), then one burst
-    // of disk-tier writes per build (entries stay served from memory either
-    // way; see `DiskCache`). Both are charged to the build total.
-    cache.batch(|c, io| c.end_build(&mut report, io));
-    // What the build alone holds, a first disk hit's decoded values, moves
-    // into the program; what memory shares is copied. On an analyzer hit
-    // the summary is assembled only now, once phase 2 is done reading it.
-    let summary = summary.unwrap_or_else(|| stages::program_summary(entries));
+    // ---- Link, whole-program: its span is empty where the tier served
+    // the text.
+    let link_timer = span(tele, "build", "link");
+    let exe = match (want, &served) {
+        (_, Some(_)) => None,
+        (Want::Program, None) => Some(link(&owned)?),
+        (Want::Vx, None) => Some(link(&objects)?),
+    };
+    report.link_seconds = link_timer.finish();
+    let text = match (want, served) {
+        (Want::Program, _) => None,
+        (Want::Vx, Some(linked)) => {
+            report.vx.hits = 1;
+            Some(linked)
+        }
+        (Want::Vx, None) => {
+            report.vx.misses = 1;
+            let exe = exe.as_ref().expect("an unserved build links");
+            let view = ipra_artifact::ExecutableView { exe };
+            let (vx, fingerprint) =
+                ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);
+            Some(Arc::new(Linked { vx, fingerprint, insts: exe.code_len() }))
+        }
+    };
+    // Then one batch ends the build: a text it linked is offered to the
+    // `.vx` tier, entries no recent build used leave memory (not disk), and
+    // the disk tier writes the build's entries in one burst (see
+    // `DiskCache`), charged to the build total.
+    if let Some(c) = &mut cache {
+        c.batch(|c, io| {
+            if let (Some(key), Some(_), Some(linked)) = (link_key, &exe, &text) {
+                c.store_vx(key, keys, linked);
+            }
+            c.end_build(&mut report, io);
+        });
+    }
+
+    // The rest of what the build returns moves in where the build alone
+    // holds it (its own products, and what a first disk hit decoded for
+    // it), and is copied where memory shares it, with the shard released.
+    if let Some(linked) = text {
+        let Linked { vx, fingerprint, insts } = Arc::unwrap_or_clone(linked);
+        report.total_seconds = build_timer.finish();
+        count_build(tele, &report, &analysis.stats, sources.len(), insts);
+        return Ok(Built::Vx(Box::new(BuiltArtifact { vx, fingerprint, build: report })));
+    }
+    let exe = exe.expect("a program is linked");
+    let summary = copied.unwrap_or_else(|| front.into_summary());
     let (database, stats) = match Arc::try_unwrap(analysis) {
         Ok(analysis) => (analysis.database, analysis.stats),
         Err(shared) => (shared.database.clone(), shared.stats.clone()),
     };
     report.total_seconds = build_timer.finish();
-    count_build(tele, &report, &stats, objects.len(), exe.code_len());
-    Ok(CompiledProgram { exe, objects, summary, database, stats, build: report, trace })
-}
-
-/// Links a build's objects (whole-program; always runs) in the build's
-/// `link` span.
-fn link_objects(
-    tele: Option<&Telemetry>,
-    objects: &[impl Borrow<ObjectModule>],
-    report: &mut BuildReport,
-) -> Result<Executable, LinkError> {
-    let link_timer = span(tele, "build", "link");
-    let exe = link(objects)?;
-    report.link_seconds = link_timer.finish();
-    Ok(exe)
+    count_build(tele, &report, &stats, sources.len(), exe.code_len());
+    let objects = owned;
+    let program = CompiledProgram { exe, objects, summary, database, stats, build: report, trace };
+    Ok(Built::Program(Box::new(program)))
 }
 
 /// The tail every build shares: writes the build's `build.*`, `phase*.*`,
@@ -537,12 +572,9 @@ pub fn compile_configured(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    let mut shard = Shard::Own(cache);
-    let opts = match configured_options(sources, config, training_input, options, &mut shard)? {
-        Ok(opts) => opts,
-        Err(e) => return Ok(Err(e)),
-    };
-    Ok(Ok(program_incremental(sources, &opts, shard)?))
+    let configured =
+        |shard: &_| configured(sources, config, training_input, options, shard, Want::Program);
+    Ok(stages::lend(cache, configured)?.map(Built::program))
 }
 
 /// A build's linked program as `.vx` artifact text, as
@@ -598,94 +630,25 @@ pub fn compile_artifact(
     options: &CompileOptions,
     shard: &Mutex<CompilationCache>,
 ) -> Result<Result<BuiltArtifact, SimError>, DriverError> {
-    let mut shard = Shard::Shared(shard);
-    let opts = match configured_options(sources, config, training_input, options, &mut shard)? {
+    Ok(configured(sources, config, training_input, options, shard, Want::Vx)?.map(Built::artifact))
+}
+
+/// [`compile_configured`]'s builds through `shard`: the training build
+/// when `config` wants a profile, then the build under `config`, ending in
+/// `want`'s product.
+fn configured(
+    sources: &[SourceFile],
+    config: PaperConfig,
+    training_input: &[i64],
+    options: &CompileOptions,
+    shard: &Mutex<CompilationCache>,
+    want: Want,
+) -> Result<Result<Built, SimError>, DriverError> {
+    let opts = match configured_options(sources, config, training_input, options, shard)? {
         Ok(opts) => opts,
         Err(e) => return Ok(Err(e)),
     };
-    Ok(Ok(artifact_incremental(sources, &opts, shard)?))
-}
-
-/// [`compile_incremental`]'s build, ending in `.vx` text rather than a
-/// [`CompiledProgram`]: see [`compile_artifact`].
-fn artifact_incremental(
-    sources: &[SourceFile],
-    options: &CompileOptions,
-    shard: Shard<'_>,
-) -> Result<BuiltArtifact, DriverError> {
-    let tele = options.telemetry.as_ref();
-    let cache = &mut BuildCache::new(shard, options.telemetry.clone());
-    let build_timer = span(tele, "build", "build");
-    let jobs = options.effective_jobs();
-    let mut report = BuildReport::default();
-    cache.batch(|c, _| c.begin_build());
-
-    let phase1_timer = span(tele, "build", "phase1");
-    let entries = stages::phase1(sources, options.optimize, jobs, cache, &mut report)?;
-    report.phase1.seconds = phase1_timer.finish();
-
-    // ---- The analyzer, which assembles the program summary only to run.
-    let analyze_timer = span(tele, "build", "analyze");
-    let (analysis, _, _) = stages::analyze(&entries, options, cache, &mut report);
-    report.analyze.seconds = analyze_timer.finish();
-
-    // ---- Phase 2's lookups, one batch. When every object hits, the `.vx`
-    // tier may hold their link; otherwise, or when it does not, phase 2
-    // finishes.
-    let phase2_timer = span(tele, "build", "phase2");
-    let (database, target) = (&analysis.database, options.target);
-    let keys = stages::phase2_keys(&entries, database, target);
-    let link_key = stages::link_key(&keys, target);
-    let (probe, served) = cache.batch(|c, io| {
-        let probe = stages::probe_phase2(&keys, c, io, &mut report);
-        let served = if probe.stale.is_empty() { c.lookup_vx(link_key, &keys) } else { None };
-        (probe, served)
-    });
-    let objects = match served {
-        Some(_) => Vec::new(),
-        None => stages::phase2_objects(
-            sources,
-            options.optimize,
-            &entries,
-            &keys,
-            probe,
-            database,
-            target,
-            jobs,
-            cache,
-            &mut report,
-        )?,
-    };
-    report.phase2.seconds = phase2_timer.finish();
-
-    let linked = match served {
-        Some(linked) => {
-            report.vx.hits = 1;
-            // The link step keeps its span, empty: the tier served it.
-            report.link_seconds = span(tele, "build", "link").finish();
-            cache.batch(|c, io| c.end_build(&mut report, io));
-            linked
-        }
-        None => {
-            report.vx.misses = 1;
-            // The objects link as the build holds them, with no copy.
-            let exe = link_objects(tele, &objects, &mut report)?;
-            let view = ipra_artifact::ExecutableView { exe: &exe };
-            let (vx, fingerprint) =
-                ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);
-            let linked = Arc::new(Linked { vx, fingerprint, insts: exe.code_len() });
-            cache.batch(|c, io| {
-                c.store_vx(link_key, keys, &linked);
-                c.end_build(&mut report, io);
-            });
-            linked
-        }
-    };
-    // The text the tier keeps is shared, and copied with the shard released.
-    let Linked { vx, fingerprint, insts } = Arc::unwrap_or_clone(linked);
-    report.total_seconds = build_timer.finish();
-    count_build(tele, &report, &analysis.stats, sources.len(), insts);
-    Ok(BuiltArtifact { vx, fingerprint, build: report })
+    Ok(Ok(build(sources, &opts, Some(shard), want)?))
 }
 
 /// The training half of [`compile_configured`], which
@@ -699,7 +662,7 @@ pub(crate) fn configured_options(
     config: PaperConfig,
     training_input: &[i64],
     options: &CompileOptions,
-    shard: &mut Shard<'_>,
+    shard: &Mutex<CompilationCache>,
 ) -> Result<Result<CompileOptions, SimError>, DriverError> {
     let configured = |profile| {
         let analyzer = AnalyzerOptions::paper_config(config, profile);
@@ -710,7 +673,7 @@ pub(crate) fn configured_options(
     }
     let analyzer = AnalyzerOptions::paper_config(PaperConfig::L2, None);
     let baseline_opts = CompileOptions { analyzer, trace: false, ..options.clone() };
-    let baseline = program_incremental(sources, &baseline_opts, shard.reborrow())?;
+    let baseline = build(sources, &baseline_opts, Some(shard), Want::Program)?.program();
     let tele = options.telemetry.as_ref();
     let training_timer = span(tele, "sim", "training-run");
     let training = match run_program(&baseline, training_input) {

@@ -19,7 +19,7 @@
 //! run the phases through the same cached steps as
 //! [`crate::compile_incremental`].
 
-use crate::stages::{self, BuildCache, Shard};
+use crate::stages::{self, BuildCache, Front, Pool};
 use crate::{BuildReport, CompilationCache, CompileOptions, DriverError, SourceFile};
 use cmin_frontend::CompileError;
 use ipra_artifact::{
@@ -29,6 +29,7 @@ use ipra_core::analyzer::{analyze, AnalyzerOptions, PaperConfig};
 use ipra_core::{ProfileData, ProgramDatabase};
 use ipra_summary::ProgramSummary;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use vpr::program::Executable;
 use vpr::sim::SimError;
 use vpr::target::TargetId;
@@ -69,21 +70,72 @@ pub fn build_module_for(
 ) -> Result<ModuleProduct, CompileError> {
     let mut report = BuildReport::default();
     let sources = std::slice::from_ref(src);
-    let cache = &mut BuildCache::new(Shard::Own(cache), None);
-    let entries = stages::phase1(sources, optimize, 1, cache, &mut report)?;
-    let object =
-        stages::phase2(sources, optimize, &entries, database, target, 1, cache, &mut report)?
-            .remove(0);
-    // One burst of disk-tier writes per module build (see `DiskCache`).
-    cache.batch(|c, io| c.flush(io));
-    let (source_fp, ir_fp) = (entries[0].head.key, entries[0].head.ir_fp);
-    let summary = stages::program_summary(entries).modules.remove(0);
+    let front = phase1(sources, optimize, cache, &mut report)?;
+    let object = phase2(sources, optimize, &front, database, target, cache, &mut report)?.remove(0);
+    let (source_fp, ir_fp) = (front.entries()[0].head.key, front.entries()[0].head.ir_fp);
+    let summary = front.into_summary().modules.remove(0);
     Ok(ModuleProduct {
         summary: SummaryArtifact { summary, source_fp, ir_fp },
         object,
         phase1_hit: report.phase1.hits == 1,
         phase2_hit: report.phase2.hits == 1,
     })
+}
+
+/// The staged builds' pool: serial, with no collector.
+const SERIAL: Pool<'static> = Pool { jobs: 1, tele: None };
+
+/// Phase 1 of `sources`, serially through `cache`.
+fn phase1(
+    sources: &[SourceFile],
+    optimize: bool,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Result<Front, CompileError> {
+    stages::lend(cache, |shard| {
+        stages::phase1(sources, optimize, SERIAL, Some(&mut BuildCache::new(shard, None)), report)
+    })
+}
+
+/// Phase 2 of `front`'s modules under `database` for `target`, serially
+/// through `cache`, then one burst of disk-tier writes (see `DiskCache`):
+/// each module's `.vo` payload, its object with the key codegen consumed.
+fn phase2(
+    sources: &[SourceFile],
+    optimize: bool,
+    front: &Front,
+    database: &ProgramDatabase,
+    target: TargetId,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Result<Vec<ObjectArtifact>, CompileError> {
+    let (keys, objects) = stages::lend(cache, |shard| {
+        let c = &mut BuildCache::new(shard, None);
+        let probe = stages::probe_phase2(front, database, target, false, Some(c), report);
+        let (keys, found) = (probe.keys, probe.objects);
+        let objects = stages::phase2(
+            sources,
+            optimize,
+            front,
+            &keys,
+            found,
+            database,
+            target,
+            SERIAL,
+            Some(c),
+            report,
+        )?;
+        c.batch(|c, io| c.flush(io));
+        Ok::<_, CompileError>((keys, objects))
+    })?;
+    // What the build alone holds (a disk hit's object) moves in; what it
+    // shares with memory is copied.
+    let artifacts = keys.iter().zip(objects).map(|(&(ir_fp, dir_fp), object)| ObjectArtifact {
+        object: Arc::unwrap_or_clone(object),
+        ir_fp,
+        dir_fp,
+    });
+    Ok(artifacts.collect())
 }
 
 /// Where a staged build left every artifact, plus the re-read results.
@@ -135,8 +187,9 @@ pub fn artifact_build_configured_for(
     target: TargetId,
 ) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
     let options = CompileOptions { target, ..CompileOptions::default() };
-    let shard = &mut Shard::Own(cache);
-    let trained = crate::configured_options(sources, config, training_input, &options, shard)?;
+    let trained = stages::lend(cache, |shard| {
+        crate::configured_options(sources, config, training_input, &options, shard)
+    })?;
     let profile = match trained {
         Ok(options) => options.analyzer.profile,
         Err(e) => return Ok(Err(e)),
@@ -161,12 +214,11 @@ pub fn artifact_build_for(
 ) -> Result<ArtifactBuild, DriverError> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let mut report = BuildReport::default();
-    let cache = &mut BuildCache::new(Shard::Own(cache), None);
 
     // ---- Stage 1: summaries to disk, one `.csum` per module.
-    let entries = stages::phase1(sources, true, 1, cache, &mut report)?;
+    let front = phase1(sources, true, cache, &mut report)?;
     let mut summary_paths = Vec::with_capacity(sources.len());
-    for (src, entry) in sources.iter().zip(&entries) {
+    for (src, entry) in sources.iter().zip(front.entries()) {
         let path = dir.join(format!("{}.csum", src.name));
         let payload = SummaryArtifact {
             summary: entry.head.summary.clone(),
@@ -195,17 +247,8 @@ pub fn artifact_build_for(
     // ---- Stage 3: phase 2 per module, under directives re-read from disk.
     let directives: DirectivesArtifact =
         ipra_artifact::read_file(ArtifactKind::Directives, &directives_path)?;
-    let objects = stages::phase2(
-        sources,
-        true,
-        &entries,
-        &directives.database,
-        target,
-        1,
-        cache,
-        &mut report,
-    )?;
-    cache.batch(|c, io| c.flush(io));
+    let database = &directives.database;
+    let objects = phase2(sources, true, &front, database, target, cache, &mut report)?;
     let mut object_paths = Vec::with_capacity(sources.len());
     for (src, object) in sources.iter().zip(&objects) {
         let path = dir.join(format!("{}.vo", src.name));

@@ -1,50 +1,48 @@
-//! The pipeline steps and the worker pool they fan out on.
+//! The pipeline's steps, the worker pool they fan out on, and a build's
+//! hold on its cache.
 //!
-//! Each computing step exists once, as a routine over the modules it is
-//! handed: [`run_phase1`] (parse → check → lower → optimize → summarize),
-//! [`run_analyzer`] and [`run_phase2`] (register allocation and emission).
-//! The two per-module routines fan out on the worker pool through one
-//! helper, which opens each module's task span and applies the one error
-//! rule (the lowest-index diagnostic wins). [`crate::compile`] calls the
-//! routines on every module, with no cache at all.
+//! Each step exists once, for a build with a cache and one without:
+//! [`phase1`] (parse → check → lower → optimize → summarize), [`analyze`]
+//! and, for the second phase, [`probe_phase2`] and [`phase2`] (register
+//! allocation and emission). The per-module steps fan out on the worker
+//! pool through one helper, which opens each module's task span and
+//! applies the one error rule (the lowest-index diagnostic wins). The
+//! driver's one build routine in `lib.rs`, behind every `compile*` entry
+//! point, calls them in order; [`crate::separate::build_module_for`]
+//! (`cminc c`) and the staged artifact build call the per-module steps, so
+//! a cache key cannot drift between the in-memory and the file-based
+//! pipelines.
 //!
-//! The cache is a layer around them. [`phase1`], [`analyze`] and
-//! [`phase2`] probe the [cache](crate::CompilationCache), call the routine
-//! on the misses, store the results, and count hits, disk hits and misses
-//! into a [`BuildReport`]. They are the driver's only cached steps:
-//! [`crate::compile_incremental`], [`crate::compile_artifact`],
-//! [`crate::separate::build_module_for`] (`cminc c`) and the staged
-//! artifact build all go through them, so a cache key cannot drift
-//! between the in-memory and the file-based pipelines. The analyzer's key
-//! is [`analysis_key`]. [`phase2`] is [`phase2_keys`], [`probe_phase2`]
-//! and [`phase2_objects`] in turn; `compile_artifact` calls them one by
-//! one, and with the probe asks the `.vx` tier for the text linked from
-//! the objects under those keys ([`link_key`]).
+//! Through a cache, each step is probe → compute → store: it asks the
+//! [cache](crate::CompilationCache) for every module in one batch, runs
+//! on the misses, stores what it computed in a second batch, and counts
+//! hits, disk hits and misses into a [`BuildReport`]. A build reaches its
+//! cache through a [`BuildCache`], which locks the shard for each batch
+//! only ([`BuildCache::batch`]): keys are hashed, and the front end, the
+//! analyzer and codegen run, with it released. A `cmind` shard is shared
+//! by builds, whose batches interleave; a caller's own cache is lent
+//! ([`lend`]) into a shard no other build takes. Either way a build performs the
+//! same cache operations in the same order, and keeps what its lookups
+//! returned (`Arc`s) rather than reading the cache again.
 //!
-//! Each cached step is probe → compute → store, and a build reaches its
-//! cache through a [`BuildCache`]: the step holds the cache for its lookup
-//! batch and its store batch only ([`BuildCache::batch`]), and hashes
-//! keys and runs the front end, the analyzer and codegen with it
-//! released. On a [`Shard::Shared`] cache, which `cmind`'s builds share,
-//! other builds' batches run in between; on a [`Shard::Own`] one, as
-//! [`crate::compile_incremental`] passes, nothing does. Either way a
-//! build performs the same cache operations in the same order, and keeps
-//! what its lookups returned (`Arc`s) rather than reading the cache again.
+//! With no cache, phase 1 hands the rest of the build its products as the
+//! build's own ([`Front::Owned`]): no step computes a key or fingerprint,
+//! stores anything or copies a product, and each product moves into the
+//! next step and the result.
 
-use crate::cache::{AnalysisEntry, Io, Phase1Entry, Phase1Head, Phase1Steps};
+use crate::cache::{AnalysisEntry, Io, Linked, Phase1Entry, Phase1Head, Phase1Steps};
 use crate::{BuildReport, CompilationCache, CompileOptions, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
 use cmin_ir::{lower_module, optimize_module, IrModule};
-use ipra_artifact::ObjectArtifact;
-use ipra_core::analyzer::{analyze_traced, Analysis, AnalyzerOptions};
+use ipra_core::analyzer::{analyze_traced, AnalyzerOptions};
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::ProgramDatabase;
 use ipra_summary::{ModuleSummary, ProgramSummary};
 use ipra_telemetry::{SpanTimer, Telemetry};
 use serde::BinSerialize;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
@@ -130,142 +128,53 @@ fn fan_out<'a, T: Sync, R: Send>(
     first_error.map_or(Ok(()), Err)
 }
 
-/// The compiler first phase proper (parse → check → lower → optimize →
-/// summarize) of `sources[i]` for each `i` of `indices`, on the pool.
-/// `finish` runs on each module's worker, on its summary and IR; `keep`
-/// gets what it returned on the calling thread, in `indices` order, and
-/// each compiled module's step times go into `steps`.
-///
-/// # Errors
-///
-/// The lowest-index module's diagnostic, once every module that did
-/// compile has been kept.
-pub(crate) fn run_phase1<R: Send>(
-    pool: Pool<'_>,
-    sources: &[SourceFile],
-    indices: &[usize],
-    optimize: bool,
-    steps: &mut Phase1Steps,
-    finish: impl Fn(usize, ModuleSummary, IrModule) -> R + Sync,
-    mut keep: impl FnMut(usize, R),
-) -> Result<(), CompileError> {
-    let task = |&i: &usize| {
-        let mut module_steps = Phase1Steps::default();
-        let (summary, ir) = front_end(&sources[i], optimize, &mut module_steps)?;
-        Ok((finish(i, summary, ir), module_steps))
-    };
-    fan_out(
-        pool,
-        "phase1",
-        indices,
-        |&i| &sources[i].name,
-        task,
-        |&i, (r, module_steps)| {
-            steps.add(&module_steps);
-            keep(i, r);
-        },
-    )
-}
-
-/// The program analyzer proper over `summary` under `opts`, recording its
-/// decisions when `trace` is set.
-pub(crate) fn run_analyzer(
-    summary: &ProgramSummary,
-    opts: &AnalyzerOptions,
-    trace: bool,
-) -> (Analysis, Option<AnalyzerTrace>) {
-    if trace {
-        let (analysis, trace) = analyze_traced(summary, opts);
-        (analysis, Some(trace))
-    } else {
-        (ipra_core::analyze(summary, opts), None)
-    }
-}
-
-/// The compiler second phase proper (register allocation and emission
-/// under `database` for `target`) of each of `modules`, on the pool, each
-/// module's task span named by `name`. `ir` yields a module's IR on its
-/// worker, as a reference or an owned value; `keep` gets each object with
-/// that IR on the calling thread, in module order.
-///
-/// # Errors
-///
-/// The first error `ir` returned, once every object has been kept.
-pub(crate) fn run_phase2<'a, T: Sync, M: Borrow<IrModule> + Send>(
-    pool: Pool<'_>,
-    modules: &'a [T],
-    name: impl Fn(&'a T) -> &'a str + Sync,
-    database: &ProgramDatabase,
-    target: TargetId,
-    ir: impl Fn(&'a T) -> Result<M, CompileError> + Sync,
-    mut keep: impl FnMut(&'a T, ObjectModule, M),
-) -> Result<(), CompileError> {
-    let task = |module: &'a T| {
-        let ir = ir(module)?;
-        Ok((cmin_codegen::compile_module_for(ir.borrow(), database, target), ir))
-    };
-    fan_out(pool, "phase2", modules, name, task, |module, (object, ir)| keep(module, object, ir))
-}
-
-/// The cache a cached build goes through.
-pub(crate) enum Shard<'c> {
-    /// A cache the build has to itself for its whole run.
-    Own(&'c mut CompilationCache),
-    /// A cache other builds share (a `cmind` shard), which the build locks
-    /// around each batch of cache operations only.
-    Shared(&'c Mutex<CompilationCache>),
-}
-
-impl Shard<'_> {
-    /// The same cache, for one more build.
-    pub(crate) fn reborrow(&mut self) -> Shard<'_> {
-        match self {
-            Shard::Own(cache) => Shard::Own(cache),
-            Shard::Shared(shard) => Shard::Shared(shard),
-        }
-    }
-}
-
-/// One cached build's hold on its cache: the [`Shard`], and the build's
-/// own side of the disk tier's work ([`Io`]: its collector and its disk
-/// seconds), which travels with the build rather than living on a cache
-/// other builds share.
+/// A build's hold on the cache it goes through: the shard, which other
+/// builds may share and which the build locks around each batch of cache
+/// operations only ([`BuildCache::batch`]), and the build's own side of
+/// the disk tier's work ([`Io`]: its collector and its disk seconds),
+/// which travels with the build rather than living on a cache other
+/// builds share.
 pub(crate) struct BuildCache<'c> {
-    shard: Shard<'c>,
+    shard: &'c Mutex<CompilationCache>,
     io: Io,
 }
 
 impl<'c> BuildCache<'c> {
     /// A build through `shard` that records into `tele`.
-    pub(crate) fn new(shard: Shard<'c>, tele: Option<Telemetry>) -> BuildCache<'c> {
+    pub(crate) fn new(
+        shard: &'c Mutex<CompilationCache>,
+        tele: Option<Telemetry>,
+    ) -> BuildCache<'c> {
         BuildCache { shard, io: Io { tele, seconds: 0.0 } }
     }
 
-    /// The build's collector.
-    pub(crate) fn tele(&self) -> Option<&Telemetry> {
-        self.io.tele.as_ref()
-    }
-
     /// Runs `ops`, one batch of cache operations, on the cache and the
-    /// build's [`Io`]. A shared shard is locked for the batch alone; an
+    /// build's [`Io`], with the shard locked for the batch alone. An
     /// acquisition that finds it held records its wait as a `shard_wait`
     /// span in the build's collector.
     pub(crate) fn batch<R>(&mut self, ops: impl FnOnce(&mut CompilationCache, &mut Io) -> R) -> R {
-        match &mut self.shard {
-            Shard::Own(cache) => ops(cache, &mut self.io),
-            Shard::Shared(shard) => {
-                let guard = shard.try_lock().or_else(|e| match e {
-                    TryLockError::WouldBlock => {
-                        let tele = self.io.tele.as_ref();
-                        let _wait = ipra_telemetry::span(tele, "cache", "shard_wait");
-                        shard.lock()
-                    }
-                    TryLockError::Poisoned(poisoned) => Err(poisoned),
-                });
-                ops(&mut guard.expect("shard lock"), &mut self.io)
+        let guard = self.shard.try_lock().or_else(|e| match e {
+            TryLockError::WouldBlock => {
+                let _wait = ipra_telemetry::span(self.io.tele.as_ref(), "cache", "shard_wait");
+                self.shard.lock()
             }
-        }
+            TryLockError::Poisoned(poisoned) => Err(poisoned),
+        });
+        ops(&mut guard.expect("shard lock"), &mut self.io)
     }
+}
+
+/// Runs `build` on `cache` lent into a `Mutex`, the one way a build
+/// reaches a cache: one the caller has to itself is a shard no other
+/// build takes, so its batches never wait.
+pub(crate) fn lend<R>(
+    cache: &mut CompilationCache,
+    build: impl FnOnce(&Mutex<CompilationCache>) -> R,
+) -> R {
+    let shard = Mutex::new(std::mem::take(cache));
+    let out = build(&shard);
+    *cache = shard.into_inner().expect("a build that panicked holding the shard did not return");
+    out
 }
 
 /// Phase-1 cache key: module name + source text + optimize flag.
@@ -314,62 +223,141 @@ fn direct_callees(ir: &IrModule) -> Vec<String> {
 
 /// What the cache records about a module whose phase 1 ran under `key`,
 /// besides its IR: the fingerprints and callees its later lookups read.
-fn phase1_head(key: u64, summary: ModuleSummary, ir: &IrModule) -> Phase1Head {
+/// With no key, in a build with no cache, it is the summary alone: nothing
+/// is fingerprinted, and nothing reads a fingerprint.
+fn phase1_head(key: Option<u64>, summary: ModuleSummary, ir: &IrModule) -> Phase1Head {
+    let Some(key) = key else {
+        return Phase1Head { key: 0, ir_fp: 0, callees: Vec::new(), summary, summary_fp: 0 };
+    };
     let summary_fp = bin_fingerprint(&summary);
     Phase1Head { key, ir_fp: bin_fingerprint(ir), callees: direct_callees(ir), summary, summary_fp }
 }
 
-/// The compiler first phase over `sources`, through `cache`: returns one
-/// entry per source, in order, and fills `report.phase1` and
-/// `report.phase1_steps`. The misses run [`run_phase1`], fingerprinting
-/// each module on its worker.
+/// Phase 1's products, as the rest of a build reads them.
+pub(crate) enum Front {
+    /// The entries a cache handed out or stored, in source order.
+    Cached(Vec<Arc<Phase1Entry>>),
+    /// With no cache: the program summary and each module's IR, which the
+    /// build alone holds.
+    Owned(ProgramSummary, Vec<IrModule>),
+}
+
+impl Front {
+    /// The entries a cache handed out or stored (none with no cache).
+    pub(crate) fn entries(&self) -> &[Arc<Phase1Entry>] {
+        match self {
+            Front::Cached(entries) => entries,
+            Front::Owned(..) => &[],
+        }
+    }
+
+    /// What the analyzer reads: the build's own summary, or a copy of the
+    /// entries' summaries, since phase 2 still reads the entries.
+    fn summary(&self) -> Cow<'_, ProgramSummary> {
+        match self {
+            Front::Owned(summary, _) => Cow::Borrowed(summary),
+            Front::Cached(entries) => {
+                let modules = entries.iter().map(|e| e.head.summary.clone()).collect();
+                Cow::Owned(ProgramSummary { modules })
+            }
+        }
+    }
+
+    /// Module `i`'s IR: the build's own, or its entry's, decoded on first
+    /// use (`None` when that does not decode).
+    fn ir(&self, i: usize) -> Option<&IrModule> {
+        match self {
+            Front::Owned(_, irs) => Some(&irs[i]),
+            Front::Cached(entries) => entries[i].ir(),
+        }
+    }
+
+    /// The program summary, once the build is done with phase 1's
+    /// products: the build's own, or the entries' summaries, of which an
+    /// entry the build alone holds (one a first disk hit decoded for it)
+    /// gives up its own and one memory shares is copied.
+    pub(crate) fn into_summary(self) -> ProgramSummary {
+        let entries = match self {
+            Front::Owned(summary, _) => return summary,
+            Front::Cached(entries) => entries,
+        };
+        let summary = |e: Arc<Phase1Entry>| match Arc::try_unwrap(e) {
+            Ok(alone) => alone.head.summary,
+            Err(shared) => shared.head.summary.clone(),
+        };
+        ProgramSummary { modules: entries.into_iter().map(summary).collect() }
+    }
+}
+
+/// The compiler first phase over `sources`, through `cache` when the build
+/// has one: returns every module's products, in order, and fills
+/// `report.phase1` and `report.phase1_steps`. A cache is asked for every
+/// module in one batch, and the misses, each fingerprinted on its worker
+/// as it compiles on the pool, are stored in a second. With no cache every
+/// module compiles, and none is keyed or fingerprinted.
 ///
 /// # Errors
 ///
-/// The lowest-index module's diagnostic. Entries of the modules that did
-/// compile are stored anyway, so a fixed-up rebuild stays incremental.
+/// The lowest-index module's diagnostic, once every module that did
+/// compile has been kept: a cache stores their entries, so a fixed-up
+/// rebuild stays incremental.
 pub(crate) fn phase1(
     sources: &[SourceFile],
     optimize: bool,
-    jobs: usize,
-    cache: &mut BuildCache<'_>,
+    pool: Pool<'_>,
+    mut cache: Option<&mut BuildCache<'_>>,
     report: &mut BuildReport,
-) -> Result<Vec<Arc<Phase1Entry>>, CompileError> {
-    let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
-    let found: Vec<_> =
-        cache.batch(|c, io| keys.iter().map(|&key| c.lookup_phase1(key, io)).collect());
-    let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
+) -> Result<Front, CompileError> {
+    let (keys, found) = match &mut cache {
+        Some(c) => {
+            let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
+            let found: Vec<_> =
+                c.batch(|c, io| keys.iter().map(|&key| c.lookup_phase1(key, io)).collect());
+            (keys, found)
+        }
+        None => (Vec::new(), vec![None; sources.len()]),
+    };
+    let mut entries = Vec::with_capacity(sources.len());
+    let mut misses = Vec::new();
     for (i, found) in found.into_iter().enumerate() {
         match found {
-            Some((e, from_disk)) => {
+            Some((entry, from_disk)) => {
                 report.phase1.hits += 1;
                 report.phase1.disk_hits += usize::from(from_disk);
-                entries.push(Some(e));
+                entries.push(Some(entry));
             }
             None => {
                 report.phase1.misses += 1;
-                miss_idx.push(i);
+                misses.push(i);
                 entries.push(None);
             }
         }
     }
-    let pool = Pool { jobs, tele: cache.tele() };
-    let finish = |i: usize, summary, ir: IrModule| (phase1_head(keys[i], summary, &ir), ir);
-    let mut compiled = Vec::with_capacity(miss_idx.len());
-    let steps = &mut report.phase1_steps;
-    let ran = run_phase1(pool, sources, &miss_idx, optimize, steps, finish, |i, module| {
-        compiled.push((i, module));
+    let task = |&i: &usize| {
+        let mut steps = Phase1Steps::default();
+        let (summary, ir) = front_end(&sources[i], optimize, &mut steps)?;
+        Ok((phase1_head(keys.get(i).copied(), summary, &ir), ir, steps))
+    };
+    let mut compiled = Vec::with_capacity(misses.len());
+    let name = |&i: &usize| sources[i].name.as_str();
+    let ran = fan_out(pool, "phase1", &misses, name, task, |&i, (head, ir, steps)| {
+        report.phase1_steps.add(&steps);
+        compiled.push((i, head, ir));
     });
+    let Some(c) = cache else {
+        ran?;
+        let (modules, irs) = compiled.into_iter().map(|(_, head, ir)| (head.summary, ir)).unzip();
+        return Ok(Front::Owned(ProgramSummary { modules }, irs));
+    };
     if !compiled.is_empty() {
-        cache.batch(|c, io| {
-            for (i, (head, ir)) in compiled {
+        c.batch(|c, io| {
+            for (i, head, ir) in compiled {
                 entries[i] = Some(c.store_phase1(head, ir, io));
             }
         });
     }
     ran?;
-    Ok(entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect())
+    Ok(Front::Cached(entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect()))
 }
 
 /// The analysis cache key: FNV-64 over the module count, each module's
@@ -389,62 +377,66 @@ pub(crate) fn analysis_key(summary_fps: &[u64], opts: &AnalyzerOptions) -> u64 {
     h.finish()
 }
 
-/// The program summary of phase-1 `entries`, in order, once the build
-/// is done with them: the summary of an entry the build alone holds (one
-/// a first disk hit decoded for it) moves, and one memory shares is
-/// copied.
-pub(crate) fn program_summary(entries: Vec<Arc<Phase1Entry>>) -> ProgramSummary {
-    let summary = |e: Arc<Phase1Entry>| match Arc::try_unwrap(e) {
-        Ok(alone) => alone.head.summary,
-        Err(shared) => shared.head.summary.clone(),
-    };
-    ProgramSummary { modules: entries.into_iter().map(summary).collect() }
-}
-
-/// The program analyzer over phase-1 `entries` under `options`' analyzer
-/// settings, through `cache`'s analysis tier, and fills `report.analyze`.
-/// Returns the analysis, the program summary the analyzer ran on (`None`
-/// on a hit, which reads none) and the decision trace. A traced build
-/// always runs the analyzer, to record its decisions, and stores the
-/// result like any miss.
+/// The program analyzer over phase 1's `front` under `options`' analyzer
+/// settings (with the build's target), through `cache`'s analysis tier
+/// when the build has a cache, and fills `report.analyze`. Returns the
+/// analysis, the summary the analyzer ran on when it copied one (see
+/// [`Front`]), and the decision trace. A traced build always runs the
+/// analyzer, to record its decisions, and stores the result like any
+/// miss. With no cache the analyzer runs on the build's own summary,
+/// nothing is keyed (the entry's key is zero) and nothing is stored.
 pub(crate) fn analyze(
-    entries: &[Arc<Phase1Entry>],
+    front: &Front,
     options: &CompileOptions,
-    cache: &mut BuildCache<'_>,
+    mut cache: Option<&mut BuildCache<'_>>,
     report: &mut BuildReport,
 ) -> (Arc<AnalysisEntry>, Option<ProgramSummary>, Option<AnalyzerTrace>) {
-    let opts = analyzer_options(options);
-    let fps: Vec<u64> = entries.iter().map(|e| e.head.summary_fp).collect();
-    let key = analysis_key(&fps, &opts);
-    if !options.trace {
-        if let Some((entry, from_disk)) = cache.batch(|c, io| c.lookup_analysis(key, io)) {
-            report.analyze.hits = 1;
-            report.analyze.disk_hits = usize::from(from_disk);
-            return (entry, None, None);
+    let opts = AnalyzerOptions { target: options.target, ..options.analyzer.clone() };
+    let mut key = 0;
+    if let Some(c) = &mut cache {
+        let fps: Vec<u64> = front.entries().iter().map(|e| e.head.summary_fp).collect();
+        key = analysis_key(&fps, &opts);
+        if !options.trace {
+            if let Some((entry, from_disk)) = c.batch(|c, io| c.lookup_analysis(key, io)) {
+                report.analyze.hits = 1;
+                report.analyze.disk_hits = usize::from(from_disk);
+                return (entry, None, None);
+            }
         }
     }
     report.analyze.misses = 1;
-    // Phase 2 still reads the entries, so the summaries are copied.
-    let summary =
-        ProgramSummary { modules: entries.iter().map(|e| e.head.summary.clone()).collect() };
-    let (analysis, trace) = run_analyzer(&summary, &opts, options.trace);
+    let summary = front.summary();
+    let (analysis, trace) = if options.trace {
+        let (analysis, trace) = analyze_traced(&summary, &opts);
+        (analysis, Some(trace))
+    } else {
+        (ipra_core::analyze(&summary, &opts), None)
+    };
     let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
-    (cache.batch(|c, io| c.store_analysis(entry, io)), Some(summary), trace)
+    let entry = match cache {
+        Some(c) => c.batch(|c, io| c.store_analysis(entry, io)),
+        None => Arc::new(entry),
+    };
+    let copy = match summary {
+        Cow::Owned(copy) => Some(copy),
+        Cow::Borrowed(_) => None,
+    };
+    (entry, copy, trace)
 }
 
-/// The IR a cached second phase recompiles a module from: the phase-1
-/// entry's, or, when that did not decode, phase 1 re-run from source
-/// with the head that replaces the entry.
-enum StaleIr<'a> {
-    Cached(&'a IrModule),
+/// The IR a second phase compiles a module from: the build's own or a
+/// cache entry's, or, when the entry's does not decode, phase 1 re-run
+/// from source with the head that replaces the entry.
+enum Ir<'a> {
+    Held(&'a IrModule),
     Redone(Phase1Head, IrModule),
 }
 
-impl Borrow<IrModule> for StaleIr<'_> {
+impl Borrow<IrModule> for Ir<'_> {
     fn borrow(&self) -> &IrModule {
         match self {
-            StaleIr::Cached(ir) => ir,
-            StaleIr::Redone(_, ir) => ir,
+            Ir::Held(ir) => ir,
+            Ir::Redone(_, ir) => ir,
         }
     }
 }
@@ -453,7 +445,7 @@ impl Borrow<IrModule> for StaleIr<'_> {
 /// `database` for `target`, in order: the key of (IR, database slice,
 /// target) that a module's object is a function of, and so, as a list,
 /// what a link of the objects is a function of.
-pub(crate) fn phase2_keys(
+fn phase2_keys(
     entries: &[Arc<Phase1Entry>],
     database: &ProgramDatabase,
     target: TargetId,
@@ -472,7 +464,7 @@ pub(crate) fn phase2_keys(
 
 /// The `.vx` tier's key for the objects under phase-2 `keys`, linked for
 /// `target`: FNV-64 over the target's name and every key in order.
-pub(crate) fn link_key(keys: &[(u64, u64)], target: TargetId) -> u64 {
+fn link_key(keys: &[(u64, u64)], target: TargetId) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(target.name());
     h.write_u64(keys.len() as u64);
@@ -483,130 +475,115 @@ pub(crate) fn link_key(keys: &[(u64, u64)], target: TargetId) -> u64 {
     h.finish()
 }
 
-/// What [`probe_phase2`] found for a build's modules.
+/// What a build's phase-2 lookups found ([`probe_phase2`]).
 pub(crate) struct Probe {
-    /// The indices of the modules that missed.
-    pub(crate) stale: Vec<usize>,
+    /// Each module's phase-2 key, in order; none with no cache.
+    pub(crate) keys: Vec<(u64, u64)>,
     /// Each hit module's object as the cache handed it out: shared with
     /// memory for a memory hit, the build's alone for a disk hit (memory
-    /// kept the frame). `None` for a miss.
-    objects: Vec<Option<Arc<ObjectModule>>>,
+    /// kept the frame). `None` for a miss; empty with no cache.
+    pub(crate) objects: Vec<Option<Arc<ObjectModule>>>,
+    /// The `.vx` tier's key for the objects' link, when the build wants
+    /// the text and has a cache.
+    pub(crate) link_key: Option<u64>,
+    /// The text the tier held for that link, asked for once every object
+    /// hit.
+    pub(crate) served: Option<Arc<Linked>>,
 }
 
-/// Looks every module's phase-2 key up in `cache`, one batch of cache
-/// operations, counting hits, disk hits and misses into `report.phase2`.
-/// The build keeps each hit's object from here on, whatever the cache
-/// does with the entry meanwhile.
+/// Phase 2's lookups for phase 1's `front` under `database` for `target`,
+/// one batch through `cache` when the build has one, counting hits and
+/// disk hits into `report.phase2`. When `vx` is set and every object hits,
+/// the batch also asks the `.vx` tier for the text linked from those
+/// objects. With no cache nothing is keyed or looked up. The build keeps
+/// each hit's object from here on, whatever the cache does with the entry
+/// meanwhile.
 pub(crate) fn probe_phase2(
-    keys: &[(u64, u64)],
-    cache: &mut CompilationCache,
-    io: &mut Io,
+    front: &Front,
+    database: &ProgramDatabase,
+    target: TargetId,
+    vx: bool,
+    cache: Option<&mut BuildCache<'_>>,
     report: &mut BuildReport,
 ) -> Probe {
-    let mut probe = Probe { stale: Vec::new(), objects: Vec::with_capacity(keys.len()) };
-    for (i, &key) in keys.iter().enumerate() {
-        let object = cache.lookup_phase2(key, io);
-        match &object {
-            Some((_, from_disk)) => {
-                report.phase2.hits += 1;
-                report.phase2.disk_hits += usize::from(*from_disk);
-            }
-            None => {
-                report.phase2.misses += 1;
-                probe.stale.push(i);
-            }
-        }
-        probe.objects.push(object.map(|(object, _)| object));
+    let Some(c) = cache else {
+        return Probe { keys: Vec::new(), objects: Vec::new(), link_key: None, served: None };
+    };
+    let keys = phase2_keys(front.entries(), database, target);
+    let link_key = vx.then(|| link_key(&keys, target));
+    let (objects, served) = c.batch(|c, io| {
+        let objects: Vec<_> = keys.iter().map(|&key| c.lookup_phase2(key, io)).collect();
+        let every_hit = objects.iter().all(Option::is_some);
+        (objects, link_key.filter(|_| every_hit).and_then(|link| c.lookup_vx(link, &keys)))
+    });
+    for (_, from_disk) in objects.iter().flatten() {
+        report.phase2.hits += 1;
+        report.phase2.disk_hits += usize::from(*from_disk);
     }
-    probe
+    let objects = objects.into_iter().map(|found| found.map(|(object, _)| object)).collect();
+    Probe { keys, objects, link_key, served }
 }
 
-/// The compiler second phase over phase-1 `entries` under `database`,
-/// through `cache`, keyed on (IR, database slice, target). Returns each
-/// module's object with the fingerprints codegen consumed (the `.vo`
-/// payload), in order, and fills `report.phase2` and `report.recompiled`.
-/// It is [`phase2_keys`], [`probe_phase2`] and [`phase2_objects`] in turn.
+/// The rest of the second phase once [`probe_phase2`] has looked `front`'s
+/// modules up (`keys` and `objects` are its findings): compiles the misses
+/// on the pool under `database` for `target`, stores their objects in one
+/// batch through `cache` when the build has one, counts them into
+/// `report.phase2` and names them in `report.recompiled`, and returns
+/// every module's object, in order, as the build holds it: shared with
+/// memory, or its own (a disk hit's, or one it compiled).
+///
+/// Only the modules it compiles read their IR. A cache entry whose IR does
+/// not decode re-runs phase 1 from its source (`sources` and `optimize`
+/// are what [`phase1`] was given) and replaces the cached entry; the frame
+/// counts as corrupt, while `report.phase1` keeps the lookup's hit, since
+/// the head was served.
 ///
 /// # Errors
 ///
-/// As [`phase2_objects`].
+/// The lowest-index diagnostic of such a re-run, once every object has
+/// been kept.
 #[allow(clippy::too_many_arguments)] // phase 1's inputs ride along for the fallback
 pub(crate) fn phase2(
     sources: &[SourceFile],
     optimize: bool,
-    entries: &[Arc<Phase1Entry>],
-    database: &ProgramDatabase,
-    target: TargetId,
-    jobs: usize,
-    cache: &mut BuildCache<'_>,
-    report: &mut BuildReport,
-) -> Result<Vec<ObjectArtifact>, CompileError> {
-    let keys = phase2_keys(entries, database, target);
-    let probe = cache.batch(|c, io| probe_phase2(&keys, c, io, report));
-    let objects = phase2_objects(
-        sources, optimize, entries, &keys, probe, database, target, jobs, cache, report,
-    )?;
-    // What the build alone holds (a disk hit's object) moves in; what it
-    // shares with memory is copied.
-    let artifacts = keys.iter().zip(objects).map(|(&(ir_fp, db_fp), object)| ObjectArtifact {
-        object: Arc::unwrap_or_clone(object),
-        ir_fp,
-        dir_fp: db_fp,
-    });
-    Ok(artifacts.collect())
-}
-
-/// The rest of the second phase once [`probe_phase2`] has probed `keys`:
-/// runs [`run_phase2`] on the probe's misses, stores their objects in one
-/// batch and names them in `report.recompiled`, and returns every
-/// module's object, in order, as the build holds it: shared with memory,
-/// or its own (a disk hit's).
-///
-/// Only the modules it recompiles decode their IR. One whose cached IR
-/// does not decode re-runs phase 1 from its source (`sources` and
-/// `optimize` are what [`phase1`] was given) and replaces the cached entry;
-/// the frame counts as corrupt, while `report.phase1` keeps the lookup's
-/// hit, since the head was served.
-///
-/// # Errors
-///
-/// The lowest-index diagnostic of such a re-run.
-#[allow(clippy::too_many_arguments)] // phase 1's inputs ride along for the fallback
-pub(crate) fn phase2_objects(
-    sources: &[SourceFile],
-    optimize: bool,
-    entries: &[Arc<Phase1Entry>],
+    front: &Front,
     keys: &[(u64, u64)],
-    probe: Probe,
+    mut objects: Vec<Option<Arc<ObjectModule>>>,
     database: &ProgramDatabase,
     target: TargetId,
-    jobs: usize,
-    cache: &mut BuildCache<'_>,
+    pool: Pool<'_>,
+    cache: Option<&mut BuildCache<'_>>,
     report: &mut BuildReport,
 ) -> Result<Vec<Arc<ObjectModule>>, CompileError> {
-    let Probe { stale, mut objects } = probe;
-    let pool = Pool { jobs, tele: cache.tele() };
-    let ir = |&i: &usize| match entries[i].ir() {
-        Some(ir) => Ok(StaleIr::Cached(ir)),
-        None => {
-            let _redo = task_span(pool.tele, "phase1", &sources[i].name);
-            let mut steps = Phase1Steps::default();
-            let (summary, ir) = front_end(&sources[i], optimize, &mut steps)?;
-            Ok(StaleIr::Redone(phase1_head(entries[i].head.key, summary, &ir), ir))
-        }
-    };
-    let name = |&i: &usize| entries[i].head.summary.module.as_str();
-    let mut compiled = Vec::with_capacity(stale.len());
-    let ran = run_phase2(pool, &stale, name, database, target, ir, |&i, object, ir| {
-        let redone = match ir {
-            StaleIr::Redone(head, ir) => Some((head, ir)),
-            StaleIr::Cached(_) => None,
+    // With no cache the probe found nothing: every module compiles.
+    objects.resize(sources.len(), None);
+    let stale: Vec<usize> = (0..objects.len()).filter(|&i| objects[i].is_none()).collect();
+    report.phase2.misses += stale.len();
+    let task = |&i: &usize| {
+        let ir = match front.ir(i) {
+            Some(ir) => Ir::Held(ir),
+            None => {
+                let _redo = task_span(pool.tele, "phase1", &sources[i].name);
+                let (summary, ir) = front_end(&sources[i], optimize, &mut Phase1Steps::default())?;
+                let key = front.entries()[i].head.key;
+                Ir::Redone(phase1_head(Some(key), summary, &ir), ir)
+            }
         };
-        report.recompiled.push(entries[i].head.summary.module.clone());
-        compiled.push((i, Arc::new(object), redone));
+        let object = cmin_codegen::compile_module_for(ir.borrow(), database, target);
+        Ok((Arc::new(object), ir))
+    };
+    let mut compiled = Vec::with_capacity(stale.len());
+    let name = |&i: &usize| sources[i].name.as_str();
+    let ran = fan_out(pool, "phase2", &stale, name, task, |&i, (object, ir)| {
+        report.recompiled.push(sources[i].name.clone());
+        let redone = match ir {
+            Ir::Redone(head, ir) => Some((head, ir)),
+            Ir::Held(_) => None,
+        };
+        compiled.push((i, object, redone));
     });
-    if !compiled.is_empty() {
-        cache.batch(|c, io| {
+    match cache {
+        Some(c) if !compiled.is_empty() => c.batch(|c, io| {
             for (i, object, redone) in compiled {
                 if let Some((head, ir)) = redone {
                     c.repair_phase1(head, ir, io);
@@ -614,7 +591,8 @@ pub(crate) fn phase2_objects(
                 c.store_phase2(keys[i], Arc::clone(&object), io);
                 objects[i] = Some(object);
             }
-        });
+        }),
+        _ => compiled.into_iter().for_each(|(i, object, _)| objects[i] = Some(object)),
     }
     ran?;
     Ok(objects.into_iter().map(|object| object.expect("every module has its object")).collect())
@@ -658,12 +636,6 @@ fn bin_fingerprint(value: &impl BinSerialize) -> u64 {
     let mut h = Fnv64::new();
     h.write(&encoded);
     h.finish()
-}
-
-/// The analyzer options a build runs under: [`CompileOptions::analyzer`]
-/// with the build's target.
-pub(crate) fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
-    AnalyzerOptions { target: options.target, ..options.analyzer.clone() }
 }
 
 #[cfg(test)]

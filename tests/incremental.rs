@@ -233,22 +233,23 @@ fn counts(b: &BuildReport) -> Counts {
     ([step(&b.phase1), step(&b.analyze), step(&b.phase2)], b.recompiled.clone())
 }
 
-/// One build under `opts` with a fresh collector attached: the program and
-/// the collector's counters as `metrics_json`.
+/// One build under `opts` with a fresh collector attached: the program,
+/// the collector's counters as `metrics_json`, and the spans it opened.
 fn counted(
     opts: &CompileOptions,
     build: impl FnOnce(&CompileOptions) -> Result<CompiledProgram, DriverError>,
-) -> (CompiledProgram, String) {
+) -> (CompiledProgram, String, Vec<String>) {
     let tele = Telemetry::new();
     let opts = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
-    (build(&opts).unwrap(), tele.metrics_json())
+    (build(&opts).unwrap(), tele.metrics_json(), span_names(&tele))
 }
 
 /// `compile()` runs the stages `compile_incremental` runs on its misses,
 /// with no cache. So it builds what a build through a fresh cache and one
 /// through a warm cache build, down to the objects, summaries, database,
 /// statistics and decision trace, and it counts what the fresh-cache build
-/// counts: every module a miss in both phases, the analyzer one miss.
+/// counts (every module a miss in both phases, the analyzer one miss) and
+/// opens the spans it opens.
 /// Every configuration, with a profile where it wants one, plus C with
 /// the optimizer off and C for rv32, each at pool widths 1 and 4,
 /// untraced and traced.
@@ -279,9 +280,10 @@ fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
                 opts.optimize,
                 opts.target.name()
             );
-            let (oneshot, oneshot_metrics) = counted(&opts, |o| ipra_driver::compile(&sources, o));
+            let (oneshot, oneshot_metrics, oneshot_spans) =
+                counted(&opts, |o| ipra_driver::compile(&sources, o));
             let mut cache = CompilationCache::new();
-            let (fresh, fresh_metrics) =
+            let (fresh, fresh_metrics, fresh_spans) =
                 counted(&opts, |o| compile_incremental(&sources, o, &mut cache));
             let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
             assert!(warm.build.recompiled.is_empty(), "{label}: the warm build hits");
@@ -297,6 +299,7 @@ fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
             assert_eq!(counts(&oneshot.build), cold, "{label}: one-shot counts");
             assert_eq!(counts(&fresh.build), cold, "{label}: fresh-cache counts");
             assert_eq!(oneshot_metrics, fresh_metrics, "{label}: counters");
+            assert_eq!(oneshot_spans, fresh_spans, "{label}: spans");
             assert_eq!(oneshot.build.cache_seconds, 0.0, "{label}: no disk tier");
         }
     }
