@@ -437,7 +437,8 @@ fn measure_targets(report: &mut Report, config: PaperConfig) {
     let sources = scaled_program(TARGET_MODULES);
     let mut first_exit = None;
     for &target in &vpr::target::TargetId::ALL {
-        let opts = CompileOptions { target, ..CompileOptions::paper(config) };
+        let mut opts = CompileOptions::paper(config);
+        opts.analyzer.target = target;
         let ((_, program), seconds) = best_of(CompilationCache::new, |c| build(&sources, &opts, c));
         let diagnostics = ipra_driver::verify_program(&program).diagnostics.len();
         let r = run_program(&program, &[]).expect("target regime run");

@@ -83,7 +83,8 @@ fn measure(
 ) {
     let row =
         format!("{name}/{}/{}", target.name(), if attributed { "attributed" } else { "plain" });
-    let copts = CompileOptions { target, ..CompileOptions::paper(PaperConfig::C) };
+    let mut copts = CompileOptions::paper(PaperConfig::C);
+    copts.analyzer.target = target;
     let program = compile(sources, &copts)
         .unwrap_or_else(|e| panic!("{name}: bench workload failed to compile: {e}"));
     let exe = &program.exe;

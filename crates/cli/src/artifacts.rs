@@ -213,34 +213,34 @@ pub fn objdump_cmd(mut a: Args) -> Result<(), String> {
     let text = read(path)?;
     let (kind, version, target) =
         ipra_artifact::sniff(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("{path}: {kind} artifact v{version} (target {target})");
+    outln!("{path}: {kind} artifact v{version} (target {target})");
     match kind {
         ArtifactKind::Summary => {
             let a: SummaryArtifact = decode(kind, path, &text)?;
-            println!("source fnv64:{:016x}  ir fnv64:{:016x}", a.source_fp, a.ir_fp);
-            print!("{}", dump_summary(&a.summary));
+            outln!("source fnv64:{:016x}  ir fnv64:{:016x}", a.source_fp, a.ir_fp);
+            out!("{}", dump_summary(&a.summary));
         }
         ArtifactKind::Directives => {
             let a: DirectivesArtifact = decode(kind, path, &text)?;
-            println!("config {}  ({} procedures)", a.config, a.database.len());
+            outln!("config {}  ({} procedures)", a.config, a.database.len());
             // The directive registers are target-specific; the header
             // stamp names which convention to render them in.
-            print!("{}", dump_directives(&a.database, target.desc()));
+            out!("{}", dump_directives(&a.database, target.desc()));
         }
         ArtifactKind::Object => {
             let a: ObjectArtifact = decode(kind, path, &text)?;
-            println!("ir fnv64:{:016x}  directives fnv64:{:016x}", a.ir_fp, a.dir_fp);
-            print!("{}", dump_object(&a.object));
+            outln!("ir fnv64:{:016x}  directives fnv64:{:016x}", a.ir_fp, a.dir_fp);
+            out!("{}", dump_object(&a.object));
         }
         ArtifactKind::Executable => {
-            print!("{}", vpr::asm::executable_asm(&decode_executable(path, &text)?));
+            out!("{}", vpr::asm::executable_asm(&decode_executable(path, &text)?));
         }
         ArtifactKind::Library => {
             let a: LibraryArtifact = decode(kind, path, &text)?;
             for (i, m) in a.members.iter().enumerate() {
                 let funcs: Vec<&str> = m.object.functions.iter().map(|f| f.name()).collect();
                 let globals: Vec<&str> = m.object.globals.iter().map(|g| g.sym.as_str()).collect();
-                println!(
+                outln!(
                     "member {i}: module {} defines [{}] globals [{}]",
                     m.object.name,
                     funcs.join(" "),

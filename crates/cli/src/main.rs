@@ -25,6 +25,16 @@
 //! pulling only the members the program needs. Every command reads an
 //! input's kind from its artifact header, whatever the file is called.
 
+/// `print!` for command output, through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` for command output, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 mod artifacts;
 
 use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, PaperConfig};
@@ -65,7 +75,7 @@ fn main() -> ExitCode {
             remote_cmd(&sub, args(&format!("remote {sub}")))
         }
         ("--help" | "-h" | "help", _) => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         _ => {
@@ -82,6 +92,21 @@ fn main() -> ExitCode {
             eprintln!("cminc: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes command output to stdout. A reader that has gone away (as
+/// `cminc profile ... | head -3` leaves it) ends the command quietly with
+/// status 0, since what is left to print has nowhere to go; any other
+/// write error ends it with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cminc: writing to stdout: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -235,7 +260,8 @@ fn analyze_cmd(mut a: Args) -> Result<(), String> {
             None
         }
     };
-    let analyzer_opts = AnalyzerOptions::paper_config_for(config, profile, target);
+    let analyzer_opts =
+        AnalyzerOptions { target, ..AnalyzerOptions::paper_config(config, profile) };
     let (analysis, trace) = match &decisions_out {
         Some(_) => {
             let (a, t) = analyze_traced(&program, &analyzer_opts);
@@ -259,7 +285,7 @@ fn analyze_cmd(mut a: Args) -> Result<(), String> {
     }
     if report {
         for w in &analysis.webs {
-            println!(
+            outln!(
                 "web {:<14} reg {:<4} entries [{}] nodes [{}]{}",
                 w.sym,
                 w.reg.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
@@ -270,7 +296,7 @@ fn analyze_cmd(mut a: Args) -> Result<(), String> {
         }
         for d in analysis.database.iter() {
             if d.is_cluster_root {
-                println!("cluster root {:<14} MSPILL {}", d.name, d.usage.mspill);
+                outln!("cluster root {:<14} MSPILL {}", d.name, d.usage.mspill);
             }
         }
     }
@@ -296,7 +322,8 @@ fn link_cmd(mut a: Args) -> Result<(), String> {
 
 /// Runs the register-discipline verifier over already-compiled object
 /// modules, against the program database that directed their codegen
-/// (without `--db`, every procedure is held to the standard convention).
+/// (without `--db`, each procedure is held to the standard convention of
+/// the objects' target).
 fn verify_cmd(mut a: Args) -> Result<(), String> {
     let db = a.path("--db", "<prog.cdir>");
     let objs = a.positionals("<mod.vo>...");
@@ -359,7 +386,7 @@ fn run_cmd(mut a: Args) -> Result<(), String> {
     };
     let result = vpr::run_with(&exe, &opts).map_err(|e| e.to_string())?;
     for v in &result.output {
-        println!("{v}");
+        outln!("{v}");
     }
     eprintln!("exit: {}", result.exit);
     if let Some(path) = &stats_json {
@@ -424,7 +451,9 @@ fn compile(
 ) -> Result<CompiledProgram, String> {
     let built = match cache {
         None if !config.wants_profile() => {
-            let analyzer = AnalyzerOptions::paper_config(config, None);
+            let target = opts.analyzer.target;
+            let analyzer =
+                AnalyzerOptions { target, ..AnalyzerOptions::paper_config(config, None) };
             let opts = CompileOptions { analyzer, ..opts.clone() };
             return ipra_driver::compile(sources, &opts).map_err(|e| e.to_string());
         }
@@ -472,13 +501,13 @@ fn explain_cmd(mut a: Args) -> Result<(), String> {
                 );
             }
             let sources = read_sources(srcs)?;
-            let target = target.unwrap_or_default();
-            let opts = CompileOptions { trace: true, target, ..Default::default() };
+            let mut opts = CompileOptions { trace: true, ..Default::default() };
+            opts.analyzer.target = target.unwrap_or_default();
             let program = compile(&sources, config, &input, &opts, None)?;
             program.trace.expect("tracing was requested")
         }
     };
-    print!("{}", ipra_obsv::explain(&trace, symbol));
+    out!("{}", ipra_obsv::explain(&trace, symbol));
     Ok(())
 }
 
@@ -502,7 +531,7 @@ fn report_cmd(mut a: Args) -> Result<(), String> {
     if !report.sums_match() {
         return Err("internal error: per-procedure sums diverge from program totals".into());
     }
-    print!("{}", report.render_table());
+    out!("{}", report.render_table());
     if let Some(path) = json {
         write(&path, &report.to_json())?;
         eprintln!("report: -> {path}");
@@ -542,7 +571,7 @@ fn fuzz_cmd(mut a: Args) -> Result<(), String> {
     if self_validate {
         let results = ipra_fuzz::self_validate(&opts)?;
         for r in &results {
-            println!(
+            outln!(
                 "self-validate: {} injected at seed {:#x}, detected, reduced {} -> {} module(s)",
                 r.class.name(),
                 r.seed,
@@ -550,13 +579,13 @@ fn fuzz_cmd(mut a: Args) -> Result<(), String> {
                 r.sources.len()
             );
             if let Some(p) = &r.corpus_path {
-                println!("  saved {}", p.display());
+                outln!("  saved {}", p.display());
             }
         }
     }
     if !self_validate || iters.is_some() || opts.time_budget.is_some() {
         let outcome = ipra_fuzz::fuzz(&opts);
-        print!("{}", outcome.render());
+        out!("{}", outcome.render());
         failed = outcome.total_failures > 0;
         if let Some(path) = metrics_out {
             let mut counters = BTreeMap::new();
@@ -635,13 +664,13 @@ fn build_cmd(mut a: Args) -> Result<(), String> {
     };
     let mut program = None;
     for i in 0..repeat {
-        let opts = CompileOptions {
+        let mut opts = CompileOptions {
             jobs,
             trace: decisions_out.is_some(),
             telemetry: telemetry.clone(),
-            target,
             ..CompileOptions::default()
         };
+        opts.analyzer.target = target;
         let built = compile(&sources, config, &input, &opts, cache.as_mut())?;
         if stats && repeat > 1 && i + 1 < repeat {
             eprintln!("build {} of {repeat}:", i + 1);
@@ -692,7 +721,7 @@ fn build_cmd(mut a: Args) -> Result<(), String> {
             }
         }
         for v in &result.output {
-            println!("{v}");
+            outln!("{v}");
         }
         eprintln!("exit: {}", result.exit);
         if stats {
@@ -794,19 +823,19 @@ fn profile_cmd(mut a: Args) -> Result<(), String> {
     }
 
     let total = result.stats.cycles.max(1);
-    println!("profile: {} cycles, exit {}", result.stats.cycles, result.exit);
-    println!("\nprocedures (self cycles):");
+    outln!("profile: {} cycles, exit {}", result.stats.cycles, result.exit);
+    outln!("\nprocedures (self cycles):");
     for row in procs.iter().take(top) {
-        println!(
+        outln!(
             "  {:<20} {:>12} {:>6.2}%",
             row.name,
             row.self_cycles,
             row.self_cycles as f64 * 100.0 / total as f64
         );
     }
-    println!("\nhot blocks:");
+    outln!("\nhot blocks:");
     for b in blocks.iter().take(top) {
-        println!(
+        outln!(
             "  {:<20} pc {:>5}..{:<5} {:>10} entries {:>12} cycles {:>6.2}%",
             b.sym.as_deref().unwrap_or("?"),
             b.start,
@@ -816,9 +845,9 @@ fn profile_cmd(mut a: Args) -> Result<(), String> {
             b.cycles as f64 * 100.0 / total as f64
         );
     }
-    println!("\ninstructions retired by opcode class:");
+    outln!("\ninstructions retired by opcode class:");
     for (class, n) in &histogram {
-        println!("  {:<8} {:>12} {:>6.2}%", class, n, *n as f64 * 100.0 / total as f64);
+        outln!("  {:<8} {:>12} {:>6.2}%", class, n, *n as f64 * 100.0 / total as f64);
     }
     Ok(())
 }
@@ -859,13 +888,13 @@ fn remote_cmd(sub: &str, mut a: Args) -> Result<(), String> {
     match sub {
         "ping" => {
             client.ping().map_err(|e| e.to_string())?;
-            println!("pong");
+            outln!("pong");
         }
         "stats" => {
             let counters = client.stats().map_err(|e| e.to_string())?;
             let map: BTreeMap<String, u64> =
                 counters.into_iter().map(|c| (c.name, c.value)).collect();
-            print!("{}", ipra_telemetry::metrics_json_from(&map));
+            out!("{}", ipra_telemetry::metrics_json_from(&map));
         }
         _ => {
             client.shutdown().map_err(|e| e.to_string())?;

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cminc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cminc"))
@@ -380,6 +380,29 @@ fn profile_reads_the_header_not_the_suffix() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("app.vo: object artifact"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reader that stops reading early (`cminc profile ... | head -3`) ends
+/// the command quietly: its first write to the closed pipe ends it with
+/// status 0 and nothing on stderr about it.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = tempdir("closed-stdout");
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    write(&dir, "app.cmin", MAIN_SRC);
+    let mut child = cminc()
+        .current_dir(&dir)
+        .args(["profile", "counterlib.cmin", "app.cmin", "--input", "5 10 15"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

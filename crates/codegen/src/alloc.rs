@@ -20,7 +20,6 @@
 use cmin_ir::cfg::{depth_weight, dominators, loop_depths, Cfg};
 use cmin_ir::ir::{Callee, Function, Inst, Operand, Temp};
 use cmin_ir::liveness::{Liveness, TempSet};
-use ipra_core::caller_prealloc::claim_pool_set;
 use ipra_core::regsets::RegUsage;
 use std::collections::HashMap;
 use vpr::regs::{Reg, RegSet};
@@ -38,12 +37,8 @@ pub struct CallerPrealloc<'a> {
 }
 
 impl CallerPrealloc<'_> {
-    /// The extension-off contract: full claim, nothing safe across calls.
-    pub fn standard() -> CallerPrealloc<'static> {
-        CallerPrealloc { claimed: claim_pool_set(), safe_lookup: &|_| RegSet::new() }
-    }
-
-    /// [`CallerPrealloc::standard`] for an explicit target description.
+    /// The extension-off contract for `desc`: its full claim pool, nothing
+    /// safe across calls.
     pub fn standard_for(desc: &TargetDesc) -> CallerPrealloc<'static> {
         CallerPrealloc { claimed: desc.claim_pool_set(), safe_lookup: &|_| RegSet::new() }
     }
@@ -226,51 +221,18 @@ impl Allocation {
     }
 }
 
-/// Registers reserved for the emitter's operand materialization (VPR).
-pub fn scratch_regs() -> (Reg, Reg) {
-    scratch_regs_for(&vpr::target::VPR)
-}
-
-/// Registers `desc` reserves for the emitter's operand materialization.
-pub fn scratch_regs_for(desc: &TargetDesc) -> (Reg, Reg) {
-    (desc.scratch1, desc.scratch2)
-}
-
-/// Allocates registers for `f` under the analyzer's `usage` directives.
+/// Allocates registers for `f` under the analyzer's `usage` directives,
+/// with `desc`'s scratch registers, argument/return roles and claim pool.
 /// `forbidden` contains registers dedicated to promoted globals in this
 /// procedure (they hold the global, nothing else); `pins` maps the web
 /// temps produced by [`crate::promote::rewrite_promotions`] to those
-/// registers.
-pub fn allocate(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-) -> Allocation {
-    allocate_with(f, usage, forbidden, pins, &CallerPrealloc::standard())
-}
-
-/// [`allocate`] with the §7.6.2 caller-saves preallocation contract: the
-/// procedure's caller-saves scratch stays within `prealloc.claimed`, and
-/// call-crossing values may additionally live in claimed registers that
-/// every crossed call leaves safe.
-pub fn allocate_with(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-    prealloc: &CallerPrealloc<'_>,
-) -> Allocation {
-    let cfg = Cfg::new(f);
-    let liveness = Liveness::compute(f, &cfg);
-    allocate_for(f, &cfg, &liveness, usage, forbidden, pins, prealloc, &vpr::target::VPR)
-}
-
-/// [`allocate_with`] against an explicit target description: scratch
-/// registers, the argument/return roles and the claim pool all come from
-/// `desc` instead of the VPR convention. `cfg` and `liveness` describe `f`
-/// as it is (after any promotion rewrite). The registers a temp may not
-/// take are those of its [`interference`] neighbours.
+/// registers. Under the §7.6.2 caller-saves preallocation contract
+/// `prealloc`, the procedure's caller-saves scratch stays within
+/// `prealloc.claimed`, and call-crossing values may additionally live in
+/// claimed registers that every crossed call leaves safe. `cfg` and
+/// `liveness` describe `f` as it is (after any promotion rewrite). The
+/// registers a temp may not take are those of its [`interference`]
+/// neighbours.
 #[allow(clippy::too_many_arguments)] // the function's two analyses ride along
 pub fn allocate_for(
     f: &Function,
@@ -314,7 +276,7 @@ pub fn allocate_for(
     let graph = interference(f, liveness);
 
     // Register pools, in allocation preference order.
-    let (s1, s2) = scratch_regs_for(desc);
+    let (s1, s2) = (desc.scratch1, desc.scratch2);
     let pool = desc.claim_pool_set();
     let mut reserved = forbidden;
     reserved.insert(s1);
@@ -381,32 +343,10 @@ pub fn allocate_for(
     Allocation { locs, used_callee, spill_slots }
 }
 
-/// Sanity check used by tests and debug builds: no two interfering temps
-/// share a register, call-crossing temps avoid caller-class registers, and
-/// nothing lands in a forbidden register.
-pub fn validate(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-    alloc: &Allocation,
-) -> Result<(), String> {
-    validate_with(f, usage, forbidden, pins, alloc, &CallerPrealloc::standard())
-}
-
-/// [`validate`] under a caller-saves preallocation contract.
-pub fn validate_with(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-    alloc: &Allocation,
-    prealloc: &CallerPrealloc<'_>,
-) -> Result<(), String> {
-    validate_for(f, usage, forbidden, pins, alloc, prealloc, &vpr::target::VPR)
-}
-
-/// [`validate_with`] against an explicit target description.
+/// Sanity check used by tests and debug builds, against `desc` under the
+/// caller-saves preallocation contract `prealloc`: no two interfering
+/// temps share a register, call-crossing temps avoid caller-class
+/// registers, and nothing lands in a forbidden register.
 pub fn validate_for(
     f: &Function,
     usage: &RegUsage,
@@ -482,6 +422,7 @@ mod tests {
     use super::*;
     use cmin_frontend::{analyze as sema, parse_module};
     use cmin_ir::{lower_module, optimize_module};
+    use vpr::target::VPR;
 
     fn func(src: &str, name: &str) -> Function {
         let m = parse_module("m", src).unwrap();
@@ -491,11 +432,19 @@ mod tests {
         ir.function(name).unwrap().clone()
     }
 
-    fn alloc_std(f: &Function) -> Allocation {
-        let pins = HashMap::new();
-        let a = allocate(f, &RegUsage::standard(), RegSet::new(), &pins);
-        validate(f, &RegUsage::standard(), RegSet::new(), &pins, &a).unwrap();
+    /// Allocates `f` for VPR with no pins and the extension-off contract,
+    /// and validates the result.
+    fn alloc_vpr(f: &Function, usage: &RegUsage, forbidden: RegSet) -> Allocation {
+        let (pins, prealloc) = (HashMap::new(), CallerPrealloc::standard_for(&VPR));
+        let cfg = Cfg::new(f);
+        let liveness = Liveness::compute(f, &cfg);
+        let a = allocate_for(f, &cfg, &liveness, usage, forbidden, &pins, &prealloc, &VPR);
+        validate_for(f, usage, forbidden, &pins, &a, &prealloc, &VPR).unwrap();
         a
+    }
+
+    fn alloc_std(f: &Function) -> Allocation {
+        alloc_vpr(f, &RegUsage::standard_for(&VPR), RegSet::new())
     }
 
     #[test]
@@ -506,7 +455,7 @@ mod tests {
         assert_eq!(a.spill_slots, 0);
         for loc in a.locs.iter().flatten() {
             match loc {
-                Loc::Reg(r) => assert!(r.is_caller_saves(), "unexpected {r}"),
+                Loc::Reg(r) => assert!(VPR.caller_saves.contains(*r), "unexpected {r}"),
                 Loc::Slot(_) => panic!("unexpected spill"),
             }
         }
@@ -523,7 +472,7 @@ mod tests {
         // b crosses the call: must be in a callee-saves register.
         let b_loc = a.loc(f.params[1]).unwrap();
         match b_loc {
-            Loc::Reg(r) => assert!(r.is_callee_saves(), "b in {r}"),
+            Loc::Reg(r) => assert!(VPR.callee_saves.contains(r), "b in {r}"),
             Loc::Slot(_) => panic!("b spilled needlessly"),
         }
         assert!(!a.used_callee.is_empty());
@@ -537,14 +486,12 @@ mod tests {
             "f",
         );
         // Analyzer gave this node two FREE registers.
-        let mut usage = RegUsage::standard();
+        let mut usage = RegUsage::standard_for(&VPR);
         usage.free.insert(Reg::new(5));
         usage.free.insert(Reg::new(6));
         usage.callee.remove(Reg::new(5));
         usage.callee.remove(Reg::new(6));
-        let pins = HashMap::new();
-        let a = allocate(&f, &usage, RegSet::new(), &pins);
-        validate(&f, &usage, RegSet::new(), &pins, &a).unwrap();
+        let a = alloc_vpr(&f, &usage, RegSet::new());
         // Crossing values should use the FREE registers and incur no
         // save/restore.
         assert!(a.used_callee.is_empty(), "{:?}", a.used_callee);
@@ -560,12 +507,10 @@ mod tests {
         let mut forbidden = RegSet::new();
         // Forbid everything caller-saves except one register, plus a few
         // callee-saves; allocation must still be correct.
-        for r in RegSet::caller_saves().iter().skip(1) {
+        for r in VPR.caller_saves.iter().skip(1) {
             forbidden.insert(r);
         }
-        let pins = HashMap::new();
-        let a = allocate(&f, &RegUsage::standard(), forbidden, &pins);
-        validate(&f, &RegUsage::standard(), forbidden, &pins, &a).unwrap();
+        alloc_vpr(&f, &RegUsage::standard_for(&VPR), forbidden);
     }
 
     #[test]
@@ -607,7 +552,7 @@ mod tests {
     fn scratch_registers_never_allocated() {
         let f = func("int f(int a, int b, int c) { return a + b * c; }", "f");
         let a = alloc_std(&f);
-        let (s1, s2) = scratch_regs();
+        let (s1, s2) = (VPR.scratch1, VPR.scratch2);
         for loc in a.locs.iter().flatten() {
             if let Loc::Reg(r) = loc {
                 assert_ne!(*r, s1);

@@ -1,8 +1,8 @@
 //! Machine-code emission (compiler second phase, paper §5).
 //!
-//! Walks the allocated IR and produces a [`MachineFunction`] under the VPR
-//! linkage convention, implementing every directive from the program
-//! database:
+//! Walks the allocated IR and produces a [`MachineFunction`] under its
+//! target's linkage convention, implementing every directive from the
+//! program database:
 //!
 //! * references to a promoted global become register moves against its
 //!   dedicated register (no memory traffic, no base-register setup);
@@ -25,7 +25,7 @@
 //! Callers store outgoing stack arguments *below* their own `SP` — exactly
 //! where the callee's frame will place its incoming area.
 
-use crate::alloc::{allocate_for, scratch_regs_for, validate_for, Allocation, CallerPrealloc, Loc};
+use crate::alloc::{allocate_for, validate_for, Allocation, CallerPrealloc, Loc};
 use crate::promote::rewrite_promotions;
 use cmin_ir::cfg::Cfg;
 use cmin_ir::ir::{self, BlockId, Callee, Function, IrModule, Operand, Temp};
@@ -37,18 +37,12 @@ use vpr::program::{GlobalDef, MachineFunction, ObjectModule};
 use vpr::regs::{Reg, RegSet};
 use vpr::target::{TargetDesc, TargetId};
 
-/// Compiles one optimized IR module into an object module, consulting the
-/// program database for each procedure's directives (falling back to the
-/// standard convention for procedures the analyzer never saw). VPR target;
-/// see [`compile_module_for`].
-pub fn compile_module(ir: &IrModule, db: &ProgramDatabase) -> ObjectModule {
-    compile_module_for(ir, db, TargetId::Vpr)
-}
-
-/// [`compile_module`] for an explicit target: the linkage roles, argument
-/// registers and claim pool all come from `target`'s machine description,
-/// and the object module is tagged so the linker can reject mixed-target
-/// links.
+/// Compiles one optimized IR module into an object module for `target`,
+/// consulting the program database for each procedure's directives
+/// (falling back to `target`'s standard convention for procedures the
+/// analyzer never saw). The linkage roles, argument registers and claim
+/// pool all come from `target`'s machine description, and the object
+/// module is tagged so the linker can reject mixed-target links.
 pub fn compile_module_for(ir: &IrModule, db: &ProgramDatabase, target: TargetId) -> ObjectModule {
     let desc = target.desc();
     let safe_lookup = |name: &str| -> vpr::regs::RegSet {
@@ -72,23 +66,10 @@ pub fn compile_module_for(ir: &IrModule, db: &ProgramDatabase, target: TargetId)
     ObjectModule { name: ir.name.clone(), functions, globals, target }
 }
 
-/// Compiles a single function under `directives` (no cross-procedure safe
-/// sets: calls conservatively clobber every caller-saves register).
-pub fn compile_function(f: &Function, directives: &ProcDirectives) -> MachineFunction {
-    compile_function_with(f, directives, &|_| vpr::regs::RegSet::new())
-}
-
-/// Compiles a single function under `directives`, consulting `safe_lookup`
-/// for the §7.6.2 per-callee safe caller-saves sets. VPR convention.
-pub fn compile_function_with(
-    f: &Function,
-    directives: &ProcDirectives,
-    safe_lookup: &dyn Fn(&str) -> vpr::regs::RegSet,
-) -> MachineFunction {
-    compile_function_for(f, directives, safe_lookup, &vpr::target::VPR)
-}
-
-/// [`compile_function_with`] against an explicit machine description.
+/// Compiles a single function under `directives` against `desc`,
+/// consulting `safe_lookup` for the §7.6.2 per-callee safe caller-saves
+/// sets (a lookup that returns the empty set makes every call clobber
+/// every caller-saves register).
 pub fn compile_function_for(
     f: &Function,
     directives: &ProcDirectives,
@@ -165,7 +146,7 @@ impl<'a> Emitter<'a> {
         alloc: Allocation,
         desc: &'a TargetDesc,
     ) -> Emitter<'a> {
-        let (s1, s2) = scratch_regs_for(desc);
+        let (s1, s2) = (desc.scratch1, desc.scratch2);
         let mut out = MachineFunction::new(f.name.clone());
         let block_labels: Vec<Label> = f.blocks.iter().map(|_| out.new_label()).collect();
         let epilogue = out.new_label();
@@ -683,6 +664,7 @@ mod tests {
     use ipra_core::{ProcDirectives, Promotion};
     use vpr::program::link;
     use vpr::sim::{run_with, SimOptions};
+    use vpr::target::VPR;
 
     fn compile_run(src: &str) -> vpr::sim::RunResult {
         compile_run_with(src, &ProgramDatabase::new(), &[])
@@ -693,7 +675,7 @@ mod tests {
         let info = sema(&m).unwrap();
         let mut ir = lower_module(&m, &info);
         optimize_module(&mut ir);
-        let obj = compile_module(&ir, db);
+        let obj = compile_module_for(&ir, db, TargetId::Vpr);
         let exe = link(&[obj]).unwrap();
         let opts = SimOptions { input: input.to_vec(), ..SimOptions::default() };
         run_with(&exe, &opts).unwrap()
@@ -805,7 +787,7 @@ mod tests {
 
         // Promote `counter` to r3 with main as the web entry.
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("main");
+        let mut d = ProcDirectives::standard_for("main", TargetId::Vpr);
         d.promotions.push(Promotion {
             sym: "counter".into(),
             reg: Reg::new(3),
@@ -832,7 +814,7 @@ mod tests {
         let src = "int limit = 7;
              int main() { int s = 0; for (int i = 0; i < limit; i = i + 1) { s = s + i; } return s; }";
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("main");
+        let mut d = ProcDirectives::standard_for("main", TargetId::Vpr);
         d.promotions.push(Promotion {
             sym: "limit".into(),
             reg: Reg::new(3),
@@ -854,7 +836,7 @@ mod tests {
         let src = "int helper(int x) { return x * 2; }
              int main() { return helper(21); }";
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("main");
+        let mut d = ProcDirectives::standard_for("main", TargetId::Vpr);
         d.is_cluster_root = true;
         d.usage.mspill.insert(Reg::new(9));
         d.usage.mspill.insert(Reg::new(10));
@@ -862,7 +844,7 @@ mod tests {
         d.usage.callee.remove(Reg::new(10));
         db.insert(d);
         // helper gets the registers for free.
-        let mut h = ProcDirectives::standard("helper");
+        let mut h = ProcDirectives::standard_for("helper", TargetId::Vpr);
         h.usage.free.insert(Reg::new(9));
         h.usage.free.insert(Reg::new(10));
         h.usage.callee.remove(Reg::new(9));
@@ -895,7 +877,7 @@ mod tests {
                  return acc;
              }";
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("main");
+        let mut d = ProcDirectives::standard_for("main", TargetId::Vpr);
         d.promotions.push(Promotion {
             sym: "acc".into(),
             reg: Reg::new(3),
@@ -912,7 +894,6 @@ mod tests {
 
     #[test]
     fn caller_preallocation_avoids_callee_saves_spill() {
-        use ipra_core::caller_prealloc::claim_pool_set;
         // `b` is live across the call to a leaf that claims no caller
         // registers: with the extension the value stays in a claimed
         // caller-saves register and `f` needs no save/restore at all.
@@ -929,16 +910,16 @@ mod tests {
 
         // Directives as the analyzer would emit them with the extension on:
         // leaf's tree uses nothing from the claim pool.
-        let mut d = ProcDirectives::standard("f");
-        d.claimed_caller = claim_pool_set();
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
+        d.claimed_caller = VPR.claim_pool_set();
         let safe = |name: &str| {
             if name == "leaf" {
-                claim_pool_set()
+                VPR.claim_pool_set()
             } else {
                 vpr::regs::RegSet::new()
             }
         };
-        let code = compile_function_with(f, &d, &safe);
+        let code = compile_function_for(f, &d, &safe, &VPR);
         let spills =
             code.insts().iter().filter(|i| matches!(i.mem_class(), Some(MemClass::Spill))).count();
         assert_eq!(
@@ -950,7 +931,7 @@ mod tests {
 
         // Without the extension the crossing value needs a callee-saves
         // register and its save/restore pair.
-        let code = compile_function(f, &d);
+        let code = compile_function_for(f, &d, &|_| vpr::regs::RegSet::new(), &VPR);
         let spills =
             code.insts().iter().filter(|i| matches!(i.mem_class(), Some(MemClass::Spill))).count();
         assert!(spills >= 2, "baseline should save/restore a callee-saves register");
@@ -966,7 +947,7 @@ mod tests {
         let info = sema(&m).unwrap();
         let mut ir = lower_module(&m, &info);
         optimize_module(&mut ir);
-        let obj = compile_module(&ir, &ProgramDatabase::new());
+        let obj = compile_module_for(&ir, &ProgramDatabase::new(), TargetId::Vpr);
         let f = &obj.functions[0];
         let jumps = f.insts().iter().filter(|i| matches!(i, Inst::B { .. })).count();
         // A diamond needs at most 2 unconditional branches with decent

@@ -14,14 +14,15 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use cmin_frontend::{analyze, parse_module};
 //! use cmin_ir::{lower_module, optimize_module};
-//! use cmin_codegen::compile_module;
+//! use cmin_codegen::compile_module_for;
 //! use ipra_core::ProgramDatabase;
+//! use vpr::target::TargetId;
 //!
 //! let m = parse_module("m", "int main() { return 6 * 7; }")?;
 //! let info = analyze(&m)?;
 //! let mut ir = lower_module(&m, &info);
 //! optimize_module(&mut ir);
-//! let object = compile_module(&ir, &ProgramDatabase::new());
+//! let object = compile_module_for(&ir, &ProgramDatabase::new(), TargetId::Vpr);
 //! let exe = vpr::link(&[object])?;
 //! assert_eq!(vpr::run(&exe)?.exit, 42);
 //! # Ok(())
@@ -34,5 +35,5 @@ pub mod alloc;
 pub mod emit;
 pub mod promote;
 
-pub use alloc::{allocate, Allocation, Loc};
-pub use emit::{compile_function, compile_module, compile_module_for};
+pub use alloc::{Allocation, Loc};
+pub use emit::compile_module_for;

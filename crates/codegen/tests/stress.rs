@@ -9,13 +9,14 @@ use ipra_core::{ProcDirectives, ProgramDatabase, Promotion};
 use vpr::program::link;
 use vpr::regs::{Reg, RegSet};
 use vpr::sim::{run_with, SimOptions};
+use vpr::target::{TargetId, VPR};
 
 fn run_src(src: &str, db: &ProgramDatabase, input: &[i64]) -> vpr::sim::RunResult {
     let m = parse_module("m", src).unwrap();
     let info = sema(&m).unwrap();
     let mut ir = lower_module(&m, &info);
     optimize_module(&mut ir);
-    let obj = cmin_codegen::compile_module(&ir, db);
+    let obj = cmin_codegen::compile_module_for(&ir, db, TargetId::Vpr);
     let exe = link(&[obj]).unwrap();
     run_with(&exe, &SimOptions { input: input.to_vec(), ..SimOptions::default() })
         .unwrap_or_else(|e| panic!("trap: {e}"))
@@ -123,7 +124,7 @@ fn every_directive_class_at_once() {
     let expect = run_src(src, &ProgramDatabase::new(), &[]);
 
     let mut db = ProgramDatabase::new();
-    let mut work = ProcDirectives::standard("work");
+    let mut work = ProcDirectives::standard_for("work", TargetId::Vpr);
     work.promotions.push(Promotion {
         sym: "acc".into(),
         reg: Reg::new(3),
@@ -133,7 +134,7 @@ fn every_directive_class_at_once() {
     work.is_cluster_root = true;
     work.usage.mspill = [Reg::new(10), Reg::new(11)].into_iter().collect();
     work.usage.free = [Reg::new(4)].into_iter().collect();
-    work.usage.callee = RegSet::callee_saves()
+    work.usage.callee = VPR.callee_saves
         - work.usage.mspill
         - work.usage.free
         - [Reg::new(3)].into_iter().collect::<RegSet>();
@@ -141,9 +142,9 @@ fn every_directive_class_at_once() {
     work.claimed_caller = [Reg::new(19), Reg::new(20)].into_iter().collect();
     db.insert(work);
 
-    let mut helper = ProcDirectives::standard("helper");
+    let mut helper = ProcDirectives::standard_for("helper", TargetId::Vpr);
     helper.usage.free = [Reg::new(10)].into_iter().collect();
-    helper.usage.callee = RegSet::callee_saves() - helper.usage.free;
+    helper.usage.callee = VPR.callee_saves - helper.usage.free;
     helper.safe_caller_across = [Reg::new(21), Reg::new(22), Reg::new(29)].into_iter().collect();
     db.insert(helper);
 
@@ -166,7 +167,7 @@ fn zero_claim_forces_preserved_registers_yet_stays_correct() {
     let expect = run_src(src, &ProgramDatabase::new(), &[]);
     let mut db = ProgramDatabase::new();
     for name in ["main", "f"] {
-        let mut d = ProcDirectives::standard(name);
+        let mut d = ProcDirectives::standard_for(name, TargetId::Vpr);
         d.claimed_caller = RegSet::new();
         db.insert(d);
     }
@@ -198,7 +199,7 @@ fn recursion_with_promoted_global() {
 
     // Promote depth_max over {main (entry), probe}.
     let mut db = ProgramDatabase::new();
-    let mut main_d = ProcDirectives::standard("main");
+    let mut main_d = ProcDirectives::standard_for("main", TargetId::Vpr);
     main_d.promotions.push(Promotion {
         sym: "depth_max".into(),
         reg: Reg::new(5),
@@ -207,7 +208,7 @@ fn recursion_with_promoted_global() {
     });
     main_d.usage.callee.remove(Reg::new(5));
     db.insert(main_d);
-    let mut probe_d = ProcDirectives::standard("probe");
+    let mut probe_d = ProcDirectives::standard_for("probe", TargetId::Vpr);
     probe_d.promotions.push(Promotion {
         sym: "depth_max".into(),
         reg: Reg::new(5),

@@ -166,15 +166,6 @@ impl Default for AnalyzerOptions {
 }
 
 impl AnalyzerOptions {
-    /// [`AnalyzerOptions::paper_config`] for an explicit target.
-    pub fn paper_config_for(
-        config: PaperConfig,
-        profile: Option<ProfileData>,
-        target: vpr::target::TargetId,
-    ) -> AnalyzerOptions {
-        AnalyzerOptions { target, ..AnalyzerOptions::paper_config(config, profile) }
-    }
-
     /// Options matching one of the paper's measured configurations.
     /// Configurations B and F require `profile` to be supplied.
     pub fn paper_config(config: PaperConfig, profile: Option<ProfileData>) -> AnalyzerOptions {
@@ -443,7 +434,7 @@ fn analyze_impl(
             t.push(TraceEvent::CallerClaimGranted {
                 proc: graph.node(n).name.clone(),
                 claimed: crate::caller_prealloc::own_claim_for(&graph, n, desc),
-                safe_across: crate::caller_prealloc::claim_pool_set_for(desc) - tree[n.index()],
+                safe_across: desc.claim_pool_set() - tree[n.index()],
             });
         }
     }
@@ -474,9 +465,9 @@ fn analyze_impl(
         let (claimed_caller, safe_caller_across) = match &tree_caller {
             Some(tree) => (
                 crate::caller_prealloc::own_claim_for(&graph, n, desc),
-                crate::caller_prealloc::claim_pool_set_for(desc) - tree[n.index()],
+                desc.claim_pool_set() - tree[n.index()],
             ),
-            None => (crate::caller_prealloc::claim_pool_set_for(desc), vpr::regs::RegSet::new()),
+            None => (desc.claim_pool_set(), vpr::regs::RegSet::new()),
         };
         database.insert(ProcDirectives {
             name: graph.node(n).name.clone(),
@@ -666,6 +657,7 @@ mod tests {
     use super::*;
     use crate::dataflow::testutil::{figure3, summary};
     use vpr::regs::Reg;
+    use vpr::target::TargetId;
 
     #[test]
     fn figure3_full_analysis_matches_table2() {
@@ -678,21 +670,21 @@ mod tests {
 
         let db = &analysis.database;
         // B is an entry of g1's web (Table 2 commentary).
-        let b = db.lookup("B");
+        let b = db.lookup_for("B", TargetId::Vpr);
         let g1 = b.promotions.iter().find(|p| p.sym == "g1").unwrap();
         assert!(g1.is_entry);
         assert!(g1.store_at_exit);
         // D holds g1 in the same register, not as an entry.
-        let d = db.lookup("D");
+        let d = db.lookup_for("D", TargetId::Vpr);
         let g1d = d.promotions.iter().find(|p| p.sym == "g1").unwrap();
         assert_eq!(g1d.reg, g1.reg);
         assert!(!g1d.is_entry);
         // C carries both g3 and g2 in different registers.
-        let c = db.lookup("C");
+        let c = db.lookup_for("C", TargetId::Vpr);
         assert_eq!(c.promotions.len(), 2);
         assert_ne!(c.promotions[0].reg, c.promotions[1].reg);
         // H has no promotions.
-        assert!(db.lookup("H").promotions.is_empty());
+        assert!(db.lookup_for("H", TargetId::Vpr).promotions.is_empty());
         // Web registers are excluded from the node's usage sets.
         for p in &c.promotions {
             assert!(!c.usage.callee.contains(p.reg));
@@ -708,7 +700,7 @@ mod tests {
         for d in analysis.database.iter() {
             assert!(d.promotions.is_empty());
             assert!(!d.is_cluster_root);
-            assert_eq!(d.usage, crate::regsets::RegUsage::standard());
+            assert_eq!(d.usage, crate::regsets::RegUsage::standard_for(&vpr::target::VPR));
         }
         assert_eq!(analysis.stats.webs_total, 0);
         assert_eq!(analysis.stats.clusters, 0);
@@ -728,10 +720,10 @@ mod tests {
         let analysis = analyze(&s, &AnalyzerOptions::paper_config(PaperConfig::A, None));
         assert_eq!(analysis.stats.webs_total, 0);
         assert!(analysis.stats.clusters >= 1);
-        let r = analysis.database.lookup("r");
+        let r = analysis.database.lookup_for("r", TargetId::Vpr);
         assert!(r.is_cluster_root);
         assert!(!r.usage.mspill.is_empty());
-        let s_ = analysis.database.lookup("s");
+        let s_ = analysis.database.lookup_for("s", TargetId::Vpr);
         assert!(!s_.usage.free.is_empty());
         assert!(s_.promotions.is_empty());
     }
@@ -743,7 +735,7 @@ mod tests {
         assert_eq!(analysis.stats.webs_colored, 3); // g1, g2, g3
                                                     // Every defined node carries all three promotions.
         for name in ["A", "B", "C", "D", "E", "F", "G", "H"] {
-            let d = analysis.database.lookup(name);
+            let d = analysis.database.lookup_for(name, TargetId::Vpr);
             assert_eq!(d.promotions.len(), 3, "{name}: {:?}", d.promotions);
             // Only the start node A is an entry.
             for p in &d.promotions {
@@ -751,7 +743,7 @@ mod tests {
             }
         }
         // Three distinct registers.
-        let a = analysis.database.lookup("A");
+        let a = analysis.database.lookup_for("A", TargetId::Vpr);
         let regs: std::collections::HashSet<Reg> = a.promotions.iter().map(|p| p.reg).collect();
         assert_eq!(regs.len(), 3);
     }
@@ -765,10 +757,14 @@ mod tests {
     #[test]
     fn figure3_directives_are_structurally_portable_across_targets() {
         let s = figure3();
-        let on =
-            |target| analyze(&s, &AnalyzerOptions::paper_config_for(PaperConfig::C, None, target));
-        let v = on(vpr::target::TargetId::Vpr);
-        let r = on(vpr::target::TargetId::Rv32);
+        let on = |target| {
+            analyze(
+                &s,
+                &AnalyzerOptions { target, ..AnalyzerOptions::paper_config(PaperConfig::C, None) },
+            )
+        };
+        let v = on(TargetId::Vpr);
+        let r = on(TargetId::Rv32);
 
         // Same web/cluster structure in the aggregate...
         assert_eq!(v.stats.webs_total, r.stats.webs_total);
@@ -794,7 +790,7 @@ mod tests {
 
         // Per-procedure: identical promotion and cluster structure.
         for d in v.database.iter() {
-            let other = r.database.lookup(&d.name);
+            let other = r.database.lookup_for(&d.name, TargetId::Rv32);
             assert_eq!(d.is_cluster_root, other.is_cluster_root, "{}", d.name);
             let shape = |p: &crate::database::ProcDirectives| {
                 p.promotions

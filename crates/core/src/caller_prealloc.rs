@@ -10,9 +10,9 @@
 //!
 //! The contract here:
 //!
-//! * Each procedure *claims* a prefix of the fixed [`claim_pool`] ordering,
-//!   sized by its summary estimate; the second phase confines its own
-//!   caller-saves scratch to that claim.
+//! * Each procedure *claims* a prefix of the target's fixed claim pool
+//!   ([`TargetDesc::claim_pool`]), sized by its summary estimate; the
+//!   second phase confines its own caller-saves scratch to that claim.
 //! * `tree_caller(P)` is the union of claims over P's entire call tree.
 //!   Calls to procedures on recursive chains, through indirect call sites,
 //!   or into undefined (library) procedures conservatively clobber the
@@ -22,52 +22,20 @@
 //!   caller's own claim).
 
 use crate::callgraph::{CallGraph, NodeId};
-use vpr::regs::{Reg, RegSet};
+use vpr::regs::RegSet;
 use vpr::target::TargetDesc;
 
-/// The claimable caller-saves registers, in the second phase's selection
-/// order: the caller-saves file minus argument registers, the return-value
-/// register and the emitter's scratch registers. VPR convention; see
-/// [`claim_pool_for`] for the target-parameterized form.
-pub fn claim_pool() -> Vec<Reg> {
-    claim_pool_for(&vpr::target::VPR)
-}
-
-/// The claimable caller-saves registers of `desc`, in hand-out order.
-pub fn claim_pool_for(desc: &TargetDesc) -> Vec<Reg> {
-    desc.claim_pool.to_vec()
-}
-
-/// The full claim pool as a set (VPR convention).
-pub fn claim_pool_set() -> RegSet {
-    claim_pool().into_iter().collect()
-}
-
-/// The full claim pool of `desc` as a set.
-pub fn claim_pool_set_for(desc: &TargetDesc) -> RegSet {
-    desc.claim_pool_set()
-}
-
-/// The claim of one node: the first `estimate` registers of the pool.
-pub fn own_claim(graph: &CallGraph, n: NodeId) -> RegSet {
-    own_claim_for(graph, n, &vpr::target::VPR)
-}
-
-/// [`own_claim`] against `desc`'s claim pool.
+/// The claim of one node: the first `estimate` registers of `desc`'s
+/// claim pool.
 pub fn own_claim_for(graph: &CallGraph, n: NodeId, desc: &TargetDesc) -> RegSet {
     if !graph.node(n).defined {
-        return claim_pool_set_for(desc); // library code may use anything
+        return desc.claim_pool_set(); // library code may use anything
     }
-    claim_pool_for(desc).into_iter().take(graph.node(n).caller_saves_estimate as usize).collect()
+    desc.claim_pool.iter().copied().take(graph.node(n).caller_saves_estimate as usize).collect()
 }
 
-/// Computes `tree_caller` for every node: the claim-pool registers a call
-/// to that node may clobber, transitively (VPR convention).
-pub fn compute_tree_caller(graph: &CallGraph) -> Vec<RegSet> {
-    compute_tree_caller_for(graph, &vpr::target::VPR)
-}
-
-/// [`compute_tree_caller`] against `desc`'s claim pool.
+/// Computes `tree_caller` for every node: the registers of `desc`'s claim
+/// pool a call to that node may clobber, transitively.
 pub fn compute_tree_caller_for(graph: &CallGraph, desc: &TargetDesc) -> Vec<RegSet> {
     let n = graph.len();
     let mut tree: Vec<RegSet> = vec![RegSet::new(); n];
@@ -77,7 +45,7 @@ pub fn compute_tree_caller_for(graph: &CallGraph, desc: &TargetDesc) -> Vec<RegS
     for &p in &order {
         let mut acc = own_claim_for(graph, p, desc);
         if graph.is_recursive(p) || !graph.node(p).defined {
-            acc = claim_pool_set_for(desc);
+            acc = desc.claim_pool_set();
         } else {
             for s in graph.successors(p) {
                 acc |= tree[s.index()];
@@ -113,22 +81,24 @@ pub fn compute_tree_caller_for(graph: &CallGraph, desc: &TargetDesc) -> Vec<RegS
 mod tests {
     use super::*;
     use crate::callgraph::tests::{proc, summary_of};
+    use vpr::regs::Reg;
+    use vpr::target::VPR;
 
     #[test]
     fn chain_accumulates_claims() {
         // main -> a -> b; estimates are 2 each (test helper default).
         let s = summary_of(vec![proc("main", &[("a", 1)]), proc("a", &[("b", 1)]), proc("b", &[])]);
         let g = CallGraph::build(&s, None);
-        let tree = compute_tree_caller(&g);
+        let tree = compute_tree_caller_for(&g, &VPR);
         let b = g.by_name("b").unwrap();
         let a = g.by_name("a").unwrap();
         // b's tree = its own claim (first 2 pool registers).
-        assert_eq!(tree[b.index()], own_claim(&g, b));
+        assert_eq!(tree[b.index()], own_claim_for(&g, b, &VPR));
         assert_eq!(tree[b.index()].len(), 2);
         // a's tree = a's claim ∪ b's — same first-2 prefix here.
-        assert_eq!(tree[a.index()], own_claim(&g, a) | tree[b.index()]);
+        assert_eq!(tree[a.index()], own_claim_for(&g, a, &VPR) | tree[b.index()]);
         // Three registers stay safe across a call to b.
-        let safe = claim_pool_set() - tree[b.index()];
+        let safe = VPR.claim_pool_set() - tree[b.index()];
         assert_eq!(safe.len(), 3);
     }
 
@@ -136,21 +106,21 @@ mod tests {
     fn recursion_clobbers_everything() {
         let s = summary_of(vec![proc("main", &[("r", 1)]), proc("r", &[("r", 1)])]);
         let g = CallGraph::build(&s, None);
-        let tree = compute_tree_caller(&g);
+        let tree = compute_tree_caller_for(&g, &VPR);
         let r = g.by_name("r").unwrap();
-        assert_eq!(tree[r.index()], claim_pool_set());
+        assert_eq!(tree[r.index()], VPR.claim_pool_set());
         // And it propagates up.
         let main = g.by_name("main").unwrap();
-        assert_eq!(tree[main.index()], claim_pool_set());
+        assert_eq!(tree[main.index()], VPR.claim_pool_set());
     }
 
     #[test]
     fn undefined_callees_clobber_everything() {
         let s = summary_of(vec![proc("main", &[("libc", 1)])]);
         let g = CallGraph::build(&s, None);
-        let tree = compute_tree_caller(&g);
+        let tree = compute_tree_caller_for(&g, &VPR);
         let libc = g.by_name("libc").unwrap();
-        assert_eq!(tree[libc.index()], claim_pool_set());
+        assert_eq!(tree[libc.index()], VPR.claim_pool_set());
     }
 
     #[test]
@@ -159,21 +129,21 @@ mod tests {
         leaf.caller_saves_estimate = 0;
         let s = summary_of(vec![proc("main", &[("leaf", 1)]), leaf]);
         let g = CallGraph::build(&s, None);
-        let tree = compute_tree_caller(&g);
+        let tree = compute_tree_caller_for(&g, &VPR);
         let l = g.by_name("leaf").unwrap();
         assert!(tree[l.index()].is_empty());
-        assert_eq!((claim_pool_set() - tree[l.index()]).len(), 5);
+        assert_eq!((VPR.claim_pool_set() - tree[l.index()]).len(), 5);
     }
 
     #[test]
     fn pool_is_disjoint_from_args_rv_scratch() {
-        let pool = claim_pool_set();
+        let pool = VPR.claim_pool_set();
         for a in Reg::ARGS {
             assert!(!pool.contains(a));
         }
         assert!(!pool.contains(Reg::RV));
         assert!(!pool.contains(Reg::AT));
         assert!(!pool.contains(Reg::new(31)));
-        assert!(pool.is_subset(RegSet::caller_saves()));
+        assert!(pool.is_subset(VPR.caller_saves));
     }
 }

@@ -210,19 +210,10 @@ pub struct Coloring {
     pub colored: usize,
 }
 
-/// Colors the prioritized webs (VPR convention).
-pub fn color_webs(
-    webs: &[Web],
-    prio: &Prioritization,
-    strategy: ColoringStrategy,
-    graph: &CallGraph,
-) -> Coloring {
-    color_webs_for(webs, prio, strategy, graph, &vpr::target::VPR)
-}
-
-/// [`color_webs`] drawing candidate registers from `desc`'s callee-saves
-/// class, in ascending order — the same order the local allocator consumes
-/// them, which is what makes the Greedy skip-prefix rule sound.
+/// Colors the prioritized webs, drawing candidate registers from `desc`'s
+/// callee-saves class in ascending order — the same order the local
+/// allocator consumes them, which is what makes the Greedy skip-prefix
+/// rule sound.
 ///
 /// `prio.considered` lists each web at most once, as [`prioritize`] does.
 pub fn color_webs_for(
@@ -316,6 +307,7 @@ mod tests {
     use crate::dataflow::RefSets;
     use crate::webs::identify_webs;
     use ipra_summary::ProgramSummary;
+    use vpr::target::VPR;
 
     fn setup(s: &ProgramSummary) -> (CallGraph, Eligibility, Vec<Web>) {
         let g = CallGraph::build(s, None);
@@ -332,7 +324,8 @@ mod tests {
         let (g, e, webs) = setup(&figure3());
         let prio = prioritize(&webs, &g, &e, &DiscardHeuristics::default());
         assert_eq!(prio.considered.len(), 4, "{prio:?}");
-        let coloring = color_webs(&webs, &prio, ColoringStrategy::Reserved { count: 2 }, &g);
+        let coloring =
+            color_webs_for(&webs, &prio, ColoringStrategy::Reserved { count: 2 }, &g, &VPR);
         assert_eq!(coloring.colored, 4);
         // Interfering webs got different registers.
         for i in 0..webs.len() {
@@ -354,7 +347,8 @@ mod tests {
     fn one_register_colors_only_noninterfering_subset() {
         let (g, e, webs) = setup(&figure3());
         let prio = prioritize(&webs, &g, &e, &DiscardHeuristics::default());
-        let coloring = color_webs(&webs, &prio, ColoringStrategy::Reserved { count: 1 }, &g);
+        let coloring =
+            color_webs_for(&webs, &prio, ColoringStrategy::Reserved { count: 1 }, &g, &VPR);
         assert!(coloring.colored < 4);
         assert!(coloring.colored >= 1);
         for i in 0..webs.len() {
@@ -443,7 +437,7 @@ mod tests {
         let (g, e, webs) = setup(&s);
         let heur = DiscardHeuristics { min_lref_ratio: 0.0, min_singleton_refs: 0 };
         let prio = prioritize(&webs, &g, &e, &heur);
-        let coloring = color_webs(&webs, &prio, ColoringStrategy::Greedy, &g);
+        let coloring = color_webs_for(&webs, &prio, ColoringStrategy::Greedy, &g, &VPR);
         assert_eq!(coloring.assignment[0], Some(Reg::new(5)));
     }
 
@@ -468,7 +462,8 @@ mod tests {
     fn reserved_zero_colors_nothing() {
         let (g, e, webs) = setup(&figure3());
         let prio = prioritize(&webs, &g, &e, &DiscardHeuristics::default());
-        let coloring = color_webs(&webs, &prio, ColoringStrategy::Reserved { count: 0 }, &g);
+        let coloring =
+            color_webs_for(&webs, &prio, ColoringStrategy::Reserved { count: 0 }, &g, &VPR);
         assert_eq!(coloring.colored, 0);
     }
 }

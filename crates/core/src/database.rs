@@ -51,19 +51,16 @@ pub struct ProcDirectives {
     pub safe_caller_across: vpr::regs::RegSet,
 }
 
+/// The claim of an entry that names none: VPR's whole pool, because a
+/// `.cdir` file older than targets (and so than this field) was VPR's.
 fn full_claim() -> vpr::regs::RegSet {
-    crate::caller_prealloc::claim_pool_set()
+    vpr::target::VPR.claim_pool_set()
 }
 
 impl ProcDirectives {
-    /// Directives equivalent to the standard linkage convention (what a
-    /// procedure gets when interprocedural allocation is off or the
-    /// database has no entry for it). VPR convention.
-    pub fn standard(name: impl Into<String>) -> ProcDirectives {
-        ProcDirectives::standard_for(name, vpr::target::TargetId::Vpr)
-    }
-
-    /// The standard-convention directives of `target`.
+    /// Directives equivalent to `target`'s standard linkage convention
+    /// (what a procedure gets when interprocedural allocation is off or
+    /// the database has no entry for it).
     pub fn standard_for(name: impl Into<String>, target: vpr::target::TargetId) -> ProcDirectives {
         let desc = target.desc();
         ProcDirectives {
@@ -100,12 +97,6 @@ impl ProgramDatabase {
         self.entries.get(name)
     }
 
-    /// The directives for `name`, falling back to the standard convention
-    /// (VPR).
-    pub fn lookup(&self, name: &str) -> ProcDirectives {
-        self.lookup_for(name, vpr::target::TargetId::Vpr)
-    }
-
     /// The directives for `name`, falling back to `target`'s standard
     /// convention for procedures the analyzer never saw.
     pub fn lookup_for(&self, name: &str, target: vpr::target::TargetId) -> ProcDirectives {
@@ -131,9 +122,9 @@ impl ProgramDatabase {
     }
 
     /// Stable fingerprint of one procedure's directives, as the compiler
-    /// second phase would see them: absent entries hash as the standard
-    /// linkage convention, so adding an explicit `standard()` entry does
-    /// not change the fingerprint-visible contract.
+    /// second phase would see them: absent entries hash as VPR's standard
+    /// linkage convention, so adding an explicit VPR `standard_for` entry
+    /// does not change the fingerprint-visible contract.
     pub fn proc_fingerprint(&self, name: &str) -> u64 {
         let mut h = Fnv64::new();
         self.hash_proc(&mut h, name, &mut Vec::new());
@@ -189,7 +180,13 @@ impl ProgramDatabase {
     fn hash_proc(&self, h: &mut Fnv64, name: &str, buf: &mut Vec<u8>) {
         match self.entries.get(name) {
             Some(d) => hash_encoding(h, d, buf),
-            None => hash_encoding(h, &ProcDirectives::standard(name), buf),
+            // VPR's for every target: the fingerprint is only compared
+            // within one target (the driver mixes the target into each
+            // phase-2 key), and VPR's keeps the keys that predate targets.
+            None => {
+                let standard = ProcDirectives::standard_for(name, vpr::target::TargetId::Vpr);
+                hash_encoding(h, &standard, buf)
+            }
         }
     }
 
@@ -222,14 +219,14 @@ fn hash_encoding(h: &mut Fnv64, value: &impl BinSerialize, buf: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpr::regs::RegSet;
+    use vpr::target::{TargetId, VPR};
 
     #[test]
     fn lookup_falls_back_to_standard() {
         let db = ProgramDatabase::new();
-        let d = db.lookup("anything");
-        assert_eq!(d.usage.callee, RegSet::callee_saves());
-        assert_eq!(d.usage.caller, RegSet::caller_saves());
+        let d = db.lookup_for("anything", TargetId::Vpr);
+        assert_eq!(d.usage.callee, VPR.callee_saves);
+        assert_eq!(d.usage.caller, VPR.caller_saves);
         assert!(d.usage.free.is_empty() && d.usage.mspill.is_empty());
         assert!(d.promotions.is_empty());
         assert!(!d.is_cluster_root);
@@ -239,7 +236,7 @@ mod tests {
     #[test]
     fn insert_and_query() {
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("f");
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
         d.promotions.push(Promotion {
             sym: "g".into(),
             reg: Reg::new(3),
@@ -250,17 +247,17 @@ mod tests {
         db.insert(d.clone());
         assert_eq!(db.len(), 1);
         assert_eq!(db.get("f"), Some(&d));
-        assert_eq!(db.lookup("f"), d);
+        assert_eq!(db.lookup_for("f", TargetId::Vpr), d);
     }
 
     #[test]
     fn json_round_trip() {
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("f");
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
         d.usage.free.insert(Reg::new(5));
         d.usage.mspill.insert(Reg::new(6));
         db.insert(d);
-        db.insert(ProcDirectives::standard("g"));
+        db.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
         let back = ProgramDatabase::from_json(&db.to_json()).unwrap();
         assert_eq!(db, back);
         assert!(ProgramDatabase::from_json("nope").is_err());
@@ -271,10 +268,10 @@ mod tests {
         let mut db = ProgramDatabase::new();
         let base = db.proc_fingerprint("f");
         // An explicit standard entry is indistinguishable from no entry.
-        db.insert(ProcDirectives::standard("f"));
+        db.insert(ProcDirectives::standard_for("f", TargetId::Vpr));
         assert_eq!(db.proc_fingerprint("f"), base);
         // Any directive change moves the fingerprint.
-        let mut d = ProcDirectives::standard("f");
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
         d.usage.free.insert(Reg::new(5));
         db.insert(d);
         assert_ne!(db.proc_fingerprint("f"), base);
@@ -283,20 +280,20 @@ mod tests {
     #[test]
     fn slice_fingerprint_sees_only_the_relevant_slice() {
         let mut db = ProgramDatabase::new();
-        let mut f = ProcDirectives::standard("f");
+        let mut f = ProcDirectives::standard_for("f", TargetId::Vpr);
         f.is_cluster_root = true;
         db.insert(f);
-        db.insert(ProcDirectives::standard("g"));
+        db.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
         let before = db.module_slice_fingerprint(["f"], ["g"]);
 
         // A change to an unrelated procedure leaves the slice unchanged.
-        let mut far = ProcDirectives::standard("far");
+        let mut far = ProcDirectives::standard_for("far", TargetId::Vpr);
         far.usage.mspill.insert(Reg::new(4));
         db.insert(far);
         assert_eq!(db.module_slice_fingerprint(["f"], ["g"]), before);
 
         // A change to a defined procedure's directives moves it.
-        let mut f2 = db.lookup("f");
+        let mut f2 = db.lookup_for("f", TargetId::Vpr);
         f2.promotions.push(Promotion {
             sym: "glob".into(),
             reg: Reg::new(3),
@@ -308,11 +305,11 @@ mod tests {
         assert_ne!(after_def, before);
 
         // A callee change is only visible through its safe set.
-        let mut g = db.lookup("g");
+        let mut g = db.lookup_for("g", TargetId::Vpr);
         g.is_cluster_root = true; // codegen of callers never reads this
         db.insert(g);
         assert_eq!(db.module_slice_fingerprint(["f"], ["g"]), after_def);
-        let mut g2 = db.lookup("g");
+        let mut g2 = db.lookup_for("g", TargetId::Vpr);
         g2.safe_caller_across.insert(Reg::new(20));
         db.insert(g2);
         assert_ne!(db.module_slice_fingerprint(["f"], ["g"]), after_def);
@@ -325,7 +322,7 @@ mod tests {
     #[test]
     fn fingerprints_are_stable_across_serialization_and_construction() {
         let mut db = ProgramDatabase::new();
-        let mut f = ProcDirectives::standard("f");
+        let mut f = ProcDirectives::standard_for("f", TargetId::Vpr);
         f.usage.free.insert(Reg::new(5));
         f.promotions.push(Promotion {
             sym: "g".into(),
@@ -334,10 +331,10 @@ mod tests {
             store_at_exit: true,
         });
         db.insert(f.clone());
-        db.insert(ProcDirectives::standard("g"));
+        db.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
 
         let mut db2 = ProgramDatabase::new();
-        db2.insert(ProcDirectives::standard("g"));
+        db2.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
         db2.insert(f);
         let db3 = ProgramDatabase::from_json(&db.to_json()).unwrap();
 
@@ -354,8 +351,8 @@ mod tests {
     #[test]
     fn slice_fingerprint_is_order_insensitive() {
         let mut db = ProgramDatabase::new();
-        db.insert(ProcDirectives::standard("a"));
-        db.insert(ProcDirectives::standard("b"));
+        db.insert(ProcDirectives::standard_for("a", TargetId::Vpr));
+        db.insert(ProcDirectives::standard_for("b", TargetId::Vpr));
         assert_eq!(
             db.module_slice_fingerprint(["a", "b"], ["c", "d", "c"]),
             db.module_slice_fingerprint(["b", "a", "a"], ["d", "c"])
@@ -370,8 +367,8 @@ mod tests {
     #[test]
     fn iteration_is_name_ordered() {
         let mut db = ProgramDatabase::new();
-        db.insert(ProcDirectives::standard("zeta"));
-        db.insert(ProcDirectives::standard("alpha"));
+        db.insert(ProcDirectives::standard_for("zeta", TargetId::Vpr));
+        db.insert(ProcDirectives::standard_for("alpha", TargetId::Vpr));
         let names: Vec<&str> = db.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }

@@ -47,13 +47,8 @@ pub struct RegUsage {
 }
 
 impl RegUsage {
-    /// The standard linkage convention (no interprocedural information),
-    /// for the VPR target.
-    pub fn standard() -> RegUsage {
-        RegUsage::standard_for(&vpr::target::VPR)
-    }
-
-    /// The standard linkage convention of `desc`.
+    /// The standard linkage convention of `desc` (no interprocedural
+    /// information).
     pub fn standard_for(desc: &TargetDesc) -> RegUsage {
         RegUsage {
             free: RegSet::new(),
@@ -74,22 +69,12 @@ impl RegUsage {
     }
 }
 
-/// Computes register usage sets for every node.
+/// Computes register usage sets for every node, drawing the clusters'
+/// callee-saves registers from `desc`'s.
 ///
 /// `web_regs[n]` holds the registers dedicated to promoted globals at node
 /// `n`; `precise` selects the §7.6.2 refinement over the conservative
 /// whole-cluster exclusion.
-pub fn compute_register_sets(
-    graph: &CallGraph,
-    clustering: &Clustering,
-    web_regs: &[RegSet],
-    precise: bool,
-) -> Vec<RegUsage> {
-    compute_register_sets_for(graph, clustering, web_regs, precise, &vpr::target::VPR)
-}
-
-/// [`compute_register_sets`] against an explicit machine description: the
-/// callee-saves universe the clusters draw from is `desc`'s.
 pub fn compute_register_sets_for(
     graph: &CallGraph,
     clustering: &Clustering,
@@ -275,6 +260,7 @@ mod tests {
     use crate::cluster::{identify_clusters, ClusterHeuristics};
     use crate::dataflow::testutil::summary;
     use ipra_summary::ProgramSummary;
+    use vpr::target::VPR;
 
     fn build(s: &ProgramSummary) -> (CallGraph, Clustering) {
         let g = CallGraph::build(s, None);
@@ -299,8 +285,8 @@ mod tests {
             assert!(u.free.is_disjoint(u.callee), "{n}: free/callee overlap");
             assert!(u.caller.is_disjoint(u.callee), "{n}: caller/callee overlap");
             // FREE and MSPILL contain only callee-saves registers.
-            assert!(u.free.is_subset(RegSet::callee_saves()));
-            assert!(u.mspill.is_subset(RegSet::callee_saves()));
+            assert!(u.free.is_subset(VPR.callee_saves));
+            assert!(u.mspill.is_subset(VPR.callee_saves));
             // Only cluster roots may carry MSPILL.
             if !u.mspill.is_empty() {
                 assert!(c.is_root(n), "{n} has MSPILL but is not a root");
@@ -369,7 +355,7 @@ mod tests {
             &[],
         );
         let (g, c) = build(&s);
-        let usage = compute_register_sets(&g, &c, &no_webs(&g), false);
+        let usage = compute_register_sets_for(&g, &c, &no_webs(&g), false, &VPR);
         check_invariants(&g, &c, &usage);
 
         let (r, s_, t) = (node(&g, "r"), node(&g, "s"), node(&g, "t"));
@@ -385,7 +371,7 @@ mod tests {
         // Root CALLEE and member FREE are disjoint.
         assert!(usage[r.index()].callee.is_disjoint(usage[s_.index()].free));
         // main is untouched.
-        assert_eq!(usage[node(&g, "main").index()], RegUsage::standard());
+        assert_eq!(usage[node(&g, "main").index()], RegUsage::standard_for(&VPR));
     }
 
     #[test]
@@ -413,7 +399,7 @@ mod tests {
             };
         }
         let (g, c) = build(&s);
-        let usage = compute_register_sets(&g, &c, &no_webs(&g), false);
+        let usage = compute_register_sets_for(&g, &c, &no_webs(&g), false, &VPR);
         check_invariants(&g, &c, &usage);
         let (j, k, l, m) = (node(&g, "j"), node(&g, "k"), node(&g, "l"), node(&g, "m"));
 
@@ -445,7 +431,7 @@ mod tests {
             &[],
         );
         let (g, c) = build(&s);
-        let usage = compute_register_sets(&g, &c, &no_webs(&g), false);
+        let usage = compute_register_sets_for(&g, &c, &no_webs(&g), false, &VPR);
         check_invariants(&g, &c, &usage);
         let (r, s_) = (node(&g, "r"), node(&g, "s"));
         // s roots the inner cluster but r's cluster covers s: s's MSPILL
@@ -486,8 +472,8 @@ mod tests {
         set.insert(Reg::new(3));
         web_regs[node(&g, "s").index()] = set;
 
-        let conservative = compute_register_sets(&g, &c, &web_regs, false);
-        let precise = compute_register_sets(&g, &c, &web_regs, true);
+        let conservative = compute_register_sets_for(&g, &c, &web_regs, false, &VPR);
+        let precise = compute_register_sets_for(&g, &c, &web_regs, true, &VPR);
         check_invariants(&g, &c, &conservative);
         check_invariants(&g, &c, &precise);
 
@@ -519,11 +505,11 @@ mod tests {
         set.insert(Reg::new(3));
         web_regs[node(&g, "main").index()] = set;
         web_regs[node(&g, "leaf").index()] = set;
-        let usage = compute_register_sets(&g, &c, &web_regs, false);
+        let usage = compute_register_sets_for(&g, &c, &web_regs, false, &VPR);
         for n in [node(&g, "main"), node(&g, "leaf")] {
             assert!(!usage[n.index()].callee.contains(Reg::new(3)));
             assert_eq!(usage[n.index()].callee.len(), 15);
-            assert_eq!(usage[n.index()].caller, RegSet::caller_saves());
+            assert_eq!(usage[n.index()].caller, VPR.caller_saves);
         }
     }
 
@@ -553,7 +539,7 @@ mod tests {
         // The shape under test: both callees of main are roots in their own
         // right, nested inside a cluster rooted at main.
         assert!(c.is_root(node(&g, "main")) && c.is_root(f1) && c.is_root(f2), "{c:?}");
-        let usage = compute_register_sets(&g, &c, &no_webs(&g), false);
+        let usage = compute_register_sets_for(&g, &c, &no_webs(&g), false, &VPR);
         check_invariants(&g, &c, &usage);
         // f2 converted its CALLEE save into a FREE grant from main's
         // MSPILL; f1, downstream of f2, must not receive the same register.
@@ -585,7 +571,7 @@ mod tests {
         let r = node(&g, "r");
         assert!(g.is_recursive(r));
         assert!(c.is_root(r), "{c:?}");
-        let usage = compute_register_sets(&g, &c, &no_webs(&g), false);
+        let usage = compute_register_sets_for(&g, &c, &no_webs(&g), false, &VPR);
         check_invariants(&g, &c, &usage);
         // r still saves its members' FREE registers itself on every
         // activation, and converted none of its own CALLEE saves to FREE.
@@ -602,7 +588,7 @@ mod tests {
             p.callee_saves_estimate = 16; // wants everything
         }
         let (g, c) = build(&s);
-        let usage = compute_register_sets(&g, &c, &no_webs(&g), false);
+        let usage = compute_register_sets_for(&g, &c, &no_webs(&g), false, &VPR);
         check_invariants(&g, &c, &usage);
         let (r, s_) = (node(&g, "r"), node(&g, "s"));
         // Root takes all 16 as CALLEE; nothing remains for members.

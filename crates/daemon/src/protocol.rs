@@ -304,16 +304,16 @@ pub fn read_frame(
     Ok(Some(frame))
 }
 
-/// Encodes a linked executable as `.vx` artifact text — exactly the bytes
-/// `cminc build -o prog.vx` writes, which is what makes a daemon response
-/// byte-comparable to a local build — with the body fingerprint its header
-/// carries, taken from the encoder: the header's FNV-64 pass is the only
-/// one over the text.
+/// Encodes a linked executable as `.vx` artifact text, stamped with the
+/// executable's target — exactly the bytes `cminc build -o prog.vx`
+/// writes, which is what makes a daemon response byte-comparable to a
+/// local build — with the body fingerprint its header carries, taken from
+/// the encoder: the header's FNV-64 pass is the only one over the text.
 pub fn executable_artifact(exe: &vpr::program::Executable) -> (String, u64) {
     ipra_artifact::encode_fingerprinted(
         ipra_artifact::ArtifactKind::Executable,
         &ipra_artifact::ExecutableView { exe },
-        vpr::target::TargetId::Vpr,
+        exe.target(),
     )
 }
 

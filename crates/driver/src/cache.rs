@@ -1308,7 +1308,8 @@ mod tests {
 
     fn analysis(key: u64) -> AnalysisEntry {
         let mut database = ProgramDatabase::new();
-        database.insert(ipra_core::ProcDirectives::standard("main"));
+        database
+            .insert(ipra_core::ProcDirectives::standard_for("main", vpr::target::TargetId::Vpr));
         let stats = AnalyzerStats { nodes: 1, avg_cluster_size: 1.5, ..AnalyzerStats::default() };
         AnalysisEntry { key, database, stats }
     }

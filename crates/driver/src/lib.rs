@@ -119,7 +119,8 @@ pub struct CompileOptions {
     /// The program analyzer's options: a paper configuration's
     /// ([`AnalyzerOptions::paper_config`], with profile data for B and F)
     /// or any other, as the ablation benchmarks set. Plain level-2 by
-    /// default. Their `target` gives way to [`CompileOptions::target`].
+    /// default. Their `target` is the build's: the machine description
+    /// codegen, the analyzer and the linker build against.
     pub analyzer: AnalyzerOptions,
     /// Run the level-2 global optimizer (on by default; turning it off
     /// gives the unoptimized baseline used to validate the optimizer and
@@ -139,10 +140,6 @@ pub struct CompileOptions {
     /// nothing; either way the compiled program is bit-identical —
     /// telemetry is pure observation, like [`trace`](CompileOptions::trace).
     pub telemetry: Option<Telemetry>,
-    /// The machine description codegen, the analyzer and the linker build
-    /// against. The driver's target is authoritative: it overrides the
-    /// `target` field of [`CompileOptions::analyzer`].
-    pub target: vpr::target::TargetId,
 }
 
 impl Default for CompileOptions {
@@ -153,7 +150,6 @@ impl Default for CompileOptions {
             jobs: 1,
             trace: false,
             telemetry: None,
-            target: vpr::target::TargetId::Vpr,
         }
     }
 }
@@ -348,7 +344,7 @@ fn build(
 ) -> Result<Built, DriverError> {
     let tele = options.telemetry.as_ref();
     let build_timer = span(tele, "build", "build");
-    let (optimize, target) = (options.optimize, options.target);
+    let (optimize, target) = (options.optimize, options.analyzer.target);
     let pool = Pool { jobs: options.effective_jobs(), tele };
     let mut cache = shard.map(|shard| BuildCache::new(shard, options.telemetry.clone()));
     let mut report = BuildReport::default();
@@ -557,9 +553,9 @@ pub fn collect_profile_from(exe: &Executable, result: &RunResult) -> ProfileData
 /// `training_input`, and recompile with the collected profile. The two
 /// builds share `cache`, so the recompile's first phase is pure cache hits
 /// and its second phase re-runs only where the profile moved the database.
-/// The caller's `options` (jobs, trace, optimize, telemetry, target) are
-/// honored; its analyzer options are replaced by `config`'s in each
-/// build, and the baseline build never traces.
+/// The caller's `options` (jobs, trace, optimize, telemetry, and its
+/// analyzer's target) are honored; its other analyzer options are replaced
+/// by `config`'s in each build, and the baseline build never traces.
 ///
 /// # Errors
 ///
@@ -654,9 +650,9 @@ fn configured(
 /// The training half of [`compile_configured`], which
 /// [`compile_artifact`] and the staged artifact build
 /// ([`separate::artifact_build_configured_for`]) share: `options` under
-/// `config`'s analyzer options, whose profile, when `config` wants one, is
-/// the call-edge counts of the L2 build through `shard` run on
-/// `training_input`.
+/// `config`'s analyzer options for `options`' target, whose profile, when
+/// `config` wants one, is the call-edge counts of the L2 build for that
+/// target through `shard` run on `training_input`.
 pub(crate) fn configured_options(
     sources: &[SourceFile],
     config: PaperConfig,
@@ -664,15 +660,15 @@ pub(crate) fn configured_options(
     options: &CompileOptions,
     shard: &Mutex<CompilationCache>,
 ) -> Result<Result<CompileOptions, SimError>, DriverError> {
-    let configured = |profile| {
-        let analyzer = AnalyzerOptions::paper_config(config, profile);
+    let target = options.analyzer.target;
+    let configured = |config, profile| {
+        let analyzer = AnalyzerOptions { target, ..AnalyzerOptions::paper_config(config, profile) };
         CompileOptions { analyzer, ..options.clone() }
     };
     if !config.wants_profile() {
-        return Ok(Ok(configured(None)));
+        return Ok(Ok(configured(config, None)));
     }
-    let analyzer = AnalyzerOptions::paper_config(PaperConfig::L2, None);
-    let baseline_opts = CompileOptions { analyzer, trace: false, ..options.clone() };
+    let baseline_opts = CompileOptions { trace: false, ..configured(PaperConfig::L2, None) };
     let baseline = build(sources, &baseline_opts, Some(shard), Want::Program)?.program();
     let tele = options.telemetry.as_ref();
     let training_timer = span(tele, "sim", "training-run");
@@ -685,7 +681,7 @@ pub(crate) fn configured_options(
         t.add("sim.training.runs", 1);
         t.add("sim.training.cycles", training.stats.cycles);
     }
-    Ok(Ok(configured(Some(collect_profile_from(&baseline.exe, &training)))))
+    Ok(Ok(configured(config, Some(collect_profile_from(&baseline.exe, &training)))))
 }
 
 /// Compiles `sources` under two configurations (decision tracing on), runs
@@ -1310,7 +1306,8 @@ mod tests {
         use vpr::target::TargetId;
         let sources = two_module_program();
         for target in TargetId::ALL {
-            let opts = CompileOptions { target, ..CompileOptions::paper(PaperConfig::C) };
+            let mut opts = CompileOptions::paper(PaperConfig::C);
+            opts.analyzer.target = target;
             let exe = compile(&sources, &opts).unwrap().exe;
             let view = ipra_artifact::ExecutableView { exe: &exe };
             let want = ipra_artifact::encode_fingerprinted(ArtifactKind::Executable, &view, target);

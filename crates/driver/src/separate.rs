@@ -186,7 +186,8 @@ pub fn artifact_build_configured_for(
     cache: &mut CompilationCache,
     target: TargetId,
 ) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
-    let options = CompileOptions { target, ..CompileOptions::default() };
+    let mut options = CompileOptions::default();
+    options.analyzer.target = target;
     let trained = stages::lend(cache, |shard| {
         crate::configured_options(sources, config, training_input, &options, shard)
     })?;
@@ -236,7 +237,8 @@ pub fn artifact_build_for(
         modules.push(a.summary);
     }
     let summary = ProgramSummary { modules };
-    let analysis = analyze(&summary, &AnalyzerOptions::paper_config_for(config, profile, target));
+    let opts = AnalyzerOptions { target, ..AnalyzerOptions::paper_config(config, profile) };
+    let analysis = analyze(&summary, &opts);
     let directives_path = dir.join("program.cdir");
     let payload = DirectivesArtifact { config: config.to_string(), database: analysis.database };
     // Directives, objects and the executable are target-dependent, so

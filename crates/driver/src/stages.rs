@@ -378,24 +378,23 @@ pub(crate) fn analysis_key(summary_fps: &[u64], opts: &AnalyzerOptions) -> u64 {
 }
 
 /// The program analyzer over phase 1's `front` under `options`' analyzer
-/// settings (with the build's target), through `cache`'s analysis tier
-/// when the build has a cache, and fills `report.analyze`. Returns the
-/// analysis, the summary the analyzer ran on when it copied one (see
-/// [`Front`]), and the decision trace. A traced build always runs the
-/// analyzer, to record its decisions, and stores the result like any
-/// miss. With no cache the analyzer runs on the build's own summary,
-/// nothing is keyed (the entry's key is zero) and nothing is stored.
+/// settings, through `cache`'s analysis tier when the build has a cache,
+/// and fills `report.analyze`. Returns the analysis, the summary the
+/// analyzer ran on when it copied one (see [`Front`]), and the decision
+/// trace. A traced build always runs the analyzer, to record its
+/// decisions, and stores the result like any miss. With no cache the
+/// analyzer runs on the build's own summary, nothing is keyed (the
+/// entry's key is zero) and nothing is stored.
 pub(crate) fn analyze(
     front: &Front,
     options: &CompileOptions,
     mut cache: Option<&mut BuildCache<'_>>,
     report: &mut BuildReport,
 ) -> (Arc<AnalysisEntry>, Option<ProgramSummary>, Option<AnalyzerTrace>) {
-    let opts = AnalyzerOptions { target: options.target, ..options.analyzer.clone() };
     let mut key = 0;
     if let Some(c) = &mut cache {
         let fps: Vec<u64> = front.entries().iter().map(|e| e.head.summary_fp).collect();
-        key = analysis_key(&fps, &opts);
+        key = analysis_key(&fps, &options.analyzer);
         if !options.trace {
             if let Some((entry, from_disk)) = c.batch(|c, io| c.lookup_analysis(key, io)) {
                 report.analyze.hits = 1;
@@ -407,10 +406,10 @@ pub(crate) fn analyze(
     report.analyze.misses = 1;
     let summary = front.summary();
     let (analysis, trace) = if options.trace {
-        let (analysis, trace) = analyze_traced(&summary, &opts);
+        let (analysis, trace) = analyze_traced(&summary, &options.analyzer);
         (analysis, Some(trace))
     } else {
-        (ipra_core::analyze(&summary, &opts), None)
+        (ipra_core::analyze(&summary, &options.analyzer), None)
     };
     let entry = AnalysisEntry { key, database: analysis.database, stats: analysis.stats };
     let entry = match cache {

@@ -20,7 +20,7 @@ use ipra_core::PaperConfig;
 use ipra_driver::{compile, verify_program, CompileOptions, CompiledProgram, SourceFile};
 use ipra_verify::{verify_modules, DiagKind};
 use vpr::inst::{Inst, MemClass};
-use vpr::regs::{Reg, RegSet};
+use vpr::regs::Reg;
 
 /// A known miscompile class the fuzzer can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,10 +118,11 @@ pub fn inject(program: &mut CompiledProgram, class: MutationClass) -> Option<Inj
 /// Nop out a callee-saves restore (the classic "missed epilogue on an
 /// early return" codegen bug).
 fn inject_missing_restore(program: &mut CompiledProgram) -> Option<Injection> {
+    let callee_saves = program.exe.target().desc().callee_saves;
     let (mi, fi, ii) = find_inst(program, |_, _, inst| {
         matches!(inst,
             Inst::Ldw { rd, base: Reg::SP, disp, class: MemClass::Spill }
-                if *disp >= 0 && RegSet::callee_saves().contains(*rd))
+                if *disp >= 0 && callee_saves.contains(*rd))
     })?;
     let proc = program.objects[mi].functions[fi].name().to_string();
     program.objects[mi].functions[fi].insts_mut()[ii] = Inst::Nop;
@@ -134,6 +135,7 @@ fn inject_missing_restore(program: &mut CompiledProgram) -> Option<Injection> {
 /// doesn't, the site is rejected), so only the code mutation introduces
 /// the violation.
 fn inject_promotion_clobber(program: &mut CompiledProgram) -> Option<Injection> {
+    let desc = program.exe.target().desc();
     let mut found = None;
     'procs: for d in program.database.iter() {
         if d.promotions.iter().any(|q| q.is_entry) {
@@ -147,7 +149,7 @@ fn inject_promotion_clobber(program: &mut CompiledProgram) -> Option<Injection> 
             let has_scratch_def = find_inst(program, |name, _, inst| {
                 name == d.name
                     && matches!(inst.def(),
-                        Some(rd) if RegSet::caller_saves().contains(rd) && rd != Reg::RV)
+                        Some(rd) if desc.caller_saves.contains(rd) && rd != desc.rv)
             })
             .is_some();
             let is_called = find_inst(
@@ -166,9 +168,9 @@ fn inject_promotion_clobber(program: &mut CompiledProgram) -> Option<Injection> 
     // Drop the promotion from the victim's directives, as if its module
     // were rebuilt against an older database. This alone must stay clean;
     // a site where it doesn't is not the hazard we're modeling.
-    let mut stale = program.database.lookup(&victim);
+    let mut stale = program.database.lookup_for(&victim, desc.id);
     stale.promotions.retain(|q| q.sym != sym);
-    let original = program.database.lookup(&victim);
+    let original = program.database.lookup_for(&victim, desc.id);
     program.database.insert(stale);
     if !verify_modules(&program.objects, &program.database).is_clean() {
         program.database.insert(original);
@@ -180,7 +182,7 @@ fn inject_promotion_clobber(program: &mut CompiledProgram) -> Option<Injection> 
     // valid).
     let (mi, fi, ii) = find_inst(program, |name, _, inst| {
         name == victim
-            && matches!(inst.def(), Some(rd) if RegSet::caller_saves().contains(rd) && rd != Reg::RV)
+            && matches!(inst.def(), Some(rd) if desc.caller_saves.contains(rd) && rd != desc.rv)
     })
     .expect("site selection guaranteed a scratch def");
     program.objects[mi].functions[fi].insts_mut()[ii] = Inst::Ldi { rd: home, imm: 0 };

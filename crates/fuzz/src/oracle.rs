@@ -400,7 +400,8 @@ fn check_cross_target(
     vpr_result: &vpr::RunResult,
 ) -> Result<(), Failure> {
     let fail = |detail: String| Failure::CrossTargetDivergence { config, detail };
-    let rv_opts = CompileOptions { target: vpr::target::TargetId::Rv32, ..copts.clone() };
+    let mut rv_opts = copts.clone();
+    rv_opts.analyzer.target = vpr::target::TargetId::Rv32;
     let program = match compile_configured(sources, config, &[], &rv_opts, cache) {
         Err(e) => return Err(fail(format!("rv32 compile failed: {e}"))),
         Ok(Err(e)) => return Err(fail(format!("rv32 training run trapped: {e}"))),

@@ -227,7 +227,7 @@ mod tests {
 
     fn run(f: &MachineFunction) -> Flow {
         let cfg = Cfg::build(f).unwrap();
-        analyze(f, &cfg, &|_| RegSet::caller_saves(), &vpr::target::VPR)
+        analyze(f, &cfg, &|_| vpr::target::VPR.caller_saves, &vpr::target::VPR)
     }
 
     fn ret() -> Inst {

@@ -705,7 +705,9 @@ fn fix_arg_uses(
     }
 }
 
-/// Verifies every procedure of `modules` against `db`.
+/// Verifies every procedure of `modules` against `db`; a procedure `db`
+/// has no entry for is held to the standard convention of the modules'
+/// target.
 ///
 /// The modules must be the whole program (the same set that would be
 /// linked): the interprocedural facts — clobber sets, web membership,
@@ -767,7 +769,8 @@ pub fn verify_modules(modules: &[ObjectModule], db: &ProgramDatabase) -> VerifyR
                     None
                 }
             };
-            procs.push(Proc { module: &m.name, func: f, cfg, dirs: db.lookup(f.name()) });
+            let dirs = db.lookup_for(f.name(), target);
+            procs.push(Proc { module: &m.name, func: f, cfg, dirs });
         }
     }
 

@@ -96,7 +96,7 @@ mod tests {
             &cfg,
             &|_| RegSet::EMPTY,
             &|_| {
-                let mut d = RegSet::caller_saves();
+                let mut d = vpr::target::VPR.caller_saves;
                 d.insert(Reg::RP);
                 d
             },
@@ -154,7 +154,7 @@ mod tests {
         let mut f = MachineFunction::new("f");
         f.push(ret());
         let l = run(&f);
-        assert!(RegSet::callee_saves().is_subset(l.live_in[0]));
+        assert!(vpr::target::VPR.callee_saves.is_subset(l.live_in[0]));
         assert!(l.live_in[0].contains(Reg::RP), "the return itself reads RP");
     }
 }

@@ -7,6 +7,7 @@ use ipra_verify::{verify_modules, DiagKind, VerifyReport};
 use vpr::inst::{AluOp, Cond, Inst, MemClass};
 use vpr::program::{MachineFunction, ObjectModule};
 use vpr::regs::Reg;
+use vpr::target::{TargetId, RV32};
 
 fn ret() -> Inst {
     Inst::Bv { base: Reg::RP }
@@ -76,6 +77,21 @@ fn unsaved_callee_saves_clobber_is_flagged() {
     let report = verify_modules(&[module(vec![f])], &ProgramDatabase::new());
     assert_eq!(kinds(&report), vec![DiagKind::CalleeSavesClobber]);
     assert!(report.diagnostics[0].detail.contains("r7"));
+}
+
+/// A procedure the database has no entry for is held to its own target's
+/// standard convention: on RV32, s2–s11 include x19–x26, which VPR's
+/// convention leaves caller-saves.
+#[test]
+fn rv32_procedure_without_an_entry_is_held_to_the_rv32_convention() {
+    for i in 19..=26 {
+        let mut f = MachineFunction::new("main");
+        f.push(Inst::Ldi { rd: Reg::new(i), imm: 1 });
+        f.push(Inst::Bv { base: RV32.rp });
+        let m = ObjectModule { target: TargetId::Rv32, ..module(vec![f]) };
+        let report = verify_modules(&[m], &ProgramDatabase::new());
+        assert_eq!(kinds(&report), vec![DiagKind::CalleeSavesClobber], "x{i}");
+    }
 }
 
 #[test]
@@ -219,10 +235,10 @@ fn indirect_calls_union_address_taken_clobbers() {
 /// `reg`; `member` holds it without the entry protocol.
 fn web_db(reg: Reg) -> ProgramDatabase {
     let mut db = ProgramDatabase::new();
-    let mut e = ProcDirectives::standard("entry");
+    let mut e = ProcDirectives::standard_for("entry", TargetId::Vpr);
     e.promotions.push(Promotion { sym: "gv".into(), reg, is_entry: true, store_at_exit: true });
     db.insert(e);
-    let mut m = ProcDirectives::standard("member");
+    let mut m = ProcDirectives::standard_for("member", TargetId::Vpr);
     m.promotions.push(Promotion { sym: "gv".into(), reg, is_entry: false, store_at_exit: true });
     db.insert(m);
     db
@@ -291,10 +307,10 @@ fn calling_web_interior_from_outside_is_flagged() {
 fn disagreeing_home_registers_are_flagged() {
     let (r5, r6) = (Reg::new(5), Reg::new(6));
     let mut db = ProgramDatabase::new();
-    let mut e = ProcDirectives::standard("entry");
+    let mut e = ProcDirectives::standard_for("entry", TargetId::Vpr);
     e.promotions.push(Promotion { sym: "gv".into(), reg: r5, is_entry: true, store_at_exit: true });
     db.insert(e);
-    let mut m = ProcDirectives::standard("member");
+    let mut m = ProcDirectives::standard_for("member", TargetId::Vpr);
     m.promotions.push(Promotion {
         sym: "gv".into(),
         reg: r6,
@@ -348,11 +364,11 @@ fn reaching_the_globals_memory_home_from_inside_the_web_is_flagged() {
 fn cluster_root_missing_boundary_restore_is_flagged() {
     let r7 = Reg::new(7);
     let mut db = ProgramDatabase::new();
-    let mut root = ProcDirectives::standard("root");
+    let mut root = ProcDirectives::standard_for("root", TargetId::Vpr);
     root.is_cluster_root = true;
     root.usage.mspill.insert(r7);
     db.insert(root);
-    let mut member = ProcDirectives::standard("member");
+    let mut member = ProcDirectives::standard_for("member", TargetId::Vpr);
     member.usage.free.insert(r7);
     db.insert(member);
 
@@ -378,11 +394,11 @@ fn cluster_root_missing_boundary_restore_is_flagged() {
 fn intact_cluster_boundary_verifies_clean() {
     let r7 = Reg::new(7);
     let mut db = ProgramDatabase::new();
-    let mut root = ProcDirectives::standard("root");
+    let mut root = ProcDirectives::standard_for("root", TargetId::Vpr);
     root.is_cluster_root = true;
     root.usage.mspill.insert(r7);
     db.insert(root);
-    let mut member = ProcDirectives::standard("member");
+    let mut member = ProcDirectives::standard_for("member", TargetId::Vpr);
     member.usage.free.insert(r7);
     db.insert(member);
 
@@ -416,7 +432,7 @@ fn report_display_carries_provenance() {
 /// single-node web, no store-back at exit.
 fn read_only_db(reg: Reg) -> ProgramDatabase {
     let mut db = ProgramDatabase::new();
-    let mut m = ProcDirectives::standard("main");
+    let mut m = ProcDirectives::standard_for("main", TargetId::Vpr);
     m.promotions.push(Promotion { sym: "gv".into(), reg, is_entry: true, store_at_exit: false });
     db.insert(m);
     db

@@ -34,7 +34,7 @@ use std::fmt;
 /// use vpr::regs::Reg;
 /// let r = Reg::new(5);
 /// assert_eq!(r.index(), 5);
-/// assert!(r.is_callee_saves());
+/// assert!(vpr::target::VPR.callee_saves.contains(r));
 /// assert_eq!(r.to_string(), "r5");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -76,16 +76,6 @@ impl Reg {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Is this one of the 16 callee-saves registers (`r3..=r18`)?
-    pub fn is_callee_saves(self) -> bool {
-        (3..=18).contains(&self.0)
-    }
-
-    /// Is this a caller-saves register allocatable for local values?
-    pub fn is_caller_saves(self) -> bool {
-        matches!(self.0, 19..=26 | 28 | 29 | 31)
-    }
 }
 
 impl fmt::Display for Reg {
@@ -111,7 +101,7 @@ impl fmt::Display for Reg {
 /// ```
 /// use vpr::regs::{Reg, RegSet};
 /// let a: RegSet = [Reg::new(3), Reg::new(4)].into_iter().collect();
-/// let b = RegSet::callee_saves();
+/// let b = vpr::target::VPR.callee_saves;
 /// assert!(a.is_subset(b));
 /// assert_eq!((b - a).len(), 14);
 /// ```
@@ -125,27 +115,6 @@ impl RegSet {
     /// Creates an empty set.
     pub fn new() -> RegSet {
         RegSet(0)
-    }
-
-    /// The 16 callee-saves registers `r3..=r18`.
-    pub fn callee_saves() -> RegSet {
-        let mut s = RegSet::new();
-        for i in 3..=18 {
-            s.insert(Reg(i));
-        }
-        s
-    }
-
-    /// The allocatable caller-saves registers
-    /// (`r19..=r26`, `r28`, `r29`, `r31`).
-    pub fn caller_saves() -> RegSet {
-        let mut s = RegSet::new();
-        for i in 0..Reg::COUNT as u8 {
-            if Reg(i).is_caller_saves() {
-                s.insert(Reg(i));
-            }
-        }
-        s
     }
 
     /// Raw bitmask accessor (bit *i* set ⇔ `r{i}` in the set). Widened
@@ -340,11 +309,12 @@ impl fmt::Display for RegSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::target::VPR;
 
     #[test]
     fn register_classes_partition_the_file() {
-        let callee = RegSet::callee_saves();
-        let caller = RegSet::caller_saves();
+        let callee = VPR.callee_saves;
+        let caller = VPR.caller_saves;
         assert_eq!(callee.len(), 16);
         assert_eq!(caller.len(), 11);
         assert!(callee.is_disjoint(caller));
@@ -358,9 +328,9 @@ mod tests {
     #[test]
     fn args_are_caller_saves() {
         for a in Reg::ARGS {
-            assert!(a.is_caller_saves());
+            assert!(VPR.caller_saves.contains(a));
         }
-        assert!(Reg::RV.is_caller_saves());
+        assert!(VPR.caller_saves.contains(Reg::RV));
     }
 
     #[test]
@@ -390,7 +360,7 @@ mod tests {
 
     #[test]
     fn pop_first_drains() {
-        let mut s = RegSet::callee_saves();
+        let mut s = VPR.callee_saves;
         let mut n = 0;
         while s.pop_first().is_some() {
             n += 1;
@@ -417,9 +387,9 @@ mod tests {
             s.insert(Reg::new(i));
             assert_eq!(s.bits(), 1u64 << i, "r{i} must map to bit {i}");
         }
-        assert_eq!(RegSet::callee_saves().bits(), 0x0007_fff8); // r3..=r18
-        assert_eq!(RegSet::caller_saves().bits(), 0xb7f8_0000); // r19..=r26, r28, r29, r31
-        assert_eq!(RegSet::from_bits(0x0007_fff8), RegSet::callee_saves());
+        assert_eq!(VPR.callee_saves.bits(), 0x0007_fff8); // r3..=r18
+        assert_eq!(VPR.caller_saves.bits(), 0xb7f8_0000); // r19..=r26, r28, r29, r31
+        assert_eq!(RegSet::from_bits(0x0007_fff8), VPR.callee_saves);
     }
 
     /// Serialized sets are decimal integers; every mask a 32-register
@@ -427,7 +397,7 @@ mod tests {
     /// written before the widening read back (and re-serialize) unchanged.
     #[test]
     fn serialization_stable_across_widening() {
-        let callee = RegSet::callee_saves();
+        let callee = VPR.callee_saves;
         assert_eq!(serde_json::to_string(&callee).unwrap(), "524280");
         let top: RegSet = [Reg::new(31)].into_iter().collect();
         assert_eq!(serde_json::to_string(&top).unwrap(), "2147483648");
@@ -437,7 +407,7 @@ mod tests {
 
     #[test]
     fn subset_and_disjoint() {
-        let callee = RegSet::callee_saves();
+        let callee = VPR.callee_saves;
         let six: RegSet = (3..9).map(Reg::new).collect();
         assert!(six.is_subset(callee));
         assert!(!callee.is_subset(six));

@@ -297,18 +297,19 @@ mod tests {
         assert_eq!(d.sp, Reg::new(30));
         assert_eq!(d.scratch2, Reg::new(31));
         assert_eq!(d.args, &[Reg::new(26), Reg::new(25), Reg::new(24), Reg::new(23)]);
-        assert_eq!(d.callee_saves, RegSet::callee_saves());
-        assert_eq!(d.caller_saves, RegSet::caller_saves());
+        assert_eq!(d.callee_saves, RegSet::from_bits(0x0007_fff8));
+        assert_eq!(d.caller_saves, RegSet::from_bits(0xb7f8_0000));
         assert_eq!(d.callee_saves.len(), 16);
         assert_eq!(d.caller_saves.len(), 11);
         let pool: Vec<usize> = d.claim_pool.iter().map(|r| r.index()).collect();
         assert_eq!(pool, vec![19, 20, 21, 22, 29]);
         assert!(d.reserved.is_empty());
-        // The legacy Reg convenience predicates agree with the description.
+        // The classes are the historical `r3..=r18` and
+        // `r19..=r26, r28, r29, r31`, register by register.
         for i in 0..32u8 {
             let r = Reg::new(i);
-            assert_eq!(r.is_callee_saves(), d.callee_saves.contains(r), "r{i}");
-            assert_eq!(r.is_caller_saves(), d.caller_saves.contains(r), "r{i}");
+            assert_eq!((3..=18).contains(&i), d.callee_saves.contains(r), "r{i}");
+            assert_eq!(matches!(i, 19..=26 | 28 | 29 | 31), d.caller_saves.contains(r), "r{i}");
         }
         assert_eq!(d.reg_name(Reg::new(26)), "a0");
         assert_eq!(d.reg_name(Reg::new(30)), "sp");

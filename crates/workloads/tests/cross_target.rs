@@ -27,7 +27,8 @@ fn workloads_verify_clean_and_agree_on_both_targets() {
         for config in PaperConfig::ALL_WITH_ALIAS {
             let mut legs = Vec::new();
             for target in TargetId::ALL {
-                let opts = CompileOptions { target, ..CompileOptions::paper(config) };
+                let mut opts = CompileOptions::paper(config);
+                opts.analyzer.target = target;
                 let program =
                     compile_configured(&w.sources, config, &w.training_input, &opts, &mut cache)
                         .unwrap_or_else(|e| panic!("{}/{config}/{target}: {e}", w.name))

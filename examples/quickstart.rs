@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nimprovement: {cyc_gain:.1}% cycles, {ref_gain:.1}% singleton memory references");
 
     // Show the directives the analyzer computed for the hot procedure.
-    let bump = optimized.database.lookup("bump");
+    let bump = optimized.database.lookup_for("bump", optimized.exe.target());
     println!("\ndirectives for `bump`:");
     for p in &bump.promotions {
         println!(

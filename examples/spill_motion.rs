@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("average cluster size: {:.1} (paper reports 2-4)\n", moved.stats.avg_cluster_size);
 
     for name in ["main", "r", "s", "t", "w"] {
-        let d = moved.database.lookup(name);
+        let d = moved.database.lookup_for(name, moved.exe.target());
         println!(
             "{name:<5} root={:<5} FREE={:<16} MSPILL={:<16} CALLEE={}",
             d.is_cluster_root,

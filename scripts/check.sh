@@ -179,6 +179,22 @@ grep -q 'target rv32' "$sep/rv32-dump.txt"
 "$cminc" objdump "$sep/prog.vx" > "$sep/vpr-dump.txt"
 grep -q 'target vpr' "$sep/vpr-dump.txt"
 
+echo "==> rv32 separate-compile smoke (artifact pipeline == one-shot build, byte-for-byte)"
+rv="$sep/rv32"
+mkdir -p "$rv"
+for m in m1 m2; do
+  "$cminc" c "$sep/$m.cmin" --target rv32 -o "$rv/$m.vo" 2>/dev/null
+done
+# Objects built with no database verify against RV32's standard convention.
+"$cminc" verify "$rv/m1.vo" "$rv/m2.vo"
+"$cminc" analyze "$rv/m1.csum" "$rv/m2.csum" --config C --target rv32 -o "$rv/prog.cdir"
+for m in m1 m2; do
+  "$cminc" c "$sep/$m.cmin" --target rv32 --dir "$rv/prog.cdir" -o "$rv/$m.vo" 2>/dev/null
+done
+"$cminc" link "$rv/m1.vo" "$rv/m2.vo" -o "$rv/prog.vx"
+"$cminc" verify "$rv/m1.vo" "$rv/m2.vo" --db "$rv/prog.cdir"
+cmp "$rv/prog.vx" "$sep/prog-rv32.vx"
+
 echo "==> telemetry smoke (Chrome-trace shape; metrics byte-identical across jobs widths)"
 tele="$report_dir/tele"
 mkdir -p "$tele"

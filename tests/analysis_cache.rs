@@ -60,7 +60,8 @@ fn edited_program() -> Vec<SourceFile> {
 
 /// The call profile of `sources`' L2 build run on `input`.
 fn profile(sources: &[SourceFile], target: TargetId, input: &[i64]) -> ProfileData {
-    let opts = CompileOptions { target, ..CompileOptions::paper(PaperConfig::L2) };
+    let mut opts = CompileOptions::paper(PaperConfig::L2);
+    opts.analyzer.target = target;
     let baseline = compile(sources, &opts).expect("baseline compiles");
     let run = run_program(&baseline, input).expect("training run");
     collect_profile_from(&baseline.exe, &run)
@@ -100,24 +101,21 @@ fn variants() -> Vec<Variant> {
                 vec![None]
             };
             for (k, p) in trained.into_iter().enumerate() {
-                let opts = CompileOptions {
-                    analyzer: AnalyzerOptions::paper_config(config, p.cloned()),
-                    target,
-                    ..CompileOptions::default()
-                };
-                let resolved = AnalyzerOptions::paper_config_for(config, p.cloned(), target);
+                let resolved =
+                    AnalyzerOptions { target, ..AnalyzerOptions::paper_config(config, p.cloned()) };
+                let opts =
+                    CompileOptions { analyzer: resolved.clone(), ..CompileOptions::default() };
                 let label = format!("{config}/{}/{k}", target.name());
                 out.push(variant(label, "base", &sources, opts, resolved));
             }
         }
         // Explicit options one threshold away from C.
-        let c = AnalyzerOptions::paper_config_for(PaperConfig::C, None, target);
+        let c = AnalyzerOptions { target, ..AnalyzerOptions::paper_config(PaperConfig::C, None) };
         let explicit = AnalyzerOptions {
             discard: DiscardHeuristics { min_lref_ratio: 0.9, ..c.discard },
             ..c
         };
-        let opts =
-            CompileOptions { analyzer: explicit.clone(), target, ..CompileOptions::default() };
+        let opts = CompileOptions { analyzer: explicit.clone(), ..CompileOptions::default() };
         let label = format!("explicit/{}", target.name());
         out.push(variant(label, "base", &sources, opts, explicit));
     }
@@ -145,7 +143,7 @@ fn schedule(n: usize) -> Vec<usize> {
 
 /// Checks one build against a fresh compile of its variant.
 fn check_build(v: &Variant, built: &CompiledProgram, fresh: &CompiledProgram) {
-    let target = v.opts.target;
+    let target = v.opts.analyzer.target;
     assert_eq!(built.database, fresh.database, "{}: database", v.label);
     assert_eq!(built.stats, fresh.stats, "{}: stats", v.label);
     assert_eq!(vx(built, target), vx(fresh, target), "{}: .vx bytes", v.label);

@@ -101,7 +101,8 @@ fn lines(
     let mut cache = CompilationCache::new();
     for &config in configs {
         for target in TargetId::ALL {
-            let opts = CompileOptions { target, ..CompileOptions::paper(config) };
+            let mut opts = CompileOptions::paper(config);
+            opts.analyzer.target = target;
             let program = compile_configured(sources, config, training_input, &opts, &mut cache)
                 .unwrap_or_else(|e| panic!("{label}/{config}/{target}: compile error {e}"))
                 .unwrap_or_else(|e| panic!("{label}/{config}/{target}: training trap {e}"));

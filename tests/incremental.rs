@@ -269,7 +269,9 @@ fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
         .collect();
     let c = CompileOptions::paper(PaperConfig::C);
     cases.push((PaperConfig::C, CompileOptions { optimize: false, ..c.clone() }));
-    cases.push((PaperConfig::C, CompileOptions { target: TargetId::Rv32, ..c }));
+    let mut rv32 = c;
+    rv32.analyzer.target = TargetId::Rv32;
+    cases.push((PaperConfig::C, rv32));
     let every: Vec<String> = sources.iter().map(|s| s.name.clone()).collect();
     let cold = ([(0, 0, N, 0), (0, 0, 1, 0), (0, 0, N, 0)], every);
     for (config, case) in &cases {
@@ -278,7 +280,7 @@ fn one_shot_compile_equals_the_cached_build_fresh_and_warm() {
             let label = format!(
                 "{config} optimize={} target={} jobs={jobs} trace={trace}",
                 opts.optimize,
-                opts.target.name()
+                opts.analyzer.target.name()
             );
             let (oneshot, oneshot_metrics, oneshot_spans) =
                 counted(&opts, |o| ipra_driver::compile(&sources, o));

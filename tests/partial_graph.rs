@@ -17,6 +17,7 @@ use ipra_driver::{frontend, SourceFile};
 use ipra_summary::{summarize_module, ProgramSummary};
 use vpr::program::link;
 use vpr::sim::{run_with, SimOptions};
+use vpr::target::TargetId;
 
 /// A "run-time library": a table module with private state, plus an API
 /// module whose procedures are the partial graph's start nodes.
@@ -115,7 +116,9 @@ fn compile_library(db_out: &mut ProgramDatabase) -> Vec<vpr::ObjectModule> {
         }
     }
     *db_out = analysis.database.clone();
-    irs.iter().map(|ir| cmin_codegen::compile_module(ir, &analysis.database)).collect()
+    irs.iter()
+        .map(|ir| cmin_codegen::compile_module_for(ir, &analysis.database, TargetId::Vpr))
+        .collect()
 }
 
 #[test]
@@ -128,7 +131,7 @@ fn library_optimized_alone_links_with_standard_app() {
     let (app, info) = &frontend(&[SourceFile::new("app", APP)]).unwrap()[0];
     let mut ir = cmin_ir::lower_module(app, info);
     cmin_ir::optimize_module(&mut ir);
-    modules.push(cmin_codegen::compile_module(&ir, &ProgramDatabase::new()));
+    modules.push(cmin_codegen::compile_module_for(&ir, &ProgramDatabase::new(), TargetId::Vpr));
 
     let exe = link(&modules).unwrap();
     let optimized = run_with(&exe, &SimOptions::default()).unwrap();
@@ -279,8 +282,10 @@ fn vlib_with_unresolved_external_callee_links_and_runs() {
             w.sym
         );
     }
-    let objects: Vec<vpr::ObjectModule> =
-        irs.iter().map(|ir| cmin_codegen::compile_module(ir, &analysis.database)).collect();
+    let objects: Vec<vpr::ObjectModule> = irs
+        .iter()
+        .map(|ir| cmin_codegen::compile_module_for(ir, &analysis.database, TargetId::Vpr))
+        .collect();
     // The whole-program verifier is entitled to flag the unresolved
     // external itself; everything else — register discipline included —
     // must be clean.
@@ -322,7 +327,7 @@ fn vlib_with_unresolved_external_callee_links_and_runs() {
     let (app, info) = &frontend(&[SourceFile::new("app", app_src)]).unwrap()[0];
     let mut ir = cmin_ir::lower_module(app, info);
     cmin_ir::optimize_module(&mut ir);
-    let root = cmin_codegen::compile_module(&ir, &ProgramDatabase::new());
+    let root = cmin_codegen::compile_module_for(&ir, &ProgramDatabase::new(), TargetId::Vpr);
 
     // Archive selection must pull every member (the app needs libapi and
     // libesc; libapi and libesc need libtable), to fixpoint.

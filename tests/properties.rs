@@ -10,14 +10,17 @@
 use ipra_core::analyzer::{analyze, AnalyzerOptions, PromotionMode};
 use ipra_core::callgraph::CallGraph;
 use ipra_core::cluster::{identify_clusters, ClusterHeuristics};
-use ipra_core::color::{color_webs, interferes, prioritize, ColoringStrategy, DiscardHeuristics};
+use ipra_core::color::{
+    color_webs_for, interferes, prioritize, ColoringStrategy, DiscardHeuristics,
+};
 use ipra_core::dataflow::{Eligibility, RefSets};
-use ipra_core::regsets::compute_register_sets;
+use ipra_core::regsets::compute_register_sets_for;
 use ipra_core::webs::identify_webs;
 use ipra_summary::{CallRef, GlobalFact, GlobalRef, ModuleSummary, ProcSummary, ProgramSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpr::regs::RegSet;
+use vpr::target::TargetId;
 
 /// Seeds for one property run: 64 well-spread 64-bit values.
 fn seeds() -> impl Iterator<Item = u64> {
@@ -113,32 +116,37 @@ fn web_invariants() {
     }
 }
 
-/// Coloring validity: interfering webs never share a register, and the
-/// reserved-K strategy uses at most K registers.
+/// Coloring validity, on every target: interfering webs never share a
+/// register, every color is one of the target's callee-saves registers,
+/// and the reserved-K strategy uses at most K registers.
 #[test]
 fn coloring_validity() {
-    for seed in seeds() {
-        let k = 1 + (seed % 6) as u32;
-        let s = random_summary(seed);
-        let graph = CallGraph::build(&s, None);
-        let elig = Eligibility::compute(&graph, &s);
-        let refs = RefSets::compute(&graph, &elig);
-        let (webs, _) = identify_webs(&graph, &elig, &refs);
-        let prio = prioritize(&webs, &graph, &elig, &DiscardHeuristics::default());
-        let coloring = color_webs(&webs, &prio, ColoringStrategy::Reserved { count: k }, &graph);
-        let mut used = std::collections::HashSet::new();
-        for (i, a) in webs.iter().enumerate() {
-            if let Some(r) = coloring.assignment[i] {
-                used.insert(r);
-                assert!(r.is_callee_saves(), "seed {seed}");
-                for (j, b) in webs.iter().enumerate().skip(i + 1) {
-                    if interferes(a, b) {
-                        assert_ne!(Some(r), coloring.assignment[j], "seed {seed}");
+    for target in TargetId::ALL {
+        let desc = target.desc();
+        for seed in seeds() {
+            let k = 1 + (seed % 6) as u32;
+            let s = random_summary(seed);
+            let graph = CallGraph::build(&s, None);
+            let elig = Eligibility::compute(&graph, &s);
+            let refs = RefSets::compute(&graph, &elig);
+            let (webs, _) = identify_webs(&graph, &elig, &refs);
+            let prio = prioritize(&webs, &graph, &elig, &DiscardHeuristics::default());
+            let strategy = ColoringStrategy::Reserved { count: k };
+            let coloring = color_webs_for(&webs, &prio, strategy, &graph, desc);
+            let mut used = std::collections::HashSet::new();
+            for (i, a) in webs.iter().enumerate() {
+                if let Some(r) = coloring.assignment[i] {
+                    used.insert(r);
+                    assert!(desc.callee_saves.contains(r), "{target} seed {seed}");
+                    for (j, b) in webs.iter().enumerate().skip(i + 1) {
+                        if interferes(a, b) {
+                            assert_ne!(Some(r), coloring.assignment[j], "{target} seed {seed}");
+                        }
                     }
                 }
             }
+            assert!(used.len() <= k as usize, "{target} seed {seed}: used {} > k {k}", used.len());
         }
-        assert!(used.len() <= k as usize, "seed {seed}: used {} > k {k}", used.len());
     }
 }
 
@@ -173,52 +181,56 @@ fn cluster_invariants() {
     }
 }
 
-/// Register-set invariants (paper §4.2.3): classes are disjoint, MSPILL
-/// appears only at cluster roots, and every FREE register of a member is
-/// spilled by a root on its cluster chain.
+/// Register-set invariants (paper §4.2.3), on every target: classes are
+/// disjoint, FREE and MSPILL hold only the target's callee-saves
+/// registers, MSPILL appears only at cluster roots, and every FREE
+/// register of a member is spilled by a root on its cluster chain.
 #[test]
 fn register_set_invariants() {
-    for seed in seeds() {
-        let s = random_summary(seed);
-        let graph = CallGraph::build(&s, None);
-        let clustering = identify_clusters(&graph, &ClusterHeuristics::default());
-        let web_regs = vec![RegSet::new(); graph.len()];
-        let usage = compute_register_sets(&graph, &clustering, &web_regs, false);
-        for n in graph.node_ids() {
-            let u = &usage[n.index()];
-            assert!(u.free.is_disjoint(u.caller), "seed {seed}");
-            assert!(u.free.is_disjoint(u.callee), "seed {seed}");
-            assert!(u.caller.is_disjoint(u.callee), "seed {seed}");
-            assert!(u.free.is_subset(RegSet::callee_saves()), "seed {seed}");
-            assert!(u.mspill.is_subset(RegSet::callee_saves()), "seed {seed}");
-            if !u.mspill.is_empty() {
-                assert!(clustering.is_root(n), "seed {seed}");
+    for target in TargetId::ALL {
+        let desc = target.desc();
+        for seed in seeds() {
+            let s = random_summary(seed);
+            let graph = CallGraph::build(&s, None);
+            let clustering = identify_clusters(&graph, &ClusterHeuristics::default());
+            let web_regs = vec![RegSet::new(); graph.len()];
+            let usage = compute_register_sets_for(&graph, &clustering, &web_regs, false, desc);
+            for n in graph.node_ids() {
+                let u = &usage[n.index()];
+                assert!(u.free.is_disjoint(u.caller), "{target} seed {seed}");
+                assert!(u.free.is_disjoint(u.callee), "{target} seed {seed}");
+                assert!(u.caller.is_disjoint(u.callee), "{target} seed {seed}");
+                assert!(u.free.is_subset(desc.callee_saves), "{target} seed {seed}");
+                assert!(u.mspill.is_subset(desc.callee_saves), "{target} seed {seed}");
+                if !u.mspill.is_empty() {
+                    assert!(clustering.is_root(n), "{target} seed {seed}");
+                }
             }
-        }
-        for c in &clustering.clusters {
-            // Union of MSPILL along the enclosing-roots chain.
-            let mut chain = usage[c.root.index()].mspill;
-            let mut roots = vec![c.root];
-            loop {
-                let mut grew = false;
-                for outer in &clustering.clusters {
-                    if roots.iter().any(|r| outer.members.contains(r))
-                        && !roots.contains(&outer.root)
-                    {
-                        roots.push(outer.root);
-                        chain |= usage[outer.root.index()].mspill;
-                        grew = true;
+            for c in &clustering.clusters {
+                // Union of MSPILL along the enclosing-roots chain.
+                let mut chain = usage[c.root.index()].mspill;
+                let mut roots = vec![c.root];
+                loop {
+                    let mut grew = false;
+                    for outer in &clustering.clusters {
+                        if roots.iter().any(|r| outer.members.contains(r))
+                            && !roots.contains(&outer.root)
+                        {
+                            roots.push(outer.root);
+                            chain |= usage[outer.root.index()].mspill;
+                            grew = true;
+                        }
+                    }
+                    if !grew {
+                        break;
                     }
                 }
-                if !grew {
-                    break;
+                for &m in &c.members {
+                    assert!(
+                        usage[m.index()].free.is_subset(chain),
+                        "{target} seed {seed}: member FREE not covered by chain MSPILL"
+                    );
                 }
-            }
-            for &m in &c.members {
-                assert!(
-                    usage[m.index()].free.is_subset(chain),
-                    "seed {seed}: member FREE not covered by chain MSPILL"
-                );
             }
         }
     }
